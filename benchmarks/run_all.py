@@ -9,28 +9,28 @@ when any workload regresses more than 10% against that baseline.
 Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py            # full run
-    PYTHONPATH=src python benchmarks/run_all.py --quick    # CI smoke
+    PYTHONPATH=src python benchmarks/run_all.py --quick --output q.json
     PYTHONPATH=src python benchmarks/run_all.py --write-baseline
 
 ``--quick`` scales every workload down ~10x so the whole harness runs
-in a couple of seconds; quick numbers are too noisy to gate on, so the
-timing regression checks are skipped (the JSON is still written,
-flagged ``"quick": true``).  The deterministic observability checks —
-an attached observer must see kernel hooks, a detached one must see
-none — gate in every mode, and full runs additionally require the
-obs-disabled ``timed_storm`` rate to stay within ``OBS_OFF_TOLERANCE``
-(2%) of the recorded baseline, proving instrumentation is free when
-off.
+in seconds; quick numbers are too noisy to gate on, so the timing
+regression checks are skipped and the JSON is flagged
+``"quick": true``.  Quick mode needs an explicit ``--output``, so a
+smoke run can never overwrite the committed full-mode trajectory, and
+it refuses ``--write-baseline``.  The deterministic observability
+checks — an attached observer must see kernel hooks, a detached one
+must see none — gate in every mode, and full runs additionally require
+the obs-disabled ``timed_storm`` rate to stay within
+``OBS_OFF_TOLERANCE`` (2%) of the recorded baseline, proving
+instrumentation is free when off.
 
 ``--write-baseline`` re-records ``benchmarks/baseline.json`` from the
 current run — do this only on a commit whose numbers you want future
 runs measured against.
 
-``--chaos kill-worker[:N]`` (default ``kill-worker:1``) configures the
-chaos determinism gate: the E3 sweep reruns with N workers SIGKILLed
-mid-run and must complete every point with results bit-identical to
-the undisturbed run — the self-healing runtime's headline guarantee.
-``--chaos off`` skips it.
+The sweep path (dispatch, warm start, cache) is timed and verified by
+``perfbench/bench.py`` (workloads ``sweep_cold`` and ``sweep_warm``);
+its byte-identity gates live in the tier-1 tests.
 """
 
 from __future__ import annotations
@@ -59,13 +59,6 @@ REGRESSION_TOLERANCE = 0.10   # fail when >10% below baseline
 #: timed_storm rate may not sit more than 2% below the recorded
 #: baseline (full runs only; quick numbers are too noisy).
 OBS_OFF_TOLERANCE = 0.02
-#: Sweep telemetry must likewise be free when off: the telemetry-off
-#: warm parallel sweep rate may not sit more than 2% below the
-#: recorded ``sweep_points_per_s`` baseline (full multi-CPU runs only,
-#: mirroring the obs-off gate).  The structural form of the same
-#: guarantee — ``repro.obs.telemetry`` must never even be imported on
-#: a telemetry-off sweep — gates in every mode.
-TELEMETRY_OFF_TOLERANCE = 0.02
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_kernel.json"
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baseline.json"
 
@@ -344,39 +337,14 @@ def fault_off_check() -> list:
 
 
 # ---------------------------------------------------------------------------
-# Design-space sweep experiment (E3 space, parallel vs serial, cache).
+# Statistical evaluation experiment (replication overhead + CRN).
 # ---------------------------------------------------------------------------
 
-#: Worker processes the parallel sweep measurement uses by default
-#: (override with ``--sweep-workers``).
-SWEEP_WORKERS = 4
+#: Fixed replicate count for the replication-overhead measurement.
+STATS_REPLICATES = 4
 
-#: No-op dispatch round-trips to probe; the *minimum* is recorded, so
-#: more probes just tighten the estimate.
-DISPATCH_PROBES = 10
-
-
-def _sweep_space_and_specs(scale: float):
-    """The E3 benchmark space and (scaled) workload the sweep runs."""
-    from repro.explore import DesignSpace, standard_workloads
-
-    space = DesignSpace(
-        fabrics=("plb", "opb", "ahb", "generic", "crossbar"),
-        arbiters=("static-priority", "round-robin"),
-        clock_periods=(ns(10),),
-        max_bursts=(16,),
-    )
-    specs = [s.scaled(scale) for s in standard_workloads()["mixed"]]
-    return space, specs
-
-
-def _det_row(result) -> tuple:
-    """Simulation-derived fields only — wall clock excluded."""
-    return (
-        result.config.name, result.workload, result.mean_latency_ns,
-        result.throughput_mbps, result.utilization, result.sim_time_ns,
-        result.total_bytes,
-    )
+#: Worker processes of the replicated sweep's engine.
+STATS_WORKERS = 4
 
 
 def _available_cpus() -> int:
@@ -386,448 +354,7 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def measure_sweep(scale: float, repeats: int,
-                  workers: int = SWEEP_WORKERS):
-    """Warm-pool parallel-vs-serial sweep on the E3 space; returns
-    ``(record, failures)``.
-
-    Times the legacy serial :func:`repro.explore.explore` loop against
-    a persistent-pool :class:`repro.sweep.SweepEngine` over the same
-    points (best of N each).  The engine's first run — which spawns and
-    warms the worker pool — is timed separately as ``warmup_wall_s``;
-    the gated ``parallel_points_per_s`` figure measures warm runs,
-    i.e. steady-state dispatch, which is what repeated sweeps actually
-    pay.  A no-op dispatch probe records ``dispatch_overhead_ms``
-    (submit to worker-side start), and the warm-cache section times
-    resume against a fresh on-disk store.
-
-    Deterministic gates in every mode: engine results must equal the
-    serial loop's bit-for-bit, warm runs must spawn **zero** new
-    processes, the second cached run must hit for 100% of points,
-    cached results must equal computed ones,
-    ``repro.obs.telemetry`` must never get imported on the
-    telemetry-off sweeps, and a telemetry-on pass over the same points
-    must reproduce the telemetry-off results bit-for-bit.
-    """
-    import tempfile
-
-    from repro.explore import explore
-    from repro.sweep import SweepEngine, SweepStore, points_for_space
-
-    space, specs = _sweep_space_and_specs(scale)
-    points = points_for_space(space, specs, workload="mixed")
-    failures = []
-
-    best_serial = None
-    serial_results = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        results = explore(space, specs, workload_name="mixed")
-        wall = time.perf_counter() - start
-        if best_serial is None or wall < best_serial:
-            best_serial, serial_results = wall, results
-
-    with SweepEngine(workers=workers) as engine:
-        # First run spawns + warms the pool; timed separately so the
-        # gated steady-state number measures dispatch, not fork.
-        start = time.perf_counter()
-        parallel_outcomes = engine.run(points)
-        warmup_wall = time.perf_counter() - start
-        warm_pids = sorted(engine.pool_pids())
-        spawns_after_warmup = engine.pool_spawns
-
-        best_parallel = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            outcomes = engine.run(points)
-            wall = time.perf_counter() - start
-            if best_parallel is None or wall < best_parallel:
-                best_parallel, parallel_outcomes = wall, outcomes
-
-        # Warm-pool gate: repeated run() calls must reuse the warmed
-        # processes — zero new spawns, identical worker PIDs.
-        if engine.pool_spawns != spawns_after_warmup:
-            failures.append(
-                f"warm runs spawned "
-                f"{engine.pool_spawns - spawns_after_warmup} new "
-                f"worker process(es); the pool must persist"
-            )
-        if sorted(engine.pool_pids()) != warm_pids:
-            failures.append(
-                "worker PIDs changed across runs; the pool was respawned"
-            )
-        pool_stats = {
-            "spawned": engine.pool_spawns,
-            "reused_runs": engine.pool_reuses,
-            "batches_per_run": engine.last_batches,
-        }
-        dispatch_overhead_s = min(
-            engine.dispatch_overhead_s()
-            for _ in range(max(DISPATCH_PROBES, repeats))
-        )
-
-    serial_rows = [_det_row(r) for r in serial_results]
-    parallel_rows = [_det_row(o.result) for o in parallel_outcomes]
-    if serial_rows != parallel_rows:
-        failures.append(
-            "parallel sweep results differ from the serial explore() "
-            "loop"
-        )
-
-    # Structural telemetry-off guarantee: none of the sweeps above had
-    # telemetry attached, so the telemetry module must never have been
-    # imported — the off path is import-free, not just cheap.  (The
-    # telemetry-on measurement below imports it, so order matters.)
-    if "repro.obs.telemetry" in sys.modules:
-        failures.append(
-            "repro.obs.telemetry was imported during telemetry-off "
-            "sweeps; the off path must stay import-free"
-        )
-
-    # Telemetry-on measurement: same points, warm pool, full telemetry
-    # (ledger + progress stream + merged trace).  Gates: results must
-    # stay bit-identical to the telemetry-off run, and the measured
-    # on/off ratio is recorded for the trajectory.
-    with tempfile.TemporaryDirectory(prefix="bench_tel_") as tel_dir:
-        from repro.obs.telemetry import SweepTelemetry
-
-        telemetry = SweepTelemetry(
-            ledger=tel_dir,
-            trace_path=os.path.join(tel_dir, "trace.json"),
-        )
-        with SweepEngine(workers=workers,
-                         telemetry=telemetry) as tel_engine:
-            tel_engine.run(points)  # spawn + warm off the clock
-            best_tel = None
-            tel_outcomes = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                outcomes = tel_engine.run(points)
-                wall = time.perf_counter() - start
-                if best_tel is None or wall < best_tel:
-                    best_tel, tel_outcomes = wall, outcomes
-        telemetry.close()
-        if [_det_row(o.result) for o in tel_outcomes] != parallel_rows:
-            failures.append(
-                "telemetry-on sweep results differ from telemetry-off "
-                "ones; telemetry must be observation-only"
-            )
-
-    with tempfile.TemporaryDirectory(prefix="bench_sweep_") as cache_dir:
-        with SweepEngine(workers=workers,
-                         store=SweepStore(cache_dir)) as cached_engine:
-            cold_outcomes = cached_engine.run(points)
-            start = time.perf_counter()
-            warm_outcomes = cached_engine.run(points)
-            warm_wall = time.perf_counter() - start
-            hit_rate = (cached_engine.last_cached / len(points)
-                        if points else 0.0)
-            if hit_rate < 1.0:
-                failures.append(
-                    f"warm-cache sweep re-simulated "
-                    f"{cached_engine.last_computed} of {len(points)} "
-                    f"points"
-                )
-            if ([_det_row(o.result) for o in warm_outcomes]
-                    != [_det_row(o.result) for o in cold_outcomes]):
-                failures.append(
-                    "cached sweep results differ from computed ones"
-                )
-
-    cpus = _available_cpus()
-    record = {
-        "points": len(points),
-        "workers": workers,
-        "cpus": cpus,
-        "serial_wall_s": round(best_serial, 5),
-        "warmup_wall_s": round(warmup_wall, 5),
-        "parallel_wall_s": round(best_parallel, 5),
-        "speedup_vs_serial": round(best_serial / best_parallel, 2)
-        if best_parallel > 0 else float("inf"),
-        "parallel_points_per_s": round(len(points) / best_parallel, 2)
-        if best_parallel > 0 else float("inf"),
-        "serial_points_per_s": round(len(points) / best_serial, 2)
-        if best_serial > 0 else float("inf"),
-        "dispatch_overhead_ms": round(dispatch_overhead_s * 1e3, 4),
-        "per_point_ms": {
-            "serial": round(best_serial / len(points) * 1e3, 4),
-            "parallel_warm": round(best_parallel / len(points) * 1e3, 4),
-        },
-        "pool": pool_stats,
-        "warm_cache_wall_s": round(warm_wall, 5),
-        "cache_hit_rate": hit_rate,
-        "telemetry_on_wall_s": round(best_tel, 5),
-        "telemetry_on_points_per_s": round(len(points) / best_tel, 2)
-        if best_tel > 0 else float("inf"),
-        # Warm telemetry-on rate over warm telemetry-off rate; the
-        # full-stack telemetry cost on this workload (informational —
-        # the gated guarantee is the *off* path staying free).
-        "telemetry_on_off_ratio": round(best_parallel / best_tel, 4)
-        if best_tel > 0 else 0.0,
-    }
-    if cpus == 1:
-        # A single-CPU box cannot show parallel speedup — the number
-        # measures dispatch overhead, not core scaling; the baseline
-        # rate gate is skipped (see compare()) and the
-        # dispatch_overhead_ms gate carries the regression protection.
-        record["speedup_note"] = (
-            "1 cpu available: speedup reflects dispatch overhead only; "
-            "points-per-s baseline gate skipped"
-        )
-    return record, failures
-
-
-# ---------------------------------------------------------------------------
-# Warm-start checkpoint experiment (boot-phase reuse across a sweep).
-# ---------------------------------------------------------------------------
-
-def _warm_specs_and_boot(scale: float):
-    """A deliberately boot-heavy workload for the warm-start measure.
-
-    The boot phase carries ~10x the measured phase's transactions, so
-    resuming from a boot checkpoint skips most of each point's work —
-    the regime checkpointing exists for (long deterministic warm-up,
-    short measured window).
-    """
-    from repro.explore import BootSpec, MasterTrafficSpec
-    from repro.kernel import ms
-
-    measured = max(8, int(40 * scale))
-    boot_txns = max(80, int(400 * scale))
-    specs = (
-        MasterTrafficSpec("cpu", pattern="random", base=0x0,
-                          size=1 << 14, burst_length=1, gap=ns(40),
-                          transactions=measured, priority=0),
-        MasterTrafficSpec("dma", pattern="stream", base=0x100000,
-                          size=1 << 14, burst_length=8, gap=ns(60),
-                          transactions=measured, priority=1),
-    )
-    boot = BootSpec(specs=tuple(
-        MasterTrafficSpec(f"boot_{s.name}", pattern=s.pattern,
-                          base=s.base, size=s.size,
-                          burst_length=s.burst_length, gap=s.gap,
-                          transactions=boot_txns, priority=s.priority)
-        for s in specs
-    ), until=ms(1))
-    return specs, boot, measured, boot_txns
-
-
-def measure_warm_start(scale: float, repeats: int,
-                       workers: int = SWEEP_WORKERS):
-    """Warm-started vs cold sweep on a boot-heavy workload; returns
-    ``(record, failures)``.
-
-    Cold runs simulate boot + measured phases per point; warm runs
-    resume every point from its family's boot checkpoint
-    (``repro.snapshot``) and simulate only the measured suffix.  The
-    checkpoint materialization pass runs off the clock (it is paid
-    once per family, not per run), mirroring how the sweep CLI
-    amortizes it across resumed sessions.
-
-    Deterministic gates in every mode, quick included: warm results
-    must be **bit-identical** to cold ones, and every point must
-    actually resume warm (zero cold fallbacks).  The trajectory gates
-    ``warm_start_per_point_ms`` and ``checkpoint_restore_ms`` against
-    the recorded baseline on full runs.
-    """
-    import tempfile
-
-    from repro.explore import DesignSpace, materialize_boot_checkpoint
-    from repro.explore.runner import decode_payload, run_point
-    from repro.kernel import ms
-    from repro.snapshot import Checkpoint
-    from repro.sweep import SweepEngine, points_for_space
-
-    failures = []
-    space = DesignSpace(
-        fabrics=("generic", "crossbar"),
-        arbiters=("static-priority",),
-        clock_periods=(ns(10),),
-        max_bursts=(16,),
-    )
-    specs, boot, measured_txns, boot_txns = _warm_specs_and_boot(scale)
-
-    def mk_points():
-        return points_for_space(space, specs, workload="warmbench",
-                                max_sim_time=ms(5), seed=3, boot=boot)
-
-    n_points = len(mk_points())
-
-    with SweepEngine(workers=workers) as engine:
-        engine.run(mk_points())  # spawn + warm the pool off the clock
-        best_cold = None
-        cold_outcomes = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            outcomes = engine.run(mk_points())
-            wall = time.perf_counter() - start
-            if best_cold is None or wall < best_cold:
-                best_cold, cold_outcomes = wall, outcomes
-    cold_rows = [_det_row(o.result) for o in cold_outcomes]
-
-    with tempfile.TemporaryDirectory(prefix="bench_ckpt_") as ckpt_dir:
-        with SweepEngine(workers=workers, checkpoint_dir=ckpt_dir,
-                         warm_start=True) as engine:
-            # First run materializes the boot checkpoints (paid once
-            # per family) and re-warms this engine's pool.
-            start = time.perf_counter()
-            engine.run(mk_points())
-            materialize_wall = time.perf_counter() - start
-            families = engine.session_checkpoints
-
-            best_warm = None
-            warm_outcomes = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                outcomes = engine.run(mk_points())
-                wall = time.perf_counter() - start
-                if best_warm is None or wall < best_warm:
-                    best_warm, warm_outcomes = wall, outcomes
-            if engine.last_warm_points != n_points:
-                failures.append(
-                    f"warm sweep resumed only {engine.last_warm_points} "
-                    f"of {n_points} points from checkpoints"
-                )
-        warm_rows = [_det_row(o.result) for o in warm_outcomes]
-        if warm_rows != cold_rows:
-            failures.append(
-                "warm-started sweep results differ from the cold sweep; "
-                "checkpoint restore must be bit-deterministic"
-            )
-
-        # Restore micro-measure: checkpoint load + state overlay cost
-        # for one point, isolated from simulation time (best of N).
-        point = mk_points()[0]
-        digest = materialize_boot_checkpoint(
-            point.to_payload(), ckpt_dir, point.family_key())
-        best_load = None
-        best_restore = None
-        for _ in range(max(repeats, 3)):
-            start = time.perf_counter()
-            checkpoint = Checkpoint.load(ckpt_dir, digest)
-            load_wall = time.perf_counter() - start
-            timings: dict = {}
-            kwargs = decode_payload(point.to_payload())
-            kwargs["warm_snapshot"] = checkpoint.snapshot
-            run_point(timings=timings, **kwargs)
-            restore_wall = load_wall + timings.get("restore_s", 0.0)
-            if best_load is None or load_wall < best_load:
-                best_load = load_wall
-            if best_restore is None or restore_wall < best_restore:
-                best_restore = restore_wall
-
-    record = {
-        "points": n_points,
-        "workers": workers,
-        "cpus": _available_cpus(),
-        "boot_transactions": boot_txns,
-        "measured_transactions": measured_txns,
-        "checkpoint_families": families,
-        "cold_wall_s": round(best_cold, 5),
-        "warm_wall_s": round(best_warm, 5),
-        "materialize_wall_s": round(materialize_wall, 5),
-        "cold_per_point_ms": round(best_cold / n_points * 1e3, 4),
-        "warm_start_per_point_ms": round(best_warm / n_points * 1e3, 4),
-        # <1.0 = warm wins; the boot-heavy workload should sit well
-        # below 1.0 (most of each cold point is skipped warm-up).
-        "warm_over_cold_ratio": round(best_warm / best_cold, 4)
-        if best_cold > 0 else float("inf"),
-        "checkpoint_load_ms": round(best_load * 1e3, 4),
-        "checkpoint_restore_ms": round(best_restore * 1e3, 4),
-        "deterministic": warm_rows == cold_rows,
-    }
-    return record, failures
-
-
-# ---------------------------------------------------------------------------
-# Chaos determinism experiment (self-healing sweep runtime).
-# ---------------------------------------------------------------------------
-
-def measure_chaos(scale: float, workers: int, spec: str):
-    """Chaos determinism gate; returns ``(record, failures)``.
-
-    Runs the E3 benchmark sweep once undisturbed and once under a
-    :class:`repro.sweep.ChaosPlan` that SIGKILLs workers on scheduled
-    batch pickups.  Deterministic gates in every mode: the chaos run
-    must deliver every scheduled kill, respawn every victim, complete
-    every point (nothing quarantined — there is no poison point, only
-    murdered workers), and produce results **bit-identical** to the
-    undisturbed run.  This is the headline self-healing guarantee:
-    crash recovery replays lost work through the same canonical
-    ``decode → run_point → to_dict`` path, so recovery can never
-    change a result, only its schedule.
-    """
-    from repro.sweep import ChaosPlan, SweepEngine, points_for_space
-
-    space, specs = _sweep_space_and_specs(scale)
-    points = points_for_space(space, specs, workload="mixed")
-    failures = []
-    plan = ChaosPlan.parse(spec)
-
-    with SweepEngine(workers=workers) as engine:
-        start = time.perf_counter()
-        calm_rows = [_det_row(o.result) for o in engine.run(points)]
-        calm_wall = time.perf_counter() - start
-
-    with SweepEngine(workers=workers, chaos=plan) as chaos_engine:
-        start = time.perf_counter()
-        chaos_outcomes = chaos_engine.run(points)
-        chaos_wall = time.perf_counter() - start
-        recovery = dict(chaos_engine.session_recovery)
-        quarantined = chaos_engine.last_quarantined
-
-    if plan.struck != plan.kills:
-        failures.append(
-            f"chaos delivered {plan.struck} of {plan.kills} scheduled "
-            f"worker kill(s)"
-        )
-    if recovery.get("worker_respawns", 0) < plan.struck:
-        failures.append(
-            f"chaos killed {plan.struck} worker(s) but only "
-            f"{recovery.get('worker_respawns', 0)} respawned"
-        )
-    if quarantined:
-        failures.append(
-            f"chaos run quarantined {quarantined} point(s); killed "
-            f"workers must only delay points, never fail them"
-        )
-    chaos_rows = [_det_row(o.result) for o in chaos_outcomes
-                  if not o.failed]
-    if chaos_rows != calm_rows:
-        failures.append(
-            "chaos-run sweep results differ from the undisturbed run; "
-            "crash recovery must be bit-deterministic"
-        )
-
-    record = {
-        "plan": str(plan),
-        "points": len(points),
-        "workers": workers,
-        "kills_delivered": plan.struck,
-        "recovery": recovery,
-        "quarantined": quarantined,
-        "calm_wall_s": round(calm_wall, 5),
-        "chaos_wall_s": round(chaos_wall, 5),
-        # >1.0 = recovery cost (respawn backoff + requeued work); the
-        # trajectory record, not a gated number — wall noise under
-        # SIGKILL is inherently high.
-        "chaos_over_calm_ratio": round(chaos_wall / calm_wall, 3)
-        if calm_wall > 0 else float("inf"),
-        "deterministic": chaos_rows == calm_rows,
-    }
-    return record, failures
-
-
-# ---------------------------------------------------------------------------
-# Statistical evaluation experiment (replication overhead + CRN).
-# ---------------------------------------------------------------------------
-
-#: Fixed replicate count for the replication-overhead measurement.
-STATS_REPLICATES = 4
-
-
-def measure_stats(scale: float, repeats: int,
-                  workers: int = SWEEP_WORKERS):
+def measure_stats(scale: float, repeats: int):
     """Replicated-run overhead and CRN variance reduction; returns
     ``(record, failures)``.
 
@@ -863,7 +390,7 @@ def measure_stats(scale: float, repeats: int,
     policy = ReplicationPolicy(r_min=STATS_REPLICATES,
                                r_max=STATS_REPLICATES)
 
-    with SweepEngine(workers=workers) as engine:
+    with SweepEngine(workers=STATS_WORKERS) as engine:
         engine.run(points)  # spawn + warm the pool off the clock
 
         best_single = None
@@ -930,7 +457,7 @@ def measure_stats(scale: float, repeats: int,
     record = {
         "points": len(points),
         "replicates_per_point": STATS_REPLICATES,
-        "workers": workers,
+        "workers": STATS_WORKERS,
         "cpus": _available_cpus(),
         "single_wall_s": round(best_single, 5),
         "replicated_wall_s": round(best_repl, 5),
@@ -1001,66 +528,21 @@ def run_e1_levels(repeats: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def compare(kernel: dict, e1: dict, baseline: dict,
-            sweep: Optional[dict] = None,
-            stats: Optional[dict] = None,
-            warm: Optional[dict] = None):
+            stats: Optional[dict] = None):
     """Annotate results with speedups; return the list of regressions."""
     regressions = []
-    # Warm-start trajectory gates (lower is better for both keys).
-    for key, label in (("warm_start_per_point_ms",
-                        "warm/warm_start_per_point_ms"),
-                       ("checkpoint_restore_ms",
-                        "warm/checkpoint_restore_ms")):
-        base_value = baseline.get(key)
-        if warm and base_value and warm.get(key):
-            measured = warm[key]
-            warm[f"baseline_{key}"] = base_value
-            ratio = base_value / measured
-            warm[f"{key}_vs_baseline"] = round(ratio, 2)
-            if measured > base_value * (1.0 + REGRESSION_TOLERANCE):
-                regressions.append((label, ratio))
     base_repl_rate = baseline.get("stats_replicates_per_s")
     if stats and base_repl_rate:
         ratio = stats["replicates_per_s"] / base_repl_rate
         stats["baseline_replicates_per_s"] = base_repl_rate
         stats["vs_baseline"] = round(ratio, 2)
         if stats.get("cpus", 1) <= 1:
-            # Same reasoning as the sweep rate gate: one CPU measures
-            # core starvation, not the replication layer.  The
-            # deterministic gates in measure_stats() still apply.
+            # One CPU measures core starvation, not the replication
+            # layer.  The deterministic gates in measure_stats() still
+            # apply.
             stats["vs_baseline_note"] = "rate gate skipped on 1 cpu"
         elif ratio < 1.0 - REGRESSION_TOLERANCE:
             regressions.append(("stats/replicates_per_s", ratio))
-    base_sweep_rate = baseline.get("sweep_points_per_s")
-    if sweep and base_sweep_rate:
-        ratio = sweep["parallel_points_per_s"] / base_sweep_rate
-        sweep["baseline_points_per_s"] = base_sweep_rate
-        sweep["vs_baseline"] = round(ratio, 2)
-        if sweep.get("cpus", 1) <= 1:
-            # One CPU starves the pool of parallelism; the rate gate
-            # would measure core starvation, not dispatch overhead.
-            # dispatch_overhead_ms (below) still gates.
-            sweep["vs_baseline_note"] = "rate gate skipped on 1 cpu"
-        elif ratio < 1.0 - REGRESSION_TOLERANCE:
-            regressions.append(("sweep/parallel_points_per_s", ratio))
-        elif ratio < 1.0 - TELEMETRY_OFF_TOLERANCE:
-            # Tighter telemetry-off gate, mirroring the obs-off one:
-            # the sweeps behind parallel_points_per_s run with no
-            # telemetry attached, so any drop beyond 2% vs the
-            # recorded baseline means the telemetry layer is taxing
-            # the off path it promised to leave alone.
-            regressions.append(("sweep/telemetry_off_rate", ratio))
-    base_overhead = baseline.get("sweep_dispatch_overhead_ms")
-    if sweep and base_overhead and sweep.get("dispatch_overhead_ms"):
-        measured = sweep["dispatch_overhead_ms"]
-        sweep["baseline_dispatch_overhead_ms"] = base_overhead
-        # Lower is better: regress when the warm-pool no-op dispatch
-        # latency grows more than the standard tolerance.
-        overhead_ratio = base_overhead / measured
-        sweep["dispatch_vs_baseline"] = round(overhead_ratio, 2)
-        if measured > base_overhead * (1.0 + REGRESSION_TOLERANCE):
-            regressions.append(
-                ("sweep/dispatch_overhead_ms", overhead_ratio))
     base_rates = baseline.get("kernel_rate_per_s", {})
     for name, row in kernel.items():
         base = base_rates.get(name)
@@ -1109,29 +591,25 @@ def main(argv=None) -> int:
                              "(CI smoke)")
     parser.add_argument("--repeat", type=int, default=3,
                         help="take the best of N repeats (default 3)")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help="where to write the JSON trajectory record")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="where to write the JSON trajectory record "
+                             "(default BENCH_kernel.json; required with "
+                             "--quick)")
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE,
                         help="recorded baseline to compare against")
     parser.add_argument("--write-baseline", action="store_true",
                         help="re-record the baseline from this run")
-    parser.add_argument("--sweep-workers", type=int,
-                        default=SWEEP_WORKERS,
-                        help="worker processes for the sweep "
-                             f"measurement (default {SWEEP_WORKERS})")
-    parser.add_argument("--require-sweep-speedup", action="store_true",
-                        help="fail unless the warm parallel sweep "
-                             "beats the serial rate (skipped, with a "
-                             "note, when only 1 CPU is available)")
-    parser.add_argument("--chaos", default="kill-worker:1",
-                        metavar="SPEC",
-                        help="chaos determinism gate plan "
-                             "(kill-worker[:N], default kill-worker:1; "
-                             "'off' skips the chaos measurement)")
     args = parser.parse_args(argv)
 
     if args.repeat < 1:
         parser.error(f"--repeat must be >= 1, got {args.repeat}")
+    if args.quick and args.output is None:
+        parser.error("--quick needs an explicit --output: quick numbers "
+                     f"must not overwrite {DEFAULT_OUTPUT.name}")
+    if args.quick and args.write_baseline:
+        parser.error("--write-baseline needs a full run; quick numbers "
+                     "are too noisy to measure against")
+    output = args.output or DEFAULT_OUTPUT
     scale = 0.1 if args.quick else 1.0
     if args.quick:
         # Shrink the E1 transaction stream before the bench module loads.
@@ -1140,36 +618,13 @@ def main(argv=None) -> int:
     kernel = run_kernel_workloads(scale, args.repeat)
     e1 = run_e1_levels(args.repeat)
     obs = measure_obs_overhead(scale, args.repeat)
-    sweep, sweep_failures = measure_sweep(scale, args.repeat,
-                                          workers=args.sweep_workers)
-    if args.require_sweep_speedup:
-        if sweep["cpus"] < 2:
-            print("--require-sweep-speedup: skipped (1 cpu available)")
-        elif sweep["speedup_vs_serial"] <= 1.0:
-            sweep_failures.append(
-                f"warm parallel sweep did not beat serial on "
-                f"{sweep['cpus']} cpus: speedup "
-                f"x{sweep['speedup_vs_serial']:.2f} "
-                f"({sweep['parallel_points_per_s']} vs "
-                f"{sweep['serial_points_per_s']} points/s)"
-            )
-    stats, stats_failures = measure_stats(scale, args.repeat,
-                                          workers=args.sweep_workers)
-    warm, warm_failures = measure_warm_start(scale, args.repeat,
-                                             workers=args.sweep_workers)
-    chaos, chaos_failures = None, []
-    if args.chaos != "off":
-        chaos, chaos_failures = measure_chaos(
-            scale, workers=args.sweep_workers, spec=args.chaos)
-    obs_failures = (noop_hook_check() + fault_off_check()
-                    + sweep_failures + stats_failures + warm_failures
-                    + chaos_failures)
+    stats, stats_failures = measure_stats(scale, args.repeat)
+    obs_failures = noop_hook_check() + fault_off_check() + stats_failures
 
     baseline = {}
     if args.baseline.exists() and not args.quick:
         baseline = json.loads(args.baseline.read_text())
-    regressions = compare(kernel, e1, baseline, sweep=sweep, stats=stats,
-                          warm=warm)
+    regressions = compare(kernel, e1, baseline, stats=stats)
     base_obs_off = baseline.get("obs_off_rate_per_s")
     if base_obs_off:
         obs["baseline_off_rate_per_s"] = base_obs_off
@@ -1184,34 +639,16 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "regression_tolerance": REGRESSION_TOLERANCE,
         "obs_off_tolerance": OBS_OFF_TOLERANCE,
-        "telemetry_off_tolerance": TELEMETRY_OFF_TOLERANCE,
         "kernel": kernel,
         "e1": e1,
         "obs": obs,
-        "sweep": sweep,
         "stats": stats,
-        "warm_start": warm,
-        "chaos": chaos,
     }
-    args.output.write_text(json.dumps(record, indent=1) + "\n")
+    output.write_text(json.dumps(record, indent=1) + "\n")
     print_report(kernel, e1)
     print(f"\nobs overhead: off {obs['off_rate_per_s']}/s, "
           f"on {obs['on_rate_per_s']}/s "
           f"(ratio {obs['on_off_ratio']:.3f})")
-    print(f"sweep: {sweep['points']} points — serial "
-          f"{sweep['serial_wall_s'] * 1e3:.0f}ms, warm parallel "
-          f"{sweep['parallel_wall_s'] * 1e3:.0f}ms with "
-          f"{sweep['workers']} workers on {sweep['cpus']} cpu(s) "
-          f"(x{sweep['speedup_vs_serial']:.2f}, warmup "
-          f"{sweep['warmup_wall_s'] * 1e3:.0f}ms, dispatch "
-          f"{sweep['dispatch_overhead_ms']:.2f}ms), warm cache "
-          f"{sweep['warm_cache_wall_s'] * 1e3:.1f}ms at "
-          f"{sweep['cache_hit_rate']:.0%} hits")
-    print(f"sweep telemetry: on "
-          f"{sweep['telemetry_on_wall_s'] * 1e3:.0f}ms "
-          f"({sweep['telemetry_on_points_per_s']} points/s, "
-          f"x{sweep['telemetry_on_off_ratio']:.3f} of telemetry-off); "
-          f"off path import-free")
     print(f"stats: {stats['points']} points x "
           f"{stats['replicates_per_point']} replicates in "
           f"{stats['replicated_wall_s'] * 1e3:.0f}ms "
@@ -1219,24 +656,7 @@ def main(argv=None) -> int:
           f"x{stats['overhead_ratio']:.2f} per-replicate vs plain "
           f"point), CRN variance ratio "
           f"{stats['crn_variance_ratio']:.2f}")
-    print(f"warm start: {warm['points']} points "
-          f"(boot {warm['boot_transactions']} / measured "
-          f"{warm['measured_transactions']} txns) — cold "
-          f"{warm['cold_per_point_ms']:.1f}ms/pt, warm "
-          f"{warm['warm_start_per_point_ms']:.1f}ms/pt "
-          f"(x{warm['warm_over_cold_ratio']:.2f} of cold), restore "
-          f"{warm['checkpoint_restore_ms']:.2f}ms, "
-          f"{warm['checkpoint_families']} checkpoint family(ies), "
-          f"results "
-          f"{'bit-identical' if warm['deterministic'] else 'DIVERGED'}")
-    if chaos is not None:
-        print(f"chaos: {chaos['plan']} on {chaos['points']} points — "
-              f"{chaos['kills_delivered']} kill(s), "
-              f"{chaos['recovery'].get('worker_respawns', 0)} "
-              f"respawn(s), {chaos['quarantined']} quarantined, "
-              f"results {'bit-identical' if chaos['deterministic'] else 'DIVERGED'} "
-              f"(x{chaos['chaos_over_calm_ratio']:.2f} wall vs calm)")
-    print(f"wrote {args.output}")
+    print(f"wrote {output}")
 
     if obs_failures:
         print("\nOBSERVABILITY CHECK FAILED:", file=sys.stderr)
@@ -1258,11 +678,7 @@ def main(argv=None) -> int:
                 name: row["wall_s"] for name, row in e1.items()
             },
             "obs_off_rate_per_s": obs["off_rate_per_s"],
-            "sweep_points_per_s": sweep["parallel_points_per_s"],
-            "sweep_dispatch_overhead_ms": sweep["dispatch_overhead_ms"],
             "stats_replicates_per_s": stats["replicates_per_s"],
-            "warm_start_per_point_ms": warm["warm_start_per_point_ms"],
-            "checkpoint_restore_ms": warm["checkpoint_restore_ms"],
         }
         args.baseline.write_text(json.dumps(new_baseline, indent=2) + "\n")
         print(f"re-recorded baseline at {args.baseline}")

@@ -674,56 +674,17 @@ def materialize_boot_checkpoint(payload: dict, directory: str,
     return digest
 
 
-#: Env var mapping config names to injected hazards (JSON object, e.g.
-#: ``{"plb_sp": "raise"}``).  Values: ``raise`` (the point raises),
-#: ``exit`` (the worker process dies via ``os._exit``), ``hang`` or
-#: ``hang:SECONDS`` (the point sleeps past any deadline).  The sweep's
-#: quarantine/chaos tests set this in the orchestrator so forked
-#: workers inherit it; unset (the overwhelmingly common case) the hook
-#: is a single dict lookup per point.
-HAZARD_ENV = "REPRO_EXPLORE_HAZARD"
+def _payload_label(payload: dict) -> Optional[str]:
+    """Readable point identity straight from a transport payload.
 
-
-class InjectedHazardError(RuntimeError):
-    """The failure raised by a ``raise``-mode injected hazard."""
-
-
-def _maybe_trigger_hazard(config_name: str) -> None:
-    spec = os.environ.get(HAZARD_ENV)
-    if not spec:
-        return
-    import json
-
-    try:
-        action = json.loads(spec).get(config_name)
-    except (ValueError, AttributeError):
-        return
-    if not action:
-        return
-    if action == "raise":
-        raise InjectedHazardError(
-            f"injected hazard: poison point {config_name}")
-    if action == "exit":
-        os._exit(41)
-    if action == "hang" or action.startswith("hang:"):
-        _, _, seconds = action.partition(":")
-        time.sleep(float(seconds) if seconds else 3600.0)
-
-
-def run_payload(payload: dict) -> dict:
-    """Simulate one plain-JSON point payload; return its result dict.
-
-    Dict-in/dict-out — the form that crosses a process boundary without
-    any simulation class needing pickle support.  The returned dict is
-    canonical :meth:`ExplorationResult.to_dict` output, so caller-side
-    ``from_dict`` reconstitution is bit-identical to an inline run.
+    Mirrors ``ArchitectureConfig.name`` without decoding the config, so
+    a payload that fails to decode still gets a name in its event.
     """
-    kwargs = decode_payload(payload)
-    _maybe_trigger_hazard(kwargs["config"].name)
-    warm = payload.get(WARM_START_KEY)
-    if warm is not None and kwargs["boot"] is not None:
-        kwargs["warm_snapshot"] = _load_warm_snapshot(warm)
-    return run_point(**kwargs).to_dict()
+    config = payload.get("config") or {}
+    name = config.get("label")
+    if not name and config.get("fabric") and config.get("arbiter"):
+        name = f"{config['fabric']}/{config['arbiter']}"
+    return name
 
 
 def _error_marker(exc: Exception) -> dict:
@@ -741,72 +702,51 @@ def _error_marker(exc: Exception) -> dict:
 
 
 def run_payload_batch(payloads: Sequence[dict],
-                      capture_errors: bool = False) -> List[dict]:
+                      keys: Optional[Sequence[str]] = None,
+                      emit=None, worker_id=None,
+                      telemetry: bool = False):
     """Simulate a batch of point payloads in order; one result dict each.
 
-    The worker-side entry point of the sweep's persistent pool
-    (:class:`repro.sweep.WorkerPool`): one IPC round-trip ships a whole
-    shard of points and returns a compact list of result dicts, so
-    per-point dispatch overhead amortizes to ~zero.
-
-    With ``capture_errors`` a raising point yields an
+    The sweep's one batch runner: every :class:`repro.sweep.WorkerPool`
+    worker calls it on each shard it receives, and the engine calls it
+    in-process when it runs without a pool.  Each point takes the same
+    ``decode_payload → run_point → to_dict`` round-trip, so a result is
+    bit-identical wherever it was computed.  Payloads are plain JSON,
+    so they cross a process boundary without any simulation class
+    needing pickle support.  A point that raises yields an
     ``{"__sweep_error__": {...}}`` marker in its slot instead of
-    aborting the batch — the self-healing engine turns markers into
-    retries/quarantine while the surviving points' results stay
-    bit-identical to an undisturbed run.
+    aborting the batch; the engine decides whether it is retried or
+    quarantined.
+
+    ``emit`` (when given) receives one ``point_done`` or
+    ``point_failed`` progress event per point, preceded by a
+    ``checkpoint_restored`` event for a warm-started point.  ``keys``
+    (parallel to ``payloads``) label events and spans with content
+    keys.  With ``telemetry`` every point also records wall-clock
+    ``setup`` / ``restore`` / ``simulate`` / ``serialize`` spans, and
+    all points in the batch publish into one private
+    :class:`repro.obs.MetricsRegistry`.  With telemetry off the batch
+    creates no registry, records no spans and imports nothing from
+    :mod:`repro.obs`.
+
+    Returns ``(result_dicts, blob)``.  ``blob`` is ``None`` with
+    telemetry off; otherwise it is JSON-able: ``worker_id``, ``pid``,
+    batch ``t0``/``t1``, ``points``, ``spans`` (each ``{"name", "t0",
+    "t1", "args"}`` in wall-clock seconds) and ``metrics`` (the registry
+    snapshot).
     """
-    if not capture_errors:
-        return [run_payload(payload) for payload in payloads]
-    results = []
-    for payload in payloads:
-        try:
-            results.append(run_payload(payload))
-        except Exception as exc:
-            results.append(_error_marker(exc))
-    return results
+    registry = None
+    if telemetry:
+        from repro.obs.metrics import MetricsRegistry
 
-
-def run_payload_batch_telemetry(
-    payloads: Sequence[dict],
-    keys: Optional[Sequence[str]] = None,
-    emit=None,
-    worker_id=None,
-    capture_errors: bool = False,
-):
-    """Simulate a batch like :func:`run_payload_batch`, with telemetry.
-
-    The telemetry sibling of the pool's worker entry point.  Results
-    come from the *same* ``decode_payload → run_point → to_dict``
-    pipeline, so they are bit-identical with telemetry on or off (the
-    sweep's determinism invariant); on top of that, every point records
-    wall-clock ``setup`` / ``simulate`` / ``serialize`` spans, all
-    points in the batch publish into one private
-    :class:`repro.obs.MetricsRegistry` whose snapshot rides home in
-    the blob, and ``emit`` (when given) receives one ``point_done``
-    progress event per finished point.
-
-    Returns ``(result_dicts, blob)`` where ``blob`` is JSON-able:
-    ``worker_id``, ``pid``, batch ``t0``/``t1``, ``points``, ``spans``
-    (each ``{"name", "t0", "t1", "args"}`` in wall-clock seconds) and
-    ``metrics`` (the registry snapshot).  ``keys`` (parallel to
-    ``payloads``) label spans and events with content keys.  The
-    observability import is lazy so plain (telemetry-off) workers
-    never load :mod:`repro.obs`.
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
+        registry = MetricsRegistry()
     pid = os.getpid()
     spans: List[dict] = []
     results: List[dict] = []
     batch_t0 = time.time()
     for index, payload in enumerate(payloads):
         key = keys[index] if keys is not None else None
-        raw_config = payload.get("config") or {}
-        config_name = raw_config.get("label") or (
-            f"{raw_config['fabric']}/{raw_config['arbiter']}"
-            if raw_config.get("fabric") and raw_config.get("arbiter")
-            else None)
+        config_name = None
         t0 = time.time()
         warm_digest = None
         timings: dict = {}
@@ -815,7 +755,6 @@ def run_payload_batch_telemetry(
             config_name = kwargs["config"].name
             warm = payload.get(WARM_START_KEY)
             t1 = time.time()
-            _maybe_trigger_hazard(config_name)
             if warm is not None and kwargs["boot"] is not None:
                 load_t0 = time.perf_counter()
                 kwargs["warm_snapshot"] = _load_warm_snapshot(warm)
@@ -826,31 +765,31 @@ def run_payload_batch_telemetry(
             data = result.to_dict()
             t3 = time.time()
         except Exception as exc:
-            if not capture_errors:
-                raise
             results.append(_error_marker(exc))
             if emit is not None:
                 emit({"type": "point_failed", "worker_id": worker_id,
-                      "pid": pid, "key": key, "config": config_name,
+                      "pid": pid, "key": key,
+                      "config": config_name or _payload_label(payload),
                       "error_type": type(exc).__name__})
             continue
         results.append(data)
-        args = {"point": config_name}
-        if key is not None:
-            args["key"] = key
         # A warm point splits [t1, t2] into restore (checkpoint load +
         # state overlay) and simulate; the restore wall time comes from
         # the run itself so the span boundary is exact.
         restore_s = timings.get("load_s", 0.0) + timings.get("restore_s", 0.0)
-        sim_begin = t1 + restore_s
-        named_spans = [("setup", t0, t1)]
-        if warm_digest is not None:
-            named_spans.append(("restore", t1, sim_begin))
-        named_spans.extend((("simulate", sim_begin, t2),
-                            ("serialize", t2, t3)))
-        for name, begin, end in named_spans:
-            spans.append({"name": name, "t0": begin, "t1": end,
-                          "args": dict(args)})
+        if telemetry:
+            args = {"point": config_name}
+            if key is not None:
+                args["key"] = key
+            sim_begin = t1 + restore_s
+            named_spans = [("setup", t0, t1)]
+            if warm_digest is not None:
+                named_spans.append(("restore", t1, sim_begin))
+            named_spans.extend((("simulate", sim_begin, t2),
+                                ("serialize", t2, t3)))
+            for name, begin, end in named_spans:
+                spans.append({"name": name, "t0": begin, "t1": end,
+                              "args": dict(args)})
         if emit is not None:
             if warm_digest is not None:
                 emit({"type": "checkpoint_restored",
@@ -860,6 +799,8 @@ def run_payload_batch_telemetry(
             emit({"type": "point_done", "worker_id": worker_id,
                   "pid": pid, "key": key,
                   "config": config_name})
+    if not telemetry:
+        return results, None
     return results, {
         "worker_id": worker_id,
         "pid": pid,

@@ -31,8 +31,8 @@ fixes that, in four pieces:
 The layer is strictly additive: simulation results are bit-identical
 with telemetry on or off (workers run the exact same
 ``decode → run_point → to_dict`` pipeline), and the telemetry-off path
-never even imports this module — ``benchmarks/run_all.py`` asserts
-both.  All timestamps are host wall clock (:func:`time.time`), the one
+never even imports this module — the tier-1 tests assert both.  All
+timestamps are host wall clock (:func:`time.time`), the one
 clock comparable across processes.
 """
 
@@ -557,7 +557,8 @@ class SweepTelemetry:
         shipped-back spans), cache stats, the pool's spawn/reuse/
         ping figures, the self-healing summary (``recovery`` — worker
         crashes/respawns/requeues/timeouts as counted by
-        ``WorkerPool.run_batches``) and the number of points
+        ``WorkerPool.run_batches``, point retries and quarantines as
+        counted by the engine) and the number of points
         quarantined this run.  Returns the record (also kept on
         :attr:`run_records`).
         """

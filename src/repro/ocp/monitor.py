@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Generator, List
 
 from repro.kernel.module import Module
-from repro.obs.metrics import MetricsRegistry
 from repro.ocp.pin import OcpPinBundle
 from repro.ocp.types import OcpCmd, OcpResp
 
@@ -52,8 +51,14 @@ class OcpPinMonitor(Module):
         # Traffic statistics live in a MetricsRegistry under
         # ``ocp.<full_name>.*`` — pass a shared registry to aggregate
         # several monitors; a private one is created otherwise, so the
-        # counter attributes below work either way.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # counter attributes below work either way.  The import is lazy
+        # so loading the OCP package (the whole simulation stack does)
+        # never loads the observability layer.
+        if metrics is None:
+            from repro.obs.metrics import MetricsRegistry
+
+            metrics = MetricsRegistry()
+        self.metrics = metrics
         base = f"ocp.{self.full_name}"
         self._c_request_beats = self.metrics.counter(f"{base}.request_beats")
         self._c_response_beats = self.metrics.counter(

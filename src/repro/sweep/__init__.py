@@ -14,14 +14,12 @@ per engine instead of once per run — and the search strategies
 The runtime is *self-healing*: :class:`RecoveryPolicy` bounds worker
 respawns, batch requeues/bisection toward poison points, per-point
 deadlines, and quarantine (kind-tagged ``failed`` store records that
-resumed runs skip deterministically); :class:`ChaosPlan` is the
-harness that proves results stay bit-identical under injected worker
-kills.  ``python -m repro.sweep`` drives it all from the command line
-and emits ranked JSON/CSV reports.
+resumed runs skip deterministically).  ``python -m repro.sweep``
+drives it all from the command line and emits ranked JSON/CSV reports.
 """
 
 from repro.sweep.engine import (
-    DEFAULT_OVERSUBSCRIBE,
+    BATCHES_PER_WORKER,
     OBJECTIVES,
     SweepEngine,
     SweepOutcome,
@@ -36,7 +34,6 @@ from repro.sweep.pool import (
     resolve_workers,
 )
 from repro.sweep.recovery import (
-    ChaosPlan,
     RecoveryPolicy,
     ShutdownGuard,
     SweepInterrupted,
@@ -49,9 +46,8 @@ from repro.sweep.strategies import (
 )
 
 __all__ = [
+    "BATCHES_PER_WORKER",
     "CODE_VERSION",
-    "ChaosPlan",
-    "DEFAULT_OVERSUBSCRIBE",
     "GridSearch",
     "OBJECTIVES",
     "RandomSearch",

@@ -47,10 +47,8 @@ The sweep is *self-healing* (:mod:`repro.sweep.recovery`): dead
 workers respawn, lost batches requeue and bisect down to the poison
 point, which is quarantined — listed in the report's ``quarantined``
 section and skipped on resume.  ``--max-point-seconds`` adds a
-per-point wall-clock deadline; ``--chaos kill-worker:N`` is the chaos
-harness that SIGKILLs N workers mid-run to prove completed results
-stay bit-identical.  SIGINT/SIGTERM flush the store, ledger and trace
-before exiting with status 130.
+per-point wall-clock deadline.  SIGINT/SIGTERM flush the store, ledger
+and trace before exiting with status 130.
 """
 
 from __future__ import annotations
@@ -65,17 +63,8 @@ from typing import List, Optional
 from repro.kernel.simtime import ms, ns, us
 from repro.explore.space import ARBITERS, FABRICS, DesignSpace
 from repro.explore.workload import standard_workloads
-from repro.sweep.engine import (
-    DEFAULT_OVERSUBSCRIBE,
-    OBJECTIVES,
-    SweepEngine,
-    SweepOutcome,
-)
-from repro.sweep.recovery import (
-    ChaosPlan,
-    ShutdownGuard,
-    SweepInterrupted,
-)
+from repro.sweep.engine import OBJECTIVES, SweepEngine, SweepOutcome
+from repro.sweep.recovery import ShutdownGuard, SweepInterrupted
 from repro.sweep.store import SweepStore
 from repro.sweep.strategies import (
     GridSearch,
@@ -188,11 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 1 = in-process)",
     )
     parser.add_argument(
-        "--oversubscribe", type=int, default=None,
-        help="batches per worker when sharding pending points "
-             f"(default: {DEFAULT_OVERSUBSCRIBE})",
-    )
-    parser.add_argument(
         "--seed", type=int, default=1,
         help="workload seed (default: 1)",
     )
@@ -222,12 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-point wall-clock deadline: a worker holding a batch "
              "past its budget is killed and the lost points retried "
              "once before quarantine",
-    )
-    parser.add_argument(
-        "--chaos", metavar="SPEC", default=None,
-        help="chaos harness: kill-worker[:N] SIGKILLs N workers on "
-             "scheduled batch pickups; completed results must stay "
-             "bit-identical (determinism gate)",
     )
     parser.add_argument(
         "--boot", type=int, default=None, metavar="N",
@@ -431,12 +409,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     replication = _replication_policy(args, parser)
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = ChaosPlan.parse(args.chaos)
-        except ValueError as exc:
-            parser.error(str(exc))
     if (args.max_point_seconds is not None
             and not args.max_point_seconds > 0):
         parser.error("--max-point-seconds must be positive")
@@ -456,8 +428,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         specs = [_with_transactions(s, args.transactions) for s in specs]
     strategy = _build_strategy(args, space, specs)
     store = SweepStore(args.cache) if args.cache else None
-    oversubscribe = (DEFAULT_OVERSUBSCRIBE if args.oversubscribe is None
-                     else args.oversubscribe)
     telemetry = None
     if args.telemetry or args.trace_out or args.progress:
         # Lazy import: plain sweeps must never load the telemetry
@@ -473,10 +443,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # pool down when the sweep is done.
     interrupted: Optional[SweepInterrupted] = None
     with SweepEngine(workers=args.workers, store=store,
-                     oversubscribe=oversubscribe,
                      telemetry=telemetry,
                      deadline_s=args.max_point_seconds,
-                     chaos=chaos,
                      checkpoint_dir=(args.checkpoint_dir
                                      if args.warm_start else None),
                      warm_start=args.warm_start) as engine:

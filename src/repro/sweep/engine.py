@@ -20,10 +20,10 @@ Three properties make the engine safe to parallelize:
   context, so reuse never aliases simulation state.
 * **Canonical results** — workers return
   :meth:`~repro.explore.ExplorationResult.to_dict` payloads and the
-  engine reconstitutes them with ``from_dict``; the single-process
-  inline path performs the *same* round-trip, so results are
-  bit-identical whether computed inline, by 4 warm workers, in any
-  batch size, or served from cache.
+  engine reconstitutes them with ``from_dict``; without a pool the
+  engine calls the workers' own batch runner in-process, so results
+  are bit-identical whether computed in-process, by 4 warm workers, in
+  any batch size, or served from cache.
 * **Content-keyed determinism** — a point's key fixes its seed and
   workload, so results never depend on pool size, batch size, or shard
   order; the engine restores input order when collecting.
@@ -44,16 +44,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.explore.runner import (
-    ExplorationResult,
-    _error_marker,
-    run_payload,
-    run_payload_batch_telemetry,
-    run_point,
-)
+from repro.explore.runner import ExplorationResult, run_payload_batch
 from repro.sweep.points import SweepPoint
 from repro.sweep.pool import WorkerPool, resolve_workers
 from repro.sweep.recovery import (
+    LOSS_KINDS,
+    RECOVERY_COUNTERS,
     RecoveryPolicy,
     quarantine_record,
 )
@@ -66,10 +62,11 @@ OBJECTIVES: Dict[str, Tuple[Callable, bool]] = {
     "utilization": (lambda r: r.utilization, True),
 }
 
-#: Default target of batches *per worker* when sharding pending points.
-#: ``>1`` keeps the shared task queue non-empty so fast workers steal
-#: work from slow batches instead of idling at the tail.
-DEFAULT_OVERSUBSCRIBE = 4
+#: Target of batches *per worker* when sharding pending points: pending
+#: points go out in ``ceil(pending / (workers * BATCHES_PER_WORKER))``
+#: sized batches.  ``>1`` keeps the parent's backlog non-empty so fast
+#: workers take the next batch instead of idling at the tail.
+BATCHES_PER_WORKER = 4
 
 
 @dataclass
@@ -170,30 +167,6 @@ def quarantined(outcomes: Sequence[SweepOutcome]) -> List[SweepOutcome]:
                   key=lambda o: o.key)
 
 
-def _compute_payload(payload: dict) -> dict:
-    """Inline entry point: simulate one point, return its result dict.
-
-    Dict-in/dict-out, exactly mirroring what a pool worker computes via
-    :func:`repro.explore.runner.run_payload_batch` — one code path
-    shape, one canonicalizing round-trip, so inline and pooled results
-    are bit-identical.
-    """
-    point = SweepPoint.from_payload(payload)
-    result = run_point(
-        point.config,
-        list(point.specs),
-        workload_name=point.workload,
-        max_sim_time=point.max_sim_time,
-        seed=point.seed,
-        memory_read_wait=point.memory_read_wait,
-        memory_write_wait=point.memory_write_wait,
-        faults=point.faults,
-        rng_streams=point.rng_streams,
-        record_series=point.record_series,
-    )
-    return result.to_dict()
-
-
 class SweepEngine:
     """Shards sweep points over a persistent warm pool with a cache.
 
@@ -201,10 +174,7 @@ class SweepEngine:
     (:func:`os.cpu_count`).  The pool is lazy: nothing spawns until the
     first ``run()`` actually has more than one uncached point, and once
     spawned it persists across ``run()`` calls until :meth:`close` (the
-    engine is also a context manager).  ``oversubscribe`` controls
-    batch sizing: pending points are sharded into
-    ``ceil(pending / (workers * oversubscribe))``-sized chunks.
-    ``telemetry`` attaches a
+    engine is also a context manager).  ``telemetry`` attaches a
     :class:`repro.obs.telemetry.SweepTelemetry` hub: spans, worker
     metrics aggregation, progress streaming and run-ledger records,
     with zero involvement (and zero imports) when left ``None``.
@@ -213,17 +183,12 @@ class SweepEngine:
     def __init__(self, workers=None,
                  store: Optional[SweepStore] = None,
                  metrics=None,
-                 oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
                  telemetry=None,
                  recovery: Optional[RecoveryPolicy] = None,
                  deadline_s: Optional[float] = None,
-                 chaos=None,
                  checkpoint_dir: Optional[str] = None,
                  warm_start: bool = False):
         self.workers = resolve_workers(workers)
-        if oversubscribe < 1:
-            raise ValueError("oversubscribe must be >= 1")
-        self.oversubscribe = int(oversubscribe)
         self.store = store
         self.metrics = metrics
         #: how this engine survives crashes/hangs/poison points; a
@@ -234,9 +199,6 @@ class SweepEngine:
         elif deadline_s is not None:
             recovery = replace(recovery, deadline_s=deadline_s)
         self.recovery = recovery
-        #: optional :class:`repro.sweep.recovery.ChaosPlan` — the chaos
-        #: harness SIGKILLs workers on scheduled batch pickups
-        self.chaos = chaos
         #: optional :class:`repro.obs.telemetry.SweepTelemetry` hub;
         #: the engine drives its run/dispatch protocol and the pool
         #: forwards worker events to it.  The engine does not own it —
@@ -269,7 +231,8 @@ class SweepEngine:
         self.last_cached = 0
         #: points freshly simulated by the most recent :meth:`run`
         self.last_computed = 0
-        #: batches dispatched by the most recent :meth:`run` (0 = inline)
+        #: batches sent to the pool by the most recent :meth:`run`,
+        #: retry rounds included (0 = simulated in-process)
         self.last_batches = 0
         #: ``run()`` calls that found the pool already warm and reused it
         self.pool_reuses = 0
@@ -277,7 +240,7 @@ class SweepEngine:
         #: cache-served quarantines both count)
         self.last_quarantined = 0
         #: recovery counter summary of the most recent pooled dispatch
-        #: (None when the run stayed inline / fully cached)
+        #: (None when the run stayed in-process / fully cached)
         self.last_recovery: Optional[dict] = None
         #: quarantined outcomes across this engine's lifetime, keyed by
         #: point key; a later success (e.g. ``rerun=True``) removes its
@@ -307,7 +270,7 @@ class SweepEngine:
         """Submit-to-worker-start latency of a no-op task, in seconds.
 
         Warms the pool if needed; serial engines (``workers == 1``)
-        report 0.0 — inline dispatch is a function call.
+        report 0.0 — in-process dispatch is a function call.
         """
         if self.workers <= 1:
             return 0.0
@@ -346,17 +309,18 @@ class SweepEngine:
         """Resolve every point to an outcome, in input order.
 
         Cache lookups happen first; the remaining (deduplicated)
-        points are simulated — inline when ``workers == 1`` or only one
-        point is pending, otherwise as batched shards on the persistent
-        pool.  With ``rerun=True`` the cache is bypassed (results are
-        still written back, superseding earlier lines).
+        points are simulated by :meth:`_simulate` — in-process when
+        ``workers == 1`` or only one point is pending, otherwise as
+        batched shards on the persistent pool.  With ``rerun=True`` the
+        cache is bypassed (results are still written back, superseding
+        earlier lines).
 
         With :attr:`telemetry` attached, the run additionally records
         cache/dispatch spans, absorbs worker telemetry blobs (spans +
         ``worker.*`` metrics), streams progress events, and writes one
-        run-ledger record — without changing any result: the telemetry
-        compute path is the same ``decode → run_point → to_dict``
-        round-trip, inline and pooled.
+        run-ledger record — without changing any result: every point
+        takes the same ``decode → run_point → to_dict`` round-trip with
+        telemetry on or off.
         """
         telemetry = self.telemetry
         points = list(points)
@@ -402,59 +366,23 @@ class SweepEngine:
                 cached=sum(1 for o in outcomes if o is not None),
                 pending=len(pending_keys), t0=cache_t0)
         pool_was_warm = self._pool is not None and self._pool.started
-        self.last_recovery = None
-        if len(payloads) > 1 and self.workers > 1:
-            pool = self._ensure_pool()
-            batch_size = max(1, math.ceil(
-                len(payloads) / (self.workers * self.oversubscribe)))
-            batches = [payloads[i:i + batch_size]
-                       for i in range(0, len(payloads), batch_size)]
-            key_batches = [
-                pending_keys[i:i + batch_size]
-                for i in range(0, len(pending_keys), batch_size)
-            ]
-            self.last_batches = len(batches)
-            if telemetry is not None:
-                # Measure per-worker dispatch round-trip before the
-                # real batches go out; lands in pool.stats() and from
-                # there in the run-ledger record.
-                pool.ping()
-                pool.on_event = telemetry.on_worker_event
-                pool.on_idle = telemetry.on_poll_idle
-                telemetry.begin_dispatch(pool.worker_pids(),
-                                         batches=len(batches),
-                                         points=len(payloads))
-            try:
-                result_batches, blobs, summary = pool.run_batches(
-                    batches, key_batches,
-                    recovery=self.recovery,
-                    telemetry=telemetry is not None,
-                    chaos=self.chaos,
-                )
-            finally:
-                if telemetry is not None:
-                    telemetry.end_dispatch()
-                    pool.on_event = None
-                    pool.on_idle = None
-            self.last_recovery = summary
-            if telemetry is not None:
-                for blob in blobs:
-                    telemetry.absorb_batch(
-                        blob, generation=pool.generation)
-            result_dicts = [result for batch in result_batches
-                            for result in batch]
-        else:
-            self.last_batches = 0
-            result_dicts = self._run_inline(payloads, pending_keys,
-                                            telemetry)
+        result_dicts = self._simulate(payloads, pending_keys, telemetry)
 
         fresh_quarantined = 0
         for key, result_dict in zip(pending_keys, result_dicts):
-            failure = (result_dict.get("__sweep_error__")
-                       if isinstance(result_dict, dict) else None)
+            failure = result_dict.get("__sweep_error__")
             if failure is not None:
                 record = quarantine_record(failure)
                 fresh_quarantined += 1
+                if telemetry is not None:
+                    telemetry.on_worker_event({
+                        "type": "point_quarantined",
+                        "key": key,
+                        "config": points[pending[key][0]].config.name,
+                        "kind": record["kind"],
+                        "error_type": record["error_type"],
+                        "attempts": record["attempts"],
+                    })
                 if self.store is not None:
                     self.store.put_failure(key, record)
                 for i in pending[key]:
@@ -578,45 +506,111 @@ class SweepEngine:
         self.session_warm_points += self.last_warm_points
         self.session_checkpoints += self.last_checkpoints_saved
 
-    def _run_inline(self, payloads, pending_keys, telemetry):
-        """Serial compute path with the same retry/quarantine contract.
+    def _simulate(self, payloads, keys, telemetry) -> List[dict]:
+        """Simulate pending payloads; one result dict or final failure
+        marker each, in order.
 
-        One payload at a time through the canonical
-        ``decode → run_point → to_dict`` round-trip; a raising point is
-        retried up to ``recovery.point_attempts`` times, then yields a
-        final ``{"__sweep_error__": {...}}`` marker exactly like a
-        pooled worker would.
+        The sweep's one dispatch loop.  Each round shards the points
+        still to run and hands the shards to the warm pool or, in the
+        zero-worker case (``workers == 1`` or a single pending point),
+        runs them in-process through the batch runner the workers use,
+        :func:`~repro.explore.runner.run_payload_batch`.  The pool
+        absorbs process faults (crash, deadline, requeue, bisection,
+        respawn) and finalizes the points lost to them.  A point that
+        *raised* is decided here and only here: it runs again in the
+        next round until ``recovery.point_attempts`` tries are spent,
+        and then its last failure marker is final.
+
+        Sets :attr:`last_batches` and :attr:`last_recovery` (the
+        recovery counters of a pooled run, else None).
         """
-        result_dicts: List[dict] = []
-        attempts_budget = self.recovery.point_attempts
-        for payload, key in zip(payloads, pending_keys):
-            result: Optional[dict] = None
-            for attempt in range(1, attempts_budget + 1):
-                if telemetry is not None:
-                    batch, blob = run_payload_batch_telemetry(
-                        [payload], keys=[key],
-                        emit=telemetry.on_worker_event,
-                        worker_id="inline", capture_errors=True,
+        pool = None
+        if len(payloads) > 1 and self.workers > 1:
+            pool = self._ensure_pool()
+        results: List[Optional[dict]] = [None] * len(payloads)
+        attempts = [0] * len(payloads)
+        summary = dict.fromkeys(RECOVERY_COUNTERS, 0)
+        self.last_batches = 0
+        if pool is not None and telemetry is not None:
+            # Measure per-worker dispatch round-trip before the real
+            # batches go out; lands in pool.stats() and from there in
+            # the run-ledger record.
+            pool.ping()
+            pool.on_event = telemetry.on_worker_event
+            pool.on_idle = telemetry.on_poll_idle
+        todo = list(range(len(payloads)))
+        try:
+            while todo:
+                size = len(todo)
+                if pool is not None:
+                    size = max(1, math.ceil(
+                        size / (self.workers * BATCHES_PER_WORKER)))
+                shards = [todo[i:i + size]
+                          for i in range(0, len(todo), size)]
+                batches = [[payloads[i] for i in shard]
+                           for shard in shards]
+                key_batches = [[keys[i] for i in shard]
+                               for shard in shards]
+                if pool is None:
+                    returned, blob = run_payload_batch(
+                        batches[0], keys=key_batches[0],
+                        emit=(telemetry.on_worker_event
+                              if telemetry is not None else None),
+                        worker_id="inline",
+                        telemetry=telemetry is not None,
                     )
-                    telemetry.absorb_batch(blob, generation=0)
-                    result = batch[0]
-                    failed = (isinstance(result, dict)
-                              and "__sweep_error__" in result)
-                    if failed:
-                        result["__sweep_error__"]["attempts"] = attempt
-                    else:
-                        break
+                    if telemetry is not None:
+                        telemetry.absorb_batch(blob, generation=0)
                 else:
-                    try:
-                        result = run_payload(payload)
-                        break
-                    except Exception as exc:
-                        # Same kind classification as a pooled worker
-                        # (restore failures tag ``kind="restore"``).
-                        result = _error_marker(exc)
-                        result["__sweep_error__"]["attempts"] = attempt
-            result_dicts.append(result)
-        return result_dicts
+                    returned = self._dispatch(pool, batches, key_batches,
+                                              telemetry, summary)
+                retry = []
+                for index, result in zip(todo, returned):
+                    results[index] = result
+                    failure = result.get("__sweep_error__")
+                    if failure is None or failure["kind"] in LOSS_KINDS:
+                        continue
+                    attempts[index] += 1
+                    failure["attempts"] = attempts[index]
+                    if attempts[index] < self.recovery.point_attempts:
+                        summary["point_retries"] += 1
+                        retry.append(index)
+                todo = retry
+        finally:
+            if pool is not None and telemetry is not None:
+                pool.on_event = None
+                pool.on_idle = None
+        summary["quarantined"] = sum(
+            1 for result in results if "__sweep_error__" in result)
+        self.last_recovery = summary if pool is not None else None
+        return results
+
+    def _dispatch(self, pool, batches, key_batches, telemetry,
+                  summary) -> List[dict]:
+        """One round of batches on the pool; flat results in order.
+
+        Adds the pool's process-fault counters to ``summary`` and feeds
+        the workers' telemetry blobs to :attr:`telemetry`.
+        """
+        self.last_batches += len(batches)
+        if telemetry is not None:
+            telemetry.begin_dispatch(
+                pool.worker_pids(), batches=len(batches),
+                points=sum(len(batch) for batch in batches))
+        try:
+            result_batches, blobs, faults = pool.run_batches(
+                batches, key_batches, recovery=self.recovery,
+                telemetry=telemetry is not None,
+            )
+        finally:
+            if telemetry is not None:
+                telemetry.end_dispatch()
+        for name, count in faults.items():
+            summary[name] += count
+        if telemetry is not None:
+            for blob in blobs:
+                telemetry.absorb_batch(blob, generation=pool.generation)
+        return [result for batch in result_batches for result in batch]
 
     def __repr__(self) -> str:
         pool = "cold" if self._pool is None else repr(self._pool)

@@ -23,11 +23,11 @@ simulations.  :class:`WorkerPool` removes all four costs:
   shared lock a SIGKILLed worker could die holding.  A worker killed
   mid-message tears only its own channel (the parent reads EOF, not a
   poisoned stream), which is what makes the self-healing dispatch of
-  :meth:`WorkerPool.run_batches` safe under chaos kills and deadline
+  :meth:`WorkerPool.run_batches` safe under crashes and deadline
   kills: the surviving workers are unaffected by construction.
 * **Measurable overhead.**  :meth:`WorkerPool.ping` round-trips a no-op
-  task and returns the submit-to-worker-start latency, which is what
-  ``benchmarks/run_all.py`` records as ``sweep.dispatch_overhead_ms``.
+  task and returns the submit-to-worker-start latency, which the
+  benchmark records as ``sweep.dispatch_overhead_ms``.
 
 Results are dict-in/dict-out and order-restored by task id, so the
 engine's canonicalizing ``to_dict``/``from_dict`` round-trip is
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
 import time
 import traceback
 from collections import deque
@@ -71,20 +70,6 @@ def _digest(text: str) -> str:
     import hashlib
 
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def _payload_label(payload: dict) -> Optional[str]:
-    """Readable point identity straight from a transport payload.
-
-    Mirrors ``ArchitectureConfig.name`` without reconstructing the
-    config (recovery code runs in the orchestrator, where a payload
-    that crashed a worker may not even decode cleanly).
-    """
-    config = payload.get("config") or {}
-    name = config.get("label")
-    if not name and config.get("fabric") and config.get("arbiter"):
-        name = f"{config['fabric']}/{config['arbiter']}"
-    return name
 
 
 def resolve_workers(workers) -> int:
@@ -126,39 +111,29 @@ def _worker_main(worker_id: int, conn, close_first=()) -> None:
 
     Task messages are ``(kind, task_id, body)``:
 
-    * ``"batch"`` — ``body`` is a payload list; simulate it via
-      :func:`repro.explore.runner.run_payload_batch`; reply
-      ``("done", task_id, started, result_dicts)``.
-    * ``"tbatch"`` — telemetry batch: ``body`` is
-      ``{"payloads", "keys"}``; per-point progress events stream back
-      as interleaved ``("event", None, ts, info)`` messages while the
-      batch runs, and the reply is
-      ``("done", task_id, started, (result_dicts, blob))`` where
-      ``blob`` carries the worker's spans and metrics snapshot
-      (:func:`repro.explore.runner.run_payload_batch_telemetry`).
-      Results come from the same simulate path as ``"batch"``, so
-      telemetry never changes simulation output.
-    * ``"rbatch"`` — recoverable batch (the self-healing dispatch of
-      :meth:`WorkerPool.run_batches`): ``body`` is ``{"payloads",
-      "keys", "telemetry"}``; per-point failures come back as
-      ``{"__sweep_error__": {...}}`` markers in the result slot
-      instead of aborting the batch, and the reply is uniformly
-      ``("done", task_id, started, (result_dicts, blob_or_None))``.
+    * ``"batch"`` — ``body`` is ``{"payloads", "keys", "telemetry"}``;
+      simulate it via :func:`repro.explore.runner.run_payload_batch`,
+      which returns a point's failure as an ``{"__sweep_error__":
+      {...}}`` marker in its result slot.  With ``telemetry`` set,
+      per-point progress events stream back as interleaved
+      ``("event", None, ts, info)`` messages while the batch runs.  The
+      reply is ``("done", task_id, started, (result_dicts,
+      blob_or_None))``.
     * ``"ping"`` — no-op; reply
       ``("pong", task_id, started, worker_id)`` where ``started`` is
       the worker-side :func:`time.time` at pickup (wall clock is the
       one timestamp comparable across processes).
     * ``None`` — shut down (as is EOF on the pipe).
 
-    Every batch kind is acknowledged with
+    A batch is acknowledged with
     ``("started", task_id, started, {"worker_id", "pid", "points"})``
     *before* any simulation runs: the parent uses the ack to know
     which batch was in flight on a pid when it died (crash recovery,
     dead-worker diagnostics) and as the deadline reference point.
 
-    Any exception is caught and shipped back as
-    ``("error", task_id, started, traceback_text)`` so the parent can
-    raise with context instead of hanging.
+    An exception that escapes the batch runner itself is shipped back
+    as ``("error", task_id, started, traceback_text)`` so the parent
+    can act on it instead of hanging.
     """
     for other in close_first:
         try:
@@ -195,64 +170,29 @@ def _worker_main(worker_id: int, conn, close_first=()) -> None:
         if kind == "ping":
             conn.send(("pong", task_id, started, worker_id))
             continue
-        payloads = body if kind == "batch" else body["payloads"]
+        payloads = body["payloads"]
+        telemetry = body["telemetry"]
         conn.send(("started", task_id, started,
                    {"worker_id": worker_id, "pid": pid,
                     "points": len(payloads)}))
-        if kind == "rbatch":
-            try:
-                if body.get("telemetry"):
-                    from repro.explore.runner import (
-                        run_payload_batch_telemetry,
-                    )
-
-                    batch, blob = run_payload_batch_telemetry(
-                        payloads, keys=body.get("keys"),
-                        emit=emit, worker_id=worker_id,
-                        capture_errors=True,
-                    )
-                else:
-                    batch = run_payload_batch(payloads,
-                                              capture_errors=True)
-                    blob = None
-            except BaseException:
-                conn.send(("error", task_id, started,
-                           traceback.format_exc()))
-            else:
-                conn.send(("done", task_id, started, (batch, blob)))
-            continue
-        if kind == "tbatch":
-            # Lazy import keeps plain (telemetry-off) workers from
-            # ever loading the observability stack.
-            from repro.explore.runner import (
-                run_payload_batch_telemetry,
-            )
-
-            try:
-                batch, blob = run_payload_batch_telemetry(
-                    payloads, keys=body.get("keys"),
-                    emit=emit, worker_id=worker_id,
-                )
-            except BaseException:
-                conn.send(("error", task_id, started,
-                           traceback.format_exc()))
-            else:
-                conn.send(("done", task_id, started, (batch, blob)))
-            continue
         try:
-            batch = run_payload_batch(payloads)
+            reply = run_payload_batch(
+                payloads, keys=body["keys"],
+                emit=emit if telemetry else None,
+                worker_id=worker_id, telemetry=telemetry,
+            )
         except BaseException:
             conn.send(("error", task_id, started,
                        traceback.format_exc()))
         else:
-            conn.send(("done", task_id, started, batch))
+            conn.send(("done", task_id, started, reply))
 
 
 class WorkerPool:
     """A pool of persistent, pre-warmed simulation worker processes.
 
     Lazily spawned: constructing a pool is free; processes fork on the
-    first :meth:`ensure_started` / :meth:`map_batches` / :meth:`ping`
+    first :meth:`ensure_started` / :meth:`run_batches` / :meth:`ping`
     and then persist until :meth:`close` (or interpreter exit — workers
     are daemons).  ``spawn_count`` tracks every process ever started,
     so "a warm second run spawned zero new processes" is assertable:
@@ -290,7 +230,8 @@ class WorkerPool:
         #: last measured submit-to-start latency per worker id (seconds)
         self.ping_latencies: Dict[int, float] = {}
         #: telemetry hook: called with every worker event dict that
-        #: arrives interleaved with results (``"tbatch"`` dispatches)
+        #: arrives interleaved with results, and with the pool's own
+        #: batch and recovery events
         self.on_event: Optional[Callable[[dict], None]] = None
         #: telemetry hook: called on idle result-queue polls, so stall
         #: detection runs even while every worker is silent
@@ -301,11 +242,6 @@ class WorkerPool:
         self._in_flight: Dict[int, dict] = {}
         #: wall-clock of the last message seen from each worker pid
         self._worker_last_seen: Dict[int, float] = {}
-        #: pickup acks seen over the pool's lifetime (chaos schedule)
-        self._started_seen = 0
-        #: internal: run_batches installs its chaos/bookkeeping hook
-        self._on_started: Optional[Callable[[int, dict, int],
-                                            None]] = None
 
     # -- lifecycle ----------------------------------------------------
 
@@ -480,142 +416,47 @@ class WorkerPool:
             if not sent:
                 return
 
-    def map_batches(self, batches: Sequence[Sequence[dict]],
-                    ) -> List[List[dict]]:
-        """Run every payload batch on the pool; results in input order.
-
-        Batches are fed to idle workers from the parent's backlog —
-        scheduling stays dynamic — and the replies are reassembled by
-        task id, so the output order (and therefore every downstream
-        result) is independent of which worker computed what.
-        """
-        self.ensure_started()
-        ids = []
-        for batch in batches:
-            task_id = self._next_task_id
-            self._next_task_id += 1
-            self._dispatch(("batch", task_id, list(batch)))
-            ids.append(task_id)
-            self.batches_dispatched += 1
-            self.points_dispatched += len(batch)
-        expected = set(ids)
-        collected: Dict[int, List[dict]] = {}
-        while expected:
-            kind, task_id, _started, body = self._get_result()
-            if task_id not in expected:
-                continue  # stale reply from an aborted earlier call
-            if kind == "error":
-                raise WorkerPoolError(
-                    f"sweep worker failed on batch {task_id}:\n{body}"
-                )
-            if kind == "done":
-                collected[task_id] = body
-                expected.discard(task_id)
-        return [collected[i] for i in ids]
-
-    def map_batches_telemetry(
-        self, batches: Sequence[Sequence[dict]],
-        key_batches: Optional[Sequence[Sequence[str]]] = None,
-    ) -> Tuple[List[List[dict]], List[dict]]:
-        """Like :meth:`map_batches`, but with telemetry capture.
-
-        Dispatches ``"tbatch"`` tasks, so every worker records
-        per-point spans and a metrics snapshot and streams per-point
-        progress events back while computing (routed to
-        :attr:`on_event` by :meth:`_get_result`).  ``key_batches``
-        (parallel to ``batches``) labels spans/events with content
-        keys.  Each batch completion additionally fires a
-        parent-side ``batch_done`` event carrying submit and reply
-        timestamps — the orchestrator's batch spans.
-
-        Returns ``(result_batches, blobs)``, both in input order.
-        Result dicts are bit-identical to :meth:`map_batches` output —
-        telemetry observes the simulate path, it never changes it.
-        """
-        self.ensure_started()
-        ids: List[int] = []
-        submit_ts: Dict[int, float] = {}
-        for index, batch in enumerate(batches):
-            task_id = self._next_task_id
-            self._next_task_id += 1
-            body = {
-                "payloads": list(batch),
-                "keys": (list(key_batches[index])
-                         if key_batches is not None else None),
-            }
-            submit_ts[task_id] = time.time()
-            self._dispatch(("tbatch", task_id, body))
-            ids.append(task_id)
-            self.batches_dispatched += 1
-            self.points_dispatched += len(batch)
-        expected = set(ids)
-        collected: Dict[int, tuple] = {}
-        while expected:
-            kind, task_id, _started, body = self._get_result()
-            if task_id not in expected:
-                continue  # stale reply from an aborted earlier call
-            if kind == "error":
-                raise WorkerPoolError(
-                    f"sweep worker failed on batch {task_id}:\n{body}"
-                )
-            if kind == "done":
-                collected[task_id] = body
-                expected.discard(task_id)
-                if self.on_event is not None:
-                    results_list, blob = body
-                    self.on_event({
-                        "type": "batch_done",
-                        "batch": task_id,
-                        "points": len(results_list),
-                        "worker_id": blob.get("worker_id"),
-                        "pid": blob.get("pid"),
-                        "submit_ts": submit_ts[task_id],
-                        "ts": time.time(),
-                    })
-        return ([collected[i][0] for i in ids],
-                [collected[i][1] for i in ids])
-
     def run_batches(
         self,
         batches: Sequence[Sequence[dict]],
         key_batches: Optional[Sequence[Sequence[str]]] = None,
         recovery=None,
         telemetry: bool = False,
-        chaos=None,
     ) -> Tuple[List[List[dict]], List[dict], dict]:
-        """Self-healing dispatch: map batches surviving worker death.
+        """Run every payload batch on the pool, surviving worker death.
 
-        The recovering sibling of :meth:`map_batches` /
-        :meth:`map_batches_telemetry` and the engine's default pooled
-        path.  Workers acknowledge batch pickup, so when a pid dies the
-        lost batch is known exactly; it is requeued (``recovery
+        The pool's one dispatch method.  Batches are fed to idle
+        workers from the parent's backlog, so scheduling stays dynamic,
+        and replies are reassembled by slot, so the output order (and
+        every downstream result) does not depend on which worker
+        computed what.  ``key_batches`` (parallel to ``batches``) label
+        worker spans and events with content keys.
+
+        Workers acknowledge batch pickup, so when a pid dies the lost
+        batch is known exactly; it is requeued (``recovery
         .batch_attempts`` tries), then *bisected* — halves, quarters …
         down to a single point — until the repeatedly-lethal point is
         isolated and finalized as an ``{"__sweep_error__": {...}}``
-        marker (kind ``crash``/``timeout``) in its result slot.  Points
-        that merely *raise* come back as markers from the worker
-        (``capture_errors``), get ``recovery.point_attempts`` tries as
-        singleton resubmissions, then quarantine as kind ``error``.
-        Dead workers are respawned in place (same worker id, same
-        queues) after ``recovery.delay_s`` backoff, bounded by
+        marker (kind ``crash``/``timeout``) in its result slot.  Dead
+        workers are respawned in place (same worker id) after
+        ``recovery.delay_s`` backoff, bounded by
         ``recovery.max_respawns`` per call; with the budget spent the
         pool shrinks, and only an empty pool aborts the run.  A worker
         holding a batch past ``recovery.deadline_s × points`` is
         SIGKILLed and takes the crash path, tagged ``timeout``.
 
-        ``chaos`` (a :class:`repro.sweep.recovery.ChaosPlan`) SIGKILLs
-        workers on scheduled pickup acks — the chaos harness proving
-        that completed results are bit-identical with and without
-        mid-run deaths (successful slots carry untouched worker result
-        dicts; recovery only ever *re-runs* or quarantines).
+        A point that *raises* comes back as the worker's marker, and a
+        batch whose runner failed outside any point gives each of its
+        points a ``WorkerBatchError`` marker; whether those are retried
+        or quarantined is the engine's decision, not the pool's.
+        Successful slots carry the worker's result dicts untouched, so
+        recovery can re-run work but never change a result.
 
         Returns ``(result_batches, blobs, summary)``: per-slot result
-        dicts (or final failure markers) in input order, telemetry
-        blobs in arrival order (empty when ``telemetry`` is off), and
-        a summary dict of recovery counters (``worker_crashes``,
-        ``worker_respawns``, ``timeouts``, ``requeues``,
-        ``bisections``, ``quarantined``, ``point_retries``,
-        ``chaos_kills``).
+        dicts or failure markers in input order, telemetry blobs in
+        arrival order (empty when ``telemetry`` is off), and the
+        process-fault counters ``worker_crashes``, ``worker_respawns``,
+        ``timeouts``, ``requeues`` and ``bisections``.
         """
         from repro.sweep.recovery import RecoveryPolicy, failure_from_loss
 
@@ -632,13 +473,9 @@ class WorkerPool:
             "timeouts": 0,
             "requeues": 0,
             "bisections": 0,
-            "quarantined": 0,
-            "point_retries": 0,
-            "chaos_kills": 0,
         }
         pending_points = sum(len(batch) for batch in batches)
         tasks_meta: Dict[int, dict] = {}
-        error_attempts: Dict[tuple, int] = {}
         respawns_used = 0
 
         def submit(slots, payloads, keys, attempts):
@@ -652,7 +489,7 @@ class WorkerPool:
                 "submit": time.time(),
                 "timed_out": False,
             }
-            self._dispatch(("rbatch", task_id, {
+            self._dispatch(("batch", task_id, {
                 "payloads": list(payloads),
                 "keys": (list(keys)
                          if any(k is not None for k in keys) else None),
@@ -666,44 +503,13 @@ class WorkerPool:
                 event.setdefault("ts", time.time())
                 self.on_event(event)
 
-        def quarantine(slot, payload, key, failure):
+        def settle(slot, result):
             nonlocal pending_points
-            results_out[slot[0]][slot[1]] = {"__sweep_error__": failure}
+            results_out[slot[0]][slot[1]] = result
             pending_points -= 1
-            summary["quarantined"] += 1
-            emit({
-                "type": "point_quarantined",
-                "key": key,
-                "config": _payload_label(payload),
-                "kind": failure.get("kind"),
-                "error_type": failure.get("error_type"),
-                "attempts": failure.get("attempts"),
-            })
-
-        def resolve_error(slot, payload, key, failure):
-            # a point that raised inside a surviving worker
-            used = error_attempts.get(slot, 0) + 1
-            error_attempts[slot] = used
-            if used < recovery.point_attempts:
-                summary["point_retries"] += 1
-                submit([slot], [payload], [key], attempts=0)
-            else:
-                failure = dict(failure)
-                failure["attempts"] = used
-                quarantine(slot, payload, key, failure)
 
         def resolve_loss(meta, kind, detail):
             # a batch whose worker died or blew its deadline
-            if meta.pop("chaos_struck", False):
-                # the harness murdered this batch's worker; that is
-                # environmental, not evidence the batch is poisonous —
-                # requeue without burning its crash budget, or repeated
-                # strikes on one unlucky batch would quarantine a
-                # perfectly healthy point and break the determinism gate
-                summary["requeues"] += 1
-                submit(meta["slots"], meta["payloads"], meta["keys"],
-                       meta["attempts"])
-                return
             attempts = meta["attempts"] + 1
             slots = meta["slots"]
             payloads = meta["payloads"]
@@ -720,26 +526,8 @@ class WorkerPool:
                     submit(slots[lo:hi], payloads[lo:hi], keys[lo:hi],
                            attempts=recovery.batch_attempts - 1)
             else:
-                quarantine(slots[0], payloads[0], keys[0],
-                           failure_from_loss(kind, detail, attempts))
-
-        def handle_started(task_id, info, started_index):
-            meta = tasks_meta.get(task_id)
-            if meta is not None:
-                meta["started"] = time.time()
-                meta["pid"] = info.get("pid")
-                meta["worker_id"] = info.get("worker_id")
-            pid = info.get("pid")
-            if (chaos is not None and pid is not None
-                    and chaos.should_strike(started_index)):
-                try:
-                    os.kill(pid, getattr(signal, "SIGKILL",
-                                         signal.SIGTERM))
-                except OSError:
-                    return
-                chaos.struck += 1
-                chaos.victims.append(pid)
-                summary["chaos_kills"] += 1
+                settle(slots[0], {"__sweep_error__": failure_from_loss(
+                    kind, detail, attempts)})
 
         def enforce_deadlines(now):
             if recovery.deadline_s is None:
@@ -751,7 +539,8 @@ class WorkerPool:
                 if slot is None:
                     continue  # backlogged: no worker, no clock running
                 budget = recovery.batch_budget_s(len(meta["payloads"]))
-                started = meta.get("started")
+                ack = self._in_flight.get(task_id, {})
+                started = ack.get("started")
                 # a sent-but-unacked batch (worker between recv and
                 # ack — a microsecond window unless it just died) gets
                 # double budget from send-side submit time
@@ -767,8 +556,8 @@ class WorkerPool:
                     "type": "point_timeout",
                     "batch": task_id,
                     "points": len(meta["payloads"]),
-                    "worker_id": meta.get("worker_id"),
-                    "pid": meta.get("pid"),
+                    "worker_id": ack.get("worker_id"),
+                    "pid": ack.get("pid"),
                     "budget_s": allowance,
                 })
                 victim = self._procs[slot]
@@ -813,17 +602,9 @@ class WorkerPool:
                     "last_seen_age_s": (None if seen is None
                                         else max(0.0, now - seen)),
                 })
-                chaos_victim = (chaos is not None
-                                and pid in chaos.victims)
                 for task_id, meta in held:
                     tasks_meta.pop(task_id)
                     self._in_flight.pop(task_id, None)
-                    if chaos_victim:
-                        # every batch this worker held — the acked one
-                        # AND any batch sitting unacked in its pipe
-                        # buffer — was lost to the harness's SIGKILL,
-                        # not to anything in the batch itself
-                        meta["chaos_struck"] = True
                     resolve_loss(
                         meta,
                         "timeout" if meta["timed_out"] else "crash",
@@ -867,64 +648,47 @@ class WorkerPool:
             submit([(index, position) for position in range(len(batch))],
                    batch, keys, attempts=0)
 
-        previous_hook = self._on_started
-        self._on_started = handle_started
-        try:
-            while pending_points > 0:
-                message = self._poll()
-                now = time.time()
-                if message is None:
-                    enforce_deadlines(now)
-                    reap_dead(now)
-                    continue
-                kind, task_id, _started, body = message
-                if kind == "ready":
-                    continue  # a respawned worker reporting for duty
-                meta = tasks_meta.pop(task_id, None)
-                if meta is None:
-                    continue  # stale reply for a requeued/retired task
-                if kind == "error":
-                    # the batch runner itself failed wholesale (not one
-                    # point raising — those come back as markers):
-                    # every point inherits the shipped traceback and
-                    # takes the raising-point retry path
-                    for slot, payload, key in zip(
-                            meta["slots"], meta["payloads"],
-                            meta["keys"]):
-                        resolve_error(slot, payload, key, {
-                            "kind": "error",
-                            "error_type": "WorkerBatchError",
-                            "message": str(body)[-300:],
-                            "traceback_digest": _digest(str(body)),
-                            "attempts": 1,
-                        })
-                    continue
-                if kind != "done":
-                    continue
-                batch_results, blob = body
-                if blob is not None:
-                    blobs.append(blob)
-                    if telemetry:
-                        emit({
-                            "type": "batch_done",
-                            "batch": task_id,
-                            "points": len(batch_results),
-                            "worker_id": blob.get("worker_id"),
-                            "pid": blob.get("pid"),
-                            "submit_ts": meta["submit"],
-                        })
-                for slot, payload, key, result in zip(
-                        meta["slots"], meta["payloads"], meta["keys"],
-                        batch_results):
-                    failure = (result.get("__sweep_error__")
-                               if isinstance(result, dict) else None)
-                    if failure is None:
-                        results_out[slot[0]][slot[1]] = result
-                        pending_points -= 1
-                    else:
-                        resolve_error(slot, payload, key, failure)
-        finally:
-            self._on_started = previous_hook
+        while pending_points > 0:
+            message = self._poll()
+            now = time.time()
+            if message is None:
+                enforce_deadlines(now)
+                reap_dead(now)
+                continue
+            kind, task_id, _started, body = message
+            if kind == "ready":
+                continue  # a respawned worker reporting for duty
+            meta = tasks_meta.pop(task_id, None)
+            if meta is None:
+                continue  # stale reply for a requeued/retired task
+            if kind == "error":
+                # the batch runner itself failed (not one point
+                # raising — those come back as markers): every point
+                # inherits the shipped traceback
+                for slot in meta["slots"]:
+                    settle(slot, {"__sweep_error__": {
+                        "kind": "error",
+                        "error_type": "WorkerBatchError",
+                        "message": str(body)[-300:],
+                        "traceback_digest": _digest(str(body)),
+                        "attempts": 1,
+                    }})
+                continue
+            if kind != "done":
+                continue
+            batch_results, blob = body
+            if blob is not None:
+                blobs.append(blob)
+                emit({
+                    "type": "batch_done",
+                    "batch": task_id,
+                    "points": len(batch_results),
+                    "worker_id": blob.get("worker_id"),
+                    "pid": blob.get("pid"),
+                    "submit_ts": meta["submit"],
+                })
+            for slot, result in zip(meta["slots"], batch_results):
+                settle(slot, result)
         return results_out, blobs, summary
 
     def ping(self) -> float:
@@ -983,8 +747,8 @@ class WorkerPool:
 
         Routes the transparent message kinds: interleaved ``"event"``
         messages go to :attr:`on_event`; ``"started"`` pickup acks
-        update the in-flight registry, per-pid heartbeat clocks, and
-        the :attr:`_on_started` hook (chaos injection); ``"done"`` /
+        update the in-flight registry (which the deadline clock reads)
+        and per-pid heartbeat clocks; ``"done"`` /
         ``"error"`` / ``"pong"`` retire their in-flight entry before
         being returned.  Idle polls invoke :attr:`on_idle` so
         heartbeat/stall telemetry runs even while workers are silent.
@@ -1026,16 +790,12 @@ class WorkerPool:
                     pid = info.get("pid")
                     if pid is not None:
                         self._worker_last_seen[pid] = time.time()
-                    self._started_seen += 1
                     self._in_flight[task_id] = {
                         "pid": pid,
                         "worker_id": info.get("worker_id"),
                         "points": info.get("points"),
                         "started": started,
                     }
-                    if self._on_started is not None:
-                        self._on_started(task_id, info,
-                                         self._started_seen)
                     continue
                 if kind == "event":
                     info = message[3]
@@ -1085,9 +845,10 @@ class WorkerPool:
     def _get_result(self, deadline: Optional[float] = None):
         """One protocol message off the result queue, watching health.
 
-        The legacy (non-recovering) wait: any dead worker is fatal,
-        but the raised error now says which batches/points died with
-        each pid and how stale its heartbeat was.
+        The wait of warm-up and :meth:`ping`, which carry no work to
+        recover: any dead worker is fatal, and the raised error says
+        which batches/points died with each pid and how stale its
+        heartbeat was.
         """
         while True:
             message = self._poll()

@@ -14,10 +14,6 @@ the pieces that let the pool *recover* instead:
   schedule the simulated retrying masters use, expressed in host
   seconds instead of simulated time, so there is exactly one backoff
   implementation in the codebase.
-* :class:`ChaosPlan` — the chaos-harness hook: a deterministic
-  schedule of SIGKILLs delivered to workers the moment they pick up a
-  batch.  The determinism gate runs a sweep with and without a chaos
-  plan and asserts the surviving results are byte-identical.
 * :class:`ShutdownGuard` — SIGINT/SIGTERM-safe shutdown: converts
   termination signals into a catchable :class:`SweepInterrupted` so
   ``finally`` blocks flush the store, run ledger, and trace before the
@@ -35,8 +31,8 @@ import hashlib
 import signal
 import threading
 import traceback
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.faults.retry import RetryPolicy
 
@@ -45,6 +41,19 @@ MESSAGE_LIMIT = 300
 
 #: Hex characters of the traceback SHA-256 kept in failure records.
 DIGEST_LEN = 16
+
+#: Failure kinds the pool finalizes itself: the worker process was lost
+#: while holding the point, and requeue/bisection already spent the
+#: crash budget.  Every other failure kind is a point that raised, which
+#: the engine retries up to ``RecoveryPolicy.point_attempts`` times.
+LOSS_KINDS = ("crash", "timeout")
+
+#: Recovery counters of one ``SweepEngine.run``, in report order.  The
+#: pool counts the process faults (the first five); the engine counts
+#: quarantines and raising-point retries.
+RECOVERY_COUNTERS = ("worker_crashes", "worker_respawns", "timeouts",
+                     "requeues", "bisections", "quarantined",
+                     "point_retries")
 
 
 class SweepInterrupted(RuntimeError):
@@ -125,57 +134,6 @@ class RecoveryPolicy:
         if self.deadline_s is None:
             return None
         return self.deadline_s * max(1, points)
-
-
-@dataclass
-class ChaosPlan:
-    """Deterministic worker-kill schedule for the chaos harness.
-
-    ``should_strike(n)`` is consulted with the 1-based count of
-    batch-pickup acknowledgements seen so far; strikes land on acks
-    ``start, start + stride, ...`` until ``kills`` workers have been
-    SIGKILLed.  Striking on pickup acks (rather than at random wall
-    times) makes the chaos reproducible *and* guarantees each strike
-    hits a worker with a batch genuinely in flight — the exact
-    situation crash recovery must survive.
-    """
-
-    kills: int = 1
-    start: int = 1
-    stride: int = 2
-    #: strikes delivered so far
-    struck: int = 0
-    #: pids killed, in strike order (diagnostics/tests)
-    victims: List[int] = field(default_factory=list)
-
-    def should_strike(self, started_index: int) -> bool:
-        """True when the ``started_index``-th pickup ack earns a kill."""
-        if self.struck >= self.kills or started_index < self.start:
-            return False
-        return (started_index - self.start) % max(1, self.stride) == 0
-
-    @classmethod
-    def parse(cls, spec: str) -> "ChaosPlan":
-        """Parse a CLI chaos spec such as ``kill-worker:2``.
-
-        The only mode is ``kill-worker`` (optionally ``:N`` for the
-        kill count, default 1).
-        """
-        parts = spec.split(":")
-        if parts[0] != "kill-worker" or len(parts) > 2:
-            raise ValueError(
-                f"unknown chaos spec {spec!r}; expected "
-                f"kill-worker[:N]"
-            )
-        kills = 1
-        if len(parts) == 2:
-            kills = int(parts[1])
-            if kills < 1:
-                raise ValueError("chaos kill count must be >= 1")
-        return cls(kills=kills)
-
-    def __str__(self) -> str:
-        return f"kill-worker:{self.kills}"
 
 
 class ShutdownGuard:

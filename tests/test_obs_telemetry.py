@@ -12,6 +12,11 @@ counters.
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -418,6 +423,41 @@ class TestTelemetrySweepEndToEnd:
                          telemetry=telemetry) as engine:
             assert det_rows(engine.run(points)) == baseline
         telemetry.close()
+
+    def test_telemetry_off_sweep_imports_no_obs(self):
+        """The off path is import-free, not just cheap: a pooled and an
+        in-process sweep without telemetry never load the telemetry
+        stack or the metrics registry.  Runs in a fresh interpreter,
+        since this test module itself imports both."""
+        script = textwrap.dedent("""
+            import json, sys
+            from repro.explore import DesignSpace, MasterTrafficSpec
+            from repro.kernel import ns, us
+            from repro.sweep import SweepEngine, points_for_space
+
+            spec = MasterTrafficSpec("cpu", pattern="random", base=0,
+                                     size=4096, burst_length=1,
+                                     gap=ns(50), transactions=4)
+            space = DesignSpace(fabrics=("plb", "generic"),
+                                arbiters=("static-priority",))
+            points = points_for_space(space, [spec], workload="w",
+                                      max_sim_time=us(2_000))
+            with SweepEngine(workers=2) as engine:
+                engine.run(points)
+                assert engine.last_batches > 0, "sweep stayed in-process"
+            SweepEngine(workers=1).run(points)
+            print(json.dumps([name for name in
+                              ("repro.obs.telemetry", "repro.obs.metrics")
+                              if name in sys.modules]))
+        """)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True,
+            text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_cached_rerun_is_ledgered_with_full_hits(self, tmp_path):
         from repro.sweep import SweepStore

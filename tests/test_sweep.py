@@ -22,6 +22,7 @@ from repro.explore import (
     MasterMetrics,
     MasterTrafficSpec,
     PointResult,
+    explore,
     run_point,
 )
 from repro.sweep import (
@@ -246,8 +247,20 @@ class TestSweepEngine:
         points = points_for_space(small_space(), small_specs(),
                                   workload="w", max_sim_time=us(2_000))
         serial = ranked(SweepEngine(workers=1).run(points))
-        parallel = ranked(SweepEngine(workers=4).run(points))
-        assert det_rows(serial) == det_rows(parallel)
+        with SweepEngine(workers=4) as engine:
+            pooled = engine.run(points)
+        assert det_rows(serial) == det_rows(ranked(pooled))
+        # pooled results also equal the plain explore() loop's, field
+        # for field except the wall clock
+        loop = explore(small_space(), small_specs(), workload_name="w",
+                       max_sim_time=us(2_000))
+
+        def scrub(result):
+            data = result.to_dict()
+            data.pop("wall_seconds")
+            return data
+
+        assert [scrub(o.result) for o in pooled] == [scrub(r) for r in loop]
 
     def test_warm_cache_performs_zero_run_point_calls(
             self, tmp_path, monkeypatch):
@@ -262,8 +275,8 @@ class TestSweepEngine:
         def bomb(*args, **kwargs):
             raise AssertionError("run_point called on a warm cache")
 
-        import repro.sweep.engine as engine_module
-        monkeypatch.setattr(engine_module, "run_point", bomb)
+        import repro.explore.runner as runner_module
+        monkeypatch.setattr(runner_module, "run_point", bomb)
         warm = engine.run(points)
         assert engine.last_computed == 0
         assert engine.last_cached == len(points)

@@ -3,24 +3,31 @@
 Pins the properties the perf work relies on: the pool spawns once and
 is reused across ``SweepEngine.run()`` calls (zero new processes on a
 warm second run), batched shards produce bit-identical results to the
-inline path for every worker count / batch size combination,
+in-process batch runner for every batch size,
 ``workers="auto"`` resolves to the CPU count, multi-stage strategies
 share one pool, and pool lifecycle (close, respawn, metrics) behaves.
 """
 
+import math
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.kernel import ns, us
-from repro.explore import DesignSpace, MasterTrafficSpec, run_payload_batch
+from repro.explore import (
+    DesignSpace,
+    MasterTrafficSpec,
+    run_payload_batch,
+    run_point,
+)
 from repro.sweep import (
+    BATCHES_PER_WORKER,
     SuccessiveHalving,
     SweepEngine,
     SweepStore,
     WorkerPool,
     points_for_space,
-    ranked,
     resolve_workers,
 )
 
@@ -118,51 +125,56 @@ class TestWarmPoolReuse:
         engine.close()
 
 
+def scrub(result):
+    """A result dict minus wall clock, the one field that legitimately
+    differs between two runs of the same point."""
+    return {k: v for k, v in result.items() if k != "wall_seconds"}
+
+
 class TestBatching:
     def test_oversubscribe_controls_batch_count(self):
-        points = small_points()  # 4 points
-        with SweepEngine(workers=2, oversubscribe=1) as engine:
-            coarse = engine.run(points)
-            assert engine.last_batches == 2  # ceil(4 / (2*1)) = 2 each
-        with SweepEngine(workers=2, oversubscribe=4) as engine:
-            fine = engine.run(points)
-            assert engine.last_batches == 4  # batch size floors at 1
-        assert det_rows(coarse) == det_rows(fine)
+        """BATCHES_PER_WORKER, the pool's oversubscription factor, sets
+        how many batches the pending points are cut into."""
+        points = [replace(p, seed=seed) for seed in range(1, 6)
+                  for p in small_points(transactions=2)]  # 20 points
+        with SweepEngine(workers=2) as engine:
+            engine.run(points)
+        # batches of ceil(20 / (2 workers * BATCHES_PER_WORKER)) points
+        size = math.ceil(len(points) / (2 * BATCHES_PER_WORKER))
+        assert engine.last_batches == math.ceil(len(points) / size)
 
     def test_batch_size_never_changes_results(self):
-        points = small_points()
-        inline = det_rows(ranked(SweepEngine(workers=1).run(points)))
-        for workers, oversubscribe in ((2, 1), (2, 4), (4, 2)):
-            with SweepEngine(workers=workers,
-                             oversubscribe=oversubscribe) as engine:
-                assert (det_rows(ranked(engine.run(points)))
-                        == inline)
-
-    def test_oversubscribe_validation(self):
-        with pytest.raises(ValueError, match="oversubscribe"):
-            SweepEngine(workers=2, oversubscribe=0)
+        payloads = [p.to_payload() for p in small_points()]
+        reference = [scrub(r) for r in run_payload_batch(payloads)[0]]
+        with WorkerPool(workers=2) as pool:
+            for size in (1, 2, len(payloads)):
+                batches = [payloads[i:i + size]
+                           for i in range(0, len(payloads), size)]
+                result_batches, blobs, _ = pool.run_batches(batches)
+                assert blobs == []  # telemetry off: no blobs
+                assert ([scrub(r) for batch in result_batches
+                         for r in batch] == reference), size
 
     def test_worker_batch_entry_point_matches_inline(self):
-        # the pool's worker-side entry must canonicalize identically
-        # to the engine's inline path (modulo wall clock, which is the
-        # one field that legitimately differs between two runs)
-        from repro.sweep.engine import _compute_payload
-
-        def scrub(result):
-            return {k: v for k, v in result.items()
-                    if k != "wall_seconds"}
-
-        payloads = [p.to_payload() for p in small_points()[:2]]
-        assert ([scrub(r) for r in run_payload_batch(payloads)]
-                == [scrub(_compute_payload(p)) for p in payloads])
+        # the batch runner must canonicalize exactly like a plain
+        # run_point call
+        points = small_points()[:2]
+        results, blob = run_payload_batch([p.to_payload() for p in points])
+        assert blob is None
+        expected = [
+            run_point(p.config, list(p.specs), workload_name=p.workload,
+                      max_sim_time=p.max_sim_time, seed=p.seed).to_dict()
+            for p in points
+        ]
+        assert [scrub(r) for r in results] == [scrub(e) for e in expected]
 
 
 class TestPoolDirect:
-    def test_map_batches_restores_order(self):
+    def test_run_batches_restores_order(self):
         payloads = [p.to_payload() for p in small_points()]
         with WorkerPool(workers=2) as pool:
             batches = [payloads[:1], payloads[1:3], payloads[3:]]
-            results = pool.map_batches(batches)
+            results, _, _ = pool.run_batches(batches)
             assert [len(b) for b in results] == [1, 2, 1]
             flat = [r for batch in results for r in batch]
             # order-restored: config names line up with the inputs

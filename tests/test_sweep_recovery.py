@@ -3,12 +3,12 @@
 Covers the recovery policy (and its backoff-equivalence pin against
 ``repro.faults.retry.RetryPolicy`` — one backoff implementation), the
 canonical failure-record shapes, the kind-tagged quarantine records in
-the store, the chaos-plan parser and kill schedule, quarantine
-semantics end to end for all three hazard modes (raise / worker exit /
-hang past deadline) including deterministic warm-resume skips, the
-chaos determinism gate (results bit-identical with workers SIGKILLed
-mid-run), SIGINT-safe shutdown, dead-worker diagnostics, and the
-crash-consistent run-ledger manifests.
+the store, quarantine semantics end to end for all three hazard modes
+(raise / worker exit / hang past deadline) including deterministic
+warm-resume skips, the chaos determinism gate (results bit-identical
+with workers SIGKILLed mid-run), SIGINT-safe shutdown, dead-worker
+diagnostics, and the crash-consistent run-ledger manifests.  Faults
+are injected by the ``hazard`` fixture (``tests/conftest.py``).
 """
 
 import json
@@ -20,10 +20,8 @@ import pytest
 
 from repro.kernel import ns, us
 from repro.explore import DesignSpace, MasterTrafficSpec
-from repro.explore.runner import HAZARD_ENV
 from repro.faults.retry import RetryPolicy
 from repro.sweep import (
-    ChaosPlan,
     RecoveryPolicy,
     ShutdownGuard,
     SweepEngine,
@@ -66,17 +64,6 @@ def det_rows(outcomes):
          o.result.sim_time_ns, o.result.total_bytes)
         for o in outcomes if not o.failed
     ]
-
-
-@pytest.fixture
-def hazard_env(monkeypatch):
-    """Set the worker-inherited hazard spec; cleared automatically."""
-
-    def arm(mapping):
-        monkeypatch.setenv(HAZARD_ENV, json.dumps(mapping))
-
-    yield arm
-    monkeypatch.delenv(HAZARD_ENV, raising=False)
 
 
 class TestRecoveryPolicy:
@@ -153,30 +140,6 @@ class TestFailureRecords:
                                   "message", "traceback_digest"]
 
 
-class TestChaosPlan:
-    def test_parse(self):
-        assert ChaosPlan.parse("kill-worker").kills == 1
-        assert ChaosPlan.parse("kill-worker:3").kills == 3
-
-    def test_parse_rejects_garbage(self):
-        for spec in ("kill-all", "kill-worker:0", "kill-worker:1:2"):
-            with pytest.raises(ValueError):
-                ChaosPlan.parse(spec)
-
-    def test_strike_schedule(self):
-        plan = ChaosPlan(kills=2, start=1, stride=2)
-        fired = []
-        for ack in range(1, 8):
-            if plan.should_strike(ack):
-                plan.struck += 1
-                fired.append(ack)
-        assert fired == [1, 3]
-        assert not plan.should_strike(5)  # budget spent
-
-    def test_str_round_trips(self):
-        assert str(ChaosPlan.parse("kill-worker:4")) == "kill-worker:4"
-
-
 class TestStoreFailureRecords:
     def test_round_trip_and_count(self, tmp_path):
         store = SweepStore(tmp_path)
@@ -212,10 +175,11 @@ class TestQuarantineSemantics:
     """Satellite: raise / os._exit / hang each end as a kind-tagged
     quarantine, and a warm resume skips it without re-executing."""
 
-    def _run(self, tmp_path, hazard_env, action, **engine_kwargs):
+    def _run(self, tmp_path, hazard, action, seconds=3600.0,
+             **engine_kwargs):
         points = four_points()
         poison = points[3]
-        hazard_env({poison.config.name: action})
+        hazard.arm(poison.config.name, action, seconds=seconds)
         store = SweepStore(tmp_path / "cache")
         with SweepEngine(workers=2, store=store,
                          **engine_kwargs) as engine:
@@ -236,9 +200,8 @@ class TestQuarantineSemantics:
         assert len(ranked(outcomes)) == 3
         assert [o.key for o in quarantined(outcomes)] == [poison.key()]
 
-    def _assert_resume_skips(self, tmp_path, points, poison,
-                             monkeypatch):
-        monkeypatch.delenv(HAZARD_ENV, raising=False)
+    def _assert_resume_skips(self, tmp_path, points, poison, hazard):
+        hazard.disarm()
         store = SweepStore(tmp_path / "cache")
         with SweepEngine(workers=2, store=store) as engine:
             outcomes = engine.run(points)
@@ -248,36 +211,49 @@ class TestQuarantineSemantics:
         assert len(bad) == 1 and bad[0].cached
         assert bad[0].key == poison.key()
 
-    def test_raising_point(self, tmp_path, hazard_env, monkeypatch):
+    def test_raising_point(self, tmp_path, hazard):
         points, poison, store, engine, outcomes = self._run(
-            tmp_path, hazard_env, "raise")
+            tmp_path, hazard, "raise")
         self._assert_quarantined(outcomes, poison, store,
                                  "error", "InjectedHazardError")
         assert engine.last_recovery["point_retries"] >= 1
-        self._assert_resume_skips(tmp_path, points, poison, monkeypatch)
+        self._assert_resume_skips(tmp_path, points, poison, hazard)
 
-    def test_worker_exit_point(self, tmp_path, hazard_env, monkeypatch):
+    def test_raising_point_in_process(self, hazard):
+        """The zero-worker case takes the same retry/quarantine rule."""
+        points = four_points()
+        poison = points[3]
+        hazard.arm(poison.config.name, "raise")
+        engine = SweepEngine(workers=1)
+        outcomes = engine.run(points)
+        bad = quarantined(outcomes)
+        assert [o.key for o in bad] == [poison.key()]
+        assert bad[0].failure["kind"] == "error"
+        assert bad[0].failure["attempts"] == engine.recovery.point_attempts
+        assert engine.pool_spawns == 0
+        assert engine.last_recovery is None
+
+    def test_worker_exit_point(self, tmp_path, hazard):
         points, poison, store, engine, outcomes = self._run(
-            tmp_path, hazard_env, "exit")
+            tmp_path, hazard, "exit")
         self._assert_quarantined(outcomes, poison, store,
                                  "crash", "WorkerCrash")
         assert engine.last_recovery["worker_crashes"] >= 2
         assert engine.last_recovery["worker_respawns"] >= 2
-        self._assert_resume_skips(tmp_path, points, poison, monkeypatch)
+        self._assert_resume_skips(tmp_path, points, poison, hazard)
 
-    def test_hang_past_deadline(self, tmp_path, hazard_env, monkeypatch):
+    def test_hang_past_deadline(self, tmp_path, hazard):
         points, poison, store, engine, outcomes = self._run(
-            tmp_path, hazard_env, "hang:60", deadline_s=0.5)
+            tmp_path, hazard, "hang", seconds=60, deadline_s=0.5)
         self._assert_quarantined(outcomes, poison, store,
                                  "timeout", "PointDeadline")
         assert engine.last_recovery["timeouts"] >= 2
-        self._assert_resume_skips(tmp_path, points, poison, monkeypatch)
+        self._assert_resume_skips(tmp_path, points, poison, hazard)
 
-    def test_rerun_supersedes_quarantine(self, tmp_path, hazard_env,
-                                         monkeypatch):
+    def test_rerun_supersedes_quarantine(self, tmp_path, hazard):
         points, poison, store, engine, outcomes = self._run(
-            tmp_path, hazard_env, "raise")
-        monkeypatch.delenv(HAZARD_ENV, raising=False)
+            tmp_path, hazard, "raise")
+        hazard.disarm()
         store = SweepStore(tmp_path / "cache")
         with SweepEngine(workers=2, store=store) as engine:
             redo = engine.run([poison], rerun=True)
@@ -296,48 +272,46 @@ class TestChaosDeterminism:
         with SweepEngine(workers=2) as engine:
             return det_rows(engine.run(four_points()))
 
-    @pytest.mark.parametrize("kills,stride", [(1, 2), (3, 1)])
-    def test_kills_do_not_change_results(self, calm_rows, kills, stride):
-        plan = ChaosPlan(kills=kills, start=1, stride=stride)
-        with SweepEngine(workers=2, chaos=plan) as engine:
+    @pytest.mark.parametrize("kills", [1, 3])
+    def test_kills_do_not_change_results(self, calm_rows, hazard, kills):
+        # every kill costs its batch one attempt; a budget of kills + 1
+        # lets even a batch hit by every kill finish without bisection
+        hazard.arm(None, "kill", kills=kills)
+        with SweepEngine(workers=2, recovery=RecoveryPolicy(
+                batch_attempts=kills + 1)) as engine:
             outcomes = engine.run(four_points())
-        assert plan.struck == kills
-        assert len(plan.victims) == kills
         assert engine.last_quarantined == 0
-        assert engine.last_recovery["chaos_kills"] == kills
-        # a victim that finished its batch in the instant before the
-        # SIGKILL landed leaves nothing to recover, so respawns may
-        # trail kills — but at least one strike must have drawn blood
-        assert 1 <= engine.last_recovery["worker_respawns"] <= kills
+        assert engine.last_recovery["worker_crashes"] == kills
+        assert engine.last_recovery["worker_respawns"] == kills
         assert det_rows(outcomes) == calm_rows
 
-    def test_ledger_records_recovery_counts(self, tmp_path):
+    def test_ledger_records_recovery_counts(self, tmp_path, hazard):
         from repro.obs.telemetry import RunLedger, SweepTelemetry
 
-        telemetry = SweepTelemetry(ledger=tmp_path)
-        with SweepEngine(workers=2, chaos=ChaosPlan(kills=1),
-                         telemetry=telemetry) as engine:
+        hazard.arm(None, "kill", kills=1)
+        telemetry = SweepTelemetry(ledger=tmp_path / "ledger")
+        with SweepEngine(workers=2, telemetry=telemetry) as engine:
             engine.run(four_points())
         telemetry.close()
-        runs = RunLedger(tmp_path).records(kind="run")
+        runs = RunLedger(tmp_path / "ledger").records(kind="run")
         assert len(runs) == 1
-        assert runs[0]["recovery"]["chaos_kills"] == 1
-        assert runs[0]["recovery"]["worker_respawns"] >= 1
+        assert runs[0]["recovery"]["worker_crashes"] == 1
+        assert runs[0]["recovery"]["worker_respawns"] == 1
         assert runs[0]["quarantined"] == 0
 
 
 class TestEngineSessionState:
     def test_session_failures_accumulate_and_supersede(
-            self, tmp_path, hazard_env, monkeypatch):
+            self, tmp_path, hazard):
         points = four_points()
         poison = points[2]
-        hazard_env({poison.config.name: "raise"})
+        hazard.arm(poison.config.name, "raise")
         store = SweepStore(tmp_path)
         with SweepEngine(workers=2, store=store) as engine:
             engine.run(points)
             assert set(engine.session_failures) == {poison.key()}
             assert engine.session_recovery["quarantined"] == 1
-            monkeypatch.delenv(HAZARD_ENV, raising=False)
+            hazard.disarm()
             redo = engine.run([poison], rerun=True)
             assert not redo[0].failed
             assert engine.session_failures == {}
@@ -447,10 +421,12 @@ class TestCrashConsistentManifests:
 
 class TestCliRecoveryFlags:
     def test_chaos_spec_rejected(self, capsys):
+        # worker kills are a test fixture, not a CLI option
         from repro.sweep.cli import main
 
         with pytest.raises(SystemExit):
-            main(["--chaos", "explode-everything"])
+            main(["--chaos", "kill-worker:1"])
+        assert "unrecognized arguments: --chaos" in capsys.readouterr().err
 
     def test_bad_deadline_rejected(self):
         from repro.sweep.cli import main
@@ -458,7 +434,7 @@ class TestCliRecoveryFlags:
         with pytest.raises(SystemExit):
             main(["--max-point-seconds", "0"])
 
-    def test_quarantine_section_in_report(self, tmp_path, hazard_env,
+    def test_quarantine_section_in_report(self, tmp_path, hazard,
                                           capsys):
         from repro.sweep.cli import main
 
@@ -469,7 +445,7 @@ class TestCliRecoveryFlags:
             "--cache", str(tmp_path / "cache"),
             "--json", str(tmp_path / "report.json"),
         ]
-        hazard_env({"plb/round-robin@100MHz/b16": "raise"})
+        hazard.arm("plb/round-robin@100MHz/b16", "raise")
         assert main(space_args) == 0
         out = capsys.readouterr().out
         assert "quarantined" in out
