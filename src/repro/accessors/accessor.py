@@ -12,8 +12,12 @@ implemented as RTL, they are fully synthesizable."*
 state machine with a pin-level OCP slave interface toward the PE and a
 request/grant interface toward the :class:`~repro.rtl.buscore.RtlBusCore`
 fabric.  Everything it does happens at rising clock edges — no
-transaction-level shortcuts — so an accessor-based system simulates at
-genuine pin-accurate cost and cycle fidelity.
+transaction-level shortcuts — so an accessor-based system keeps
+pin-accurate cycle fidelity.  It is woken only on the edges that can
+change its state, though: while the PE's request group is idle it sleeps
+on ``MCmd``, and while the fabric works on a transaction it sleeps on the
+master port's ``done`` event.  Its pins and cycle counts are those of a
+state machine that samples every edge.
 """
 
 from __future__ import annotations
@@ -60,14 +64,14 @@ class RtlAccessor(Module):
 
     def _machine(self) -> Generator:
         bundle = self.bundle
-        edge = bundle.clock.posedge_event
+        clock = bundle.clock
+        edge = clock.posedge_event
+        port = self.bus_port
         bundle.s_cmd_accept.write(False)
         bundle.idle_response()
         while True:
             # ---- OCP request phase: sample the PE's pins --------------
-            yield edge
-            if not bundle.request_active:
-                continue
+            yield from clock.sample(bundle.m_cmd, OcpCmd.IDLE.value)
             for _ in range(self.accept_latency):
                 yield edge
             cmd = OcpCmd(bundle.m_cmd.read())
@@ -90,11 +94,14 @@ class RtlAccessor(Module):
                 burst_length=burst_length, byte_en=byte_en,
             )
             request.master_id = self.full_name
-            # ---- fabric side: request/grant/done, polled per cycle ----
-            self.bus_port.submit(request)
-            while self.bus_port.response is None:
-                yield edge
-            response = self.bus_port.response
+            # ---- fabric side: asleep until the core completes it -----
+            # The core notifies ``done`` from its own rising-edge
+            # activation, so this resumes in the delta a per-cycle poll
+            # of ``response`` would have seen it.
+            port.submit(request)
+            while port.response is None:
+                yield port.done
+            response = port.response
             # ---- OCP response phase: one beat per cycle ----------------
             if cmd.is_read:
                 beats_out = response.data or [0] * burst_length

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from typing import Generator
 
 from repro.kernel.errors import SimulationError
 from repro.kernel.process import WaitCondition, WaitMode
@@ -100,6 +101,32 @@ class Clock(Signal):
             value = not self._current
             write(value)
             yield (high_wait if value else low_wait)
+
+    def sample(self, signal: Signal, idle) -> Generator:
+        """Wait for the first rising edge that samples ``signal`` at a
+        value other than ``idle``.
+
+        ``yield from clock.sample(sig, idle)`` ends on the same edge, in
+        the same delta cycle, as the polling loop ``while True: yield
+        clock.posedge_event; if sig.read() != idle: break`` — but while
+        ``signal`` holds ``idle`` the caller sleeps on its value-changed
+        event instead of waking on every edge.  A change that lands in
+        the same update phase as a rising edge is sampled by that edge,
+        as a polling process would see it.
+        """
+        edge = self._posedge
+        changed = signal.value_changed_event
+        while True:
+            if signal.read() == idle:
+                yield changed
+                if self.posedge():
+                    # This delta is a rising edge's sampling delta.
+                    if signal.read() != idle:
+                        return
+                    continue
+            yield edge
+            if signal.read() != idle:
+                return
 
     def cycles(self, count: int) -> SimTime:
         """Duration of ``count`` clock periods."""

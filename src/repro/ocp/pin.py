@@ -91,7 +91,9 @@ class OcpPinMaster(SimObject, OcpTargetIf):
 
     The refinement shim for a TL master talking to a pin-level slave:
     presents :class:`OcpTargetIf` upward, wiggles pins downward with a
-    cycle-true request/response state machine.  Concurrent transports
+    cycle-true request/response state machine.  While it waits for
+    ``SCmdAccept`` or ``SResp`` it sleeps on that signal rather than
+    waking every edge (see :meth:`Clock.sample`).  Concurrent transports
     from multiple processes serialize on an internal mutex, as they
     would on the physical socket.
     """
@@ -107,7 +109,7 @@ class OcpPinMaster(SimObject, OcpTargetIf):
 
     def transport(self, request: OcpRequest) -> Generator:
         bundle = self.bundle
-        clk_edge = bundle.clock.posedge_event
+        clock = bundle.clock
         yield from self._lock.lock()
         try:
             # --- request phase: one beat per accepted cycle ---------------
@@ -120,10 +122,7 @@ class OcpPinMaster(SimObject, OcpTargetIf):
                 if request.cmd.is_write:
                     bundle.m_data.write(request.data[beat])
                 # Hold the beat until a rising edge samples it accepted.
-                while True:
-                    yield clk_edge
-                    if bundle.s_cmd_accept.read():
-                        break
+                yield from clock.sample(bundle.s_cmd_accept, False)
             bundle.idle_request()
             # --- response phase -------------------------------------------
             expected = (
@@ -133,12 +132,8 @@ class OcpPinMaster(SimObject, OcpTargetIf):
             data = []
             resp_code = OcpResp.DVA
             for _ in range(expected):
-                while True:
-                    yield clk_edge
-                    code = bundle.s_resp.read()
-                    if code != _NULL:
-                        break
-                resp_code = OcpResp(code)
+                yield from clock.sample(bundle.s_resp, _NULL)
+                resp_code = OcpResp(bundle.s_resp.read())
                 data.append(bundle.s_data.read())
             self.transactions += 1
             if request.cmd.is_read:
@@ -155,6 +150,12 @@ class OcpPinSlave(Module):
     blocking-transport target (memory model, bus attachment point) on the
     other.  ``accept_latency`` stalls SCmdAccept for that many cycles on
     the first beat of each burst, modeling slave-side decode time.
+
+    Unlike the master and the RTL accessor, it samples every edge while
+    idle.  Its target is usually a transaction-level bus, which ranks
+    requests that arrive in the same delta cycle by process evaluation
+    order; waking it only on ``MCmd`` changes would move it in that
+    order and so change arbitration between pin adapters on one bus.
     """
 
     def __init__(self, name, parent=None, ctx=None,

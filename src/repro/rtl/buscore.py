@@ -16,7 +16,6 @@ latch interface an accessor drives pin-accurately.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Generator, List, Optional
 
@@ -40,17 +39,26 @@ class RtlMasterPort:
        ``response`` and notifies ``done``;
     3. master lowers ``req`` (automatically on completion here) and may
        issue the next request.
+
+    The latch behaves like a register: a request raised in the delta
+    cycle of a rising edge is sampled by the next edge, whether the
+    submitting process ran before or after the core in that delta.
+    ``seq`` (the arbiters' arrival-order tie-break) is the submitting
+    delta cycle, then the port's index, so simultaneous requests rank
+    by port and never by process evaluation order.
     """
 
     def __init__(self, name: str, core: "RtlBusCore", priority: int):
         self.name = name
         self.core = core
         self.priority = priority
+        self.index = len(core.ports)
         self.req = False
         self.request: Optional[OcpRequest] = None
         self.response: Optional[OcpResponse] = None
         self.done = Event(core, f"{core.full_name}.{name}.done")
-        self.seq = 0
+        #: (delta cycle of the submit, port index)
+        self.seq = (-1, self.index)
         self.granted = False
         self.transactions = 0
 
@@ -63,7 +71,7 @@ class RtlMasterPort:
         self.request = request
         self.response = None
         self.granted = False
-        self.seq = next(self.core._seq)
+        self.seq = (self.core.ctx._delta_count, self.index)
         self.req = True
 
     def transport(self, request: OcpRequest) -> Generator:
@@ -130,7 +138,6 @@ class RtlBusCore(Module):
         self.arbiter = arbiter or StaticPriorityArbiter()
         self.slaves: List[SlaveBinding] = []
         self.ports: List[RtlMasterPort] = []
-        self._seq = itertools.count()
         if self.timing.split_rw:
             self._engines = {
                 "read": _DataEngine("read"),
@@ -237,8 +244,11 @@ class RtlBusCore(Module):
                 and any(e.busy_cycles or e.queue
                         for e in self._engines.values())):
             return
+        # Requests raised in this very delta wait for the next edge.
+        delta = self.ctx._delta_count
         pending = [
-            p for p in self.ports if p.req and not p.granted
+            p for p in self.ports
+            if p.req and not p.granted and p.seq[0] < delta
         ]
         if not pending:
             return
@@ -299,15 +309,13 @@ class RtlBusCore(Module):
         return {
             "cycles": self.cycles,
             "transactions_completed": self.transactions_completed,
-            "next_seq": next(self._seq),
             "arbiter": self.arbiter.snapshot_state(),
             "engines": {
                 name: engine.total_busy
                 for name, engine in self._engines.items()
             },
             "ports": {
-                port.name: {"seq": port.seq,
-                            "transactions": port.transactions}
+                port.name: {"transactions": port.transactions}
                 for port in self.ports
             },
         }
@@ -315,14 +323,12 @@ class RtlBusCore(Module):
     def __restore__(self, state: dict) -> None:
         self.cycles = state["cycles"]
         self.transactions_completed = state["transactions_completed"]
-        self._seq = itertools.count(state["next_seq"])
         self.arbiter.restore_state(state["arbiter"])
         for name, total_busy in state["engines"].items():
             self._engines[name].total_busy = total_busy
         by_name = {port.name: port for port in self.ports}
         for name, payload in state["ports"].items():
             port = by_name[name]
-            port.seq = payload["seq"]
             port.transactions = payload["transactions"]
             port.req = False
             port.granted = False
