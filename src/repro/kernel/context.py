@@ -119,8 +119,8 @@ class SimContext:
         #: Why the most recent ``run`` ended: None (never ran) or one of
         #: ``"stopped"`` / ``"starved"`` / ``"limit"`` / ``"failed"``.
         self.last_run_outcome: Optional[str] = None
-        #: Instrumentation observer (see ``repro.obs.hooks``); None keeps
-        #: the scheduler on the hook-free fast path.
+        #: Instrumentation observer (see ``repro.obs.hooks``); with None,
+        #: ``run`` calls no hook.
         self._obs = None
         self.elaborated = False
         self._stop_requested = False
@@ -335,34 +335,22 @@ class SimContext:
     # scheduling services (used by Event, Process, channels)
     # ------------------------------------------------------------------
 
-    def make_runnable(self, process: Process) -> None:
-        """Queue a process for the current evaluation phase."""
-        self._runnable.append(process)
-
     def schedule_delta_event(self, event: Event) -> None:
         """Queue an event for the next delta cycle."""
         self._delta_events.append(event)
 
-    def schedule_timed_event(self, event: Event, when: SimTime) -> list:
-        """Schedule an event notification at absolute time ``when``.
+    def _schedule_event_fs(self, event: Event, when_fs: int) -> list:
+        """Schedule an event notification at absolute time ``when_fs``.
 
         Returns the heap entry; setting its kind slot to
         ``KIND_CANCELLED`` cancels the notification.
         """
-        return self._schedule_event_fs(event, when._fs)
-
-    def schedule_timed_resume(self, process: Process, when: SimTime) -> list:
-        """Schedule a process timeout wake-up at absolute time ``when``."""
-        return self._schedule_resume_fs(process, when._fs)
-
-    def _schedule_event_fs(self, event: Event, when_fs: int) -> list:
-        """Integer-time fast path for :meth:`schedule_timed_event`."""
         entry = [when_fs, next(self._seq), KIND_EVENT, event]
         heapq.heappush(self._timed_heap, entry)
         return entry
 
     def _schedule_resume_fs(self, process, when_fs: int) -> list:
-        """Integer-time fast path for :meth:`schedule_timed_resume`."""
+        """Schedule a process timeout wake-up at absolute time ``when_fs``."""
         entry = [when_fs, next(self._seq), KIND_RESUME, process]
         heapq.heappush(self._timed_heap, entry)
         return entry
@@ -387,11 +375,11 @@ class SimContext:
 
         ``observer`` follows the :class:`repro.obs.hooks.SimObserver`
         protocol (duck-typed — the kernel does not import the
-        observability layer).  While an observer is attached, ``run``
-        uses an instrumented twin of the event loop that invokes the
-        observer's hooks; with none attached the original hook-free loop
-        runs.  Only one observer may be attached at a time; fan out with
-        :class:`repro.obs.hooks.ObserverGroup`.
+        observability layer).  ``run`` reads the observer once on entry
+        and calls its hooks from the one scheduler loop, each behind a
+        test of that binding; with none attached it calls no hook and
+        no timer.  Only one observer may be attached at a time; fan out
+        with :class:`repro.obs.hooks.ObserverGroup`.
         """
         if self._obs is not None and self._obs is not observer:
             raise SimulationError(
@@ -401,7 +389,7 @@ class SimContext:
         self._obs = observer
 
     def detach_observer(self, observer=None) -> None:
-        """Remove the attached observer (restores the fast path).
+        """Remove the attached observer (takes effect at the next ``run``).
 
         With ``observer`` given, detaches only if it is the one
         currently attached; with None, unconditionally detaches.
@@ -464,10 +452,15 @@ class SimContext:
         self._running = True
         _active_context = self
         try:
-            if self._obs is None:
-                self._event_loop(limit_fs)
-            else:
-                self._event_loop_instrumented(limit_fs)
+            self._event_loop(limit_fs)
+        except BaseException:
+            # A kernel error (the delta limit, a raising observer hook)
+            # escaped the loop; it supersedes any process failure
+            # recorded before it.
+            self.last_run_outcome = "failed"
+            self.current_process = None
+            self._failure = None
+            raise
         finally:
             self._running = False
             _active_context = None
@@ -507,12 +500,15 @@ class SimContext:
     # ------------------------------------------------------------------
 
     def _event_loop(self, limit_fs: Optional[int]) -> None:
-        # NOTE: any scheduling change here must be mirrored in
-        # _event_loop_instrumented below (the observer-attached twin).
         # Hot attributes and helpers bound to locals: at millions of
         # iterations the repeated attribute lookups dominate, and none of
         # these objects are rebound elsewhere (the update/delta lists are
-        # swapped wholesale, so those stay attribute accesses).
+        # swapped wholesale, so those stay attribute accesses).  The
+        # observer is bound once per run too, and every hook sits behind
+        # a test of that local: an unobserved run calls no hook and no
+        # timer.
+        obs = self._obs
+        perf = time.perf_counter
         runnable = self._runnable
         popleft = runnable.popleft
         heap = self._timed_heap
@@ -526,7 +522,14 @@ class SimContext:
                 while runnable:
                     proc = popleft()
                     self.current_process = proc
-                    proc._dispatch()
+                    if obs is None:
+                        proc._dispatch()
+                    else:
+                        now_fs = self._now_fs
+                        obs.on_process_activate(proc, now_fs)
+                        start = perf()
+                        proc._dispatch()
+                        obs.on_process_suspend(proc, now_fs, perf() - start)
                     if self._stop_requested:
                         break
                 self.current_process = None
@@ -538,6 +541,8 @@ class SimContext:
                 updates = self._update_queue
                 self._update_queue = []
                 self._update_set.clear()
+                if obs is not None:
+                    obs.on_update_phase(len(updates), self._now_fs)
                 for channel in updates:
                     channel._perform_update()
 
@@ -546,11 +551,16 @@ class SimContext:
                 events = self._delta_events
                 self._delta_events = []
                 for ev in events:
+                    # a cancelled or superseded notification is not a fire
+                    if obs is not None and ev._pending_kind == "delta":
+                        obs.on_event_fire(ev, "delta", self._now_fs)
                     ev._fire_scheduled("delta")
 
             if runnable:
                 self._delta_count += 1
                 self._deltas_this_timestep += 1
+                if obs is not None:
+                    obs.on_delta_cycle(self._delta_count, self._now_fs)
                 if self._deltas_this_timestep > max_deltas:
                     raise SimulationError(
                         f"more than {max_deltas} delta "
@@ -575,10 +585,14 @@ class SimContext:
             if limit_fs is not None and when_fs > limit_fs:
                 self._now_fs = limit_fs
                 self._now = SimTime._from_fs(limit_fs)
+                if obs is not None:
+                    obs.on_time_advance(limit_fs)
                 return
             self._now_fs = when_fs
             self._now = SimTime._from_fs(when_fs)
             self._deltas_this_timestep = 0
+            if obs is not None:
+                obs.on_time_advance(when_fs)
             # Single drain of everything scheduled at this instant, in
             # seq order; cancelled entries pop and drop.  Entries pushed
             # *during* firing land in heap order and are picked up too.
@@ -586,114 +600,14 @@ class SimContext:
                 entry = heappop(heap)
                 kind = entry[2]
                 if kind == KIND_EVENT:
+                    if obs is not None:
+                        obs.on_event_fire(entry[3], "timed", when_fs)
                     entry[3]._fire_scheduled("timed")
                 elif kind == KIND_RESUME:
                     entry[3]._timeout_fired()
             self._delta_count += 1
-
-    def _event_loop_instrumented(self, limit_fs: Optional[int]) -> None:
-        """Instrumented twin of :meth:`_event_loop`.
-
-        Kept as a *separate* function so the uninstrumented loop stays
-        branch-free (the observability-off hot path is byte-identical to
-        the fast path); any scheduling change there must be mirrored
-        here.  Adds, per scheduling boundary, one hook call into the
-        attached observer plus a ``perf_counter`` pair around each
-        process dispatch (the profiler's host-cost source).
-        """
-        obs = self._obs
-        on_activate = obs.on_process_activate
-        on_suspend = obs.on_process_suspend
-        on_event = obs.on_event_fire
-        on_update = obs.on_update_phase
-        on_delta = obs.on_delta_cycle
-        on_advance = obs.on_time_advance
-        perf = time.perf_counter
-        runnable = self._runnable
-        popleft = runnable.popleft
-        heap = self._timed_heap
-        heappop = heapq.heappop
-        max_deltas = self.max_deltas_per_timestep
-        while True:
-            # -- evaluation phase --------------------------------------
-            ran_any = bool(runnable)
-            if ran_any:
-                self._last_activity = self._now
-                while runnable:
-                    proc = popleft()
-                    self.current_process = proc
-                    now_fs = self._now_fs
-                    on_activate(proc, now_fs)
-                    start = perf()
-                    proc._dispatch()
-                    on_suspend(proc, now_fs, perf() - start)
-                    if self._stop_requested:
-                        break
-                self.current_process = None
-                if self._stop_requested:
-                    return
-
-            # -- update phase ------------------------------------------
-            if self._update_queue:
-                updates = self._update_queue
-                self._update_queue = []
-                self._update_set.clear()
-                on_update(len(updates), self._now_fs)
-                for channel in updates:
-                    channel._perform_update()
-
-            # -- delta notification phase --------------------------------
-            if self._delta_events:
-                events = self._delta_events
-                self._delta_events = []
-                now_fs = self._now_fs
-                for ev in events:
-                    if ev._pending_kind == "delta":
-                        on_event(ev, "delta", now_fs)
-                    ev._fire_scheduled("delta")
-
-            if runnable:
-                self._delta_count += 1
-                self._deltas_this_timestep += 1
-                on_delta(self._delta_count, self._now_fs)
-                if self._deltas_this_timestep > max_deltas:
-                    raise SimulationError(
-                        f"more than {max_deltas} delta "
-                        f"cycles at time {self._now}; the model is probably "
-                        f"in a zero-time activity loop"
-                    )
-                continue
-
-            if ran_any and not heap:
-                # Give one more pass in case the update phase scheduled work.
-                if runnable or self._delta_events or self._update_queue:
-                    continue
-
-            # -- timed notification phase --------------------------------
-            while heap and heap[0][2] == KIND_CANCELLED:
-                heappop(heap)
-            if not heap:
-                return  # starvation
-            when_fs = heap[0][0]
-            if limit_fs is not None and when_fs > limit_fs:
-                self._now_fs = limit_fs
-                self._now = SimTime._from_fs(limit_fs)
-                on_advance(limit_fs)
-                return
-            self._now_fs = when_fs
-            self._now = SimTime._from_fs(when_fs)
-            self._deltas_this_timestep = 0
-            on_advance(when_fs)
-            while heap and heap[0][0] == when_fs:
-                entry = heappop(heap)
-                kind = entry[2]
-                if kind == KIND_EVENT:
-                    on_event(entry[3], "timed", when_fs)
-                    entry[3]._fire_scheduled("timed")
-                elif kind == KIND_RESUME:
-                    entry[3]._timeout_fired()
-            self._delta_count += 1
-            on_delta(self._delta_count, when_fs)
+            if obs is not None:
+                obs.on_delta_cycle(self._delta_count, when_fs)
 
     # ------------------------------------------------------------------
     # diagnostics

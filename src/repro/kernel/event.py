@@ -177,8 +177,8 @@ class Event:
             for process in waiters:
                 process._event_triggered(self)
         for process in self._static_waiters:
-            # Inlined Process._static_triggered: wake only the processes
-            # actually suspended on their static sensitivity list.
+            # Wake only the processes actually suspended on their static
+            # sensitivity list.
             if process._waiting_static:
                 process._wake(self)
 

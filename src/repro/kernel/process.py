@@ -260,11 +260,6 @@ class Process:
                 return  # still waiting for the rest of the and-list
         self._wake(event)
 
-    def _static_triggered(self, event: Event) -> None:
-        """Called by an event on the static sensitivity list."""
-        if self._waiting_static:
-            self._wake(event)
-
     def _timeout_fired(self) -> None:
         self._wake(None)
 
@@ -340,53 +335,31 @@ class ThreadProcess(Process):
         self._gen: Optional[Generator] = None
         self.dont_initialize = dont_initialize
 
-    def _start(self) -> None:
-        """Create the underlying generator (first dispatch)."""
-        result = self._fn()
-        if result is None:
-            # A plain function (no yields): it already ran to completion.
-            self._terminate()
-            return
-        if not hasattr(result, "send"):
-            raise ProcessError(
-                f"thread process {self.name!r} must be a generator "
-                f"function, got {type(result).__name__}"
-            )
-        self._gen = result
-        self._advance(first=True)
-
     def _dispatch(self) -> None:
         # The steady-state resume path is fully inlined here: one
-        # generator send, one normalize, one apply_wait.
-        gen = self._gen
-        if gen is None:
-            self.state = _RUNNING
-            self._start()
-            return
+        # generator send, one normalize, one apply_wait.  The first
+        # dispatch calls the body inside the same ``try``, so a body
+        # that raises before its first yield fails like any other.
         self.state = _RUNNING
         wake = self._wake_value
         self._wake_value = None
         try:
+            gen = self._gen
+            if gen is None:
+                gen = self._fn()
+                if gen is None:
+                    # A plain function (no yields): it already ran to
+                    # completion.
+                    self._terminate()
+                    return
+                if not hasattr(gen, "send"):
+                    raise ProcessError(
+                        f"thread process {self.name!r} must be a generator "
+                        f"function, got {type(gen).__name__}"
+                    )
+                self._gen = gen
+                wake = None  # a just-started generator accepts only None
             yielded = gen.send(wake)
-        except StopIteration:
-            self._terminate()
-            return
-        except BaseException as exc:
-            self.exception = exc
-            self._terminate()
-            self.ctx._process_failed(self, exc)
-            return
-        self._apply_wait(WaitCondition.normalize(yielded))
-
-    def _advance(self, first: bool = False) -> None:
-        self.state = ProcessState.RUNNING
-        wake = self._wake_value
-        self._wake_value = None
-        try:
-            if first:
-                yielded = next(self._gen)
-            else:
-                yielded = self._gen.send(wake)
         except StopIteration:
             self._terminate()
             return
@@ -433,16 +406,16 @@ class MethodProcess(Process):
         self._next_trigger_override = None
         try:
             result = self._fn()
+            if result is not None and hasattr(result, "send"):
+                raise ProcessError(
+                    f"method process {self.name!r} is a generator "
+                    f"function; register it as a thread process instead"
+                )
         except BaseException as exc:
             self.exception = exc
             self._terminate()
             self.ctx._process_failed(self, exc)
             return
-        if result is not None and hasattr(result, "send"):
-            raise ProcessError(
-                f"method process {self.name!r} is a generator function; "
-                f"register it as a thread process instead"
-            )
         cond = self._next_trigger_override or _STATIC_WAIT
         self._apply_wait(cond)
 

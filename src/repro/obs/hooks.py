@@ -2,10 +2,10 @@
 
 :class:`SimObserver` is the contract between the scheduler and the
 observability layer: :meth:`~repro.kernel.context.SimContext.attach_observer`
-installs one observer, and the kernel switches to an instrumented twin of
-its event loop that invokes the observer's hooks at every scheduling
-boundary.  With no observer attached the kernel runs the original,
-hook-free loop — instrumentation-off simulations pay nothing.
+installs one observer, and the kernel's one event loop invokes its hooks
+at every scheduling boundary.  ``run`` binds the observer once on entry
+and puts each hook behind a test of that binding, so a run with no
+observer attached calls no hook and reads no clock.
 
 All hook timestamps are integer femtoseconds (the kernel's canonical
 time representation); ``wall_s`` durations are host seconds from
@@ -38,7 +38,7 @@ class SimObserver:
 
     Subclass and override the hooks you need; attaching a plain
     ``SimObserver()`` is the canonical way to measure the cost of the
-    instrumented scheduler loop itself (see ``benchmarks/run_all.py``).
+    hook calls themselves (see ``benchmarks/run_all.py``).
     """
 
     __slots__ = ()

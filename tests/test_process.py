@@ -7,6 +7,9 @@ from repro.kernel import (
     Module,
     ProcessError,
     ProcessState,
+    Signal,
+    SimContext,
+    SimulationError,
     method_process,
     ns,
     thread_process,
@@ -309,3 +312,57 @@ class TestMethodProcessFailure:
             ctx.run()
         assert proc.terminated
         assert isinstance(proc.exception, RuntimeError)
+
+
+class TestRunThatRaises:
+    """A run that raises leaves no stale outcome and no current process."""
+
+    def test_delta_limit_marks_run_failed(self):
+        ctx = SimContext(max_deltas_per_timestep=20)
+        ev = Event(ctx, "ev")
+
+        def spinner():
+            while True:
+                ev.notify_delta()
+                yield ev
+
+        ctx.register_thread(spinner, "spin")
+        with pytest.raises(SimulationError, match="delta"):
+            ctx.run()
+        assert ctx.last_run_outcome == "failed"
+        assert ctx.current_process is None
+
+    def test_plain_function_thread_fails_like_a_generator(self, ctx):
+        def body():
+            raise ValueError("model bug")
+
+        proc = ctx.register_thread(body, "t")
+        with pytest.raises(ValueError, match="model bug"):
+            ctx.run()
+        assert ctx.last_run_outcome == "failed"
+        assert ctx.current_process is None
+        assert proc.terminated
+        assert isinstance(proc.exception, ValueError)
+
+    def test_generator_method_fails_the_run(self, ctx):
+        def genbody():
+            yield ns(1)
+
+        proc = ctx.register_method(genbody, "m")
+        sig = Signal("s", ctx=ctx, init=0)
+        with pytest.raises(ProcessError):
+            ctx.run()
+        assert ctx.last_run_outcome == "failed"
+        assert ctx.current_process is None
+        assert proc.terminated
+        # a testbench write is not charged to the dead process, so a
+        # real driver may still take the signal
+        sig.write(1)
+
+        def driver():
+            sig.write(2)
+            yield ns(1)
+
+        ctx.spawn(driver, "driver")
+        ctx.run()
+        assert sig.read() == 2
