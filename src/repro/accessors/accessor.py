@@ -13,11 +13,13 @@ state machine with a pin-level OCP slave interface toward the PE and a
 request/grant interface toward the :class:`~repro.rtl.buscore.RtlBusCore`
 fabric.  Everything it does happens at rising clock edges — no
 transaction-level shortcuts — so an accessor-based system keeps
-pin-accurate cycle fidelity.  It is woken only on the edges that can
-change its state, though: while the PE's request group is idle it sleeps
-on ``MCmd``, and while the fabric works on a transaction it sleeps on the
-master port's ``done`` event.  Its pins and cycle counts are those of a
-state machine that samples every edge.
+pin-accurate cycle fidelity; its beats are the pin-slave sequences of
+:class:`~repro.ocp.pin.OcpPinBundle`, shared with
+:class:`~repro.ocp.pin.OcpPinSlave`.  It is woken only on the edges that
+can change its state, though: while the PE's request group is idle it
+sleeps on ``MCmd``, and while the fabric works on a transaction it
+sleeps on the master port's ``done`` event.  Its pins and cycle counts
+are those of a state machine that samples every edge.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Generator
 from repro.kernel.errors import SimulationError
 from repro.kernel.module import Module
 from repro.ocp.pin import OcpPinBundle
-from repro.ocp.types import OcpCmd, OcpRequest
+from repro.ocp.types import OcpCmd
 from repro.rtl.buscore import RtlMasterPort
 
 
@@ -64,35 +66,13 @@ class RtlAccessor(Module):
 
     def _machine(self) -> Generator:
         bundle = self.bundle
-        clock = bundle.clock
-        edge = clock.posedge_event
         port = self.bus_port
         bundle.s_cmd_accept.write(False)
         bundle.idle_response()
         while True:
-            # ---- OCP request phase: sample the PE's pins --------------
-            yield from clock.sample(bundle.m_cmd, OcpCmd.IDLE.value)
-            for _ in range(self.accept_latency):
-                yield edge
-            cmd = OcpCmd(bundle.m_cmd.read())
-            first_addr = bundle.m_addr.read()
-            burst_length = bundle.m_burst_length.read()
-            byte_en = bundle.m_byte_en.read()
-            data = []
-            bundle.s_cmd_accept.write(True)
-            beats = 0
-            while beats < burst_length:
-                yield edge
-                if not bundle.request_active:
-                    continue
-                if cmd.is_write:
-                    data.append(bundle.m_data.read())
-                beats += 1
-            bundle.s_cmd_accept.write(False)
-            request = OcpRequest(
-                cmd, first_addr, data=data,
-                burst_length=burst_length, byte_en=byte_en,
-            )
+            # ---- OCP request phase: asleep until the PE drives MCmd ----
+            yield from bundle.clock.sample(bundle.m_cmd, OcpCmd.IDLE.value)
+            request = yield from bundle.accept_request(self.accept_latency)
             request.master_id = self.full_name
             # ---- fabric side: asleep until the core completes it -----
             # The core notifies ``done`` from its own rising-edge
@@ -101,16 +81,5 @@ class RtlAccessor(Module):
             port.submit(request)
             while port.response is None:
                 yield port.done
-            response = port.response
-            # ---- OCP response phase: one beat per cycle ----------------
-            if cmd.is_read:
-                beats_out = response.data or [0] * burst_length
-                for word in beats_out:
-                    bundle.s_resp.write(response.resp.value)
-                    bundle.s_data.write(word)
-                    yield edge
-            elif cmd is OcpCmd.WRNP:
-                bundle.s_resp.write(response.resp.value)
-                yield edge
-            bundle.idle_response()
+            yield from bundle.drive_response(request, port.response)
             self.bursts += 1

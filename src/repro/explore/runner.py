@@ -865,22 +865,25 @@ def results_to_csv(results: Sequence[ExplorationResult],
         writer.writerows(rows)
 
 
+def fixed_width_table(rows: Sequence[dict]) -> str:
+    """Left-aligned columns two spaces apart under a dashed rule.
+
+    The headers are the first row's keys; an empty table renders as
+    ``(no results)``.
+    """
+    if not rows:
+        return "(no results)"
+    headers = list(rows[0])
+    cells = [[str(row[h]) for h in headers] for row in rows]
+    widths = [max(len(h), *(len(line[i]) for line in cells))
+              for i, h in enumerate(headers)]
+    lines = [headers, ["-" * w for w in widths]] + cells
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+        for line in lines
+    )
+
+
 def format_table(results: Sequence[ExplorationResult]) -> str:
     """Human-readable exploration table (one row per design point)."""
-    if not results:
-        return "(no results)"
-    rows = [r.as_row() for r in results]
-    headers = list(rows[0].keys())
-    widths = {
-        h: max(len(h), *(len(str(row[h])) for row in rows))
-        for h in headers
-    }
-    lines = [
-        "  ".join(h.ljust(widths[h]) for h in headers),
-        "  ".join("-" * widths[h] for h in headers),
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(str(row[h]).ljust(widths[h]) for h in headers)
-        )
-    return "\n".join(lines)
+    return fixed_width_table([r.as_row() for r in results])

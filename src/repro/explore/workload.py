@@ -10,7 +10,7 @@ ping-pong.  Generation is fully deterministic per seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Generator, Optional
 
 from repro.kernel.errors import SimulationError
@@ -143,13 +143,8 @@ class MasterTrafficSpec:
         """
         if self.transactions is None or fraction >= 1.0:
             return self
-        return MasterTrafficSpec(
-            name=self.name, pattern=self.pattern, base=self.base,
-            size=self.size, burst_length=self.burst_length, gap=self.gap,
-            read_fraction=self.read_fraction,
-            transactions=max(1, int(self.transactions * fraction)),
-            priority=self.priority, word_bytes=self.word_bytes,
-        )
+        return replace(self,
+                       transactions=max(1, int(self.transactions * fraction)))
 
 
 class TrafficMaster(Module):

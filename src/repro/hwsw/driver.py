@@ -1,8 +1,10 @@
 """The device driver: memory-mapped mailbox access from RTOS tasks.
 
-This is the *"device driver"* half of the paper's SW adapter: it knows
-the mailbox register map, performs programmed I/O through the CPU's bus
-socket, and implements the two handshaking disciplines —
+This is the *"device driver"* half of the paper's SW adapter.  It runs
+the mailbox procedure of :mod:`repro.models.mailbox` — the same code the
+SHIP bus wrappers run as kernel processes — as RTOS tasks.  Only how a
+task idles and what CPU time it charges differ, so the driver overrides
+just those hooks.  Both handshaking disciplines come with the procedure:
 
 * **polling**: the calling task re-reads the control register with a
   configurable period, holding the CPU only during the bus accesses and
@@ -18,30 +20,43 @@ latency.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
-from repro.kernel.errors import SimulationError
+from repro.kernel.event import Event
 from repro.kernel.signal import Signal
 from repro.kernel.simtime import SimTime, ZERO_TIME
 from repro.ocp.tl import OcpTargetIf
-from repro.ocp.types import OcpCmd, OcpRequest
 from repro.models.mailbox import (
-    CTRL_MORE,
-    CTRL_VALID,
-    WORD_BYTES,
+    MailboxBusSide,
     MailboxLayout,
-    bytes_to_words,
-    chunk_message,
-    words_to_bytes,
+    MailboxOwnerSide,
 )
 from repro.rtos.core import Rtos
 
 
-class MailboxDriver:
-    """Low-level mailbox access for one memory-mapped mailbox block.
+class _RtosTask:
+    """Runs the mailbox procedure as a task of ``self.os``: sleeps and
+    blocks release the CPU, charges execute on it."""
 
-    All methods are generators and must be called from RTOS task context
-    (``yield from driver.method(...)``).
+    os: Rtos
+
+    def _delay(self, duration: SimTime) -> Generator:
+        return self.os.delay(duration)
+
+    def _block_on(self, event: Event) -> Generator:
+        return self.os.block_on(event)
+
+    def _execute(self, duration: SimTime) -> Generator:
+        return self.os.execute(duration)
+
+
+class MailboxDriver(_RtosTask, MailboxBusSide):
+    """Bus-side mailbox access for one memory-mapped mailbox block.
+
+    ``push_message`` and ``pull_message`` are generators and must be
+    called from RTOS task context (``yield from driver.method(...)``);
+    each charges ``access_overhead`` of CPU time (syscall and setup)
+    on entry.
     """
 
     def __init__(
@@ -55,124 +70,13 @@ class MailboxDriver:
         access_overhead: SimTime = ZERO_TIME,
         max_burst: int = 16,
     ):
+        super().__init__(socket, base, layout or MailboxLayout(), irq,
+                         poll_interval, max_burst)
         self.os = os
-        self.socket = socket
-        self.base = base
-        self.layout = layout or MailboxLayout()
-        self.irq = irq
-        self.poll_interval = poll_interval
-        #: CPU time charged per driver entry (syscall + setup cost)
         self.access_overhead = access_overhead
-        self.max_burst = max_burst
-        self.pio_reads = 0
-        self.pio_writes = 0
-
-    # -- programmed I/O -----------------------------------------------------------
-
-    def _charge_overhead(self) -> Generator:
-        if self.access_overhead > ZERO_TIME:
-            yield from self.os.execute(self.access_overhead)
-
-    def write_words(self, offset: int, words: List[int]) -> Generator:
-        """PIO write; the task holds the CPU for the bus transaction."""
-        addr = self.base + offset
-        index = 0
-        while index < len(words):
-            beats = words[index:index + self.max_burst]
-            request = OcpRequest(
-                OcpCmd.WR, addr + index * WORD_BYTES,
-                data=beats, burst_length=len(beats),
-            )
-            response = yield from self.socket.transport(request)
-            if not response.ok:
-                raise SimulationError(
-                    f"driver: mailbox write failed at {request.addr:#x}"
-                )
-            self.pio_writes += 1
-            index += len(beats)
-
-    def read_words(self, offset: int, count: int) -> Generator:
-        """PIO burst read from the mailbox block."""
-        addr = self.base + offset
-        words: List[int] = []
-        index = 0
-        while index < count:
-            beats = min(self.max_burst, count - index)
-            request = OcpRequest(
-                OcpCmd.RD, addr + index * WORD_BYTES, burst_length=beats
-            )
-            response = yield from self.socket.transport(request)
-            if not response.ok:
-                raise SimulationError(
-                    f"driver: mailbox read failed at {request.addr:#x}"
-                )
-            self.pio_reads += 1
-            words.extend(response.data)
-            index += beats
-        return words
-
-    def read_word(self, offset: int) -> Generator:
-        """PIO single-word read."""
-        words = yield from self.read_words(offset, 1)
-        return words[0]
-
-    # -- handshaking ----------------------------------------------------------------
-
-    def wait_in_clear(self) -> Generator:
-        """Wait until the inbound control register is free (polling)."""
-        while True:
-            ctrl = yield from self.read_word(self.layout.ctrl_in)
-            if not ctrl & CTRL_VALID:
-                return
-            if self.poll_interval > ZERO_TIME:
-                yield from self.os.delay(self.poll_interval)
-
-    def wait_out_valid(self) -> Generator:
-        """Wait for an outbound chunk: IRQ if wired, polling otherwise."""
-        if self.irq is not None:
-            while not self.irq.read():
-                yield from self.os.block_on(self.irq.posedge_event)
-            return
-        while True:
-            ctrl = yield from self.read_word(self.layout.ctrl_out)
-            if ctrl & CTRL_VALID:
-                return
-            if self.poll_interval > ZERO_TIME:
-                yield from self.os.delay(self.poll_interval)
-
-    # -- message-level operations -----------------------------------------------------
-
-    def push_message(self, payload: bytes, is_request: bool) -> Generator:
-        """Write one framed SHIP message as doorbell'd chunks."""
-        yield from self._charge_overhead()
-        for chunk, ctrl in chunk_message(payload, self.layout, is_request):
-            yield from self.wait_in_clear()
-            words = [len(chunk)] + bytes_to_words(chunk)
-            yield from self.write_words(self.layout.len_in, words)
-            yield from self.write_words(self.layout.ctrl_in, [ctrl])
-
-    def pull_message(self) -> Generator:
-        """Read one framed message from the outbound side; returns
-        ``(payload_bytes, final_ctrl)``."""
-        yield from self._charge_overhead()
-        payload = b""
-        while True:
-            yield from self.wait_out_valid()
-            header = yield from self.read_words(self.layout.ctrl_out, 2)
-            ctrl, nbytes = header
-            word_count = (nbytes + WORD_BYTES - 1) // WORD_BYTES
-            words: List[int] = []
-            if word_count:
-                words = yield from self.read_words(
-                    self.layout.data_out, word_count
-                )
-            payload += words_to_bytes(words, nbytes)
-            yield from self.write_words(self.layout.ctrl_out, [0])
-            if not ctrl & CTRL_MORE:
-                return payload, ctrl
 
 
-class LocalMailboxDriver:
+class LocalMailboxDriver(_RtosTask, MailboxOwnerSide):
     """Owner-side mailbox access for a mailbox in CPU-local memory.
 
     Used when the *hardware* is the bus master (HW->SW direction): a HW
@@ -193,35 +97,3 @@ class LocalMailboxDriver:
         self.mailbox = mailbox
         self.copy_cost_per_word = copy_cost_per_word
         self.access_overhead = access_overhead
-
-    def _charge_copy(self, nbytes: int) -> Generator:
-        if self.copy_cost_per_word > ZERO_TIME and nbytes:
-            words = (nbytes + WORD_BYTES - 1) // WORD_BYTES
-            yield from self.os.execute(self.copy_cost_per_word * words)
-
-    def pull_in_message(self) -> Generator:
-        """Wait for and reassemble one inbound message; returns
-        ``(payload, final_ctrl)``."""
-        if self.access_overhead > ZERO_TIME:
-            yield from self.os.execute(self.access_overhead)
-        payload = b""
-        while True:
-            while not self.mailbox.in_ctrl & CTRL_VALID:
-                yield from self.os.block_on(self.mailbox.doorbell_in)
-            chunk, ctrl = self.mailbox.take_in_chunk()
-            yield from self._charge_copy(len(chunk))
-            payload += chunk
-            if not ctrl & CTRL_MORE:
-                return payload, ctrl
-
-    def push_out_message(self, payload: bytes) -> Generator:
-        """Publish one outbound (reply) message as chunks."""
-        if self.access_overhead > ZERO_TIME:
-            yield from self.os.execute(self.access_overhead)
-        for chunk, ctrl in chunk_message(
-            payload, self.mailbox.layout, is_request=False
-        ):
-            while self.mailbox.out_ctrl & CTRL_VALID:
-                yield from self.os.block_on(self.mailbox.out_consumed)
-            yield from self._charge_copy(len(chunk))
-            self.mailbox.put_out_chunk(chunk, ctrl)

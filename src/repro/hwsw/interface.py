@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.kernel.simtime import SimTime, ZERO_TIME
-from repro.models.mailbox import MailboxSlave
+from repro.models.mailbox import MailboxSlave, map_mailbox
 from repro.models.wrappers import ShipBusMasterWrapper, ShipBusSlaveWrapper
 from repro.rtos.core import Rtos
 from repro.ship.channel import ShipChannel
@@ -84,23 +84,16 @@ def build_sw_master_interface(
     call ``link.sw_port.send/request``.  ``cpu_socket`` lets several
     interfaces share the CPU's single bus port.
     """
-    mailbox = MailboxSlave(
-        f"{name}_mbox", parent,
-        capacity_words=capacity_words, with_irq=use_irq,
-    )
-    bus.attach_slave(
-        mailbox, mailbox_base, mailbox.layout.total_bytes,
-        name=f"{name}_mbox",
-    )
+    mailbox = map_mailbox(name, parent, bus, mailbox_base, capacity_words,
+                          with_irq=use_irq)
     if cpu_socket is None:
         cpu_socket = bus.master_socket(f"{name}_cpu", priority=cpu_priority)
-    irq_signal = mailbox.irq if use_irq else None
-    if irq_signal is not None and irq_controller is not None:
-        irq_controller.connect(irq_line, irq_signal)
+    if mailbox.irq is not None and irq_controller is not None:
+        irq_controller.connect(irq_line, mailbox.irq)
     driver = MailboxDriver(
         os, cpu_socket, mailbox_base,
         layout=mailbox.layout,
-        irq=irq_signal,
+        irq=mailbox.irq,
         poll_interval=poll_interval,
         access_overhead=access_overhead,
         max_burst=max_burst,
@@ -138,14 +131,8 @@ def build_sw_slave_interface(
     call ``link.sw_port.recv/reply``.  The mailbox models the CPU-side
     kernel buffer the HW masters into.
     """
-    mailbox = MailboxSlave(
-        f"{name}_mbox", parent,
-        capacity_words=capacity_words, with_irq=use_irq_for_reply,
-    )
-    bus.attach_slave(
-        mailbox, mailbox_base, mailbox.layout.total_bytes,
-        name=f"{name}_mbox",
-    )
+    mailbox = map_mailbox(name, parent, bus, mailbox_base, capacity_words,
+                          with_irq=use_irq_for_reply)
     hw_socket = bus.master_socket(f"{name}_hw", priority=hw_priority)
     hw_channel = ShipChannel(f"{name}_hwch", parent)
     hw_wrapper = ShipBusMasterWrapper(
@@ -155,7 +142,7 @@ def build_sw_slave_interface(
         mailbox_base=mailbox_base,
         layout=mailbox.layout,
         poll_interval=hw_poll_interval,
-        irq=mailbox.irq if use_irq_for_reply else None,
+        irq=mailbox.irq,
         max_burst=max_burst,
     )
     driver = LocalMailboxDriver(

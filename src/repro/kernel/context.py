@@ -491,10 +491,6 @@ class SimContext:
             self._now = SimTime._from_fs(limit_fs)
         return self._now
 
-    def run_all(self, max_time: Optional[SimTime] = None) -> SimTime:
-        """Run until starvation (optionally bounded by ``max_time``)."""
-        return self.run(until=max_time) if max_time is not None else self.run()
-
     # ------------------------------------------------------------------
     # the scheduler proper
     # ------------------------------------------------------------------

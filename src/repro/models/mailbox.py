@@ -25,17 +25,24 @@ The consumer copies the chunk and clears CTRL.  Messages larger than the
 data window are split into chunks; reassembly order is the bus's
 write-ordering, which both our CAMs and real CoreConnect preserve
 per-master.
+
+Each side of that procedure is written once, here: :class:`MailboxBusSide`
+(the requester, over the bus) and :class:`MailboxOwnerSide` (the owner,
+on the registers).  The SHIP wrappers run them as kernel processes, the
+HW/SW driver as RTOS tasks (see :class:`MailboxHost`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Generator, Iterable, List, Optional, Tuple
 
 from repro.kernel.errors import SimulationError
 from repro.kernel.event import Event
 from repro.kernel.object import SimObject
 from repro.kernel.signal import Signal
-from repro.ocp.types import OcpRequest, OcpResponse
+from repro.kernel.simtime import SimTime, ZERO_TIME
+from repro.ocp.tl import OcpTargetIf
+from repro.ocp.types import OcpCmd, OcpRequest, OcpResponse
 
 #: CTRL register bits
 CTRL_VALID = 0x1
@@ -74,6 +81,11 @@ def bytes_to_words(data: bytes) -> List[int]:
         chunk = data[i:i + WORD_BYTES].ljust(WORD_BYTES, b"\x00")
         words.append(int.from_bytes(chunk, "big"))
     return words
+
+
+def word_count(nbytes: int) -> int:
+    """Words needed to hold ``nbytes`` bytes."""
+    return (nbytes + WORD_BYTES - 1) // WORD_BYTES
 
 
 def words_to_bytes(words: List[int], nbytes: int) -> bytes:
@@ -212,9 +224,8 @@ class MailboxSlave(SimObject):
                 f"chunk"
             )
         nbytes = self._read_reg(self.layout.len_in)
-        word_count = (nbytes + WORD_BYTES - 1) // WORD_BYTES
         start = self.layout.data_in // WORD_BYTES
-        words = self._regs[start:start + word_count]
+        words = self._regs[start:start + word_count(nbytes)]
         self._write_reg(self.layout.ctrl_in, 0)
         return words_to_bytes(words, nbytes), ctrl
 
@@ -235,3 +246,176 @@ class MailboxSlave(SimObject):
         self._regs[start:start + len(words)] = words
         self._write_reg(self.layout.len_out, len(data))
         self._write_reg(self.layout.ctrl_out, ctrl)
+
+
+def map_mailbox(name: str, parent, bus, base: int, capacity_words: int,
+                with_irq: bool) -> MailboxSlave:
+    """Create the mailbox ``<name>_mbox`` and map it on ``bus`` at ``base``."""
+    mailbox = MailboxSlave(f"{name}_mbox", parent,
+                           capacity_words=capacity_words, with_irq=with_irq)
+    bus.attach_slave(mailbox, base, mailbox.layout.total_bytes,
+                     name=f"{name}_mbox")
+    return mailbox
+
+
+# -- the procedure, once per side ---------------------------------------------
+
+
+class MailboxHost:
+    """How a process idles and what CPU time it charges in the procedure.
+
+    The defaults are a kernel thread's, which charges nothing; an RTOS
+    task overrides the three hooks and sets the two costs.
+    """
+
+    #: time charged on entry to each message-level call
+    access_overhead: SimTime = ZERO_TIME
+    #: time charged per word copied between a chunk and the owner
+    copy_cost_per_word: SimTime = ZERO_TIME
+
+    def _delay(self, duration: SimTime) -> Generator:
+        yield duration
+
+    def _block_on(self, event: Event) -> Generator:
+        yield event
+
+    def _execute(self, duration: SimTime) -> Generator:
+        yield duration
+
+    def _charge(self, cost: SimTime) -> Iterable:
+        # Callers ``yield from`` the result; a zero cost (the kernel
+        # thread's) builds no generator at all.
+        return self._execute(cost) if cost else ()
+
+
+class MailboxBusSide(MailboxHost):
+    """The requester's side: programmed I/O to the block at ``base``.
+
+    Replies are awaited on ``irq`` if given, else by polling; bursts are
+    at most ``max_burst`` beats.  ``pio_reads``/``pio_writes`` count bus
+    transactions, ``poll_reads`` the control-register polls among them.
+    """
+
+    def __init__(self, socket: OcpTargetIf, base: int, layout: MailboxLayout,
+                 irq: Optional[Signal], poll_interval: Optional[SimTime],
+                 max_burst: int):
+        self.socket = socket
+        self.base = base
+        self.layout = layout
+        self.irq = irq
+        self.poll_interval = poll_interval
+        self.max_burst = max_burst
+        self.pio_reads = 0
+        self.pio_writes = 0
+        self.poll_reads = 0
+
+    def write_words(self, offset: int, words: List[int]) -> Generator:
+        """Write ``words`` from ``offset`` of the block in bursts."""
+        for index in range(0, len(words), self.max_burst):
+            beats = words[index:index + self.max_burst]
+            request = OcpRequest(
+                OcpCmd.WR, self.base + offset + index * WORD_BYTES,
+                data=beats, burst_length=len(beats),
+            )
+            response = yield from self.socket.transport(request)
+            if not response.ok:
+                raise SimulationError(
+                    f"mailbox at {self.base:#x}: bus write failed at "
+                    f"{request.addr:#x}"
+                )
+            self.pio_writes += 1
+
+    def read_words(self, offset: int, count: int) -> Generator:
+        """Read ``count`` words from ``offset`` of the block in bursts."""
+        words: List[int] = []
+        for index in range(0, count, self.max_burst):
+            beats = min(self.max_burst, count - index)
+            request = OcpRequest(
+                OcpCmd.RD, self.base + offset + index * WORD_BYTES,
+                burst_length=beats,
+            )
+            response = yield from self.socket.transport(request)
+            if not response.ok:
+                raise SimulationError(
+                    f"mailbox at {self.base:#x}: bus read failed at "
+                    f"{request.addr:#x}"
+                )
+            self.pio_reads += 1
+            words.extend(response.data)
+        return words
+
+    def _poll(self, offset: int, valid: bool) -> Generator:
+        """Re-read the CTRL register at ``offset`` until VALID is ``valid``."""
+        while True:
+            ctrl = (yield from self.read_words(offset, 1))[0]
+            self.poll_reads += 1
+            if bool(ctrl & CTRL_VALID) == valid:
+                return
+            if self.poll_interval:  # None or zero: poll back to back
+                yield from self._delay(self.poll_interval)
+
+    def push_message(self, payload: bytes, is_request: bool) -> Generator:
+        """Write one framed message as doorbell'd chunks."""
+        yield from self._charge(self.access_overhead)
+        layout = self.layout
+        for chunk, ctrl in chunk_message(payload, layout, is_request):
+            yield from self._poll(layout.ctrl_in, valid=False)
+            yield from self.write_words(
+                layout.len_in, [len(chunk)] + bytes_to_words(chunk)
+            )
+            yield from self.write_words(layout.ctrl_in, [ctrl])
+
+    def pull_message(self) -> Generator:
+        """Collect and acknowledge one outbound message; returns
+        ``(payload_bytes, final_ctrl)``."""
+        yield from self._charge(self.access_overhead)
+        layout = self.layout
+        payload = b""
+        while True:
+            if self.irq is not None:
+                while not self.irq.read():
+                    yield from self._block_on(self.irq.posedge_event)
+            else:
+                yield from self._poll(layout.ctrl_out, valid=True)
+            ctrl, nbytes = yield from self.read_words(layout.ctrl_out, 2)
+            words = yield from self.read_words(layout.data_out,
+                                               word_count(nbytes))
+            payload += words_to_bytes(words, nbytes)
+            yield from self.write_words(layout.ctrl_out, [0])
+            if not ctrl & CTRL_MORE:
+                return payload, ctrl
+
+
+class MailboxOwnerSide(MailboxHost):
+    """The owner's side, on the registers of ``mailbox``."""
+
+    mailbox: MailboxSlave
+
+    def _charge_copy(self, nbytes: int) -> Iterable:
+        return self._charge(self.copy_cost_per_word * word_count(nbytes))
+
+    def pull_in_message(self) -> Generator:
+        """Wait for and reassemble one inbound message; returns
+        ``(payload_bytes, final_ctrl)``."""
+        yield from self._charge(self.access_overhead)
+        mailbox = self.mailbox
+        payload = b""
+        while True:
+            while not mailbox.in_ctrl & CTRL_VALID:
+                yield from self._block_on(mailbox.doorbell_in)
+            chunk, ctrl = mailbox.take_in_chunk()
+            yield from self._charge_copy(len(chunk))
+            payload += chunk
+            if not ctrl & CTRL_MORE:
+                return payload, ctrl
+
+    def push_out_message(self, payload: bytes) -> Generator:
+        """Publish one outbound (reply) message as chunks."""
+        yield from self._charge(self.access_overhead)
+        mailbox = self.mailbox
+        for chunk, ctrl in chunk_message(payload, mailbox.layout,
+                                         is_request=False):
+            while mailbox.out_ctrl & CTRL_VALID:
+                yield from self._block_on(mailbox.out_consumed)
+            yield from self._charge_copy(len(chunk))
+            mailbox.put_out_chunk(chunk, ctrl)

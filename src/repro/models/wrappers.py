@@ -13,6 +13,11 @@ SHIP while its channel is transparently carried over a bus CAM:
   :class:`~repro.models.mailbox.MailboxSlave` on the bus, reassembles
   chunks into SHIP messages and delivers them over a local SHIP channel.
 
+Both only frame SHIP objects and talk to their channel; the mailbox
+procedure itself is :class:`~repro.models.mailbox.MailboxBusSide` and
+:class:`~repro.models.mailbox.MailboxOwnerSide`, which the wrappers run
+as kernel processes and the HW/SW driver runs as RTOS tasks.
+
 Pin-level PEs connect with :class:`~repro.ocp.pin.OcpPinSlave` pointed at
 a bus socket (see :func:`connect_pin_master_to_bus`), and TL PEs bind an
 :class:`~repro.ocp.tl.OcpMasterPort` directly to a bus socket — together
@@ -22,32 +27,28 @@ these three cover the wrapper matrix of experiment E8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, Optional, Tuple
 
 from repro.kernel.clock import Clock
 from repro.kernel.errors import SimulationError
 from repro.kernel.module import Module
 from repro.kernel.signal import Signal
-from repro.kernel.simtime import SimTime, ZERO_TIME
+from repro.kernel.simtime import SimTime
 from repro.ocp.pin import OcpPinBundle, OcpPinSlave
 from repro.ocp.tl import OcpTargetIf
-from repro.ocp.types import OcpCmd, OcpRequest
 from repro.models.mailbox import (
-    CTRL_MORE,
     CTRL_REQUEST,
-    CTRL_VALID,
-    WORD_BYTES,
+    MailboxBusSide,
     MailboxLayout,
+    MailboxOwnerSide,
     MailboxSlave,
-    bytes_to_words,
-    chunk_message,
-    words_to_bytes,
+    map_mailbox,
 )
 from repro.ship.channel import ShipChannel, ShipEnd
 from repro.ship.serializable import decode_message, encode_message
 
 
-class ShipBusMasterWrapper(Module):
+class ShipBusMasterWrapper(Module, MailboxBusSide):
     """Carries a SHIP master PE's traffic over a bus to a remote mailbox.
 
     Parameters
@@ -62,8 +63,8 @@ class ShipBusMasterWrapper(Module):
     layout:
         Mailbox register layout (must match the remote mailbox).
     poll_interval:
-        Delay between CTRL polls; defaults to 10 bus-word times worth of
-        ``ZERO_TIME``-safe polling (pass explicitly for realistic rates).
+        Delay between CTRL polls; None (the default) polls back to back,
+        each poll costing one bus read.
     irq:
         Optional sideband interrupt signal from the remote mailbox;
         when given, replies wait on the IRQ instead of polling.
@@ -89,138 +90,29 @@ class ShipBusMasterWrapper(Module):
             raise SimulationError(
                 f"wrapper {name!r} needs a SHIP channel and a bus socket"
             )
+        MailboxBusSide.__init__(self, socket, mailbox_base,
+                                layout or MailboxLayout(), irq,
+                                poll_interval, max_burst)
         self.channel = channel
         self.end: ShipEnd = channel.claim_end(self)
-        self.socket = socket
-        self.base = mailbox_base
-        self.layout = layout or MailboxLayout()
-        self.poll_interval = poll_interval
-        self.irq = irq
-        self.max_burst = max_burst
         self.messages_forwarded = 0
         self.replies_returned = 0
-        self.poll_reads = 0
         self.add_thread(self._forward, "forward")
-
-    # -- bus access helpers ---------------------------------------------------------
-
-    def _write_words(self, addr: int, words: List[int]) -> Generator:
-        offset = 0
-        while offset < len(words):
-            beats = words[offset:offset + self.max_burst]
-            request = OcpRequest(
-                OcpCmd.WR,
-                addr + offset * WORD_BYTES,
-                data=beats,
-                burst_length=len(beats),
-            )
-            response = yield from self.socket.transport(request)
-            if not response.ok:
-                raise SimulationError(
-                    f"wrapper {self.full_name}: bus write failed at "
-                    f"{request.addr:#x}"
-                )
-            offset += len(beats)
-
-    def _read_words(self, addr: int, count: int) -> Generator:
-        words: List[int] = []
-        offset = 0
-        while offset < count:
-            beats = min(self.max_burst, count - offset)
-            request = OcpRequest(
-                OcpCmd.RD,
-                addr + offset * WORD_BYTES,
-                burst_length=beats,
-            )
-            response = yield from self.socket.transport(request)
-            if not response.ok:
-                raise SimulationError(
-                    f"wrapper {self.full_name}: bus read failed at "
-                    f"{request.addr:#x}"
-                )
-            words.extend(response.data)
-            offset += beats
-        return words
-
-    def _read_word(self, addr: int) -> Generator:
-        words = yield from self._read_words(addr, 1)
-        return words[0]
-
-    def _pause(self) -> Generator:
-        if self.poll_interval is not None and self.poll_interval > ZERO_TIME:
-            yield self.poll_interval
-
-    # -- protocol ----------------------------------------------------------------------
-
-    def _wait_in_clear(self) -> Generator:
-        while True:
-            ctrl = yield from self._read_word(self.base + self.layout.ctrl_in)
-            self.poll_reads += 1
-            if not ctrl & CTRL_VALID:
-                return
-            yield from self._pause()
-
-    def _send_chunks(self, payload: bytes, is_request: bool) -> Generator:
-        for chunk, ctrl in chunk_message(payload, self.layout, is_request):
-            yield from self._wait_in_clear()
-            words = [len(chunk)] + bytes_to_words(chunk)
-            yield from self._write_words(
-                self.base + self.layout.len_in, words
-            )
-            yield from self._write_words(
-                self.base + self.layout.ctrl_in, [ctrl]
-            )
-
-    def _wait_out_valid(self) -> Generator:
-        if self.irq is not None:
-            while not self.irq.read():
-                yield self.irq.posedge_event
-            return
-        while True:
-            ctrl = yield from self._read_word(
-                self.base + self.layout.ctrl_out
-            )
-            self.poll_reads += 1
-            if ctrl & CTRL_VALID:
-                return
-            yield from self._pause()
-
-    def _read_reply(self) -> Generator:
-        payload = b""
-        while True:
-            yield from self._wait_out_valid()
-            header = yield from self._read_words(
-                self.base + self.layout.ctrl_out, 2
-            )
-            ctrl, nbytes = header
-            word_count = (nbytes + WORD_BYTES - 1) // WORD_BYTES
-            words = []
-            if word_count:
-                words = yield from self._read_words(
-                    self.base + self.layout.data_out, word_count
-                )
-            payload += words_to_bytes(words, nbytes)
-            yield from self._write_words(
-                self.base + self.layout.ctrl_out, [0]
-            )
-            if not ctrl & CTRL_MORE:
-                return payload
 
     def _forward(self) -> Generator:
         while True:
             obj = yield from self.channel.recv(self.end)
             is_request = self.channel.pending_requests(self.end) > 0
-            payload = encode_message(obj)
-            yield from self._send_chunks(payload, is_request)
+            yield from self.push_message(encode_message(obj), is_request)
             self.messages_forwarded += 1
             if is_request:
-                reply_bytes = yield from self._read_reply()
+                reply_bytes, _ = yield from self.pull_message()
                 reply_obj, _ = decode_message(reply_bytes)
                 yield from self.channel.reply(self.end, reply_obj)
                 self.replies_returned += 1
 
 
-class ShipBusSlaveWrapper(Module):
+class ShipBusSlaveWrapper(Module, MailboxOwnerSide):
     """Delivers mailbox traffic to a SHIP slave PE over a local channel."""
 
     def __init__(
@@ -243,28 +135,14 @@ class ShipBusSlaveWrapper(Module):
         self.replies_sent = 0
         self.add_thread(self._deliver, "deliver")
 
-    def _put_chunks(self, payload: bytes) -> Generator:
-        layout = self.mailbox.layout
-        for chunk, ctrl in chunk_message(payload, layout, is_request=False):
-            while self.mailbox.out_ctrl & CTRL_VALID:
-                yield self.mailbox.out_consumed
-            self.mailbox.put_out_chunk(chunk, ctrl)
-
     def _deliver(self) -> Generator:
-        buffer = b""
         while True:
-            while not self.mailbox.in_ctrl & CTRL_VALID:
-                yield self.mailbox.doorbell_in
-            chunk, ctrl = self.mailbox.take_in_chunk()
-            buffer += chunk
-            if ctrl & CTRL_MORE:
-                continue
-            obj, _ = decode_message(buffer)
-            buffer = b""
+            payload, ctrl = yield from self.pull_in_message()
+            obj, _ = decode_message(payload)
             if ctrl & CTRL_REQUEST:
                 reply = yield from self.channel.request(self.end, obj)
                 self.messages_delivered += 1
-                yield from self._put_chunks(encode_message(reply))
+                yield from self.push_out_message(encode_message(reply))
                 self.replies_sent += 1
             else:
                 yield from self.channel.send(self.end, obj)
@@ -303,14 +181,8 @@ def build_ship_over_bus(
     """
     master_channel = ShipChannel(f"{name}_mch", parent)
     slave_channel = ShipChannel(f"{name}_sch", parent)
-    mailbox = MailboxSlave(
-        f"{name}_mbox", parent,
-        capacity_words=capacity_words, with_irq=use_irq,
-    )
-    bus.attach_slave(
-        mailbox, mailbox_base, mailbox.layout.total_bytes,
-        name=f"{name}_mbox",
-    )
+    mailbox = map_mailbox(name, parent, bus, mailbox_base, capacity_words,
+                          with_irq=use_irq)
     socket = bus.master_socket(f"{name}_master", priority=master_priority)
     master_wrapper = ShipBusMasterWrapper(
         f"{name}_mwrap", parent,
@@ -319,7 +191,7 @@ def build_ship_over_bus(
         mailbox_base=mailbox_base,
         layout=mailbox.layout,
         poll_interval=poll_interval,
-        irq=mailbox.irq if use_irq else None,
+        irq=mailbox.irq,
         max_burst=max_burst,
     )
     slave_wrapper = ShipBusSlaveWrapper(

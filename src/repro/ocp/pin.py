@@ -75,6 +75,47 @@ class OcpPinBundle(SimObject):
         """Slave helper: drive the response group idle."""
         self.s_resp.write(_NULL)
 
+    def accept_request(self, accept_latency: int = 0) -> Generator:
+        """Slave helper: accept the burst whose first beat the current
+        edge sampled, after ``accept_latency`` stalled edges; returns it
+        as an :class:`OcpRequest`."""
+        edge = self.clock.posedge_event
+        for _ in range(accept_latency):
+            yield edge
+        cmd = OcpCmd(self.m_cmd.read())
+        first_addr = self.m_addr.read()
+        burst_length = self.m_burst_length.read()
+        byte_en = self.m_byte_en.read()
+        data = []
+        # Accept each beat; the master advances after each accepted edge.
+        self.s_cmd_accept.write(True)
+        beats = 0
+        while beats < burst_length:
+            yield edge
+            if not self.request_active:
+                continue  # master stalled mid-burst
+            if cmd.is_write:
+                data.append(self.m_data.read())
+            beats += 1
+        self.s_cmd_accept.write(False)
+        return OcpRequest(cmd, first_addr, data=data,
+                          burst_length=burst_length, byte_en=byte_en)
+
+    def drive_response(self, request: OcpRequest,
+                       response: OcpResponse) -> Generator:
+        """Slave helper: drive ``response`` one beat per edge (read
+        data, or the ``WRNP`` ack), then idle the response group."""
+        edge = self.clock.posedge_event
+        if request.cmd.is_read:
+            for word in response.data or [0] * request.burst_length:
+                self.s_resp.write(response.resp.value)
+                self.s_data.write(word)
+                yield edge
+        elif request.cmd is OcpCmd.WRNP:
+            self.s_resp.write(response.resp.value)
+            yield edge
+        self.idle_response()
+
     @property
     def request_active(self) -> bool:
         """True while the master presents a request beat."""
@@ -151,6 +192,9 @@ class OcpPinSlave(Module):
     other.  ``accept_latency`` stalls SCmdAccept for that many cycles on
     the first beat of each burst, modeling slave-side decode time.
 
+    Its beats are the bundle's slave sequences
+    (:meth:`~OcpPinBundle.accept_request`,
+    :meth:`~OcpPinBundle.drive_response`), shared with the RTL accessor.
     Unlike the master and the RTL accessor, it samples every edge while
     idle.  Its target is usually a transaction-level bus, which ranks
     requests that arrive in the same delta cycle by process evaluation
@@ -181,44 +225,10 @@ class OcpPinSlave(Module):
             yield clk_edge
             if not bundle.request_active:
                 continue
-            for _ in range(self.accept_latency):
-                yield clk_edge
-            cmd = OcpCmd(bundle.m_cmd.read())
-            first_addr = bundle.m_addr.read()
-            burst_length = bundle.m_burst_length.read()
-            byte_en = bundle.m_byte_en.read()
-            data = []
-            # Accept each beat; the master advances after each accepted edge.
-            bundle.s_cmd_accept.write(True)
-            beats = 0
-            while beats < burst_length:
-                yield clk_edge
-                if not bundle.request_active:
-                    continue  # master stalled mid-burst
-                if cmd.is_write:
-                    data.append(bundle.m_data.read())
-                beats += 1
-            bundle.s_cmd_accept.write(False)
-            request = OcpRequest(
-                cmd,
-                first_addr,
-                data=data,
-                burst_length=burst_length,
-                byte_en=byte_en,
-            )
+            request = yield from bundle.accept_request(self.accept_latency)
             if self.target is None:
                 response = OcpResponse.error()
             else:
                 response = yield from self.target.transport(request)
-            # Response phase: one beat per cycle.
-            if cmd.is_read:
-                beats_out = response.data or [0] * burst_length
-                for word in beats_out:
-                    bundle.s_resp.write(response.resp.value)
-                    bundle.s_data.write(word)
-                    yield clk_edge
-            elif cmd is OcpCmd.WRNP:
-                bundle.s_resp.write(response.resp.value)
-                yield clk_edge
-            bundle.idle_response()
+            yield from bundle.drive_response(request, response)
             self.bursts_handled += 1

@@ -58,9 +58,11 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.kernel.simtime import ms, ns, us
+from repro.explore.runner import fixed_width_table
 from repro.explore.space import ARBITERS, FABRICS, DesignSpace
 from repro.explore.workload import standard_workloads
 from repro.sweep.engine import OBJECTIVES, SweepEngine, SweepOutcome
@@ -265,15 +267,9 @@ def _boot_spec(specs, transactions: int):
     the horizon.
     """
     from repro.explore import BootSpec
-    from repro.explore.workload import MasterTrafficSpec
 
     boot_specs = [
-        MasterTrafficSpec(
-            name=f"boot_{s.name}", pattern=s.pattern, base=s.base,
-            size=s.size, burst_length=s.burst_length, gap=s.gap,
-            read_fraction=s.read_fraction, transactions=transactions,
-            priority=s.priority, word_bytes=s.word_bytes,
-        )
+        replace(s, name=f"boot_{s.name}", transactions=transactions)
         for s in specs
     ]
     return BootSpec(specs=boot_specs, until=ms(1))
@@ -300,11 +296,7 @@ def _build_strategy(args, space, specs):
 
 def _format_rows(rows: List[dict]) -> str:
     """Fixed-width table over the ranked rows."""
-    if not rows:
-        return "(no results)"
-    headers = ["rank", "config", "value", "mean_latency_ns",
-               "throughput_mbps", "utilization", "all_done"]
-    rendered = [
+    return fixed_width_table([
         {
             "rank": str(row["rank"]),
             "config": row["config"],
@@ -315,17 +307,7 @@ def _format_rows(rows: List[dict]) -> str:
             "all_done": str(row["all_done"]),
         }
         for row in rows
-    ]
-    widths = {
-        h: max(len(h), *(len(r[h]) for r in rendered)) for h in headers
-    }
-    lines = [
-        "  ".join(h.ljust(widths[h]) for h in headers),
-        "  ".join("-" * widths[h] for h in headers),
-    ]
-    for r in rendered:
-        lines.append("  ".join(r[h].ljust(widths[h]) for h in headers))
-    return "\n".join(lines)
+    ])
 
 
 def rank_rows(outcomes: List[SweepOutcome],
@@ -352,11 +334,7 @@ def rank_replicated_rows(outcomes) -> List[dict]:
 
 def _format_replicated_rows(rows: List[dict]) -> str:
     """Fixed-width table over ranked CI-backed rows."""
-    if not rows:
-        return "(no results)"
-    headers = ["rank", "config", "mean", "half_width", "rel_hw",
-               "replicates", "met_target"]
-    rendered = [
+    return fixed_width_table([
         {
             "rank": str(row["rank"]),
             "config": row["config"],
@@ -367,17 +345,7 @@ def _format_replicated_rows(rows: List[dict]) -> str:
             "met_target": str(row["met_target"]),
         }
         for row in rows
-    ]
-    widths = {
-        h: max(len(h), *(len(r[h]) for r in rendered)) for h in headers
-    }
-    lines = [
-        "  ".join(h.ljust(widths[h]) for h in headers),
-        "  ".join("-" * widths[h] for h in headers),
-    ]
-    for r in rendered:
-        lines.append("  ".join(r[h].ljust(widths[h]) for h in headers))
-    return "\n".join(lines)
+    ])
 
 
 def _replication_policy(args, parser):
@@ -425,7 +393,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     specs = standard_workloads()[args.workload]
     if args.transactions is not None:
-        specs = [_with_transactions(s, args.transactions) for s in specs]
+        specs = [replace(s, transactions=args.transactions)
+                 for s in specs]
     strategy = _build_strategy(args, space, specs)
     store = SweepStore(args.cache) if args.cache else None
     telemetry = None
@@ -603,15 +572,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     return 0
-
-
-def _with_transactions(spec, transactions: int):
-    """Copy of ``spec`` with its transaction count replaced."""
-    from repro.explore.workload import MasterTrafficSpec
-
-    return MasterTrafficSpec(
-        name=spec.name, pattern=spec.pattern, base=spec.base,
-        size=spec.size, burst_length=spec.burst_length, gap=spec.gap,
-        read_fraction=spec.read_fraction, transactions=transactions,
-        priority=spec.priority, word_bytes=spec.word_bytes,
-    )
