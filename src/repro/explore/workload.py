@@ -17,6 +17,7 @@ from repro.kernel.errors import SimulationError
 from repro.kernel.module import Module
 from repro.kernel.simtime import SimTime, ZERO_TIME, ns
 from repro.ocp.types import OcpCmd, OcpRequest
+from repro.snapshot.state import rng_state_json, set_rng_state
 from repro.trace.stats import TimeStats
 
 #: Supported traffic patterns.
@@ -30,18 +31,6 @@ PATTERNS = ("stream", "random", "pingpong")
 #: desynchronizes the address and gap draws of every later
 #: transaction.
 SUBSTREAMS = ("addr", "rw", "gap", "data")
-
-
-def _rng_json(rng: random.Random) -> list:
-    """JSON-able encoding of ``Random.getstate()`` (tuple -> lists)."""
-    version, internal, gauss = rng.getstate()
-    return [version, list(internal), gauss]
-
-
-def _rng_from_json(payload) -> tuple:
-    """Inverse of :func:`_rng_json` (lists -> the setstate tuple)."""
-    version, internal, gauss = payload
-    return (version, tuple(internal), gauss)
 
 
 def substream_seed(seed: int, master: str, stream: str) -> str:
@@ -284,7 +273,7 @@ class TrafficMaster(Module):
 
     def __snapshot__(self) -> dict:
         state = {
-            "rng": _rng_json(self.rng),
+            "rng": rng_state_json(self.rng),
             "latency": self.latency.__snapshot__(),
             "latency_series": (
                 list(self.latency_series)
@@ -300,17 +289,16 @@ class TrafficMaster(Module):
         }
         if self.rng_streams:
             state["streams"] = {
-                name: _rng_json(getattr(self, f"_rng_{name}"))
+                name: rng_state_json(getattr(self, f"_rng_{name}"))
                 for name in SUBSTREAMS
             }
         return state
 
     def __restore__(self, state: dict) -> None:
-        self.rng.setstate(_rng_from_json(state["rng"]))
+        set_rng_state(self.rng, state["rng"])
         if self.rng_streams and "streams" in state:
             for name, payload in state["streams"].items():
-                getattr(self, f"_rng_{name}").setstate(
-                    _rng_from_json(payload))
+                set_rng_state(getattr(self, f"_rng_{name}"), payload)
         self.latency.__restore__(state["latency"])
         if state["latency_series"] is None:
             self.latency_series = None

@@ -22,6 +22,7 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.simtime import SimTime
+from repro.snapshot.state import rng_state_json, set_rng_state
 
 
 @dataclass(frozen=True)
@@ -143,10 +144,9 @@ class FaultPlan:
     # -- checkpoint/restore protocol (see repro.snapshot) -------------------
 
     def __snapshot__(self) -> dict:
-        version, internal, gauss = self.rng.getstate()
         return {
             "seed": self.seed,
-            "rng": [version, list(internal), gauss],
+            "rng": rng_state_json(self.rng),
             "log": [
                 [rec.seq, rec.now_fs, rec.kind, rec.detail]
                 for rec in self.log
@@ -159,8 +159,7 @@ class FaultPlan:
                 f"fault plan seed mismatch: snapshot has {state['seed']}, "
                 f"this plan has {self.seed}"
             )
-        version, internal, gauss = state["rng"]
-        self.rng.setstate((version, tuple(internal), gauss))
+        set_rng_state(self.rng, state["rng"])
         self.log = [
             FaultRecord(seq, now_fs, kind, detail)
             for seq, now_fs, kind, detail in state["log"]

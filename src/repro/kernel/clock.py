@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import Generator
 
 from repro.kernel.errors import SimulationError
-from repro.kernel.process import WaitCondition, WaitMode
+from repro.kernel.event import KIND_CLOCK
 from repro.kernel.signal import Signal
 from repro.kernel.simtime import SimTime, ZERO_TIME
 
 
 class Clock(Signal):
     """A periodic boolean signal.
+
+    Not a process: one timed-heap entry ``[when_fs, seq, KIND_CLOCK,
+    clock]`` is handed back at each edge (:meth:`_edge_due`), which the
+    clock re-arms one phase later.
 
     Parameters
     ----------
@@ -35,8 +40,6 @@ class Clock(Signal):
         start_time: SimTime = ZERO_TIME,
         posedge_first: bool = True,
     ):
-        super().__init__(name, parent, ctx, init=not posedge_first,
-                         check_writer=False)
         if period is None or period == ZERO_TIME:
             raise SimulationError(f"clock {name!r} needs a positive period")
         if not 0.0 < duty_cycle < 1.0:
@@ -44,63 +47,61 @@ class Clock(Signal):
                 f"clock {name!r}: duty_cycle must be in (0, 1), "
                 f"got {duty_cycle}"
             )
+        high_fs = round(period.femtoseconds * duty_cycle)
+        if not 0 < high_fs < period.femtoseconds:
+            # a 0 fs phase would re-arm the edge at its own instant forever
+            raise SimulationError(
+                f"clock {name!r}: period {period} at duty_cycle "
+                f"{duty_cycle} rounds a phase to 0 fs"
+            )
+        super().__init__(name, parent, ctx, init=not posedge_first,
+                         check_writer=False)
         self.period = period
         self.duty_cycle = duty_cycle
         self.start_time = start_time
         self.posedge_first = posedge_first
-        high_fs = round(period.femtoseconds * duty_cycle)
-        self._high_time = SimTime._from_fs(high_fs)
-        self._low_time = SimTime._from_fs(period.femtoseconds - high_fs)
-        # Pre-built wait conditions: the toggle loop re-yields these two
-        # objects forever instead of normalizing a fresh WaitCondition
-        # per half-period (they are immutable once built).
-        self._high_wait = WaitCondition(WaitMode.TIMED, timeout=self._high_time)
-        self._low_wait = WaitCondition(WaitMode.TIMED, timeout=self._low_time)
-        self.ctx.register_thread(self._toggle, f"{self.full_name}._toggle")
+        self._high_fs = high_fs
+        self._low_fs = period.femtoseconds - high_fs
+        #: the edge entry; set when armed (or by snapshot restore)
+        self._edge = None
+        # A clock built after elaboration would never be armed.
+        self.ctx._check_not_elaborated(f"creating clock {self.full_name}")
 
-    def _toggle(self):
-        if self.start_time > ZERO_TIME:
-            yield self.start_time
-        # The first edge moves the clock away from its init value.
-        write = self.write
-        high_wait, low_wait = self._high_wait, self._low_wait
-        if self.posedge_first:
-            while True:
-                write(True)
-                yield high_wait
-                write(False)
-                yield low_wait
-        else:
-            while True:
-                write(False)
-                yield low_wait
-                write(True)
-                yield high_wait
+    def start_of_simulation(self) -> None:
+        """Arm the first edge, unless a snapshot restore already did."""
+        if self._edge is not None:
+            return
+        ctx = self.ctx
+        when_fs = ctx._now_fs + self.start_time._fs
+        if not self.start_time:
+            # the first update phase applies an edge at the start instant
+            level = not self._current
+            self.write(level)
+            when_fs += self._high_fs if level else self._low_fs
+        self._edge = [when_fs, next(ctx._seq), KIND_CLOCK, self]
+        heapq.heappush(ctx._timed_heap, self._edge)
 
-    def __restore_thread__(self, proc_name: str):
-        """Replacement toggle body for snapshot restore.
+    def _edge_due(self, entry: list) -> None:
+        """Timed drain: flip the level, re-arm ``entry`` a phase later.
 
-        ``_toggle`` writes the signal *before* each in-loop yield, so
-        re-priming the original body against restored state would re-do
-        a write that already happened.  The replacement's first yield is
-        a pure shape placeholder (its duration is discarded in favour of
-        the captured timer); on wake, toggling resumes from the restored
-        current value — which also lands in the correct half-period for
-        asymmetric duty cycles, since the wait after each write is
-        chosen by the value just written.
+        An edge is a write, so a process running at its instant reads
+        the old level.  Alone at its instant (nothing runnable, no other
+        heap entry there, no pending write, no value observer) no process
+        can run before its update phase, so it is applied in place, in
+        the update phase of the delta the drain is about to count.
         """
-        if proc_name != f"{self.full_name}._toggle":
-            return None
-        return self._toggle_resumed
-
-    def _toggle_resumed(self):
-        yield self._high_wait  # placeholder; timing adopted from snapshot
-        write = self.write
-        high_wait, low_wait = self._high_wait, self._low_wait
-        while True:
-            value = not self._current
-            write(value)
-            yield (high_wait if value else low_wait)
+        ctx = self.ctx
+        heap = ctx._timed_heap
+        level = not self._current
+        ctx._last_activity = ctx._now
+        if (ctx._runnable or self._update_pending or self._observers
+                or (heap and heap[0][0] == entry[0])):
+            self.write(level)
+        else:
+            self._set_current(level, ctx._delta_count + 1)
+        entry[0] += self._high_fs if level else self._low_fs
+        entry[1] = next(ctx._seq)
+        heapq.heappush(heap, entry)
 
     def sample(self, signal: Signal, idle) -> Generator:
         """Wait for the first rising edge that samples ``signal`` at a

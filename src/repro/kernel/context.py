@@ -36,6 +36,7 @@ from repro.kernel.event import (
     ENTRY_WHEN_FS,
     Event,
     KIND_CANCELLED,
+    KIND_CLOCK,
     KIND_EVENT,
     KIND_RESUME,
 )
@@ -601,6 +602,8 @@ class SimContext:
                     entry[3]._fire_scheduled("timed")
                 elif kind == KIND_RESUME:
                     entry[3]._timeout_fired()
+                elif kind == KIND_CLOCK:
+                    entry[3]._edge_due(entry)
             self._delta_count += 1
             if obs is not None:
                 obs.on_delta_cycle(self._delta_count, when_fs)

@@ -28,10 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 # Timed-heap entry layout, shared by SimContext (which owns the heap),
-# Event (timed notifications) and Process (timeouts).  An entry is a
-# mutable 4-list ``[when_fs, seq, kind, payload]`` ordered by plain
-# integer comparison: ``when_fs`` is absolute femtoseconds, ``seq`` is a
-# unique tie-breaker, so comparisons never reach ``kind``/``payload``.
+# Event (timed notifications), Process (timeouts) and Clock (edges).  An
+# entry is a mutable 4-list ``[when_fs, seq, kind, payload]`` ordered by
+# plain integer comparison: ``when_fs`` is absolute femtoseconds, ``seq``
+# is a unique tie-breaker, so comparisons never reach ``kind``/``payload``.
 # Cancellation rewrites ``kind`` in place — no heap surgery needed.
 ENTRY_WHEN_FS = 0
 ENTRY_SEQ = 1
@@ -41,6 +41,7 @@ ENTRY_PAYLOAD = 3
 KIND_EVENT = 0
 KIND_RESUME = 1
 KIND_CANCELLED = 2
+KIND_CLOCK = 3  # a clock's next edge; the clock re-arms the same entry
 
 
 def _resolve_ctx(owner) -> "SimContext":
@@ -155,6 +156,21 @@ class Event:
         self._pending_handle[ENTRY_KIND] = KIND_CANCELLED
         self._pending_handle = None
         self._pending_kind = None
+
+    def _notify_from_update(self, delta: int) -> None:
+        """Delta notification from a channel update in delta ``delta``.
+
+        With no waiter, no pending notification and no observer, the
+        round trip through the delta list is invisible: trigger on the
+        spot, stamped as the delta phase of ``delta`` would stamp it.
+        """
+        if (self._dynamic_waiters or self._static_waiters
+                or self._pending_kind is not None
+                or self.ctx._obs is not None):
+            self.notify_delta()
+        else:
+            self._trigger_count += 1
+            self._last_trigger_delta = delta
 
     # -- kernel-side hooks -------------------------------------------------
 

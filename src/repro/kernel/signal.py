@@ -91,19 +91,24 @@ class Signal(SimObject, Generic[T]):
         self._update_pending = False
         if self._next == self._current:
             return
-        old, new = self._current, self._next
+        self._set_current(self._next, self.ctx._delta_count)
+
+    def _set_current(self, new: T, delta: int) -> None:
+        """Make ``new`` current as the update phase of delta ``delta``
+        does (also the rule of a clock edge applied in place)."""
+        old = self._current
         self._current = new
         # Processes woken by this change run in the *next* delta cycle;
         # stamp that delta so ``event``/``posedge()`` read true for them
         # (matching sc_signal::event()).
-        self._last_change_delta = self.ctx._delta_count + 1
-        self._value_changed.notify_delta()
+        self._last_change_delta = delta + 1
+        self._value_changed._notify_from_update(delta)
         # Edge events are meaningful for bool-like signals; defining them
         # through truthiness keeps int signals usable as wires too.
         if not old and new:
-            self._posedge.notify_delta()
+            self._posedge._notify_from_update(delta)
         elif old and not new:
-            self._negedge.notify_delta()
+            self._negedge._notify_from_update(delta)
         for observer in self._observers:
             observer(self, old, new)
 

@@ -24,7 +24,6 @@ True
 
 from __future__ import annotations
 
-import functools
 import re
 from typing import Union
 
@@ -56,7 +55,6 @@ _INTERN_CAP = 4096
 _object_new = object.__new__
 
 
-@functools.total_ordering
 class SimTime:
     """An exact, immutable point in (or duration of) simulated time.
 
@@ -200,10 +198,26 @@ class SimTime:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SimTime) and self._fs == other._fs
 
+    # One call per comparison; total_ordering's derived ones take three.
     def __lt__(self, other: "SimTime") -> bool:
         if not isinstance(other, SimTime):
             return NotImplemented
         return self._fs < other._fs
+
+    def __le__(self, other: "SimTime") -> bool:
+        if not isinstance(other, SimTime):
+            return NotImplemented
+        return self._fs <= other._fs
+
+    def __gt__(self, other: "SimTime") -> bool:
+        if not isinstance(other, SimTime):
+            return NotImplemented
+        return self._fs > other._fs
+
+    def __ge__(self, other: "SimTime") -> bool:
+        if not isinstance(other, SimTime):
+            return NotImplemented
+        return self._fs >= other._fs
 
     def __hash__(self) -> int:
         return hash(self._fs)

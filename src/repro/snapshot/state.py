@@ -14,7 +14,8 @@ What gets captured
 * kernel scalars — current time (integer femtoseconds), delta counter,
   last-activity time, the next scheduler sequence number;
 * the timed heap — every live entry as ``(when_fs, seq, kind, name)``
-  where names refer to events/processes, never object references;
+  where names refer to events, processes or clocks (a clock's next
+  edge, kind ``"clock"``), never object references;
 * event trigger state — ``trigger_count`` / ``last_trigger_delta`` and
   the exact order of each event's dynamic waiter list;
 * per-process wait records — static / any-of / all-of / timed shape,
@@ -37,10 +38,9 @@ body and advanced to its first yield against the restored channel
 state.  The contract is that this first yield must have the same
 *shape* (static / timed / same event set) as the captured wait; the
 captured wait — with its exact event ordering and timer coordinates —
-is then adopted, and the fresh wait's own timing is discarded.  An
-object may supply a replacement body for the resumed life via
-``__restore_thread__(process_name)`` when its original body performs
-side effects before the first in-loop yield (``Clock`` does this).
+is then adopted, and the fresh wait's own timing is discarded.  A
+clock's edge entry is bound back to the clock, which therefore does
+not arm a first edge of its own.
 
 Processes present in the new context but absent from the snapshot
 (e.g. measured-phase traffic masters layered on top of a boot
@@ -51,12 +51,15 @@ checkpoint) are given the normal init-phase treatment: queued runnable
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+import random
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.kernel.clock import Clock
 from repro.kernel.context import SimContext
 from repro.kernel.event import (
     Event,
     KIND_CANCELLED,
+    KIND_CLOCK,
     KIND_EVENT,
     KIND_RESUME,
 )
@@ -72,12 +75,25 @@ from repro.kernel.simtime import SimTime
 
 SNAPSHOT_SCHEMA = 1
 
-_KIND_NAMES = {KIND_EVENT: "event", KIND_RESUME: "resume"}
-_KIND_CODES = {"event": KIND_EVENT, "resume": KIND_RESUME}
+_KIND_NAMES = {KIND_EVENT: "event", KIND_RESUME: "resume",
+               KIND_CLOCK: "clock"}
+_KIND_CODES = {name: kind for kind, name in _KIND_NAMES.items()}
 
 
 class SnapshotError(RuntimeError):
     """The context cannot be captured or restored deterministically."""
+
+
+def rng_state_json(rng: random.Random) -> list:
+    """JSON-able encoding of ``rng.getstate()`` (tuple -> lists)."""
+    version, internal, gauss = rng.getstate()
+    return [version, list(internal), gauss]
+
+
+def set_rng_state(rng: random.Random, payload) -> None:
+    """Inverse of :func:`rng_state_json`: put ``payload`` back in ``rng``."""
+    version, internal, gauss = payload
+    rng.setstate((version, tuple(internal), gauss))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +224,8 @@ def capture_state(
             name = proc_names.get(id(payload))
             if name is None:
                 raise SnapshotError("timed resume for unknown process")
+        elif kind == KIND_CLOCK:
+            name = payload.full_name
         else:  # pragma: no cover - defensive
             raise SnapshotError(f"unknown heap entry kind {kind!r}")
         heap.append([when_fs, seq, _KIND_NAMES[kind], name])
@@ -310,10 +328,9 @@ def _snapshot_wait_shape(wait: Dict[str, Any]) -> Tuple[str, frozenset, bool]:
             wait.get("timeout") is not None)
 
 
-def _start_generator(
-    proc: ThreadProcess, fn: Callable[[], Optional[Generator]]
-) -> Tuple[Generator, WaitCondition]:
-    gen = fn()
+def _start_generator(proc: ThreadProcess
+                     ) -> Tuple[Generator, WaitCondition]:
+    gen = proc._fn()
     if gen is None or not hasattr(gen, "send"):
         raise SnapshotError(
             f"process {proc.name}: body did not return a generator on re-prime"
@@ -327,20 +344,6 @@ def _start_generator(
             "position on instance state"
         ) from None
     return gen, WaitCondition.normalize(first)
-
-
-def _restore_thread_body(
-    ctx: SimContext, proc: ThreadProcess
-) -> Callable[[], Optional[Generator]]:
-    owner_name, _, _ = proc.name.rpartition(".")
-    owner = ctx.objects.get(owner_name)
-    if owner is not None:
-        hook = getattr(owner, "__restore_thread__", None)
-        if hook is not None:
-            replacement = hook(proc.name)
-            if replacement is not None:
-                return replacement
-    return proc._fn
 
 
 def restore_state(
@@ -398,6 +401,11 @@ def restore_state(
     registry = build_event_registry(ctx)
     event_names: Dict[int, str] = {id(ev): name for name, ev in registry.items()}
     procs_by_name: Dict[str, Process] = {p.name: p for p in ctx.processes}
+    clocks = {name: obj for name, obj in ctx.objects.items()
+              if isinstance(obj, Clock)}
+    payloads = {KIND_EVENT: ("event", registry),
+                KIND_RESUME: ("process", procs_by_name),
+                KIND_CLOCK: ("clock", clocks)}
 
     # Rebuild the timed heap with the original sequence numbers.
     heap: List[List[Any]] = []
@@ -406,24 +414,18 @@ def restore_state(
         kind = _KIND_CODES.get(kind_name)
         if kind is None:
             raise SnapshotError(f"unknown heap entry kind {kind_name!r}")
-        if kind == KIND_EVENT:
-            payload = registry.get(name)
-            if payload is None:
-                raise SnapshotError(
-                    f"heap references unknown event {name!r}"
-                )
-        else:
-            payload = procs_by_name.get(name)
-            if payload is None:
-                raise SnapshotError(
-                    f"heap references unknown process {name!r}"
-                )
+        what, by_name = payloads[kind]
+        payload = by_name.get(name)
+        if payload is None:
+            raise SnapshotError(f"heap references unknown {what} {name!r}")
         entry = [when_fs, seq, kind, payload]
         heap.append(entry)
         entries_by_seq[seq] = entry
         if kind == KIND_EVENT:
             payload._pending_kind = "timed"
             payload._pending_handle = entry
+        elif kind == KIND_CLOCK:
+            payload._edge = entry
     heap.sort()
     ctx._timed_heap = heap
 
@@ -507,8 +509,7 @@ def _adopt_wait(
 ) -> None:
     if isinstance(proc, ThreadProcess):
         if record.get("started"):
-            fn = _restore_thread_body(ctx, proc)
-            gen, fresh = _start_generator(proc, fn)
+            gen, fresh = _start_generator(proc)
             fresh_shape = _fresh_wait_shape(fresh, event_names)
             snap_shape = _snapshot_wait_shape(wait)
             if fresh_shape != snap_shape:

@@ -7,7 +7,8 @@ reference versions of those machines that poll every edge (the bodies
 they had before they learned to sleep), on a reference bus core that
 latches requests and breaks ties the way the core did before it ranked
 same-delta requests by port, and require identical pins, transaction
-timing, responses, memory and core cycle counts.
+timing, responses, memory and core cycle counts.  The same systems also
+run on the reference toggling-thread clock of ``tests/test_clock.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.ocp import (
 )
 from repro.rtl import RtlBusCore
 from repro.rtl.buscore import RtlMasterPort
+from tests.test_clock import ProcessClock
 
 _NULL = OcpResp.NULL.value
 
@@ -260,14 +262,16 @@ def record_pins(ctx, log):
                 sig.full_name, []).append((ctx._now_fs, new)))
 
 
-def run_system(seed, machines, pin_slave=False):
+def run_system(seed, machines, clock_cls=Clock, pin_slave=False,
+               count_activations=True):
     """Build and run random system ``seed``; return everything a
-    behaviour change could show in, plus per-process activations."""
+    behaviour change could show in, plus per-process activations (when
+    ``count_activations``; counting attaches a kernel observer)."""
     accessor_cls, master_cls, core_cls = machines
     rng = random.Random(seed)
     ctx = SimContext()
     top = Module("top", ctx=ctx)
-    clk = Clock("clk", top, period=ns(10))
+    clk = clock_cls("clk", top, period=ns(10))
     mem = MemorySlave("mem", top, size=1 << 14,
                       read_wait=rng.randint(0, 2),
                       write_wait=rng.randint(0, 2))
@@ -344,7 +348,8 @@ def run_system(seed, machines, pin_slave=False):
     pins = {}
     record_pins(ctx, pins)
     counter = ActivationCounter()
-    ctx.attach_observer(counter)
+    if count_activations:
+        ctx.attach_observer(counter)
     ctx.run(us(500))
     words = repr([mem.peek_word(a) for a in range(0, 1 << 14, 4)])
     outcome = {
@@ -372,6 +377,21 @@ def test_sleeping_machines_match_polling_machines(seed):
     assert fast["stopped"] == "stopped"
     assert fast == slow
     assert sum(fast_counts.values()) <= sum(slow_counts.values())
+
+
+@given(seed=st.integers(0, 1 << 30), pin_slave=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_native_clock_matches_process_clock(seed, pin_slave):
+    """The same systems on the scheduler-entry clock and on a toggling
+    thread: identical pins, transaction times, responses, memory and
+    core cycles.  No observer is attached, so edges that nothing waits
+    on are triggered in place."""
+    fast, _ = run_system(seed, EVENT_DRIVEN, Clock, pin_slave=pin_slave,
+                         count_activations=False)
+    slow, _ = run_system(seed, EVENT_DRIVEN, ProcessClock,
+                         pin_slave=pin_slave, count_activations=False)
+    assert fast["stopped"] == "stopped"
+    assert fast == slow
 
 
 @given(seed=st.integers(0, 1 << 30))

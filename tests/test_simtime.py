@@ -1,5 +1,7 @@
 """Unit tests for exact simulation time."""
 
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,6 +93,14 @@ class TestComparison:
         assert ns(1) < us(1) < ms(1) < sec(1)
         assert ns(5) <= ns(5)
         assert ns(6) > ns(5)
+        assert ns(5) >= ns(5) and ns(6) >= ns(5)
+        assert not ns(5) > ns(5) and not ns(6) <= ns(5)
+        assert not ns(5) < ns(5) and not ns(5) >= ns(6)
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(ns(1), 1)
+            with pytest.raises(TypeError):
+                compare(1, ns(1))
 
     def test_equality_and_hash(self):
         assert ns(1000) == us(1)
