@@ -674,19 +674,6 @@ def materialize_boot_checkpoint(payload: dict, directory: str,
     return digest
 
 
-def _payload_label(payload: dict) -> Optional[str]:
-    """Readable point identity straight from a transport payload.
-
-    Mirrors ``ArchitectureConfig.name`` without decoding the config, so
-    a payload that fails to decode still gets a name in its event.
-    """
-    config = payload.get("config") or {}
-    name = config.get("label")
-    if not name and config.get("fabric") and config.get("arbiter"):
-        name = f"{config['fabric']}/{config['arbiter']}"
-    return name
-
-
 def _error_marker(exc: Exception) -> dict:
     # Lazy import: repro.sweep imports this module at package-import
     # time, so the reverse dependency must resolve at call time only.
@@ -703,8 +690,7 @@ def _error_marker(exc: Exception) -> dict:
 
 def run_payload_batch(payloads: Sequence[dict],
                       keys: Optional[Sequence[str]] = None,
-                      emit=None, worker_id=None,
-                      telemetry: bool = False):
+                      worker_id=None, telemetry: bool = False):
     """Simulate a batch of point payloads in order; one result dict each.
 
     The sweep's one batch runner: every :class:`repro.sweep.WorkerPool`
@@ -718,87 +704,62 @@ def run_payload_batch(payloads: Sequence[dict],
     aborting the batch; the engine decides whether it is retried or
     quarantined.
 
-    ``emit`` (when given) receives one ``point_done`` or
-    ``point_failed`` progress event per point, preceded by a
-    ``checkpoint_restored`` event for a warm-started point.  ``keys``
-    (parallel to ``payloads``) label events and spans with content
-    keys.  With ``telemetry`` every point also records wall-clock
-    ``setup`` / ``restore`` / ``simulate`` / ``serialize`` spans, and
-    all points in the batch publish into one private
-    :class:`repro.obs.MetricsRegistry`.  With telemetry off the batch
-    creates no registry, records no spans and imports nothing from
-    :mod:`repro.obs`.
+    With ``telemetry`` every point also records wall-clock ``setup`` /
+    ``restore`` / ``simulate`` / ``serialize`` spans, labelled with the
+    config name and, when ``keys`` (parallel to ``payloads``) is given,
+    the content key.  The simulation is the same call with telemetry
+    on or off, and the batch imports nothing from :mod:`repro.obs`
+    either way.
 
     Returns ``(result_dicts, blob)``.  ``blob`` is ``None`` with
     telemetry off; otherwise it is JSON-able: ``worker_id``, ``pid``,
-    batch ``t0``/``t1``, ``points``, ``spans`` (each ``{"name", "t0",
-    "t1", "args"}`` in wall-clock seconds) and ``metrics`` (the registry
-    snapshot).
+    batch ``t0``/``t1``, ``points`` and ``spans`` (each ``{"name",
+    "t0", "t1", "args"}`` in wall-clock seconds).
     """
-    registry = None
-    if telemetry:
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
     pid = os.getpid()
     spans: List[dict] = []
     results: List[dict] = []
     batch_t0 = time.time()
     for index, payload in enumerate(payloads):
-        key = keys[index] if keys is not None else None
-        config_name = None
         t0 = time.time()
-        warm_digest = None
+        warm_started = False
         timings: dict = {}
         try:
             kwargs = decode_payload(payload)
-            config_name = kwargs["config"].name
             warm = payload.get(WARM_START_KEY)
             t1 = time.time()
             if warm is not None and kwargs["boot"] is not None:
                 load_t0 = time.perf_counter()
                 kwargs["warm_snapshot"] = _load_warm_snapshot(warm)
                 timings["load_s"] = time.perf_counter() - load_t0
-                warm_digest = warm["digest"]
-            result = run_point(metrics=registry, timings=timings, **kwargs)
+                warm_started = True
+            result = run_point(timings=timings, **kwargs)
             t2 = time.time()
             data = result.to_dict()
             t3 = time.time()
         except Exception as exc:
             results.append(_error_marker(exc))
-            if emit is not None:
-                emit({"type": "point_failed", "worker_id": worker_id,
-                      "pid": pid, "key": key,
-                      "config": config_name or _payload_label(payload),
-                      "error_type": type(exc).__name__})
             continue
         results.append(data)
+        if not telemetry:
+            continue
+        args = {"point": kwargs["config"].name}
+        key = keys[index] if keys is not None else None
+        if key is not None:
+            args["key"] = key
         # A warm point splits [t1, t2] into restore (checkpoint load +
         # state overlay) and simulate; the restore wall time comes from
         # the run itself so the span boundary is exact.
-        restore_s = timings.get("load_s", 0.0) + timings.get("restore_s", 0.0)
-        if telemetry:
-            args = {"point": config_name}
-            if key is not None:
-                args["key"] = key
-            sim_begin = t1 + restore_s
-            named_spans = [("setup", t0, t1)]
-            if warm_digest is not None:
-                named_spans.append(("restore", t1, sim_begin))
-            named_spans.extend((("simulate", sim_begin, t2),
-                                ("serialize", t2, t3)))
-            for name, begin, end in named_spans:
-                spans.append({"name": name, "t0": begin, "t1": end,
-                              "args": dict(args)})
-        if emit is not None:
-            if warm_digest is not None:
-                emit({"type": "checkpoint_restored",
-                      "worker_id": worker_id, "pid": pid, "key": key,
-                      "config": config_name, "digest": warm_digest,
-                      "restore_s": restore_s})
-            emit({"type": "point_done", "worker_id": worker_id,
-                  "pid": pid, "key": key,
-                  "config": config_name})
+        sim_begin = t1 + (timings.get("load_s", 0.0)
+                          + timings.get("restore_s", 0.0))
+        named_spans = [("setup", t0, t1)]
+        if warm_started:
+            named_spans.append(("restore", t1, sim_begin))
+        named_spans.extend((("simulate", sim_begin, t2),
+                            ("serialize", t2, t3)))
+        for name, begin, end in named_spans:
+            spans.append({"name": name, "t0": begin, "t1": end,
+                          "args": dict(args)})
     if not telemetry:
         return results, None
     return results, {
@@ -808,7 +769,6 @@ def run_payload_batch(payloads: Sequence[dict],
         "t1": time.time(),
         "points": len(results),
         "spans": spans,
-        "metrics": registry.snapshot(),
     }
 
 

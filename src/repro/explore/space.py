@@ -35,6 +35,8 @@ class ArchitectureConfig:
                 f"unknown arbiter {self.arbiter!r}; expected one of "
                 f"{ARBITERS}"
             )
+        if self.clock_period.femtoseconds <= 0:
+            raise ValueError("clock_period must be > 0")
         if self.max_burst < 1:
             raise ValueError("max_burst must be >= 1")
 

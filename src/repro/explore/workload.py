@@ -126,9 +126,9 @@ class MasterTrafficSpec:
     def scaled(self, fraction: float) -> "MasterTrafficSpec":
         """A copy with ``transactions`` scaled down to ``fraction``.
 
-        Used by early-stop sweep strategies to screen design points on
-        a shortened workload; an unbounded spec (``transactions=None``)
-        is returned unchanged.  At least one transaction survives.
+        Shrinks a standard workload for quicker sweeps; an unbounded
+        spec (``transactions=None``) is returned unchanged.  At least
+        one transaction survives.
         """
         if self.transactions is None or fraction >= 1.0:
             return self

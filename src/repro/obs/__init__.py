@@ -17,12 +17,10 @@ readings live.
 * :mod:`repro.obs.profiler` — :class:`SimProfiler`, per-process host
   time and activation counts with a top-N hotspot table.
 * :mod:`repro.obs.report` — the ``python -m repro.obs.report`` CLI
-  demonstrating all of the above on a two-master PLB workload (and,
-  with ``--runs``, rendering the sweep run ledger).
+  demonstrating all of the above on a two-master PLB workload.
 * :mod:`repro.obs.telemetry` — cross-process sweep telemetry:
   :class:`SweepTelemetry` stitches orchestrator and worker spans into
-  one Perfetto timeline, streams progress events as JSONL, and writes
-  a :class:`RunLedger` manifest per engine run.
+  one Perfetto timeline.
 
 See ``docs/observability.md`` for the hook points, the metric catalog
 and measured overhead numbers.
@@ -50,9 +48,6 @@ __all__ = [
     "MetricsRegistry",
     "ObserverGroup",
     "ProcessProfile",
-    "ProgressRenderer",
-    "ProgressStream",
-    "RunLedger",
     "SimObserver",
     "SimProfiler",
     "SpanRecorder",
@@ -69,9 +64,6 @@ __all__ = [
 #: benchmarks assert the module stays out of ``sys.modules`` on
 #: telemetry-off runs; keep these imports lazy.
 _TELEMETRY_EXPORTS = (
-    "ProgressRenderer",
-    "ProgressStream",
-    "RunLedger",
     "SpanRecorder",
     "SweepTelemetry",
 )

@@ -123,30 +123,6 @@ class HistogramMetric:
             "total": s.total,
         }
 
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold another histogram's :meth:`snapshot` into this one.
-
-        Reconstructs the other side's moments and combines them with
-        Chan's parallel algorithm
-        (:meth:`~repro.trace.stats.OnlineStats.merge`), which is exact
-        for count/total/mean/m2 — so folding many snapshots is
-        order-insensitive up to float rounding.  This is how worker
-        registries cross the process boundary in the sweep's telemetry
-        layer.
-        """
-        count = int(snap.get("count") or 0)
-        if count == 0:
-            return
-        other = OnlineStats()
-        other.count = count
-        other.total = float(snap.get("total") or 0.0)
-        other._mean = float(snap.get("mean") or 0.0)
-        stddev = float(snap.get("stddev") or 0.0)
-        other._m2 = stddev * stddev * count
-        other.minimum = snap.get("min")
-        other.maximum = snap.get("max")
-        self._stats = self._stats.merge(other)
-
     def __repr__(self) -> str:
         return f"HistogramMetric({self.name!r}, n={self.count})"
 
@@ -263,17 +239,6 @@ class EstimateSummary:
             "estimate": self._estimate,
         }
 
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold another summary's :meth:`snapshot` in.
-
-        Counts add; the other side's estimate (when present) becomes
-        the latest — matching the instrument's last-estimate-wins
-        semantics.
-        """
-        self.count += int(snap.get("count") or 0)
-        if snap.get("estimate") is not None:
-            self._estimate = snap["estimate"]
-
     def __repr__(self) -> str:
         return f"EstimateSummary({self.name!r}, n={self.count})"
 
@@ -340,50 +305,6 @@ class MetricsRegistry:
             name: self._instruments[name].snapshot(now_fs)
             for name in self.names()
         }
-
-    def merge(self, snapshot: Dict[str, dict], prefix: str = "") -> None:
-        """Fold a :meth:`snapshot`-shaped dict into this registry.
-
-        The cross-process aggregation path of the sweep's telemetry
-        layer: worker processes snapshot their registries per batch and
-        the engine merges the snapshots here under a ``prefix``
-        (``worker.``), so instruments published inside points survive
-        the process boundary.
-
-        Merge semantics per instrument kind:
-
-        * counters add and histograms merge by moments
-          (:meth:`HistogramMetric.merge_snapshot`, Chan's parallel
-          algorithm) — folding many snapshots is order-insensitive for
-          these kinds;
-        * gauges are last-write-wins (inherently order-sensitive);
-        * time-weighted gauges integrate over each process's private
-          sim clock, so their integrals cannot be stitched — each
-          snapshot's time-weighted ``mean`` folds into a
-          ``<name>.mean`` histogram instead (one sample per snapshot);
-        * estimate summaries add counts and keep the latest estimate.
-
-        Unknown ``type`` tags are skipped, so newer workers never break
-        an older orchestrator.
-        """
-        for name in sorted(snapshot):
-            snap = snapshot[name]
-            if not isinstance(snap, dict):
-                continue
-            kind = snap.get("type")
-            target = prefix + name
-            if kind == Counter.kind:
-                self.counter(target).inc(int(snap.get("value") or 0))
-            elif kind == Gauge.kind:
-                self.gauge(target).set(snap.get("value"))
-            elif kind == HistogramMetric.kind:
-                self.histogram(target).merge_snapshot(snap)
-            elif kind == TimeWeightedGauge.kind:
-                if snap.get("mean") is not None:
-                    self.histogram(target + ".mean").observe(
-                        float(snap["mean"]))
-            elif kind == EstimateSummary.kind:
-                self.estimate(target).merge_snapshot(snap)
 
     def write_json(self, path: str, now_fs: Optional[int] = None) -> None:
         """Dump :meth:`snapshot` to ``path`` as indented JSON."""

@@ -14,14 +14,6 @@ Optionally writes the Chrome trace-event JSON (``--trace``, open in
 (``--metrics``).  ``--json`` switches the stdout report itself to JSON
 for scripting.
 
-``--runs LEDGER_DIR`` switches the command to run-history mode: instead
-of simulating, it renders the sweep run ledger written by
-``python -m repro.sweep --telemetry LEDGER_DIR`` — one row per engine
-run with its timing breakdown, cache split, per-worker dispatch
-latency, and a Δwall column against the previous run of the same
-config digest, so "did dispatch overhead regress?" is answerable
-straight from artifacts.
-
 This doubles as the CI bench-smoke workload: it exercises kernel hooks,
 the metrics registry, recorder-driven trace spans and the profiler in
 one short run.
@@ -129,112 +121,6 @@ def _text_report(profiler: SimProfiler, registry: MetricsRegistry,
     return "\n".join(lines)
 
 
-def format_run_history(records: List[dict],
-                       limit: Optional[int] = None) -> str:
-    """Fixed-width table over run-ledger ``"run"`` records.
-
-    One row per record: points, cache split, workers, wall seconds,
-    points/s, summed worker simulate time, worst per-worker dispatch
-    ping, recovery counts (worker respawns and quarantined points —
-    ``-`` for ledgers written before self-healing existed), checkpoint
-    restores (the ``warm`` column — ``-`` for ledgers written before
-    checkpointing existed), and a
-    Δwall%% column against the *previous run with the same config
-    digest* (same digest = same requested work, so the delta is a
-    like-for-like regression signal).  ``limit`` keeps only the most
-    recent N rows.
-    """
-    if not records:
-        return "(no run records)"
-    rows = []
-    last_wall_by_digest: dict = {}
-    for rec in records:
-        timing = rec.get("timing") or {}
-        wall = timing.get("wall_s")
-        digest = rec.get("digest")
-        delta = "-"
-        prev = last_wall_by_digest.get(digest)
-        if prev and wall:
-            delta = f"{(wall - prev) / prev:+.0%}"
-        if digest is not None and wall:
-            last_wall_by_digest[digest] = wall
-        pings = (rec.get("pool") or {}).get("ping_latency_s") or {}
-        rate = rec.get("points_per_s")
-        recovery = rec.get("recovery")
-        respawns = (str(recovery.get("worker_respawns", 0))
-                    if isinstance(recovery, dict) else "-")
-        quarantined = rec.get("quarantined")
-        rows.append({
-            "run": str(rec.get("run_id", "?")),
-            "phase": str(rec.get("phase") or "-"),
-            "pts": str(rec.get("points", "?")),
-            "hit": str(rec.get("cached", "?")),
-            "comp": str(rec.get("computed", "?")),
-            "w": str(rec.get("workers", "?")),
-            "wall_s": (f"{wall:.3f}" if wall is not None else "?"),
-            "pts/s": (f"{rate:.1f}" if rate else "-"),
-            "sim_s": f"{timing.get('worker_simulate_s', 0.0):.3f}",
-            "ping_ms": (f"{max(pings.values()) * 1e3:.2f}"
-                        if pings else "-"),
-            "rsp": respawns,
-            "quar": (str(quarantined) if quarantined is not None
-                     else "-"),
-            "warm": (str(rec["restores"])
-                     if rec.get("restores") is not None else "-"),
-            "dwall": delta,
-        })
-    if limit is not None:
-        rows = rows[-limit:]
-    headers = ["run", "phase", "pts", "hit", "comp", "w", "wall_s",
-               "pts/s", "sim_s", "ping_ms", "rsp", "quar", "warm",
-               "dwall"]
-    widths = {
-        h: max(len(h), *(len(r[h]) for r in rows)) for h in headers
-    }
-    lines = [
-        "  ".join(h.ljust(widths[h]) for h in headers),
-        "  ".join("-" * widths[h] for h in headers),
-    ]
-    for r in rows:
-        lines.append("  ".join(r[h].ljust(widths[h]) for h in headers))
-    return "\n".join(lines)
-
-
-def _render_runs(runs_dir: str, top: int, as_json: bool) -> int:
-    """``--runs`` mode: render the sweep run ledger at ``runs_dir``."""
-    from repro.obs.telemetry import RunLedger
-
-    ledger = RunLedger(runs_dir)
-    records = ledger.records()
-    if as_json:
-        print(json.dumps(records, indent=1, sort_keys=True))
-        return 0
-    runs = [r for r in records if r.get("kind") == "run"]
-    print(f"run ledger: {runs_dir} ({len(runs)} run(s), "
-          f"{len(records)} record(s))")
-    print()
-    print(format_run_history(runs, limit=top))
-    summaries = [r for r in records if r.get("kind") == "summary"]
-    for rec in summaries[-3:]:
-        ranking = rec.get("ranking") or []
-        best = ranking[0]["config"] if ranking else "?"
-        print(
-            f"\nsummary: {rec.get('workload')}/{rec.get('strategy')} "
-            f"on {rec.get('objective')} — {rec.get('points')} ranked, "
-            f"{rec.get('cached')} cached / {rec.get('computed')} "
-            f"computed, best {best}"
-        )
-    replications = [r for r in records
-                    if r.get("kind") == "replication"]
-    for rec in replications[-3:]:
-        print(
-            f"replication: {rec.get('points')} point(s), "
-            f"{rec.get('replicates')} replicate(s) over "
-            f"{rec.get('rounds')} round(s) on {rec.get('objective')}"
-        )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     import argparse
@@ -256,13 +142,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write the metrics snapshot JSON here")
     parser.add_argument("--json", action="store_true",
                         help="print the report as JSON instead of text")
-    parser.add_argument("--runs", metavar="LEDGER_DIR",
-                        help="render the sweep run ledger at this "
-                             "directory instead of running the demo")
     args = parser.parse_args(argv)
-
-    if args.runs:
-        return _render_runs(args.runs, top=args.top, as_json=args.json)
 
     profiler, registry, collector, ctx = run_demo(
         transactions=args.transactions,

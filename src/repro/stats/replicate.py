@@ -24,8 +24,8 @@ estimates — are bit-identical across pool sizes and cache states.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.stats.estimate import (
     DEFAULT_CONFIDENCE,
@@ -258,7 +258,6 @@ class ReplicatedRunner:
         active = list(range(len(points)))
         self.last_replicates = 0
         self.last_rounds = 0
-        telemetry = getattr(self.engine, "telemetry", None)
         while active:
             batch: List[tuple] = []
             for i in active:
@@ -270,15 +269,6 @@ class ReplicatedRunner:
                 self.replicate_point(points[i], r, base=base_keys[i])
                 for i, r in batch
             ]
-            if telemetry is not None:
-                # Stamped onto the round's run-ledger record, so the
-                # ledger shows which engine runs were replication
-                # rounds and how wide the active frontier still was.
-                telemetry.context["replication"] = {
-                    "round": self.last_rounds + 1,
-                    "replicates": len(batch),
-                    "active_points": len(active),
-                }
             for (i, _), outcome in zip(batch,
                                        self.engine.run(batch_points)):
                 reps[i].append(outcome)
@@ -295,20 +285,6 @@ class ReplicatedRunner:
                         and len(reps[i]) < policy.r_max):
                     still_active.append(i)
             active = still_active
-        if telemetry is not None:
-            telemetry.context.pop("replication", None)
-            telemetry.record_replication({
-                "points": len(points),
-                "objective": objective,
-                "replicates": self.last_replicates,
-                "rounds": self.last_rounds,
-                "quarantined": sum(
-                    1 for outcomes in reps for o in outcomes if o.failed
-                ),
-                "r_min": policy.r_min,
-                "r_max": policy.r_max,
-                "ci_target": policy.ci_target,
-            })
 
         results = []
         for i, point in enumerate(points):

@@ -8,9 +8,8 @@ resume incrementally, :class:`SweepEngine` shards uncached points in
 batched chunks over a persistent :class:`WorkerPool` of warm,
 pre-imported worker processes — bit-identical results regardless of
 pool size, batch size, or cache state, with process startup paid once
-per engine instead of once per run — and the search strategies
-(:class:`GridSearch`, :class:`RandomSearch`,
-:class:`SuccessiveHalving`) decide which points earn simulation time.
+per engine instead of once per run — and :class:`GridSearch` ranks
+every point of a design space.
 The runtime is *self-healing*: :class:`RecoveryPolicy` bounds worker
 respawns, batch requeues/bisection toward poison points, per-point
 deadlines, and quarantine (kind-tagged ``failed`` store records that
@@ -39,22 +38,16 @@ from repro.sweep.recovery import (
     SweepInterrupted,
 )
 from repro.sweep.store import STORE_SCHEMA, SweepStore
-from repro.sweep.strategies import (
-    GridSearch,
-    RandomSearch,
-    SuccessiveHalving,
-)
+from repro.sweep.strategies import GridSearch
 
 __all__ = [
     "BATCHES_PER_WORKER",
     "CODE_VERSION",
     "GridSearch",
     "OBJECTIVES",
-    "RandomSearch",
     "RecoveryPolicy",
     "STORE_SCHEMA",
     "ShutdownGuard",
-    "SuccessiveHalving",
     "SweepEngine",
     "SweepInterrupted",
     "SweepOutcome",

@@ -9,13 +9,13 @@ Examples::
 
     PYTHONPATH=src python -m repro.sweep --workload mixed --workers auto
     PYTHONPATH=src python -m repro.sweep --workload dma_stream \\
-        --fabrics plb,generic --strategy halving --cache /tmp/sweep
+        --fabrics plb,generic --cache /tmp/sweep
     PYTHONPATH=src python -m repro.sweep --workload mixed \\
         --cache /tmp/sweep --require-cached   # resume must be all-hits
     PYTHONPATH=src python -m repro.sweep --workload mixed \\
         --ci-target 0.02 --max-replicates 8   # CI-backed ranking
     PYTHONPATH=src python -m repro.sweep --workload mixed --workers 2 \\
-        --progress --telemetry /tmp/ledger --trace-out /tmp/trace.json
+        --trace-out /tmp/trace.json   # merged Perfetto trace
     PYTHONPATH=src python -m repro.sweep --workload mixed --boot 16 \\
         --warm-start --checkpoint-dir /tmp/ckpt  # checkpointed boot
 
@@ -36,19 +36,17 @@ runs as a seed-replicated ensemble (replicates cache individually, so
 resume still works) and the table reports mean ± confidence half-width
 with the replicate count the sequential stopping rule settled on.
 
-``--telemetry DIR`` / ``--trace-out PATH`` / ``--progress`` attach the
-cross-process telemetry layer (:mod:`repro.obs.telemetry`): a run
-ledger plus JSONL progress stream under DIR, a merged
-orchestrator+workers Perfetto trace at PATH, and a live progress line
-on stderr.  Telemetry never changes results — the ranked rows are
-bit-identical with or without these flags.
+``--trace-out PATH`` attaches the cross-process telemetry layer
+(:mod:`repro.obs.telemetry`) and writes a merged orchestrator+workers
+Perfetto trace to PATH.  Telemetry never changes results — the ranked
+rows are bit-identical with or without the flag.
 
 The sweep is *self-healing* (:mod:`repro.sweep.recovery`): dead
 workers respawn, lost batches requeue and bisect down to the poison
 point, which is quarantined — listed in the report's ``quarantined``
 section and skipped on resume.  ``--max-point-seconds`` adds a
-per-point wall-clock deadline.  SIGINT/SIGTERM flush the store, ledger
-and trace before exiting with status 130.
+per-point wall-clock deadline.  SIGINT/SIGTERM flush the store and
+trace before exiting with status 130.
 """
 
 from __future__ import annotations
@@ -68,16 +66,29 @@ from repro.explore.workload import standard_workloads
 from repro.sweep.engine import OBJECTIVES, SweepEngine, SweepOutcome
 from repro.sweep.recovery import ShutdownGuard, SweepInterrupted
 from repro.sweep.store import SweepStore
-from repro.sweep.strategies import (
-    GridSearch,
-    RandomSearch,
-    SuccessiveHalving,
-)
+from repro.sweep.strategies import GridSearch
 
 
 def _csv_list(text: str) -> List[str]:
     """Split a comma-separated option value, dropping empties."""
     return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _positive_int(text: str) -> int:
+    """An option value that must be an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_ints(text: str) -> List[int]:
+    """A comma-separated list of integers >= 1."""
+    return [_positive_int(item) for item in _csv_list(text)]
 
 
 def _workers_arg(text: str):
@@ -119,33 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated arbiters from {ARBITERS}",
     )
     parser.add_argument(
-        "--clock-ns", type=_csv_list, default=["10"],
+        "--clock-ns", type=_positive_ints, default=[10],
         help="comma-separated clock periods in ns (default: 10)",
     )
     parser.add_argument(
-        "--bursts", type=_csv_list, default=["16"],
+        "--bursts", type=_positive_ints, default=[16],
         help="comma-separated max burst lengths (default: 16)",
     )
     parser.add_argument(
-        "--transactions", type=int, default=None,
+        "--transactions", type=_positive_int, default=None,
         help="override every master's transaction count (smoke runs)",
-    )
-    parser.add_argument(
-        "--strategy", default="grid",
-        choices=("grid", "random", "halving"),
-        help="search strategy (default: grid)",
-    )
-    parser.add_argument(
-        "--samples", type=int, default=4,
-        help="points to draw with --strategy random (default: 4)",
-    )
-    parser.add_argument(
-        "--eta", type=int, default=2,
-        help="halving keep ratio: top 1/eta survive (default: 2)",
-    )
-    parser.add_argument(
-        "--screen-fraction", type=float, default=0.25,
-        help="halving screening workload fraction (default: 0.25)",
     )
     parser.add_argument(
         "--objective", default="mean_latency_ns",
@@ -183,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload seed (default: 1)",
     )
     parser.add_argument(
-        "--max-sim-time-us", type=int, default=10_000,
+        "--max-sim-time-us", type=_positive_int, default=10_000,
         help="per-point simulated-time bound in us (default: 10000)",
     )
     parser.add_argument(
@@ -200,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
              "asserts a warm cache",
     )
     parser.add_argument(
-        "--top", type=int, default=None,
+        "--top", type=_positive_int, default=None,
         help="print/emit only the best N rows",
     )
     parser.add_argument(
@@ -210,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
              "once before quarantine",
     )
     parser.add_argument(
-        "--boot", type=int, default=None, metavar="N",
+        "--boot", type=_positive_int, default=None, metavar="N",
         help="prepend a boot phase: one warm-up master per workload "
              "master drives N transactions before the measured phase "
              "starts (boot traffic is part of each point's identity)",
@@ -229,21 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: sweep_checkpoints)",
     )
     parser.add_argument(
-        "--telemetry", metavar="DIR", default=None,
-        help="enable sweep telemetry: write the run ledger "
-             "(ledger.jsonl + per-run manifests) and the progress "
-             "event stream (progress.jsonl) into DIR",
-    )
-    parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="write the merged Chrome-trace/Perfetto timeline "
-             "(orchestrator + per-worker tracks) here; implies "
-             "telemetry",
-    )
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="render live progress (points/s, cache hits, per-worker "
-             "liveness, ETA) on stderr; implies telemetry",
+             "(orchestrator + per-worker tracks) here",
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None,
@@ -273,25 +255,6 @@ def _boot_spec(specs, transactions: int):
         for s in specs
     ]
     return BootSpec(specs=boot_specs, until=ms(1))
-
-
-def _build_strategy(args, space, specs):
-    """Instantiate the requested search strategy."""
-    common = dict(
-        workload=args.workload,
-        max_sim_time=us(args.max_sim_time_us),
-        seed=args.seed,
-        boot=(_boot_spec(specs, args.boot)
-              if args.boot is not None else None),
-    )
-    if args.strategy == "random":
-        return RandomSearch(space, specs, samples=args.samples, **common)
-    if args.strategy == "halving":
-        return SuccessiveHalving(
-            space, specs, eta=args.eta,
-            screen_fraction=args.screen_fraction, **common,
-        )
-    return GridSearch(space, specs, **common)
 
 
 def _format_rows(rows: List[dict]) -> str:
@@ -380,36 +343,36 @@ def main(argv: Optional[List[str]] = None) -> int:
     if (args.max_point_seconds is not None
             and not args.max_point_seconds > 0):
         parser.error("--max-point-seconds must be positive")
-    if args.boot is not None and args.boot < 1:
-        parser.error("--boot must be >= 1")
     if args.warm_start and args.boot is None:
         parser.error("--warm-start requires --boot (there is no boot "
                      "phase to checkpoint otherwise)")
     space = DesignSpace(
         fabrics=tuple(args.fabrics),
         arbiters=tuple(args.arbiters),
-        clock_periods=tuple(ns(int(c)) for c in args.clock_ns),
-        max_bursts=tuple(int(b) for b in args.bursts),
+        clock_periods=tuple(ns(c) for c in args.clock_ns),
+        max_bursts=tuple(args.bursts),
     )
     specs = standard_workloads()[args.workload]
     if args.transactions is not None:
         specs = [replace(s, transactions=args.transactions)
                  for s in specs]
-    strategy = _build_strategy(args, space, specs)
+    strategy = GridSearch(
+        space, specs, workload=args.workload,
+        max_sim_time=us(args.max_sim_time_us), seed=args.seed,
+        boot=(_boot_spec(specs, args.boot)
+              if args.boot is not None else None),
+    )
     store = SweepStore(args.cache) if args.cache else None
     telemetry = None
-    if args.telemetry or args.trace_out or args.progress:
+    if args.trace_out:
         # Lazy import: plain sweeps must never load the telemetry
-        # stack (the bench asserts the off path does not import it).
-        from repro.obs.telemetry import ProgressRenderer, SweepTelemetry
+        # stack (a tier-1 test asserts the off path does not import it).
+        from repro.obs.telemetry import SweepTelemetry
 
-        telemetry = SweepTelemetry(ledger=args.telemetry,
-                                   trace_path=args.trace_out)
-        if args.progress:
-            ProgressRenderer(sys.stderr).attach(telemetry.stream)
+        telemetry = SweepTelemetry(trace_path=args.trace_out)
     # One engine — and therefore at most one warm worker pool — serves
-    # every stage the strategy runs; the context manager tears the
-    # pool down when the sweep is done.
+    # every run the sweep makes (replication rounds included); the
+    # context manager tears the pool down when the sweep is done.
     interrupted: Optional[SweepInterrupted] = None
     with SweepEngine(workers=args.workers, store=store,
                      telemetry=telemetry,
@@ -441,7 +404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if interrupted is not None:
         # Every completed point is already fsynced in the store; close
-        # the telemetry hub so the ledger/trace flush too, then exit
+        # the telemetry hub so the trace is written too, then exit
         # with the conventional interrupted status.
         if telemetry is not None:
             telemetry.close()
@@ -465,7 +428,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         rows = rank_rows(outcomes, args.objective)
     report = {
         "workload": args.workload,
-        "strategy": args.strategy,
         "objective": args.objective,
         "points": len(outcomes),
         "computed": computed,
@@ -498,26 +460,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"— {row['message']}"
             )
     if telemetry is not None:
-        # The ledger's summary record mirrors the report exactly —
-        # point count, cache split, ranking — so artifact consumers
-        # never need the CLI's stdout.
-        telemetry.record_summary({
-            "workload": report["workload"],
-            "strategy": report["strategy"],
-            "objective": report["objective"],
-            "points": report["points"],
-            "cached": report["cached"],
-            "computed": report["computed"],
-            "workers": report["workers"],
-            "wall_s": report["wall_s"],
-            "quarantined": len(quarantine_rows),
-            "recovery": recovery,
-            "ranking": [
-                {"rank": row["rank"], "config": row["config"],
-                 "key": row["key"]}
-                for row in rows
-            ],
-        })
         telemetry.close()
     print(
         f"\nsweep: {report['points']} ranked point(s), "
@@ -562,9 +504,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {args.csv}")
     if args.trace_out:
         print(f"wrote {args.trace_out}")
-    if args.telemetry:
-        print(f"ledger: {args.telemetry} "
-              f"(render with python -m repro.obs.report --runs)")
     if args.require_cached and computed:
         print(
             f"--require-cached: {computed} point(s) were "

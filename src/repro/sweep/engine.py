@@ -6,9 +6,9 @@ content key is already in the attached :class:`~repro.sweep.store.SweepStore`
 straight from cache, and (2) sharding the rest — in batched chunks — across
 a persistent :class:`~repro.sweep.pool.WorkerPool`.  The pool spawns once,
 pre-imports the simulation stack, and stays hot across ``run()`` calls, so
-multi-stage strategies (successive-halving screens then finals, fault
-campaigns, CLI resume loops) pay process startup exactly once; after warmup
-the per-point dispatch cost is one share of a batched IPC round-trip.
+multi-run sessions (replication rounds, fault campaigns, CLI resume
+loops) pay process startup exactly once; after warmup the per-point
+dispatch cost is one share of a batched IPC round-trip.
 
 Three properties make the engine safe to parallelize:
 
@@ -31,11 +31,11 @@ Three properties make the engine safe to parallelize:
 Cached-vs-computed counts and pool reuse flow into an optional
 :class:`repro.obs.MetricsRegistry` under ``sweep.*``.  An optional
 :class:`repro.obs.telemetry.SweepTelemetry` (the ``telemetry=``
-keyword) additionally records per-run spans, worker-side telemetry
-blobs, progress events and run-ledger records — every touch is guarded
-by ``telemetry is not None`` and this module never imports the
-telemetry stack itself, so the telemetry-off path stays exactly as
-cheap (and as import-free) as before.
+keyword) additionally records per-run spans and worker-side span
+blobs for one merged trace — every touch is guarded by
+``telemetry is not None`` and this module never imports the telemetry
+stack itself, so the telemetry-off path stays exactly as cheap (and as
+import-free) as before.
 """
 
 from __future__ import annotations
@@ -175,9 +175,9 @@ class SweepEngine:
     first ``run()`` actually has more than one uncached point, and once
     spawned it persists across ``run()`` calls until :meth:`close` (the
     engine is also a context manager).  ``telemetry`` attaches a
-    :class:`repro.obs.telemetry.SweepTelemetry` hub: spans, worker
-    metrics aggregation, progress streaming and run-ledger records,
-    with zero involvement (and zero imports) when left ``None``.
+    :class:`repro.obs.telemetry.SweepTelemetry` hub that records the
+    orchestrator and worker spans of a merged trace, with zero
+    involvement (and zero imports) when left ``None``.
     """
 
     def __init__(self, workers=None,
@@ -201,8 +201,8 @@ class SweepEngine:
         self.recovery = recovery
         #: optional :class:`repro.obs.telemetry.SweepTelemetry` hub;
         #: the engine drives its run/dispatch protocol and the pool
-        #: forwards worker events to it.  The engine does not own it —
-        #: callers ``close()`` it after the last run.
+        #: forwards its batch and respawn events to it.  The engine
+        #: does not own it — callers ``close()`` it after the last run.
         self.telemetry = telemetry
         #: directory boot checkpoints are materialized into / loaded
         #: from; required (with ``warm_start=True``) for warm-started
@@ -316,18 +316,16 @@ class SweepEngine:
         earlier lines).
 
         With :attr:`telemetry` attached, the run additionally records
-        cache/dispatch spans, absorbs worker telemetry blobs (spans +
-        ``worker.*`` metrics), streams progress events, and writes one
-        run-ledger record — without changing any result: every point
-        takes the same ``decode → run_point → to_dict`` round-trip with
-        telemetry on or off.
+        run/cache/dispatch spans and absorbs the workers' span blobs —
+        without changing any result: every point takes the same
+        ``decode → run_point → to_dict`` round-trip with telemetry on
+        or off.
         """
         telemetry = self.telemetry
         points = list(points)
         keys = [p.key() for p in points]
         if telemetry is not None:
-            telemetry.begin_run(keys, workers=self.workers,
-                                rerun=rerun)
+            telemetry.begin_run(keys)
             cache_t0 = telemetry.clock()
         outcomes: List[Optional[SweepOutcome]] = [None] * len(points)
         #: key -> input indices still needing a simulation
@@ -360,7 +358,7 @@ class SweepEngine:
                     for k in pending_keys]
         if self.warm_start and payloads:
             self._annotate_warm_starts(points, pending, pending_keys,
-                                       payloads, telemetry)
+                                       payloads)
         if telemetry is not None:
             telemetry.cache_resolved(
                 cached=sum(1 for o in outcomes if o is not None),
@@ -374,15 +372,6 @@ class SweepEngine:
             if failure is not None:
                 record = quarantine_record(failure)
                 fresh_quarantined += 1
-                if telemetry is not None:
-                    telemetry.on_worker_event({
-                        "type": "point_quarantined",
-                        "key": key,
-                        "config": points[pending[key][0]].config.name,
-                        "kind": record["kind"],
-                        "error_type": record["error_type"],
-                        "attempts": record["attempts"],
-                    })
                 if self.store is not None:
                     self.store.put_failure(key, record)
                 for i in pending[key]:
@@ -434,22 +423,11 @@ class SweepEngine:
                 self.metrics.counter("sweep.quarantined").inc(
                     fresh_quarantined)
         if telemetry is not None:
-            telemetry.end_run(
-                cached=self.last_cached,
-                computed=self.last_computed,
-                batches=self.last_batches,
-                workers=self.workers,
-                pool_stats=(self._pool.stats()
-                            if self._pool is not None else None),
-                pool_spawns=self.pool_spawns,
-                pool_reuses=self.pool_reuses,
-                recovery=recovery_summary,
-                quarantined=self.last_quarantined,
-            )
+            telemetry.end_run()
         return outcomes
 
     def _annotate_warm_starts(self, points, pending, pending_keys,
-                              payloads, telemetry) -> None:
+                              payloads) -> None:
         """Materialize boot checkpoints and tag pending payloads.
 
         One checkpoint per *checkpoint family*
@@ -479,26 +457,12 @@ class SweepEngine:
                 try:
                     digest = materialize_boot_checkpoint(
                         payload, self.checkpoint_dir, family)
-                except Exception as exc:
+                except Exception:
                     families[family] = None
-                    if telemetry is not None:
-                        telemetry.on_worker_event({
-                            "type": "checkpoint_failed",
-                            "worker_id": "engine",
-                            "family": family[:16],
-                            "error_type": type(exc).__name__,
-                        })
                     continue
                 families[family] = {"dir": self.checkpoint_dir,
                                     "digest": digest}
                 self.last_checkpoints_saved += 1
-                if telemetry is not None:
-                    telemetry.on_worker_event({
-                        "type": "checkpoint_saved",
-                        "worker_id": "engine",
-                        "family": family[:16],
-                        "digest": digest,
-                    })
             warm = families[family]
             if warm is not None:
                 payload[WARM_START_KEY] = dict(warm)
@@ -532,12 +496,7 @@ class SweepEngine:
         summary = dict.fromkeys(RECOVERY_COUNTERS, 0)
         self.last_batches = 0
         if pool is not None and telemetry is not None:
-            # Measure per-worker dispatch round-trip before the real
-            # batches go out; lands in pool.stats() and from there in
-            # the run-ledger record.
-            pool.ping()
             pool.on_event = telemetry.on_worker_event
-            pool.on_idle = telemetry.on_poll_idle
         todo = list(range(len(payloads)))
         try:
             while todo:
@@ -554,8 +513,6 @@ class SweepEngine:
                 if pool is None:
                     returned, blob = run_payload_batch(
                         batches[0], keys=key_batches[0],
-                        emit=(telemetry.on_worker_event
-                              if telemetry is not None else None),
                         worker_id="inline",
                         telemetry=telemetry is not None,
                     )
@@ -579,7 +536,6 @@ class SweepEngine:
         finally:
             if pool is not None and telemetry is not None:
                 pool.on_event = None
-                pool.on_idle = None
         summary["quarantined"] = sum(
             1 for result in results if "__sweep_error__" in result)
         self.last_recovery = summary if pool is not None else None
@@ -594,9 +550,7 @@ class SweepEngine:
         """
         self.last_batches += len(batches)
         if telemetry is not None:
-            telemetry.begin_dispatch(
-                pool.worker_pids(), batches=len(batches),
-                points=sum(len(batch) for batch in batches))
+            telemetry.begin_dispatch(batches=len(batches))
         try:
             result_batches, blobs, faults = pool.run_batches(
                 batches, key_batches, recovery=self.recovery,

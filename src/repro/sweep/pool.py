@@ -10,8 +10,8 @@ simulations.  :class:`WorkerPool` removes all four costs:
   spawned on first use.  They pre-import the simulation stack
   (:mod:`repro.explore.runner` and its kernel/CAM dependencies) before
   reporting ready, so after warmup a dispatch touches no import
-  machinery.  The pool survives across ``run()`` calls — multi-stage
-  strategies (screen + finals, fault campaigns, CLI resume loops)
+  machinery.  The pool survives across ``run()`` calls — multi-run
+  sessions (replication rounds, fault campaigns, CLI resume loops)
   reuse one pool instead of respawning.
 * **Batched shards.**  Work is dispatched as *batches* of plain-JSON
   point payloads; one IPC round-trip carries many points and returns a
@@ -114,11 +114,9 @@ def _worker_main(worker_id: int, conn, close_first=()) -> None:
     * ``"batch"`` — ``body`` is ``{"payloads", "keys", "telemetry"}``;
       simulate it via :func:`repro.explore.runner.run_payload_batch`,
       which returns a point's failure as an ``{"__sweep_error__":
-      {...}}`` marker in its result slot.  With ``telemetry`` set,
-      per-point progress events stream back as interleaved
-      ``("event", None, ts, info)`` messages while the batch runs.  The
-      reply is ``("done", task_id, started, (result_dicts,
-      blob_or_None))``.
+      {...}}`` marker in its result slot.  The reply is ``("done",
+      task_id, started, (result_dicts, blob_or_None))``; the blob
+      carries the batch's spans when ``telemetry`` is set.
     * ``"ping"`` — no-op; reply
       ``("pong", task_id, started, worker_id)`` where ``started`` is
       the worker-side :func:`time.time` at pickup (wall clock is the
@@ -146,18 +144,6 @@ def _worker_main(worker_id: int, conn, close_first=()) -> None:
 
     pid = os.getpid()
     conn.send(("ready", worker_id, pid, None))
-    points_done = 0
-
-    def emit(info):
-        nonlocal points_done
-        points_done += 1
-        info = dict(info)
-        # Worker-lifetime progress counter: the heartbeat
-        # figure the progress stream shows per worker.
-        info["points_done"] = points_done
-        info["ts"] = time.time()
-        conn.send(("event", None, info["ts"], info))
-
     while True:
         try:
             item = conn.recv()
@@ -171,15 +157,13 @@ def _worker_main(worker_id: int, conn, close_first=()) -> None:
             conn.send(("pong", task_id, started, worker_id))
             continue
         payloads = body["payloads"]
-        telemetry = body["telemetry"]
         conn.send(("started", task_id, started,
                    {"worker_id": worker_id, "pid": pid,
                     "points": len(payloads)}))
         try:
             reply = run_payload_batch(
                 payloads, keys=body["keys"],
-                emit=emit if telemetry else None,
-                worker_id=worker_id, telemetry=telemetry,
+                worker_id=worker_id, telemetry=body["telemetry"],
             )
         except BaseException:
             conn.send(("error", task_id, started,
@@ -225,22 +209,14 @@ class WorkerPool:
         #: telemetry keys worker identity on this because the OS can
         #: recycle a pid across generations
         self.generation = 0
-        #: workers respawned in place after mid-run deaths
-        self.respawn_count = 0
-        #: last measured submit-to-start latency per worker id (seconds)
-        self.ping_latencies: Dict[int, float] = {}
-        #: telemetry hook: called with every worker event dict that
-        #: arrives interleaved with results, and with the pool's own
-        #: batch and recovery events
+        #: telemetry hook: called with the pool's ``batch_done`` and
+        #: ``worker_respawned`` events
         self.on_event: Optional[Callable[[dict], None]] = None
-        #: telemetry hook: called on idle result-queue polls, so stall
-        #: detection runs even while every worker is silent
-        self.on_idle: Optional[Callable[[], None]] = None
         #: batches acknowledged-but-unfinished, task id → {"pid",
         #: "worker_id", "points", "started"} — who holds what, so a
         #: dead pid's lost work is attributable
         self._in_flight: Dict[int, dict] = {}
-        #: wall-clock of the last message seen from each worker pid
+        #: wall-clock of the last batch pickup ack from each worker pid
         self._worker_last_seen: Dict[int, float] = {}
 
     # -- lifecycle ----------------------------------------------------
@@ -552,14 +528,6 @@ class WorkerPool:
                     continue
                 meta["timed_out"] = True
                 summary["timeouts"] += 1
-                emit({
-                    "type": "point_timeout",
-                    "batch": task_id,
-                    "points": len(meta["payloads"]),
-                    "worker_id": ack.get("worker_id"),
-                    "pid": ack.get("pid"),
-                    "budget_s": allowance,
-                })
                 victim = self._procs[slot]
                 if victim is not None and victim.is_alive():
                     # the dead-worker sweep below reaps and requeues
@@ -591,17 +559,6 @@ class WorkerPool:
                 held = [(tid, tasks_meta[tid]) for tid in held_ids
                         if tid in tasks_meta]
                 summary["worker_crashes"] += 1
-                seen = self._worker_last_seen.get(pid)
-                emit({
-                    "type": "worker_crashed",
-                    "worker_id": _worker_index(proc),
-                    "pid": pid,
-                    "exitcode": proc.exitcode,
-                    "batches": [tid for tid, _ in held],
-                    "points": sum(len(m["payloads"]) for _, m in held),
-                    "last_seen_age_s": (None if seen is None
-                                        else max(0.0, now - seen)),
-                })
                 for task_id, meta in held:
                     tasks_meta.pop(task_id)
                     self._in_flight.pop(task_id, None)
@@ -614,7 +571,6 @@ class WorkerPool:
                     )
                 if respawns_used < recovery.max_respawns:
                     respawns_used += 1
-                    self.respawn_count += 1
                     summary["worker_respawns"] += 1
                     delay = recovery.delay_s(respawns_used)
                     if delay > 0:
@@ -697,10 +653,8 @@ class WorkerPool:
         The per-point dispatch overhead a warm pool still pays — what
         the bench records as ``sweep.dispatch_overhead_ms``.  Each
         live worker is pinged directly on its own pipe (one round,
-        no queue-fairness games); each pong's latency is recorded
-        under the replying worker's id in :attr:`ping_latencies`
-        (surfaced by :meth:`stats` and the run ledger), and the
-        fastest round-trip of the call is returned.
+        no queue-fairness games), and the fastest round-trip of the
+        call is returned.
         """
         self.ensure_started()
         best: Optional[float] = None
@@ -714,48 +668,28 @@ class WorkerPool:
             if self._send_to(slot, ("ping", task_id, None)):
                 pending[task_id] = stamp
         while pending:
-            kind, got_id, started, body = self._get_result()
+            kind, got_id, started, _ = self._get_result()
             if kind != "pong" or got_id not in pending:
                 continue
             latency = max(0.0, started - pending.pop(got_id))
             if best is None or latency < best:
                 best = latency
-            if isinstance(body, int):
-                self.ping_latencies[body] = latency
         return best if best is not None else 0.0
-
-    def stats(self) -> dict:
-        """JSON-able pool statistics for ledgers and bench records."""
-        return {
-            "workers": self.workers,
-            "started": self.started,
-            "generation": self.generation,
-            "spawned": self.spawn_count,
-            "respawned": self.respawn_count,
-            "batches_dispatched": self.batches_dispatched,
-            "points_dispatched": self.points_dispatched,
-            "ping_latency_s": {
-                str(wid): round(latency, 6)
-                for wid, latency in sorted(self.ping_latencies.items())
-            },
-        }
 
     # -- internals ----------------------------------------------------
 
     def _poll(self, timeout: float = POLL_INTERVAL_S):
         """One protocol message off the result queue, or ``None``.
 
-        Routes the transparent message kinds: interleaved ``"event"``
-        messages go to :attr:`on_event`; ``"started"`` pickup acks
-        update the in-flight registry (which the deadline clock reads)
-        and per-pid heartbeat clocks; ``"done"`` /
-        ``"error"`` / ``"pong"`` retire their in-flight entry before
-        being returned.  Idle polls invoke :attr:`on_idle` so
-        heartbeat/stall telemetry runs even while workers are silent.
+        Routes the one transparent message kind: ``"started"`` pickup
+        acks update the in-flight registry (which the deadline clock
+        reads) and per-pid heartbeat clocks; ``"done"`` / ``"error"``
+        / ``"pong"`` retire their in-flight entry before being
+        returned.
 
         ``None`` means every open channel was *observed quiet* —
-        transparent messages are consumed in a loop rather than
-        returned as None.  Crash attribution depends on this: a dead
+        pickup acks are consumed in a loop rather than returned as
+        None.  Crash attribution depends on this: a dead
         worker's channel stays readable until its buffered messages
         are drained and EOF retires it, so once a poll comes back
         quiet, everything the corpse ever sent has been folded into
@@ -766,8 +700,6 @@ class WorkerPool:
             open_conns = [c for c in self._conns if c is not None]
             if not open_conns or not mp_connection.wait(open_conns,
                                                         timeout):
-                if self.on_idle is not None:
-                    self.on_idle()
                 return None
             progressed = False
             for conn in list(self._conns):
@@ -797,14 +729,6 @@ class WorkerPool:
                         "started": started,
                     }
                     continue
-                if kind == "event":
-                    info = message[3]
-                    pid = info.get("pid")
-                    if pid is not None:
-                        self._worker_last_seen[pid] = time.time()
-                    if self.on_event is not None:
-                        self.on_event(info)
-                    continue
                 if kind in ("done", "error", "pong"):
                     self._in_flight.pop(message[1], None)
                     self._busy.pop(message[1], None)
@@ -812,8 +736,6 @@ class WorkerPool:
                 return message
             if not progressed and not any(
                     c is not None for c in self._conns):
-                if self.on_idle is not None:
-                    self.on_idle()
                 return None
 
     def describe_dead(self, dead) -> str:

@@ -16,8 +16,8 @@ the pieces that let the pool *recover* instead:
   implementation in the codebase.
 * :class:`ShutdownGuard` — SIGINT/SIGTERM-safe shutdown: converts
   termination signals into a catchable :class:`SweepInterrupted` so
-  ``finally`` blocks flush the store, run ledger, and trace before the
-  process exits.
+  ``finally`` blocks flush the store and trace before the process
+  exits.
 * :func:`failure_from_exception` / :func:`quarantine_record` — the
   canonical shape of a failure: error type, message, traceback digest
   and attempt count, compact enough to live in the
@@ -142,8 +142,8 @@ class ShutdownGuard:
     While active, termination signals raise :class:`SweepInterrupted`
     in the main thread instead of killing the process outright, so the
     sweep CLI's ``finally`` blocks run — the result store has already
-    fsynced every point, and the guard gives the run ledger, progress
-    stream, and stitched trace their chance to flush too.  Previous
+    fsynced every point, and the guard gives the stitched trace its
+    chance to flush too.  Previous
     handlers are restored on exit.  Outside the main thread (where
     Python forbids ``signal.signal``) the guard is a transparent no-op.
     """

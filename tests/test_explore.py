@@ -129,6 +129,8 @@ class TestDesignSpace:
             ArchitectureConfig(arbiter="roulette")
         with pytest.raises(ValueError):
             ArchitectureConfig(max_burst=0)
+        with pytest.raises(ValueError, match="clock_period"):
+            ArchitectureConfig(clock_period=ns(0))
 
     def test_label_override(self):
         cfg = ArchitectureConfig(label="baseline")

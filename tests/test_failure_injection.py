@@ -506,6 +506,47 @@ class TestMemoryFaults:
         assert sum(1 for w in flipped if w != 0) == 1
 
 
+class TestFaultsOffByDefault:
+    def test_no_fault_rule_evaluated_without_an_injector(
+            self, ctx, top, monkeypatch):
+        """Fault injection is opt-in and free when off: channels and
+        buses start without an injector, and a bus-plus-SHIP workload
+        then never evaluates a fault rule."""
+        chan = ShipChannel("chan", top)
+        bus = GenericBus("bus", top, clock_period=ns(10))
+        assert chan.fault_injector is None
+        assert bus.fault_injector is None
+
+        def bomb(self, *args, **kwargs):
+            raise AssertionError("fault rule evaluated")
+
+        monkeypatch.setattr(FaultRule, "matches", bomb)
+        mem = MemorySlave("mem", top, size=4096)
+        bus.attach_slave(mem, 0, 4096)
+        sock = bus.master_socket("m0")
+        tx = chan.claim_end("tx")
+        rx = chan.claim_end("rx")
+        written, received = [], []
+
+        def master():
+            for i in range(20):
+                resp = yield from sock.transport(
+                    OcpRequest(OcpCmd.WR, 0, data=[i], burst_length=1))
+                written.append(resp.ok)
+                yield from chan.send(tx, ShipInt(i))
+
+        def sink():
+            while True:
+                msg = yield from chan.recv(rx)
+                received.append(msg.value)
+
+        ctx.register_thread(master, "m")
+        ctx.register_thread(sink, "s")
+        ctx.run()
+        assert written == [True] * 20
+        assert received == list(range(20))
+
+
 class TestCampaignReproducibility:
     def test_same_seed_same_digest_and_metrics(self):
         first = run_campaign(seed=5)

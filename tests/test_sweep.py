@@ -2,7 +2,7 @@
 
 Covers the serialization satellites on the explore types, canonical
 point keying, the JSONL result store, engine determinism across pool
-sizes and cache states, the search strategies, the CLI, the kernel's
+sizes and cache states, grid search, the CLI, the kernel's
 per-process isolation guard, and byte-parity of the ported fault-rate
 sweep with its golden file.
 """
@@ -28,8 +28,6 @@ from repro.explore import (
 from repro.sweep import (
     CODE_VERSION,
     GridSearch,
-    RandomSearch,
-    SuccessiveHalving,
     SweepEngine,
     SweepPoint,
     SweepStore,
@@ -341,57 +339,6 @@ class TestStrategies:
         values = [o.result.throughput_mbps for o in outcomes]
         assert values == sorted(values, reverse=True)
 
-    def test_random_search_is_seeded_and_bounded(self):
-        space = DesignSpace(fabrics=("plb", "opb", "generic"),
-                            arbiters=("static-priority", "round-robin"))
-
-        def sample(seed):
-            search = RandomSearch(space, small_specs(), samples=2,
-                                  workload="w", max_sim_time=us(2_000),
-                                  seed=seed)
-            return [p.config.cache_key() for p in search.points]
-
-        assert len(sample(1)) == 2
-        assert sample(1) == sample(1)
-        assert sample(1) != sample(2)
-
-    def test_successive_halving_screens_then_reruns_in_full(self):
-        space = DesignSpace(
-            fabrics=("plb", "opb", "generic", "crossbar"),
-            arbiters=("static-priority",),
-        )
-        search = SuccessiveHalving(space, small_specs(transactions=16),
-                                   workload="w", max_sim_time=us(5_000),
-                                   eta=2, screen_fraction=0.25)
-        engine = SweepEngine(workers=1)
-        finals = search.run(engine)
-        # top half of 4 configs earns a full run
-        assert len(finals) == 2
-        assert len(search.last_screen) == 4
-        # the screen really ran the shortened workload
-        screened = search.last_screen[0].result
-        assert sum(m.completed for m in screened.masters) == 2 * 4
-        # finalists re-ran at full length
-        assert all(
-            sum(m.completed for m in o.result.masters) == 2 * 16
-            for o in finals
-        )
-        # finalists are the screen's best, by config
-        screen_best = {
-            o.point.config.cache_key() for o in search.last_screen[:2]
-        }
-        assert ({o.point.config.cache_key() for o in finals}
-                == screen_best)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="samples"):
-            RandomSearch(small_space(), small_specs(), samples=0)
-        with pytest.raises(ValueError, match="eta"):
-            SuccessiveHalving(small_space(), small_specs(), eta=1)
-        with pytest.raises(ValueError, match="screen_fraction"):
-            SuccessiveHalving(small_space(), small_specs(),
-                              screen_fraction=0.0)
-
 
 class TestCli:
     ARGS = [
@@ -423,6 +370,25 @@ class TestCli:
                                "--require-cached"])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--clock-ns", "10.5"), ("--clock-ns", "0"), ("--clock-ns", "-10"),
+        ("--bursts", "x"), ("--bursts", "2.5"), ("--bursts", "0"),
+        ("--top", "0"), ("--top", "-1"),
+        ("--max-sim-time-us", "0"), ("--max-sim-time-us", "-5"),
+        ("--transactions", "0"), ("--transactions", "-3"),
+    ])
+    def test_malformed_values_rejected(self, flag, value, capsys):
+        """Exit 2 with a usage error naming the flag and the value —
+        no traceback, and no report over a cut or empty ranking."""
+        from repro.sweep.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + [flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert repr(value) in err
 
 
 def _noop():

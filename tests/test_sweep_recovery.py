@@ -6,13 +6,14 @@ canonical failure-record shapes, the kind-tagged quarantine records in
 the store, quarantine semantics end to end for all three hazard modes
 (raise / worker exit / hang past deadline) including deterministic
 warm-resume skips, the chaos determinism gate (results bit-identical
-with workers SIGKILLed mid-run), SIGINT-safe shutdown, dead-worker
-diagnostics, and the crash-consistent run-ledger manifests.  Faults
-are injected by the ``hazard`` fixture (``tests/conftest.py``).
+with workers SIGKILLed mid-run) and the respawn span a kill leaves in
+the sweep trace, SIGINT-safe shutdown, and dead-worker diagnostics.
+Faults are injected by the ``hazard`` fixture (``tests/conftest.py``).
 """
 
 import json
 import os
+import re
 import signal
 import time
 
@@ -285,19 +286,22 @@ class TestChaosDeterminism:
         assert engine.last_recovery["worker_respawns"] == kills
         assert det_rows(outcomes) == calm_rows
 
-    def test_ledger_records_recovery_counts(self, tmp_path, hazard):
-        from repro.obs.telemetry import RunLedger, SweepTelemetry
+    def test_ledger_records_recovery_counts(self, hazard):
+        """One kill: one respawn counted, one respawn span traced."""
+        from repro.obs.telemetry import SweepTelemetry
 
         hazard.arm(None, "kill", kills=1)
-        telemetry = SweepTelemetry(ledger=tmp_path / "ledger")
+        telemetry = SweepTelemetry()
         with SweepEngine(workers=2, telemetry=telemetry) as engine:
             engine.run(four_points())
-        telemetry.close()
-        runs = RunLedger(tmp_path / "ledger").records(kind="run")
-        assert len(runs) == 1
-        assert runs[0]["recovery"]["worker_crashes"] == 1
-        assert runs[0]["recovery"]["worker_respawns"] == 1
-        assert runs[0]["quarantined"] == 0
+        assert engine.last_recovery["worker_crashes"] == 1
+        assert engine.last_recovery["worker_respawns"] == 1
+        assert engine.last_quarantined == 0
+        respawns = [span for span in telemetry.spans.spans
+                    if span["track"] == "recovery"]
+        assert len(respawns) == 1
+        assert re.fullmatch(r"respawn w\d+", respawns[0]["name"])
+        assert respawns[0]["t1"] >= respawns[0]["t0"]
 
 
 class TestEngineSessionState:
@@ -358,65 +362,6 @@ class TestDeadWorkerDiagnostics:
         pool = WorkerPool(workers=2)
         text = pool.describe_dead([self.FakeProc()])
         assert "no batch in flight" in text
-
-
-class TestCrashConsistentManifests:
-    """Satellite: run-ledger manifests are written atomically, and a
-    torn ledger tail never breaks ``--runs`` rendering."""
-
-    def _run_record(self, run_id):
-        return {"kind": "run", "run_id": run_id, "points": 4,
-                "cached": 0, "computed": 4, "workers": 2,
-                "timing": {"wall_s": 0.5}, "digest": "d" * 8}
-
-    def test_append_leaves_no_tmp_and_valid_manifest(self, tmp_path):
-        from repro.obs.telemetry import RunLedger
-
-        ledger = RunLedger(tmp_path)
-        ledger.append(self._run_record("run-0001-deadbeef"))
-        assert not list(tmp_path.glob("*.tmp"))
-        manifest = tmp_path / "run-0001-deadbeef.json"
-        assert json.loads(manifest.read_text())["kind"] == "run"
-
-    def test_stale_tmp_from_crash_is_replaced(self, tmp_path):
-        from repro.obs.telemetry import RunLedger
-
-        # a previous writer died mid-manifest-write
-        torn = tmp_path / "run-0001-deadbeef.json.tmp"
-        torn.write_text('{"kind": "ru')
-        ledger = RunLedger(tmp_path)
-        ledger.append(self._run_record("run-0001-deadbeef"))
-        assert not torn.exists()
-        manifest = tmp_path / "run-0001-deadbeef.json"
-        assert json.loads(manifest.read_text())["run_id"] == \
-            "run-0001-deadbeef"
-
-    def test_torn_ledger_tail_still_renders(self, tmp_path, capsys):
-        from repro.obs.report import main as report_main
-        from repro.obs.telemetry import RunLedger
-
-        ledger = RunLedger(tmp_path)
-        record = self._run_record("run-0001-deadbeef")
-        record["recovery"] = {"worker_respawns": 2}
-        record["quarantined"] = 1
-        ledger.append(record)
-        # a writer SIGKILLed mid-append leaves a torn tail line
-        with open(tmp_path / "ledger.jsonl", "a") as fh:
-            fh.write('{"kind": "run", "run_id": "run-0002')
-        assert RunLedger(tmp_path).records(kind="run") == [record]
-        assert report_main(["--runs", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "run-0001-deadbeef" in out
-        # recovery columns render, and old records without them get "-"
-        assert "rsp" in out and "quar" in out
-
-    def test_old_records_render_dash_recovery_columns(self, tmp_path,
-                                                      capsys):
-        from repro.obs.report import format_run_history
-
-        table = format_run_history([self._run_record("run-0001-aa")])
-        row = table.splitlines()[2]
-        assert "-" in row  # pre-self-healing record: no counts
 
 
 class TestCliRecoveryFlags:

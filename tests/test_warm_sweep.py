@@ -249,20 +249,20 @@ class TestRestoreFailures:
 
 class TestWarmTelemetry:
     def test_run_record_counts_restores(self, tmp_path):
-        """The run ledger records restores and saved checkpoints."""
-        from repro.obs.telemetry import RunLedger, SweepTelemetry
+        """Every point is resumed from a saved checkpoint, and the
+        workers trace one ``restore`` span per point."""
+        from repro.obs.telemetry import SweepTelemetry
 
-        ledger_dir = tmp_path / "ledger"
-        telemetry = SweepTelemetry(str(ledger_dir))
-        try:
-            with SweepEngine(workers=2,
-                             checkpoint_dir=str(tmp_path / "ckpt"),
-                             warm_start=True,
-                             telemetry=telemetry) as engine:
-                outcomes = engine.run(warm_points())
-        finally:
-            telemetry.close()
-        runs = RunLedger(str(ledger_dir)).records(kind="run")
-        assert len(runs) == 1
-        assert runs[0]["restores"] == len(outcomes)
-        assert runs[0]["checkpoints_saved"] == len(outcomes)
+        telemetry = SweepTelemetry()
+        points = warm_points()
+        with SweepEngine(workers=2,
+                         checkpoint_dir=str(tmp_path / "ckpt"),
+                         warm_start=True,
+                         telemetry=telemetry) as engine:
+            engine.run(points)
+        assert engine.last_warm_points == len(points)
+        assert engine.last_checkpoints_saved == len(points)
+        restores = [span["args"]["key"]
+                    for blob in telemetry.worker_blobs
+                    for span in blob["spans"] if span["name"] == "restore"]
+        assert sorted(restores) == sorted(p.key() for p in points)
