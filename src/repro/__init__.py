@@ -7,7 +7,8 @@ design-flow stack —
 * :mod:`repro.kernel` — SystemC-like discrete-event simulation kernel;
 * :mod:`repro.ship` — the SHIP protocol (send/recv/request/reply,
   serialization, master/slave detection);
-* :mod:`repro.ocp` — OCP transaction, TL1, and pin-level interfaces;
+* :mod:`repro.ocp` — OCP transaction, blocking-transport, and pin-level
+  interfaces;
 * :mod:`repro.models` — abstraction levels, mailbox, SHIP-over-bus
   wrappers;
 * :mod:`repro.cam` — CCATB communication architecture models

@@ -2,13 +2,13 @@
 
 A CAM is a CCATB simulation model of a bus or network: cycle-accurate at
 transaction boundaries, arithmetic inside.  The library covers the
-paper's CoreConnect case (PLB, OPB, PLB-OPB bridge), a generic shared
-bus, a crossbar, memory slaves, and pluggable arbitration policies —
+paper's CoreConnect case (PLB, OPB), AMBA AHB, a generic shared bus,
+a crossbar, memory slaves, and pluggable arbitration policies —
 enough to run the communication-architecture exploration of experiment
 E3 and the accuracy check of E2.
 """
 
-from repro.cam.amba import AHB_MAX_BURST, AhbBus, ApbBridge
+from repro.cam.amba import AHB_MAX_BURST, AhbBus
 from repro.cam.arbiters import (
     Arbiter,
     RoundRobinArbiter,
@@ -16,7 +16,6 @@ from repro.cam.arbiters import (
     TdmaArbiter,
     make_arbiter,
 )
-from repro.cam.dcr import DcrBus
 from repro.cam.bus import (
     BusCam,
     BusStats,
@@ -30,18 +29,15 @@ from repro.cam.coreconnect import (
     PLB_MAX_BURST,
     OpbBus,
     PlbBus,
-    PlbOpbBridge,
 )
 from repro.cam.crossbar import CrossbarCam
-from repro.cam.memory import MemorySlave, Rom
+from repro.cam.memory import MemorySlave
 
 __all__ = [
     "AHB_MAX_BURST",
     "AhbBus",
-    "ApbBridge",
     "Arbiter",
     "BusCam",
-    "DcrBus",
     "BusStats",
     "BusTiming",
     "CrossbarCam",
@@ -52,8 +48,6 @@ __all__ = [
     "PLB_DEFAULT_PERIOD",
     "PLB_MAX_BURST",
     "PlbBus",
-    "PlbOpbBridge",
-    "Rom",
     "RoundRobinArbiter",
     "SlaveBinding",
     "StaticPriorityArbiter",

@@ -1,27 +1,19 @@
-"""AMBA bus CAMs: the comparison fabrics outside CoreConnect.
+"""AMBA bus CAM: the comparison fabric outside CoreConnect.
 
 The paper's CAM concept is architecture-neutral — "given a library of
 CAMs (e.g. of the CoreConnect architecture)" — so the library also
 ships the other bus family an exploration would realistically compare
-against:
-
-* :class:`AhbBus` — AMBA 2.0 AHB: pipelined address/data phases like
-  PLB, but a *single* shared data path (no separate read/write buses),
-  which is exactly the structural difference exploration should expose
-  on mixed read/write traffic.
-* :class:`ApbBridge` — AHB-to-APB bridge for low-speed peripherals:
-  a transported slave that charges APB's fixed setup+access cycles per
-  transfer and serializes all peripheral traffic.
+against: :class:`AhbBus`, AMBA 2.0 AHB.  It has pipelined address/data
+phases like PLB, but a *single* shared data path (no separate
+read/write buses), which is exactly the structural difference
+exploration should expose on mixed read/write traffic.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
-from repro.kernel.errors import SimulationError
-from repro.kernel.module import Module
 from repro.kernel.simtime import SimTime, ns
-from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, RoundRobinArbiter
 from repro.cam.bus import BusCam, BusTiming
 from repro.trace.transaction import TransactionRecorder
@@ -60,37 +52,3 @@ class AhbBus(BusCam):
             max_burst=AHB_MAX_BURST,
             metrics=metrics,
         )
-
-
-class ApbBridge(Module):
-    """AHB/APB bridge: fixed-cost, serialized peripheral access.
-
-    APB transfers cost one setup plus one access cycle per *word* at the
-    (typically slower) APB clock; there are no bursts on APB, so an
-    n-beat AHB request becomes n sequential APB transfers while the
-    bridge holds the AHB data path — faithfully punishing burst access
-    to slow peripherals.
-    """
-
-    def __init__(self, name, parent=None, ctx=None,
-                 apb_clock_period: SimTime = None,
-                 target=None):
-        super().__init__(name, parent, ctx)
-        if target is None or not hasattr(target, "access"):
-            raise SimulationError(
-                f"APB bridge {name!r} needs a functional slave target"
-            )
-        self.apb_clock_period = apb_clock_period or ns(20)
-        self.target = target
-        self.transfers = 0
-
-    def transport(self, request: OcpRequest) -> Generator:
-        # setup + access per word, no bursting on APB
-        """Carry one AHB burst as serialized APB transfers."""
-        per_word = self.apb_clock_period * 2
-        yield per_word * request.burst_length
-        self.transfers += request.burst_length
-        try:
-            return self.target.access(request)
-        except Exception:
-            return OcpResponse.error()

@@ -1,16 +1,13 @@
 """IBM CoreConnect communication architecture models.
 
 The paper's case study targets CoreConnect, so the CAM library ships its
-two bus tiers and the bridge between them:
+two bus tiers:
 
 * :class:`PlbBus` — the Processor Local Bus: address-pipelined, separate
   read and write data paths, static-priority arbitration, bursts.  The
   high-performance tier where processors, DMA engines and memory live.
 * :class:`OpbBus` — the On-chip Peripheral Bus: simpler, non-pipelined,
   single data path.  The peripheral tier.
-* :class:`PlbOpbBridge` — a PLB slave forwarding into an OPB master
-  socket; writes are *posted* (buffered, PLB sees only the buffer
-  latency), reads are synchronous (PLB waits for the OPB round trip).
 
 Cycle parameters follow the public CoreConnect PLB/OPB specifications at
 the granularity CCATB needs: one arbitration cycle, one address cycle,
@@ -19,14 +16,9 @@ one data beat per cycle, plus slave wait states.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Generator, Optional
+from typing import Optional
 
-from repro.kernel.errors import SimulationError
-from repro.kernel.event import Event
-from repro.kernel.module import Module
 from repro.kernel.simtime import SimTime, ns
-from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
 from repro.cam.bus import BusCam, BusTiming
 from repro.trace.transaction import TransactionRecorder
@@ -111,85 +103,3 @@ class OpbBus(BusCam):
             recorder=recorder,
             metrics=metrics,
         )
-
-
-class PlbOpbBridge(Module):
-    """PLB-to-OPB bridge: a transported PLB slave, an OPB master.
-
-    Attach the bridge to the PLB with ``plb.attach_slave(bridge, base,
-    size)`` covering the OPB address window; attach OPB slaves to the
-    OPB bus as usual.  Writes are posted through a ``buffer_depth``-deep
-    queue; reads stall the PLB-side transaction for the OPB round trip,
-    like the real bridge's non-split behaviour.
-    """
-
-    def __init__(
-        self,
-        name,
-        parent=None,
-        ctx=None,
-        plb: PlbBus = None,
-        opb: OpbBus = None,
-        buffer_depth: int = 4,
-        priority: int = 0,
-    ):
-        super().__init__(name, parent, ctx)
-        if plb is None or opb is None:
-            raise SimulationError(
-                f"bridge {name!r} needs both a PLB and an OPB instance"
-            )
-        if buffer_depth < 1:
-            raise SimulationError(
-                f"bridge {name!r}: buffer_depth must be >= 1"
-            )
-        self.plb = plb
-        self.opb = opb
-        self.buffer_depth = buffer_depth
-        self._opb_socket = opb.master_socket(
-            f"{name}_opb_master", priority=priority
-        )
-        self._write_buffer: deque = deque()
-        self._buffered = Event(self, f"{self.full_name}.buffered")
-        self._drained = Event(self, f"{self.full_name}.drained")
-        self.reads_forwarded = 0
-        self.writes_forwarded = 0
-        self.add_thread(self._drain, "drain")
-
-    # -- PLB-slave side (transported binding) ------------------------------------
-
-    def transport(self, request: OcpRequest) -> Generator:
-        """PLB-slave side: post writes, forward reads synchronously."""
-        period = self.plb.clock_period
-        if request.cmd.is_write:
-            # Accept write beats at PLB speed into the posting buffer.
-            yield period * request.burst_length
-            while len(self._write_buffer) >= self.buffer_depth:
-                yield self._drained
-            self._write_buffer.append(request)
-            self._buffered.notify()
-            return OcpResponse.write_ok()
-        # Reads are synchronous across the bridge: order them behind any
-        # posted writes so a master reading back its own write sees it.
-        while self._write_buffer:
-            yield self._drained
-        response = yield from self._opb_socket.transport(request)
-        self.reads_forwarded += 1
-        # Drain the read data onto the PLB side.
-        yield period * request.burst_length
-        return response
-
-    # -- OPB-master side ------------------------------------------------------------
-
-    def _drain(self) -> Generator:
-        while True:
-            while not self._write_buffer:
-                yield self._buffered
-            request = self._write_buffer.popleft()
-            yield from self._opb_socket.transport(request)
-            self.writes_forwarded += 1
-            self._drained.notify()
-
-    @property
-    def buffered_writes(self) -> int:
-        """Writes posted and not yet drained to the OPB."""
-        return len(self._write_buffer)

@@ -36,8 +36,6 @@ class MemorySlave(SimObject, OcpTargetIf):
         CCATB buses through :meth:`wait_states`).
     cycle:
         Cycle duration used by ``transport``; unused for ``access``.
-    readonly:
-        ROM behaviour — writes return ERR and leave the contents alone.
     """
 
     def __init__(
@@ -50,7 +48,6 @@ class MemorySlave(SimObject, OcpTargetIf):
         read_wait: int = 1,
         write_wait: int = 1,
         cycle: Optional[SimTime] = None,
-        readonly: bool = False,
     ):
         super().__init__(name, parent, ctx)
         if size <= 0:
@@ -64,7 +61,6 @@ class MemorySlave(SimObject, OcpTargetIf):
         self.read_wait = read_wait
         self.write_wait = write_wait
         self.cycle = cycle
-        self.readonly = readonly
         self._words: Dict[int, int] = {}
         self.reads = 0
         self.writes = 0
@@ -96,8 +92,6 @@ class MemorySlave(SimObject, OcpTargetIf):
         if not (0 <= request.addr and last + self.word_bytes <= self.size):
             return OcpResponse.error()
         if request.cmd.is_write:
-            if self.readonly:
-                return OcpResponse.error()
             for beat in range(request.burst_length):
                 index = self._word_index(request.beat_address(beat))
                 value = request.data[beat] & self._word_mask
@@ -147,11 +141,3 @@ class MemorySlave(SimObject, OcpTargetIf):
         if self.cycle is not None and waits:
             yield self.cycle * waits
         return self.access(request)
-
-
-class Rom(MemorySlave):
-    """Read-only memory; construct, then ``load_words`` the image."""
-
-    def __init__(self, name, parent=None, ctx=None, **kwargs):
-        kwargs.setdefault("write_wait", 0)
-        super().__init__(name, parent, ctx, readonly=True, **kwargs)

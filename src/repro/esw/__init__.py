@@ -20,7 +20,6 @@ from repro.esw.synthesis import (
     SubstitutionCounts,
     SwChannelPort,
     generate_esw,
-    run_on_rtos,
     synthesize_pe,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "SwChannelPort",
     "generate_esw",
     "pe_violations",
-    "run_on_rtos",
     "synthesize_pe",
     "validate_partition",
 ]

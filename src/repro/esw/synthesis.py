@@ -154,20 +154,6 @@ def _interpret(os: Rtos, body: Generator,
             return
 
 
-def run_on_rtos(os: Rtos, body: Generator) -> Generator:
-    """Run any kernel-blocking generator from RTOS task context.
-
-    Every suspension inside ``body`` (events, durations, ``ExecuteFor``)
-    is substituted with the RTOS equivalent — the same interpreter eSW
-    synthesis uses, exposed so hand-written tasks can call channel code
-    directly: ``yield from run_on_rtos(os, chan.recv(end))``.
-
-    Note: generator return values are not forwarded by ``_interpret``;
-    use :class:`SwChannelPort` for value-returning channel calls.
-    """
-    yield from _interpret(os, body)
-
-
 class SwChannelPort:
     """SHIP calls on a kernel :class:`~repro.ship.channel.ShipChannel`
     from RTOS task context — the communication library for SW tasks

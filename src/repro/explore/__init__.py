@@ -10,7 +10,6 @@ from repro.explore.runner import (
     FaultSpec,
     FaultSummary,
     MasterMetrics,
-    PointResult,
     WARM_START_KEY,
     build_fabric,
     decode_payload,
@@ -19,7 +18,6 @@ from repro.explore.runner import (
     materialize_boot_checkpoint,
     pareto_front,
     point_regions,
-    results_to_csv,
     run_payload_batch,
     run_point,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "FaultSpec",
     "FaultSummary",
     "MasterMetrics",
-    "PointResult",
     "MasterTrafficSpec",
     "PATTERNS",
     "SUBSTREAMS",
@@ -62,7 +59,6 @@ __all__ = [
     "materialize_boot_checkpoint",
     "pareto_front",
     "point_regions",
-    "results_to_csv",
     "run_payload_batch",
     "run_point",
     "standard_workloads",

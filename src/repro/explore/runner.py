@@ -563,11 +563,6 @@ def run_point(
     )
 
 
-#: Historical name for one design point's result; kept as an alias so
-#: report tooling can speak in the paper's "point" vocabulary.
-PointResult = ExplorationResult
-
-
 def decode_payload(payload: dict) -> dict:
     """Turn a plain-JSON point payload into :func:`run_point` kwargs.
 
@@ -807,22 +802,6 @@ def pareto_front(
         if not dominated:
             front.append(candidate)
     return front
-
-
-def results_to_csv(results: Sequence[ExplorationResult],
-                   path: str) -> None:
-    """Dump exploration results (one row per design point) to CSV."""
-    import csv
-
-    rows = [r.as_row() for r in results]
-    if not rows:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("")
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def fixed_width_table(rows: Sequence[dict]) -> str:

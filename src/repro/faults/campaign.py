@@ -289,6 +289,9 @@ def run_sweep(seed: int = 1, engine=None) -> List[str]:
 def main(argv=None) -> int:
     """CLI: print, write, or check the campaign summary."""
     import argparse
+    import os
+
+    from repro.sweep.cli import _workers_arg
 
     parser = argparse.ArgumentParser(
         description="run the deterministic fault campaign"
@@ -300,7 +303,7 @@ def main(argv=None) -> int:
              "multi-layer campaign",
     )
     parser.add_argument(
-        "--workers", default=None,
+        "--workers", type=_workers_arg, default=None,
         help="with --sweep: worker processes for the sweep engine "
              "(a count or 'auto'; default: in-process). All sweep "
              "phases share one engine and thus one warm pool.",
@@ -314,6 +317,8 @@ def main(argv=None) -> int:
         help="compare the summary against PATH; exit 1 on mismatch",
     )
     args = parser.parse_args(argv)
+    if args.check and not os.path.isfile(args.check):
+        parser.error(f"--check: no such file: {args.check}")
     if args.sweep:
         from repro.sweep.engine import SweepEngine
 

@@ -9,24 +9,23 @@ and synchronization primitives.
 
 Quick start::
 
-    from repro.kernel import SimContext, Module, Fifo, FifoIn, FifoOut, ns
+    from repro.kernel import SimContext, Module, Fifo, ns
 
     class Producer(Module):
-        def __init__(self, name, parent=None, ctx=None):
+        def __init__(self, name, parent=None, ctx=None, fifo=None):
             super().__init__(name, parent, ctx)
-            self.out = FifoOut("out", self)
+            self.fifo = fifo
             self.add_thread(self.run)
 
         def run(self):
             for i in range(4):
                 yield ns(10)
-                yield from self.out.write(i)
+                yield from self.fifo.write(i)
 
     ctx = SimContext()
     top = Module("top", ctx=ctx)
-    fifo = Fifo("fifo", top, capacity=2)
-    prod = Producer("prod", top)
-    prod.out.bind(fifo)
+    fifo = Fifo("fifo", top, capacity=4)
+    prod = Producer("prod", top, fifo=fifo)
     ctx.run()
 """
 
@@ -42,10 +41,10 @@ from repro.kernel.errors import (
     TimeError,
     WatchdogError,
 )
-from repro.kernel.event import Event, all_of, any_of
+from repro.kernel.event import Event
 from repro.kernel.event_queue import EventQueue
-from repro.kernel.fifo import Fifo, FifoIn, FifoOut
-from repro.kernel.module import Module, method_process, thread_process
+from repro.kernel.fifo import Fifo
+from repro.kernel.module import Module
 from repro.kernel.object import SimObject
 from repro.kernel.port import Export, Port
 from repro.kernel.process import (
@@ -56,7 +55,7 @@ from repro.kernel.process import (
     wait,
 )
 from repro.kernel.report import Report, ReportedError, Reporter, Severity
-from repro.kernel.signal import Signal, SignalIn, SignalOut, signal_bus
+from repro.kernel.signal import Signal
 from repro.kernel.simtime import (
     ZERO_TIME,
     SimTime,
@@ -67,12 +66,7 @@ from repro.kernel.simtime import (
     sec,
     us,
 )
-from repro.kernel.sync import (
-    Mutex,
-    Semaphore,
-    wait_with_timeout,
-    with_timeout,
-)
+from repro.kernel.sync import Mutex, wait_with_timeout, with_timeout
 from repro.kernel.watchdog import SimWatchdog
 
 __all__ = [
@@ -83,8 +77,6 @@ __all__ = [
     "EventQueue",
     "Export",
     "Fifo",
-    "FifoIn",
-    "FifoOut",
     "KernelError",
     "MethodProcess",
     "Module",
@@ -96,10 +88,7 @@ __all__ = [
     "Report",
     "ReportedError",
     "Reporter",
-    "Semaphore",
     "Severity",
-    "SignalIn",
-    "SignalOut",
     "Signal",
     "SimContext",
     "SimObject",
@@ -112,16 +101,11 @@ __all__ = [
     "WatchdogError",
     "ZERO_TIME",
     "active_context",
-    "all_of",
-    "any_of",
     "fs",
-    "method_process",
     "ms",
     "ns",
     "ps",
     "sec",
-    "signal_bus",
-    "thread_process",
     "us",
     "wait",
     "wait_with_timeout",

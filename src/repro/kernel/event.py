@@ -262,13 +262,3 @@ class EventAndList:
 
     def __and__(self, other: Event) -> "EventAndList":
         return EventAndList(*self.events, other)
-
-
-def any_of(*events: Event) -> EventOrList:
-    """Wait condition satisfied when any of ``events`` triggers."""
-    return EventOrList(*events)
-
-
-def all_of(*events: Event) -> EventAndList:
-    """Wait condition satisfied when all of ``events`` have triggered."""
-    return EventAndList(*events)

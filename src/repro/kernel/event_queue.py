@@ -49,14 +49,6 @@ class EventQueue(SimObject):
         )
         self._arm()
 
-    def cancel_all(self) -> None:
-        """Drop every queued notification."""
-        self._pending.clear()
-        self._relay.cancel()
-        if self._pump_waiting:
-            self._relay._remove_dynamic(self._pump)
-            self._pump_waiting = False
-
     @property
     def pending_count(self) -> int:
         """Notifications queued and not yet delivered."""

@@ -15,7 +15,6 @@ from typing import Generator, Generic, Optional, Tuple, TypeVar
 from repro.kernel.errors import SimTimeoutError, SimulationError
 from repro.kernel.event import Event
 from repro.kernel.object import SimObject
-from repro.kernel.port import Port
 from repro.kernel.simtime import SimTime
 from repro.kernel.sync import wait_with_timeout
 
@@ -78,12 +77,6 @@ class Fifo(SimObject, Generic[T]):
         self.total_read += 1
         self._request_update()
         return True, item
-
-    def peek(self) -> Tuple[bool, Optional[T]]:
-        """Look at the next readable item without consuming it."""
-        if not self._items:
-            return False, None
-        return True, self._items[0]
 
     # -- blocking interface -------------------------------------------------------
 
@@ -150,10 +143,6 @@ class Fifo(SimObject, Generic[T]):
             raise SimTimeoutError(
                 f"fifo {self.full_name}: read timed out after {timeout}"
             )
-
-    #: ``put``/``get`` aliases for callers using queue vocabulary.
-    put = write
-    get = read
 
     # -- update phase -------------------------------------------------------------
 
@@ -225,51 +214,3 @@ class Fifo(SimObject, Generic[T]):
         return (
             f"Fifo({self.full_name!r}, {len(self._items)}/{self.capacity})"
         )
-
-
-class FifoIn(Port):
-    """Consumer-side FIFO port."""
-
-    def __init__(self, name, parent=None, ctx=None, required: bool = True):
-        super().__init__(name, parent, ctx, iface_type=Fifo, required=required)
-
-    def read(self, timeout: Optional[SimTime] = None) -> Generator:
-        """Blocking read through the port (optionally with a timeout)."""
-        return (yield from self.channel.read(timeout=timeout))
-
-    def nb_read(self):
-        """Non-blocking read; returns ``(ok, item)``."""
-        return self.channel.nb_read()
-
-    def num_available(self) -> int:
-        """Items readable right now."""
-        return self.channel.num_available()
-
-    @property
-    def data_written_event(self) -> Event:
-        """The channel's data-written event."""
-        return self.channel.data_written_event
-
-
-class FifoOut(Port):
-    """Producer-side FIFO port."""
-
-    def __init__(self, name, parent=None, ctx=None, required: bool = True):
-        super().__init__(name, parent, ctx, iface_type=Fifo, required=required)
-
-    def write(self, item, timeout: Optional[SimTime] = None) -> Generator:
-        """Blocking write through the port (optionally with a timeout)."""
-        yield from self.channel.write(item, timeout=timeout)
-
-    def nb_write(self, item) -> bool:
-        """Non-blocking write; False when full."""
-        return self.channel.nb_write(item)
-
-    def num_free(self) -> int:
-        """Slots writable right now."""
-        return self.channel.num_free()
-
-    @property
-    def data_read_event(self) -> Event:
-        """The channel's data-read event."""
-        return self.channel.data_read_event

@@ -1,81 +1,32 @@
 """Modules: the structural building block of a model.
 
 A :class:`Module` groups ports, channels, child modules and processes,
-mirroring ``sc_module``.  Processes are declared in two equivalent ways:
+mirroring ``sc_module``.  Processes are registered in ``__init__``::
 
-1. Explicitly in ``__init__``::
+    class Producer(Module):
+        def __init__(self, name, parent=None, ctx=None, fifo=None):
+            super().__init__(name, parent, ctx)
+            self.fifo = fifo
+            self.add_thread(self.run)
 
-       class Producer(Module):
-           def __init__(self, name, parent=None, ctx=None):
-               super().__init__(name, parent, ctx)
-               self.out = FifoOut("out", self)
-               self.add_thread(self.run)
-
-           def run(self):
-               for i in range(10):
-                   yield from self.out.write(i)
-
-2. With decorators and (string-named) sensitivity, resolved after port
-   binding::
-
-       class Adder(Module):
-           a = ...  # ports created in __init__
-           @method_process(sensitive=("a", "b"))
-           def compute(self):
-               self.y.write(self.a.read() + self.b.read())
+        def run(self):
+            for i in range(10):
+                yield from self.fifo.write(i)
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, Optional
+from typing import Callable, Generator, Optional
 
 from repro.kernel.event import Event
 from repro.kernel.object import SimObject
-from repro.kernel.process import LazySensitivity, MethodProcess, ThreadProcess
-
-
-def thread_process(
-    fn: Optional[Callable] = None,
-    *,
-    sensitive: Iterable[str] = (),
-    dont_initialize: bool = False,
-):
-    """Decorator marking a generator method as a thread process.
-
-    ``sensitive`` names instance attributes (ports, events, signals) that
-    form the static sensitivity list; they are resolved at elaboration.
-    """
-
-    def mark(func):
-        func._process_decl = ("thread", tuple(sensitive), dont_initialize)
-        return func
-
-    return mark(fn) if fn is not None else mark
-
-
-def method_process(
-    fn: Optional[Callable] = None,
-    *,
-    sensitive: Iterable[str] = (),
-    dont_initialize: bool = False,
-):
-    """Decorator marking a callable method as a method process."""
-
-    def mark(func):
-        func._process_decl = ("method", tuple(sensitive), dont_initialize)
-        return func
-
-    return mark(fn) if fn is not None else mark
+from repro.kernel.process import MethodProcess, ThreadProcess
 
 
 class Module(SimObject):
     """A hierarchical module with processes."""
 
-    def __init__(self, name, parent=None, ctx=None):
-        super().__init__(name, parent, ctx)
-        self._register_decorated_processes()
-
-    # -- explicit process registration ------------------------------------
+    # -- process registration ------------------------------------------------
 
     def add_thread(
         self,
@@ -102,40 +53,6 @@ class Module(SimObject):
         return self.ctx.register_method(
             fn, pname, sensitive=sensitive, dont_initialize=dont_initialize
         )
-
-    # -- decorator-based registration ---------------------------------------
-
-    def _register_decorated_processes(self) -> None:
-        for attr_name in dir(type(self)):
-            class_attr = getattr(type(self), attr_name, None)
-            decl = getattr(class_attr, "_process_decl", None)
-            if decl is None:
-                continue
-            kind, sensitive_names, dont_init = decl
-            bound = getattr(self, attr_name)
-            sensitivity = ()
-            if sensitive_names:
-                sensitivity = (
-                    LazySensitivity(
-                        lambda names=sensitive_names: [
-                            getattr(self, n) for n in names
-                        ]
-                    ),
-                )
-            if kind == "thread":
-                self.add_thread(
-                    bound,
-                    name=attr_name,
-                    sensitive=sensitivity,
-                    dont_initialize=dont_init,
-                )
-            else:
-                self.add_method(
-                    bound,
-                    name=attr_name,
-                    sensitive=sensitivity,
-                    dont_initialize=dont_init,
-                )
 
     # -- convenience --------------------------------------------------------
 

@@ -420,34 +420,16 @@ class MethodProcess(Process):
         self._apply_wait(cond)
 
 
-class LazySensitivity:
-    """A sensitivity source resolved at elaboration time.
-
-    Wraps a zero-argument callable returning an iterable of sensitivity
-    sources (events, signals, bound ports).  Used by the module process
-    decorators, whose string attribute names cannot be resolved until the
-    module instance is fully constructed and its ports are bound.
-    """
-
-    __slots__ = ("resolver",)
-
-    def __init__(self, resolver: Callable[[], Iterable]):
-        self.resolver = resolver
-
-
 def sensitivity_events(sources: Iterable) -> list:
     """Expand a sensitivity specification into a list of events.
 
-    Each source may be an :class:`Event`, a :class:`LazySensitivity`, or
-    any object exposing a ``default_event()`` method (signals, ports bound
-    to signals, ...).
+    Each source may be an :class:`Event` or any object exposing a
+    ``default_event()`` method (signals, ports bound to signals, ...).
     """
     events = []
     for src in sources:
         if isinstance(src, Event):
             events.append(src)
-        elif isinstance(src, LazySensitivity):
-            events.extend(sensitivity_events(src.resolver()))
         elif hasattr(src, "default_event"):
             events.append(src.default_event())
         else:

@@ -5,8 +5,6 @@ modeling: writes store a *next value* and take effect in the update phase,
 so every process in a delta cycle observes the same stable current value.
 This is what makes pin-accurate models (the OCP pin interface, the RTL
 accessors) race-free.
-
-:class:`SignalIn` / :class:`SignalOut` are the matching typed ports.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from typing import Generic, TypeVar
 from repro.kernel.errors import SimulationError
 from repro.kernel.event import Event
 from repro.kernel.object import SimObject
-from repro.kernel.port import Port
 
 T = TypeVar("T")
 
@@ -78,14 +75,6 @@ class Signal(SimObject, Generic[T]):
             # request_update's id()-set and append to the queue directly.
             self._update_pending = True
             self.ctx._update_queue.append(self)
-
-    def force(self, value: T) -> None:
-        """Set the current value immediately, bypassing the update phase.
-
-        Intended for initialization and test benches only.
-        """
-        self._current = value
-        self._next = value
 
     def _perform_update(self) -> None:
         self._update_pending = False
@@ -178,66 +167,3 @@ class Signal(SimObject, Generic[T]):
 
     def __repr__(self) -> str:
         return f"Signal({self.full_name!r}, value={self._current!r})"
-
-
-class SignalIn(Port):
-    """Input port for signals: read-only access plus edge sensitivity."""
-
-    def __init__(self, name, parent=None, ctx=None, required: bool = True):
-        super().__init__(name, parent, ctx, iface_type=Signal,
-                         required=required)
-
-    def read(self):
-        """Current value of the bound signal."""
-        return self.channel.read()
-
-    @property
-    def value(self):
-        """Current value of the bound signal."""
-        return self.channel.read()
-
-    def posedge(self) -> bool:
-        """Rising-edge query on the bound signal."""
-        return self.channel.posedge()
-
-    def negedge(self) -> bool:
-        """Falling-edge query on the bound signal."""
-        return self.channel.negedge()
-
-    @property
-    def posedge_event(self) -> Event:
-        """The bound signal's rising-edge event."""
-        return self.channel.posedge_event
-
-    @property
-    def negedge_event(self) -> Event:
-        """The bound signal's falling-edge event."""
-        return self.channel.negedge_event
-
-
-class SignalOut(Port):
-    """Output port for signals: write access."""
-
-    def __init__(self, name, parent=None, ctx=None, required: bool = True):
-        super().__init__(name, parent, ctx, iface_type=Signal,
-                         required=required)
-
-    def write(self, value) -> None:
-        """Schedule a new value on the bound signal."""
-        self.channel.write(value)
-
-    def read(self):
-        """Outputs are readable too (``sc_inout`` behaviour)."""
-        return self.channel.read()
-
-    @property
-    def value(self):
-        """Current value (outputs are readable)."""
-        return self.channel.read()
-
-
-def signal_bus(name: str, parent, count: int, init=None) -> list:
-    """Create a list of ``count`` signals named ``name[i]``."""
-    return [
-        Signal(f"{name}[{i}]", parent, init=init) for i in range(count)
-    ]

@@ -24,7 +24,6 @@ True
 
 from __future__ import annotations
 
-import re
 from typing import Union
 
 from repro.kernel.errors import TimeError
@@ -39,10 +38,6 @@ _FS_PER_UNIT = {
     "s": 10**15,
     "sec": 10**15,
 }
-
-_TIME_STRING_RE = re.compile(
-    r"^\s*(?P<value>\d+(?:\.\d+)?)\s*(?P<unit>fs|ps|ns|us|ms|sec|s)\s*$"
-)
 
 #: Interned SimTime instances keyed by femtosecond count.  A simulation
 #: re-creates the same handful of durations (clock phases, bus-cycle
@@ -118,14 +113,6 @@ class SimTime:
         if rounded < 0:
             raise TimeError(f"time cannot be negative: {value} {unit}")
         return cls._from_fs(int(rounded))
-
-    @classmethod
-    def parse(cls, text: str) -> "SimTime":
-        """Parse a time string such as ``"10 ns"`` or ``"2.5us"``."""
-        match = _TIME_STRING_RE.match(text)
-        if match is None:
-            raise TimeError(f"cannot parse time string {text!r}")
-        return cls.from_value(float(match.group("value")), match.group("unit"))
 
     # -- accessors -----------------------------------------------------
 

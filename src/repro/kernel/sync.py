@@ -1,8 +1,7 @@
-"""Synchronization primitives: mutex, semaphore, and timeout helpers.
+"""Synchronization primitives: mutex and timeout helpers.
 
-:class:`Mutex` and :class:`Semaphore` mirror ``sc_mutex`` /
-``sc_semaphore``.  Blocking operations are generator methods invoked
-with ``yield from`` inside thread processes.
+:class:`Mutex` mirrors ``sc_mutex``.  Blocking operations are generator
+methods invoked with ``yield from`` inside thread processes.
 
 The timeout helpers are the kernel's resilience primitives:
 
@@ -139,38 +138,3 @@ class Mutex(SimObject):
     def locked(self) -> bool:
         """True while some process owns the mutex."""
         return self._owner is not None
-
-
-class Semaphore(SimObject):
-    """A counting semaphore."""
-
-    def __init__(self, name, parent=None, ctx=None, initial: int = 1):
-        super().__init__(name, parent, ctx)
-        if initial < 0:
-            raise SimulationError(
-                f"semaphore {name!r}: initial count must be >= 0"
-            )
-        self._count = initial
-        self._posted = Event(self, f"{self.full_name}.posted")
-
-    def wait(self) -> Generator:
-        """Blocking decrement (``yield from sem.wait()``)."""
-        while not self.try_wait():
-            yield self._posted
-
-    def try_wait(self) -> bool:
-        """Non-blocking decrement attempt."""
-        if self._count <= 0:
-            return False
-        self._count -= 1
-        return True
-
-    def post(self) -> None:
-        """Increment and wake one class of waiters."""
-        self._count += 1
-        self._posted.notify()
-
-    @property
-    def count(self) -> int:
-        """Current semaphore value."""
-        return self._count

@@ -27,7 +27,7 @@ and measured overhead numbers.
 """
 
 from repro.obs.hooks import CountingObserver, ObserverGroup, SimObserver
-from repro.obs.instruments import watch_fifo, watch_recorder
+from repro.obs.instruments import watch_fifo
 from repro.obs.metrics import (
     Counter,
     EstimateSummary,
@@ -55,7 +55,6 @@ __all__ = [
     "TimeWeightedGauge",
     "TraceEventCollector",
     "watch_fifo",
-    "watch_recorder",
 ]
 
 #: Names resolved lazily from :mod:`repro.obs.telemetry` (PEP 562) so

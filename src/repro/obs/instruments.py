@@ -1,10 +1,10 @@
-"""Built-in instrument wiring: FIFOs, recorders, and channel throughput.
+"""Built-in instrument wiring for kernel FIFOs.
 
-Helpers that connect existing model objects to a
-:class:`~repro.obs.metrics.MetricsRegistry` without the models importing
-the observability layer themselves.  The bus CAMs and the OCP pin
-monitor take a ``metrics`` constructor argument directly; for everything
-else these functions retrofit instruments onto live objects.
+Connects a FIFO to a :class:`~repro.obs.metrics.MetricsRegistry`
+without the kernel importing the observability layer.  The bus CAMs,
+the OCP pin monitor and transaction recorders take a ``metrics``
+constructor argument directly; a FIFO gets its occupancy instrument
+retrofitted onto the live object.
 """
 
 from __future__ import annotations
@@ -28,26 +28,3 @@ def watch_fifo(fifo, registry: MetricsRegistry,
     gauge.set_at(fifo.num_available(), fifo.ctx._now_fs)
     fifo._occupancy_gauge = gauge
     return gauge
-
-
-def watch_recorder(recorder, registry: MetricsRegistry,
-                   prefix: str = "trace") -> None:
-    """Publish a recorder's stream as throughput counters.
-
-    Subscribes to a :class:`~repro.trace.transaction.TransactionRecorder`
-    and accumulates ``{prefix}.transactions``, ``{prefix}.bytes`` and a
-    ``{prefix}.latency_ns`` histogram, plus a per-kind transaction
-    counter — the OCP/SHIP channel throughput instrument.  Equivalent to
-    constructing the recorder with ``metrics=registry``.
-    """
-    txns = registry.counter(f"{prefix}.transactions")
-    nbytes = registry.counter(f"{prefix}.bytes")
-    latency = registry.histogram(f"{prefix}.latency_ns")
-
-    def listener(rec):
-        txns.inc()
-        nbytes.inc(rec.nbytes)
-        latency.observe(rec.latency.to("ns"))
-        registry.counter(f"{prefix}.kind.{rec.kind}").inc()
-
-    recorder.subscribe(listener)

@@ -59,10 +59,9 @@ def _master(socket, index: int, transactions: int):
     return proc
 
 
-def run_demo(transactions: int = 20, masters: int = 2,
-             trace_path: Optional[str] = None):
-    """Run the instrumented PLB demo; returns ``(profiler, registry,
-    collector, ctx)``.
+def run_demo(transactions: int = 20, trace_path: Optional[str] = None):
+    """Run the instrumented two-master PLB demo; returns ``(profiler,
+    registry, collector, ctx)``.
 
     ``transactions`` is the per-master transaction count.  When
     ``trace_path`` is None the collector still runs (it is part of what
@@ -76,7 +75,7 @@ def run_demo(transactions: int = 20, masters: int = 2,
     memory = MemorySlave("mem", top, size=1 << 16, read_wait=1,
                          write_wait=1)
     plb.attach_slave(memory, 0, 1 << 16)
-    for m in range(masters):
+    for m in range(2):
         socket = plb.master_socket(f"m{m}", priority=m)
         top.add_thread(_master(socket, m, transactions), f"gen{m}")
 
@@ -94,7 +93,7 @@ def run_demo(transactions: int = 20, masters: int = 2,
 
 
 def _text_report(profiler: SimProfiler, registry: MetricsRegistry,
-                 ctx: SimContext, top_n: int) -> str:
+                 ctx: SimContext) -> str:
     """Human-readable report: hotspot table plus metrics snapshot."""
     lines: List[str] = []
     lines.append(f"simulated {ctx.now} "
@@ -102,7 +101,7 @@ def _text_report(profiler: SimProfiler, registry: MetricsRegistry,
                  f"{profiler.events_fired} event fires)")
     lines.append("")
     lines.append("process hotspots")
-    lines.append(profiler.format_table(top_n))
+    lines.append(profiler.format_table())
     lines.append("")
     lines.append("metrics")
     snapshot = registry.snapshot(ctx._now_fs)
@@ -125,17 +124,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     import argparse
 
+    from repro.sweep.cli import _positive_int
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
         description="Run an instrumented PLB demo and print a "
                     "profiling/metrics report.",
     )
-    parser.add_argument("--transactions", type=int, default=20,
+    parser.add_argument("--transactions", type=_positive_int, default=20,
                         help="transactions per master (default 20)")
-    parser.add_argument("--masters", type=int, default=2,
-                        help="number of bus masters (default 2)")
-    parser.add_argument("--top", type=int, default=10,
-                        help="hotspot rows to print (default 10)")
     parser.add_argument("--trace", metavar="PATH",
                         help="write Chrome trace-event JSON here")
     parser.add_argument("--metrics", metavar="PATH",
@@ -146,7 +143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     profiler, registry, collector, ctx = run_demo(
         transactions=args.transactions,
-        masters=args.masters,
         trace_path=args.trace,
     )
     if args.metrics:
@@ -157,7 +153,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         report["trace_events"] = len(collector)
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(_text_report(profiler, registry, ctx, args.top))
+        print(_text_report(profiler, registry, ctx))
         if args.trace:
             print(f"\ntrace:   {args.trace} ({len(collector)} events)")
         if args.metrics:

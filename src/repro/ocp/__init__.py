@@ -3,18 +3,13 @@
 OCP is the openly-licensed socket the paper adopts below the CCATB
 level.  The package provides the transaction vocabulary
 (:class:`OcpRequest` / :class:`OcpResponse`), blocking transport
-(:class:`OcpTargetIf`, :class:`OcpMasterPort`), the phased TL1 channel,
-and the pin-accurate signal bundle with pin<->TL adapter state machines.
+(:class:`OcpTargetIf`, :class:`OcpMasterPort`), and the pin-accurate
+signal bundle with pin<->TL adapter state machines.
 """
 
 from repro.ocp.monitor import OcpPinMonitor, OcpViolation
 from repro.ocp.pin import OcpPinBundle, OcpPinMaster, OcpPinSlave
-from repro.ocp.tl import (
-    OcpMasterPort,
-    OcpTL1Channel,
-    OcpTL1TargetAdapter,
-    OcpTargetIf,
-)
+from repro.ocp.tl import OcpMasterPort, OcpTargetIf
 from repro.ocp.types import BurstSeq, OcpCmd, OcpRequest, OcpResp, OcpResponse
 
 __all__ = [
@@ -29,7 +24,5 @@ __all__ = [
     "OcpRequest",
     "OcpResp",
     "OcpResponse",
-    "OcpTL1Channel",
-    "OcpTL1TargetAdapter",
     "OcpTargetIf",
 ]

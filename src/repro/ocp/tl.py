@@ -1,33 +1,22 @@
-"""OCP transaction-level interfaces and channels.
+"""OCP transaction-level interface: blocking transport.
 
-Two abstraction levels are provided, matching how the design flow uses
-OCP:
-
-* **Blocking transport** (:class:`OcpTargetIf`): one generator call
-  carries a whole burst and returns the response.  This is the interface
-  the bus CAMs expose and consume; it corresponds to OCP TL2, where
-  timing lives in the channel, not in phases.
-
-* **Phased TL1** (:class:`OcpTL1Channel`): explicit request and response
-  phases with accept handshakes, used by the pin adapters and wherever
-  cycle-level interleaving matters.
-
-Both move the same :class:`~repro.ocp.types.OcpRequest` /
-:class:`~repro.ocp.types.OcpResponse` payloads, so refinement between
-them is mechanical.
+One generator call (:class:`OcpTargetIf`) carries a whole burst and
+returns the response.  This is the interface the bus CAMs expose and
+consume, and the one the pin adapters
+(:class:`~repro.ocp.pin.OcpPinMaster`, :class:`~repro.ocp.pin.OcpPinSlave`)
+translate to and from pins; it corresponds to OCP TL2, where timing
+lives in the channel, not in phases.  Every level moves the same
+:class:`~repro.ocp.types.OcpRequest` / :class:`~repro.ocp.types.OcpResponse`
+payloads, so refinement between them is mechanical.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
-from typing import Generator, Optional
+from typing import Generator
 
-from repro.kernel.errors import SimulationError
-from repro.kernel.event import Event
-from repro.kernel.object import SimObject
 from repro.kernel.port import Port
-from repro.ocp.types import OcpRequest, OcpResponse
+from repro.ocp.types import OcpRequest
 
 
 class OcpTargetIf(ABC):
@@ -72,134 +61,3 @@ class OcpMasterPort(Port):
             OcpCmd.WR, addr, data=beats, burst_length=len(beats)
         )
         return (yield from self.transport(req))
-
-
-class OcpTL1Channel(SimObject):
-    """Phased OCP TL1 channel: request queue + response queue with
-    accept handshakes.
-
-    Master side::
-
-        yield from chan.put_request(req)       # blocks until accepted
-        resp = yield from chan.get_response()  # blocks until available
-
-    Slave side::
-
-        req = yield from chan.get_request()
-        yield from chan.put_response(resp)
-
-    ``request_depth`` models the slave's command-queue depth (OCP's
-    SCmdAccept behaviour): a full queue back-pressures the master.
-    """
-
-    def __init__(
-        self,
-        name,
-        parent=None,
-        ctx=None,
-        request_depth: int = 1,
-        response_depth: int = 1,
-    ):
-        super().__init__(name, parent, ctx)
-        if request_depth < 1 or response_depth < 1:
-            raise SimulationError(
-                f"OCP TL1 channel {name!r}: queue depths must be >= 1"
-            )
-        self.request_depth = request_depth
-        self.response_depth = response_depth
-        self._requests: deque = deque()
-        self._responses: deque = deque()
-        self._request_put = Event(self, f"{self.full_name}.request_put")
-        self._request_got = Event(self, f"{self.full_name}.request_got")
-        self._response_put = Event(self, f"{self.full_name}.response_put")
-        self._response_got = Event(self, f"{self.full_name}.response_got")
-        self.requests_carried = 0
-
-    # -- master side ----------------------------------------------------------
-
-    def put_request(self, request: OcpRequest) -> Generator:
-        """Master: present a request (blocks until accepted)."""
-        while len(self._requests) >= self.request_depth:
-            yield self._request_got
-        self._requests.append(request)
-        self.requests_carried += 1
-        self._request_put.notify()
-
-    def nb_put_request(self, request: OcpRequest) -> bool:
-        """Master: try to present a request; False when full."""
-        if len(self._requests) >= self.request_depth:
-            return False
-        self._requests.append(request)
-        self.requests_carried += 1
-        self._request_put.notify()
-        return True
-
-    def get_response(self) -> Generator:
-        """Master: wait for and take the next response."""
-        while not self._responses:
-            yield self._response_put
-        resp = self._responses.popleft()
-        self._response_got.notify()
-        return resp
-
-    # -- slave side -------------------------------------------------------------
-
-    def get_request(self) -> Generator:
-        """Slave: wait for and accept the next request."""
-        while not self._requests:
-            yield self._request_put
-        req = self._requests.popleft()
-        self._request_got.notify()
-        return req
-
-    def nb_get_request(self) -> Optional[OcpRequest]:
-        """Slave: accept a request if present, else None."""
-        if not self._requests:
-            return None
-        req = self._requests.popleft()
-        self._request_got.notify()
-        return req
-
-    def put_response(self, response: OcpResponse) -> Generator:
-        """Slave: present a response (blocks until space)."""
-        while len(self._responses) >= self.response_depth:
-            yield self._response_got
-        self._responses.append(response)
-        self._response_put.notify()
-
-    # -- events for sensitivity --------------------------------------------------
-
-    @property
-    def request_put_event(self) -> Event:
-        """Fires when a request is presented."""
-        return self._request_put
-
-    @property
-    def response_put_event(self) -> Event:
-        """Fires when a response is presented."""
-        return self._response_put
-
-    def default_event(self) -> Event:
-        """Sensitivity hook: request presented."""
-        return self._request_put
-
-
-class OcpTL1TargetAdapter(SimObject, OcpTargetIf):
-    """Adapts blocking transport onto a phased TL1 channel.
-
-    Lets a TL2-style master (e.g. a SHIP wrapper) drive a slave that only
-    speaks phased TL1.  Responses are matched in order, which is correct
-    for a point-to-point TL1 link (OCP responses are in-order per thread).
-    """
-
-    def __init__(self, name, parent=None, ctx=None,
-                 channel: Optional[OcpTL1Channel] = None):
-        super().__init__(name, parent, ctx)
-        if channel is None:
-            channel = OcpTL1Channel(f"{name}_chan", self)
-        self.tl1 = channel
-
-    def transport(self, request: OcpRequest) -> Generator:
-        yield from self.tl1.put_request(request)
-        response = yield from self.tl1.get_response()
-        return response

@@ -1,17 +1,13 @@
 """``repro.rtl`` — pin-accurate substrate.
 
-Clocked RTL primitives and the cycle-by-cycle bus core that serves as
-the pin-accurate reference fabric for the accessor-based prototype and
-for the CCATB accuracy/speed experiments.
+The cycle-by-cycle bus core that serves as the pin-accurate reference
+fabric for the accessor-based prototype and for the CCATB
+accuracy/speed experiments.
 """
 
 from repro.rtl.buscore import RtlBusCore, RtlMasterPort
-from repro.rtl.primitives import Counter, Reg, ShiftRegister
 
 __all__ = [
-    "Counter",
-    "Reg",
     "RtlBusCore",
     "RtlMasterPort",
-    "ShiftRegister",
 ]

@@ -229,13 +229,6 @@ class Rtos(Module):
         self._request_dispatch()
         yield from self._wait_dispatch(task, make_ready=False)
 
-    def yield_cpu(self) -> Generator:
-        """Voluntary yield (``taskDelay(0)``)."""
-        task = self._require_current()
-        if self._ready:
-            yield from self._yield_cpu(task)
-        return None
-
     def delay(self, duration: SimTime) -> Generator:
         """Sleep for ``duration``; the CPU runs other tasks meanwhile."""
         task = self._require_current()
@@ -265,28 +258,6 @@ class Rtos(Module):
             self._request_dispatch()
         yield from self._wait_dispatch(task, make_ready=False)
         return woke
-
-    def attach_isr(self, event: Event, handler: Callable,
-                   name: str, priority: int = 0,
-                   latency: SimTime = ZERO_TIME) -> Task:
-        """Install an interrupt service routine for a kernel event.
-
-        The ISR runs as a maximum-priority task: when ``event`` fires it
-        preempts whatever task is executing (at its next preemption
-        point) and runs ``handler`` — which may be a plain callable or a
-        generator function using RTOS calls.  ``latency`` models the
-        interrupt entry overhead as CPU time.
-        """
-        def isr_loop() -> Generator:
-            while True:
-                yield from self.block_on(event)
-                if latency > ZERO_TIME:
-                    yield from self.execute(latency)
-                result = handler()
-                if result is not None and hasattr(result, "send"):
-                    yield from result
-
-        return self.create_task(isr_loop, name, priority)
 
     # -- introspection ----------------------------------------------------------------------
 

@@ -7,7 +7,7 @@ HW/SW partitioning.  The package provides:
 * :class:`ShipChannel` with the four blocking interface method calls
   ``send`` / ``recv`` / ``request`` / ``reply``;
 * the ``ship_serializable_if`` equivalent (:class:`ShipSerializable`,
-  built-in wrappers, and the :func:`ship_struct` dataclass decorator);
+  the type registry, and built-in wrappers);
 * SHIP ports for PEs (:class:`ShipPort` and the role-restricted
   :class:`ShipMasterPort` / :class:`ShipSlavePort`);
 * automatic master/slave detection (:mod:`repro.ship.roles`).
@@ -38,11 +38,9 @@ from repro.ship.serializable import (
     ShipString,
     clear_user_registry,
     decode_message,
-    decode_stream,
     encode_message,
     register_serializable,
     registered_tag,
-    ship_struct,
 )
 
 __all__ = [
@@ -67,10 +65,8 @@ __all__ = [
     "classify",
     "clear_user_registry",
     "decode_message",
-    "decode_stream",
     "encode_message",
     "register_serializable",
     "registered_tag",
     "roles_consistent",
-    "ship_struct",
 ]

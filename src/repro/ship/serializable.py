@@ -13,23 +13,16 @@ self-describing — exactly what the HW/SW interface needs to push SHIP
 messages through shared memory.
 
 Built-in wrappers cover the common cases: integers, byte strings, text,
-floats, and homogeneous integer arrays.  Model-specific payloads are
-usually declared with :func:`ship_struct`::
-
-    @ship_struct
-    @dataclass
-    class PixelBlock:
-        x: int
-        y: int
-        data: bytes
+floats, and homogeneous integer arrays.  A model-specific payload
+implements :class:`ShipSerializable` and is registered with
+:func:`register_serializable`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import Dict, Tuple, Type
 
 from repro.kernel.errors import KernelError
 
@@ -125,18 +118,6 @@ def decode_message(data: bytes) -> Tuple[ShipSerializable, int]:
         raise SerializationError(f"unknown type tag {tag}")
     payload = data[_FRAME_HEADER.size:end]
     return cls.deserialize(payload), end
-
-
-def decode_stream(data: bytes) -> List[ShipSerializable]:
-    """Decode a concatenation of framed messages."""
-    objects = []
-    offset = 0
-    view = bytes(data)
-    while offset < len(view):
-        obj, consumed = decode_message(view[offset:])
-        objects.append(obj)
-        offset += consumed
-    return objects
 
 
 # ---------------------------------------------------------------------------
@@ -288,102 +269,6 @@ for _cls, _tag in (
     (ShipIntArray, 5),
 ):
     register_serializable(_cls, _tag)
-
-
-# ---------------------------------------------------------------------------
-# Struct-style serializables from dataclasses
-# ---------------------------------------------------------------------------
-
-_FIELD_CODECS: Dict[type, Tuple[Callable, Callable]] = {}
-
-
-def _encode_field(value: Any) -> bytes:
-    """Length-prefixed encoding of one dataclass field."""
-    if isinstance(value, bool):
-        body, code = (b"\x01" if value else b"\x00"), b"B"
-    elif isinstance(value, int):
-        body, code = struct.pack(">q", value), b"I"
-    elif isinstance(value, float):
-        body, code = struct.pack(">d", value), b"F"
-    elif isinstance(value, bytes):
-        body, code = value, b"Y"
-    elif isinstance(value, str):
-        body, code = value.encode("utf-8"), b"S"
-    elif isinstance(value, (list, tuple)) and all(
-        isinstance(v, int) for v in value
-    ):
-        body, code = struct.pack(f">{len(value)}q", *value), b"L"
-    else:
-        raise SerializationError(
-            f"unsupported field type in ship_struct: {type(value).__name__}"
-        )
-    return code + struct.pack(">I", len(body)) + body
-
-
-def _decode_field(data: bytes, offset: int) -> Tuple[Any, int]:
-    code = data[offset:offset + 1]
-    (length,) = struct.unpack_from(">I", data, offset + 1)
-    start = offset + 5
-    body = data[start:start + length]
-    if len(body) != length:
-        raise SerializationError("truncated ship_struct field")
-    if code == b"B":
-        value: Any = body == b"\x01"
-    elif code == b"I":
-        value = struct.unpack(">q", body)[0]
-    elif code == b"F":
-        value = struct.unpack(">d", body)[0]
-    elif code == b"Y":
-        value = body
-    elif code == b"S":
-        value = body.decode("utf-8")
-    elif code == b"L":
-        value = list(struct.unpack(f">{length // 8}q", body))
-    else:
-        raise SerializationError(f"unknown ship_struct field code {code!r}")
-    return value, start + length
-
-
-def ship_struct(cls=None, *, tag: int = None):
-    """Class decorator making a dataclass SHIP-serializable.
-
-    Supported field types: bool, int, float, bytes, str, and lists of
-    ints.  Encoding is per-field and self-describing, so the format
-    survives field reordering only if both sides share the class — the
-    same constraint a C++ ``serialize`` method has.
-    """
-
-    def wrap(klass):
-        if not dataclasses.is_dataclass(klass):
-            raise SerializationError(
-                f"ship_struct requires a dataclass, got {klass.__name__}"
-            )
-
-        def serialize(self) -> bytes:
-            chunks = []
-            for fld in dataclasses.fields(self):
-                chunks.append(_encode_field(getattr(self, fld.name)))
-            return b"".join(chunks)
-
-        def deserialize(kls, data: bytes):
-            values = []
-            offset = 0
-            for fld in dataclasses.fields(kls):
-                if offset >= len(data):
-                    raise SerializationError(
-                        f"truncated {kls.__name__} payload"
-                    )
-                value, offset = _decode_field(data, offset)
-                values.append(value)
-            return kls(*values)
-
-        klass.serialize = serialize
-        klass.deserialize = classmethod(deserialize)
-        ShipSerializable.register(klass)
-        register_serializable(klass, tag)
-        return klass
-
-    return wrap(cls) if cls is not None else wrap
 
 
 def clear_user_registry() -> None:

@@ -55,7 +55,6 @@ from repro.stats.steady import (
     master_latency_estimate,
     mser_truncation,
     steady_state_estimate,
-    welch_moving_average,
 )
 
 __all__ = [
@@ -81,5 +80,4 @@ __all__ = [
     "substream_seed",
     "t_cdf",
     "t_quantile",
-    "welch_moving_average",
 ]

@@ -9,8 +9,6 @@ before forming a t interval.  This module implements exactly that
 pipeline over the per-master latency series the exploration runner
 exports with ``record_series=True``:
 
-* :func:`welch_moving_average` — the smoothed series Welch's procedure
-  plots; exposed as a diagnostic.
 * :func:`mser_truncation` — the Marginal Standard Error Rule (MSER-k):
   pick the truncation point that minimizes the standard error of the
   remaining mean, the standard automated stand-in for eyeballing the
@@ -44,25 +42,6 @@ DEFAULT_BATCHES = 20
 #: MSER spacing: truncation candidates are multiples of this many
 #: samples (MSER-5 in the literature).
 MSER_SPACING = 5
-
-
-def welch_moving_average(series: Sequence[float],
-                         window: int = 5) -> List[float]:
-    """Centered moving average — the curve Welch's procedure inspects.
-
-    ``window`` is the half-width; endpoints use the symmetric shrunken
-    window Welch prescribes, so the output has the same length as the
-    input and no edge bias from zero padding.
-    """
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    n = len(series)
-    out = []
-    for i in range(n):
-        w = min(window, i, n - 1 - i)
-        lo, hi = i - w, i + w + 1
-        out.append(sum(series[lo:hi]) / (hi - lo))
-    return out
 
 
 def mser_truncation(series: Sequence[float],

@@ -158,27 +158,6 @@ class SweepPoint:
                           separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SweepPoint":
-        """Rebuild a point from :meth:`to_payload` output."""
-        faults = payload.get("faults")
-        boot = payload.get("boot")
-        return cls(
-            config=ArchitectureConfig.from_dict(payload["config"]),
-            specs=tuple(
-                MasterTrafficSpec.from_dict(s) for s in payload["specs"]
-            ),
-            workload=payload["workload"],
-            max_sim_time=SimTime(payload["max_sim_time_fs"]),
-            seed=payload["seed"],
-            faults=None if faults is None else FaultSpec.from_dict(faults),
-            memory_read_wait=payload["memory_read_wait"],
-            memory_write_wait=payload["memory_write_wait"],
-            rng_streams=payload.get("rng_streams", False),
-            record_series=payload.get("record_series", False),
-            boot=None if boot is None else BootSpec.from_dict(boot),
-        )
-
 
 def points_for_space(
     space,

@@ -5,32 +5,17 @@
   timestamps, sizes and attributes; the exploration and accuracy
   experiments are built on its output.
 * :mod:`repro.trace.stats` provides streaming statistics (Welford mean /
-  variance, histograms, throughput meters).
+  variance over plain values and over durations).
 """
 
-from repro.trace.stats import (
-    Histogram,
-    OnlineStats,
-    ThroughputMeter,
-    TimeStats,
-    geometric_mean,
-)
-from repro.trace.transaction import (
-    TransactionRecord,
-    TransactionRecorder,
-    latency_histogram,
-)
-from repro.trace.vcd import VcdTracer, VcdWriter
+from repro.trace.stats import OnlineStats, TimeStats
+from repro.trace.transaction import TransactionRecord, TransactionRecorder
+from repro.trace.vcd import VcdTracer
 
 __all__ = [
-    "Histogram",
     "OnlineStats",
-    "ThroughputMeter",
     "TimeStats",
     "TransactionRecord",
     "TransactionRecorder",
     "VcdTracer",
-    "VcdWriter",
-    "geometric_mean",
-    "latency_histogram",
 ]

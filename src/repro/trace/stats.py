@@ -2,16 +2,15 @@
 
 Everything here is *online* (O(1) memory per statistic) so monitors can be
 left attached during long architecture-exploration sweeps without
-accumulating per-sample storage — except :class:`Histogram`, which uses a
-fixed bin array.
+accumulating per-sample storage.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
-from repro.kernel.simtime import SimTime, ZERO_TIME
+from repro.kernel.simtime import SimTime
 
 
 class OnlineStats:
@@ -72,27 +71,6 @@ class OnlineStats:
         if self.count < 2:
             return 0.0
         return self.sample_stddev / math.sqrt(self.count)
-
-    def confidence_interval(
-        self, confidence: float = 0.95,
-    ) -> Tuple[float, float]:
-        """Two-sided t-based CI for the mean at ``confidence``.
-
-        Because the moments merge exactly (:meth:`merge` is Chan's
-        parallel algorithm), the interval computed from a merged
-        statistic equals the one computed over the combined stream —
-        the merge-safe CI the replicated sweep runner pools on.  Below
-        two samples the interval is unbounded.
-        """
-        if self.count < 2:
-            return (-math.inf, math.inf)
-        # Lazy import: repro.stats builds on this module, so the
-        # t-quantile lookup must not be a module-level dependency.
-        from repro.stats.estimate import t_quantile
-
-        half = t_quantile(
-            0.5 + confidence / 2.0, self.count - 1) * self.sem
-        return (self.mean - half, self.mean + half)
 
     def merge(self, other: "OnlineStats") -> "OnlineStats":
         """Combine two statistics (Chan's parallel algorithm)."""
@@ -192,131 +170,3 @@ class TimeStats:
             f"TimeStats(n={self.count}, mean={self.mean_ns:.2f} ns, "
             f"max={self.max_ns:.2f} ns)"
         )
-
-
-class Histogram:
-    """Fixed-width histogram with under/overflow bins."""
-
-    def __init__(self, low: float, high: float, bins: int = 20):
-        if high <= low:
-            raise ValueError(f"histogram bounds inverted: [{low}, {high})")
-        if bins < 1:
-            raise ValueError("histogram needs at least one bin")
-        self.low = low
-        self.high = high
-        self.bins = bins
-        self.counts: List[int] = [0] * bins
-        self.underflow = 0
-        self.overflow = 0
-        self._width = (high - low) / bins
-
-    def add(self, value: float) -> None:
-        """Bin one sample (under/overflow counted)."""
-        if value < self.low:
-            self.underflow += 1
-        elif value >= self.high:
-            self.overflow += 1
-        else:
-            # The division can round up to ``bins`` for values one ulp
-            # below ``high`` when the bin width itself rounded down;
-            # clamp instead of raising IndexError.
-            index = int((value - self.low) / self._width)
-            self.counts[min(index, self.bins - 1)] += 1
-
-    @property
-    def total(self) -> int:
-        """All samples including under/overflow."""
-        return sum(self.counts) + self.underflow + self.overflow
-
-    def bin_edges(self) -> List[Tuple[float, float]]:
-        """The ``(low, high)`` edges of every bin."""
-        return [
-            (self.low + i * self._width, self.low + (i + 1) * self._width)
-            for i in range(self.bins)
-        ]
-
-    def __snapshot__(self) -> dict:
-        return {
-            "counts": list(self.counts),
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-        }
-
-    def __restore__(self, state: dict) -> None:
-        self.counts = list(state["counts"])
-        self.underflow = state["underflow"]
-        self.overflow = state["overflow"]
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from binned data (midpoint rule)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        target = q * self.total
-        seen = self.underflow
-        if seen >= target:
-            return self.low
-        for i, count in enumerate(self.counts):
-            seen += count
-            if seen >= target:
-                return self.low + (i + 0.5) * self._width
-        return self.high
-
-
-class ThroughputMeter:
-    """Accumulates byte/transaction counts over simulated time."""
-
-    def __init__(self):
-        self.bytes = 0
-        self.transactions = 0
-        self.start_time: Optional[SimTime] = None
-        self.end_time: Optional[SimTime] = None
-
-    def record(self, now: SimTime, nbytes: int) -> None:
-        """Account one transfer at simulated time ``now``."""
-        if self.start_time is None:
-            self.start_time = now
-        self.end_time = now
-        self.bytes += nbytes
-        self.transactions += 1
-
-    @property
-    def elapsed(self) -> SimTime:
-        """Simulated time between first and last transfer."""
-        if self.start_time is None or self.end_time is None:
-            return ZERO_TIME
-        return self.end_time - self.start_time
-
-    def __snapshot__(self) -> dict:
-        return {
-            "bytes": self.bytes,
-            "transactions": self.transactions,
-            "start_fs": None if self.start_time is None
-            else self.start_time._fs,
-            "end_fs": None if self.end_time is None else self.end_time._fs,
-        }
-
-    def __restore__(self, state: dict) -> None:
-        self.bytes = state["bytes"]
-        self.transactions = state["transactions"]
-        start, end = state["start_fs"], state["end_fs"]
-        self.start_time = None if start is None else SimTime._from_fs(start)
-        self.end_time = None if end is None else SimTime._from_fs(end)
-
-    def bytes_per_second(self) -> float:
-        """Byte rate over the active window."""
-        elapsed_s = self.elapsed.to("sec")
-        return self.bytes / elapsed_s if elapsed_s > 0 else 0.0
-
-    def transactions_per_second(self) -> float:
-        """Transfer rate over the active window."""
-        elapsed_s = self.elapsed.to("sec")
-        return self.transactions / elapsed_s if elapsed_s > 0 else 0.0
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean, the standard summary for speedup ratios."""
-    if not values:
-        raise ValueError("geometric mean of an empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -9,7 +9,6 @@ the exploration engine (E3) read their cycle counts and latencies from.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -36,22 +35,6 @@ class TransactionRecord:
     def latency(self) -> SimTime:
         """End minus begin."""
         return self.end - self.begin
-
-    def as_row(self) -> Dict[str, object]:
-        """Flat dict row for tables and CSV."""
-        row = {
-            "uid": self.uid,
-            "channel": self.channel,
-            "kind": self.kind,
-            "initiator": self.initiator,
-            "target": self.target,
-            "begin_ns": self.begin.to("ns"),
-            "end_ns": self.end.to("ns"),
-            "latency_ns": self.latency.to("ns"),
-            "nbytes": self.nbytes,
-        }
-        row.update(self.attributes)
-        return row
 
 
 class TransactionRecorder:
@@ -154,23 +137,6 @@ class TransactionRecorder:
             return self.latency_by_kind.get(kind, TimeStats())
         return self._overall_latency
 
-    def to_csv(self, path: str) -> None:
-        """Dump all records to a CSV file for offline analysis."""
-        if not self.records:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                fh.write("")
-            return
-        keys = list(self.records[0].as_row().keys())
-        for rec in self.records:
-            for key in rec.as_row():
-                if key not in keys:
-                    keys.append(key)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=keys, restval="")
-            writer.writeheader()
-            for rec in self.records:
-                writer.writerow(rec.as_row())
-
     def clear(self) -> None:
         """Drop records and reset statistics.
 
@@ -183,27 +149,3 @@ class TransactionRecorder:
         self.total_bytes = 0
         self.latency_by_kind.clear()
         self._overall_latency = TimeStats()
-
-
-def latency_histogram(recorder: TransactionRecorder, bins: int = 20,
-                      kind: Optional[str] = None):
-    """Build a latency :class:`~repro.trace.stats.Histogram` (ns) from a
-    recorder's kept records.
-
-    The bin range spans the observed min/max; requires
-    ``keep_records=True`` and at least one record.
-    """
-    from repro.trace.stats import Histogram
-
-    records = (recorder.by_kind(kind) if kind is not None
-               else recorder.records)
-    if not records:
-        raise ValueError("no records to histogram")
-    values = [r.latency.to("ns") for r in records]
-    low, high = min(values), max(values)
-    if high <= low:
-        high = low + 1.0
-    hist = Histogram(low, high + 1e-9, bins=bins)
-    for v in values:
-        hist.add(v)
-    return hist

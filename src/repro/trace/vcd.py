@@ -196,8 +196,3 @@ class VcdTracer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-#: Alias: the writer-flavoured name used in docs and by callers that
-#: treat the tracer as a generic context-managed file writer.
-VcdWriter = VcdTracer

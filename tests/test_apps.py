@@ -14,7 +14,6 @@ from repro.apps import (
     reference_output,
     walsh_hadamard,
 )
-from repro.explore import results_to_csv  # reused in the csv test below
 from repro.ship import ShipTiming
 
 
@@ -65,35 +64,3 @@ class TestBuilders:
         system = build_hwsw_system(blocks=2, quant_step=4)
         system.ctx.run(us(100_000))
         assert system.outputs() == reference_output(2, quant_step=4)
-
-
-class TestExplorationCsv:
-    def test_results_to_csv(self, tmp_path):
-        from repro.explore import (
-            ArchitectureConfig,
-            run_point,
-            standard_workloads,
-        )
-
-        specs = standard_workloads()["cpu_random"]
-        trimmed = [
-            type(s)(name=s.name, pattern=s.pattern, base=s.base,
-                    size=s.size, burst_length=s.burst_length,
-                    gap=s.gap, read_fraction=s.read_fraction,
-                    transactions=10, priority=s.priority)
-            for s in specs
-        ]
-        results = [
-            run_point(ArchitectureConfig(fabric="generic"), trimmed),
-            run_point(ArchitectureConfig(fabric="crossbar"), trimmed),
-        ]
-        path = tmp_path / "results.csv"
-        results_to_csv(results, str(path))
-        text = path.read_text()
-        assert "mean_latency_ns" in text
-        assert text.count("\n") == 3  # header + 2 rows
-
-    def test_empty_results_csv(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        results_to_csv([], str(path))
-        assert path.read_text() == ""

@@ -1,5 +1,5 @@
-"""Unit tests for the extended CAM library: AHB, APB bridge, DCR,
-and automatic burst splitting."""
+"""Unit tests for the extended CAM library: AHB and automatic burst
+splitting."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from repro.kernel import SimulationError, ns
 from repro.cam import (
     AHB_MAX_BURST,
     AhbBus,
-    ApbBridge,
-    DcrBus,
     GenericBus,
     MemorySlave,
 )
@@ -86,93 +84,6 @@ class TestAhb:
     def test_round_robin_default(self, ctx, top):
         ahb = AhbBus("ahb", top)
         assert ahb.arbiter.name == "round-robin"
-
-
-class TestApbBridge:
-    def _system(self, ctx, top):
-        ahb = AhbBus("ahb", top)
-        periph = MemorySlave("periph", top, size=256, read_wait=0,
-                             write_wait=0)
-        bridge = ApbBridge("apb", top, apb_clock_period=ns(20),
-                           target=periph)
-        ahb.attach_slave(bridge, 0x1000, 256, localize=True)
-        return ahb, bridge, periph
-
-    def test_per_word_cost_no_bursting(self, ctx, top):
-        ahb, bridge, periph = self._system(ctx, top)
-        sock = ahb.master_socket("cpu")
-        times = {}
-
-        def body():
-            yield from sock.transport(wr(0x1000, 1))
-            times["single"] = ctx.now
-            yield from sock.transport(wr(0x1010, 4))
-            times["burst"] = ctx.now
-
-        ctx.register_thread(body, "t")
-        ctx.run()
-        # single word: 2 AHB cmd cycles + 2 APB cycles (40ns) = >= 60ns
-        assert times["single"] >= ns(60)
-        # 4-word "burst" pays 4 * 40 ns of APB time
-        assert (times["burst"] - times["single"]) >= ns(160)
-        assert bridge.transfers == 5
-
-    def test_data_round_trip(self, ctx, top):
-        ahb, bridge, periph = self._system(ctx, top)
-        sock = ahb.master_socket("cpu")
-        out = []
-
-        def body():
-            yield from sock.transport(wr(0x1020, 2, value=9))
-            resp = yield from sock.transport(rd(0x1020, 2))
-            out.append(resp.data)
-
-        ctx.register_thread(body, "t")
-        ctx.run()
-        assert out == [[9, 9]]
-
-    def test_bridge_requires_functional_target(self, ctx, top):
-        with pytest.raises(SimulationError, match="functional"):
-            ApbBridge("bad", top, target=object())
-
-
-class TestDcr:
-    def test_latency_grows_with_chain_position(self, ctx, top):
-        dcr = DcrBus("dcr", top, hop_cycles=2)
-        for i in range(3):
-            reg = MemorySlave(f"r{i}", top, size=64, read_wait=0,
-                              write_wait=0)
-            dcr.attach_slave(reg, i * 64, 64)
-        sock = dcr.master_socket("cpu")
-        times = []
-
-        def body():
-            for i in range(3):
-                start = ctx.now
-                yield from sock.transport(rd(i * 64, 1))
-                times.append((ctx.now - start) // ns(10))
-
-        ctx.register_thread(body, "t")
-        ctx.run()
-        # base 3 cycles + 2 hops per position
-        assert times == [3, 5, 7]
-
-    def test_bursts_rejected(self, ctx, top):
-        dcr = DcrBus("dcr", top)
-        reg = MemorySlave("r", top, size=64, read_wait=0, write_wait=0)
-        dcr.attach_slave(reg, 0, 64)
-        sock = dcr.master_socket("cpu")
-
-        def body():
-            yield from sock.transport(rd(0, 4))
-
-        ctx.register_thread(body, "t")
-        with pytest.raises(SimulationError, match="single-word"):
-            ctx.run()
-
-    def test_negative_hop_cycles_rejected(self, ctx, top):
-        with pytest.raises(SimulationError):
-            DcrBus("bad", top, hop_cycles=-1)
 
 
 class TestBurstSplitting:

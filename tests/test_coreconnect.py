@@ -1,4 +1,4 @@
-"""Unit tests for the CoreConnect CAM library (PLB, OPB, bridge)."""
+"""Unit tests for the CoreConnect CAM library (PLB, OPB)."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.cam import (
     OpbBus,
     PLB_MAX_BURST,
     PlbBus,
-    PlbOpbBridge,
 )
 from repro.ocp import OcpCmd, OcpRequest, OcpResp
 
@@ -115,90 +114,3 @@ class TestOpb:
         ctx.run()
         # 3 cycles at 20 ns
         assert out == ["60 ns"]
-
-
-class TestBridge:
-    def _system(self, ctx, top, buffer_depth=4):
-        plb = PlbBus("plb", top)
-        opb = OpbBus("opb", top)
-        bridge = PlbOpbBridge("br", top, plb=plb, opb=opb,
-                              buffer_depth=buffer_depth)
-        plb.attach_slave(bridge, 0x100000, 1 << 16)
-        periph = MemorySlave("periph", top, size=1 << 16,
-                             read_wait=0, write_wait=0)
-        opb.attach_slave(periph, 0x100000, 1 << 16)
-        return plb, opb, bridge, periph
-
-    def test_posted_write_returns_before_opb_completes(self, ctx, top):
-        plb, opb, bridge, periph = self._system(ctx, top)
-        sock = plb.master_socket("cpu")
-        times = {}
-
-        def body():
-            yield from sock.transport(wr(0x100000, 1))
-            times["plb_done"] = ctx.now
-
-        ctx.register_thread(body, "t")
-        ctx.run()
-        # Posted: PLB side finishes well before the 60ns OPB write.
-        assert times["plb_done"] < ns(60)
-        assert bridge.writes_forwarded == 1
-        assert periph.peek_word(0) == 7
-
-    def test_read_waits_for_opb_round_trip(self, ctx, top):
-        plb, opb, bridge, periph = self._system(ctx, top)
-        periph.load_words(0x10, [123])
-        sock = plb.master_socket("cpu")
-        out = []
-
-        def body():
-            resp = yield from sock.transport(rd(0x100010, 1))
-            out.append((resp.data, str(ctx.now)))
-
-        ctx.register_thread(body, "t")
-        ctx.run()
-        assert out[0][0] == [123]
-        # must at least include one full OPB transaction (60ns)
-        assert ctx.now >= ns(60)
-        assert bridge.reads_forwarded == 1
-
-    def test_read_after_write_sees_posted_data(self, ctx, top):
-        """Bridge orders reads behind posted writes (no stale reads)."""
-        plb, opb, bridge, periph = self._system(ctx, top)
-        sock = plb.master_socket("cpu")
-        out = []
-
-        def body():
-            yield from sock.transport(wr(0x100020, 1))
-            resp = yield from sock.transport(rd(0x100020, 1))
-            out.append(resp.data)
-
-        ctx.register_thread(body, "t")
-        ctx.run()
-        assert out == [[7]]
-
-    def test_buffer_depth_backpressures(self, ctx, top):
-        plb, opb, bridge, periph = self._system(ctx, top, buffer_depth=1)
-        sock = plb.master_socket("cpu")
-        times = []
-
-        def body():
-            for i in range(4):
-                yield from sock.transport(wr(0x100000 + 4 * i, 1))
-                times.append(ctx.now)
-
-        ctx.register_thread(body, "t")
-        ctx.run()
-        # later writes must wait for OPB drains (60ns each)
-        assert times[-1] >= ns(120)
-        assert bridge.writes_forwarded == 4
-
-    def test_bridge_requires_buses(self, ctx, top):
-        with pytest.raises(SimulationError):
-            PlbOpbBridge("bad", top, plb=None, opb=None)
-
-    def test_bad_buffer_depth(self, ctx, top):
-        plb = PlbBus("plb", top)
-        opb = OpbBus("opb", top)
-        with pytest.raises(SimulationError):
-            PlbOpbBridge("bad", top, plb=plb, opb=opb, buffer_depth=0)

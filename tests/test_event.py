@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.kernel import Event, Module, all_of, any_of, ns
+from repro.kernel import Event, Module, ns
+from repro.kernel.event import EventAndList, EventOrList
 
 
 def run_log(ctx, thread_fns, duration=None):
@@ -198,7 +199,7 @@ class TestEventCombinators:
         e1, e2 = Event(ctx, "e1"), Event(ctx, "e2")
 
         def waiter(log):
-            woke = yield any_of(e1, e2)
+            woke = yield EventOrList(e1, e2)
             log.append((woke.name, str(ctx.now)))
 
         def notifier(log):
@@ -212,7 +213,7 @@ class TestEventCombinators:
         e1, e2 = Event(ctx, "e1"), Event(ctx, "e2")
 
         def waiter(log):
-            yield all_of(e1, e2)
+            yield EventAndList(e1, e2)
             log.append(str(ctx.now))
 
         def notifier(log):
@@ -226,19 +227,19 @@ class TestEventCombinators:
 
     def test_or_operator_builds_or_list(self, ctx):
         e1, e2, e3 = (Event(ctx, n) for n in ("e1", "e2", "e3"))
-        combined = any_of(e1, e2) | e3
+        combined = EventOrList(e1, e2) | e3
         assert len(combined.events) == 3
 
     def test_and_operator_builds_and_list(self, ctx):
         e1, e2, e3 = (Event(ctx, n) for n in ("e1", "e2", "e3"))
-        combined = all_of(e1, e2) & e3
+        combined = EventAndList(e1, e2) & e3
         assert len(combined.events) == 3
 
     def test_empty_combinators_rejected(self):
         with pytest.raises(ValueError):
-            any_of()
+            EventOrList()
         with pytest.raises(ValueError):
-            all_of()
+            EventAndList()
 
 
 class TestOwnership:

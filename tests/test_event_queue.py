@@ -72,21 +72,6 @@ class TestEventQueue:
         ctx.run()
         assert log == ["5 ns"]
 
-    def test_cancel_all_drops_pending(self, ctx, top):
-        q = EventQueue("q", top)
-        log = collect(ctx, q)
-
-        def notifier():
-            q.notify(ns(10))
-            q.notify(ns(20))
-            yield ns(15)
-            q.cancel_all()
-
-        ctx.register_thread(notifier, "n")
-        ctx.run()
-        assert log == ["10 ns"]
-        assert q.pending_count == 0
-
     def test_notify_from_waiter_reentrant(self, ctx, top):
         q = EventQueue("q", top)
         count = []

@@ -33,6 +33,7 @@ from repro.faults import (
     RetryingMaster,
     retry_call,
 )
+from repro.faults import campaign
 from repro.faults.campaign import run_campaign
 from repro.models import MailboxLayout, build_ship_over_bus
 from repro.models.wrappers import ShipBusMasterWrapper
@@ -576,3 +577,21 @@ class TestCampaignReproducibility:
         )
         assert golden.exists(), "golden fault campaign summary missing"
         assert run_campaign(seed=1).summary() == golden.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["--sweep", "--workers", "x"],
+        ["--sweep", "--workers", "0"],
+        ["--sweep", "--workers", "-2"],
+        ["--check", "missing.txt"],
+    ])
+    def test_cli_usage_error_exits_before_running(self, argv, tmp_path,
+                                                 monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before rejecting the arguments")
+
+        monkeypatch.setattr(campaign, "run_campaign", must_not_run)
+        monkeypatch.setattr(campaign, "run_sweep", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            campaign.main(argv)
+        assert exc.value.code == 2

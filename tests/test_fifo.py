@@ -4,9 +4,6 @@ import pytest
 
 from repro.kernel import (
     Fifo,
-    FifoIn,
-    FifoOut,
-    Module,
     SimTimeoutError,
     SimulationError,
     ns,
@@ -38,20 +35,6 @@ class TestNonBlocking:
         fifo = Fifo("f", top)
         ok, item = fifo.nb_read()
         assert not ok and item is None
-
-    def test_peek_does_not_consume(self, ctx, top):
-        fifo = Fifo("f", top)
-
-        def body():
-            fifo.nb_write(42)
-            yield fifo.data_written_event
-            assert fifo.peek() == (True, 42)
-            assert fifo.num_available() == 1
-            ok, item = fifo.nb_read()
-            assert ok and item == 42
-
-        ctx.register_thread(body, "t")
-        ctx.run()
 
     def test_capacity_validation(self, ctx, top):
         with pytest.raises(SimulationError):
@@ -132,59 +115,6 @@ class TestBlocking:
         assert fifo.total_written == 5
         assert fifo.total_read == 3
         assert len(fifo) == 2
-
-
-class TestFifoPorts:
-    def test_ports_delegate_to_channel(self, ctx, top):
-        fifo = Fifo("f", top, capacity=4)
-        got = []
-
-        class Producer(Module):
-            def __init__(self, name, parent):
-                super().__init__(name, parent)
-                self.out = FifoOut("out", self)
-                self.add_thread(self.run)
-
-            def run(self):
-                for i in range(3):
-                    yield from self.out.write(i * 10)
-
-        class Consumer(Module):
-            def __init__(self, name, parent):
-                super().__init__(name, parent)
-                self.inp = FifoIn("inp", self)
-                self.add_thread(self.run)
-
-            def run(self):
-                for _ in range(3):
-                    item = yield from self.inp.read()
-                    got.append(item)
-
-        p = Producer("p", top)
-        c = Consumer("c", top)
-        p.out.bind(fifo)
-        c.inp.bind(fifo)
-        ctx.run()
-        assert got == [0, 10, 20]
-
-    def test_port_nonblocking_helpers(self, ctx, top):
-        fifo = Fifo("f", top, capacity=1)
-        out = FifoOut("o", top)
-        inp = FifoIn("i", top)
-        out.bind(fifo)
-        inp.bind(fifo)
-
-        def body():
-            assert out.num_free() == 1
-            assert out.nb_write(5)
-            assert out.num_free() == 0
-            yield inp.data_written_event
-            assert inp.num_available() == 1
-            ok, item = inp.nb_read()
-            assert ok and item == 5
-
-        ctx.register_thread(body, "t")
-        ctx.run()
 
 
 class TestDeterministicVisibility:
@@ -280,28 +210,3 @@ class TestTimeouts:
         assert ("read", 1) in order
         wrote = [t for kind, t in order if kind == "wrote"]
         assert wrote and wrote[0] < ns(100)
-
-    def test_port_passthrough_and_aliases(self, ctx, top):
-        fifo = Fifo("f", top, capacity=1)
-
-        class Consumer(Module):
-            def __init__(self, name, parent):
-                super().__init__(name, parent)
-                self.inp = FifoIn("in", self)
-                self.timeouts = 0
-                self.add_thread(self.run)
-
-            def run(self):
-                """Read through the port with an expiring timeout."""
-                try:
-                    yield from self.inp.read(timeout=ns(40))
-                except SimTimeoutError:
-                    self.timeouts += 1
-
-        consumer = Consumer("c", top)
-        consumer.inp.bind(fifo)
-        ctx.run()
-        assert consumer.timeouts == 1
-        # queue-vocabulary aliases resolve to the blocking methods
-        assert Fifo.put is Fifo.write
-        assert Fifo.get is Fifo.read

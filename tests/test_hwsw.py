@@ -303,28 +303,26 @@ class TestIrqController:
 
 class TestIrqControllerWithRtos:
     def test_isr_driven_by_aggregated_irq(self, ctx, top):
-        """Sideband line -> IRQ controller -> RTOS ISR, end to end."""
+        """Sideband line -> IRQ controller -> blocked RTOS task, end to end."""
         from repro.kernel import Signal
-        from repro.rtos import Rtos, RtosSemaphore
+        from repro.rtos import Rtos
 
         irqc = IrqController("irqc", top, lines=2)
         line = Signal("line", top, init=False, check_writer=False)
         irqc.connect(1, line)
         os = Rtos("os", top)
-        sem = RtosSemaphore("sem", os, initial=0)
         handled = []
 
-        def isr_body():
+        def isr():
+            yield from os.block_on(irqc.cpu_irq)
             for pending in irqc.pending_lines():
                 handled.append((pending, str(ctx.now)))
-            sem.give()
-
-        os.attach_isr(irqc.cpu_irq, isr_body, "isr", priority=0)
 
         def app():
-            yield from sem.take()
-            handled.append(("app-woken", str(ctx.now)))
+            yield from os.execute(us(10))
+            handled.append(("app-done", str(ctx.now)))
 
+        os.create_task(isr, "isr", priority=0)
         os.create_task(app, "app", priority=5)
 
         def hw():
@@ -334,4 +332,4 @@ class TestIrqControllerWithRtos:
         ctx.register_thread(hw, "hw")
         ctx.run(us(100))
         assert (1, "3 us") in handled
-        assert ("app-woken", "3 us") in handled
+        assert ("app-done", "10 us") in handled

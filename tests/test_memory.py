@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernel import ns
-from repro.cam import MemorySlave, Rom
+from repro.cam import MemorySlave
 from repro.ocp import OcpCmd, OcpRequest, OcpResp
 
 
@@ -87,11 +87,3 @@ class TestBlockingTransport:
         ctx.register_thread(body, "t")
         ctx.run()
         assert log == ["0 s"]
-
-
-class TestRom:
-    def test_writes_rejected_content_preserved(self, ctx, top):
-        rom = Rom("r", top, size=64)
-        rom.load_words(0, [0xDEAD, 0xBEEF])
-        assert rom.access(wr(0, [0])).resp is OcpResp.ERR
-        assert rom.access(rd(0, 2)).data == [0xDEAD, 0xBEEF]

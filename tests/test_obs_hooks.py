@@ -12,10 +12,9 @@ from repro.kernel import (
     Signal,
     SimContext,
     SimulationError,
-    all_of,
-    any_of,
     ns,
 )
+from repro.kernel.event import EventAndList, EventOrList
 from repro.kernel.process import WaitCondition, WaitMode
 from repro.obs import CountingObserver, ObserverGroup, SimObserver
 
@@ -66,10 +65,10 @@ def _random_design(ctx, seed):
         return rng.choice([
             timeout,
             rng.choice(events),
-            any_of(*some_events()),
-            all_of(*some_events()),
+            EventOrList(*some_events()),
+            EventAndList(*some_events()),
             (timeout, rng.choice(events)),
-            (timeout, any_of(*some_events())),
+            (timeout, EventOrList(*some_events())),
             WaitCondition(WaitMode.ALL, tuple(some_events()), timeout),
             None,
         ])

@@ -1,12 +1,7 @@
 """Observability wired through SHIP channels and the explore harness."""
 
 from repro.kernel import ns
-from repro.obs import (
-    MetricsRegistry,
-    SimProfiler,
-    TraceEventCollector,
-    watch_recorder,
-)
+from repro.obs import MetricsRegistry, SimProfiler, TraceEventCollector
 from repro.ship import ShipChannel, ShipInt
 from repro.trace import TransactionRecorder
 
@@ -42,28 +37,6 @@ class TestShipObservability:
                  if e["ph"] == "B"]
         assert len(spans) == 4
         assert spans[0]["args"]["initiator"] == "producer"
-
-    def test_watch_recorder_per_kind_counters(self, ctx, top):
-        registry = MetricsRegistry()
-        recorder = TransactionRecorder()
-        watch_recorder(recorder, registry, prefix="ship")
-        chan = ShipChannel("link", top, recorder=recorder)
-        a = chan.claim_end("producer")
-        b = chan.claim_end("consumer")
-
-        def sender():
-            yield from chan.send(a, ShipInt(1))
-
-        def receiver():
-            yield from chan.recv(b)
-
-        ctx.register_thread(sender, "s")
-        ctx.register_thread(receiver, "r")
-        ctx.run()
-        assert registry.get("ship.transactions").value == 1
-        kind_counters = [n for n in registry.names()
-                         if n.startswith("ship.kind.")]
-        assert kind_counters, "per-kind counter missing"
 
 
 class TestExploreObservability:

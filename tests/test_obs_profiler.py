@@ -6,6 +6,7 @@ import pytest
 
 from repro.kernel import SimContext, ns
 from repro.obs import SimProfiler
+from repro.obs.report import main as report_main
 
 
 def _two_process_fixture():
@@ -107,3 +108,17 @@ class TestProfiler:
         assert profiler.hotspots() == []
         assert profiler.dispatch_wall_s == 0.0
         assert "total: 0 activations" in profiler.format_table()
+
+
+class TestReportCli:
+    def test_json_report_counts_both_masters(self, capsys):
+        assert report_main(["--transactions", "2", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["metrics"]["trace.transactions"]["value"] == 4
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_transactions_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            report_main(["--transactions", value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Unit tests for OCP types, TL channels, and pin-level adapters."""
+"""Unit tests for OCP types, blocking transport, and pin-level adapters."""
 
 import pytest
 
@@ -13,8 +13,6 @@ from repro.ocp import (
     OcpRequest,
     OcpResp,
     OcpResponse,
-    OcpTL1Channel,
-    OcpTL1TargetAdapter,
     OcpTargetIf,
 )
 
@@ -127,86 +125,6 @@ class TestMasterPort:
         ctx.register_thread(body, "t")
         ctx.run()
         assert mem.requests[0].master_id == "top.p"
-
-
-class TestTL1Channel:
-    def test_phased_handshake(self, ctx, top):
-        chan = OcpTL1Channel("c", top)
-        log = []
-
-        def master():
-            yield from chan.put_request(
-                OcpRequest(OcpCmd.RD, 0x20, burst_length=1)
-            )
-            resp = yield from chan.get_response()
-            log.append(("master", resp.data))
-
-        def slave():
-            req = yield from chan.get_request()
-            log.append(("slave", req.addr))
-            yield ns(10)
-            yield from chan.put_response(OcpResponse.read_ok([7]))
-
-        ctx.register_thread(master, "m")
-        ctx.register_thread(slave, "s")
-        ctx.run()
-        assert log == [("slave", 0x20), ("master", [7])]
-
-    def test_request_queue_depth_backpressure(self, ctx, top):
-        chan = OcpTL1Channel("c", top, request_depth=1)
-        times = []
-
-        def master():
-            for i in range(2):
-                yield from chan.put_request(
-                    OcpRequest(OcpCmd.WR, 0, data=[i], burst_length=1)
-                )
-                times.append(str(ctx.now))
-
-        def slave():
-            yield ns(50)
-            yield from chan.get_request()
-            yield from chan.get_request()
-
-        ctx.register_thread(master, "m")
-        ctx.register_thread(slave, "s")
-        ctx.run()
-        assert times == ["0 s", "50 ns"]
-
-    def test_nb_variants(self, ctx, top):
-        chan = OcpTL1Channel("c", top, request_depth=1)
-        req = OcpRequest(OcpCmd.RD, 0, burst_length=1)
-        assert chan.nb_put_request(req)
-        assert not chan.nb_put_request(req)
-        assert chan.nb_get_request() is req
-        assert chan.nb_get_request() is None
-
-    def test_depth_validation(self, ctx, top):
-        from repro.kernel import SimulationError
-
-        with pytest.raises(SimulationError):
-            OcpTL1Channel("c", top, request_depth=0)
-
-    def test_target_adapter_bridges_blocking_to_phased(self, ctx, top):
-        adapter = OcpTL1TargetAdapter("ad", top)
-        results = []
-
-        def master():
-            resp = yield from adapter.transport(
-                OcpRequest(OcpCmd.RD, 0x8, burst_length=1)
-            )
-            results.append(resp.data)
-
-        def slave():
-            req = yield from adapter.tl1.get_request()
-            yield from adapter.tl1.put_response(
-                OcpResponse.read_ok([req.addr])
-            )
-
-        ctx.register_thread(master, "m")
-        ctx.register_thread(slave, "s")
-        ctx.run()
-        assert results == [[0x8]]
 
 
 class TestPinLevel:

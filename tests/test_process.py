@@ -10,9 +10,7 @@ from repro.kernel import (
     Signal,
     SimContext,
     SimulationError,
-    method_process,
     ns,
-    thread_process,
     wait,
 )
 
@@ -195,49 +193,13 @@ class TestMethodProcess:
             ctx.run()
 
 
-class TestModuleProcessDecorators:
-    def test_thread_decorator_autoregisters(self, ctx):
-        log = []
-
-        class M(Module):
-            @thread_process
-            def run(self):
-                yield ns(2)
-                log.append(str(self.ctx.now))
-
-        M("m", ctx=ctx)
-        ctx.run()
-        assert log == ["2 ns"]
-
-    def test_method_decorator_with_string_sensitivity(self, ctx):
-        from repro.kernel import Signal
-
-        log = []
-
+class TestModuleProcesses:
+    def test_next_trigger_outside_method_process_rejected(self, ctx):
         class M(Module):
             def __init__(self, name, parent=None, ctx=None):
                 super().__init__(name, parent, ctx)
-                self.sig = Signal("sig", self, init=0)
+                self.add_thread(self.run)
 
-            @method_process(sensitive=("sig",), dont_initialize=True)
-            def on_sig(self):
-                log.append(self.sig.read())
-
-        m = M("m", ctx=ctx)
-
-        def driver():
-            yield ns(1)
-            m.sig.write(5)
-            yield ns(1)
-            m.sig.write(9)
-
-        ctx.register_thread(driver, "d")
-        ctx.run()
-        assert log == [5, 9]
-
-    def test_next_trigger_outside_method_process_rejected(self, ctx):
-        class M(Module):
-            @thread_process
             def run(self):
                 yield ns(1)
                 self.next_trigger(ns(1))

@@ -295,38 +295,3 @@ def test_online_stats_merge_is_associative(left, mid, right):
                                                 rel=1e-6, abs=1e-4)
         assert merged.minimum == oneshot.minimum
         assert merged.maximum == oneshot.maximum
-
-
-@given(
-    values=st.lists(st.floats(-50.0, 150.0), min_size=0, max_size=60),
-    quantiles=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
-)
-@settings(max_examples=60, deadline=None)
-def test_histogram_quantile_is_monotone(values, quantiles):
-    """q1 <= q2 implies quantile(q1) <= quantile(q2), for any fill —
-    including samples landing in under/overflow."""
-    from repro.trace import Histogram
-
-    h = Histogram(0.0, 100.0, bins=17)
-    for v in values:
-        h.add(v)
-    for q in sorted(quantiles):
-        assert h.low <= h.quantile(q) <= h.high
-    ordered = sorted(quantiles)
-    results = [h.quantile(q) for q in ordered]
-    assert results == sorted(results)
-
-
-@given(values=st.lists(st.floats(0.0, 99.999), min_size=1,
-                       max_size=80))
-@settings(max_examples=60, deadline=None)
-def test_histogram_in_range_samples_never_leak(values):
-    """Every in-range sample lands in exactly one bin: no IndexError
-    at the high edge, no silent drop, no spurious overflow."""
-    from repro.trace import Histogram
-
-    h = Histogram(0.0, 100.0, bins=7)
-    for v in values:
-        h.add(v)
-    assert sum(h.counts) == len(values)
-    assert h.underflow == 0 and h.overflow == 0

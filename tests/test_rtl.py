@@ -1,11 +1,11 @@
-"""Unit tests for the RTL substrate: primitives, bus core, accessors."""
+"""Unit tests for the RTL substrate: bus core, accessors."""
 
 import pytest
 
-from repro.kernel import Clock, Signal, ns, us
+from repro.kernel import Clock, ns, us
 from repro.cam import BusTiming, MemorySlave
 from repro.ocp import OcpCmd, OcpPinBundle, OcpPinMaster, OcpRequest, OcpResp
-from repro.rtl import Counter, Reg, RtlBusCore, ShiftRegister
+from repro.rtl import RtlBusCore
 from repro.accessors import SlaveMapEntry, build_prototype
 
 
@@ -16,99 +16,6 @@ def wr(addr, n=1, data=None):
 
 def rd(addr, n=1):
     return OcpRequest(OcpCmd.RD, addr, burst_length=n)
-
-
-class TestPrimitives:
-    def test_reg_latches_on_edge(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10))
-        d = Signal("d", top, init=0, check_writer=False)
-        q = Signal("q", top, init=0, check_writer=False)
-        Reg("r", top, clock=clk, d=d, q=q)
-        samples = []
-
-        def driver():
-            d.write(5)
-            yield ns(15)  # edge at 10 latched d=5
-            samples.append(q.read())
-            d.write(9)
-            yield ns(10)  # edge at 20 latches 9
-            samples.append(q.read())
-            ctx.stop()
-
-        ctx.register_thread(driver, "drv")
-        ctx.run(us(1))
-        assert samples == [5, 9]
-
-    def test_reg_enable_and_reset(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10))
-        d = Signal("d", top, init=3, check_writer=False)
-        q = Signal("q", top, init=0, check_writer=False)
-        en = Signal("en", top, init=False, check_writer=False)
-        rst = Signal("rst", top, init=False, check_writer=False)
-        Reg("r", top, clock=clk, d=d, q=q, en=en, reset=rst,
-            reset_value=77)
-        samples = []
-
-        def driver():
-            yield ns(15)
-            samples.append(("disabled", q.read()))
-            en.write(True)
-            yield ns(10)
-            samples.append(("enabled", q.read()))
-            rst.write(True)
-            yield ns(10)
-            samples.append(("reset", q.read()))
-            ctx.stop()
-
-        ctx.register_thread(driver, "drv")
-        ctx.run(us(1))
-        assert samples == [("disabled", 0), ("enabled", 3), ("reset", 77)]
-
-    def test_counter_counts_and_clears(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10))
-        clear = Signal("clr", top, init=False, check_writer=False)
-        counter = Counter("cnt", top, clock=clk, width=4, clear=clear)
-        samples = []
-
-        def driver():
-            yield ns(45)  # edges at 0,10,20,30,40 counted
-            samples.append(counter.count.read())
-            clear.write(True)
-            yield ns(10)
-            samples.append(counter.count.read())
-            ctx.stop()
-
-        ctx.register_thread(driver, "drv")
-        ctx.run(us(1))
-        assert samples == [5, 0]
-
-    def test_counter_wraps_at_width(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10))
-        counter = Counter("cnt", top, clock=clk, width=2)
-
-        def stopper():
-            yield ns(65)  # 7 edges (0..60) counted, width 2 wraps at 4
-            ctx.stop()
-
-        ctx.register_thread(stopper, "s")
-        ctx.run(us(1))
-        assert counter.count.read() == 7 % 4
-
-    def test_shift_register(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10))
-        d = Signal("d", top, init=False, check_writer=False)
-        sr = ShiftRegister("sr", top, clock=clk, depth=4, d=d)
-
-        def driver():
-            d.write(True)
-            yield ns(25)  # edges at 0, 10, 20 shift in 1, 1, 1
-            d.write(False)
-            yield ns(10)  # edge at 30 shifts in 0
-            ctx.stop()
-
-        ctx.register_thread(driver, "drv")
-        ctx.run(us(1))
-        assert sr.q.read() == 0b1110
 
 
 class TestRtlBusCore:

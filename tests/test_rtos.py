@@ -1,9 +1,9 @@
-"""Unit tests for the RTOS scheduler and IPC primitives."""
+"""Unit tests for the RTOS scheduler."""
 
 import pytest
 
 from repro.kernel import Event, SimulationError, ns, us
-from repro.rtos import Rtos, RtosMessageQueue, RtosMutex, RtosSemaphore
+from repro.rtos import Rtos
 
 
 @pytest.fixture
@@ -152,27 +152,6 @@ class TestScheduling:
         with pytest.raises(SimulationError, match="outside any task"):
             ctx.run()
 
-    def test_attach_isr_preempts(self, ctx, top, os):
-        ev = Event(ctx, "irq")
-        trace = []
-
-        def worker():
-            yield from os.execute(us(10))
-            trace.append(("worker-done", str(ctx.now)))
-
-        os.create_task(worker, "w", priority=10)
-        os.attach_isr(ev, lambda: trace.append(("isr", str(ctx.now))),
-                      "isr", priority=0)
-
-        def hw():
-            yield us(4)
-            ev.notify()
-
-        ctx.register_thread(hw, "hw")
-        ctx.run(us(100))
-        assert ("isr", "4 us") in trace
-        assert ("worker-done", "10 us") in trace
-
     def test_all_finished_and_lookup(self, ctx, top, os):
         def quick():
             yield from os.execute(ns(10))
@@ -182,240 +161,3 @@ class TestScheduling:
         assert os.task_by_name("none") is None
         ctx.run()
         assert os.all_finished()
-
-
-class TestSemaphore:
-    def test_take_blocks_until_give(self, ctx, top, os):
-        sem = RtosSemaphore("sem", os, initial=0)
-        trace = []
-
-        def taker():
-            yield from sem.take()
-            trace.append(("taken", str(ctx.now)))
-
-        def giver():
-            yield from os.delay(us(3))
-            sem.give()
-
-        os.create_task(taker, "t", priority=1)
-        os.create_task(giver, "g", priority=2)
-        ctx.run()
-        assert trace == [("taken", "3 us")]
-
-    def test_give_from_hardware_context(self, ctx, top, os):
-        sem = RtosSemaphore("sem", os, initial=0)
-        trace = []
-
-        def taker():
-            yield from sem.take()
-            trace.append(str(ctx.now))
-
-        os.create_task(taker, "t", priority=1)
-
-        def hw():
-            yield us(2)
-            sem.give()  # plain call from non-task process, like an ISR
-
-        ctx.register_thread(hw, "hw")
-        ctx.run()
-        assert trace == ["2 us"]
-
-    def test_try_take(self, ctx, top, os):
-        sem = RtosSemaphore("sem", os, initial=1)
-        results = []
-
-        def body():
-            results.append(sem.try_take())
-            results.append(sem.try_take())
-            yield from os.execute(ns(1))
-
-        os.create_task(body, "t")
-        ctx.run()
-        assert results == [True, False]
-
-    def test_negative_initial_rejected(self, ctx, top, os):
-        with pytest.raises(SimulationError):
-            RtosSemaphore("bad", os, initial=-1)
-
-
-class TestMutex:
-    def test_serializes_tasks(self, ctx, top, os):
-        mtx = RtosMutex("mtx", os)
-        trace = []
-
-        def make(tag):
-            def body():
-                yield from mtx.lock()
-                trace.append((tag, "in", str(ctx.now)))
-                yield from os.delay(us(2))
-                mtx.unlock()
-            return body
-
-        os.create_task(make("a"), "a", priority=1)
-        os.create_task(make("b"), "b", priority=2)
-        ctx.run()
-        assert trace == [("a", "in", "0 s"), ("b", "in", "2 us")]
-
-    def test_unlock_by_other_task_rejected(self, ctx, top, os):
-        mtx = RtosMutex("mtx", os)
-
-        def locker():
-            yield from mtx.lock()
-            yield from os.delay(us(5))
-
-        def intruder():
-            yield from os.delay(us(1))
-            mtx.unlock()
-
-        os.create_task(locker, "l", priority=1)
-        os.create_task(intruder, "i", priority=2)
-        with pytest.raises(SimulationError, match="non-owner"):
-            ctx.run()
-
-
-class TestMessageQueue:
-    def test_fifo_delivery(self, ctx, top, os):
-        q = RtosMessageQueue("q", os, capacity=4)
-        got = []
-
-        def producer():
-            for i in range(5):
-                yield from q.put(i)
-
-        def consumer():
-            for _ in range(5):
-                item = yield from q.get()
-                got.append(item)
-
-        os.create_task(producer, "p", priority=2)
-        os.create_task(consumer, "c", priority=1)
-        ctx.run()
-        assert got == list(range(5))
-
-    def test_get_blocks_until_put(self, ctx, top, os):
-        q = RtosMessageQueue("q", os)
-        got = []
-
-        def consumer():
-            item = yield from q.get()
-            got.append((item, str(ctx.now)))
-
-        def producer():
-            yield from os.delay(us(7))
-            yield from q.put("x")
-
-        os.create_task(consumer, "c", priority=1)
-        os.create_task(producer, "p", priority=2)
-        ctx.run()
-        assert got == [("x", "7 us")]
-
-    def test_put_from_hw_context_nonblocking(self, ctx, top, os):
-        q = RtosMessageQueue("q", os, capacity=1)
-        got = []
-
-        def consumer():
-            item = yield from q.get()
-            got.append(item)
-
-        os.create_task(consumer, "c", priority=1)
-
-        def hw():
-            yield us(1)
-            yield from q.put("from-hw")
-
-        ctx.register_thread(hw, "hw")
-        ctx.run()
-        assert got == ["from-hw"]
-
-    def test_hw_put_on_full_queue_raises(self, ctx, top, os):
-        q = RtosMessageQueue("q", os, capacity=1)
-        assert q.try_put("a")
-
-        def hw():
-            yield us(1)
-            yield from q.put("b")
-
-        ctx.register_thread(hw, "hw")
-        with pytest.raises(SimulationError, match="full"):
-            ctx.run()
-
-    def test_try_variants(self, ctx, top, os):
-        q = RtosMessageQueue("q", os, capacity=1)
-        assert q.try_put(1)
-        assert not q.try_put(2)
-        assert q.try_get() == (True, 1)
-        assert q.try_get() == (False, None)
-        assert len(q) == 0
-
-
-class TestPriorityInheritance:
-    def _inversion_scenario(self, ctx, top, inheritance: bool):
-        """Classic priority inversion: low holds the lock, high blocks
-        on it, medium hogs the CPU.  Returns high's completion time."""
-        from repro.kernel import us
-
-        os = Rtos("osx", top)
-        mtx = RtosMutex("mtx", os, priority_inheritance=inheritance)
-        finished = {}
-
-        def low():
-            yield from mtx.lock()
-            yield from os.execute(us(4))   # long critical section
-            mtx.unlock()
-            finished["low"] = ctx.now
-
-        def medium():
-            yield from os.delay(us(1))     # arrive after low locks
-            yield from os.execute(us(10))  # CPU hog
-            finished["medium"] = ctx.now
-
-        def high():
-            yield from os.delay(us(2))     # arrive last, want the lock
-            yield from mtx.lock()
-            mtx.unlock()
-            finished["high"] = ctx.now
-
-        os.create_task(low, "low", priority=30)
-        os.create_task(medium, "medium", priority=20)
-        os.create_task(high, "high", priority=10)
-        ctx.run(us(1000))
-        return finished, mtx
-
-    def test_inversion_without_inheritance(self, ctx, top):
-        finished, mtx = self._inversion_scenario(ctx, top, False)
-        # medium starves low, so high waits for medium's whole burst
-        assert finished["high"] > finished["medium"]
-        assert mtx.boosts == 0
-
-    def test_inheritance_bounds_high_latency(self, ctx, top):
-        from repro.kernel import us
-
-        finished, mtx = self._inversion_scenario(ctx, top, True)
-        # boosted low finishes its critical section promptly, so high
-        # completes long before the CPU hog
-        assert finished["high"] < finished["medium"]
-        assert finished["high"] <= us(6)
-        assert mtx.boosts >= 1
-
-    def test_owner_priority_restored_after_unlock(self, ctx, top):
-        from repro.kernel import us
-
-        os = Rtos("osy", top)
-        mtx = RtosMutex("mtx", os, priority_inheritance=True)
-
-        def low():
-            yield from mtx.lock()
-            yield from os.execute(us(2))
-            mtx.unlock()
-
-        def high():
-            yield from os.delay(us(1))
-            yield from mtx.lock()
-            mtx.unlock()
-
-        low_task = os.create_task(low, "low", priority=30)
-        os.create_task(high, "high", priority=10)
-        ctx.run(us(100))
-        assert low_task.priority == 30
-        assert not mtx.locked
-        assert mtx.owner_name is None

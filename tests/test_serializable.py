@@ -1,7 +1,5 @@
 """Unit tests for the SHIP serialization interface."""
 
-from dataclasses import dataclass
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,11 +12,9 @@ from repro.ship import (
     ShipString,
     clear_user_registry,
     decode_message,
-    decode_stream,
     encode_message,
     register_serializable,
     registered_tag,
-    ship_struct,
 )
 from repro.ship.serializable import ShipSerializable
 
@@ -63,15 +59,6 @@ class TestBuiltinWrappers:
 
 
 class TestFraming:
-    def test_stream_of_messages(self):
-        stream = (
-            encode_message(ShipInt(1))
-            + encode_message(ShipString("two"))
-            + encode_message(ShipInt(3))
-        )
-        objs = decode_stream(stream)
-        assert objs == [ShipInt(1), ShipString("two"), ShipInt(3)]
-
     def test_truncated_header_rejected(self):
         with pytest.raises(SerializationError, match="truncated frame"):
             decode_message(b"\x00")
@@ -140,58 +127,6 @@ class TestRegistry:
         register_serializable(D)
         with pytest.raises(SerializationError, match="must return bytes"):
             encode_message(D())
-
-
-class TestShipStruct:
-    def test_dataclass_round_trip(self):
-        @ship_struct
-        @dataclass
-        class Pixel:
-            x: int
-            y: int
-            color: str
-            weights: list
-            raw: bytes
-            visible: bool
-            gain: float
-
-        original = Pixel(3, -7, "red", [1, 2, 3], b"\x01\x02", True, 0.5)
-        decoded, _ = decode_message(encode_message(original))
-        assert decoded == original
-
-    def test_non_dataclass_rejected(self):
-        with pytest.raises(SerializationError, match="dataclass"):
-            @ship_struct
-            class NotData:
-                pass
-
-    def test_unsupported_field_type_rejected_at_serialize(self):
-        @ship_struct
-        @dataclass
-        class Weird:
-            blob: dict
-
-        with pytest.raises(SerializationError, match="unsupported"):
-            Weird({"a": 1}).serialize()
-
-    def test_instances_are_ship_serializable(self):
-        @ship_struct
-        @dataclass
-        class P:
-            v: int
-
-        assert isinstance(P(1), ShipSerializable)
-
-    def test_truncated_struct_rejected(self):
-        @ship_struct
-        @dataclass
-        class Q:
-            a: int
-            b: int
-
-        payload = Q(1, 2).serialize()
-        with pytest.raises(SerializationError):
-            Q.deserialize(payload[:5])
 
 
 @given(st.integers(-(2**63), 2**63 - 1))

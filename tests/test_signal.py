@@ -4,12 +4,10 @@ import pytest
 
 from repro.kernel import (
     Module,
+    Port,
     Signal,
-    SignalIn,
-    SignalOut,
     SimulationError,
     ns,
-    signal_bus,
 )
 
 
@@ -61,11 +59,6 @@ class TestUpdateSemantics:
         ctx.register_thread(writer, "w")
         ctx.run()
         assert sig.read() == 3
-
-    def test_force_bypasses_update(self, ctx, top):
-        sig = Signal("s", top, init=0)
-        sig.force(42)
-        assert sig.read() == 42
 
     def test_event_property_true_in_change_delta(self, ctx, top):
         sig = Signal("s", top, init=False, check_writer=False)
@@ -181,64 +174,26 @@ class TestObservers:
 
 
 class TestSignalPorts:
-    def test_in_out_ports_round_trip(self, ctx, top):
-        sig = Signal("s", top, init=0, check_writer=False)
-
-        class Producer(Module):
-            def __init__(self, name, parent):
-                super().__init__(name, parent)
-                self.out = SignalOut("out", self)
-                self.add_thread(self.run)
-
-            def run(self):
-                yield ns(1)
-                self.out.write(11)
+    def test_method_sensitive_to_bound_port(self, ctx, top):
+        sig = Signal("s", top, init=0)
 
         class Consumer(Module):
             def __init__(self, name, parent):
                 super().__init__(name, parent)
-                self.inp = SignalIn("inp", self)
+                self.inp = Port("inp", self, iface_type=Signal)
                 self.seen = []
                 self.add_method(self.on_change, sensitive=[self.inp],
                                 dont_initialize=True)
 
             def on_change(self):
-                self.seen.append(self.inp.read())
+                self.seen.append(self.inp.channel.read())
 
-        p = Producer("p", top)
+        def producer():
+            yield ns(1)
+            sig.write(11)
+
         c = Consumer("c", top)
-        p.out.bind(sig)
         c.inp.bind(sig)
+        ctx.register_thread(producer, "p")
         ctx.run()
         assert c.seen == [11]
-        assert p.out.read() == 11
-        assert c.inp.value == 11
-
-    def test_port_edge_queries(self, ctx, top):
-        sig = Signal("s", top, init=False, check_writer=False)
-        port = SignalIn("in", top)
-        port.bind(sig)
-        snap = []
-
-        def listener():
-            yield port.posedge_event
-            snap.append((port.posedge(), port.negedge()))
-
-        def driver():
-            yield ns(1)
-            sig.write(True)
-
-        ctx.register_thread(listener, "l")
-        ctx.register_thread(driver, "d")
-        ctx.run()
-        assert snap == [(True, False)]
-
-
-class TestSignalBus:
-    def test_signal_bus_creates_indexed_signals(self, ctx, top):
-        bus = signal_bus("data", top, 4, init=0)
-        assert len(bus) == 4
-        assert bus[2].full_name == "top.data[2]"
-        bus[0].force(1)
-        assert bus[0].read() == 1
-        assert bus[1].read() == 0

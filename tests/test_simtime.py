@@ -39,17 +39,6 @@ class TestConstruction:
         with pytest.raises(TimeError):
             SimTime.from_value(1, "lightyears")
 
-    def test_parse_strings(self):
-        assert SimTime.parse("10 ns") == ns(10)
-        assert SimTime.parse("2.5us") == us(2.5)
-        assert SimTime.parse("1 s") == sec(1)
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(TimeError):
-            SimTime.parse("fast")
-        with pytest.raises(TimeError):
-            SimTime.parse("-3 ns")
-
 
 class TestArithmetic:
     def test_addition(self):

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.kernel import ns, us
-from repro.trace import (
-    Histogram,
-    OnlineStats,
-    ThroughputMeter,
-    TimeStats,
-    geometric_mean,
-)
+from repro.trace import OnlineStats, TimeStats
 
 
 class TestOnlineStats:
@@ -97,36 +91,6 @@ class TestOnlineStats:
             np.var(values, ddof=1), rel=1e-6, abs=1e-4
         )
 
-    def test_confidence_interval_known_multiplier(self):
-        s = OnlineStats()
-        for v in range(10):
-            s.add(float(v))
-        lo, hi = s.confidence_interval(0.95)
-        # t(0.975, 9) = 2.262; interval is mean +/- t * sem.
-        assert hi - s.mean == pytest.approx(2.262 * s.sem, rel=1e-3)
-        assert s.mean - lo == pytest.approx(hi - s.mean)
-        assert lo < s.mean < hi
-
-    def test_confidence_interval_unbounded_below_two(self):
-        s = OnlineStats()
-        s.add(3.0)
-        lo, hi = s.confidence_interval()
-        assert lo == float("-inf") and hi == float("inf")
-
-    def test_confidence_interval_merge_safe(self):
-        values = [float(v % 11) for v in range(30)]
-        a, b, c = OnlineStats(), OnlineStats(), OnlineStats()
-        for v in values[:13]:
-            a.add(v)
-        for v in values[13:]:
-            b.add(v)
-        for v in values:
-            c.add(v)
-        merged_lo, merged_hi = a.merge(b).confidence_interval()
-        lo, hi = c.confidence_interval()
-        assert merged_lo == pytest.approx(lo)
-        assert merged_hi == pytest.approx(hi)
-
 
 class TestTimeStats:
     def test_zero_duration_samples_are_real_samples(self):
@@ -152,92 +116,3 @@ class TestTimeStats:
         assert t.min_ns == 10.0
         assert t.max_ns == 1000.0
         assert t.total_ns == pytest.approx(1010.0)
-
-
-class TestHistogram:
-    def test_binning_and_flows(self):
-        h = Histogram(0.0, 10.0, bins=10)
-        for v in (0.5, 1.5, 1.6, 9.9, -1.0, 10.0, 50.0):
-            h.add(v)
-        assert h.counts[0] == 1
-        assert h.counts[1] == 2
-        assert h.counts[9] == 1
-        assert h.underflow == 1
-        assert h.overflow == 2
-        assert h.total == 7
-
-    def test_bin_edges(self):
-        h = Histogram(0.0, 4.0, bins=4)
-        assert h.bin_edges()[0] == (0.0, 1.0)
-        assert h.bin_edges()[-1] == (3.0, 4.0)
-
-    def test_quantile_midpoint(self):
-        h = Histogram(0.0, 100.0, bins=100)
-        for v in range(100):
-            h.add(float(v))
-        assert h.quantile(0.5) == pytest.approx(49.5, abs=1.0)
-        assert h.quantile(0.0) <= h.quantile(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Histogram(5.0, 1.0)
-        with pytest.raises(ValueError):
-            Histogram(0.0, 1.0, bins=0)
-        h = Histogram(0.0, 1.0)
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_float_rounding_near_high_edge_is_clamped(self):
-        # With bounds whose width is inexact in binary, a value one ulp
-        # below ``high`` can compute an index of ``bins``; it must land
-        # in the last bin instead of raising IndexError.
-        h = Histogram(0.0, 0.3, bins=3)
-        value = np.nextafter(0.3, 0.0)
-        h.add(float(value))
-        assert h.counts[2] == 1
-        assert h.overflow == 0
-
-    def test_quantile_edges(self):
-        empty = Histogram(0.0, 10.0, bins=5)
-        assert empty.quantile(0.0) == 0.0
-        assert empty.quantile(1.0) == 0.0  # no data: everything at low
-        single = Histogram(0.0, 10.0, bins=1)
-        single.add(4.0)
-        assert single.quantile(0.5) == pytest.approx(5.0)  # midpoint
-        h = Histogram(0.0, 10.0, bins=5)
-        h.add(20.0)  # only overflow
-        assert h.quantile(1.0) == 10.0
-
-
-class TestThroughputMeter:
-    def test_rates_over_simulated_time(self):
-        m = ThroughputMeter()
-        m.record(us(0), 1000)
-        m.record(us(1), 1000)
-        assert m.bytes == 2000
-        assert m.transactions == 2
-        # 2000 bytes in 1 us of simulated time = 2 GB/s
-        assert m.bytes_per_second() == pytest.approx(2e9)
-        assert m.transactions_per_second() == pytest.approx(2e6)
-
-    def test_single_sample_rate_is_zero(self):
-        m = ThroughputMeter()
-        m.record(us(5), 100)
-        assert m.bytes_per_second() == 0.0
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([2.0, 2.0, 2.0]) == pytest.approx(2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=30))
-    def test_between_min_and_max(self, values):
-        g = geometric_mean(values)
-        assert min(values) - 1e-9 <= g <= max(values) + 1e-9

@@ -41,7 +41,6 @@ from repro.stats import (
     substream_seed,
     t_cdf,
     t_quantile,
-    welch_moving_average,
 )
 from repro.sweep import SweepEngine, SweepPoint, SweepStore
 from repro.trace import OnlineStats
@@ -228,18 +227,6 @@ class TestCoverage:
 
 
 class TestSteadyState:
-    def test_welch_moving_average(self):
-        flat = [3.0] * 10
-        assert welch_moving_average(flat) == flat
-        series = [1.0, 2.0, 3.0, 4.0, 5.0]
-        smooth = welch_moving_average(series, window=1)
-        assert len(smooth) == len(series)
-        assert smooth[0] == 1.0 and smooth[-1] == 5.0  # shrunken ends
-        assert smooth[2] == pytest.approx(3.0)
-        assert welch_moving_average(series, window=0) == series
-        with pytest.raises(ValueError):
-            welch_moving_average(series, window=-1)
-
     def test_mser_finds_transient(self):
         rng = random.Random("stats-mser")
         series = [

@@ -1,10 +1,10 @@
-"""Unit tests for the RTOS-hosted channel access helpers
-(``run_on_rtos`` and ``SwChannelPort``)."""
+"""Unit tests for the RTOS-hosted channel access helper
+(``SwChannelPort``)."""
 
 import pytest
 
 from repro.kernel import ns, us
-from repro.esw import SwChannelPort, run_on_rtos
+from repro.esw import SwChannelPort
 from repro.rtos import Rtos
 from repro.ship import Role, ShipChannel, ShipInt, ShipPort
 
@@ -104,30 +104,3 @@ class TestSwChannelPort:
         ctx.run(us(1000))
         assert sw.detected_role is Role.MASTER
         assert hw.detected_role is Role.SLAVE
-
-
-class TestRunOnRtos:
-    def test_arbitrary_generator_hosted_as_task(self, ctx, top, os):
-        from repro.kernel import Event
-
-        ev = Event(ctx, "ev")
-        log = []
-
-        def hardware_style_routine():
-            yield ns(100)
-            log.append(("slept", str(ctx.now)))
-            yield ev
-            log.append(("woke", str(ctx.now)))
-
-        def task():
-            yield from run_on_rtos(os, hardware_style_routine())
-
-        os.create_task(task, "t", priority=5)
-
-        def hw():
-            yield us(3)
-            ev.notify()
-
-        ctx.register_thread(hw, "hw")
-        ctx.run(us(1000))
-        assert log == [("slept", "100 ns"), ("woke", "3 us")]

@@ -21,7 +21,7 @@ from repro.explore import (
     FaultSummary,
     MasterMetrics,
     MasterTrafficSpec,
-    PointResult,
+    decode_payload,
     explore,
     run_point,
 )
@@ -127,9 +127,6 @@ class TestSerialization:
                                 max_latency_ns=400.0)
         assert MasterMetrics.from_dict(metrics.to_dict()) == metrics
 
-    def test_point_result_alias(self):
-        assert PointResult is ExplorationResult
-
     def test_result_round_trip_without_faults(self):
         result = run_point(ArchitectureConfig(fabric="plb"),
                            list(small_specs()), workload_name="t")
@@ -198,9 +195,19 @@ class TestSweepPoint:
 
     def test_payload_round_trip(self):
         point = self._point(faults=FaultSpec(seed=3, bus_error_rate=0.1))
-        clone = SweepPoint.from_payload(point.to_payload())
-        assert clone == point
-        assert clone.key() == point.key()
+        assert decode_payload(point.to_payload()) == {
+            "config": point.config,
+            "specs": list(point.specs),
+            "workload_name": point.workload,
+            "max_sim_time": point.max_sim_time,
+            "seed": point.seed,
+            "faults": point.faults,
+            "memory_read_wait": point.memory_read_wait,
+            "memory_write_wait": point.memory_write_wait,
+            "rng_streams": point.rng_streams,
+            "record_series": point.record_series,
+            "boot": point.boot,
+        }
 
 
 class TestSweepStore:

@@ -1,8 +1,8 @@
-"""Unit tests for mutex and semaphore primitives."""
+"""Unit tests for the mutex primitive."""
 
 import pytest
 
-from repro.kernel import Mutex, Semaphore, SimulationError, ns
+from repro.kernel import Mutex, SimulationError, ns
 
 
 class TestMutex:
@@ -80,54 +80,3 @@ class TestMutex:
         ctx.register_thread(body, "t")
         ctx.run()
         assert not mtx.locked
-
-
-class TestSemaphore:
-    def test_bounded_concurrency(self, ctx, top):
-        sem = Semaphore("s", top, initial=2)
-        active = []
-        high_water = []
-
-        def worker(tag):
-            def body():
-                yield from sem.wait()
-                active.append(tag)
-                high_water.append(len(active))
-                yield ns(10)
-                active.remove(tag)
-                sem.post()
-            return body
-
-        for tag in "abcd":
-            ctx.register_thread(worker(tag), tag)
-        ctx.run()
-        assert max(high_water) == 2
-
-    def test_try_wait(self, ctx, top):
-        sem = Semaphore("s", top, initial=1)
-        assert sem.try_wait()
-        assert not sem.try_wait()
-        sem.post()
-        assert sem.try_wait()
-
-    def test_negative_initial_rejected(self, ctx, top):
-        with pytest.raises(SimulationError):
-            Semaphore("s", top, initial=-1)
-
-    def test_post_wakes_waiter(self, ctx, top):
-        sem = Semaphore("s", top, initial=0)
-        log = []
-
-        def waiter():
-            yield from sem.wait()
-            log.append(str(ctx.now))
-
-        def poster():
-            yield ns(25)
-            sem.post()
-
-        ctx.register_thread(waiter, "w")
-        ctx.register_thread(poster, "p")
-        ctx.run()
-        assert log == ["25 ns"]
-        assert sem.count == 0

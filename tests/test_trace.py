@@ -124,15 +124,6 @@ class TestTransactionRecorder:
         assert rec.records == []
         assert rec.latency_stats("read").count == 1
 
-    def test_csv_export(self, tmp_path):
-        rec = TransactionRecorder()
-        rec.record("c", "read", "a", "b", ns(0), ns(5), nbytes=4, burst=1)
-        path = tmp_path / "txns.csv"
-        rec.to_csv(str(path))
-        text = path.read_text()
-        assert "latency_ns" in text
-        assert "burst" in text
-
     def test_clear(self):
         rec = TransactionRecorder()
         rec.record("c", "read", "a", "b", ns(0), ns(5))
@@ -144,46 +135,8 @@ class TestTransactionRecorder:
     def test_record_attributes_preserved(self):
         rec = TransactionRecorder()
         r = rec.record("c", "read", "a", "b", ns(0), ns(5), burst=8)
-        row = r.as_row()
-        assert row["burst"] == 8
-        assert row["latency_ns"] == 5.0
-
-
-class TestLatencyHistogram:
-    def test_histogram_from_recorder(self):
-        from repro.trace import latency_histogram
-
-        rec = TransactionRecorder()
-        for i in range(1, 11):
-            rec.record("bus", "read", "cpu", "mem", ns(0), ns(i * 10))
-        hist = latency_histogram(rec, bins=10)
-        assert hist.total == 10
-        assert hist.underflow == 0 and hist.overflow == 0
-        assert hist.quantile(0.5) == pytest.approx(55.0, abs=10.0)
-
-    def test_kind_filter(self):
-        from repro.trace import latency_histogram
-
-        rec = TransactionRecorder()
-        rec.record("bus", "read", "cpu", "mem", ns(0), ns(10))
-        rec.record("bus", "write", "cpu", "mem", ns(0), ns(500))
-        hist = latency_histogram(rec, kind="read")
-        assert hist.total == 1
-
-    def test_empty_recorder_rejected(self):
-        from repro.trace import latency_histogram
-
-        with pytest.raises(ValueError, match="no records"):
-            latency_histogram(TransactionRecorder())
-
-    def test_constant_latency_degenerate_range(self):
-        from repro.trace import latency_histogram
-
-        rec = TransactionRecorder()
-        for _ in range(5):
-            rec.record("bus", "read", "cpu", "mem", ns(0), ns(42))
-        hist = latency_histogram(rec)
-        assert hist.total == 5
+        assert r.attributes == {"burst": 8}
+        assert r.latency == ns(5)
 
 
 class TestVcdValueKinds:
@@ -258,19 +211,12 @@ class TestRecorderStatsWithoutRecords:
         assert rec.latency_stats().count == 0
 
 
-class TestVcdWriterAlias:
-    def test_alias_is_the_tracer(self):
-        from repro.trace import VcdWriter
-
-        assert VcdWriter is VcdTracer
-
+class TestVcdTracerLifecycle:
     def test_context_manager_stamps_final_time(self, ctx, top):
-        from repro.trace import VcdWriter
-
         stream = io.StringIO()
         sig = Signal("s", top, init=0, check_writer=False)
 
-        with VcdWriter(stream, ctx, timescale="1ns") as writer:
+        with VcdTracer(stream, ctx, timescale="1ns") as writer:
             writer.trace(sig, "s")
 
             def driver():

@@ -20,6 +20,7 @@ from repro.explore import (
     DesignSpace,
     FaultSpec,
     MasterTrafficSpec,
+    decode_payload,
     materialize_boot_checkpoint,
     point_regions,
 )
@@ -186,12 +187,22 @@ class TestBootIdentity:
         assert point_regions(specs) == regions
 
     def test_payload_roundtrip_preserves_boot(self):
-        """to_payload/from_payload carry the boot phase losslessly."""
+        """The worker's payload decoder carries the boot phase losslessly."""
         point = warm_points()[0]
-        again = SweepPoint.from_payload(point.to_payload())
-        assert again.key() == point.key()
-        assert again.boot is not None
-        assert again.boot.until == point.boot.until
+        assert point.boot is not None
+        assert decode_payload(point.to_payload()) == {
+            "config": point.config,
+            "specs": list(point.specs),
+            "workload_name": point.workload,
+            "max_sim_time": point.max_sim_time,
+            "seed": point.seed,
+            "faults": point.faults,
+            "memory_read_wait": point.memory_read_wait,
+            "memory_write_wait": point.memory_write_wait,
+            "rng_streams": point.rng_streams,
+            "record_series": point.record_series,
+            "boot": point.boot,
+        }
 
 
 class TestRestoreFailures:
