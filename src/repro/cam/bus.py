@@ -30,8 +30,8 @@ separate read/write data buses).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro.kernel.errors import ElaborationError, SimulationError
 from repro.kernel.event import Event
@@ -77,15 +77,20 @@ class SlaveBinding:
     read_wait: Optional[int] = None
     write_wait: Optional[int] = None
     localize: bool = True
+    #: True when the slave offers zero-time ``access``
+    is_functional: bool = field(init=False)
+    _slave_wait_states: Optional[Callable[[OcpRequest], int]] = field(
+        init=False, repr=False, compare=False,
+    )
+
+    def __post_init__(self):
+        self.is_functional = hasattr(self.target, "access")
+        self._slave_wait_states = getattr(self.target, "wait_states", None)
 
     @property
     def end(self) -> int:
         """One past the last byte of the mapped region."""
         return self.base + self.size
-
-    def contains(self, addr: int, nbytes: int) -> bool:
-        """True if the whole access fits this region."""
-        return self.base <= addr and addr + nbytes <= self.end
 
     def wait_states(self, request: OcpRequest) -> int:
         """Wait states to charge (override or slave-advertised)."""
@@ -94,40 +99,43 @@ class SlaveBinding:
         )
         if override is not None:
             return override
-        getter = getattr(self.target, "wait_states", None)
+        getter = self._slave_wait_states
         return getter(request) if getter is not None else 0
 
     def localized(self, request: OcpRequest) -> OcpRequest:
         """The request as the slave should see it."""
         if not self.localize or self.base == 0:
             return request
-        from dataclasses import replace
+        return request.rebased(request.addr - self.base)
 
-        return replace(request, addr=request.addr - self.base)
 
-    @property
-    def is_functional(self) -> bool:
-        """True when the slave offers zero-time ``access``."""
-        return hasattr(self.target, "access")
+def decode_region(slaves: List[SlaveBinding],
+                  request: OcpRequest) -> Optional[SlaveBinding]:
+    """The binding whose region holds every beat of ``request``."""
+    low, high = request.beat_bounds()
+    end = high + request.word_bytes
+    for binding in slaves:
+        if binding.base <= low and end <= binding.end:
+            return binding
+    return None
 
 
 class _BusTransaction:
     """In-flight bookkeeping for one master request."""
 
     __slots__ = (
-        "request", "master", "priority", "seq", "arrival",
-        "done", "response", "completed_at",
+        "request", "master", "priority", "seq", "arrival_fs",
+        "done", "response",
     )
 
-    def __init__(self, request, master, priority, seq, arrival, done):
+    def __init__(self, request, master, priority, seq, arrival_fs, done):
         self.request = request
         self.master = master
         self.priority = priority
         self.seq = seq
-        self.arrival = arrival
+        self.arrival_fs = arrival_fs
         self.done = done
         self.response: Optional[OcpResponse] = None
-        self.completed_at: Optional[SimTime] = None
 
 
 class _MasterSocket(SimObject, OcpTargetIf):
@@ -206,10 +214,13 @@ class BusStats:
         self.data_busy_cycles = 0
         self.channel_busy_cycles: Dict[str, int] = {}
 
-    def record(self, master: str, latency: SimTime, nbytes: int,
+    def record(self, master: str, latency_fs: int, nbytes: int,
                ok: bool, data_cycles: int, channel: str) -> None:
-        """Account one completed transaction."""
-        self.latency_by_master.setdefault(master, TimeStats()).add(latency)
+        """Account one completed transaction (latency in femtoseconds)."""
+        stats = self.latency_by_master.get(master)
+        if stats is None:
+            stats = self.latency_by_master[master] = TimeStats()
+        stats.add_fs(latency_fs)
         self.transactions += 1
         self.bytes += nbytes
         if not ok:
@@ -262,7 +273,7 @@ class BusCam(Module):
 
     Subclasses (PLB, OPB, the generic bus) normally just pass a
     :class:`BusTiming`; exotic fabrics may override
-    :meth:`transaction_cycles` for request-dependent timing.
+    :meth:`data_cycles` for request-dependent timing.
     """
 
     def __init__(
@@ -371,12 +382,9 @@ class BusCam(Module):
         self.slaves.append(binding)
         return binding
 
-    def decode(self, addr: int, nbytes: int) -> Optional[SlaveBinding]:
-        """Address decode; the whole burst must fit one region."""
-        for binding in self.slaves:
-            if binding.contains(addr, nbytes):
-                return binding
-        return None
+    def decode(self, request: OcpRequest) -> Optional[SlaveBinding]:
+        """Address decode; every beat of the burst must fit one region."""
+        return decode_region(self.slaves, request)
 
     # -- timing hooks ---------------------------------------------------------------
 
@@ -397,19 +405,15 @@ class BusCam(Module):
     @property
     def current_cycle(self) -> int:
         """Bus cycle number at the current time."""
-        return self.ctx.now // self.clock_period
+        return self.ctx._now_fs // self.clock_period._fs
 
     # -- master-side submission -------------------------------------------------------
 
     def _submit(self, request: OcpRequest, master: str,
                 priority: int) -> _BusTransaction:
         txn = _BusTransaction(
-            request=request,
-            master=master,
-            priority=priority,
-            seq=next(self._seq),
-            arrival=self.ctx.now,
-            done=Event(self, f"{self.full_name}.done_{next(self._seq)}"),
+            request, master, priority, next(self._seq), self.ctx._now_fs,
+            Event(self, f"{self.full_name}.done_{next(self._seq)}"),
         )
         self._pending.append(txn)
         self._request_event.notify()
@@ -418,10 +422,11 @@ class BusCam(Module):
     # -- the bus process ------------------------------------------------------------------
 
     def _align_to_cycle(self) -> Optional[SimTime]:
-        remainder = self.ctx.now % self.clock_period
-        if remainder == ZERO_TIME:
+        period_fs = self.clock_period._fs
+        remainder = self.ctx._now_fs % period_fs
+        if remainder == 0:
             return None
-        return self.clock_period - remainder
+        return SimTime._from_fs(period_fs - remainder)
 
     def _bus_process(self) -> Generator:
         period = self.clock_period
@@ -456,7 +461,7 @@ class BusCam(Module):
                 self._complete(txn, OcpResponse.error(), data_cycles=0,
                                channel="fault-injected")
                 continue
-            binding = self.decode(request.addr, request.nbytes)
+            binding = self.decode(request)
             if (binding is not None and inj is not None
                     and inj.decode_miss(self, request)):
                 binding = None
@@ -481,18 +486,18 @@ class BusCam(Module):
             # Command phase on the shared path; data phase overlaps the
             # next command phase, serialized per data channel.
             yield period * timing.cmd_cycles
-            start = max(
-                self.ctx.now,
-                self._channel_free.get(channel, ZERO_TIME),
-            )
-            end = start + period * data_cycles
-            self._channel_free[channel] = end
+            now_fs = self.ctx._now_fs
+            free = self._channel_free.get(channel)
+            start_fs = now_fs if free is None else max(now_fs, free._fs)
+            end_fs = start_fs + period._fs * data_cycles
+            self._channel_free[channel] = SimTime._from_fs(end_fs)
             response = self._functional_access(binding, request)
             txn.response = response
-            txn.completed_at = end
-            delay = end - self.ctx.now
-            txn.done.notify_after(delay)
-            self._account(txn, response, end, data_cycles, channel)
+            if end_fs > now_fs:
+                txn.done._notify_at_fs(end_fs)
+            else:
+                txn.done.notify_delta()
+            self._account(txn, response, end_fs, data_cycles, channel)
             # Bus thread returns immediately: ready to arbitrate the next
             # command phase while this data phase drains.
         else:
@@ -507,12 +512,12 @@ class BusCam(Module):
         request = txn.request
         channel = self.channel_of(request)
         yield period * timing.cmd_cycles
-        start = self.ctx.now
+        start_fs = self.ctx._now_fs
         response = yield from binding.target.transport(
             binding.localized(request)
         )
-        busy = (self.ctx.now - start) // period
-        self._complete(txn, response, int(busy), channel)
+        busy = (self.ctx._now_fs - start_fs) // period._fs
+        self._complete(txn, response, busy, channel)
 
     def _functional_access(self, binding: SlaveBinding,
                            request: OcpRequest) -> OcpResponse:
@@ -532,38 +537,32 @@ class BusCam(Module):
     def _complete(self, txn: _BusTransaction, response: OcpResponse,
                   data_cycles: int, channel: str) -> None:
         txn.response = response
-        txn.completed_at = self.ctx.now
         txn.done.notify()
-        self._account(txn, response, self.ctx.now, data_cycles, channel)
+        self._account(txn, response, self.ctx._now_fs, data_cycles, channel)
 
     def _account(self, txn: _BusTransaction, response: OcpResponse,
-                 end: SimTime, data_cycles: int, channel: str) -> None:
-        latency = end - txn.arrival
-        self.stats.record(
-            master=txn.master,
-            latency=latency,
-            nbytes=txn.request.nbytes,
-            ok=response.ok,
-            data_cycles=data_cycles,
-            channel=channel,
-        )
+                 end_fs: int, data_cycles: int, channel: str) -> None:
+        request = txn.request
+        latency_fs = end_fs - txn.arrival_fs
+        self.stats.record(txn.master, latency_fs, request.nbytes,
+                          response.ok, data_cycles, channel)
         if self._m_grants is not None:
             self._m_transactions.inc()
-            self._m_bytes.inc(txn.request.nbytes)
+            self._m_bytes.inc(request.nbytes)
             if not response.ok:
                 self._m_errors.inc()
-            self._m_latency.observe(latency.to("ns"))
+            self._m_latency.observe(latency_fs / 1_000_000)
             self._m_utilization.set(self.utilization(), self.ctx._now_fs)
         if self.recorder is not None:
             self.recorder.record(
                 channel=self.full_name,
-                kind=txn.request.cmd.name.lower(),
+                kind=request.cmd.name.lower(),
                 initiator=txn.master,
                 target=channel,
-                begin=txn.arrival,
-                end=end,
-                nbytes=txn.request.nbytes,
-                burst=txn.request.burst_length,
+                begin=SimTime._from_fs(txn.arrival_fs),
+                end=SimTime._from_fs(end_fs),
+                nbytes=request.nbytes,
+                burst=request.burst_length,
             )
 
     # -- checkpoint/restore protocol (see repro.snapshot) --------------------

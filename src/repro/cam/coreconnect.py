@@ -65,14 +65,6 @@ class PlbBus(BusCam):
             metrics=metrics,
         )
 
-    def data_cycles(self, request: OcpRequest, binding) -> int:
-        if request.burst_length > PLB_MAX_BURST:
-            raise SimulationError(
-                f"PLB burst of {request.burst_length} beats exceeds the "
-                f"PLB maximum of {PLB_MAX_BURST}; split the transfer"
-            )
-        return super().data_cycles(request, binding)
-
 
 class OpbBus(BusCam):
     """CoreConnect On-chip Peripheral Bus CAM (CCATB)."""

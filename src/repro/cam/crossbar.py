@@ -40,7 +40,7 @@ class _CrossbarSocket(SimObject, OcpTargetIf):
     def transport(self, request: OcpRequest) -> Generator:
         if request.master_id is None:
             request.master_id = self.full_name
-        path = self.xbar._decode_path(request.addr, request.nbytes)
+        path = self.xbar._decode_path(request)
         if path is None:
             # Decode error: charge one command phase, like the buses do.
             yield self.xbar.clock_period * self.xbar.timing.cmd_cycles
@@ -145,9 +145,9 @@ class CrossbarCam(Module):
     def __restore__(self, state: dict) -> None:
         self.decode_errors = state["decode_errors"]
 
-    def _decode_path(self, addr: int, nbytes: int) -> Optional[BusCam]:
+    def _decode_path(self, request: OcpRequest) -> Optional[BusCam]:
         for path in self.paths:
-            if path.decode(addr, nbytes) is not None:
+            if path.decode(request) is not None:
                 return path
         return None
 

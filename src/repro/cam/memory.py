@@ -65,6 +65,12 @@ class MemorySlave(SimObject, OcpTargetIf):
         self.reads = 0
         self.writes = 0
         self._word_mask = (1 << (8 * word_bytes)) - 1
+        #: bit mask of the word bytes each byte-enable value enables
+        self._byte_masks = [
+            sum(0xFF << (8 * byte) for byte in range(word_bytes)
+                if byte_en >> byte & 1)
+            for byte_en in range(1 << word_bytes)
+        ]
 
     # -- raw storage helpers -----------------------------------------------------
 
@@ -87,36 +93,40 @@ class MemorySlave(SimObject, OcpTargetIf):
     # -- functional access (zero simulated time) -----------------------------------
 
     def access(self, request: OcpRequest) -> OcpResponse:
-        """Zero-time functional access; bounds-checked."""
-        last = request.beat_address(request.burst_length - 1)
-        if not (0 <= request.addr and last + self.word_bytes <= self.size):
+        """Zero-time functional access to a whole burst.
+
+        ERR unless every beat's word lies in ``[0, size)``.  A write
+        stores the enabled bytes of each beat's word; when beats share a
+        word (STRM, or words wider than the request's) the last wins.
+        """
+        low, high = request.beat_bounds()
+        word_bytes = self.word_bytes
+        if low < 0 or high + word_bytes > self.size:
             return OcpResponse.error()
+        addresses = request.beat_addresses()
+        get = self._words.get
         if request.cmd.is_write:
-            for beat in range(request.burst_length):
-                index = self._word_index(request.beat_address(beat))
-                value = request.data[beat] & self._word_mask
-                if request.byte_en is not None:
-                    value = self._merge_bytes(index, value, request.byte_en)
-                self._words[index] = value
+            byte_en = request.byte_en
+            enable = (self._word_mask if byte_en is None else
+                      self._byte_masks[byte_en % len(self._byte_masks)])
+            keep = self._word_mask ^ enable
+            if keep:
+                # reads every old word before the update stores any
+                self._words.update({
+                    address // word_bytes:
+                        get(address // word_bytes, 0) & keep | value & enable
+                    for address, value in zip(addresses, request.data)
+                })
+            else:
+                self._words.update({
+                    address // word_bytes: value & enable
+                    for address, value in zip(addresses, request.data)
+                })
             self.writes += 1
             return OcpResponse.write_ok()
-        data = [
-            self._words.get(
-                self._word_index(request.beat_address(beat)), 0
-            )
-            for beat in range(request.burst_length)
-        ]
+        data = [get(address // word_bytes, 0) for address in addresses]
         self.reads += 1
         return OcpResponse.read_ok(data)
-
-    def _merge_bytes(self, index: int, new: int, byte_en: int) -> int:
-        old = self._words.get(index, 0)
-        merged = 0
-        for byte in range(self.word_bytes):
-            mask = 0xFF << (8 * byte)
-            source = new if byte_en & (1 << byte) else old
-            merged |= source & mask
-        return merged
 
     # -- checkpoint/restore protocol (see repro.snapshot) -----------------------
 

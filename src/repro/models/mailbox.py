@@ -34,7 +34,8 @@ HW/SW driver as RTOS tasks (see :class:`MailboxHost`).
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional, Tuple
+import struct
+from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.kernel.errors import SimulationError
 from repro.kernel.event import Event
@@ -50,6 +51,7 @@ CTRL_MORE = 0x2
 CTRL_REQUEST = 0x4
 
 WORD_BYTES = 4
+_WORD_MASK = 0xFFFFFFFF
 
 
 class MailboxLayout:
@@ -76,11 +78,9 @@ class MailboxLayout:
 
 def bytes_to_words(data: bytes) -> List[int]:
     """Pack bytes into big-endian 32-bit words (zero padded)."""
-    words = []
-    for i in range(0, len(data), WORD_BYTES):
-        chunk = data[i:i + WORD_BYTES].ljust(WORD_BYTES, b"\x00")
-        words.append(int.from_bytes(chunk, "big"))
-    return words
+    count = word_count(len(data))
+    padded = data.ljust(count * WORD_BYTES, b"\x00")
+    return list(struct.unpack(f">{count}I", padded))
 
 
 def word_count(nbytes: int) -> int:
@@ -90,8 +90,7 @@ def word_count(nbytes: int) -> int:
 
 def words_to_bytes(words: List[int], nbytes: int) -> bytes:
     """Inverse of :func:`bytes_to_words`, truncated to ``nbytes``."""
-    raw = b"".join(w.to_bytes(WORD_BYTES, "big") for w in words)
-    return raw[:nbytes]
+    return struct.pack(f">{len(words)}I", *words)[:nbytes]
 
 
 def chunk_message(data: bytes, layout: MailboxLayout,
@@ -133,7 +132,10 @@ class MailboxSlave(SimObject):
         self.layout = MailboxLayout(capacity_words)
         self.read_wait = read_wait
         self.write_wait = write_wait
-        self._regs: List[int] = [0] * (self.layout.total_bytes // WORD_BYTES)
+        #: register byte offset -> value
+        self._regs: Dict[int, int] = dict.fromkeys(
+            range(0, self.layout.total_bytes, WORD_BYTES), 0
+        )
         self.doorbell_in = Event(self, f"{self.full_name}.doorbell_in")
         self.in_consumed = Event(self, f"{self.full_name}.in_consumed")
         self.out_consumed = Event(self, f"{self.full_name}.out_consumed")
@@ -146,25 +148,12 @@ class MailboxSlave(SimObject):
 
     # -- register helpers ------------------------------------------------------
 
-    def _reg_index(self, offset: int) -> int:
-        if offset % WORD_BYTES:
-            raise SimulationError(
-                f"mailbox {self.full_name}: unaligned access at "
-                f"{offset:#x}"
-            )
-        index = offset // WORD_BYTES
-        if not 0 <= index < len(self._regs):
-            raise SimulationError(
-                f"mailbox {self.full_name}: offset {offset:#x} out of "
-                f"range"
-            )
-        return index
-
-    def _read_reg(self, offset: int) -> int:
-        return self._regs[self._reg_index(offset)]
-
     def _write_reg(self, offset: int, value: int) -> None:
-        self._regs[self._reg_index(offset)] = value & 0xFFFFFFFF
+        self._regs[offset] = value & _WORD_MASK
+        self._ctrl_written(offset, value)
+
+    def _ctrl_written(self, offset: int, value: int) -> None:
+        """Fire what writing ``value`` at ``offset`` signals, if a CTRL."""
         if offset == self.layout.ctrl_in:
             if value & CTRL_VALID:
                 self.doorbell_in.notify()
@@ -183,20 +172,38 @@ class MailboxSlave(SimObject):
         return self.read_wait if request.cmd.is_read else self.write_wait
 
     def access(self, request: OcpRequest) -> OcpResponse:
-        """Functional bus access to the register block."""
-        last_offset = request.beat_address(request.burst_length - 1)
-        if last_offset + WORD_BYTES > self.layout.total_bytes:
+        """Functional bus access to the register block, a burst per call.
+
+        ERR unless every beat falls in the block; a beat off a register
+        boundary raises :class:`SimulationError`.
+        """
+        low, high = request.beat_bounds()
+        if high + WORD_BYTES > self.layout.total_bytes:
             return OcpResponse.error()
+        # Beats are ``low`` plus multiples of the request's word size,
+        # so they all sit on register boundaries when ``low`` does and,
+        # unless they share one address, that word size is too.
+        if low % WORD_BYTES or (high > low
+                                and request.word_bytes % WORD_BYTES):
+            raise SimulationError(
+                f"mailbox {self.full_name}: unaligned access at "
+                f"{request.addr:#x}"
+            )
+        addresses = request.beat_addresses()
+        regs = self._regs
         if request.cmd.is_write:
-            for beat in range(request.burst_length):
-                self._write_reg(request.beat_address(beat),
-                                request.data[beat])
+            data = request.data
+            regs.update(zip(addresses,
+                            [value & _WORD_MASK for value in data]))
+            layout = self.layout
+            if (low <= layout.ctrl_in <= high
+                    or low <= layout.ctrl_out <= high):
+                # in beat order, as separate register writes would
+                for address, value in zip(addresses, data):
+                    self._ctrl_written(address, value)
             self.bus_writes += 1
             return OcpResponse.write_ok()
-        data = [
-            self._read_reg(request.beat_address(beat))
-            for beat in range(request.burst_length)
-        ]
+        data = [regs[address] for address in addresses]
         self.bus_reads += 1
         return OcpResponse.read_ok(data)
 
@@ -205,12 +212,12 @@ class MailboxSlave(SimObject):
     @property
     def in_ctrl(self) -> int:
         """Current CTRL_IN value."""
-        return self._read_reg(self.layout.ctrl_in)
+        return self._regs[self.layout.ctrl_in]
 
     @property
     def out_ctrl(self) -> int:
         """Current CTRL_OUT value."""
-        return self._read_reg(self.layout.ctrl_out)
+        return self._regs[self.layout.ctrl_out]
 
     def take_in_chunk(self) -> Tuple[bytes, int]:
         """Owner consumes the inbound chunk; returns ``(bytes, ctrl)``.
@@ -223,9 +230,13 @@ class MailboxSlave(SimObject):
                 f"mailbox {self.full_name}: take_in_chunk with no valid "
                 f"chunk"
             )
-        nbytes = self._read_reg(self.layout.len_in)
-        start = self.layout.data_in // WORD_BYTES
-        words = self._regs[start:start + word_count(nbytes)]
+        regs = self._regs
+        nbytes = regs[self.layout.len_in]
+        start = self.layout.data_in
+        # a length past the window reads on to the block's end
+        stop = min(start + word_count(nbytes) * WORD_BYTES,
+                   self.layout.total_bytes)
+        words = [regs[offset] for offset in range(start, stop, WORD_BYTES)]
         self._write_reg(self.layout.ctrl_in, 0)
         return words_to_bytes(words, nbytes), ctrl
 
@@ -242,8 +253,10 @@ class MailboxSlave(SimObject):
                 f"exceeds capacity {self.layout.chunk_capacity_bytes}"
             )
         words = bytes_to_words(data)
-        start = self.layout.data_out // WORD_BYTES
-        self._regs[start:start + len(words)] = words
+        start = self.layout.data_out
+        self._regs.update(zip(
+            range(start, start + len(words) * WORD_BYTES, WORD_BYTES), words
+        ))
         self._write_reg(self.layout.len_out, len(data))
         self._write_reg(self.layout.ctrl_out, ctrl)
 

@@ -154,9 +154,9 @@ class OcpPinMaster(SimObject, OcpTargetIf):
         yield from self._lock.lock()
         try:
             # --- request phase: one beat per accepted cycle ---------------
-            for beat in range(request.burst_length):
+            for beat, address in enumerate(request.beat_addresses()):
                 bundle.m_cmd.write(request.cmd.value)
-                bundle.m_addr.write(request.beat_address(beat))
+                bundle.m_addr.write(address)
                 bundle.m_burst_length.write(request.burst_length - beat)
                 if request.byte_en is not None:
                     bundle.m_byte_en.write(request.byte_en)

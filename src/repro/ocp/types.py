@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 
 class OcpCmd(enum.Enum):
@@ -97,20 +97,61 @@ class OcpRequest:
         """Total bytes this burst moves."""
         return self.burst_length * self.word_bytes
 
+    def beat_addresses(self) -> Sequence[int]:
+        """Byte address of every beat, in burst order.
+
+        INCR steps one word per beat and STRM repeats ``addr``.  WRAP
+        walks the burst-sized aligned window that holds ``addr``: from
+        ``addr`` to the window's end, then on from its start.
+        """
+        addr = self.addr
+        step = self.word_bytes
+        seq = self.burst_seq
+        if seq is BurstSeq.INCR:
+            return range(addr, addr + self.burst_length * step, step)
+        if seq is BurstSeq.STRM:
+            return (addr,) * self.burst_length
+        window = self.burst_length * step
+        end = addr - addr % window + window
+        return (*range(addr, end, step),
+                *range(end - window + addr % step, addr, step))
+
     def beat_address(self, beat: int) -> int:
         """Byte address of the given beat per the burst sequence."""
         if not 0 <= beat < self.burst_length:
             raise ValueError(
                 f"beat {beat} outside burst of {self.burst_length}"
             )
+        return self.beat_addresses()[beat]
+
+    def beat_bounds(self) -> Tuple[int, int]:
+        """Lowest and highest address of :meth:`beat_addresses`.
+
+        In closed form, so a decoder or slave bounds a burst without
+        building its sequence.  The footprint runs from the first to one
+        word past the second: ``burst_length`` words for INCR, the
+        aligned window for WRAP, one word for STRM.
+        """
+        addr = self.addr
         seq = self.burst_seq
-        if seq is BurstSeq.INCR:
-            return self.addr + beat * self.word_bytes
         if seq is BurstSeq.STRM:
-            return self.addr
-        span = self.burst_length * self.word_bytes
-        base = (self.addr // span) * span
-        return base + (self.addr - base + beat * self.word_bytes) % span
+            return addr, addr
+        last = (self.burst_length - 1) * self.word_bytes
+        if seq is BurstSeq.WRAP:
+            # the window's start plus the offset every beat shares
+            addr -= addr % (last + self.word_bytes) - addr % self.word_bytes
+        return addr, addr + last
+
+    def rebased(self, addr: int) -> "OcpRequest":
+        """A shallow copy of this request at ``addr``.
+
+        For decoders that strip a region base: skips ``__post_init__``,
+        since every other field was checked when the request was built
+        and a decoded address is never below its region's base.
+        """
+        request = object.__new__(self.__class__)
+        request.__dict__ = {**self.__dict__, "addr": addr}
+        return request
 
     def __repr__(self) -> str:
         return (

@@ -25,7 +25,7 @@ from repro.kernel.event import Event
 from repro.kernel.module import Module
 from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
-from repro.cam.bus import BusTiming, SlaveBinding
+from repro.cam.bus import BusTiming, SlaveBinding, decode_region
 
 
 class RtlMasterPort:
@@ -186,12 +186,9 @@ class RtlBusCore(Module):
         self.slaves.append(binding)
         return binding
 
-    def decode(self, addr: int, nbytes: int) -> Optional[SlaveBinding]:
-        """Address decode; the burst must fit one region."""
-        for binding in self.slaves:
-            if binding.contains(addr, nbytes):
-                return binding
-        return None
+    def decode(self, request: OcpRequest) -> Optional[SlaveBinding]:
+        """Address decode; every beat of the burst must fit one region."""
+        return decode_region(self.slaves, request)
 
     def _engine_for(self, request: OcpRequest) -> _DataEngine:
         if self.timing.split_rw:
@@ -257,7 +254,7 @@ class RtlBusCore(Module):
             return
         chosen.granted = True
         request = chosen.request
-        binding = self.decode(request.addr, request.nbytes)
+        binding = self.decode(request)
         self._cmd_current = (chosen, binding, request)
         self._cmd_countdown = self.timing.cmd_cycles
 

@@ -127,7 +127,11 @@ class TimeStats:
 
     def add(self, duration: SimTime) -> None:
         """Fold one duration into the statistics."""
-        self._stats.add(duration.to("ns"))
+        self.add_fs(duration._fs)
+
+    def add_fs(self, femtoseconds: int) -> None:
+        """Fold one duration given in femtoseconds into the statistics."""
+        self._stats.add(femtoseconds / 1_000_000)
 
     @property
     def count(self) -> int:

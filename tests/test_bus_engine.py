@@ -1,0 +1,352 @@
+"""The CCATB bus engine on integer time matches the SimTime engine.
+
+``BusCam`` computes cycle alignment, the pipelined data phase and
+transaction latency on integer femtoseconds and resolves per-slave facts
+once at ``attach_slave``.  ``SimTimeEngine`` below keeps the engine
+methods as they were written on :class:`SimTime` arithmetic (with
+``dataclasses.replace`` localization and a per-call wait-state lookup),
+the way ``tests/test_clock.py`` keeps ``ProcessClock``.  Random
+multi-master schedules on every fabric and arbiter, with zero-gap
+streams, wait states, decode misses, bursts over ``max_burst`` and a
+localized transported slave, must give identical completion times,
+responses, bus statistics, metrics, recorder records and memory.
+"""
+
+from __future__ import annotations
+
+import random
+from contextlib import nullcontext
+from dataclasses import replace
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+import repro.cam.crossbar as crossbar_module
+from repro.cam import (
+    AhbBus,
+    BusCam,
+    BusStats,
+    CrossbarCam,
+    GenericBus,
+    MemorySlave,
+    OpbBus,
+    PlbBus,
+)
+from repro.cam.arbiters import make_arbiter
+from repro.kernel import Event, Module, SimContext, ns, ps
+from repro.kernel.object import SimObject
+from repro.kernel.simtime import ZERO_TIME
+from repro.obs.metrics import MetricsRegistry
+from repro.ocp import OcpCmd, OcpRequest, OcpResponse
+from repro.trace.stats import TimeStats
+from repro.trace.transaction import TransactionRecorder
+from tests.test_burst_access import PerBeatMemory
+
+
+# ---------------------------------------------------------------------------
+# Reference engine: SimTime arithmetic throughout
+# ---------------------------------------------------------------------------
+
+
+class _SimTimeTransaction:
+    __slots__ = (
+        "request", "master", "priority", "seq", "arrival",
+        "done", "response", "completed_at",
+    )
+
+    def __init__(self, request, master, priority, seq, arrival, done):
+        self.request = request
+        self.master = master
+        self.priority = priority
+        self.seq = seq
+        self.arrival = arrival
+        self.done = done
+        self.response = None
+        self.completed_at = None
+
+
+class SimTimeBusStats(BusStats):
+    def record(self, master, latency, nbytes, ok, data_cycles, channel):
+        self.latency_by_master.setdefault(master, TimeStats())._stats.add(
+            latency.to("ns"))
+        self.transactions += 1
+        self.bytes += nbytes
+        if not ok:
+            self.error_responses += 1
+        self.data_busy_cycles += data_cycles
+        self.channel_busy_cycles[channel] = (
+            self.channel_busy_cycles.get(channel, 0) + data_cycles
+        )
+
+
+def _localized(binding, request):
+    if not binding.localize or binding.base == 0:
+        return request
+    return replace(request, addr=request.addr - binding.base)
+
+
+class SimTimeEngine:
+    """Mixin: the bus engine methods on SimTime values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stats = SimTimeBusStats()
+
+    @property
+    def current_cycle(self):
+        return self.ctx.now // self.clock_period
+
+    def data_cycles(self, request, binding):
+        waits = binding.read_wait if request.cmd.is_read else (
+            binding.write_wait)
+        if waits is None:
+            getter = getattr(binding.target, "wait_states", None)
+            waits = getter(request) if getter is not None else 0
+        return waits + request.burst_length * self.timing.cycles_per_beat
+
+    def _submit(self, request, master, priority):
+        txn = _SimTimeTransaction(
+            request=request,
+            master=master,
+            priority=priority,
+            seq=next(self._seq),
+            arrival=self.ctx.now,
+            done=Event(self, f"{self.full_name}.done_{next(self._seq)}"),
+        )
+        self._pending.append(txn)
+        self._request_event.notify()
+        return txn
+
+    def _align_to_cycle(self):
+        remainder = self.ctx.now % self.clock_period
+        if remainder == ZERO_TIME:
+            return None
+        return self.clock_period - remainder
+
+    def _run_functional(self, txn, binding):
+        period = self.clock_period
+        timing = self.timing
+        request = txn.request
+        data_cycles = self.data_cycles(request, binding)
+        channel = self.channel_of(request)
+        if timing.pipelined:
+            yield period * timing.cmd_cycles
+            start = max(
+                self.ctx.now,
+                self._channel_free.get(channel, ZERO_TIME),
+            )
+            end = start + period * data_cycles
+            self._channel_free[channel] = end
+            response = self._functional_access(binding, request)
+            txn.response = response
+            txn.completed_at = end
+            delay = end - self.ctx.now
+            txn.done.notify_after(delay)
+            self._account(txn, response, end, data_cycles, channel)
+        else:
+            yield period * (timing.cmd_cycles + data_cycles)
+            response = self._functional_access(binding, request)
+            self._complete(txn, response, data_cycles, channel)
+
+    def _run_transported(self, txn, binding):
+        period = self.clock_period
+        timing = self.timing
+        request = txn.request
+        channel = self.channel_of(request)
+        yield period * timing.cmd_cycles
+        start = self.ctx.now
+        response = yield from binding.target.transport(
+            _localized(binding, request)
+        )
+        busy = (self.ctx.now - start) // period
+        self._complete(txn, response, int(busy), channel)
+
+    def _functional_access(self, binding, request):
+        try:
+            return binding.target.access(_localized(binding, request))
+        except Exception:
+            return OcpResponse.error()
+
+    def _complete(self, txn, response, data_cycles, channel):
+        txn.response = response
+        txn.completed_at = self.ctx.now
+        txn.done.notify()
+        self._account(txn, response, self.ctx.now, data_cycles, channel)
+
+    def _account(self, txn, response, end, data_cycles, channel):
+        latency = end - txn.arrival
+        self.stats.record(
+            master=txn.master,
+            latency=latency,
+            nbytes=txn.request.nbytes,
+            ok=response.ok,
+            data_cycles=data_cycles,
+            channel=channel,
+        )
+        if self._m_grants is not None:
+            self._m_transactions.inc()
+            self._m_bytes.inc(txn.request.nbytes)
+            if not response.ok:
+                self._m_errors.inc()
+            self._m_latency.observe(latency.to("ns"))
+            self._m_utilization.set(self.utilization(), self.ctx._now_fs)
+        if self.recorder is not None:
+            self.recorder.record(
+                channel=self.full_name,
+                kind=txn.request.cmd.name.lower(),
+                initiator=txn.master,
+                target=channel,
+                begin=txn.arrival,
+                end=end,
+                nbytes=txn.request.nbytes,
+                burst=txn.request.burst_length,
+            )
+
+
+FABRICS = {
+    "plb": PlbBus,
+    "opb": OpbBus,
+    "ahb": AhbBus,
+    "generic": GenericBus,
+}
+SIMTIME_FABRICS = {
+    name: type(f"SimTime{cls.__name__}", (SimTimeEngine, cls), {})
+    for name, cls in FABRICS.items()
+}
+SimTimeBusCam = type("SimTimeBusCam", (SimTimeEngine, BusCam), {})
+
+
+class DelayedMemory(SimObject):
+    """A transported-only slave: a memory that answers after ``delay``."""
+
+    def __init__(self, name, parent, memory, delay):
+        super().__init__(name, parent)
+        self.memory = memory
+        self.delay = delay
+
+    def transport(self, request):
+        yield self.delay
+        return self.memory.access(request)
+
+
+# ---------------------------------------------------------------------------
+# Generated schedules
+# ---------------------------------------------------------------------------
+
+#: (base, size) of the two memories and the transported slave; anything
+#: else decodes to nothing
+REGIONS = ((0x0, 0x200), (0x1000, 0x200), (0x2000, 0x200))
+
+
+def random_schedule(rng, masters):
+    """Per master: a start delay and (gap, request spec) pairs."""
+    schedule = []
+    for _ in range(masters):
+        items = []
+        for _ in range(rng.randint(1, 7)):
+            beats = rng.choice([1, 1, 2, 4, 8, 16, 17, 24])
+            if rng.random() < 0.1:
+                # unmapped, or running past a region's end
+                addr = rng.choice([0x3000, 0x1200 - 4 * (beats - 1) + 4,
+                                   0x0800])
+            else:
+                base, size = rng.choice(REGIONS)
+                addr = base + 4 * rng.randrange(size // 4 - beats + 1)
+            cmd = rng.choice([OcpCmd.RD, OcpCmd.WR, OcpCmd.WRNP])
+            data = ([rng.randrange(1 << 32) for _ in range(beats)]
+                    if cmd.is_write else [])
+            gap = rng.choice([0, 0, 0, 1, 2500, 7000, 10_000, 33_300])
+            items.append((gap, (cmd, addr, data, beats)))
+        schedule.append((rng.choice([0, 0, 3000, 10_000]), items))
+    return schedule
+
+
+def run_schedule(seed, fabric, arbiter, reference):
+    """Run generated system ``seed``; return everything observable."""
+    rng = random.Random(seed)
+    masters = rng.randint(1, 4)
+    schedule = random_schedule(rng, masters)
+    period = rng.choice([ns(10), ns(7), ps(3300)])
+    names = [f"m{i}" for i in range(masters)]
+
+    def new_arbiter():
+        if arbiter == "tdma":
+            return make_arbiter("tdma", schedule=names,
+                                slot_cycles=rng.choice([1, 4]))
+        return make_arbiter(arbiter)
+
+    ctx = SimContext()
+    top = Module("top", ctx=ctx)
+    recorder = TransactionRecorder()
+    metrics = MetricsRegistry() if fabric != "crossbar" else None
+    if fabric == "crossbar":
+        bus = CrossbarCam("bus", top, clock_period=period,
+                          arbiter_factory=new_arbiter, recorder=recorder)
+    else:
+        cls = (SIMTIME_FABRICS if reference else FABRICS)[fabric]
+        bus = cls("bus", top, clock_period=period, arbiter=new_arbiter(),
+                  recorder=recorder, metrics=metrics)
+    memory_cls = PerBeatMemory if reference else MemorySlave
+    memories = [
+        memory_cls(f"mem{i}", top, size=0x200,
+                   read_wait=rng.randint(0, 3), write_wait=rng.randint(0, 3))
+        for i in range(3)
+    ]
+    far = DelayedMemory("far", top, memories[2],
+                        ps(rng.choice([0, 1, 4000, 25_000])))
+    paths = (mock.patch.object(crossbar_module, "BusCam", SimTimeBusCam)
+             if reference and fabric == "crossbar" else nullcontext())
+    with paths:
+        bus.attach_slave(memories[0], *REGIONS[0])
+        bus.attach_slave(memories[1], *REGIONS[1],
+                         read_wait=rng.choice([None, 0, 2]),
+                         write_wait=rng.choice([None, 1]))
+        bus.attach_slave(far, *REGIONS[2], localize=True)
+    records = []
+    running = list(names)
+
+    for index, (start, items) in enumerate(schedule):
+        socket = bus.master_socket(names[index], priority=rng.randint(0, 2))
+
+        def master(name=names[index], start=start, items=items,
+                   socket=socket):
+            if start:
+                yield ps(start)
+            for number, (gap, (cmd, addr, data, beats)) in enumerate(items):
+                if gap:
+                    yield ps(gap)
+                request = OcpRequest(cmd, addr, data=list(data),
+                                     burst_length=beats)
+                response = yield from socket.transport(request)
+                records.append((name, number, ctx._now_fs, response.resp,
+                                tuple(response.data)))
+            running.remove(name)
+            if not running:
+                ctx.stop()
+
+        ctx.register_thread(master, names[index])
+    ctx.run(ns(100_000))
+    buses = bus.paths if fabric == "crossbar" else [bus]
+    return {
+        "outcome": ctx.last_run_outcome,
+        "records": records,
+        "end": ctx._now_fs,
+        "stats": [b.stats.__snapshot__() for b in buses],
+        "utilization": [b.utilization() for b in buses],
+        "channel_free": [{channel: when._fs for channel, when
+                          in b._channel_free.items()} for b in buses],
+        "metrics": metrics.snapshot() if metrics is not None else None,
+        "recorded": recorder.records,
+        "memory": [list(memory._words.items()) for memory in memories],
+    }
+
+
+@given(seed=st.integers(0, 1 << 30),
+       fabric=st.sampled_from(["plb", "opb", "ahb", "generic", "crossbar"]),
+       arbiter=st.sampled_from(["static-priority", "round-robin", "tdma"]))
+@settings(max_examples=200, deadline=None)
+def test_integer_time_engine_matches_simtime_engine(seed, fabric, arbiter):
+    fast = run_schedule(seed, fabric, arbiter, reference=False)
+    slow = run_schedule(seed, fabric, arbiter, reference=True)
+    assert fast["outcome"] == "stopped"
+    assert fast == slow

@@ -168,7 +168,7 @@ class ArrivalOrderCore(RtlBusCore):
             return
         chosen.granted = True
         request = chosen.request
-        binding = self.decode(request.addr, request.nbytes)
+        binding = self.decode(request)
         self._cmd_current = (chosen, binding, request)
         self._cmd_countdown = self.timing.cmd_cycles
 
