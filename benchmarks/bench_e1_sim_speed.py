@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro.kernel import Clock, Module, SimContext, ns, us
-from repro.cam import BusTiming, MemorySlave, PlbBus
+from repro.cam import PLB_TIMING, MemorySlave, PlbBus
 from repro.ocp import OcpCmd, OcpPinBundle, OcpPinMaster, OcpRequest
 from repro.rtl import RtlBusCore
 from repro.accessors import RtlAccessor
@@ -100,8 +100,7 @@ def run_pin():
     clk = Clock("clk", top, period=ns(10))
     core = RtlBusCore(
         "core", top, clock=clk,
-        timing=BusTiming(arb_cycles=1, addr_cycles=1, cycles_per_beat=1,
-                         pipelined=True, split_rw=True),
+        timing=PLB_TIMING,
     )
     mem = MemorySlave("mem", top, size=1 << 16, read_wait=1,
                       write_wait=1)

@@ -19,7 +19,7 @@ import time
 
 
 from repro.kernel import Clock, Module, SimContext, ns, us
-from repro.cam import BusTiming, MemorySlave, PlbBus
+from repro.cam import PLB_TIMING, MemorySlave, PlbBus
 from repro.ocp import OcpCmd, OcpRequest
 from repro.rtl import RtlBusCore
 
@@ -72,8 +72,7 @@ def run_rtl():
     clk = Clock("clk", top, period=PERIOD)
     core = RtlBusCore(
         "core", top, clock=clk,
-        timing=BusTiming(arb_cycles=1, addr_cycles=1, cycles_per_beat=1,
-                         pipelined=True, split_rw=True),
+        timing=PLB_TIMING,
     )
     mem = MemorySlave("mem", top, size=1 << 12, read_wait=1,
                       write_wait=1)

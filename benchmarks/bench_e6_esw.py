@@ -18,8 +18,8 @@ benchmark regenerates the evaluation a SW-generation paper reports:
 import pytest
 
 from repro.kernel import Module, SimContext, ns, us
-from repro.apps import reference_output
-from repro.apps.pipeline import SinkPE, SourcePE, TransformPE
+from repro.apps import build_pv, reference_output
+from repro.apps.pipeline import SourcePE
 from repro.esw import (
     EswConstraintError,
     PartitionSpec,
@@ -35,42 +35,35 @@ BLOCKS = 10
 
 
 def build(partition_sw: bool):
-    ctx = SimContext()
-    top = Module("top", ctx=ctx)
-    c1 = ShipChannel("c1", top)
-    c2 = ShipChannel("c2", top)
-    source = SourcePE("source", top, c1, BLOCKS)
-    transform = TransformPE("transform", top, c1, c2, BLOCKS)
-    sink = SinkPE("sink", top, c2, BLOCKS)
+    system = build_pv(BLOCKS)
     image = None
     os = None
     if partition_sw:
-        os = Rtos("os", top, context_switch=ns(500))
-        spec = PartitionSpec(software=[source, transform, sink])
-        image = generate_esw(spec, os)
-    ctx.run(us(1_000_000))
-    return ctx, sink, image, os
+        os = Rtos("os", system.top, context_switch=ns(500))
+        image = generate_esw(PartitionSpec(software=system.pes), os)
+    system.ctx.run(us(1_000_000))
+    return system, image, os
 
 
 def test_e6_equivalence_and_coverage(benchmark):
-    hw_ctx, hw_sink, _, _ = build(partition_sw=False)
-    sw_ctx, sw_sink, image, os = benchmark.pedantic(
+    hw, _, _ = build(partition_sw=False)
+    sw, image, os = benchmark.pedantic(
         lambda: build(partition_sw=True), rounds=1, iterations=1
     )
     golden = reference_output(BLOCKS)
-    assert hw_sink.results == golden
-    assert sw_sink.results == golden
+    assert hw.outputs() == golden
+    assert sw.outputs() == golden
 
     subs = image.substitutions
     rows = [{
         "model": "component-assembly (HW)",
-        "finish": str(hw_ctx.last_activity_time),
+        "finish": str(hw.ctx.last_activity_time),
         "tasks": "-",
         "substitutions": "-",
         "ctx_switches": "-",
     }, {
         "model": "generated eSW on RTOS",
-        "finish": str(sw_ctx.last_activity_time),
+        "finish": str(sw.ctx.last_activity_time),
         "tasks": len(image.tasks),
         "substitutions": (f"{subs.total} (delay={subs.delays}, "
                           f"wait={subs.event_waits}, "
@@ -86,7 +79,7 @@ def test_e6_equivalence_and_coverage(benchmark):
     # channel blocking became RTOS blocking
     assert subs.event_waits > 0
     # software serialization: the single CPU cannot beat parallel HW
-    assert sw_ctx.last_activity_time >= hw_ctx.last_activity_time
+    assert sw.ctx.last_activity_time >= hw.ctx.last_activity_time
     assert os.context_switches > 0
     assert os.all_finished()
 

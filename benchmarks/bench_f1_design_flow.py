@@ -3,83 +3,63 @@
 The paper's only figure shows one system description refined through
 component-assembly, CCATB and communication-architecture models down to
 the prototype.  This benchmark carries the JPEG-like pipeline through
-all four levels and regenerates the figure as a table: one row per
-level with simulated completion time, simulation effort (delta cycles)
-and wall-clock cost.
+all four levels of one :class:`~repro.flow.DesignFlow` and regenerates
+the figure as a table: one row per level with simulated completion
+time, simulation effort (delta cycles) and wall-clock cost.
 
 Shape that must hold (the flow's raison d'être):
 
 * outputs are bit-identical at every level;
-* simulated time grows monotonically with timing detail;
-* simulation *cost* grows monotonically too — which is why early
+* the untimed level ends first, and the CAM no later than the prototype
+  (``END_ORDER``).  CCATB against the CAM is reported, not asserted:
+  its annotation is an estimate that crosses the CAM at 14 blocks;
+* simulation *cost* grows monotonically — which is why early
   development happens at the top of the flow.
 """
 
 import pytest
 
-from repro.kernel import us
-from repro.apps import LEVEL_BUILDERS, reference_output
+from repro.apps import (END_ORDER, LEVEL_BUILDERS, RUN_BOUND, pipeline_flow,
+                        reference_output)
+from repro.models import AbstractionLevel
 
 from _util import print_table
 
 BLOCKS = 12
 
 
-def run_level(name, builder):
-    system = builder(BLOCKS)
-    if name == "prototype":
-        system.ctx.run(us(1_000_000))
-    else:
-        system.ctx.run()
-    return system
-
-
-@pytest.mark.parametrize("name,builder", LEVEL_BUILDERS,
-                         ids=[n for n, _ in LEVEL_BUILDERS])
-def test_f1_level_simulation_speed(benchmark, name, builder):
+@pytest.mark.parametrize("level", LEVEL_BUILDERS,
+                         ids=lambda level: level.name)
+def test_f1_level_simulation_speed(benchmark, level):
     """Wall-clock cost of simulating the pipeline at each level."""
-    system = benchmark(lambda: run_level(name, builder))
-    assert system.outputs() == reference_output(BLOCKS)
-    benchmark.extra_info["sim_time_ns"] = (
-        system.ctx.last_activity_time.to("ns")
-    )
-    benchmark.extra_info["delta_cycles"] = system.ctx.delta_count
+    flow = pipeline_flow(BLOCKS)
+    result = benchmark(lambda: flow.run_stage(level, RUN_BOUND))
+    assert result.outputs == reference_output(BLOCKS)
+    benchmark.extra_info["sim_time_ns"] = result.sim_ns
+    benchmark.extra_info["delta_cycles"] = result.delta_cycles
 
 
 def test_f1_flow_table(benchmark):
     """Regenerate the Figure-1 profile in one run."""
-
-    def run_flow():
-        results = []
-        for name, builder in LEVEL_BUILDERS:
-            import time
-
-            start = time.perf_counter()
-            system = run_level(name, builder)
-            wall = time.perf_counter() - start
-            results.append((name, system, wall))
-        return results
-
-    results = benchmark.pedantic(run_flow, rounds=1, iterations=1)
-
-    golden = reference_output(BLOCKS)
-    rows = []
-    for name, system, wall in results:
-        assert system.outputs() == golden, f"{name} diverged"
-        rows.append({
-            "level": name,
-            "sim_time": str(system.ctx.last_activity_time),
-            "deltas": system.ctx.delta_count,
-            "wall_ms": round(wall * 1e3, 2),
-        })
-    print_table("F1: design flow profile", rows)
-
-    sim_times = [system.ctx.last_activity_time
-                 for _, system, _ in results]
-    assert sim_times == sorted(sim_times), (
-        "timing detail must grow monotonically down the flow"
+    report = benchmark.pedantic(
+        lambda: pipeline_flow(BLOCKS).run_all(RUN_BOUND),
+        rounds=1, iterations=1,
     )
-    deltas = [system.ctx.delta_count for _, system, _ in results]
+    results = [report.results[level] for level in report.levels]
+    print_table("F1: design flow profile", [{
+        "level": result.level.name,
+        "sim_time": str(result.sim_time),
+        "deltas": result.delta_cycles,
+        "wall_ms": round(result.wall_seconds * 1e3, 2),
+    } for result in results])
+    gap = (report.results[AbstractionLevel.CCATB].sim_ns
+           - report.results[AbstractionLevel.COMM_ARCHITECTURE].sim_ns)
+    print(f"CCATB - CAM end time: {gap:+.0f} ns")
+
+    assert report.functionally_equivalent, report.mismatches()
+    assert results[0].outputs == reference_output(BLOCKS)
+    assert report.ends_in_order(END_ORDER)
+    deltas = [result.delta_cycles for result in results]
     assert deltas == sorted(deltas), (
         "simulation effort must grow monotonically down the flow"
     )

@@ -14,12 +14,10 @@ over CoreConnect PLB — the §4 scenario of the paper.  The script:
 Run:  python examples/hwsw_partitioned.py
 """
 
-from repro.kernel import Module, SimContext, ns, us
-from repro.apps import build_hwsw_system, reference_output
-from repro.apps.pipeline import SinkPE, SourcePE, TransformPE
+from repro.kernel import ns, us
+from repro.apps import build_hwsw_system, build_pv, reference_output
 from repro.esw import PartitionSpec, generate_esw
 from repro.rtos import Rtos
-from repro.ship import ShipChannel
 
 
 def run_partitioned(use_irq: bool, blocks: int = 8):
@@ -41,29 +39,23 @@ def run_partitioned(use_irq: bool, blocks: int = 8):
 
 def demo_esw_generation(blocks: int = 8):
     """The whole pipeline as software: eSW generated from the PEs."""
-    ctx = SimContext()
-    top = Module("top", ctx=ctx)
-    c1 = ShipChannel("c1", top)
-    c2 = ShipChannel("c2", top)
-    source = SourcePE("source", top, c1, blocks)
-    transform = TransformPE("transform", top, c1, c2, blocks)
-    sink = SinkPE("sink", top, c2, blocks)
-
-    os = Rtos("os", top, context_switch=ns(500))
+    system = build_pv(blocks)
+    os = Rtos("os", system.top, context_switch=ns(500))
     spec = PartitionSpec(
-        software=[source, transform, sink],
+        software=system.pes,
         priorities={"source": 7, "transform": 6, "sink": 5},
     )
     image = generate_esw(spec, os)
-    ctx.run(us(1_000_000))
+    system.ctx.run(us(1_000_000))
 
-    assert sink.results == reference_output(blocks)
+    assert system.outputs() == reference_output(blocks)
     subs = image.substitutions
     print(f"  generated {len(image.tasks)} eSW tasks; substituted "
           f"{subs.total} primitives "
           f"(delays={subs.delays}, waits={subs.event_waits}, "
           f"executes={subs.executes})")
-    print(f"  all-software run finished at {ctx.last_activity_time}, "
+    print(f"  all-software run finished at "
+          f"{system.ctx.last_activity_time}, "
           f"context switches={os.context_switches}")
     for entry in image.tasks:
         print(f"    task {entry.task.name:16} cpu={entry.task.cpu_time}")

@@ -17,42 +17,28 @@ Run:  python examples/jpeg_pipeline.py [blocks]
 
 import sys
 
-from repro.kernel import us
 from repro.models import AbstractionLevel
-from repro.flow import DesignFlow
-from repro.apps import LEVEL_BUILDERS, reference_output
-
-LEVEL_OF = {
-    "component-assembly": AbstractionLevel.COMPONENT_ASSEMBLY,
-    "ccatb": AbstractionLevel.CCATB,
-    "cam": AbstractionLevel.COMM_ARCHITECTURE,
-    "prototype": AbstractionLevel.PIN_ACCURATE,
-}
+from repro.apps import END_ORDER, RUN_BOUND, pipeline_flow, reference_output
 
 
 def main():
     blocks = int(sys.argv[1]) if len(sys.argv) > 1 else 16
-    golden = reference_output(blocks)
-
-    flow = DesignFlow("jpeg_pipeline")
-    for name, builder in LEVEL_BUILDERS:
-        def make(builder=builder):
-            system = builder(blocks)
-            return system.ctx, system.outputs
-        flow.register(LEVEL_OF[name], make)
 
     print(f"running the flow on {blocks} blocks...\n")
-    report = flow.run_all(max_time=us(1_000_000))
+    report = pipeline_flow(blocks).run_all(RUN_BOUND)
     print(report.format_table())
 
     assert report.functionally_equivalent, report.mismatches()
-    assert report.results[
-        AbstractionLevel.COMPONENT_ASSEMBLY
-    ].outputs == golden, "output does not match the golden model"
-    print(f"timing monotone across refinement: "
-          f"{report.timing_monotone()}")
-
     pv = report.results[AbstractionLevel.COMPONENT_ASSEMBLY]
+    assert pv.outputs == reference_output(blocks), \
+        "output does not match the golden model"
+    print(f"untimed ends first, CAM no later than the prototype: "
+          f"{report.ends_in_order(END_ORDER)}")
+    gap = (report.results[AbstractionLevel.CCATB].sim_ns
+           - report.results[AbstractionLevel.COMM_ARCHITECTURE].sim_ns)
+    print(f"CCATB - CAM end time: {gap:+.0f} ns (an estimate: negative "
+          f"below 14 blocks, positive above)")
+
     rtl = report.results[AbstractionLevel.PIN_ACCURATE]
     if pv.wall_seconds > 0:
         print(f"\nsimulation cost growth PV -> pin-accurate: "

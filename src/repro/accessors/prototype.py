@@ -16,18 +16,16 @@ from repro.kernel.clock import Clock
 from repro.kernel.module import Module
 from repro.ocp.pin import OcpPinBundle
 from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
-from repro.cam.bus import BusTiming
+from repro.cam.bus import GENERIC_TIMING, BusTiming
+from repro.cam.coreconnect import OPB_TIMING, PLB_TIMING
 from repro.rtl.buscore import RtlBusCore
 from repro.accessors.accessor import RtlAccessor
 
 #: Fabric presets an accessor can target, mirroring the CAM library.
 FABRIC_TIMINGS: Dict[str, BusTiming] = {
-    "plb": BusTiming(arb_cycles=1, addr_cycles=1, cycles_per_beat=1,
-                     pipelined=True, split_rw=True),
-    "opb": BusTiming(arb_cycles=1, addr_cycles=1, cycles_per_beat=1,
-                     pipelined=False, split_rw=False),
-    "generic": BusTiming(arb_cycles=1, addr_cycles=1, cycles_per_beat=1,
-                         pipelined=False, split_rw=False),
+    "plb": PLB_TIMING,
+    "opb": OPB_TIMING,
+    "generic": GENERIC_TIMING,
 }
 
 

@@ -20,7 +20,9 @@ from repro.apps.packet_switch import (
 )
 from repro.apps.pipeline import (
     BLOCK_SIZE,
+    END_ORDER,
     LEVEL_BUILDERS,
+    RUN_BOUND,
     PipelineSystem,
     SinkPE,
     SourcePE,
@@ -30,6 +32,7 @@ from repro.apps.pipeline import (
     build_prototype_level,
     build_pv,
     generate_block,
+    pipeline_flow,
     quantize,
     reference_output,
     walsh_hadamard,
@@ -37,6 +40,7 @@ from repro.apps.pipeline import (
 
 __all__ = [
     "BLOCK_SIZE",
+    "END_ORDER",
     "EgressPE",
     "ForwardingPE",
     "HwSwSystem",
@@ -47,6 +51,7 @@ __all__ = [
     "HwTransformPE",
     "LEVEL_BUILDERS",
     "PipelineSystem",
+    "RUN_BOUND",
     "SinkPE",
     "SourcePE",
     "TransformPE",
@@ -56,6 +61,7 @@ __all__ = [
     "build_prototype_level",
     "build_pv",
     "generate_block",
+    "pipeline_flow",
     "quantize",
     "reference_output",
     "walsh_hadamard",

@@ -6,7 +6,7 @@ Walsh-Hadamard transform (a stand-in for the DCT with exact integer
 arithmetic, so equivalence checks are bit-exact), and a sink quantizes
 and records the result.
 
-``build_pv`` / ``build_ccatb`` / ``build_cam`` / ``build_prototype``
+``build_pv`` / ``build_ccatb`` / ``build_cam`` / ``build_prototype_level``
 construct the *same* pipeline at the four levels of Figure 1:
 
 * **PV** (component-assembly): PEs on untimed SHIP channels;
@@ -17,23 +17,26 @@ construct the *same* pipeline at the four levels of Figure 1:
   pin-accurate RTL fabric through accessors (how the synthesized
   hardware actually moves bulk data), with the same transform math.
 
-The PE behaviour code is shared across the first three levels unchanged
-— the paper's core claim — and the arithmetic is shared by all four, so
-every level must produce identical sink output.
+The first three are one wiring that a :class:`~repro.flow.SystemMapper`
+maps onto each level, so the PE code is shared unchanged — the paper's
+core claim — and the arithmetic is shared by all four: every level of
+:func:`pipeline_flow` must produce identical sink output.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
-from repro.kernel import Clock, Module, SimContext, ns, ps
+from repro.kernel import Clock, Module, SimContext, ns, ps, us
 from repro.esw import ExecuteFor
-from repro.models import ProcessingElement, build_ship_over_bus
+from repro.flow import DesignFlow, SystemMapper
+from repro.models import AbstractionLevel, ProcessingElement
 from repro.cam import MemorySlave, PlbBus
 from repro.ocp import OcpCmd, OcpPinBundle, OcpPinMaster, OcpRequest
 from repro.accessors import SlaveMapEntry, build_prototype
 from repro.ship import (
-    ShipChannel,
     ShipIntArray,
     ShipMasterPort,
     ShipSlavePort,
@@ -153,13 +156,21 @@ class SinkPE(ProcessingElement):
             self.results.append(quantize(block.values, self.quant_step))
 
 
+@dataclass
 class PipelineSystem:
-    """Handle to a built pipeline: context plus the sink probe."""
+    """Handle to a built pipeline: context, top module and its stages."""
 
-    def __init__(self, ctx: SimContext, sink: SinkPE, extras=None):
-        self.ctx = ctx
-        self.sink = sink
-        self.extras = extras or {}
+    ctx: SimContext
+    top: Module
+    source: Module
+    transform: Module
+    sink: Module
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def pes(self) -> List[Module]:
+        """The stages in pipeline order (what eSW generation re-hosts)."""
+        return [self.source, self.transform, self.sink]
 
     def outputs(self) -> List[List[int]]:
         """The sink's recorded blocks."""
@@ -171,62 +182,51 @@ class PipelineSystem:
 # ---------------------------------------------------------------------------
 
 
+def _map_pipeline(level: str, blocks: int,
+                  **mapper_options) -> PipelineSystem:
+    """The SHIP pipeline, its two connections mapped by a
+    :class:`SystemMapper` onto ``"pv"``, ``"ccatb"`` or (``"cam"``) a PLB."""
+    ctx = SimContext(f"pipeline_{level}")
+    top = Module("top", ctx=ctx)
+    plb = PlbBus("plb", top) if level == "cam" else None
+    mapper = SystemMapper(top, level if plb is None else plb,
+                          **mapper_options)
+    # on a fabric the upstream link's master wins arbitration
+    c1, c2 = (mapper.connect(f"c{i}", bus_priority=i) for i in (1, 2))
+    source = SourcePE("source", top, c1.master_attach, blocks)
+    transform = TransformPE("transform", top, c1.slave_attach,
+                            c2.master_attach, blocks)
+    sink = SinkPE("sink", top, c2.slave_attach, blocks)
+    return PipelineSystem(ctx, top, source, transform, sink,
+                          {"plb": plb, "links": (c1.link, c2.link)})
+
+
 def build_pv(blocks: int = 16) -> PipelineSystem:
     """Component-assembly model: untimed SHIP channels."""
-    ctx = SimContext("pipeline_pv")
-    top = Module("top", ctx=ctx)
-    c1 = ShipChannel("c1", top)
-    c2 = ShipChannel("c2", top)
-    SourcePE("source", top, c1, blocks)
-    TransformPE("transform", top, c1, c2, blocks)
-    sink = SinkPE("sink", top, c2, blocks)
-    return PipelineSystem(ctx, sink)
+    return _map_pipeline("pv", blocks)
 
 
 def build_ccatb(blocks: int = 16,
                 timing: Optional[ShipTiming] = None) -> PipelineSystem:
-    """CCATB model: the same PEs on timing-annotated channels."""
-    ctx = SimContext("pipeline_ccatb")
-    top = Module("top", ctx=ctx)
-    # The annotation must under-estimate the real link: the CAM-level
-    # wrapper overlaps bus transfers with PE computation, while the
-    # CCATB channel blocks the sender for the whole transfer.  Keeping
-    # the estimate below the measured per-message PLB cost preserves
-    # the refinement ordering untimed <= CCATB <= CAM.
-    link_timing = timing or ShipTiming(base_latency=ns(10),
-                                       per_byte=ps(400))
-    c1 = ShipChannel("c1", top, timing=link_timing)
-    c2 = ShipChannel("c2", top, timing=link_timing)
-    SourcePE("source", top, c1, blocks)
-    TransformPE("transform", top, c1, c2, blocks)
-    sink = SinkPE("sink", top, c2, blocks)
-    return PipelineSystem(ctx, sink)
+    """CCATB model: the same PEs on timing-annotated channels.
+
+    The default annotation costs 538 ns a block against the CAM's
+    500 ns: the CCATB channel blocks the sender for each transfer,
+    while the CAM wrappers overlap transfers with computation.  CCATB
+    therefore ends before the CAM below 14 blocks and after it above.
+    """
+    return _map_pipeline(
+        "ccatb", blocks,
+        ship_timing=timing or ShipTiming(base_latency=ns(10),
+                                         per_byte=ps(400)),
+    )
 
 
 def build_cam(blocks: int = 16, poll_interval=ns(100),
               use_irq: bool = False) -> PipelineSystem:
     """CAM level: SHIP channels carried over a CoreConnect PLB."""
-    ctx = SimContext("pipeline_cam")
-    top = Module("top", ctx=ctx)
-    plb = PlbBus("plb", top)
-    link1 = build_ship_over_bus("l1", top, plb, 0x10000,
-                                capacity_words=64, use_irq=use_irq,
-                                poll_interval=poll_interval,
-                                master_priority=1)
-    link2 = build_ship_over_bus("l2", top, plb, 0x20000,
-                                capacity_words=64, use_irq=use_irq,
-                                poll_interval=poll_interval,
-                                master_priority=2)
-    SourcePE("source", top, link1.master_channel, blocks)
-
-    class BridgedTransform(TransformPE):
-        pass
-
-    BridgedTransform("transform", top, link1.slave_channel,
-                     link2.master_channel, blocks)
-    sink = SinkPE("sink", top, link2.slave_channel, blocks)
-    return PipelineSystem(ctx, sink, extras={"plb": plb,
-                                             "links": (link1, link2)})
+    return _map_pipeline("cam", blocks, mailbox_base=0x10000,
+                         poll_interval=poll_interval, use_irq=use_irq)
 
 
 def build_prototype_level(blocks: int = 16) -> PipelineSystem:
@@ -336,16 +336,39 @@ def build_prototype_level(blocks: int = 16) -> PipelineSystem:
                 self.results.append(quantize(block))
             ctx.stop()
 
-    ProtoSource("source_pe", top)
-    ProtoTransform("transform_pe", top)
+    source = ProtoSource("source_pe", top)
+    transform = ProtoTransform("transform_pe", top)
     sink = ProtoSink("sink_pe", top)
-    return PipelineSystem(ctx, sink)
+    return PipelineSystem(ctx, top, source, transform, sink)
 
 
-#: Level name -> builder, in refinement order.
-LEVEL_BUILDERS: List[Tuple[str, Callable[[int], PipelineSystem]]] = [
-    ("component-assembly", build_pv),
-    ("ccatb", build_ccatb),
-    ("cam", build_cam),
-    ("prototype", build_prototype_level),
+#: Level -> builder, in refinement order.
+LEVEL_BUILDERS: Dict[AbstractionLevel, Callable[[int], PipelineSystem]] = {
+    AbstractionLevel.COMPONENT_ASSEMBLY: build_pv,
+    AbstractionLevel.CCATB: build_ccatb,
+    AbstractionLevel.COMM_ARCHITECTURE: build_cam,
+    AbstractionLevel.PIN_ACCURATE: build_prototype_level,
+}
+
+#: Simulated-time bound of a flow run: the prototype's sink stops its own
+#: run, so the bound only ends a wedged prototype (its clock never idles).
+RUN_BOUND = us(1_000_000)
+
+#: End-time orderings that hold at every length, as chains of levels that
+#: each end no later than the next: the untimed level first, and the CAM
+#: no later than the prototype.  CCATB against the CAM is not one (see
+#: :func:`build_ccatb`).
+END_ORDER = [
+    (AbstractionLevel.COMPONENT_ASSEMBLY, AbstractionLevel.CCATB),
+    (AbstractionLevel.COMPONENT_ASSEMBLY,
+     AbstractionLevel.COMM_ARCHITECTURE, AbstractionLevel.PIN_ACCURATE),
 ]
+
+
+def pipeline_flow(blocks: int) -> DesignFlow:
+    """Every level's builder registered on one design flow; run it with
+    ``run_all(RUN_BOUND)`` or ``run_stage(level, RUN_BOUND)``."""
+    flow = DesignFlow("jpeg_pipeline")
+    for level, builder in LEVEL_BUILDERS.items():
+        flow.register(level, partial(builder, blocks))
+    return flow

@@ -27,6 +27,7 @@ from repro.cam.coreconnect import (
     OPB_DEFAULT_PERIOD,
     PLB_DEFAULT_PERIOD,
     PLB_MAX_BURST,
+    PLB_TIMING,
     OpbBus,
     PlbBus,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "OpbBus",
     "PLB_DEFAULT_PERIOD",
     "PLB_MAX_BURST",
+    "PLB_TIMING",
     "PlbBus",
     "RoundRobinArbiter",
     "SlaveBinding",

@@ -45,9 +45,10 @@ from repro.trace.stats import TimeStats
 from repro.trace.transaction import TransactionRecorder
 
 
-@dataclass
+@dataclass(frozen=True)
 class BusTiming:
-    """Cycle counts defining a bus protocol's CCATB timing."""
+    """Cycle counts defining a bus protocol's CCATB timing (frozen: each
+    fabric's, e.g. ``PLB_TIMING``, is one instance its models share)."""
 
     arb_cycles: int = 1
     addr_cycles: int = 1
@@ -295,7 +296,7 @@ class BusCam(Module):
         if max_burst is not None and max_burst < 1:
             raise SimulationError(f"bus {name!r}: max_burst must be >= 1")
         self.max_burst = max_burst
-        self.timing = timing or BusTiming()
+        self.timing = timing or GENERIC_TIMING
         self.arbiter = arbiter or StaticPriorityArbiter()
         self.recorder = recorder
         self.stats = BusStats()
@@ -658,23 +659,23 @@ class BusCam(Module):
         }
 
 
+#: The generic bus: one arbitration, one address cycle, a beat per cycle,
+#: no pipelining, one data path.  Also BusCam's and each crossbar path's.
+GENERIC_TIMING = BusTiming(arb_cycles=1, addr_cycles=1, cycles_per_beat=1,
+                           pipelined=False, split_rw=False)
+
+
 class GenericBus(BusCam):
     """A plain non-pipelined shared bus (the 'simple bus' CAM)."""
 
     def __init__(self, name, parent=None, ctx=None, clock_period=None,
-                 arbiter=None, recorder=None, cycles_per_beat: int = 1,
-                 metrics=None):
+                 arbiter=None, recorder=None, metrics=None):
         super().__init__(
             name,
             parent,
             ctx,
             clock_period=clock_period,
-            timing=BusTiming(
-                arb_cycles=1,
-                addr_cycles=1,
-                cycles_per_beat=cycles_per_beat,
-                pipelined=False,
-            ),
+            timing=GENERIC_TIMING,
             arbiter=arbiter,
             recorder=recorder,
             metrics=metrics,

@@ -31,6 +31,14 @@ OPB_DEFAULT_PERIOD = ns(20)
 #: Maximum fixed-length burst the PLB model accepts (PLB spec: 16).
 PLB_MAX_BURST = 16
 
+#: PLB timing, shared by :class:`PlbBus` and the RTL core: one arbitration
+#: and one address cycle, a beat per cycle, pipelined, split read/write.
+PLB_TIMING = BusTiming(arb_cycles=1, addr_cycles=1, cycles_per_beat=1,
+                       pipelined=True, split_rw=True)
+#: OPB timing: the PLB's cycle counts, unpipelined, on one data path.
+OPB_TIMING = BusTiming(arb_cycles=1, addr_cycles=1, cycles_per_beat=1,
+                       pipelined=False, split_rw=False)
+
 
 class PlbBus(BusCam):
     """CoreConnect Processor Local Bus CAM (CCATB)."""
@@ -50,13 +58,7 @@ class PlbBus(BusCam):
             parent,
             ctx,
             clock_period=clock_period or PLB_DEFAULT_PERIOD,
-            timing=BusTiming(
-                arb_cycles=1,
-                addr_cycles=1,
-                cycles_per_beat=1,
-                pipelined=True,
-                split_rw=True,
-            ),
+            timing=PLB_TIMING,
             arbiter=arbiter or StaticPriorityArbiter(),
             recorder=recorder,
             # sockets transparently split longer transfers into
@@ -84,13 +86,7 @@ class OpbBus(BusCam):
             parent,
             ctx,
             clock_period=clock_period or OPB_DEFAULT_PERIOD,
-            timing=BusTiming(
-                arb_cycles=1,
-                addr_cycles=1,
-                cycles_per_beat=1,
-                pipelined=False,
-                split_rw=False,
-            ),
+            timing=OPB_TIMING,
             arbiter=arbiter or StaticPriorityArbiter(),
             recorder=recorder,
             metrics=metrics,

@@ -23,7 +23,7 @@ from repro.kernel.simtime import SimTime, ns
 from repro.ocp.tl import OcpTargetIf
 from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, RoundRobinArbiter
-from repro.cam.bus import BusCam, BusTiming, SlaveBinding
+from repro.cam.bus import GENERIC_TIMING, BusCam, SlaveBinding
 from repro.trace.transaction import TransactionRecorder
 
 
@@ -82,14 +82,12 @@ class CrossbarCam(Module):
         parent=None,
         ctx=None,
         clock_period: SimTime = None,
-        timing: Optional[BusTiming] = None,
         arbiter_factory: Callable[[], Arbiter] = RoundRobinArbiter,
         recorder: Optional[TransactionRecorder] = None,
     ):
         super().__init__(name, parent, ctx)
         self.clock_period = clock_period if clock_period is not None else ns(10)
-        self.timing = timing or BusTiming(arb_cycles=1, addr_cycles=1,
-                                          cycles_per_beat=1)
+        self.timing = GENERIC_TIMING
         self.arbiter_factory = arbiter_factory
         self.recorder = recorder
         self.paths: List[BusCam] = []

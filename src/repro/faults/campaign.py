@@ -317,6 +317,8 @@ def main(argv=None) -> int:
         help="compare the summary against PATH; exit 1 on mismatch",
     )
     args = parser.parse_args(argv)
+    if args.workers is not None and not args.sweep:
+        parser.error("--workers applies only to --sweep")
     if args.check and not os.path.isfile(args.check):
         parser.error(f"--check: no such file: {args.check}")
     if args.sweep:

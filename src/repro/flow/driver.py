@@ -8,7 +8,7 @@ so the outputs at every level must be identical, while timing fidelity
 grows and simulation speed drops.
 
 :class:`DesignFlow` packages that discipline: each level registers a
-*builder* producing a fresh simulation plus an output probe; the driver
+*builder* producing a fresh system (a context and its outputs); the driver
 runs each stage, checks cross-level functional equivalence, and reports
 the speed/accuracy profile.  Experiment F1 and the flow examples are
 written against this driver.
@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
-from repro.kernel.context import SimContext
 from repro.kernel.errors import KernelError
 from repro.kernel.simtime import SimTime
 from repro.models.levels import AbstractionLevel
 
-#: A builder returns the fresh context and a zero-arg output extractor
-#: to call after the run.
-StageBuilder = Callable[[], Tuple[SimContext, Callable[[], list]]]
+#: A builder returns a fresh system: an object with a ``ctx`` (the
+#: :class:`SimContext` to run) and an ``outputs()`` method to call after
+#: the run, such as :class:`repro.apps.PipelineSystem`.
+StageBuilder = Callable[[], Any]
 
 
 class FlowError(KernelError):
@@ -86,11 +87,13 @@ class FlowReport:
                     bad.append((a, b))
         return bad
 
-    def timing_monotone(self) -> bool:
-        """Simulated completion time must not *decrease* as timing
-        detail is added (untimed <= CCATB <= CAM ...)."""
-        times = [self.results[lvl].sim_time for lvl in self.levels]
-        return all(t1 <= t2 for t1, t2 in zip(times, times[1:]))
+    def ends_in_order(self, chains: Iterable[Sequence[AbstractionLevel]]
+                      ) -> bool:
+        """True if, in each chain of levels, every level's simulation
+        completed no later than the next one's.  Which chains hold is
+        the application's claim: a timing annotation is an estimate."""
+        return all(self.results[a].sim_time <= self.results[b].sim_time
+                   for chain in chains for a, b in zip(chain, chain[1:]))
 
     def format_table(self) -> str:
         """Human-readable per-level profile table."""
@@ -138,16 +141,14 @@ class DesignFlow:
             raise FlowError(
                 f"flow {self.name!r}: no builder for level {level.name}"
             ) from None
-        ctx, output_getter = builder()
+        system = builder()
+        ctx = system.ctx
         wall_start = time.perf_counter()
-        if max_time is not None:
-            ctx.run(max_time)
-        else:
-            ctx.run()
+        ctx.run(max_time)
         wall = time.perf_counter() - wall_start
         return StageResult(
             level=level,
-            outputs=output_getter(),
+            outputs=system.outputs(),
             # completion time, not the run horizon: bounded runs advance
             # `now` to the bound on starvation
             sim_time=ctx.last_activity_time,

@@ -26,6 +26,7 @@ from repro.kernel.module import Module
 from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
 from repro.cam.bus import BusTiming, SlaveBinding, decode_region
+from repro.cam.coreconnect import PLB_TIMING
 
 
 class RtlMasterPort:
@@ -134,7 +135,7 @@ class RtlBusCore(Module):
         if clock is None:
             raise ElaborationError(f"rtl bus {name!r} needs a clock")
         self.clock = clock
-        self.timing = timing or BusTiming(pipelined=True, split_rw=True)
+        self.timing = timing or PLB_TIMING
         self.arbiter = arbiter or StaticPriorityArbiter()
         self.slaves: List[SlaveBinding] = []
         self.ports: List[RtlMasterPort] = []

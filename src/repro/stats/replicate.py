@@ -224,6 +224,7 @@ class ReplicatedRunner:
     def run(self, points: Sequence[SweepPoint],
             objective: str = "mean_latency_ns",
             bases: Optional[Sequence[str]] = None,
+            rerun: bool = False,
             ) -> List[ReplicatedOutcome]:
         """Replicate every point per the policy; outcomes in input order.
 
@@ -232,6 +233,7 @@ class ReplicatedRunner:
         pool works on the whole frontier at once instead of draining
         point by point.  ``bases`` (parallel to ``points``) overrides
         the per-point seed-derivation base keys — the CRN hook.
+        ``rerun`` bypasses cache reads for every replicate.
 
         Quarantined replicates (see :mod:`repro.sweep.recovery`) count
         as attempts toward ``r_max`` but contribute no value to the
@@ -269,8 +271,8 @@ class ReplicatedRunner:
                 self.replicate_point(points[i], r, base=base_keys[i])
                 for i, r in batch
             ]
-            for (i, _), outcome in zip(batch,
-                                       self.engine.run(batch_points)):
+            for (i, _), outcome in zip(
+                    batch, self.engine.run(batch_points, rerun=rerun)):
                 reps[i].append(outcome)
             self.last_replicates += len(batch)
             self.last_rounds += 1

@@ -387,7 +387,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             # flush below — runs instead of the process dying torn.
             with ShutdownGuard():
                 outcomes = strategy.run(engine, objective=args.objective,
-                                        replication=replication)
+                                        replication=replication,
+                                        rerun=args.rerun)
         except SweepInterrupted as exc:
             interrupted = exc
         wall = time.perf_counter() - wall_start

@@ -41,14 +41,15 @@ class GridSearch:
 
     def run(self, engine: SweepEngine,
             objective: str = "mean_latency_ns",
-            replication=None) -> List[SweepOutcome]:
+            replication=None, rerun: bool = False) -> List[SweepOutcome]:
         """Run every point; return outcomes ranked best-first.
 
         With a ``replication`` policy every point runs as a replicated
-        ensemble and the ranking is by CI-backed estimate.
+        ensemble and the ranking is by CI-backed estimate.  ``rerun``
+        bypasses cache reads (see :meth:`SweepEngine.run`).
         """
         if replication is None:
-            return ranked(engine.run(self.points), objective)
+            return ranked(engine.run(self.points, rerun=rerun), objective)
         # Deferred so a plain sweep never imports repro.stats (and the
         # two packages avoid a module-level import cycle).
         from repro.stats.replicate import ReplicatedRunner, ranked_replicated
@@ -56,4 +57,5 @@ class GridSearch:
         runner = ReplicatedRunner(engine, policy=replication,
                                   metrics=engine.metrics)
         return ranked_replicated(
-            runner.run(self.points, objective=objective), objective)
+            runner.run(self.points, objective=objective, rerun=rerun),
+            objective)

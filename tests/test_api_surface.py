@@ -7,6 +7,7 @@ import importlib
 import pathlib
 import pkgutil
 import tokenize
+from types import SimpleNamespace
 
 import pytest
 
@@ -146,7 +147,7 @@ class TestStatsAndFlowSurface:
                 yield ns(25)
 
             ctx.register_thread(body, "t")
-            return ctx, lambda: []
+            return SimpleNamespace(ctx=ctx, outputs=list)
 
         flow.register(AbstractionLevel.CCATB, builder)
         result = flow.run_stage(AbstractionLevel.CCATB)

@@ -583,6 +583,7 @@ class TestCampaignReproducibility:
         ["--sweep", "--workers", "0"],
         ["--sweep", "--workers", "-2"],
         ["--check", "missing.txt"],
+        ["--workers", "3"],  # a worker count without --sweep
     ])
     def test_cli_usage_error_exits_before_running(self, argv, tmp_path,
                                                  monkeypatch):

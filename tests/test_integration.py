@@ -1,65 +1,69 @@
 """Integration tests: whole systems across abstraction levels.
 
 These are the end-to-end checks behind the paper's flow promise: the
-same application, refined through every level, produces bit-identical
-results while timing detail grows monotonically.
+same application, refined through every level of one design flow,
+produces bit-identical results; the untimed level ends first and the
+CAM no later than the prototype.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel import us
+from repro.kernel import ns, us
 from repro.models import AbstractionLevel
-from repro.flow import DesignFlow
-from repro.apps import (
-    LEVEL_BUILDERS,
-    build_cam,
-    build_ccatb,
-    build_hwsw_system,
-    build_pv,
-    generate_block,
-    quantize,
-    reference_output,
-    walsh_hadamard,
-)
+from repro.apps import (END_ORDER, LEVEL_BUILDERS, RUN_BOUND, build_cam,
+                        build_ccatb, build_hwsw_system, build_pv,
+                        generate_block, pipeline_flow, quantize,
+                        reference_output, walsh_hadamard)
 
 BLOCKS = 6
 GOLDEN = reference_output(BLOCKS)
 
 
+@pytest.fixture(scope="module")
+def reports():
+    """The flow's report by block count: 6 and 64 lie either side of
+    the 14-block point where the CCATB estimate crosses the CAM."""
+    return {blocks: pipeline_flow(blocks).run_all(RUN_BOUND)
+            for blocks in (6, 64)}
+
+
 class TestPipelineAcrossLevels:
-    @pytest.mark.parametrize("name,builder", LEVEL_BUILDERS)
-    def test_every_level_matches_golden_model(self, name, builder):
-        system = builder(BLOCKS)
-        if name == "prototype":
-            system.ctx.run(us(100_000))
-        else:
-            system.ctx.run()
-        assert system.outputs() == GOLDEN, f"level {name} diverged"
+    @pytest.mark.parametrize("level", LEVEL_BUILDERS,
+                             ids=lambda level: level.name)
+    def test_each_level_matches_golden(self, reports, level):
+        for blocks, report in reports.items():
+            assert report.results[level].outputs == \
+                reference_output(blocks), f"{level.name} diverged"
 
-    def test_timing_detail_grows_monotonically(self):
-        times = []
-        for name, builder in LEVEL_BUILDERS:
-            system = builder(BLOCKS)
-            if name == "prototype":
-                system.ctx.run(us(100_000))
-            else:
-                system.ctx.run()
-            times.append(system.ctx.now)
-        assert all(a <= b for a, b in zip(times, times[1:])), times
+    def test_untimed_ends_first_and_cam_before_prototype(self, reports):
+        for blocks, report in reports.items():
+            assert report.ends_in_order(END_ORDER), (blocks, {
+                level.name: result.sim_ns
+                for level, result in report.results.items()
+            })
 
-    def test_simulation_cost_grows_with_detail(self):
+    def test_simulation_cost_grows_with_detail(self, reports):
         """Delta-cycle counts (simulation effort) must rise toward RTL."""
-        deltas = []
-        for name, builder in LEVEL_BUILDERS:
-            system = builder(BLOCKS)
-            if name == "prototype":
-                system.ctx.run(us(100_000))
-            else:
-                system.ctx.run()
-            deltas.append(system.ctx.delta_count)
-        assert deltas[0] < deltas[-1]
-        assert deltas == sorted(deltas)
+        for report in reports.values():
+            deltas = [report.results[level].delta_cycles
+                      for level in report.levels]
+            assert deltas[0] < deltas[-1]
+            assert deltas == sorted(deltas)
+
+    @pytest.mark.parametrize("builder,blocks,end_ns,deltas", [
+        (build_pv, 100, 50_300.0, 295),
+        (build_ccatb, 16, 8_946.0, 80),
+        (build_cam, 10, 5_860.0, 180),
+    ], ids=["pv", "ccatb", "cam"])
+    def test_ship_level_end_time_and_deltas_pinned(self, builder, blocks,
+                                                   end_ns, deltas):
+        """Each SHIP level's end time and delta-cycle count: a change in
+        how a level is wired or scheduled moves one of them."""
+        system = builder(blocks)
+        system.ctx.run()
+        assert (system.ctx.last_activity_time.to("ns"),
+                system.ctx.delta_count) == (end_ns, deltas)
 
     def test_cam_level_generates_real_bus_traffic(self):
         system = build_cam(BLOCKS)
@@ -75,24 +79,11 @@ class TestPipelineAcrossLevels:
 
 
 class TestDesignFlowDriver:
-    def test_flow_report_over_real_application(self):
-        flow = DesignFlow("jpeg_pipeline")
-        levels = {
-            "component-assembly": AbstractionLevel.COMPONENT_ASSEMBLY,
-            "ccatb": AbstractionLevel.CCATB,
-            "cam": AbstractionLevel.COMM_ARCHITECTURE,
-            "prototype": AbstractionLevel.PIN_ACCURATE,
-        }
-        for name, builder in LEVEL_BUILDERS:
-            def make(builder=builder):
-                system = builder(BLOCKS)
-                return system.ctx, system.outputs
-            flow.register(levels[name], make)
-        report = flow.run_all(max_time=us(100_000))
-        assert report.functionally_equivalent
-        assert report.timing_monotone()
-        table = report.format_table()
-        assert "PIN_ACCURATE" in table
+    def test_flow_report_over_real_application(self, reports):
+        for report in reports.values():
+            assert report.functionally_equivalent, report.mismatches()
+            assert report.levels == list(AbstractionLevel)
+            assert "PIN_ACCURATE" in report.format_table()
 
 
 class TestHwSwSystem:
@@ -103,8 +94,6 @@ class TestHwSwSystem:
         assert system.accelerator.blocks_processed == 4
 
     def test_polling_variant_matches_golden(self):
-        from repro.kernel import ns
-
         system = build_hwsw_system(blocks=4, use_irq=False,
                                    poll_interval=ns(300))
         system.ctx.run(us(100_000))

@@ -8,9 +8,8 @@ generation of one pipeline across two CPUs.
 """
 
 
-from repro.kernel import Module, ns, us
-from repro.apps import reference_output
-from repro.apps.pipeline import SinkPE, SourcePE, TransformPE
+from repro.kernel import ns, us
+from repro.apps import build_pv, reference_output
 from repro.esw import (
     PartitionSpec,
     SwChannelPort,
@@ -64,26 +63,21 @@ class TestTwoCpus:
         ctx.run(us(1000))
         assert got == [0, 3, 6]
 
-    def test_pipeline_split_across_two_cpus(self, ctx, top):
+    def test_pipeline_split_across_two_cpus(self):
         """source+sink on cpu0, transform on cpu1: outputs unchanged,
         and each CPU only accounts for its own tasks' time."""
         blocks = 5
-        c1 = ShipChannel("c1", top)
-        c2 = ShipChannel("c2", top)
-        source = SourcePE("source", top, c1, blocks)
-        transform = TransformPE("transform", top, c1, c2, blocks)
-        sink = SinkPE("sink", top, c2, blocks)
-
-        cpu0 = Rtos("cpu0", top)
-        cpu1 = Rtos("cpu1", top)
+        system = build_pv(blocks)
+        cpu0 = Rtos("cpu0", system.top)
+        cpu1 = Rtos("cpu1", system.top)
         image0 = generate_esw(
-            PartitionSpec(software=[source, sink]), cpu0
+            PartitionSpec(software=[system.source, system.sink]), cpu0
         )
         image1 = generate_esw(
-            PartitionSpec(software=[transform]), cpu1
+            PartitionSpec(software=[system.transform]), cpu1
         )
-        ctx.run(us(100_000))
-        assert sink.results == reference_output(blocks)
+        system.ctx.run(us(100_000))
+        assert system.outputs() == reference_output(blocks)
         assert len(image0.tasks) == 2
         assert len(image1.tasks) == 1
         # transform's 500ns x 5 blocks landed on cpu1 only
@@ -95,35 +89,25 @@ class TestTwoCpus:
         )
         assert source_sink_time == ns(200) * blocks + ns(100) * blocks
 
-    def test_two_cpu_split_faster_than_single_cpu(self, ctx, top):
+    def test_two_cpu_split_faster_than_single_cpu(self):
         """The parallelism argument for partitioning: a two-CPU split
         completes the pipeline sooner than everything on one CPU."""
         blocks = 8
 
         def build(two_cpus):
-            from repro.kernel import SimContext
-
-            ctx2 = SimContext()
-            top2 = Module("top", ctx=ctx2)
-            c1 = ShipChannel("c1", top2)
-            c2 = ShipChannel("c2", top2)
-            source = SourcePE("source", top2, c1, blocks)
-            transform = TransformPE("transform", top2, c1, c2, blocks)
-            sink = SinkPE("sink", top2, c2, blocks)
-            cpu0 = Rtos("cpu0", top2)
+            system = build_pv(blocks)
+            cpu0 = Rtos("cpu0", system.top)
             if two_cpus:
-                cpu1 = Rtos("cpu1", top2)
-                generate_esw(PartitionSpec(software=[source, sink]),
-                             cpu0)
-                generate_esw(PartitionSpec(software=[transform]), cpu1)
+                cpu1 = Rtos("cpu1", system.top)
+                generate_esw(PartitionSpec(
+                    software=[system.source, system.sink]), cpu0)
+                generate_esw(PartitionSpec(
+                    software=[system.transform]), cpu1)
             else:
-                generate_esw(
-                    PartitionSpec(software=[source, transform, sink]),
-                    cpu0,
-                )
-            ctx2.run(us(100_000))
-            assert sink.results == reference_output(blocks)
-            return ctx2.last_activity_time
+                generate_esw(PartitionSpec(software=system.pes), cpu0)
+            system.ctx.run(us(100_000))
+            assert system.outputs() == reference_output(blocks)
+            return system.ctx.last_activity_time
 
         single = build(False)
         dual = build(True)

@@ -370,6 +370,21 @@ class TestCli:
                                  "--require-cached"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("extra", [[], ["--max-replicates", "2"]],
+                             ids=["plain", "replicated"])
+    def test_rerun_recomputes_every_point(self, extra, tmp_path, capsys):
+        from repro.sweep.cli import main
+
+        args = self.ARGS + extra + ["--cache", str(tmp_path / "cache")]
+        report = tmp_path / "rerun.json"
+        assert main(args) == 0
+        assert main(args + ["--rerun", "--json", str(report)]) == 0
+        data = json.loads(report.read_text())
+        # every point (with --max-replicates 2, both replicates) re-ran
+        assert (data["cached"], data["computed"]) == (
+            0, data["points"] * (2 if extra else 1))
+        capsys.readouterr()
+
     def test_require_cached_fails_cold(self, tmp_path, capsys):
         from repro.sweep.cli import main
 
