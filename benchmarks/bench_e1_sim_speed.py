@@ -30,7 +30,7 @@ from repro.accessors import RtlAccessor
 from _util import print_table
 
 # Per-master transaction count; the ``E1_TRANSACTIONS`` override lets
-# CI smoke runs (and ``run_all.py --quick``) replay a shorter stream.
+# CI's E1 smoke step replay a shorter stream.
 TRANSACTIONS = int(os.environ.get("E1_TRANSACTIONS", "60"))
 BURST = 8
 

@@ -37,7 +37,9 @@ class MasterMetrics:
     ``latency_series`` is the per-transaction latency series (ns
     floats, completion order), present only when the point ran with
     ``record_series=True`` — the raw material of steady-state
-    estimation in :mod:`repro.stats.steady`.
+    estimation in :mod:`repro.stats.steady`.  ``target`` is the
+    transaction count the master was asked for (None for an unbounded
+    master, and for results stored before the field existed).
     """
 
     name: str
@@ -47,6 +49,7 @@ class MasterMetrics:
     mean_latency_ns: float
     max_latency_ns: float
     latency_series: Optional[List[float]] = None
+    target: Optional[int] = None
 
     def to_dict(self) -> dict:
         """JSON-able dict of every field.
@@ -61,6 +64,7 @@ class MasterMetrics:
             "bytes_done": self.bytes_done,
             "mean_latency_ns": self.mean_latency_ns,
             "max_latency_ns": self.max_latency_ns,
+            "target": self.target,
         }
         if self.latency_series is not None:
             data["latency_series"] = list(self.latency_series)
@@ -78,6 +82,7 @@ class MasterMetrics:
             mean_latency_ns=data["mean_latency_ns"],
             max_latency_ns=data["max_latency_ns"],
             latency_series=None if series is None else list(series),
+            target=data.get("target"),
         )
 
 
@@ -241,9 +246,18 @@ class ExplorationResult:
         return self.total_bytes / (self.sim_time_ns * 1e-9) / 1e6
 
     @property
+    def truncated(self) -> bool:
+        """True when the run bound stopped a master short of its
+        transaction count."""
+        return any(m.target is not None and m.completed < m.target
+                   for m in self.masters)
+
+    @property
     def all_done(self) -> bool:
-        """True when no master saw an error response."""
-        return all(m.errors == 0 for m in self.masters)
+        """True when every master finished its transaction count and
+        none saw an error response."""
+        return not self.truncated and all(m.errors == 0
+                                          for m in self.masters)
 
     def as_row(self) -> Dict[str, object]:
         """Flat dict for tables and CSV export."""
@@ -543,6 +557,7 @@ def run_point(
             mean_latency_ns=m.latency.mean_ns,
             max_latency_ns=m.latency.max_ns,
             latency_series=m.latency_series,
+            target=m.spec.transactions,
         )
         for m in masters
     ]

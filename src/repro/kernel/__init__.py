@@ -42,7 +42,6 @@ from repro.kernel.errors import (
     WatchdogError,
 )
 from repro.kernel.event import Event
-from repro.kernel.event_queue import EventQueue
 from repro.kernel.fifo import Fifo
 from repro.kernel.module import Module
 from repro.kernel.object import SimObject
@@ -74,7 +73,6 @@ __all__ = [
     "Clock",
     "ElaborationError",
     "Event",
-    "EventQueue",
     "Export",
     "Fifo",
     "KernelError",

@@ -200,9 +200,6 @@ class Event:
 
     # -- wait-list management (used by Process) ---------------------------
 
-    def _add_dynamic(self, process: "Process") -> None:
-        self._dynamic_waiters.append(process)
-
     def _remove_dynamic(self, process: "Process") -> None:
         try:
             self._dynamic_waiters.remove(process)

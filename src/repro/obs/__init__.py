@@ -26,7 +26,7 @@ See ``docs/observability.md`` for the hook points, the metric catalog
 and measured overhead numbers.
 """
 
-from repro.obs.hooks import CountingObserver, ObserverGroup, SimObserver
+from repro.obs.hooks import ObserverGroup, SimObserver
 from repro.obs.instruments import watch_fifo
 from repro.obs.metrics import (
     Counter,
@@ -41,7 +41,6 @@ from repro.obs.trace_events import TraceEventCollector
 
 __all__ = [
     "Counter",
-    "CountingObserver",
     "EstimateSummary",
     "Gauge",
     "HistogramMetric",

@@ -38,7 +38,7 @@ class SimObserver:
 
     Subclass and override the hooks you need; attaching a plain
     ``SimObserver()`` is the canonical way to measure the cost of the
-    hook calls themselves (see ``benchmarks/run_all.py``).
+    hook calls themselves (see ``docs/observability.md``).
     """
 
     __slots__ = ()
@@ -127,66 +127,3 @@ class ObserverGroup(SimObserver):
         for obs in self.observers:
             obs.on_run_starved(context, blocked, now_fs)
 
-
-class CountingObserver(SimObserver):
-    """Counts hook invocations; the no-op/instrumentation-off tests and
-    the benchmark harness's hook-plumbing check are built on it."""
-
-    __slots__ = (
-        "activations",
-        "suspensions",
-        "event_fires",
-        "update_phases",
-        "delta_cycles",
-        "time_advances",
-        "run_starvations",
-        "last_blocked",
-    )
-
-    def __init__(self):
-        self.activations = 0
-        self.suspensions = 0
-        self.event_fires = 0
-        self.update_phases = 0
-        self.delta_cycles = 0
-        self.time_advances = 0
-        self.run_starvations = 0
-        self.last_blocked = ()
-
-    def on_process_activate(self, process, now_fs: int) -> None:
-        """Count one activation."""
-        self.activations += 1
-
-    def on_process_suspend(self, process, now_fs: int,
-                           wall_s: float) -> None:
-        """Count one suspension."""
-        self.suspensions += 1
-
-    def on_event_fire(self, event, kind: str, now_fs: int) -> None:
-        """Count one matured notification."""
-        self.event_fires += 1
-
-    def on_update_phase(self, channel_count: int, now_fs: int) -> None:
-        """Count one update phase."""
-        self.update_phases += 1
-
-    def on_delta_cycle(self, delta_count: int, now_fs: int) -> None:
-        """Count one delta cycle."""
-        self.delta_cycles += 1
-
-    def on_time_advance(self, now_fs: int) -> None:
-        """Count one time advance."""
-        self.time_advances += 1
-
-    def on_run_starved(self, context, blocked, now_fs: int) -> None:
-        """Count one starved run end and keep the blocked snapshot."""
-        self.run_starvations += 1
-        self.last_blocked = tuple(blocked)
-
-    @property
-    def total(self) -> int:
-        """Sum of all hook invocations (zero means no hook ever fired)."""
-        return (
-            self.activations + self.suspensions + self.event_fires
-            + self.update_phases + self.delta_cycles + self.time_advances
-        )

@@ -96,7 +96,7 @@ def _text_report(profiler: SimProfiler, registry: MetricsRegistry,
                  ctx: SimContext) -> str:
     """Human-readable report: hotspot table plus metrics snapshot."""
     lines: List[str] = []
-    lines.append(f"simulated {ctx.now} "
+    lines.append(f"simulated {ctx.last_activity_time} "
                  f"({profiler.delta_cycles} delta cycles, "
                  f"{profiler.events_fired} event fires)")
     lines.append("")
@@ -104,7 +104,7 @@ def _text_report(profiler: SimProfiler, registry: MetricsRegistry,
     lines.append(profiler.format_table())
     lines.append("")
     lines.append("metrics")
-    snapshot = registry.snapshot(ctx._now_fs)
+    snapshot = registry.snapshot(ctx.last_activity_time._fs)
     for name in sorted(snapshot):
         value = snapshot[name]
         if isinstance(value, dict):
@@ -146,10 +146,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         trace_path=args.trace,
     )
     if args.metrics:
-        registry.write_json(args.metrics, now_fs=ctx._now_fs)
+        registry.write_json(args.metrics,
+                            now_fs=ctx.last_activity_time._fs)
     if args.json:
         report = profiler.report()
-        report["metrics"] = registry.snapshot(ctx._now_fs)
+        report["metrics"] = registry.snapshot(ctx.last_activity_time._fs)
         report["trace_events"] = len(collector)
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

@@ -26,6 +26,10 @@ every point of the family from the checkpoint — byte-identical
 results, boot cost paid once per family instead of once per point
 (see ``docs/checkpointing.md``).
 
+``--max-sim-time-us`` bounds each point's simulated time.  A point it
+stops short of its workload is not ranked: the report lists it in a
+``truncated`` section with each master's completed and target counts.
+
 With ``--cache DIR`` results persist across invocations: an interrupted
 sweep resumes where it stopped, and a repeated sweep is served entirely
 from cache (enforceable with ``--require-cached``).
@@ -70,8 +74,27 @@ from repro.sweep.strategies import GridSearch
 
 
 def _csv_list(text: str) -> List[str]:
-    """Split a comma-separated option value, dropping empties."""
-    return [item.strip() for item in text.split(",") if item.strip()]
+    """Split a comma-separated option value, dropping empties; a value
+    with no item left is a usage error, not an empty sweep axis."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(
+            f"expected at least one value, got {text!r}")
+    return items
+
+
+def _choices(choices):
+    """Option type: a comma-separated list of values from ``choices``."""
+
+    def parse(text: str) -> List[str]:
+        items = _csv_list(text)
+        if any(item not in choices for item in items):
+            raise argparse.ArgumentTypeError(
+                f"expected values from {', '.join(choices)}, "
+                f"got {text!r}")
+        return items
+
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -120,12 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="standard E3 workload to sweep (default: mixed)",
     )
     parser.add_argument(
-        "--fabrics", type=_csv_list,
+        "--fabrics", type=_choices(FABRICS),
         default=["plb", "opb", "ahb", "generic", "crossbar"],
         help=f"comma-separated fabrics from {FABRICS}",
     )
     parser.add_argument(
-        "--arbiters", type=_csv_list,
+        "--arbiters", type=_choices(ARBITERS),
         default=["static-priority", "round-robin"],
         help=f"comma-separated arbiters from {ARBITERS}",
     )
@@ -271,6 +294,37 @@ def _format_rows(rows: List[dict]) -> str:
         }
         for row in rows
     ])
+
+
+def _split_truncated(outcomes, replicated: bool):
+    """Split ranked outcomes into those whose every master finished and
+    report rows for the points the run bound cut short.
+
+    A replicated point is cut short when any of its replicates is; each
+    such replicate gets its own row.
+    """
+    kept, rows = [], []
+    for outcome in outcomes:
+        runs = outcome.outcomes if replicated else [outcome]
+        cut = [o for o in runs if not o.failed and o.result.truncated]
+        rows.extend(_truncated_row(o) for o in cut)
+        if not cut:
+            kept.append(outcome)
+    return kept, rows
+
+
+def _truncated_row(outcome: SweepOutcome) -> dict:
+    """Report row for a point the run bound cut short: each master's
+    completed and target transaction counts."""
+    return {
+        "config": outcome.point.config.name,
+        "workload": outcome.point.workload,
+        "masters": [
+            {"name": m.name, "completed": m.completed, "target": m.target}
+            for m in outcome.result.masters
+        ],
+        "key": outcome.key,
+    }
 
 
 def rank_rows(outcomes: List[SweepOutcome],
@@ -421,6 +475,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         cached = engine.last_cached
         computed = engine.last_computed
+    outcomes, truncated_rows = _split_truncated(
+        outcomes, replicated=replication is not None)
     if args.top is not None:
         outcomes = outcomes[:args.top]
     if replication is not None:
@@ -438,6 +494,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "pool_reuses": pool_reuses,
         "wall_s": round(wall, 4),
         "quarantined": quarantine_rows,
+        "truncated": truncated_rows,
         "recovery": recovery,
         "ranked": rows,
     }
@@ -460,6 +517,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"({row['error_type']}, {row['attempts']} attempt(s)) "
                 f"— {row['message']}"
             )
+    if truncated_rows:
+        print("\ntruncated (excluded from ranking; raise "
+              "--max-sim-time-us to let them finish)")
+        for row in truncated_rows:
+            counts = ", ".join(
+                f"{m['name']} {m['completed']}/{m['target']}"
+                for m in row["masters"]
+            )
+            print(f"  {row['config']}/{row['workload']}: {counts}")
     if telemetry is not None:
         telemetry.close()
     print(

@@ -159,6 +159,24 @@ class TestRunner:
         row = result.as_row()
         assert row["workload"] == "t"
 
+    def test_point_cut_short_by_the_run_bound_is_not_done(self):
+        """``all_done`` needs every master's transaction count, not just
+        error-free responses: a bound inside the workload truncates."""
+        result = run_point(ArchitectureConfig(fabric="plb"),
+                           standard_workloads()["mixed"],
+                           workload_name="mixed", max_sim_time=us(2))
+        assert [m.target for m in result.masters] == [300, 150, 200]
+        assert [m.completed for m in result.masters] == [14, 4, 11]
+        assert all(m.errors == 0 for m in result.masters)
+        assert result.truncated
+        assert not result.all_done
+        unbounded = run_point(
+            ArchitectureConfig(fabric="plb"),
+            [MasterTrafficSpec("bg", transactions=None)],
+            max_sim_time=us(2))
+        assert unbounded.masters[0].target is None
+        assert unbounded.all_done and not unbounded.truncated
+
     def test_burst_clamped_to_config_max(self):
         result = run_point(
             ArchitectureConfig(fabric="generic", max_burst=4),

@@ -1,5 +1,6 @@
 """Kernel instrumentation hooks: attach/detach, hook coverage, no-op path."""
 
+import collections
 import random
 import types
 
@@ -16,7 +17,38 @@ from repro.kernel import (
 )
 from repro.kernel.event import EventAndList, EventOrList
 from repro.kernel.process import WaitCondition, WaitMode
-from repro.obs import CountingObserver, ObserverGroup, SimObserver
+from repro.obs import ObserverGroup, SimObserver
+
+
+class HookCounter(SimObserver):
+    """Counts the calls of each kernel hook, keyed by hook name, and
+    keeps the blocked processes of the last starved run."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+        self.last_blocked = ()
+
+    def on_process_activate(self, process, now_fs):
+        self.calls["activate"] += 1
+
+    def on_process_suspend(self, process, now_fs, wall_s):
+        self.calls["suspend"] += 1
+
+    def on_event_fire(self, event, kind, now_fs):
+        self.calls["event_fire"] += 1
+
+    def on_update_phase(self, channel_count, now_fs):
+        self.calls["update_phase"] += 1
+
+    def on_delta_cycle(self, delta_count, now_fs):
+        self.calls["delta_cycle"] += 1
+
+    def on_time_advance(self, now_fs):
+        self.calls["time_advance"] += 1
+
+    def on_run_starved(self, context, blocked, now_fs):
+        self.calls["run_starved"] += 1
+        self.last_blocked = tuple(blocked)
 
 
 def _workload(ctx):
@@ -183,24 +215,25 @@ class TestAttachDetach:
 
 class TestHookCoverage:
     def test_all_hook_kinds_fire(self, ctx):
-        counting = CountingObserver()
+        counting = HookCounter()
         _workload(ctx)
         ctx.attach_observer(counting)
         ctx.run()
-        assert counting.activations > 0
-        assert counting.suspensions == counting.activations
-        assert counting.event_fires > 0
-        assert counting.update_phases > 0     # signal writes
-        assert counting.delta_cycles > 0
-        assert counting.time_advances > 0     # timed waits
+        calls = counting.calls
+        assert calls["activate"] > 0
+        assert calls["suspend"] == calls["activate"]
+        assert calls["event_fire"] > 0
+        assert calls["update_phase"] > 0     # signal writes
+        assert calls["delta_cycle"] > 0
+        assert calls["time_advance"] > 0     # timed waits
 
     def test_detached_observer_sees_nothing(self, ctx):
-        counting = CountingObserver()
+        counting = HookCounter()
         _workload(ctx)
         ctx.attach_observer(counting)
         ctx.detach_observer()
         ctx.run()
-        assert counting.total == 0
+        assert not counting.calls
 
     def test_unobserved_run_calls_no_hook_or_timer(self, ctx, monkeypatch):
         """Without an observer the scheduler never reads the clock."""
@@ -210,13 +243,13 @@ class TestHookCoverage:
 
         monkeypatch.setattr(context_module, "time",
                             types.SimpleNamespace(perf_counter=clock))
-        counting = CountingObserver()
+        counting = HookCounter()
         _workload(ctx)
         ctx.attach_observer(counting)
         ctx.detach_observer()
         ctx.run()
         assert ctx.now == ns(50)
-        assert counting.total == 0
+        assert not counting.calls
         # the stub bites as soon as an observer is attached
         observed = SimContext()
         _workload(observed)
@@ -230,44 +263,43 @@ class TestHookCoverage:
         """Attaching an observer does not change how a design is
         scheduled, and the observer sees every activation and delta."""
         plain_log, plain_ends, _ = _run_design(seed, None)
-        counting = CountingObserver()
+        counting = HookCounter()
         log, ends, ctx = _run_design(seed, counting)
         assert log == plain_log
         assert ends == plain_ends
-        assert counting.delta_cycles == ctx.delta_count
-        assert counting.activations == len(log)
+        assert counting.calls["delta_cycle"] == ctx.delta_count
+        assert counting.calls["activate"] == len(log)
 
     def test_random_designs_reach_every_ending(self):
         """The designs behind the property above end runs at the
         horizon, by ``stop()`` and by starvation, and fire every hook."""
         outcomes = set()
-        counting = CountingObserver()
+        counting = HookCounter()
         for seed in range(40):
             _, ends, _ = _run_design(seed, counting)
             outcomes.update(end[3] for end in ends)
         assert outcomes == {"limit", "stopped", "starved"}
-        assert min(counting.activations, counting.event_fires,
-                   counting.update_phases, counting.delta_cycles,
-                   counting.time_advances) > 0
+        calls = counting.calls
+        assert min(calls["activate"], calls["event_fire"],
+                   calls["update_phase"], calls["delta_cycle"],
+                   calls["time_advance"]) > 0
 
     def test_delta_counter_matches_kernel(self, ctx):
-        counting = CountingObserver()
+        counting = HookCounter()
         _workload(ctx)
         ctx.attach_observer(counting)
         ctx.run()
-        assert counting.delta_cycles == ctx.delta_count
+        assert counting.calls["delta_cycle"] == ctx.delta_count
 
 
 class TestObserverGroup:
     def test_fans_out_to_all_children(self, ctx):
-        a, b = CountingObserver(), CountingObserver()
+        a, b = HookCounter(), HookCounter()
         _workload(ctx)
         ctx.attach_observer(ObserverGroup(a, b))
         ctx.run()
-        assert a.total > 0
-        assert a.activations == b.activations
-        assert a.delta_cycles == b.delta_cycles
-        assert a.total == b.total
+        assert a.calls["activate"] > 0
+        assert a.calls == b.calls
 
     def test_empty_group_is_harmless(self, ctx):
         _workload(ctx)

@@ -116,6 +116,12 @@ class TestReportCli:
         report = json.loads(capsys.readouterr().out)
         assert report["metrics"]["trace.transactions"]["value"] == 4
 
+    def test_text_report_prints_last_activity_time(self, capsys):
+        """The demo runs to a generous bound (150 us at 3 transactions);
+        the report prints when the workload's last activity happened."""
+        assert report_main(["--transactions", "3"]) == 0
+        assert capsys.readouterr().out.startswith("simulated 720 ns ")
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_non_positive_transactions_rejected(self, value, capsys):
         with pytest.raises(SystemExit) as exc:

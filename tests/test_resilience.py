@@ -19,8 +19,8 @@ from repro.kernel import (
     wait_with_timeout,
     with_timeout,
 )
-from repro.obs import CountingObserver
 from repro.ship import ShipChannel, ShipInt, ShipTimeoutError, ShipTiming
+from tests.test_obs_hooks import HookCounter
 
 
 class TestWaitWithTimeout:
@@ -294,7 +294,7 @@ class TestStarvationDiagnostics:
         assert "done_proc" not in report
 
     def test_observer_hook_fires_on_starvation(self, ctx, top):
-        obs = CountingObserver()
+        obs = HookCounter()
         ctx.attach_observer(obs)
         ev = Event(top, "never")
 
@@ -303,11 +303,11 @@ class TestStarvationDiagnostics:
 
         ctx.register_thread(stuck, "s")
         ctx.run()
-        assert obs.run_starvations == 1
+        assert obs.calls["run_starved"] == 1
         assert len(obs.last_blocked) == 1
 
     def test_no_starvation_hook_on_clean_stop(self, ctx, top):
-        obs = CountingObserver()
+        obs = HookCounter()
         ctx.attach_observer(obs)
 
         def worker():
@@ -317,4 +317,4 @@ class TestStarvationDiagnostics:
         ctx.register_thread(worker, "w")
         ctx.run()
         assert ctx.last_run_outcome == "stopped"
-        assert obs.run_starvations == 0
+        assert obs.calls["run_starved"] == 0

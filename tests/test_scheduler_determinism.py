@@ -81,6 +81,57 @@ class TestSameInstantOrdering:
         ctx.run()
         assert log == ["event", "sleeper"]
 
+    def test_interleaved_instants_preserve_time_order(self, ctx):
+        """Notifications scheduled out of time order fire in time order,
+        same-instant ones in notify order, each exactly once."""
+        events = [Event(ctx, f"e{i}") for i in range(5)]
+        log = []
+
+        def make_waiter(i):
+            def body():
+                while True:
+                    yield events[i]
+                    log.append((i, str(ctx.now)))
+            return body
+
+        def notifier():
+            for ev, delay in zip(events, (30, 10, 30, 20, 10)):
+                ev.notify_after(ns(delay))
+            yield ns(1)
+
+        for i in range(5):
+            ctx.register_thread(make_waiter(i), f"w{i}")
+        ctx.register_thread(notifier, "n")
+        ctx.run()
+        assert log == [(1, "10 ns"), (4, "10 ns"), (3, "20 ns"),
+                       (0, "30 ns"), (2, "30 ns")]
+
+    def test_same_instant_deliveries_use_consecutive_deltas(self, ctx):
+        """A timed notification and the delta notifications that follow
+        it at the same instant each wake the re-waiting process, one
+        delta cycle apart; the instant's timed drain does not merge
+        them."""
+        ev = Event(ctx, "ev")
+        deltas = []
+
+        def waiter():
+            while True:
+                yield ev
+                deltas.append((str(ctx.now), ctx.delta_count))
+                if len(deltas) < 4:
+                    ev.notify_delta()
+
+        def notifier():
+            ev.notify_after(ns(10))
+            yield ns(1)
+
+        ctx.register_thread(waiter, "w")
+        ctx.register_thread(notifier, "n")
+        ctx.run()
+        assert [t for t, _ in deltas] == ["10 ns"] * 4
+        ds = [d for _, d in deltas]
+        assert ds == list(range(ds[0], ds[0] + 4))
+
     def test_run_twice_identical_trace(self):
         """The whole schedule is a pure function of the model."""
 

@@ -139,6 +139,16 @@ class TestSerialization:
         # the serialized form is genuinely JSON-able
         json.dumps(result.to_dict())
 
+    def test_result_stored_without_targets_loads(self):
+        """A row cached before masters recorded their transaction
+        count loads with no target, so it counts as finished."""
+        data = run_point(ArchitectureConfig(fabric="plb"),
+                         list(small_specs()), workload_name="t").to_dict()
+        assert [m.pop("target") for m in data["masters"]] == [12, 12]
+        clone = ExplorationResult.from_dict(data)
+        assert [m.target for m in clone.masters] == [None, None]
+        assert clone.all_done and not clone.truncated
+
     def test_result_round_trip_preserves_fault_summary(self):
         result = run_point(
             ArchitectureConfig(fabric="plb"), list(small_specs()),
@@ -385,6 +395,28 @@ class TestCli:
             0, data["points"] * (2 if extra else 1))
         capsys.readouterr()
 
+    def test_truncated_points_listed_apart_from_ranking(self, tmp_path,
+                                                        capsys):
+        """A point the run bound cut short is not ranked; the report
+        lists it with each master's completed and target counts."""
+        from repro.sweep.cli import main
+
+        report = tmp_path / "report.json"
+        assert main(self.ARGS + ["--max-sim-time-us", "1",
+                                 "--json", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert (data["points"], data["ranked"]) == (0, [])
+        assert [row["config"] for row in data["truncated"]] == [
+            "plb/static-priority@100MHz/b16",
+            "generic/static-priority@100MHz/b16"]
+        for row in data["truncated"]:
+            assert [m["name"] for m in row["masters"]] == [
+                "cpu", "dma", "sync"]
+            assert all(m["completed"] < m["target"] == 10
+                       for m in row["masters"])
+        out = capsys.readouterr().out
+        assert "truncated (excluded from ranking" in out
+
     def test_require_cached_fails_cold(self, tmp_path, capsys):
         from repro.sweep.cli import main
 
@@ -399,10 +431,14 @@ class TestCli:
         ("--top", "0"), ("--top", "-1"),
         ("--max-sim-time-us", "0"), ("--max-sim-time-us", "-5"),
         ("--transactions", "0"), ("--transactions", "-3"),
+        ("--fabrics", "bogus"), ("--arbiters", "tdma,bogus"),
+        ("--fabrics", ","), ("--arbiters", ","), ("--clock-ns", ","),
+        ("--bursts", ","),
     ])
     def test_malformed_values_rejected(self, flag, value, capsys):
         """Exit 2 with a usage error naming the flag and the value —
-        no traceback, and no report over a cut or empty ranking."""
+        no traceback, and no report over a cut or empty ranking or an
+        empty sweep axis."""
         from repro.sweep.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
