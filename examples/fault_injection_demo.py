@@ -10,7 +10,8 @@ of this script prints exactly the same story:
    backoff turn the faults into retries instead of failures.
 2. **Surviving a lossy SHIP link.**  A producer issues requests over a
    SHIP channel whose injector drops, corrupts, and delays frames;
-   per-call timeouts and ``retry_call`` recover dropped messages, and
+   a ``with_timeout`` deadline around each ``request`` and
+   ``retry_call`` recover dropped messages, and
    payload corruption surfaces as detectable value mismatches.
 3. **Diagnosing a silent hang.**  A slave that never responds hangs the
    bus — no timeout can help the master, because the bus process itself
@@ -33,7 +34,15 @@ from repro.faults import (
     RetryingMaster,
     retry_call,
 )
-from repro.kernel import Module, SimContext, SimWatchdog, WatchdogError, ns, us
+from repro.kernel import (
+    Module,
+    SimContext,
+    SimWatchdog,
+    WatchdogError,
+    ns,
+    us,
+    with_timeout,
+)
 from repro.obs import MetricsRegistry
 from repro.ocp.types import OcpCmd, OcpRequest
 from repro.ship import ShipChannel, ShipInt, ShipPort, ShipTiming
@@ -81,7 +90,8 @@ class Producer(Module):
         """Issue MESSAGES echo requests, retrying lost ones."""
         for i in range(MESSAGES):
             reply = yield from retry_call(
-                lambda: self.port.request(ShipInt(i), timeout=us(2)),
+                lambda: with_timeout(
+                    self.ctx, self.port.request(ShipInt(i)), us(2)),
                 self.policy,
                 what=f"echo request {i}",
             )

@@ -22,7 +22,8 @@ into diagnosable, recoverable events instead of silent hangs.
   pins as a golden summary.
 
 The kernel-side counterparts live in :mod:`repro.kernel`:
-``wait_with_timeout`` / ``with_timeout``, :class:`SimWatchdog`, and
+``with_timeout`` (the one deadline for any blocking call),
+:class:`SimWatchdog`, and
 ``SimContext.blocked_processes()`` / ``starvation_report()``.
 """
 

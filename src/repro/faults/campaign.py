@@ -24,6 +24,7 @@ from typing import Generator, List
 from repro.kernel.context import SimContext
 from repro.kernel.module import Module
 from repro.kernel.simtime import ns, us
+from repro.kernel.sync import with_timeout
 from repro.cam.bus import GenericBus
 from repro.cam.memory import MemorySlave
 from repro.obs.metrics import MetricsRegistry
@@ -88,7 +89,8 @@ class _ShipProducer(Module):
         for i in range(self.count):
             try:
                 reply = yield from retry_call(
-                    lambda: self.port.request(ShipInt(i), timeout=us(1)),
+                    lambda: with_timeout(
+                        self.ctx, self.port.request(ShipInt(i)), us(1)),
                     self.policy,
                     what=f"{self.full_name} request {i}",
                 )

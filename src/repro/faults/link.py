@@ -11,9 +11,9 @@ Fault semantics:
 
 * **drop** — the sender pays the full wire latency and its accounting is
   updated, but the message never reaches the peer's queue.  A dropped
-  ``request`` therefore hangs its master unless it used a ``timeout`` or
-  a watchdog is armed — which is exactly the failure mode the resilience
-  layer exists to surface.
+  ``request`` therefore hangs its master unless a ``with_timeout``
+  deadline bounds it or a watchdog is armed — which is exactly the
+  failure mode the resilience layer exists to surface.
 * **corrupt** — one payload bit is flipped *after* the 6-byte frame
   header (``tag | length``), so the receiver still decodes a value — the
   wrong one.  Skipped for zero-copy channels (there are no bytes to
@@ -26,10 +26,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.kernel.simtime import SimTime, ZERO_TIME
+from repro.ship.serializable import FRAME_HEADER_BYTES
 from repro.faults.plan import FaultPlan, FaultRule
-
-#: bytes of frame header (tag + length) a corruption must never touch
-_FRAME_HEADER_BYTES = 6
 
 
 class LinkFaultInjector:
@@ -88,10 +86,10 @@ class LinkFaultInjector:
             return False, data, extra_fs
         if (self.corrupt is not None
                 and data is not None
-                and len(data) > _FRAME_HEADER_BYTES
+                and len(data) > FRAME_HEADER_BYTES
                 and self.corrupt.matches(rng, now_fs)):
-            index = _FRAME_HEADER_BYTES + rng.randrange(
-                len(data) - _FRAME_HEADER_BYTES
+            index = FRAME_HEADER_BYTES + rng.randrange(
+                len(data) - FRAME_HEADER_BYTES
             )
             bit = rng.randrange(8)
             corrupted = bytearray(data)

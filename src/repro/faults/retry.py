@@ -86,7 +86,7 @@ def retry_call(factory: Callable[[], Generator], policy: RetryPolicy,
     retrying on :class:`SimTimeoutError` with the policy's backoff::
 
         reply = yield from retry_call(
-            lambda: port.request(msg, timeout=us(5)), policy)
+            lambda: with_timeout(ctx, port.request(msg), us(5)), policy)
 
     Raises :class:`RetryExhaustedError` once attempts are exhausted,
     chaining the last timeout.

@@ -65,7 +65,7 @@ from repro.kernel.simtime import (
     sec,
     us,
 )
-from repro.kernel.sync import Mutex, wait_with_timeout, with_timeout
+from repro.kernel.sync import Mutex, with_timeout
 from repro.kernel.watchdog import SimWatchdog
 
 __all__ = [
@@ -106,6 +106,5 @@ __all__ = [
     "sec",
     "us",
     "wait",
-    "wait_with_timeout",
     "with_timeout",
 ]

@@ -26,9 +26,10 @@ class SimulationError(KernelError):
 class SimTimeoutError(SimulationError):
     """Raised when a blocking operation's deadline expires.
 
-    All timeout-capable primitives (``Fifo`` reads/writes, SHIP calls,
-    :func:`~repro.kernel.sync.with_timeout`) raise this or a subclass, so
-    resilience code can catch every "gave up waiting" condition at once.
+    :func:`~repro.kernel.sync.with_timeout`, the one deadline for any
+    blocking call (``Fifo`` reads/writes, SHIP calls, bus transports),
+    raises it, so resilience code catches every "gave up waiting"
+    condition at once.
     """
 
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Generator, Generic, Optional, Tuple, TypeVar
 
-from repro.kernel.errors import SimTimeoutError, SimulationError
+from repro.kernel.errors import SimulationError
 from repro.kernel.event import Event
 from repro.kernel.object import SimObject
-from repro.kernel.simtime import SimTime
-from repro.kernel.sync import wait_with_timeout
 
 T = TypeVar("T")
 
@@ -80,69 +78,23 @@ class Fifo(SimObject, Generic[T]):
 
     # -- blocking interface -------------------------------------------------------
 
-    def write(self, item: T, timeout: Optional[SimTime] = None) -> Generator:
-        """Blocking write: suspends while the FIFO is full.
-
-        With ``timeout`` given, raises
-        :class:`~repro.kernel.errors.SimTimeoutError` if no slot frees
-        up within that much simulated time; a write that completes
-        exactly at the deadline succeeds.
-        """
-        if timeout is None:
-            while not self.nb_write(item):
-                yield self._data_read
-            return
-        deadline_fs = self.ctx._now_fs + timeout._fs
+    def write(self, item: T) -> Generator:
+        """Blocking write: suspends while the FIFO is full."""
         while not self.nb_write(item):
-            remaining_fs = deadline_fs - self.ctx._now_fs
-            if remaining_fs > 0:
-                timed_out = yield from wait_with_timeout(
-                    self._data_read, SimTime._from_fs(remaining_fs)
-                )
-                if not timed_out:
-                    continue
-                if self.nb_write(item):  # space freed at the deadline
-                    return
-            raise SimTimeoutError(
-                f"fifo {self.full_name}: write timed out after {timeout}"
-            )
+            yield self._data_read
 
-    def read(self, timeout: Optional[SimTime] = None) -> Generator:
+    def read(self) -> Generator:
         """Blocking read: suspends while the FIFO is empty.
 
         Returns the item read (via the generator's return value)::
 
             item = yield from fifo.read()
-
-        With ``timeout`` given, raises
-        :class:`~repro.kernel.errors.SimTimeoutError` if no item arrives
-        within that much simulated time; an item that becomes readable
-        exactly at the deadline is returned.
         """
-        if timeout is None:
-            while True:
-                ok, item = self.nb_read()
-                if ok:
-                    return item
-                yield self._data_written
-        deadline_fs = self.ctx._now_fs + timeout._fs
         while True:
             ok, item = self.nb_read()
             if ok:
                 return item
-            remaining_fs = deadline_fs - self.ctx._now_fs
-            if remaining_fs > 0:
-                timed_out = yield from wait_with_timeout(
-                    self._data_written, SimTime._from_fs(remaining_fs)
-                )
-                if not timed_out:
-                    continue
-                ok, item = self.nb_read()  # data arrived at the deadline
-                if ok:
-                    return item
-            raise SimTimeoutError(
-                f"fifo {self.full_name}: read timed out after {timeout}"
-            )
+            yield self._data_written
 
     # -- update phase -------------------------------------------------------------
 

@@ -7,7 +7,8 @@ or ``chrome://tracing``:
 * every **TLM channel** (bus, SHIP, OCP) with a subscribed
   :class:`~repro.trace.transaction.TransactionRecorder` becomes a track;
   each completed transaction is a matched ``B``/``E`` duration pair in
-  *simulated* time with initiator/target/size arguments;
+  *simulated* time with initiator/target/size arguments, and
+  transactions that overlap in time go to extra lanes of the track;
 * every **kernel process** becomes a track (via the kernel observer
   hooks); each activation is an ``X`` slice placed at its simulated
   time whose *duration is the host cost of that dispatch* — the slice
@@ -62,6 +63,8 @@ class TraceEventCollector(SimObserver):
         self._metadata: List[dict] = []
         self._tids: Dict[Tuple[int, str], int] = {}
         self._named_pids: set = set()
+        #: (pid, track) -> its lanes, each ``[tid, end_fs of last span]``
+        self._lanes: Dict[Tuple[int, str], List[list]] = {}
 
     # -- track bookkeeping -------------------------------------------------
 
@@ -110,8 +113,26 @@ class TraceEventCollector(SimObserver):
 
     def add_span(self, track: str, name: str, begin_fs: int, end_fs: int,
                  pid: int = PID_CHANNELS, **args) -> None:
-        """Emit one matched ``B``/``E`` pair on ``track`` (sim time)."""
-        tid = self._tid(pid, track)
+        """Emit one matched ``B``/``E`` pair on ``track`` (sim time).
+
+        Readers close each ``E`` against the most recent open ``B`` of
+        its thread, so spans that share a thread must not overlap.  A
+        span that begins before every lane of ``track`` is free goes to
+        a new lane, a thread named ``"<track> (2)"``, ``(3)`` and so on:
+        every span reads back with its own begin and end.
+        """
+        lanes = self._lanes.setdefault((pid, track), [])
+        for lane in lanes:
+            if lane[1] <= begin_fs:
+                break
+        else:
+            label = f"{track} ({len(lanes) + 1})" if lanes else track
+            lane = [self._tid(pid, label), begin_fs]
+            lanes.append(lane)
+        # Each lane's spans arrive in time order, so the stable sort in
+        # to_dict() keeps every E after its own B and before the next B.
+        lane[1] = end_fs
+        tid = lane[0]
         self._events.append({
             "name": name, "ph": "B", "pid": pid, "tid": tid,
             "ts": begin_fs / _FS_PER_US, "args": args,

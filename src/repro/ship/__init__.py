@@ -16,7 +16,6 @@ HW/SW partitioning.  The package provides:
 from repro.ship.channel import (
     ShipChannel,
     ShipEnd,
-    ShipTimeoutError,
     ShipTiming,
 )
 from repro.ship.ports import ShipMasterPort, ShipPort, ShipSlavePort
@@ -60,7 +59,6 @@ __all__ = [
     "ShipSerializable",
     "ShipSlavePort",
     "ShipString",
-    "ShipTimeoutError",
     "ShipTiming",
     "classify",
     "clear_user_registry",

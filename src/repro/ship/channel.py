@@ -29,29 +29,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Set
 
-from repro.kernel.errors import SimTimeoutError, SimulationError
+from repro.kernel.errors import SimulationError
 from repro.kernel.event import Event
 from repro.kernel.object import SimObject
 from repro.kernel.simtime import SimTime, ZERO_TIME
 from repro.ship.roles import Role, classify, roles_consistent
 from repro.ship.serializable import (
+    FRAME_HEADER_BYTES,
     ShipSerializable,
     decode_message,
     encode_message,
 )
 from repro.trace.transaction import TransactionRecorder
-
-
-class ShipTimeoutError(SimTimeoutError):
-    """A SHIP interface call's deadline expired before it completed.
-
-    Raised by ``send``/``recv``/``request``/``reply`` when called with a
-    ``timeout`` and the blocking condition (peer consuming, message
-    arriving, reply returning) does not resolve in time.  A timed-out
-    ``request`` abandons its reply slot: a late ``reply`` from the peer
-    is counted in :attr:`ShipChannel.replies_dropped` and discarded
-    instead of crashing the slave.
-    """
 
 
 class ShipEnd(enum.Enum):
@@ -177,8 +166,8 @@ class ShipChannel(SimObject):
         #: duck type): consulted once per transmitted message.  None keeps
         #: the channel on the fault-free path (a single attribute test).
         self.fault_injector = None
-        #: Replies that arrived after their requester timed out and
-        #: abandoned the transaction; they are dropped, not delivered.
+        #: Replies that arrived after their requester abandoned the
+        #: transaction; they are dropped, not delivered.
         self.replies_dropped = 0
 
     # -- endpoint management ---------------------------------------------------
@@ -203,44 +192,26 @@ class ShipChannel(SimObject):
 
     # -- the four SHIP interface method calls -----------------------------------
 
-    def send(self, end: ShipEnd, obj: ShipSerializable,
-             timeout: Optional[SimTime] = None) -> Generator:
+    def send(self, end: ShipEnd, obj: ShipSerializable) -> Generator:
         """Blocking one-way transfer toward the other endpoint.
 
-        With ``timeout`` given, the whole call (wire latency plus any
-        wait for queue space) must complete within that much simulated
-        time or :class:`ShipTimeoutError` is raised.
+        A call closed while it waits for wire time or queue space (a
+        :func:`~repro.kernel.sync.with_timeout` deadline closes it)
+        enqueues nothing and counts no bytes.
         """
-        yield from self._transmit(end, obj, "send", txn_id=None,
-                                  timeout=timeout)
+        yield from self._transmit(end, obj, "send", None)
 
-    def recv(self, end: ShipEnd,
-             timeout: Optional[SimTime] = None) -> Generator:
+    def recv(self, end: ShipEnd) -> Generator:
         """Blocking receive; returns the next message from the peer.
 
         If the message was sent with ``request``, this endpoint owes a
-        ``reply`` (FIFO order).  With ``timeout`` given, raises
-        :class:`ShipTimeoutError` if no message arrives in time.
+        ``reply`` (FIFO order).
         """
         self._note_call(end, "recv")
         source = end.other
         queue = self._queues[source]
-        if timeout is None:
-            while not queue:
-                yield self._data_events[end]
-        else:
-            deadline_fs = self.ctx._now_fs + timeout._fs
-            while not queue:
-                remaining_fs = deadline_fs - self.ctx._now_fs
-                if remaining_fs > 0:
-                    wake = yield (SimTime._from_fs(remaining_fs),
-                                  self._data_events[end])
-                    if wake is not None or queue:
-                        continue
-                raise ShipTimeoutError(
-                    f"ship channel {self.full_name}: recv at end "
-                    f"{end.value} timed out after {timeout}"
-                )
+        while not queue:
+            yield self._data_events[end]
         msg = queue.popleft()
         self._space_events[source].notify()
         obj = self._materialize(msg)
@@ -258,55 +229,35 @@ class ShipChannel(SimObject):
             )
         return obj
 
-    def request(self, end: ShipEnd, obj: ShipSerializable,
-                timeout: Optional[SimTime] = None) -> Generator:
+    def request(self, end: ShipEnd, obj: ShipSerializable) -> Generator:
         """Blocking round trip: transfer ``obj``, wait for the reply.
 
-        With ``timeout`` given, the whole round trip must complete
-        within that much simulated time or :class:`ShipTimeoutError` is
-        raised; the pending reply slot is abandoned, so a late reply is
-        dropped (see :attr:`replies_dropped`) instead of delivered.
+        A call closed before its reply arrives (a
+        :func:`~repro.kernel.sync.with_timeout` deadline closes it)
+        gives up its reply slot: the late reply is dropped and counted
+        in :attr:`replies_dropped` instead of delivered.
         """
         txn_id = next(self._txn_ids)
         done = Event(self, f"{self.full_name}.reply_{txn_id}")
         slot = [None, done]
         self._pending_replies[txn_id] = slot
-        if timeout is None:
-            yield from self._transmit(end, obj, "request", txn_id=txn_id)
-            while self._pending_replies.get(txn_id) is not None:
-                yield done
-            return slot[0]
-        deadline_fs = self.ctx._now_fs + timeout._fs
         try:
-            yield from self._transmit(end, obj, "request", txn_id=txn_id,
-                                      timeout=timeout,
-                                      deadline_fs=deadline_fs)
-            while self._pending_replies.get(txn_id) is not None:
-                remaining_fs = deadline_fs - self.ctx._now_fs
-                if remaining_fs > 0:
-                    wake = yield (SimTime._from_fs(remaining_fs), done)
-                    if (wake is not None
-                            or self._pending_replies.get(txn_id) is None):
-                        continue
-                raise ShipTimeoutError(
-                    f"ship channel {self.full_name}: request at end "
-                    f"{end.value} timed out after {timeout} awaiting "
-                    f"reply {txn_id}"
-                )
-            return slot[0]
-        except ShipTimeoutError:
+            yield from self._transmit(end, obj, "request", txn_id)
+            while txn_id in self._pending_replies:
+                yield done
+        finally:
+            # A delivered reply already took the slot; anything else
+            # leaves this call abandoned.
             self._pending_replies.pop(txn_id, None)
-            raise
+        return slot[0]
 
-    def reply(self, end: ShipEnd, obj: ShipSerializable,
-              timeout: Optional[SimTime] = None) -> Generator:
+    def reply(self, end: ShipEnd, obj: ShipSerializable) -> Generator:
         """Answer the oldest unanswered ``request`` received at this end.
 
-        With ``timeout`` given, a modeled transfer time longer than the
-        deadline raises :class:`ShipTimeoutError` after the budget is
-        burned (the reply is not delivered).  If the requester already
-        abandoned the transaction (its own timeout expired) the reply is
-        silently dropped and counted in :attr:`replies_dropped`.
+        A call closed during its transfer delivers nothing and the
+        request stays owed, at the head of the queue.  If the requester
+        already abandoned the transaction the reply is silently dropped
+        and counted in :attr:`replies_dropped`.
         """
         self._note_call(end, "reply")
         if not self._unanswered[end]:
@@ -317,17 +268,12 @@ class ShipChannel(SimObject):
         txn_id = self._unanswered[end].popleft()
         nbytes = self._wire_size(obj)
         delay_fs = self.timing.transfer_time_fs(nbytes)
-        if timeout is not None and delay_fs > timeout._fs:
-            if timeout._fs:
-                yield timeout
-            self._unanswered[end].appendleft(txn_id)  # still owed
-            raise ShipTimeoutError(
-                f"ship channel {self.full_name}: reply at end "
-                f"{end.value} cannot complete within {timeout} "
-                f"(transfer takes {SimTime._from_fs(delay_fs)})"
-            )
         if delay_fs:
-            yield SimTime._from_fs(delay_fs)
+            try:
+                yield SimTime._from_fs(delay_fs)
+            except GeneratorExit:
+                self._unanswered[end].appendleft(txn_id)
+                raise
         slot = self._pending_replies.pop(txn_id, None)
         self._endpoints[end].bytes_sent += nbytes
         self._endpoints[end].messages_sent += 1
@@ -346,11 +292,17 @@ class ShipChannel(SimObject):
         self._endpoints[end].calls_used.add(call)
 
     def _wire_size(self, obj: ShipSerializable) -> int:
+        """Framed bytes ``obj`` occupies on the wire.
+
+        Zero-copy mode skips building the frame but charges the same
+        ``tag | length | payload`` size, so the flag moves host time
+        only, never simulated time or byte counts.
+        """
         if self.zero_copy:
-            # Reference passing: the logical size still matters for the
-            # timing annotation, so compute it cheaply when possible.
             serialize = getattr(obj, "serialize", None)
-            return len(serialize()) if serialize is not None else 0
+            if serialize is None:
+                return 0
+            return FRAME_HEADER_BYTES + len(serialize())
         return len(encode_message(obj))
 
     def _roundtrip(self, obj: ShipSerializable):
@@ -366,9 +318,7 @@ class ShipChannel(SimObject):
         decoded, _ = decode_message(msg.data)
         return decoded
 
-    def _transmit(self, end, obj, kind, txn_id,
-                  timeout: Optional[SimTime] = None,
-                  deadline_fs: Optional[int] = None) -> Generator:
+    def _transmit(self, end, obj, kind, txn_id) -> Generator:
         self._note_call(end, kind)
         if self.zero_copy:
             data, payload_obj = None, obj
@@ -385,19 +335,6 @@ class ShipChannel(SimObject):
                 self, end, kind, data, nbytes
             )
             delay_fs += extra_fs
-        if timeout is not None and deadline_fs is None:
-            deadline_fs = self.ctx._now_fs + timeout._fs
-        if deadline_fs is not None:
-            remaining_fs = deadline_fs - self.ctx._now_fs
-            if delay_fs > remaining_fs:
-                if remaining_fs > 0:
-                    yield SimTime._from_fs(remaining_fs)
-                raise ShipTimeoutError(
-                    f"ship channel {self.full_name}: {kind} at end "
-                    f"{end.value} timed out after "
-                    f"{timeout or SimTime._from_fs(remaining_fs)} "
-                    f"(transfer takes {SimTime._from_fs(delay_fs)})"
-                )
         if delay_fs:
             yield SimTime._from_fs(delay_fs)
         ep = self._endpoints[end]
@@ -408,21 +345,8 @@ class ShipChannel(SimObject):
             ep.messages_sent += 1
             return
         queue = self._queues[end]
-        if deadline_fs is None:
-            while len(queue) >= self.capacity:
-                yield self._space_events[end]
-        else:
-            while len(queue) >= self.capacity:
-                remaining_fs = deadline_fs - self.ctx._now_fs
-                if remaining_fs > 0:
-                    wake = yield (SimTime._from_fs(remaining_fs),
-                                  self._space_events[end])
-                    if wake is not None or len(queue) < self.capacity:
-                        continue
-                raise ShipTimeoutError(
-                    f"ship channel {self.full_name}: {kind} at end "
-                    f"{end.value} timed out waiting for queue space"
-                )
+        while len(queue) >= self.capacity:
+            yield self._space_events[end]
         queue.append(
             _Message(kind, data, payload_obj, txn_id, nbytes, self.ctx.now)
         )

@@ -14,7 +14,6 @@ from typing import Generator, Optional
 
 from repro.kernel.errors import ProcessError
 from repro.kernel.port import Port
-from repro.kernel.simtime import SimTime
 from repro.ship.channel import ShipChannel, ShipEnd
 from repro.ship.roles import Role
 from repro.ship.serializable import ShipSerializable
@@ -52,29 +51,25 @@ class ShipPort(Port):
 
     # -- the four SHIP interface method calls ----------------------------------
 
-    def send(self, obj: ShipSerializable,
-             timeout: Optional["SimTime"] = None) -> Generator:
+    def send(self, obj: ShipSerializable) -> Generator:
         """Blocking one-way transfer (master call)."""
         self._check_allowed("send")
-        yield from self.channel.send(self.end, obj, timeout=timeout)
+        yield from self.channel.send(self.end, obj)
 
-    def recv(self, timeout: Optional["SimTime"] = None) -> Generator:
+    def recv(self) -> Generator:
         """Blocking receive (slave call); returns the received object."""
         self._check_allowed("recv")
-        return (yield from self.channel.recv(self.end, timeout=timeout))
+        return (yield from self.channel.recv(self.end))
 
-    def request(self, obj: ShipSerializable,
-                timeout: Optional["SimTime"] = None) -> Generator:
+    def request(self, obj: ShipSerializable) -> Generator:
         """Blocking round trip (master call); returns the reply."""
         self._check_allowed("request")
-        return (yield from self.channel.request(self.end, obj,
-                                                timeout=timeout))
+        return (yield from self.channel.request(self.end, obj))
 
-    def reply(self, obj: ShipSerializable,
-              timeout: Optional["SimTime"] = None) -> Generator:
+    def reply(self, obj: ShipSerializable) -> Generator:
         """Answer the oldest outstanding request (slave call)."""
         self._check_allowed("reply")
-        yield from self.channel.reply(self.end, obj, timeout=timeout)
+        yield from self.channel.reply(self.end, obj)
 
     # -- role introspection -------------------------------------------------------
 

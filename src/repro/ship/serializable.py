@@ -52,6 +52,9 @@ _NEXT_TAG = [1]
 
 _FRAME_HEADER = struct.Struct(">HI")  # tag, payload length
 
+#: Bytes the ``tag | length`` header adds to every framed payload.
+FRAME_HEADER_BYTES = _FRAME_HEADER.size
+
 
 def register_serializable(
     cls: Type[ShipSerializable], tag: int = None

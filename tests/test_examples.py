@@ -94,3 +94,39 @@ def test_prototype_example_output_and_waveform_pinned(tmp_path):
     assert result.stdout == PROTOTYPE_STDOUT
     vcd = (tmp_path / "prototype_pins.vcd").read_bytes()
     assert hashlib.sha256(vcd).hexdigest() == PROTOTYPE_VCD_SHA256
+
+
+#: ``fault_injection_demo.py``'s stdout, byte for byte.  Outside the
+#: fault campaign it is the one consumer of a SHIP deadline: its
+#: ``with_timeout`` around each echo ``request`` must time out, drop and
+#: retry on the same instants, which the fault-log digest pins.
+FAULT_DEMO_STDOUT = """\
+act 1+2 finished at 10 ms
+  drv0: 24/24 transactions ok, 3 retries, 3 recoveries
+  drv1: 24/24 transactions ok, 10 retries, 7 recoveries
+  producer: 14/16 echoes ok, 2 corrupted payload(s) detected
+  injected faults by kind:
+    bus.error          6
+    link.corrupt       2
+    link.delay         3
+    link.drop          3
+    retry.attempt      13
+    slave.error        7
+  fault log digest: c9ef8276bef47281…
+
+act 3: watchdog fired at 5 us
+  watchdog top.wd fired at 5 us: no progress for 5 us
+  2 blocked process(es):
+    - top.plb.bus_process [thread] waiting on event [top.silent.never]
+    - master [thread] waiting on event [top.plb.done_5]
+"""
+
+
+def test_fault_injection_demo_output_pinned(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "fault_injection_demo.py")],
+        cwd=tmp_path, env=_example_env(),
+        capture_output=True, text=True, timeout=300,
+        check=True,
+    )
+    assert result.stdout == FAULT_DEMO_STDOUT

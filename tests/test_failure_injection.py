@@ -19,6 +19,7 @@ from repro.kernel import (
     WatchdogError,
     ns,
     us,
+    with_timeout,
 )
 from repro.cam import GenericBus, MemorySlave, PlbBus
 from repro.faults import (
@@ -222,8 +223,8 @@ class TestShipLinkFaults:
         def requester():
             for i in range(6):
                 reply = yield from retry_call(
-                    lambda: chan.request(master, ShipInt(i),
-                                         timeout=us(1)),
+                    lambda: with_timeout(
+                        ctx, chan.request(master, ShipInt(i)), us(1)),
                     policy,
                 )
                 got.append(reply.value)

@@ -7,6 +7,7 @@ from repro.kernel import (
     SimTimeoutError,
     SimulationError,
     ns,
+    with_timeout,
 )
 
 
@@ -147,7 +148,8 @@ class TestTimeouts:
 
         def reader():
             try:
-                yield from fifo.read(timeout=ns(100))
+                yield from with_timeout(ctx, fifo.read(), ns(100),
+                                        what="fifo read")
             except SimTimeoutError as exc:
                 out.append((str(exc), ctx.now))
 
@@ -162,7 +164,7 @@ class TestTimeouts:
         out = []
 
         def reader():
-            item = yield from fifo.read(timeout=ns(100))
+            item = yield from with_timeout(ctx, fifo.read(), ns(100))
             out.append((item, ctx.now))
 
         def writer():
@@ -182,7 +184,7 @@ class TestTimeouts:
         def writer():
             yield from fifo.write(1)
             try:
-                yield from fifo.write(2, timeout=ns(50))
+                yield from with_timeout(ctx, fifo.write(2), ns(50))
             except SimTimeoutError:
                 out.append(ctx.now)
 
@@ -196,7 +198,7 @@ class TestTimeouts:
 
         def writer():
             yield from fifo.write(1)
-            yield from fifo.write(2, timeout=ns(100))
+            yield from with_timeout(ctx, fifo.write(2), ns(100))
             order.append(("wrote", ctx.now))
 
         def reader():

@@ -5,6 +5,7 @@ import json
 
 from repro.kernel import Fifo, SimContext, ns
 from repro.obs import MetricsRegistry, TraceEventCollector, watch_fifo
+from repro.obs.report import run_demo
 from repro.trace import TransactionRecorder
 
 
@@ -192,3 +193,78 @@ class TestNamedProcessTracks:
         collector = TraceEventCollector(process_tracks=False,
                                         time_note=note)
         assert collector.to_dict()["otherData"]["time_mapping"] == note
+
+
+def _slices(trace):
+    """Read spans back by the format's pairing rule: each ``E`` closes
+    the most recent open ``B`` of its (pid, tid) thread.  Returns
+    ``(thread name, span name, begin, end, B args)`` tuples and the
+    deepest nesting seen on any thread."""
+    threads = {(e["pid"], e["tid"]): e["args"]["name"]
+               for e in trace["traceEvents"]
+               if e["ph"] == "M" and e["name"] == "thread_name"}
+    open_spans = collections.defaultdict(list)
+    slices, depth = [], 0
+    for event in trace["traceEvents"]:
+        key = (event.get("pid"), event.get("tid"))
+        if event["ph"] == "B":
+            open_spans[key].append(event)
+            depth = max(depth, len(open_spans[key]))
+        elif event["ph"] == "E":
+            begin = open_spans[key].pop()
+            slices.append((threads[key], begin["name"], begin["ts"],
+                           event["ts"], begin["args"]))
+    assert not any(open_spans.values()), "B without matching E"
+    return slices, depth
+
+
+class TestOverlappingSpans:
+    """Spans that overlap on one track each read back their own extent."""
+
+    #: (name, begin ns, end ns), in arrival order: partial overlaps,
+    #: a span arriving after one it contains, zero-length and touching
+    #: spans
+    SPANS = [
+        ("m0", 210, 320), ("m1", 300, 410), ("m2", 100, 500),
+        ("m3", 320, 320), ("m4", 320, 330), ("m5", 405, 406),
+        ("m6", 0, 50), ("m7", 50, 100),
+    ]
+
+    def test_each_span_reads_back_its_own_begin_and_end(self):
+        collector = TraceEventCollector(process_tracks=False)
+        for name, begin, end in self.SPANS:
+            collector.add_span("plb", name, int(ns(begin).femtoseconds),
+                               int(ns(end).femtoseconds), n=name)
+        slices, depth = _slices(collector.to_dict())
+        assert sorted((name, begin, end) for _, name, begin, end, _
+                      in slices) == sorted(
+            (name, float(begin), float(end))
+            for name, begin, end in self.SPANS)
+        assert all(args == {"n": name} for _, name, _, _, args in slices)
+        # one open slice per thread at a time; lanes share the track
+        # name, and m6, arriving after spans that end later than it
+        # begins, opens a fourth
+        assert depth == 1
+        assert {thread for thread, *_ in slices} == {
+            "plb", "plb (2)", "plb (3)", "plb (4)"}
+
+    def test_overlapping_transactions_keep_their_initiator(self):
+        collector = TraceEventCollector(process_tracks=False)
+        recorder = TransactionRecorder()
+        collector.attach_recorder(recorder)
+        recorder.record("plb", "write", "m0", "mem", ns(210), ns(320), 32)
+        recorder.record("plb", "read", "m1", "mem", ns(300), ns(410), 32)
+        slices, _ = _slices(collector.to_dict())
+        assert sorted((args["initiator"], begin, end)
+                      for _, _, begin, end, args in slices) == [
+            ("m0", 210.0, 320.0), ("m1", 300.0, 410.0)]
+
+    def test_instrumented_plb_run_has_one_open_slice_per_thread(self):
+        # python -m repro.obs.report's workload: two masters contend
+        # for the PLB, so their transactions overlap on its track
+        _, _, collector, _ = run_demo(transactions=20)
+        slices, depth = _slices(collector.to_dict())
+        assert depth == 1
+        plb = [s for s in slices if s[0].startswith("top.plb")]
+        assert len(plb) == 40
+        assert len({thread for thread, *_ in plb}) > 1

@@ -1,8 +1,9 @@
 """Resilience-primitive tests: timeouts, watchdogs, hang diagnostics.
 
-Covers the kernel side of the robustness layer — ``wait_with_timeout``
-and ``with_timeout``, SHIP interface-call timeouts, the simulation
-watchdog, and the starvation diagnostics every silent hang now ends in.
+Covers the kernel side of the robustness layer — the ``(timeout,
+event)`` wait and ``with_timeout``, SHIP calls bounded by
+``with_timeout``, the simulation watchdog, and the starvation
+diagnostics every silent hang now ends in.
 """
 
 import pytest
@@ -16,21 +17,24 @@ from repro.kernel import (
     WatchdogError,
     ns,
     us,
-    wait_with_timeout,
     with_timeout,
 )
-from repro.ship import ShipChannel, ShipInt, ShipTimeoutError, ShipTiming
+from repro.faults import FaultPlan, LinkFaultInjector
+from repro.ship import ShipChannel, ShipInt, ShipTiming
 from tests.test_obs_hooks import HookCounter
 
 
 class TestWaitWithTimeout:
+    """The kernel's ``(timeout, event)`` wait resumes with None when the
+    timeout wins and with the event when the event does."""
+
     def test_timeout_expires(self, ctx, top):
         ev = Event(top, "never")
         out = []
 
         def body():
-            timed_out = yield from wait_with_timeout(ev, ns(50))
-            out.append((timed_out, ctx.now))
+            wake = yield (ns(50), ev)
+            out.append((wake is None, ctx.now))
 
         ctx.register_thread(body, "t")
         ctx.run()
@@ -41,8 +45,8 @@ class TestWaitWithTimeout:
         out = []
 
         def body():
-            timed_out = yield from wait_with_timeout(ev, ns(50))
-            out.append((timed_out, ctx.now))
+            wake = yield (ns(50), ev)
+            out.append((wake is None, ctx.now))
 
         def kicker():
             yield ns(10)
@@ -113,6 +117,9 @@ class TestWithTimeout:
 
 
 class TestShipTimeouts:
+    """SHIP calls take no timeout: ``with_timeout`` bounds any of them,
+    and a call it closes cleans up after itself."""
+
     def _channel(self, top, **kw):
         return ShipChannel("chan", top, **kw)
 
@@ -123,8 +130,8 @@ class TestShipTimeouts:
 
         def body():
             try:
-                yield from chan.recv(end, timeout=ns(100))
-            except ShipTimeoutError:
+                yield from with_timeout(ctx, chan.recv(end), ns(100))
+            except SimTimeoutError:
                 out.append(ctx.now)
 
         ctx.register_thread(body, "t")
@@ -138,7 +145,7 @@ class TestShipTimeouts:
         got = []
 
         def receiver():
-            msg = yield from chan.recv(rx, timeout=us(1))
+            msg = yield from with_timeout(ctx, chan.recv(rx), us(1))
             got.append(msg.value)
 
         def sender():
@@ -159,9 +166,9 @@ class TestShipTimeouts:
 
         def requester():
             try:
-                yield from chan.request(master, ShipInt(1),
-                                        timeout=ns(80))
-            except ShipTimeoutError:
+                yield from with_timeout(
+                    ctx, chan.request(master, ShipInt(1)), ns(80))
+            except SimTimeoutError:
                 out.append(ctx.now)
 
         def responder():
@@ -183,13 +190,102 @@ class TestShipTimeouts:
         def sender():
             yield from chan.send(tx, ShipInt(0))      # fills the queue
             try:
-                yield from chan.send(tx, ShipInt(1), timeout=ns(40))
-            except ShipTimeoutError:
+                yield from with_timeout(
+                    ctx, chan.send(tx, ShipInt(1)), ns(40))
+            except SimTimeoutError:
                 out.append(ctx.now)
 
         ctx.register_thread(sender, "s")
         ctx.run()
         assert out == [ns(40)]
+        # the abandoned send enqueued nothing and counted no bytes
+        assert chan.messages_sent(tx) == 1
+        assert chan.bytes_sent(tx) == 14
+
+    def test_send_closed_during_wire_time_counts_nothing(self, ctx, top):
+        chan = self._channel(top, timing=ShipTiming(base_latency=ns(50)))
+        tx = chan.claim_end("tx")
+        rx = chan.claim_end("rx")
+        out = []
+
+        def sender():
+            try:
+                yield from with_timeout(
+                    ctx, chan.send(tx, ShipInt(1)), ns(30))
+            except SimTimeoutError:
+                out.append(ctx.now)
+
+        def receiver():
+            yield from chan.recv(rx)
+            out.append("received")
+
+        ctx.register_thread(sender, "s")
+        ctx.register_thread(receiver, "r")
+        ctx.run()
+        assert out == [ns(30)]
+        assert chan.messages_sent(tx) == 0
+        assert chan.bytes_sent(tx) == 0
+
+    def test_reply_closed_mid_transfer_stays_owed(self, ctx, top):
+        chan = self._channel(top, timing=ShipTiming(base_latency=ns(50)))
+        master = chan.claim_end("m")
+        slave = chan.claim_end("s")
+        out = []
+
+        def requester():
+            reply = yield from chan.request(master, ShipInt(1))
+            out.append(("reply", reply.value, ctx.now))
+
+        def responder():
+            msg = yield from chan.recv(slave)
+            try:
+                yield from with_timeout(
+                    ctx, chan.reply(slave, ShipInt(-1)), ns(20))
+            except SimTimeoutError:
+                out.append(("gave up", chan.pending_requests(slave),
+                            ctx.now))
+            # the same transaction is still at the head of the queue
+            yield from chan.reply(slave, ShipInt(msg.value + 1))
+
+        ctx.register_thread(requester, "req")
+        ctx.register_thread(responder, "rsp")
+        ctx.run()
+        # request lands at 50 ns; the first reply is cut at 70 ns, the
+        # second takes its 50 ns and is delivered at 120 ns
+        assert out == [("gave up", 1, ns(70)), ("reply", 2, ns(120))]
+        assert chan.pending_requests(slave) == 0
+        assert chan.messages_sent(slave) == 1
+        assert chan.replies_dropped == 0
+
+    def test_nested_deadline_frees_reply_slot_at_outer_deadline(
+            self, ctx, top):
+        chan = self._channel(top, timing=ShipTiming(base_latency=ns(50)))
+        plan = FaultPlan(seed=1)
+        chan.fault_injector = LinkFaultInjector(plan)
+        master = chan.claim_end("m")
+        slave = chan.claim_end("s")
+        out = []
+
+        def requester():
+            inner = with_timeout(ctx, chan.request(master, ShipInt(1)),
+                                 us(1), what="inner")
+            try:
+                yield from with_timeout(ctx, inner, ns(80), what="outer")
+            except SimTimeoutError as exc:
+                out.append((str(exc).split()[0], ctx.now,
+                            len(chan._pending_replies)))
+
+        def responder():
+            msg = yield from chan.recv(slave)
+            # the reply's own 50ns transfer lands after the 80ns deadline
+            yield from chan.reply(slave, ShipInt(msg.value + 1))
+
+        ctx.register_thread(requester, "req")
+        ctx.register_thread(responder, "rsp")
+        ctx.run()
+        assert out == [("outer", ns(80), 0)]
+        assert chan.replies_dropped == 1
+        assert plan.count("link.reply_dropped") == 1
 
 
 class TestWatchdog:

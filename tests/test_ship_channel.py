@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.kernel import SimulationError, ns
+from repro.kernel import Module, SimContext, SimulationError, ns
 from repro.ship import ShipChannel, ShipEnd, ShipInt, ShipString, ShipTiming
+from repro.trace import TransactionRecorder
 
 
 def two_enders(ctx, top, chan):
@@ -65,6 +66,39 @@ class TestSendRecv:
         ctx.register_thread(receiver, "r")
         ctx.run()
         assert got[0] is original
+
+    @staticmethod
+    def _three_timed_sends(zero_copy):
+        ctx = SimContext()
+        top = Module("top", ctx=ctx)
+        recorder = TransactionRecorder()
+        chan = ShipChannel(
+            "c", top, zero_copy=zero_copy, recorder=recorder,
+            timing=ShipTiming(base_latency=ns(10), per_byte=ns(1)),
+        )
+        a, b = two_enders(ctx, top, chan)
+
+        def sender():
+            for i in range(3):
+                yield from chan.send(a, ShipInt(i))
+
+        def receiver():
+            for _ in range(3):
+                yield from chan.recv(b)
+
+        ctx.register_thread(sender, "s")
+        ctx.register_thread(receiver, "r")
+        ctx.run()
+        nbytes = [record.nbytes for record in recorder.records]
+        return ctx.now, chan.bytes_sent(a), nbytes
+
+    def test_zero_copy_moves_no_simulated_value(self):
+        # zero_copy is a host-speed ablation: both modes charge the
+        # framed 14 bytes (6-byte tag|length header + 8-byte int) for
+        # 10 + 14 = 24 ns per send
+        serialized = self._three_timed_sends(zero_copy=False)
+        assert serialized == (ns(72), 42, [14, 14, 14])
+        assert self._three_timed_sends(zero_copy=True) == serialized
 
     def test_recv_blocks_until_send(self, ctx, top):
         chan = ShipChannel("c", top)

@@ -1,12 +1,23 @@
 """Unit tests for the RTOS-hosted channel access helper
 (``SwChannelPort``)."""
 
+import inspect
+
 import pytest
 
 from repro.kernel import ns, us
 from repro.esw import SwChannelPort
+from repro.hwsw import SwShipMaster, SwShipSlave
 from repro.rtos import Rtos
-from repro.ship import Role, ShipChannel, ShipInt, ShipPort
+from repro.ship import (
+    ALL_CALLS,
+    Role,
+    ShipChannel,
+    ShipInt,
+    ShipMasterPort,
+    ShipPort,
+    ShipSlavePort,
+)
 
 
 @pytest.fixture
@@ -104,3 +115,30 @@ class TestSwChannelPort:
         ctx.run(us(1000))
         assert sw.detected_role is Role.MASTER
         assert hw.detected_role is Role.SLAVE
+
+
+def _parameters(method):
+    return [(p.name, p.kind, p.default)
+            for p in inspect.signature(method).parameters.values()]
+
+
+def test_every_ship_endpoint_offers_the_four_calls_with_one_signature():
+    """eSW generation moves PE code onto a SW communication library
+    unchanged, so every SHIP endpoint takes the same parameters for
+    each of the paper's four calls it offers."""
+    reference = {call: _parameters(getattr(ShipPort, call))
+                 for call in ALL_CALLS}
+    offered = set()
+    for endpoint in (ShipPort, ShipMasterPort, ShipSlavePort,
+                     SwChannelPort, SwShipMaster, SwShipSlave):
+        for call in sorted(ALL_CALLS):
+            method = getattr(endpoint, call, None)
+            if method is None:
+                continue
+            offered.add((endpoint, call))
+            assert _parameters(method) == reference[call], \
+                (endpoint.__name__, call)
+    assert {call for cls, call in offered if cls is SwShipMaster} \
+        == {"send", "request"}
+    assert {call for cls, call in offered if cls is SwShipSlave} \
+        == {"recv", "reply"}
