@@ -23,7 +23,7 @@ import time
 from repro.kernel import Module, SimContext, ns, us
 from repro.cam import MemorySlave, PlbBus
 from repro.cpu import SimpleCpu, assemble
-from repro.hwsw import build_sw_master_interface
+from repro.flow import SystemMapper
 from repro.models import (
     CTRL_REQUEST,
     CTRL_VALID,
@@ -69,15 +69,15 @@ def run_task_driver():
     top = Module("top", ctx=ctx)
     plb = PlbBus("plb", top)
     os = Rtos("os", top)
-    link = build_sw_master_interface(
-        "acc", top, plb, os, MAILBOX_BASE, use_irq=False,
+    link = SystemMapper(
+        top, plb, rtos=os, mailbox_base=MAILBOX_BASE, use_irq=False,
         poll_interval=ns(100), capacity_words=4,
-    )
-    AdderPE("pe", top, link.hw_channel)
+    ).connect("acc", master="sw")
+    AdderPE("pe", top, link.slave_attach)
     out = []
 
     def main():
-        reply = yield from link.sw_port.request(ShipInt(7))
+        reply = yield from link.master_attach.request(ShipInt(7))
         out.append(reply.value)
 
     os.create_task(main, "main", priority=5)

@@ -17,7 +17,7 @@ way an interface paper's evaluation table would:
 
 from repro.kernel import Module, SimContext, ns, us
 from repro.cam import PlbBus
-from repro.hwsw import build_sw_master_interface
+from repro.flow import SystemMapper
 from repro.models import ProcessingElement
 from repro.rtos import Rtos
 from repro.ship import ShipIntArray, ShipSlavePort
@@ -53,21 +53,21 @@ def run_latency(words: int, use_irq: bool, poll_interval=ns(200),
     top = Module("top", ctx=ctx)
     plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=ns(200))
-    link = build_sw_master_interface(
-        "acc", top, plb, os, 0x80000,
+    link = SystemMapper(
+        top, plb, rtos=os, mailbox_base=0x80000,
         capacity_words=64,
         use_irq=use_irq,
         poll_interval=poll_interval,
-        access_overhead=ns(100),
-    )
-    EchoPE("hw", top, link.hw_channel, compute_time=hw_compute)
+        driver_overhead=ns(100),
+    ).connect("acc", master="sw")
+    EchoPE("hw", top, link.slave_attach, compute_time=hw_compute)
     latencies = []
 
     def main():
         payload = ShipIntArray(list(range(words)))
         for _ in range(ROUNDS):
             start = ctx.now
-            reply = yield from link.sw_port.request(payload)
+            reply = yield from link.master_attach.request(payload)
             latencies.append((ctx.now - start).to("ns"))
             assert reply.values == payload.values
 
@@ -75,7 +75,7 @@ def run_latency(words: int, use_irq: bool, poll_interval=ns(200),
     ctx.run(us(1_000_000))
     assert len(latencies) == ROUNDS
     mean = sum(latencies) / len(latencies)
-    return mean, link.driver.pio_reads, link.driver.pio_writes
+    return mean, link.bus_side.pio_reads, link.bus_side.pio_writes
 
 
 def test_e5_latency_vs_message_size(benchmark):

@@ -13,11 +13,8 @@ import pytest
 
 from repro.kernel import Clock, Module, SimContext, ns, us
 from repro.cam import CrossbarCam, GenericBus, MemorySlave, OpbBus, PlbBus
-from repro.models import (
-    ProcessingElement,
-    build_ship_over_bus,
-    connect_pin_master_to_bus,
-)
+from repro.flow import SystemMapper
+from repro.models import ProcessingElement, connect_pin_master_to_bus
 from repro.ocp import OcpCmd, OcpMasterPort, OcpPinMaster, OcpRequest
 from repro.ship import ShipIntArray, ShipMasterPort, ShipSlavePort
 
@@ -43,9 +40,8 @@ def run_ship_pe(fabric_kind):
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     bus = make_fabric(fabric_kind, top)
-    link = build_ship_over_bus("lnk", top, bus, 0x8000,
-                               capacity_words=32,
-                               poll_interval=ns(100))
+    link = SystemMapper(top, bus, mailbox_base=0x8000, capacity_words=32,
+                        poll_interval=ns(100)).connect("lnk")
     received = []
 
     class Sender(ProcessingElement):
@@ -69,8 +65,8 @@ def run_ship_pe(fabric_kind):
             msg = yield from self.port.recv()
             received.append(msg.values)
 
-    Sender("tx", top, link.master_channel)
-    Receiver("rx", top, link.slave_channel)
+    Sender("tx", top, link.master_attach)
+    Receiver("rx", top, link.slave_attach)
     ctx.run(us(100_000))
     return received == [DATA]
 

@@ -31,8 +31,8 @@ def run_partitioned(use_irq: bool, blocks: int = 8):
     mode = "interrupt" if use_irq else "polling"
     main_task = system.os.task_by_name("app_main")
     print(f"  {mode:9}: finished at {system.ctx.last_activity_time}, "
-          f"driver PIO reads={system.link.driver.pio_reads} "
-          f"writes={system.link.driver.pio_writes}, "
+          f"driver PIO reads={system.link.bus_side.pio_reads} "
+          f"writes={system.link.bus_side.pio_writes}, "
           f"app cpu time={main_task.cpu_time}")
     return system
 
@@ -65,8 +65,8 @@ def main():
     print("== HW/SW partitioned system (SW master -> HW accelerator) ==")
     irq_sys = run_partitioned(use_irq=True)
     poll_sys = run_partitioned(use_irq=False)
-    extra = (poll_sys.link.driver.pio_reads
-             - irq_sys.link.driver.pio_reads)
+    extra = (poll_sys.link.bus_side.pio_reads
+             - irq_sys.link.bus_side.pio_reads)
     print(f"  polling cost: {extra} extra PIO status reads\n")
 
     print("== eSW generation (whole pipeline re-hosted on the RTOS) ==")

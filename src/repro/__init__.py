@@ -17,7 +17,8 @@ design-flow stack —
   the synthesizable-prototype accessors;
 * :mod:`repro.rtos` / :mod:`repro.esw` — RTOS substrate and eSW
   generation by library substitution;
-* :mod:`repro.hwsw` — the generic SHIP-based HW/SW interface;
+* :mod:`repro.hwsw` — the SW adapter (device driver and communication
+  library) of the generic SHIP-based HW/SW interface;
 * :mod:`repro.explore` — communication architecture exploration;
 * :mod:`repro.flow` — the Figure-1 design-flow driver;
 * :mod:`repro.trace` — VCD tracing, transaction recording, statistics.

@@ -11,11 +11,11 @@ an ordinary SHIP slave PE that never learns its peer lives in software.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.kernel import Module, SimContext, SimTime, ns, us
 from repro.cam import PlbBus
-from repro.hwsw import IrqController, SwMasterLink, build_sw_master_interface
+from repro.flow.mapping import MappedConnection, SystemMapper
 from repro.models import ProcessingElement
 from repro.rtos import Rtos
 from repro.ship import ShipIntArray, ShipSlavePort
@@ -55,10 +55,9 @@ class HwSwSystem:
 
     ctx: SimContext
     os: Rtos
-    link: SwMasterLink
+    link: MappedConnection
     accelerator: HwTransformPE
     results: List[List[int]]
-    irq_controller: Optional[IrqController] = None
 
     def outputs(self) -> List[List[int]]:
         """The quantized blocks recorded so far."""
@@ -84,30 +83,24 @@ def build_hwsw_system(
     top = Module("top", ctx=ctx)
     plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=context_switch)
-    irqc = IrqController("irqc", top, lines=1) if use_irq else None
-    link = build_sw_master_interface(
-        "acc", top, plb, os, 0x80000,
-        capacity_words=capacity_words,
-        use_irq=use_irq,
-        poll_interval=poll_interval,
-        access_overhead=access_overhead,
-        irq_controller=irqc,
-    )
-    accelerator = HwTransformPE("hw_dct", top, link.hw_channel)
+    mapper = SystemMapper(top, plb, rtos=os, mailbox_base=0x80000,
+                          capacity_words=capacity_words, use_irq=use_irq,
+                          poll_interval=poll_interval,
+                          driver_overhead=access_overhead)
+    link = mapper.connect("acc", master="sw")
+    accelerator = HwTransformPE("hw_dct", top, link.slave_attach)
     results: List[List[int]] = []
 
     def sw_main():
         """Source + sink as embedded software (one application task)."""
         for i in range(blocks):
             yield from os.execute(sw_compute)       # prepare the block
-            reply = yield from link.sw_port.request(
+            reply = yield from link.master_attach.request(
                 ShipIntArray(generate_block(i))
             )
             yield from os.execute(sw_compute // 2)  # post-process
             results.append(quantize(reply.values, quant_step))
 
     os.create_task(sw_main, "app_main", priority=5)
-    return HwSwSystem(
-        ctx=ctx, os=os, link=link, accelerator=accelerator,
-        results=results, irq_controller=irqc,
-    )
+    return HwSwSystem(ctx=ctx, os=os, link=link, accelerator=accelerator,
+                      results=results)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.kernel import Module, SimContext, SimTime, ns, us
 from repro.cam import CrossbarCam, GenericBus, TdmaArbiter, make_arbiter
-from repro.flow.mapping import SystemMapper
+from repro.flow.mapping import SystemMapper, master_socket_name
 from repro.models import ProcessingElement
 from repro.ship import ShipChannel, ShipIntArray, ShipMasterPort, ShipSlavePort
 from repro.trace.stats import TimeStats
@@ -196,7 +196,7 @@ def build_packet_switch(
     if fabric_kind == "crossbar":
         fabric = CrossbarCam("fabric", top, clock_period=ns(10))
     else:
-        names = [f"in{i}_lnk_master" for i in range(ports)]
+        names = [master_socket_name(f"in{i}") for i in range(ports)]
         if arbiter == "tdma":
             arb = TdmaArbiter(names, slot_cycles=tdma_slot_cycles)
         else:

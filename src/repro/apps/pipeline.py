@@ -198,7 +198,7 @@ def _map_pipeline(level: str, blocks: int,
                             c2.master_attach, blocks)
     sink = SinkPE("sink", top, c2.slave_attach, blocks)
     return PipelineSystem(ctx, top, source, transform, sink,
-                          {"plb": plb, "links": (c1.link, c2.link)})
+                          {"plb": plb, "links": (c1, c2)})
 
 
 def build_pv(blocks: int = 16) -> PipelineSystem:

@@ -12,16 +12,19 @@ target     what a connection becomes
 =========  ==========================================================
 ``pv``     one untimed :class:`ShipChannel`
 ``ccatb``  one :class:`ShipChannel` with the mapper's timing annotation
-a fabric   HW<->HW: a SHIP-over-bus link (mailbox + wrappers), with
-           mailbox addresses allocated automatically;
-           SW->HW: the generic HW/SW interface, SW-master orientation
-           (device driver + communication library);
-           HW->SW: the HW/SW interface, HW-master orientation;
-           SW<->SW: a local channel accessed through the RTOS
-           communication library on both ends
+a fabric   one mailbox link, whichever end is software: the mailbox
+           at the next free address, the master's bus side on a new
+           socket (HW: :class:`ShipBusMasterWrapper`; SW: the device
+           driver :class:`MailboxDriver` under :class:`SwShipMaster`),
+           then the slave's owner side (HW:
+           :class:`ShipBusSlaveWrapper`; SW: :class:`LocalMailboxDriver`
+           under :class:`SwShipSlave`).  SW<->SW stays a local channel
+           with the RTOS communication library on both ends
 =========  ==========================================================
 
-PE code binds SHIP ports to the returned attachment exactly as at the
+The mapper's options (mailbox capacity, IRQ or polling, poll interval,
+driver overhead, bus priority) apply to every orientation alike.  PE
+code binds SHIP ports to the returned attachment exactly as at the
 component-assembly level; SW tasks call the returned port object.  No
 endpoint source changes between targets — the paper's core promise.
 """
@@ -34,14 +37,19 @@ from typing import Dict, List, Optional, Union
 from repro.kernel.errors import ElaborationError
 from repro.kernel.module import Module
 from repro.kernel.simtime import SimTime, ZERO_TIME
-from repro.models.wrappers import build_ship_over_bus
+from repro.models.mailbox import MailboxBusSide, MailboxOwnerSide, map_mailbox
+from repro.models.wrappers import ShipBusMasterWrapper, ShipBusSlaveWrapper
 from repro.rtos.core import Rtos
 from repro.ship.channel import ShipChannel, ShipTiming
 from repro.esw.synthesis import SwChannelPort
-from repro.hwsw.interface import (
-    build_sw_master_interface,
-    build_sw_slave_interface,
-)
+from repro.hwsw.commlib import SwShipMaster, SwShipSlave
+from repro.hwsw.driver import LocalMailboxDriver, MailboxDriver
+
+
+def master_socket_name(connection: str) -> str:
+    """The fabric socket the mapper opens for ``connection``'s master
+    (what a TDMA schedule names)."""
+    return f"{connection}_lnk_master"
 
 
 @dataclass
@@ -51,6 +59,10 @@ class MappedConnection:
     ``master_attach`` / ``slave_attach`` are what the two endpoints
     use: a :class:`ShipChannel` for HW PEs (bind a SHIP port to it) or
     a SW port object for RTOS tasks (call the four SHIP methods on it).
+    On a fabric, ``bus_side`` runs the master's half of the mailbox
+    procedure (wrapper or device driver) and ``owner_side`` the slave's
+    on the mapped mailbox (``owner_side.mailbox``); both stay None on a
+    channel.
     """
 
     name: str
@@ -59,7 +71,8 @@ class MappedConnection:
     mapping: str       # human-readable resource description
     master_attach: object = None
     slave_attach: object = None
-    link: object = None   # the underlying link/interface object, if any
+    bus_side: Optional[MailboxBusSide] = None
+    owner_side: Optional[MailboxOwnerSide] = None
 
     def as_row(self) -> Dict[str, str]:
         """Flat dict row for the mapping report."""
@@ -87,6 +100,15 @@ class SystemMapper:
         The CCATB annotation (``target="ccatb"``).
     mailbox_base / mailbox_stride:
         Address allocator for fabric-mapped connections.
+    capacity_words:
+        Data words per mailbox direction (one chunk).
+    use_irq:
+        Whether the master waits for replies on the mailbox's sideband
+        IRQ (True) or polls its control register (False).
+    poll_interval:
+        Delay between control-register polls; None polls back to back.
+    driver_overhead:
+        CPU time a SW end's driver charges on entry to each call.
     """
 
     def __init__(
@@ -130,21 +152,6 @@ class SystemMapper:
         self.connections: List[MappedConnection] = []
         self._names: set = set()
 
-    # -- address allocation -------------------------------------------------------
-
-    def _allocate_base(self) -> int:
-        base = self._next_base
-        self._next_base += self._stride
-        return base
-
-    def _require_rtos(self, name: str) -> Rtos:
-        if self.rtos is None:
-            raise ElaborationError(
-                f"connection {name!r} has a software endpoint but the "
-                f"mapper was built without an RTOS"
-            )
-        return self.rtos
-
     # -- the mapping step ------------------------------------------------------------
 
     def connect(self, name: str, master: str = "hw",
@@ -165,6 +172,11 @@ class SystemMapper:
                 f"endpoint kinds must be 'hw' or 'sw', got "
                 f"{master!r}/{slave!r}"
             )
+        if self.rtos is None and "sw" in (master, slave):
+            raise ElaborationError(
+                f"connection {name!r} has a software endpoint but the "
+                f"mapper was built without an RTOS"
+            )
         self._names.add(name)
         if self.target == "pv":
             conn = self._map_channel(name, master, slave,
@@ -173,6 +185,10 @@ class SystemMapper:
             conn = self._map_channel(name, master, slave,
                                      timing=self.ship_timing,
                                      label="annotated channel (CCATB)")
+        elif master == "sw" and slave == "sw":
+            # same-CPU software: no bus resources needed
+            conn = self._map_channel(name, master, slave, timing=None,
+                                     label="local channel (same CPU)")
         else:
             conn = self._map_fabric(name, master, slave, bus_priority)
         self.connections.append(conn)
@@ -184,83 +200,67 @@ class SystemMapper:
         master_attach: object = channel
         slave_attach: object = channel
         if master == "sw":
-            master_attach = SwChannelPort(self._require_rtos(name),
-                                          channel)
+            master_attach = SwChannelPort(self.rtos, channel)
             label += " + SW comm library (master)"
         if slave == "sw":
-            slave_attach = SwChannelPort(self._require_rtos(name),
-                                         channel)
+            slave_attach = SwChannelPort(self.rtos, channel)
             label += " + SW comm library (slave)"
         return MappedConnection(
             name=name, master_kind=master, slave_kind=slave,
             mapping=label,
             master_attach=master_attach, slave_attach=slave_attach,
-            link=channel,
         )
 
     def _map_fabric(self, name, master, slave,
-                    bus_priority: int = 0) -> MappedConnection:
-        fabric_name = getattr(self.fabric, "full_name", "fabric")
-        if master == "sw" and slave == "sw":
-            # same-CPU software: local channel via the comm library;
-            # no bus resources needed
-            return self._map_channel(
-                name, master, slave, timing=None,
-                label="local channel (same CPU)",
-            )
-        if master == "hw" and slave == "hw":
-            base = self._allocate_base()
-            link = build_ship_over_bus(
-                f"{name}_lnk", self.parent, self.fabric, base,
-                master_priority=bus_priority,
-                capacity_words=self.capacity_words,
-                use_irq=self.use_irq,
+                    bus_priority: int) -> MappedConnection:
+        """One mailbox link: the mailbox, the master's bus side, then
+        the slave's owner side, each built for its end's kind."""
+        parent, prefix = self.parent, f"{name}_lnk"
+        base = self._next_base
+        self._next_base += self._stride
+        mailbox = map_mailbox(prefix, parent, self.fabric, base,
+                              self.capacity_words, with_irq=self.use_irq)
+        socket = self.fabric.master_socket(master_socket_name(name),
+                                           priority=bus_priority)
+        if master == "hw":
+            master_attach = ShipChannel(f"{prefix}_mch", parent)
+            bus_side = ShipBusMasterWrapper(
+                f"{prefix}_mwrap", parent,
+                channel=master_attach,
+                socket=socket,
+                mailbox_base=base,
+                layout=mailbox.layout,
                 poll_interval=self.poll_interval,
+                irq=mailbox.irq,
             )
-            return MappedConnection(
-                name=name, master_kind=master, slave_kind=slave,
-                mapping=(f"SHIP-over-{fabric_name} link, mailbox @ "
-                         f"{base:#x}"),
-                master_attach=link.master_channel,
-                slave_attach=link.slave_channel,
-                link=link,
-            )
-        if master == "sw":
-            base = self._allocate_base()
-            link = build_sw_master_interface(
-                f"{name}_hwsw", self.parent, self.fabric,
-                self._require_rtos(name), base,
-                capacity_words=self.capacity_words,
-                use_irq=self.use_irq,
+        else:
+            bus_side = MailboxDriver(
+                self.rtos, socket, base,
+                layout=mailbox.layout,
+                irq=mailbox.irq,
                 poll_interval=self.poll_interval or ZERO_TIME,
                 access_overhead=self.driver_overhead,
-                cpu_priority=bus_priority,
             )
-            return MappedConnection(
-                name=name, master_kind=master, slave_kind=slave,
-                mapping=(f"HW/SW interface (SW master) on "
-                         f"{fabric_name}, mailbox @ {base:#x}"),
-                master_attach=link.sw_port,
-                slave_attach=link.hw_channel,
-                link=link,
+            master_attach = SwShipMaster(bus_side)
+        if slave == "hw":
+            slave_attach = ShipChannel(f"{prefix}_sch", parent)
+            owner_side = ShipBusSlaveWrapper(
+                f"{prefix}_swrap", parent,
+                channel=slave_attach, mailbox=mailbox,
             )
-        # hw master, sw slave
-        base = self._allocate_base()
-        link = build_sw_slave_interface(
-            f"{name}_hwsw", self.parent, self.fabric,
-            self._require_rtos(name), base,
-            capacity_words=self.capacity_words,
-            hw_poll_interval=self.poll_interval,
-            access_overhead=self.driver_overhead,
-            hw_priority=bus_priority,
-        )
+        else:
+            owner_side = LocalMailboxDriver(
+                self.rtos, mailbox, access_overhead=self.driver_overhead,
+            )
+            slave_attach = SwShipSlave(owner_side)
+        fabric_name = getattr(self.fabric, "full_name", "fabric")
         return MappedConnection(
             name=name, master_kind=master, slave_kind=slave,
-            mapping=(f"HW/SW interface (HW master) on {fabric_name}, "
-                     f"mailbox @ {base:#x}"),
-            master_attach=link.hw_channel,
-            slave_attach=link.sw_port,
-            link=link,
+            mapping=(f"SHIP-over-{fabric_name} link ({master.upper()} "
+                     f"master, {slave.upper()} slave), mailbox @ "
+                     f"{base:#x}"),
+            master_attach=master_attach, slave_attach=slave_attach,
+            bus_side=bus_side, owner_side=owner_side,
         )
 
     # -- reporting -------------------------------------------------------------------

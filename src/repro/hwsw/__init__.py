@@ -1,29 +1,20 @@
-"""``repro.hwsw`` — the generic SHIP-based HW/SW interface.
+"""``repro.hwsw`` — the SW adapter of the generic SHIP-based HW/SW interface.
 
 Implements the paper's §4 interface: a SHIP channel virtually spanning
 the HW/SW boundary, split into a HW adapter (bus-mapped mailbox +
 wrapper, with sideband IRQ) and a SW adapter (device driver +
-communication library implementing the four SHIP calls).
+communication library implementing the four SHIP calls).  This package
+holds the SW adapter; :class:`~repro.flow.mapping.SystemMapper` builds
+the whole interface when it maps a connection with a SW end onto a
+fabric.
 """
 
 from repro.hwsw.commlib import SwShipMaster, SwShipSlave
 from repro.hwsw.driver import LocalMailboxDriver, MailboxDriver
-from repro.hwsw.interface import (
-    SwMasterLink,
-    SwSlaveLink,
-    build_sw_master_interface,
-    build_sw_slave_interface,
-)
-from repro.hwsw.irq import IrqController
 
 __all__ = [
-    "IrqController",
     "LocalMailboxDriver",
     "MailboxDriver",
-    "SwMasterLink",
     "SwShipMaster",
     "SwShipSlave",
-    "SwSlaveLink",
-    "build_sw_master_interface",
-    "build_sw_slave_interface",
 ]

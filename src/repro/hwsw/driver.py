@@ -68,10 +68,9 @@ class MailboxDriver(_RtosTask, MailboxBusSide):
         irq: Optional[Signal] = None,
         poll_interval: SimTime = ZERO_TIME,
         access_overhead: SimTime = ZERO_TIME,
-        max_burst: int = 16,
     ):
         super().__init__(socket, base, layout or MailboxLayout(), irq,
-                         poll_interval, max_burst)
+                         poll_interval)
         self.os = os
         self.access_overhead = access_overhead
 
@@ -82,18 +81,16 @@ class LocalMailboxDriver(_RtosTask, MailboxOwnerSide):
     Used when the *hardware* is the bus master (HW->SW direction): a HW
     wrapper writes chunks into a mailbox that lives on the CPU side, and
     the SW task consumes them locally — no bus PIO, just doorbell waits
-    and buffer copies.  ``copy_cost_per_word`` charges CPU time for the
-    kernel-space copy, the dominant driver cost in that direction.
+    and buffer copies.  Setting ``copy_cost_per_word`` (zero by default)
+    charges CPU time for the kernel-space copy.
     """
 
     def __init__(
         self,
         os: Rtos,
         mailbox,
-        copy_cost_per_word: SimTime = ZERO_TIME,
         access_overhead: SimTime = ZERO_TIME,
     ):
         self.os = os
         self.mailbox = mailbox
-        self.copy_cost_per_word = copy_cost_per_word
         self.access_overhead = access_overhead

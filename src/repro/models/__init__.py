@@ -21,8 +21,6 @@ from repro.models.mailbox import (
 from repro.models.wrappers import (
     ShipBusMasterWrapper,
     ShipBusSlaveWrapper,
-    ShipOverBusLink,
-    build_ship_over_bus,
     connect_pin_master_to_bus,
 )
 
@@ -36,9 +34,7 @@ __all__ = [
     "ProcessingElement",
     "ShipBusMasterWrapper",
     "ShipBusSlaveWrapper",
-    "ShipOverBusLink",
     "WORD_BYTES",
-    "build_ship_over_bus",
     "bytes_to_words",
     "chunk_message",
     "connect_pin_master_to_bus",

@@ -278,7 +278,7 @@ class MailboxHost:
     """How a process idles and what CPU time it charges in the procedure.
 
     The defaults are a kernel thread's, which charges nothing; an RTOS
-    task overrides the three hooks and sets the two costs.
+    task overrides the three hooks and may set the two costs.
     """
 
     #: time charged on entry to each message-level call
@@ -309,15 +309,16 @@ class MailboxBusSide(MailboxHost):
     transactions, ``poll_reads`` the control-register polls among them.
     """
 
+    #: longest bus burst either host issues (PLB allows 16)
+    max_burst = 16
+
     def __init__(self, socket: OcpTargetIf, base: int, layout: MailboxLayout,
-                 irq: Optional[Signal], poll_interval: Optional[SimTime],
-                 max_burst: int):
+                 irq: Optional[Signal], poll_interval: Optional[SimTime]):
         self.socket = socket
         self.base = base
         self.layout = layout
         self.irq = irq
         self.poll_interval = poll_interval
-        self.max_burst = max_burst
         self.pio_reads = 0
         self.pio_writes = 0
         self.poll_reads = 0

@@ -17,6 +17,9 @@ Both only frame SHIP objects and talk to their channel; the mailbox
 procedure itself is :class:`~repro.models.mailbox.MailboxBusSide` and
 :class:`~repro.models.mailbox.MailboxOwnerSide`, which the wrappers run
 as kernel processes and the HW/SW driver runs as RTOS tasks.
+:class:`~repro.flow.mapping.SystemMapper` assembles them into a link:
+it maps the mailbox and gives each HW end its wrapper (a SW end gets
+the driver instead).
 
 Pin-level PEs connect with :class:`~repro.ocp.pin.OcpPinSlave` pointed at
 a bus socket (see :func:`connect_pin_master_to_bus`), and TL PEs bind an
@@ -26,7 +29,6 @@ these three cover the wrapper matrix of experiment E8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional, Tuple
 
 from repro.kernel.clock import Clock
@@ -42,7 +44,6 @@ from repro.models.mailbox import (
     MailboxLayout,
     MailboxOwnerSide,
     MailboxSlave,
-    map_mailbox,
 )
 from repro.ship.channel import ShipChannel, ShipEnd
 from repro.ship.serializable import decode_message, encode_message
@@ -68,8 +69,6 @@ class ShipBusMasterWrapper(Module, MailboxBusSide):
     irq:
         Optional sideband interrupt signal from the remote mailbox;
         when given, replies wait on the IRQ instead of polling.
-    max_burst:
-        Longest bus burst the wrapper will issue (PLB allows 16).
     """
 
     def __init__(
@@ -83,7 +82,6 @@ class ShipBusMasterWrapper(Module, MailboxBusSide):
         layout: Optional[MailboxLayout] = None,
         poll_interval: Optional[SimTime] = None,
         irq: Optional[Signal] = None,
-        max_burst: int = 16,
     ):
         super().__init__(name, parent, ctx)
         if channel is None or socket is None:
@@ -92,7 +90,7 @@ class ShipBusMasterWrapper(Module, MailboxBusSide):
             )
         MailboxBusSide.__init__(self, socket, mailbox_base,
                                 layout or MailboxLayout(), irq,
-                                poll_interval, max_burst)
+                                poll_interval)
         self.channel = channel
         self.end: ShipEnd = channel.claim_end(self)
         self.messages_forwarded = 0
@@ -147,65 +145,6 @@ class ShipBusSlaveWrapper(Module, MailboxOwnerSide):
             else:
                 yield from self.channel.send(self.end, obj)
                 self.messages_delivered += 1
-
-
-@dataclass
-class ShipOverBusLink:
-    """Everything created by :func:`build_ship_over_bus`."""
-
-    master_channel: ShipChannel
-    slave_channel: ShipChannel
-    mailbox: MailboxSlave
-    master_wrapper: ShipBusMasterWrapper
-    slave_wrapper: ShipBusSlaveWrapper
-
-
-def build_ship_over_bus(
-    name: str,
-    parent,
-    bus,
-    mailbox_base: int,
-    capacity_words: int = 256,
-    master_priority: int = 0,
-    use_irq: bool = False,
-    poll_interval: Optional[SimTime] = None,
-    max_burst: int = 16,
-) -> ShipOverBusLink:
-    """Wire a complete SHIP-over-bus link and return its pieces.
-
-    The master PE binds a SHIP port to ``link.master_channel``; the slave
-    PE binds one to ``link.slave_channel``.  Everything in between —
-    mailbox, wrappers, bus socket, address mapping — is created here,
-    which is the "automatic mapping of the communication part" the
-    paper's abstract promises.
-    """
-    master_channel = ShipChannel(f"{name}_mch", parent)
-    slave_channel = ShipChannel(f"{name}_sch", parent)
-    mailbox = map_mailbox(name, parent, bus, mailbox_base, capacity_words,
-                          with_irq=use_irq)
-    socket = bus.master_socket(f"{name}_master", priority=master_priority)
-    master_wrapper = ShipBusMasterWrapper(
-        f"{name}_mwrap", parent,
-        channel=master_channel,
-        socket=socket,
-        mailbox_base=mailbox_base,
-        layout=mailbox.layout,
-        poll_interval=poll_interval,
-        irq=mailbox.irq,
-        max_burst=max_burst,
-    )
-    slave_wrapper = ShipBusSlaveWrapper(
-        f"{name}_swrap", parent,
-        channel=slave_channel,
-        mailbox=mailbox,
-    )
-    return ShipOverBusLink(
-        master_channel=master_channel,
-        slave_channel=slave_channel,
-        mailbox=mailbox,
-        master_wrapper=master_wrapper,
-        slave_wrapper=slave_wrapper,
-    )
 
 
 def connect_pin_master_to_bus(

@@ -57,8 +57,8 @@ class TestBuilders:
         plb = system.extras["plb"]
         assert plb.stats.transactions > 0
         link1, link2 = system.extras["links"]
-        assert link1.master_wrapper.messages_forwarded == 4
-        assert link2.master_wrapper.messages_forwarded == 4
+        assert link1.bus_side.messages_forwarded == 4
+        assert link2.bus_side.messages_forwarded == 4
 
     def test_hwsw_quant_step_parameter(self):
         system = build_hwsw_system(blocks=2, quant_step=4)

@@ -130,3 +130,34 @@ def test_fault_injection_demo_output_pinned(tmp_path):
         check=True,
     )
     assert result.stdout == FAULT_DEMO_STDOUT
+
+
+#: ``hwsw_partitioned.py``'s stdout, byte for byte.  It is the one
+#: example that runs a SW->HW link (mapped by ``SystemMapper``) under
+#: both the interrupt and the polling driver, plus eSW generation: the
+#: finish times, PIO counts and CPU times pin the driver's timing.
+HWSW_STDOUT = """\
+== HW/SW partitioned system (SW master -> HW accelerator) ==
+  interrupt: finished at 20260 ns, driver PIO reads=32 writes=32, app cpu time=14100 ns
+  polling  : finished at 21620 ns, driver PIO reads=48 writes=32, app cpu time=14100 ns
+  polling cost: 16 extra PIO status reads
+
+== eSW generation (whole pipeline re-hosted on the RTOS) ==
+  generated 3 eSW tasks; substituted 40 primitives (delays=0, waits=16, executes=24)
+  all-software run finished at 19400 ns, context switches=26
+    task source_run       cpu=5600 ns
+    task transform_run    cpu=8500 ns
+    task sink_run         cpu=5300 ns
+
+same PE sources, three hosting choices, identical outputs.
+"""
+
+
+def test_hwsw_partitioned_output_pinned(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "hwsw_partitioned.py")],
+        cwd=tmp_path, env=_example_env(),
+        capture_output=True, text=True, timeout=300,
+        check=True,
+    )
+    assert result.stdout == HWSW_STDOUT

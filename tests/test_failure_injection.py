@@ -36,7 +36,8 @@ from repro.faults import (
 )
 from repro.faults import campaign
 from repro.faults.campaign import run_campaign
-from repro.models import MailboxLayout, build_ship_over_bus
+from repro.flow import SystemMapper
+from repro.models import MailboxLayout
 from repro.models.wrappers import ShipBusMasterWrapper
 from repro.ocp import OcpCmd, OcpRequest, OcpResp, OcpResponse
 from repro.rtos import Rtos
@@ -158,9 +159,9 @@ class TestLinkRobustness:
         plb = PlbBus("plb", top)
         flaky = FlakySlave(period=1)  # always errors
         plb.attach_slave(flaky, 0x100, 64, name="flaky")
-        link = build_ship_over_bus("lnk", top, plb, 0x8000,
-                                   capacity_words=16,
-                                   poll_interval=ns(100))
+        link = SystemMapper(top, plb, mailbox_base=0x8000,
+                            capacity_words=16,
+                            poll_interval=ns(100)).connect("lnk")
         got = []
 
         class Tx(Module):
@@ -188,8 +189,8 @@ class TestLinkRobustness:
                     msg = yield from self.chan.recv(self.end)
                     got.append(msg.value)
 
-        Tx("tx", top, link.master_channel)
-        Rx("rx", top, link.slave_channel)
+        Tx("tx", top, link.master_attach)
+        Rx("rx", top, link.slave_attach)
 
         def hammer():
             sock = plb.master_socket("hammer", priority=0)

@@ -2,11 +2,13 @@
 
 The SHIP bus wrappers run the mailbox procedures of
 ``docs/ship_protocol.md`` §3 as kernel processes; the HW/SW driver runs
-them as RTOS tasks that charge CPU time.  The expected values here were
-captured from the implementation the tests were written against, so any
-change to how either host idles, polls, charges CPU time or splits bus
-bursts shows up as a changed number.  The closing property checks that
-every orientation delivers what it was given, in order.
+them as RTOS tasks that charge CPU time.  Every link here is built by
+:class:`~repro.flow.mapping.SystemMapper`, the one way a SHIP
+connection goes on a fabric.  The expected values here were captured
+from the implementation the tests were written against, so any change
+to how either host idles, polls, charges CPU time or splits bus bursts
+shows up as a changed number.  The closing property checks that every
+orientation delivers what it was given, in order, on every fabric.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps.pipeline import build_cam
 from repro.cam import PlbBus
-from repro.hwsw import build_sw_master_interface, build_sw_slave_interface
+from repro.esw import SwChannelPort
+from repro.explore import FABRICS, ArchitectureConfig, build_fabric
+from repro.flow import SystemMapper
 from repro.kernel import Module, SimContext, ns, us
-from repro.models import ProcessingElement, build_ship_over_bus
+from repro.models import ProcessingElement
 from repro.rtos import Rtos
 from repro.ship import (
     ShipBytes,
@@ -43,7 +47,8 @@ def reply_for(obj: ShipBytes) -> ShipBytes:
 
 
 class Echo(ProcessingElement):
-    """HW slave: records what arrives, answers requests after a delay."""
+    """HW slave: records what arrives and how many requests it then
+    owed, answers requests after a delay."""
 
     def __init__(self, name, parent, chan, compute=ns(0),
                  answer=reply_for):
@@ -52,6 +57,7 @@ class Echo(ProcessingElement):
         self.compute = compute
         self.answer = answer
         self.received = []
+        self.owed = []
         self.port = self.ship_port("port", ShipSlavePort)
         self.port.bind(chan)
         self.add_thread(self.run)
@@ -60,7 +66,8 @@ class Echo(ProcessingElement):
         while True:
             msg = yield from self.port.recv()
             self.received.append(msg)
-            if self.chan.pending_requests(self.port.end):
+            self.owed.append(self.chan.pending_requests(self.port.end))
+            if self.owed[-1]:
                 if self.compute > ns(0):
                     yield self.compute
                 yield from self.port.reply(self.answer(msg))
@@ -100,11 +107,12 @@ def sw_master_round_trip(use_irq, poll_interval=ns(200), rounds=6):
     top = Module("top", ctx=ctx)
     plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=ns(200))
-    link = build_sw_master_interface(
-        "acc", top, plb, os, 0x80000, capacity_words=64, use_irq=use_irq,
-        poll_interval=poll_interval, access_overhead=ns(100),
-    )
-    Echo("hw", top, link.hw_channel, compute=us(5),
+    link = SystemMapper(
+        top, plb, rtos=os, mailbox_base=0x80000, capacity_words=64,
+        use_irq=use_irq, poll_interval=poll_interval,
+        driver_overhead=ns(100),
+    ).connect("acc", master="sw")
+    Echo("hw", top, link.slave_attach, compute=us(5),
          answer=lambda msg: msg)
     payload = ShipIntArray(list(range(16)))
     latencies = []
@@ -112,14 +120,14 @@ def sw_master_round_trip(use_irq, poll_interval=ns(200), rounds=6):
     def main():
         for _ in range(rounds):
             start = ctx.now
-            yield from link.sw_port.request(payload)
+            yield from link.master_attach.request(payload)
             latencies.append((ctx.now - start).to("ns"))
 
     os.create_task(main, "main", priority=5)
     ctx.run(us(1_000_000))
     assert len(latencies) == rounds
-    return (sum(latencies) / rounds, link.driver.pio_reads,
-            link.driver.pio_writes)
+    return (sum(latencies) / rounds, link.bus_side.pio_reads,
+            link.bus_side.pio_writes)
 
 
 def test_sw_master_irq_round_trip():
@@ -144,18 +152,18 @@ def sw_master_with_background(use_irq):
     top = Module("top", ctx=ctx)
     plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=ns(200))
-    link = build_sw_master_interface(
-        "acc", top, plb, os, 0x80000, capacity_words=64, use_irq=use_irq,
-        poll_interval=us(1), access_overhead=ns(100),
-    )
-    Echo("hw", top, link.hw_channel, compute=us(5),
+    link = SystemMapper(
+        top, plb, rtos=os, mailbox_base=0x80000, capacity_words=64,
+        use_irq=use_irq, poll_interval=us(1), driver_overhead=ns(100),
+    ).connect("acc", master="sw")
+    Echo("hw", top, link.slave_attach, compute=us(5),
          answer=lambda msg: msg)
     latencies = []
 
     def main():
         for _ in range(3):
             start = ctx.now
-            yield from link.sw_port.request(ShipIntArray([1, 2, 3]))
+            yield from link.master_attach.request(ShipIntArray([1, 2, 3]))
             latencies.append((ctx.now - start).to("ns"))
 
     def background():
@@ -191,28 +199,30 @@ HW_MASTER_SIZES = (FRAME_BYTES, CHUNK - 4, CHUNK, CHUNK + 4,
                    3 * CHUNK + 10)
 
 
-def hw_master_run(use_irq_for_reply):
+def hw_master_run(use_irq):
     """Per request: when the SW task got it and when the HW saw the
-    reply (ns), over a CPU-local mailbox with nonzero driver costs."""
+    reply (ns), over a CPU-local mailbox with nonzero driver costs.
+    ``use_irq`` is the mapper's: the HW master waits for each reply on
+    the mailbox's interrupt or polls for it."""
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=ns(200))
-    link = build_sw_slave_interface(
-        "sensor", top, plb, os, 0x9000, capacity_words=CAPACITY,
-        hw_poll_interval=ns(100), copy_cost_per_word=ns(10),
-        access_overhead=ns(50), use_irq_for_reply=use_irq_for_reply,
-    )
+    link = SystemMapper(
+        top, plb, rtos=os, mailbox_base=0x9000, capacity_words=CAPACITY,
+        use_irq=use_irq, poll_interval=ns(100), driver_overhead=ns(50),
+    ).connect("sensor", slave="sw")
+    link.owner_side.copy_cost_per_word = ns(10)
     ops = [(True, framed(size, fill=i))
            for i, size in enumerate(HW_MASTER_SIZES)]
-    hw = Issuer("hw", top, link.hw_channel, ops)
+    hw = Issuer("hw", top, link.master_attach, ops)
     got_at = []
 
     def rx():
         while True:
-            msg = yield from link.sw_port.recv()
+            msg = yield from link.slave_attach.recv()
             got_at.append(ctx.now.to("ns"))
-            yield from link.sw_port.reply(reply_for(msg))
+            yield from link.slave_attach.reply(reply_for(msg))
 
     os.create_task(rx, "rx", priority=5)
     ctx.run(us(1_000))
@@ -221,14 +231,14 @@ def hw_master_run(use_irq_for_reply):
 
 
 def test_hw_master_irq_reply_timing():
-    assert hw_master_run(use_irq_for_reply=True) == [
+    assert hw_master_run(use_irq=True) == [
         (270.0, 450.0), (670.0, 970.0), (1210.0, 1610.0),
         (1880.0, 2300.0), (2950.0, 3870.0),
     ]
 
 
 def test_hw_master_polled_reply_timing():
-    assert hw_master_run(use_irq_for_reply=False) == [
+    assert hw_master_run(use_irq=False) == [
         (270.0, 510.0), (730.0, 1130.0), (1370.0, 1890.0),
         (2160.0, 2630.0), (3280.0, 4400.0),
     ]
@@ -244,9 +254,9 @@ def test_cam_pipeline_wrapper_and_mailbox_counts():
     system.ctx.run()
     assert system.ctx.last_activity_time.to("ns") == 5860.0
     counts = [
-        (link.master_wrapper.poll_reads, link.mailbox.bus_reads,
-         link.mailbox.bus_writes)
-        for link in system.extras["links"]
+        (conn.bus_side.poll_reads, conn.owner_side.mailbox.bus_reads,
+         conn.owner_side.mailbox.bus_writes)
+        for conn in system.extras["links"]
     ]
     assert counts == [(10, 10, 30), (10, 10, 30)]
 
@@ -272,74 +282,75 @@ def _ops(stream):
             for i, (is_request, size) in enumerate(stream)]
 
 
-def _over_bus(ops, interrupt):
-    ctx = SimContext()
-    top = Module("top", ctx=ctx)
-    plb = PlbBus("plb", top)
-    link = build_ship_over_bus("lnk", top, plb, 0x8000,
-                               capacity_words=PROP_CAPACITY,
-                               use_irq=interrupt, poll_interval=ns(100))
-    master = Issuer("m", top, link.master_channel, ops)
-    slave = Echo("s", top, link.slave_channel)
-    ctx.run(us(10_000))
-    return slave.received, master.replies
+#: (master, slave) kinds; SW->SW maps to a local channel on any fabric
+ORIENTATIONS = (("hw", "hw"), ("sw", "hw"), ("hw", "sw"), ("sw", "sw"))
 
 
-def _sw_master(ops, interrupt):
+def _owed(port):
+    """How many requests the SW slave ``port`` itself says it owes."""
+    if isinstance(port, SwChannelPort):
+        return port.channel.pending_requests(port.end)
+    return port.pending_requests
+
+
+def _deliver(ops, fabric, orientation, interrupt):
+    """Map one connection with ``orientation`` onto ``fabric``, run
+    ``ops`` through it and return what the slave received, the requests
+    it owed after each receive, and the replies the master got.  The
+    slave answers on its own request count, not on ``ops``."""
+    master, slave = orientation
     ctx = SimContext()
     top = Module("top", ctx=ctx)
-    plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=ns(50))
-    link = build_sw_master_interface(
-        "acc", top, plb, os, 0x8000, capacity_words=PROP_CAPACITY,
-        use_irq=interrupt, poll_interval=ns(100), access_overhead=ns(20),
-    )
-    slave = Echo("hw", top, link.hw_channel)
+    link = SystemMapper(
+        top, build_fabric(ArchitectureConfig(fabric=fabric), top, ()),
+        rtos=os, capacity_words=PROP_CAPACITY, use_irq=interrupt,
+        poll_interval=ns(100), driver_overhead=ns(20),
+    ).connect("lnk", master=master, slave=slave)
+    if orientation == ("hw", "sw"):
+        link.owner_side.copy_cost_per_word = ns(5)
     replies = []
+    if master == "hw":
+        replies = Issuer("m", top, link.master_attach, ops).replies
+    else:
+        def main():
+            for is_request, obj in ops:
+                if is_request:
+                    replies.append(
+                        (yield from link.master_attach.request(obj)))
+                else:
+                    yield from link.master_attach.send(obj)
 
-    def main():
-        for is_request, obj in ops:
-            if is_request:
-                replies.append((yield from link.sw_port.request(obj)))
-            else:
-                yield from link.sw_port.send(obj)
+        os.create_task(main, "main", priority=5)
+    if slave == "hw":
+        echo = Echo("s", top, link.slave_attach)
+        received, owed = echo.received, echo.owed
+    else:
+        received, owed = [], []
 
-    os.create_task(main, "main", priority=5)
+        def rx():
+            for _ in ops:
+                msg = yield from link.slave_attach.recv()
+                received.append(msg)
+                owed.append(_owed(link.slave_attach))
+                if owed[-1]:
+                    yield from link.slave_attach.reply(reply_for(msg))
+
+        os.create_task(rx, "rx", priority=6)
     ctx.run(us(10_000))
-    return slave.received, replies
+    return received, owed, replies
 
 
-def _sw_slave(ops, interrupt):
-    ctx = SimContext()
-    top = Module("top", ctx=ctx)
-    plb = PlbBus("plb", top)
-    os = Rtos("os", top, context_switch=ns(50))
-    link = build_sw_slave_interface(
-        "sensor", top, plb, os, 0x9000, capacity_words=PROP_CAPACITY,
-        hw_poll_interval=ns(100), copy_cost_per_word=ns(5),
-        access_overhead=ns(20), use_irq_for_reply=interrupt,
-    )
-    master = Issuer("hw", top, link.hw_channel, ops)
-    received = []
-
-    def rx():
-        while True:
-            msg = yield from link.sw_port.recv()
-            received.append(msg)
-            if link.sw_port.pending_requests:
-                yield from link.sw_port.reply(reply_for(msg))
-
-    os.create_task(rx, "rx", priority=5)
-    ctx.run(us(10_000))
-    return received, master.replies
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(stream=streams, interrupt=st.booleans(),
-       build=st.sampled_from([_over_bus, _sw_master, _sw_slave]))
-def test_every_orientation_delivers_in_order(stream, interrupt, build):
+       fabric=st.sampled_from(FABRICS),
+       orientation=st.sampled_from(ORIENTATIONS))
+def test_every_orientation_delivers_in_order(stream, interrupt, fabric,
+                                             orientation):
     ops = _ops(stream)
-    received, replies = build(ops, interrupt)
+    received, owed, replies = _deliver(ops, fabric, orientation, interrupt)
     assert received == [obj for _, obj in ops]
+    # the slave tells a request from a send by itself
+    assert owed == [int(is_request) for is_request, _ in ops]
     assert replies == [reply_for(obj) for is_request, obj in ops
                        if is_request]

@@ -5,7 +5,13 @@ import pytest
 from repro.kernel import ElaborationError, Module, SimContext, ns, us
 from repro.cam import CrossbarCam, PlbBus
 from repro.flow import SystemMapper
-from repro.models import ProcessingElement
+from repro.flow.mapping import master_socket_name
+from repro.hwsw import LocalMailboxDriver, MailboxDriver
+from repro.models import (
+    ProcessingElement,
+    ShipBusMasterWrapper,
+    ShipBusSlaveWrapper,
+)
 from repro.rtos import Rtos
 from repro.ship import ShipInt, ShipMasterPort, ShipSlavePort, ShipTiming
 
@@ -152,10 +158,38 @@ class TestSoftwareEndpoints:
         got, conn = self._run("sw", "sw")
         assert got == GOLDEN
         assert "local channel" in conn.mapping
+        # same CPU: no mailbox and no bus side on the fabric
+        assert (conn.bus_side, conn.owner_side) == (None, None)
 
     def test_sw_endpoints_on_pv_target(self):
         got, conn = self._run("sw", "sw", target="pv")
         assert got == GOLDEN
+
+
+class TestFabricComposition:
+    """One mailbox link for every orientation with a HW end."""
+
+    @pytest.mark.parametrize("use_irq", [False, True])
+    @pytest.mark.parametrize("master,slave,bus_kind,owner_kind", [
+        ("hw", "hw", ShipBusMasterWrapper, ShipBusSlaveWrapper),
+        ("sw", "hw", MailboxDriver, ShipBusSlaveWrapper),
+        ("hw", "sw", ShipBusMasterWrapper, LocalMailboxDriver),
+    ])
+    def test_mailbox_and_both_sides(self, ctx, top, master, slave,
+                                    bus_kind, owner_kind, use_irq):
+        plb = PlbBus("plb", top)
+        mapper = SystemMapper(top, plb, rtos=Rtos("os", top),
+                              mailbox_base=0x40000, use_irq=use_irq)
+        conn = mapper.connect("c0", master=master, slave=slave)
+        assert isinstance(conn.bus_side, bus_kind)
+        assert isinstance(conn.owner_side, owner_kind)
+        mailbox = conn.owner_side.mailbox
+        assert conn.bus_side.base == 0x40000
+        assert conn.bus_side.socket is plb.master_socket(
+            master_socket_name("c0"))
+        # the mapper's use_irq decides for every orientation
+        assert (mailbox.irq is not None) == use_irq
+        assert conn.bus_side.irq is mailbox.irq
 
 
 class TestMapperValidation:
@@ -183,6 +217,9 @@ class TestMapperValidation:
         mapper = SystemMapper(top, plb)
         with pytest.raises(ElaborationError, match="RTOS"):
             mapper.connect("c0", master="sw")
+        # the rejected connection took no name, address or bus resource
+        assert plb.slaves == []
+        assert "0x100000" in mapper.connect("c0").mapping
 
     def test_report_rows(self, ctx, top):
         mapper = SystemMapper(top, "pv")

@@ -85,3 +85,15 @@ class TestFairnessShapes:
         assert max(latency.values()) == pytest.approx(
             min(latency.values()), rel=0.1
         )
+
+    def test_tdma_schedule_names_every_ingress_master(self):
+        """Every TDMA slot owner is an ingress link's master socket on
+        the fabric; an owner naming no socket would hand its slots to
+        the round-robin fallback without a word."""
+        system = build_packet_switch(ports=4, packets_per_port=4,
+                                     fabric_kind="bus", arbiter="tdma")
+        system.ctx.run(us(1_000_000))
+        assert system.total_received == 16
+        schedule = system.fabric.arbiter.schedule
+        assert len(schedule) == 4
+        assert set(schedule) == set(system.fabric.stats.latency_by_master)

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernel import Module, SimContext, ns, us
 from repro.cam import PlbBus
-from repro.models import ProcessingElement, build_ship_over_bus
+from repro.flow import SystemMapper
+from repro.models import ProcessingElement
 from repro.ship import ShipIntArray, ShipMasterPort, ShipSlavePort
 
 
@@ -60,19 +61,18 @@ def run_stress(links=4, messages=10, capacity_words=2, seed=1):
     plb = PlbBus("plb", top)
     pairs = []
     for i in range(links):
-        link = build_ship_over_bus(
-            f"l{i}", top, plb, 0x10000 * (i + 1),
+        link = SystemMapper(
+            top, plb, mailbox_base=0x10000 * (i + 1),
             capacity_words=capacity_words,
             poll_interval=ns(70 + 13 * i),   # deliberately unaligned
-            master_priority=i,
-        )
+        ).connect(f"l{i}", bus_priority=i)
         payloads = [
             [rng.randrange(-10_000, 10_000)
              for _ in range(rng.randrange(1, 40))]
             for _ in range(messages)
         ]
-        Streamer(f"tx{i}", top, link.master_channel, payloads)
-        collector = Collector(f"rx{i}", top, link.slave_channel,
+        Streamer(f"tx{i}", top, link.master_attach, payloads)
+        collector = Collector(f"rx{i}", top, link.slave_attach,
                               messages)
         pairs.append((payloads, collector))
     ctx.run(us(10_000_000))
@@ -109,11 +109,11 @@ def test_single_link_any_size_mix(sizes, capacity):
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     plb = PlbBus("plb", top)
-    link = build_ship_over_bus("l", top, plb, 0x8000,
-                               capacity_words=capacity,
-                               poll_interval=ns(50))
+    link = SystemMapper(top, plb, mailbox_base=0x8000,
+                        capacity_words=capacity,
+                        poll_interval=ns(50)).connect("l")
     payloads = [list(range(n)) for n in sizes]
-    Streamer("tx", top, link.master_channel, payloads)
-    collector = Collector("rx", top, link.slave_channel, len(payloads))
+    Streamer("tx", top, link.master_attach, payloads)
+    collector = Collector("rx", top, link.slave_attach, len(payloads))
     ctx.run(us(10_000_000))
     assert collector.received == payloads

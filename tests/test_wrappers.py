@@ -4,7 +4,8 @@ import pytest
 
 from repro.kernel import Clock, Module, ns, us
 from repro.cam import CrossbarCam, GenericBus, MemorySlave, OpbBus, PlbBus
-from repro.models import ProcessingElement, build_ship_over_bus
+from repro.flow import SystemMapper
+from repro.models import ProcessingElement
 from repro.models.wrappers import connect_pin_master_to_bus
 from repro.ocp import OcpCmd, OcpPinMaster, OcpRequest
 from repro.ship import ShipInt, ShipIntArray, ShipMasterPort, ShipSlavePort
@@ -60,20 +61,20 @@ class TestShipOverBusMatrix:
                                         "crossbar"])
     def test_request_reply_over_every_fabric(self, ctx, top, fabric):
         bus = make_bus(fabric, top)
-        link = build_ship_over_bus("lnk", top, bus, 0x8000,
-                                   capacity_words=64,
-                                   poll_interval=ns(100))
-        master = EchoMaster("m", top, link.master_channel, [1, 2, 3])
-        slave = EchoSlave("s", top, link.slave_channel)
+        link = SystemMapper(top, bus, mailbox_base=0x8000,
+                            capacity_words=64,
+                            poll_interval=ns(100)).connect("lnk")
+        master = EchoMaster("m", top, link.master_attach, [1, 2, 3])
+        slave = EchoSlave("s", top, link.slave_attach)
         ctx.run(us(10_000))
         assert master.replies == [101, 102, 103]
         assert slave.received == [1, 2, 3]
 
     def test_large_message_chunks_and_reassembles(self, ctx, top):
         bus = PlbBus("bus", top)
-        link = build_ship_over_bus("lnk", top, bus, 0x8000,
-                                   capacity_words=8,
-                                   poll_interval=ns(50))
+        link = SystemMapper(top, bus, mailbox_base=0x8000,
+                            capacity_words=8,
+                            poll_interval=ns(50)).connect("lnk")
         big = list(range(100))  # 400B payload >> 32B chunks
         received = []
 
@@ -98,42 +99,42 @@ class TestShipOverBusMatrix:
                 msg = yield from self.port.recv()
                 received.append(msg.values)
 
-        Sender("snd", top, link.master_channel)
-        Receiver("rcv", top, link.slave_channel)
+        Sender("snd", top, link.master_attach)
+        Receiver("rcv", top, link.slave_attach)
         ctx.run(us(10_000))
         assert received == [big]
 
     def test_irq_mode_avoids_reply_polling(self, ctx, top):
         bus = PlbBus("bus", top)
-        link_poll = build_ship_over_bus(
-            "poll", top, bus, 0x8000, capacity_words=64,
+        link_poll = SystemMapper(
+            top, bus, mailbox_base=0x8000, capacity_words=64,
             use_irq=False, poll_interval=ns(200),
-        )
-        link_irq = build_ship_over_bus(
-            "irq", top, bus, 0x10000, capacity_words=64, use_irq=True,
-        )
-        m1 = EchoMaster("m1", top, link_poll.master_channel, [1])
-        EchoSlave("s1", top, link_poll.slave_channel)
-        m2 = EchoMaster("m2", top, link_irq.master_channel, [2])
-        EchoSlave("s2", top, link_irq.slave_channel)
+        ).connect("poll")
+        link_irq = SystemMapper(
+            top, bus, mailbox_base=0x10000, capacity_words=64, use_irq=True,
+        ).connect("irq")
+        m1 = EchoMaster("m1", top, link_poll.master_attach, [1])
+        EchoSlave("s1", top, link_poll.slave_attach)
+        m2 = EchoMaster("m2", top, link_irq.master_attach, [2])
+        EchoSlave("s2", top, link_irq.slave_attach)
         ctx.run(us(10_000))
         assert m1.replies == [101]
         assert m2.replies == [102]
         # polling link performs strictly more status reads
-        assert (link_poll.master_wrapper.poll_reads
-                > link_irq.master_wrapper.poll_reads)
+        assert (link_poll.bus_side.poll_reads
+                > link_irq.bus_side.poll_reads)
 
     def test_wrapper_stats(self, ctx, top):
         bus = GenericBus("bus", top, clock_period=ns(10))
-        link = build_ship_over_bus("lnk", top, bus, 0x0,
-                                   poll_interval=ns(50))
-        master = EchoMaster("m", top, link.master_channel, [5])
-        EchoSlave("s", top, link.slave_channel)
+        link = SystemMapper(top, bus, mailbox_base=0x0, capacity_words=256,
+                            poll_interval=ns(50)).connect("lnk")
+        master = EchoMaster("m", top, link.master_attach, [5])
+        EchoSlave("s", top, link.slave_attach)
         ctx.run(us(1000))
-        assert link.master_wrapper.messages_forwarded == 1
-        assert link.master_wrapper.replies_returned == 1
-        assert link.slave_wrapper.messages_delivered == 1
-        assert link.slave_wrapper.replies_sent == 1
+        assert link.bus_side.messages_forwarded == 1
+        assert link.bus_side.replies_returned == 1
+        assert link.owner_side.messages_delivered == 1
+        assert link.owner_side.replies_sent == 1
 
 
 class TestPinWrapper:
