@@ -22,17 +22,24 @@ from repro.ship import ShipIntArray, ShipSlavePort
 from repro.apps.pipeline import (
     generate_block,
     quantize,
-    reference_output,
     walsh_hadamard,
 )
+
+
+#: The accelerator's transform time per block.
+HW_COMPUTE = ns(300)
+#: CPU time the SW task spends preparing a block (half that to
+#: post-process its reply).
+SW_COMPUTE = us(1)
+#: CPU time the device driver charges on entry to each SHIP call.
+DRIVER_OVERHEAD = ns(100)
 
 
 class HwTransformPE(ProcessingElement):
     """The hardware accelerator: SHIP slave running the transform."""
 
-    def __init__(self, name, parent, chan, compute_time=ns(300)):
+    def __init__(self, name, parent, chan):
         super().__init__(name, parent)
-        self.compute_time = compute_time
         self.blocks_processed = 0
         self.port = self.ship_port("port", ShipSlavePort)
         self.port.bind(chan)
@@ -42,7 +49,7 @@ class HwTransformPE(ProcessingElement):
         """Serve transform requests forever."""
         while True:
             block = yield from self.port.recv()
-            yield self.compute_time
+            yield HW_COMPUTE
             self.blocks_processed += 1
             yield from self.port.reply(
                 ShipIntArray(walsh_hadamard(block.values))
@@ -63,18 +70,12 @@ class HwSwSystem:
         """The quantized blocks recorded so far."""
         return list(self.results)
 
-    def golden(self, blocks: int) -> List[List[int]]:
-        """Expected output for ``blocks`` blocks."""
-        return reference_output(blocks)
-
 
 def build_hwsw_system(
     blocks: int = 8,
     use_irq: bool = True,
     poll_interval: SimTime = ns(200),
-    access_overhead: SimTime = ns(100),
     context_switch: SimTime = ns(500),
-    sw_compute: SimTime = us(1),
     quant_step: int = 8,
     capacity_words: int = 64,
 ) -> HwSwSystem:
@@ -86,7 +87,7 @@ def build_hwsw_system(
     mapper = SystemMapper(top, plb, rtos=os, mailbox_base=0x80000,
                           capacity_words=capacity_words, use_irq=use_irq,
                           poll_interval=poll_interval,
-                          driver_overhead=access_overhead)
+                          driver_overhead=DRIVER_OVERHEAD)
     link = mapper.connect("acc", master="sw")
     accelerator = HwTransformPE("hw_dct", top, link.slave_attach)
     results: List[List[int]] = []
@@ -94,11 +95,11 @@ def build_hwsw_system(
     def sw_main():
         """Source + sink as embedded software (one application task)."""
         for i in range(blocks):
-            yield from os.execute(sw_compute)       # prepare the block
+            yield from os.execute(SW_COMPUTE)       # prepare the block
             reply = yield from link.master_attach.request(
                 ShipIntArray(generate_block(i))
             )
-            yield from os.execute(sw_compute // 2)  # post-process
+            yield from os.execute(SW_COMPUTE // 2)  # post-process
             results.append(quantize(reply.values, quant_step))
 
     os.create_task(sw_main, "app_main", priority=5)

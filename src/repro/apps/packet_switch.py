@@ -69,13 +69,15 @@ class IngressPE(ProcessingElement):
         self.finished_at = self.ctx.now
 
 
+#: The forwarder's route lookup time per packet.
+LOOKUP_TIME = ns(50)
+
+
 class ForwardingPE(ProcessingElement):
     """The switch core: one forwarding thread per input port."""
 
-    def __init__(self, name, parent, in_chans, out_chans,
-                 lookup_time: SimTime = ns(50)):
+    def __init__(self, name, parent, in_chans, out_chans):
         super().__init__(name, parent)
-        self.lookup_time = lookup_time
         self.forwarded = 0
         self.drops = 0
         self._outs = []
@@ -93,7 +95,7 @@ class ForwardingPE(ProcessingElement):
     def _forward(self, in_port):
         while True:
             packet = yield from in_port.recv()
-            yield self.lookup_time
+            yield LOOKUP_TIME
             dst = packet.values[0]
             if 0 <= dst < len(self._outs):
                 yield from self._outs[dst].send(packet)
@@ -154,14 +156,6 @@ class PacketSwitchSystem:
                     return False
         return True
 
-    def ingress_finish_times(self) -> Dict[int, float]:
-        """Per input port: when its last packet was handed off (ns)."""
-        return {
-            pe.port_id: pe.finished_at.to("ns")
-            for pe in self.ingress
-            if pe.finished_at is not None
-        }
-
     def per_source_mean_latency_ns(self) -> Dict[int, float]:
         """Mean ingress->egress delivery latency per source port."""
         totals: Dict[int, float] = {}
@@ -181,16 +175,11 @@ def build_packet_switch(
     packets_per_port: int = 12,
     fabric_kind: str = "crossbar",
     arbiter: str = "round-robin",
-    hog_port: Optional[int] = None,
     gap: SimTime = ns(300),
     payload_words: int = 4,
     tdma_slot_cycles: int = 8,
 ) -> PacketSwitchSystem:
-    """Build the switch with ingress links mapped over a fabric.
-
-    ``hog_port`` (if given) sends with zero gap, saturating its link —
-    the input for the fairness experiment.
-    """
+    """Build the switch with ingress links mapped over a fabric."""
     ctx = SimContext("packet_switch")
     top = Module("top", ctx=ctx)
     if fabric_kind == "crossbar":
@@ -217,8 +206,7 @@ def build_packet_switch(
     ingress = [
         IngressPE(
             f"ingress{i}", top, in_links[i].master_attach, i,
-            packets_per_port, ports,
-            gap=ns(0) if i == hog_port else gap,
+            packets_per_port, ports, gap=gap,
             payload_words=payload_words,
         )
         for i in range(ports)

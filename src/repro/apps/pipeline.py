@@ -91,14 +91,19 @@ def reference_output(blocks: int, quant_step: int = 8) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 
 
+#: Compute time of each stage per block: the transform is the
+#: pipeline's bottleneck.
+SOURCE_COMPUTE = ns(200)
+TRANSFORM_COMPUTE = ns(500)
+SINK_COMPUTE = ns(100)
+
+
 class SourcePE(ProcessingElement):
     """Streams blocks into the pipeline."""
 
-    def __init__(self, name, parent, out_chan, blocks: int,
-                 compute_time=ns(200)):
+    def __init__(self, name, parent, out_chan, blocks: int):
         super().__init__(name, parent)
         self.blocks = blocks
-        self.compute_time = compute_time
         self.out = self.ship_port("out", ShipMasterPort)
         self.out.bind(out_chan)
         self.add_thread(self.run)
@@ -106,18 +111,16 @@ class SourcePE(ProcessingElement):
     def run(self):
         """Emit ``blocks`` generated blocks downstream."""
         for i in range(self.blocks):
-            yield ExecuteFor(self.compute_time)
+            yield ExecuteFor(SOURCE_COMPUTE)
             yield from self.out.send(ShipIntArray(generate_block(i)))
 
 
 class TransformPE(ProcessingElement):
     """Walsh-Hadamard transform stage."""
 
-    def __init__(self, name, parent, in_chan, out_chan, blocks: int,
-                 compute_time=ns(500)):
+    def __init__(self, name, parent, in_chan, out_chan, blocks: int):
         super().__init__(name, parent)
         self.blocks = blocks
-        self.compute_time = compute_time
         self.inp = self.ship_port("inp", ShipSlavePort)
         self.inp.bind(in_chan)
         self.out = self.ship_port("out", ShipMasterPort)
@@ -128,7 +131,7 @@ class TransformPE(ProcessingElement):
         """Transform each received block and forward it."""
         for _ in range(self.blocks):
             block = yield from self.inp.recv()
-            yield ExecuteFor(self.compute_time)
+            yield ExecuteFor(TRANSFORM_COMPUTE)
             yield from self.out.send(
                 ShipIntArray(walsh_hadamard(block.values))
             )
@@ -138,11 +141,10 @@ class SinkPE(ProcessingElement):
     """Quantizes and records the final blocks."""
 
     def __init__(self, name, parent, in_chan, blocks: int,
-                 quant_step: int = 8, compute_time=ns(100)):
+                 quant_step: int = 8):
         super().__init__(name, parent)
         self.blocks = blocks
         self.quant_step = quant_step
-        self.compute_time = compute_time
         self.results: List[List[int]] = []
         self.inp = self.ship_port("inp", ShipSlavePort)
         self.inp.bind(in_chan)
@@ -152,7 +154,7 @@ class SinkPE(ProcessingElement):
         """Quantize and record each received block."""
         for _ in range(self.blocks):
             block = yield from self.inp.recv()
-            yield ExecuteFor(self.compute_time)
+            yield ExecuteFor(SINK_COMPUTE)
             self.results.append(quantize(block.values, self.quant_step))
 
 

@@ -24,9 +24,6 @@ class Arbiter(ABC):
         ``priority`` attributes).  ``pending`` is non-empty; the caller
         removes the returned entry."""
 
-    def reset(self) -> None:
-        """Clear adaptive state between runs."""
-
     def snapshot_state(self) -> dict:
         """Adaptive state for checkpointing (see ``repro.snapshot``)."""
         return {}
@@ -74,10 +71,6 @@ class RoundRobinArbiter(Arbiter):
         )
         return chosen
 
-    def reset(self) -> None:
-        self._order.clear()
-        self._next_index = 0
-
     def snapshot_state(self) -> dict:
         return {"order": list(self._order), "next_index": self._next_index}
 
@@ -92,21 +85,18 @@ class TdmaArbiter(Arbiter):
     ``schedule`` maps slot index -> master name; each slot lasts
     ``slot_cycles`` bus cycles.  If the slot owner has nothing pending
     the arbiter falls back to round-robin among the rest (work-conserving
-    TDMA), unless ``strict`` is set, in which case the caller should poll
-    again next cycle (returns None).
+    TDMA).
     """
 
     name = "tdma"
 
-    def __init__(self, schedule: Sequence[str], slot_cycles: int = 4,
-                 strict: bool = False):
+    def __init__(self, schedule: Sequence[str], slot_cycles: int = 4):
         if not schedule:
             raise ValueError("TDMA schedule cannot be empty")
         if slot_cycles < 1:
             raise ValueError(f"slot_cycles must be >= 1, got {slot_cycles}")
         self.schedule = list(schedule)
         self.slot_cycles = slot_cycles
-        self.strict = strict
         self._fallback = RoundRobinArbiter()
 
     def slot_owner(self, cycle: int) -> str:
@@ -119,12 +109,7 @@ class TdmaArbiter(Arbiter):
         owned = [r for r in pending if r.master == owner]
         if owned:
             return min(owned, key=lambda r: r.seq)
-        if self.strict:
-            return None
         return self._fallback.pick(pending, cycle)
-
-    def reset(self) -> None:
-        self._fallback.reset()
 
     def snapshot_state(self) -> dict:
         return {"fallback": self._fallback.snapshot_state()}

@@ -41,7 +41,6 @@ from repro.kernel.simtime import SimTime, ZERO_TIME, ns
 from repro.ocp.tl import OcpTargetIf
 from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
-from repro.trace.stats import TimeStats
 from repro.trace.transaction import TransactionRecorder
 
 
@@ -208,65 +207,27 @@ class BusStats:
     """Aggregated CCATB bus statistics."""
 
     def __init__(self):
-        self.latency_by_master: Dict[str, TimeStats] = {}
         self.transactions = 0
         self.bytes = 0
-        self.error_responses = 0
         self.data_busy_cycles = 0
-        self.channel_busy_cycles: Dict[str, int] = {}
 
-    def record(self, master: str, latency_fs: int, nbytes: int,
-               ok: bool, data_cycles: int, channel: str) -> None:
-        """Account one completed transaction (latency in femtoseconds)."""
-        stats = self.latency_by_master.get(master)
-        if stats is None:
-            stats = self.latency_by_master[master] = TimeStats()
-        stats.add_fs(latency_fs)
+    def record(self, nbytes: int, data_cycles: int) -> None:
+        """Account one completed transaction."""
         self.transactions += 1
         self.bytes += nbytes
-        if not ok:
-            self.error_responses += 1
         self.data_busy_cycles += data_cycles
-        self.channel_busy_cycles[channel] = (
-            self.channel_busy_cycles.get(channel, 0) + data_cycles
-        )
 
     def __snapshot__(self) -> dict:
         return {
-            "latency_by_master": {
-                name: stats.__snapshot__()
-                for name, stats in self.latency_by_master.items()
-            },
             "transactions": self.transactions,
             "bytes": self.bytes,
-            "error_responses": self.error_responses,
             "data_busy_cycles": self.data_busy_cycles,
-            "channel_busy_cycles": dict(self.channel_busy_cycles),
         }
 
     def __restore__(self, state: dict) -> None:
-        self.latency_by_master = {}
-        for name, payload in state["latency_by_master"].items():
-            stats = TimeStats()
-            stats.__restore__(payload)
-            self.latency_by_master[name] = stats
         self.transactions = state["transactions"]
         self.bytes = state["bytes"]
-        self.error_responses = state["error_responses"]
         self.data_busy_cycles = state["data_busy_cycles"]
-        self.channel_busy_cycles = dict(state["channel_busy_cycles"])
-
-    def mean_latency_ns(self, master: Optional[str] = None) -> float:
-        """Mean latency, per master or overall."""
-        if master is not None:
-            stats = self.latency_by_master.get(master)
-            return stats.mean_ns if stats else 0.0
-        merged = [s for s in self.latency_by_master.values() if s.count]
-        if not merged:
-            return 0.0
-        total = sum(s.total_ns for s in merged)
-        count = sum(s.count for s in merged)
-        return total / count
 
 
 class BusCam(Module):
@@ -319,7 +280,7 @@ class BusCam(Module):
             self._m_grants = None
         #: Optional bus fault injector (``repro.faults.BusFaultInjector``
         #: duck type).  None keeps the bus on the fault-free path — the
-        #: only cost is one attribute test per arbitration round.
+        #: only cost is one attribute test per granted transaction.
         self.fault_injector = None
         self.slaves: List[SlaveBinding] = []
         self._pending: List[_BusTransaction] = []
@@ -440,23 +401,14 @@ class BusCam(Module):
                 yield align
             if not self._pending:
                 continue
-            inj = self.fault_injector
-            candidates = self._pending
-            if inj is not None:
-                candidates = inj.arbitration_candidates(self, self._pending)
-                if not candidates:  # every requester starved: idle cycle
-                    yield period
-                    continue
-            txn = self.arbiter.pick(candidates, self.current_cycle)
-            if txn is None:  # strict TDMA: idle slot
-                yield period
-                continue
+            txn = self.arbiter.pick(self._pending, self.current_cycle)
             if self._m_grants is not None:
                 self._m_grants.inc()
                 if len(self._pending) > 1:
                     self._m_contended.inc(len(self._pending) - 1)
             self._pending.remove(txn)
             request = txn.request
+            inj = self.fault_injector
             if inj is not None and inj.force_error(self, request):
                 yield period * timing.cmd_cycles
                 self._complete(txn, OcpResponse.error(), data_cycles=0,
@@ -545,8 +497,7 @@ class BusCam(Module):
                  end_fs: int, data_cycles: int, channel: str) -> None:
         request = txn.request
         latency_fs = end_fs - txn.arrival_fs
-        self.stats.record(txn.master, latency_fs, request.nbytes,
-                          response.ok, data_cycles, channel)
+        self.stats.record(request.nbytes, data_cycles)
         if self._m_grants is not None:
             self._m_transactions.inc()
             self._m_bytes.inc(request.nbytes)
@@ -645,18 +596,6 @@ class BusCam(Module):
             # Two parallel data paths double the available cycles.
             total_cycles *= 2
         return min(busy / total_cycles, 1.0)
-
-    def report(self) -> Dict[str, object]:
-        """Summary dict: transactions, bytes, latency, utilization."""
-        return {
-            "bus": self.full_name,
-            "transactions": self.stats.transactions,
-            "bytes": self.stats.bytes,
-            "errors": self.stats.error_responses,
-            "mean_latency_ns": self.stats.mean_latency_ns(),
-            "utilization": self.utilization(),
-            "arbiter": self.arbiter.name,
-        }
 
 
 #: The generic bus: one arbitration, one address cycle, a beat per cycle,

@@ -44,7 +44,6 @@ class _CrossbarSocket(SimObject, OcpTargetIf):
         if path is None:
             # Decode error: charge one command phase, like the buses do.
             yield self.xbar.clock_period * self.xbar.timing.cmd_cycles
-            self.xbar.decode_errors += 1
             return OcpResponse.error()
         socket = self._path_sockets.get(id(path))
         if socket is None:
@@ -92,7 +91,19 @@ class CrossbarCam(Module):
         self.recorder = recorder
         self.paths: List[BusCam] = []
         self._sockets: Dict[str, _CrossbarSocket] = {}
-        self.decode_errors = 0
+        self._fault_injector = None
+
+    @property
+    def fault_injector(self):
+        """Bus fault injector shared by every path (see
+        :attr:`BusCam.fault_injector`), including paths attached later."""
+        return self._fault_injector
+
+    @fault_injector.setter
+    def fault_injector(self, injector) -> None:
+        self._fault_injector = injector
+        for path in self.paths:
+            path.fault_injector = injector
 
     # -- wiring -------------------------------------------------------------------
 
@@ -130,18 +141,13 @@ class CrossbarCam(Module):
             arbiter=self.arbiter_factory(),
             recorder=self.recorder,
         )
+        path.fault_injector = self._fault_injector
         binding = path.attach_slave(
             target, base, size, name=name,
             read_wait=read_wait, write_wait=write_wait, localize=localize,
         )
         self.paths.append(path)
         return binding
-
-    def __snapshot__(self) -> dict:
-        return {"decode_errors": self.decode_errors}
-
-    def __restore__(self, state: dict) -> None:
-        self.decode_errors = state["decode_errors"]
 
     def _decode_path(self, request: OcpRequest) -> Optional[BusCam]:
         for path in self.paths:
@@ -151,11 +157,6 @@ class CrossbarCam(Module):
 
     # -- reporting -----------------------------------------------------------------
 
-    @property
-    def transactions(self) -> int:
-        """Total transactions completed across all paths."""
-        return sum(path.stats.transactions for path in self.paths)
-
     def utilization(self, until=None) -> float:
         """Mean utilization across paths (see :meth:`BusCam.utilization`)."""
         if not self.paths:
@@ -163,23 +164,3 @@ class CrossbarCam(Module):
         return sum(
             path.utilization(until) for path in self.paths
         ) / len(self.paths)
-
-    def report(self) -> Dict[str, object]:
-        """Summary dict aggregated over the per-slave paths."""
-        total_ns = 0.0
-        count = 0
-        for path in self.paths:
-            for stats in path.stats.latency_by_master.values():
-                total_ns += stats.total_ns
-                count += stats.count
-        return {
-            "bus": self.full_name,
-            "transactions": self.transactions,
-            "bytes": sum(path.stats.bytes for path in self.paths),
-            "errors": sum(
-                path.stats.error_responses for path in self.paths
-            ) + self.decode_errors,
-            "mean_latency_ns": total_ns / count if count else 0.0,
-            "utilization": self.utilization(),
-            "arbiter": self.arbiter_factory().name,
-        }

@@ -5,11 +5,10 @@ and loads/stores through a blocking OCP transport socket, so firmware
 execution generates *real* bus traffic — the missing "standard SW
 component" when modeling a whole embedded platform at the CAM level.
 
-Timing model: one ``cycle`` per executed instruction for the core
+Timing model: one :data:`CYCLE` per executed instruction for the core
 itself (decode + ALU), plus whatever the bus charges for each fetch,
-load and store.  An optional instruction cache model skips fetch
-traffic on a hit, which is what makes firmware polling loops affordable
-on a shared bus.
+load and store.  The instruction cache skips fetch traffic on a hit,
+which is what makes firmware polling loops affordable on a shared bus.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Dict, Generator, Optional
 from repro.kernel.errors import SimulationError
 from repro.kernel.event import Event
 from repro.kernel.module import Module
-from repro.kernel.simtime import SimTime, ZERO_TIME, ns
+from repro.kernel.simtime import ns
 from repro.ocp.tl import OcpTargetIf
 from repro.ocp.types import OcpCmd, OcpRequest
 from repro.cpu.isa import Op, decode
@@ -32,40 +31,36 @@ def _signed32(value: int) -> int:
     return value - (1 << 32) if value & (1 << 31) else value
 
 
+#: Core time per executed instruction.
+CYCLE = ns(10)
+#: One-word I-cache entries (first in, first out).
+ICACHE_LINES = 32
+#: Runaway-firmware guard: instructions retired before the core faults.
+MAX_INSTRUCTIONS = 1_000_000
+
+
 class SimpleCpu(Module):
     """A single-issue accumulator CPU on a bus socket.
+
+    Execution starts at byte address 0; each instruction costs
+    :data:`CYCLE` of core time plus its bus accesses, and fetches go
+    through an :data:`ICACHE_LINES`-entry I-cache.
 
     Parameters
     ----------
     socket:
         Blocking OCP transport (a bus master socket or a memory).
-    reset_pc:
-        Byte address execution starts at.
-    cycle:
-        Core time per executed instruction.
-    icache_lines:
-        Number of one-word I-cache entries (0 disables caching; every
-        fetch then goes to the bus).
-    max_instructions:
-        Runaway-firmware guard.
     """
 
     def __init__(self, name, parent=None, ctx=None,
-                 socket: OcpTargetIf = None,
-                 reset_pc: int = 0,
-                 cycle: SimTime = None,
-                 icache_lines: int = 32,
-                 max_instructions: int = 1_000_000):
+                 socket: OcpTargetIf = None):
         super().__init__(name, parent, ctx)
         if socket is None:
             raise SimulationError(f"cpu {name!r} needs a bus socket")
         self.socket = socket
-        self.pc = reset_pc
+        self.pc = 0
         self.acc = 0
         self.idx = 0
-        self.cycle = cycle if cycle is not None else ns(10)
-        self.icache_lines = icache_lines
-        self.max_instructions = max_instructions
         self._icache: Dict[int, int] = {}
         self.halted = False
         self.halted_event = Event(self, f"{self.full_name}.halted")
@@ -101,16 +96,14 @@ class SimpleCpu(Module):
 
     def _fetch(self, addr: int) -> Generator:
         self.fetches += 1
-        if self.icache_lines:
-            cached = self._icache.get(addr)
-            if cached is not None:
-                self.icache_hits += 1
-                return cached
+        cached = self._icache.get(addr)
+        if cached is not None:
+            self.icache_hits += 1
+            return cached
         word = yield from self._read_word(addr)
-        if self.icache_lines:
-            if len(self._icache) >= self.icache_lines:
-                self._icache.pop(next(iter(self._icache)))
-            self._icache[addr] = word
+        if len(self._icache) >= ICACHE_LINES:
+            self._icache.pop(next(iter(self._icache)))
+        self._icache[addr] = word
         return word
 
     # -- the core loop ---------------------------------------------------------------
@@ -118,17 +111,16 @@ class SimpleCpu(Module):
     def _execute(self) -> Generator:
         try:
             while not self.halted:
-                if self.instructions_retired >= self.max_instructions:
+                if self.instructions_retired >= MAX_INSTRUCTIONS:
                     raise SimulationError(
                         f"cpu {self.full_name}: exceeded "
-                        f"{self.max_instructions} instructions "
+                        f"{MAX_INSTRUCTIONS} instructions "
                         f"(runaway firmware?)"
                     )
                 word = yield from self._fetch(self.pc)
                 op, operand = decode(word)
                 next_pc = self.pc + 4
-                if self.cycle > ZERO_TIME:
-                    yield self.cycle
+                yield CYCLE
                 if op is Op.NOP:
                     pass
                 elif op is Op.LDI:
@@ -184,13 +176,6 @@ class SimpleCpu(Module):
         finally:
             if self.halted:
                 self.halted_event.notify_delta()
-
-    # -- test-bench conveniences ---------------------------------------------------------
-
-    def wait_halted(self) -> Generator:
-        """Blocking helper for test benches: wait until HALT."""
-        while not self.halted:
-            yield self.halted_event
 
     @property
     def icache_hit_rate(self) -> float:

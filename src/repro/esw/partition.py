@@ -36,25 +36,24 @@ class EswConstraintError(KernelError):
         self.violations = violations
 
 
+#: RTOS priority of a SW-partition PE that ``priorities`` does not list.
+DEFAULT_PRIORITY = 10
+
+
 @dataclass
 class PartitionSpec:
     """Assignment of PEs to the SW partition.
 
     ``priorities`` optionally assigns an RTOS priority per PE name
-    (default 10); unlisted PEs stay in hardware.
+    (:data:`DEFAULT_PRIORITY` otherwise); unlisted PEs stay in hardware.
     """
 
     software: List[Module] = field(default_factory=list)
     priorities: Dict[str, int] = field(default_factory=dict)
-    default_priority: int = 10
 
     def priority_of(self, pe: Module) -> int:
         """RTOS priority assigned to this PE."""
-        return self.priorities.get(pe.name, self.default_priority)
-
-    def is_software(self, pe: Module) -> bool:
-        """True if the PE is in the SW partition."""
-        return pe in self.software
+        return self.priorities.get(pe.name, DEFAULT_PRIORITY)
 
 
 def pe_violations(pe: Module) -> List[str]:

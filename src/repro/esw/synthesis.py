@@ -12,7 +12,7 @@ through an interpreter that maps every suspension onto the RTOS —
 SystemC-level primitive      RTOS substitution
 ==========================  ==========================================
 ``wait(t)``                  ``os.delay(t)``
-``wait(event / or-list)``    blocking wait that releases the CPU
+``wait(event, ...)``         blocking wait that releases the CPU
 SHIP channel blocking call   same call; its internal waits become
                              RTOS blocking, so channel code *is* the
                              communication library
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Generator, List, Optional
 
 from repro.kernel.errors import KernelError
-from repro.kernel.event import Event, EventAndList, EventOrList
+from repro.kernel.event import Event
 from repro.kernel.module import Module
 from repro.kernel.process import ThreadProcess, WaitCondition, WaitMode
 from repro.kernel.simtime import SimTime, ZERO_TIME
@@ -125,7 +125,7 @@ def _interpret(os: Rtos, body: Generator,
         elif isinstance(item, SimTime):
             counts.delays += 1
             yield from os.delay(item)
-        elif isinstance(item, (Event, EventOrList, EventAndList)):
+        elif isinstance(item, Event):
             counts.event_waits += 1
             wake = yield from os.block_on(item)
         elif isinstance(item, WaitCondition):

@@ -194,12 +194,6 @@ class FaultSummary:
         """``{kind: count}`` over the recorded faults, sorted by kind."""
         return dict(sorted(self.counts.items()))
 
-    def count(self, kind: Optional[str] = None) -> int:
-        """Number of injected faults, optionally of one kind."""
-        if kind is None:
-            return sum(self.counts.values())
-        return self.counts.get(kind, 0)
-
     def digest(self) -> str:
         """SHA-256 digest of the originating plan's full summary."""
         return self.sha256
@@ -440,8 +434,7 @@ def _build_point(
         )
 
         fault_plan = FaultPlan(seed=faults.seed, metrics=metrics)
-        if ((faults.bus_error_rate or faults.decode_miss_rate)
-                and hasattr(fabric, "fault_injector")):
+        if faults.bus_error_rate or faults.decode_miss_rate:
             fabric.fault_injector = BusFaultInjector(
                 fault_plan,
                 error=(FaultRule(probability=faults.bus_error_rate)

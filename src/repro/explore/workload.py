@@ -201,9 +201,10 @@ class TrafficMaster(Module):
         span = spec.burst_length * spec.word_bytes
         if spec.pattern == "stream":
             addr = spec.base + self._stream_offset
-            self._stream_offset = (self._stream_offset + span) % (
-                spec.size - span + 1 if spec.size > span else 1
-            )
+            self._stream_offset += span
+            if self._stream_offset + span > spec.size:
+                # the next burst would not fit: back to the region start
+                self._stream_offset = 0
             is_read = self._rng_rw.random() < spec.read_fraction
         elif spec.pattern == "random":
             slots = max((spec.size - span) // spec.word_bytes, 1)

@@ -1,10 +1,10 @@
-"""Bus-CAM faults: forced errors, decode misses, starvation, bad slaves.
+"""Bus-CAM faults: forced errors, decode misses, bad slaves.
 
 :class:`BusFaultInjector` attaches to a :class:`~repro.cam.bus.BusCam`
-via its ``fault_injector`` attribute; the bus process consults it at
-three points of each arbitration round (candidate filtering, forced
-error, decode miss).  A fault-free bus pays one attribute test per
-round.
+(or a :class:`~repro.cam.crossbar.CrossbarCam`, which shares it with
+every path) via its ``fault_injector`` attribute; the bus process
+consults it for each granted transaction (forced error, then decode
+miss).  A fault-free bus pays one attribute test per transaction.
 
 :class:`FaultySlave` wraps any slave target and misbehaves on selected
 requests: forced ERR, a stall of configurable length, or no response at
@@ -15,7 +15,7 @@ per-attempt timeout must catch.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.kernel.errors import SimulationError
 from repro.kernel.event import Event
@@ -38,11 +38,6 @@ class BusFaultInjector:
     decode:
         Rule turning a successful address decode into a miss (ERR on
         the ``decode-error`` channel).
-    starve:
-        Rule (time window) during which ``starve_masters`` are hidden
-        from the arbiter; their requests sit in the pending queue.
-    starve_masters:
-        Socket names to starve while the ``starve`` window is open.
     """
 
     def __init__(
@@ -50,66 +45,30 @@ class BusFaultInjector:
         plan: FaultPlan,
         error: Optional[FaultRule] = None,
         decode: Optional[FaultRule] = None,
-        starve: Optional[FaultRule] = None,
-        starve_masters: Sequence[str] = (),
     ):
         self.plan = plan
         self.error = error
         self.decode = decode
-        self.starve = starve
-        self.starve_masters = frozenset(starve_masters)
-        self.starved_rounds = 0
-        self._starve_window_open = False
 
     def __snapshot__(self) -> dict:
-        state = {
-            "starved_rounds": self.starved_rounds,
-            "starve_window_open": self._starve_window_open,
-        }
-        for name in ("error", "decode", "starve"):
+        state = {}
+        for name in ("error", "decode"):
             rule = getattr(self, name)
             if rule is not None:
                 state[name] = rule.__snapshot__()
         return state
 
     def __restore__(self, state: dict) -> None:
-        self.starved_rounds = state["starved_rounds"]
-        self._starve_window_open = state["starve_window_open"]
-        for name in ("error", "decode", "starve"):
+        for name in ("error", "decode"):
             rule = getattr(self, name)
             if rule is not None and name in state:
                 rule.__restore__(state[name])
-
-    def arbitration_candidates(self, bus, pending: List) -> List:
-        """Bus hook: the subset of ``pending`` the arbiter may grant."""
-        rule = self.starve
-        if rule is None or not self.starve_masters:
-            return pending
-        now_fs = bus.ctx._now_fs
-        if not rule.in_window(now_fs):
-            self._starve_window_open = False
-            return pending
-        kept = [t for t in pending if t.master not in self.starve_masters]
-        if len(kept) != len(pending):
-            self.starved_rounds += 1
-            if not self._starve_window_open:
-                self._starve_window_open = True
-                victims = sorted(
-                    t.master for t in pending
-                    if t.master in self.starve_masters
-                )
-                self.plan.record(
-                    "bus.starvation", now_fs,
-                    f"{bus.full_name}: starving {', '.join(victims)}",
-                )
-        return kept
 
     def force_error(self, bus, request: OcpRequest) -> bool:
         """Bus hook: complete this granted request with ERR?"""
         if self.error is None:
             return False
-        if self.error.matches(self.plan.rng, bus.ctx._now_fs,
-                              addr=request.addr):
+        if self.error.matches(self.plan.rng):
             self.plan.record(
                 "bus.error", bus.ctx._now_fs,
                 f"{bus.full_name}: forced ERR for "
@@ -123,8 +82,7 @@ class BusFaultInjector:
         """Bus hook: pretend address decode failed?"""
         if self.decode is None:
             return False
-        if self.decode.matches(self.plan.rng, bus.ctx._now_fs,
-                               addr=request.addr):
+        if self.decode.matches(self.plan.rng):
             self.plan.record(
                 "bus.decode_miss", bus.ctx._now_fs,
                 f"{bus.full_name}: decode miss injected at "
@@ -184,16 +142,11 @@ class FaultySlave(SimObject):
         self.requests_seen = 0
         self._never = Event(self, f"{self.full_name}.never")
 
-    def wait_states(self, request: OcpRequest) -> int:
-        """Advertise the wrapped target's wait states."""
-        getter = getattr(self.target, "wait_states", None)
-        return getter(request) if getter is not None else 0
-
     def transport(self, request: OcpRequest):
         """Blocking access; misbehaves when the rule matches."""
         self.requests_seen += 1
         now_fs = self.ctx._now_fs
-        if self.rule.matches(self.plan.rng, now_fs, addr=request.addr):
+        if self.rule.matches(self.plan.rng):
             if self.mode == "error":
                 self.plan.record(
                     "slave.error", now_fs,

@@ -70,14 +70,14 @@ class LinkFaultInjector:
         rng = self.plan.rng
         extra_fs = 0
         if (self.delay is not None
-                and self.delay.matches(rng, now_fs)):
+                and self.delay.matches(rng)):
             extra_fs = self.extra_latency._fs
             self.plan.record(
                 "link.delay", now_fs,
                 f"{channel.full_name}: +{self.extra_latency} on {kind} "
                 f"from end {end.value}",
             )
-        if self.drop is not None and self.drop.matches(rng, now_fs):
+        if self.drop is not None and self.drop.matches(rng):
             self.plan.record(
                 "link.drop", now_fs,
                 f"{channel.full_name}: dropped {kind} ({nbytes}B) "
@@ -87,7 +87,7 @@ class LinkFaultInjector:
         if (self.corrupt is not None
                 and data is not None
                 and len(data) > FRAME_HEADER_BYTES
-                and self.corrupt.matches(rng, now_fs)):
+                and self.corrupt.matches(rng)):
             index = FRAME_HEADER_BYTES + rng.randrange(
                 len(data) - FRAME_HEADER_BYTES
             )

@@ -9,9 +9,8 @@ the same model with the same seed reproduces every drop, flip and error
 bit-for-bit (compare :meth:`FaultPlan.digest`).
 
 :class:`FaultRule` is the shared "when does this fault fire?" predicate:
-a probability per candidate event, a deterministic every-nth counter, an
-optional simulated-time window, an optional address range and an
-optional fire budget.  Injectors own one rule per fault kind.
+a probability per candidate event or a deterministic every-nth counter.
+Injectors own one rule per fault kind.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.kernel.simtime import SimTime
 from repro.snapshot.state import rng_state_json, set_rng_state
 
 
@@ -50,63 +48,27 @@ class FaultRule:
     every_nth:
         Deterministic alternative: fire on every nth candidate
         (takes precedence over ``probability``).
-    after / before:
-        Simulated-time window; outside it the rule never fires
-        (``before`` is exclusive).
-    addr_range:
-        ``(lo, hi)`` half-open byte range; candidates carrying an
-        address outside it are ignored.
-    max_fires:
-        Fire budget; the rule goes quiet once exhausted.
     """
 
     probability: float = 0.0
     every_nth: Optional[int] = None
-    after: Optional[SimTime] = None
-    before: Optional[SimTime] = None
-    addr_range: Optional[Tuple[int, int]] = None
-    max_fires: Optional[int] = None
     #: candidates seen (drives ``every_nth``)
     seen: int = field(default=0, init=False)
-    #: times this rule fired
-    fires: int = field(default=0, init=False)
-
-    def in_window(self, now_fs: int) -> bool:
-        """True when ``now_fs`` is inside the rule's time window."""
-        if self.after is not None and now_fs < self.after._fs:
-            return False
-        if self.before is not None and now_fs >= self.before._fs:
-            return False
-        return True
 
     def __snapshot__(self) -> dict:
-        return {"seen": self.seen, "fires": self.fires}
+        return {"seen": self.seen}
 
     def __restore__(self, state: dict) -> None:
         self.seen = state["seen"]
-        self.fires = state["fires"]
 
-    def matches(self, rng: Random, now_fs: int,
-                addr: Optional[int] = None) -> bool:
+    def matches(self, rng: Random) -> bool:
         """Decide one candidate event; counts it and may consume RNG."""
-        if self.max_fires is not None and self.fires >= self.max_fires:
-            return False
-        if not self.in_window(now_fs):
-            return False
-        if addr is not None and self.addr_range is not None:
-            lo, hi = self.addr_range
-            if not (lo <= addr < hi):
-                return False
         self.seen += 1
         if self.every_nth is not None:
-            hit = self.seen % self.every_nth == 0
-        elif self.probability > 0.0:
-            hit = rng.random() < self.probability
-        else:
-            hit = False
-        if hit:
-            self.fires += 1
-        return hit
+            return self.seen % self.every_nth == 0
+        if self.probability > 0.0:
+            return rng.random() < self.probability
+        return False
 
 
 class FaultPlan:

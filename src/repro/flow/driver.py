@@ -74,8 +74,7 @@ class FlowReport:
     @property
     def functionally_equivalent(self) -> bool:
         """All levels produced identical outputs."""
-        outputs = [self.results[lvl].outputs for lvl in self.levels]
-        return all(o == outputs[0] for o in outputs[1:])
+        return not self.mismatches()
 
     def mismatches(self) -> List[Tuple[AbstractionLevel, AbstractionLevel]]:
         """Level pairs whose outputs differ."""

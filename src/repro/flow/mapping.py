@@ -32,7 +32,7 @@ endpoint source changes between targets — the paper's core promise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.kernel.errors import ElaborationError
 from repro.kernel.module import Module
@@ -74,14 +74,9 @@ class MappedConnection:
     bus_side: Optional[MailboxBusSide] = None
     owner_side: Optional[MailboxOwnerSide] = None
 
-    def as_row(self) -> Dict[str, str]:
-        """Flat dict row for the mapping report."""
-        return {
-            "connection": self.name,
-            "master": self.master_kind,
-            "slave": self.slave_kind,
-            "mapped_to": self.mapping,
-        }
+
+#: Address distance between consecutive fabric-mapped mailboxes.
+MAILBOX_STRIDE = 0x10000
 
 
 class SystemMapper:
@@ -98,8 +93,9 @@ class SystemMapper:
         Required when any endpoint is software.
     ship_timing:
         The CCATB annotation (``target="ccatb"``).
-    mailbox_base / mailbox_stride:
-        Address allocator for fabric-mapped connections.
+    mailbox_base:
+        Address of the first fabric-mapped connection's mailbox; each
+        later one sits :data:`MAILBOX_STRIDE` bytes above the last.
     capacity_words:
         Data words per mailbox direction (one chunk).
     use_irq:
@@ -118,7 +114,6 @@ class SystemMapper:
         rtos: Optional[Rtos] = None,
         ship_timing: Optional[ShipTiming] = None,
         mailbox_base: int = 0x100000,
-        mailbox_stride: int = 0x10000,
         capacity_words: int = 64,
         use_irq: bool = False,
         poll_interval: Optional[SimTime] = None,
@@ -148,7 +143,6 @@ class SystemMapper:
         self.poll_interval = poll_interval
         self.driver_overhead = driver_overhead
         self._next_base = mailbox_base
-        self._stride = mailbox_stride
         self.connections: List[MappedConnection] = []
         self._names: set = set()
 
@@ -217,7 +211,7 @@ class SystemMapper:
         the slave's owner side, each built for its end's kind."""
         parent, prefix = self.parent, f"{name}_lnk"
         base = self._next_base
-        self._next_base += self._stride
+        self._next_base += MAILBOX_STRIDE
         mailbox = map_mailbox(prefix, parent, self.fabric, base,
                               self.capacity_words, with_irq=self.use_irq)
         socket = self.fabric.master_socket(master_socket_name(name),
@@ -264,7 +258,3 @@ class SystemMapper:
         )
 
     # -- reporting -------------------------------------------------------------------
-
-    def report_rows(self) -> List[Dict[str, str]]:
-        """The mapping table: one row per connection."""
-        return [conn.as_row() for conn in self.connections]

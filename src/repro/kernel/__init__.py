@@ -3,9 +3,9 @@
 The kernel reimplements, in Python, the subset of IEEE 1666 SystemC that
 the paper's TLM methodology rests on: delta-cycle scheduling, events with
 immediate/delta/timed notification, thread and method processes, modules
-with hierarchical naming, ports/exports with elaboration-time binding
-checks, signals with evaluate/update semantics, bounded FIFOs, clocks,
-and synchronization primitives.
+with hierarchical naming, ports with elaboration-time binding checks,
+signals with evaluate/update semantics, bounded FIFOs, clocks, and
+synchronization primitives.
 
 Quick start::
 
@@ -45,7 +45,7 @@ from repro.kernel.event import Event
 from repro.kernel.fifo import Fifo
 from repro.kernel.module import Module
 from repro.kernel.object import SimObject
-from repro.kernel.port import Export, Port
+from repro.kernel.port import Port
 from repro.kernel.process import (
     MethodProcess,
     Process,
@@ -53,7 +53,7 @@ from repro.kernel.process import (
     ThreadProcess,
     wait,
 )
-from repro.kernel.report import Report, ReportedError, Reporter, Severity
+from repro.kernel.report import Report, Reporter, Severity
 from repro.kernel.signal import Signal
 from repro.kernel.simtime import (
     ZERO_TIME,
@@ -73,7 +73,6 @@ __all__ = [
     "Clock",
     "ElaborationError",
     "Event",
-    "Export",
     "Fifo",
     "KernelError",
     "MethodProcess",
@@ -84,7 +83,6 @@ __all__ = [
     "ProcessError",
     "ProcessState",
     "Report",
-    "ReportedError",
     "Reporter",
     "Severity",
     "Signal",

@@ -12,7 +12,8 @@ from repro.kernel.simtime import SimTime, ZERO_TIME
 
 
 class Clock(Signal):
-    """A periodic boolean signal.
+    """A periodic boolean signal, high for half of each period, whose
+    first edge rises at the start of simulation.
 
     Not a process: one timed-heap entry ``[when_fs, seq, KIND_CLOCK,
     clock]`` is handed back at each edge (:meth:`_edge_due`), which the
@@ -22,44 +23,19 @@ class Clock(Signal):
     ----------
     period:
         Clock period (must be positive).
-    duty_cycle:
-        Fraction of the period the clock is high, ``0 < duty < 1``.
-    start_time:
-        Absolute time of the first edge.
-    posedge_first:
-        If True (default) the first edge is a rising edge.
     """
 
-    def __init__(
-        self,
-        name,
-        parent=None,
-        ctx=None,
-        period: SimTime = None,
-        duty_cycle: float = 0.5,
-        start_time: SimTime = ZERO_TIME,
-        posedge_first: bool = True,
-    ):
+    def __init__(self, name, parent=None, ctx=None, period: SimTime = None):
         if period is None or period == ZERO_TIME:
             raise SimulationError(f"clock {name!r} needs a positive period")
-        if not 0.0 < duty_cycle < 1.0:
-            raise SimulationError(
-                f"clock {name!r}: duty_cycle must be in (0, 1), "
-                f"got {duty_cycle}"
-            )
-        high_fs = round(period.femtoseconds * duty_cycle)
+        high_fs = round(period.femtoseconds / 2)
         if not 0 < high_fs < period.femtoseconds:
             # a 0 fs phase would re-arm the edge at its own instant forever
             raise SimulationError(
-                f"clock {name!r}: period {period} at duty_cycle "
-                f"{duty_cycle} rounds a phase to 0 fs"
+                f"clock {name!r}: period {period} rounds a phase to 0 fs"
             )
-        super().__init__(name, parent, ctx, init=not posedge_first,
-                         check_writer=False)
+        super().__init__(name, parent, ctx, init=False, check_writer=False)
         self.period = period
-        self.duty_cycle = duty_cycle
-        self.start_time = start_time
-        self.posedge_first = posedge_first
         self._high_fs = high_fs
         self._low_fs = period.femtoseconds - high_fs
         #: the edge entry; set when armed (or by snapshot restore)
@@ -72,13 +48,11 @@ class Clock(Signal):
         if self._edge is not None:
             return
         ctx = self.ctx
-        when_fs = ctx._now_fs + self.start_time._fs
-        if not self.start_time:
-            # the first update phase applies an edge at the start instant
-            level = not self._current
-            self.write(level)
-            when_fs += self._high_fs if level else self._low_fs
-        self._edge = [when_fs, next(ctx._seq), KIND_CLOCK, self]
+        # the first update phase applies the rising edge at the start
+        # instant
+        self.write(True)
+        self._edge = [ctx._now_fs + self._high_fs, next(ctx._seq),
+                      KIND_CLOCK, self]
         heapq.heappush(ctx._timed_heap, self._edge)
 
     def _edge_due(self, entry: list) -> None:
@@ -128,12 +102,3 @@ class Clock(Signal):
             yield edge
             if signal.read() != idle:
                 return
-
-    def cycles(self, count: int) -> SimTime:
-        """Duration of ``count`` clock periods."""
-        return self.period * count
-
-    @property
-    def frequency_hz(self) -> float:
-        """Clock frequency in Hz."""
-        return 1.0 / self.period.to("sec")

@@ -11,9 +11,10 @@ Scheduling follows the IEEE 1666 evaluate/update/delta/timed cycle:
 
 1. **Evaluation** — run every runnable process.  Immediate event
    notifications make processes runnable within the same phase.
-2. **Update** — primitive channels that called :meth:`request_update`
-   perform their update (e.g. a signal copies its next value to its
-   current value), typically issuing delta notifications.
+2. **Update** — primitive channels that queued themselves during
+   evaluation (a signal write, a FIFO access) perform their update
+   (e.g. a signal copies its next value to its current value),
+   typically issuing delta notifications.
 3. **Delta notification** — pending delta notifications trigger their
    events, waking processes for the next delta cycle.  If any process
    became runnable, loop back to 1 without advancing time.
@@ -32,7 +33,6 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from repro.kernel.errors import ElaborationError, SimulationError
 from repro.kernel.event import (
-    ENTRY_KIND,
     ENTRY_WHEN_FS,
     Event,
     KIND_CANCELLED,
@@ -85,11 +85,10 @@ class SimContext:
     def __init__(
         self,
         name: str = "sim",
-        reporter: Optional[Reporter] = None,
         max_deltas_per_timestep: int = 100_000,
     ):
         self.name = name
-        self.reporter = reporter if reporter is not None else Reporter()
+        self.reporter = Reporter()
         self.max_deltas_per_timestep = max_deltas_per_timestep
 
         #: Canonical current time as integer femtoseconds; ``_now`` is the
@@ -103,7 +102,6 @@ class SimContext:
 
         self._runnable: deque = deque()
         self._update_queue: List = []
-        self._update_set: set = set()
         self._delta_events: List[Event] = []
         #: heap of ``[when_fs, seq, kind, payload]`` lists (see above)
         self._timed_heap: List[list] = []
@@ -168,10 +166,6 @@ class SimContext:
         if parent is None:
             self.top_objects.append(obj)
 
-    def find_object(self, full_name: str):
-        """Look up a simulation object by hierarchical name."""
-        return self.objects.get(full_name)
-
     # ------------------------------------------------------------------
     # process registration
     # ------------------------------------------------------------------
@@ -204,16 +198,6 @@ class SimContext:
         self.processes.append(proc)
         if sensitive:
             self._pending_sensitivity.append((proc, tuple(sensitive)))
-        return proc
-
-    def spawn(self, fn: Callable[[], Generator], name: str) -> ThreadProcess:
-        """Dynamically spawn a thread process during simulation."""
-        proc = ThreadProcess(self, name, fn)
-        self.processes.append(proc)
-        if not self.elaborated:
-            return proc
-        proc.state = ProcessState.READY
-        self._runnable.append(proc)
         return proc
 
     def unregister_process(self, proc: Process) -> None:
@@ -336,10 +320,6 @@ class SimContext:
     # scheduling services (used by Event, Process, channels)
     # ------------------------------------------------------------------
 
-    def schedule_delta_event(self, event: Event) -> None:
-        """Queue an event for the next delta cycle."""
-        self._delta_events.append(event)
-
     def _schedule_event_fs(self, event: Event, when_fs: int) -> list:
         """Schedule an event notification at absolute time ``when_fs``.
 
@@ -355,12 +335,6 @@ class SimContext:
         entry = [when_fs, next(self._seq), KIND_RESUME, process]
         heapq.heappush(self._timed_heap, entry)
         return entry
-
-    def request_update(self, channel) -> None:
-        """Queue ``channel._perform_update`` for the update phase."""
-        if id(channel) not in self._update_set:
-            self._update_set.add(id(channel))
-            self._update_queue.append(channel)
 
     # ------------------------------------------------------------------
     # instrumentation
@@ -537,7 +511,6 @@ class SimContext:
             if self._update_queue:
                 updates = self._update_queue
                 self._update_queue = []
-                self._update_set.clear()
                 if obs is not None:
                     obs.on_update_phase(len(updates), self._now_fs)
                 for channel in updates:
@@ -612,33 +585,15 @@ class SimContext:
     # diagnostics
     # ------------------------------------------------------------------
 
-    @property
-    def pending_activity(self) -> bool:
-        """True if any work (runnable, delta, or timed) remains."""
-        return bool(
-            self._runnable
-            or self._delta_events
-            or self._update_queue
-            or any(e[ENTRY_KIND] != KIND_CANCELLED for e in self._timed_heap)
-        )
-
-    def time_of_next_activity(self) -> Optional[SimTime]:
-        """Earliest pending timed notification, or None."""
-        live = [
-            e[ENTRY_WHEN_FS] for e in self._timed_heap
-            if e[ENTRY_KIND] != KIND_CANCELLED
-        ]
-        return SimTime._from_fs(min(live)) if live else None
-
     def blocked_processes(self) -> List[tuple]:
         """Every WAITING process with a description of its wait.
 
         Returns ``[(process, description), ...]`` where the description
         names the events (and therefore the owning channel/FIFO, whose
         full name each event carries) or the pending timeout the process
-        is suspended on.  This is what the starvation report and the
-        watchdog print, so "the sim just returned" becomes "rx is
-        blocked on top.fifo.data_written".
+        is suspended on.  This is what the watchdog prints and the
+        observers' ``on_run_starved`` hook receives, so "the sim just
+        returned" becomes "rx is blocked on top.fifo.data_written".
         """
         out = []
         for proc in self.processes:
@@ -652,10 +607,7 @@ class SimContext:
             names = ", ".join(ev.name for ev in proc.static_sensitivity)
             return f"static sensitivity [{names or 'empty'}]"
         parts = []
-        if proc._pending_all:
-            names = ", ".join(sorted(ev.name for ev in proc._pending_all))
-            parts.append(f"all of [{names}]")
-        elif proc._wait_events:
+        if proc._wait_events:
             names = ", ".join(ev.name for ev in proc._wait_events)
             parts.append(f"event [{names}]")
         handle = proc._timeout_handle
@@ -663,24 +615,6 @@ class SimContext:
             when = SimTime._from_fs(handle[ENTRY_WHEN_FS])
             parts.append(f"timeout at {when}")
         return " or ".join(parts) if parts else "nothing (suspended)"
-
-    def starvation_report(self) -> str:
-        """Multi-line report of every blocked process and its wait.
-
-        Meaningful after a run that ended ``"starved"`` (see
-        :attr:`last_run_outcome`) or from a watchdog: explains *why*
-        the simulation stopped making progress.
-        """
-        blocked = self.blocked_processes()
-        header = (
-            f"simulation {self.name!r} at {self._now} "
-            f"(outcome: {self.last_run_outcome or 'not run'}): "
-            f"{len(blocked)} blocked process(es)"
-        )
-        lines = [header]
-        for proc, desc in blocked:
-            lines.append(f"  - {proc.name} [{proc.kind}] waiting on {desc}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (

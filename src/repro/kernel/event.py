@@ -47,7 +47,7 @@ KIND_CLOCK = 3  # a clock's next edge; the clock re-arms the same entry
 def _resolve_ctx(owner) -> "SimContext":
     """Accept either a SimContext or any object exposing ``.ctx``."""
     ctx = getattr(owner, "ctx", owner)
-    if not hasattr(ctx, "schedule_delta_event"):
+    if not isinstance(ctx, _context.SimContext):
         raise TypeError(
             f"Event owner must be a SimContext or a simulation object, "
             f"got {type(owner).__name__}"
@@ -191,7 +191,7 @@ class Event:
             waiters = self._dynamic_waiters
             self._dynamic_waiters = []
             for process in waiters:
-                process._event_triggered(self)
+                process._wake(self)
         for process in self._static_waiters:
             # Wake only the processes actually suspended on their static
             # sensitivity list.
@@ -232,30 +232,6 @@ class Event:
         return f"Event({self.name!r})"
 
 
-class EventOrList:
-    """An or-combination of events: triggers when *any* member triggers."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, *events: Event):
-        if not events:
-            raise ValueError("EventOrList requires at least one event")
-        self.events = tuple(events)
-
-    def __or__(self, other: Event) -> "EventOrList":
-        return EventOrList(*self.events, other)
-
-
-class EventAndList:
-    """An and-combination of events: triggers once *all* members have
-    triggered (each at least once since the wait began)."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, *events: Event):
-        if not events:
-            raise ValueError("EventAndList requires at least one event")
-        self.events = tuple(events)
-
-    def __and__(self, other: Event) -> "EventAndList":
-        return EventAndList(*self.events, other)
+# Imported last: the context module imports this one, so the class is
+# looked up through the module at call time.
+from repro.kernel import context as _context  # noqa: E402

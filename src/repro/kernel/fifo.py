@@ -129,11 +129,6 @@ class Fifo(SimObject, Generic[T]):
         """Fires when items become readable."""
         return self._data_written
 
-    @property
-    def data_read_event(self) -> Event:
-        """Fires when space becomes writable."""
-        return self._data_read
-
     # -- checkpoint/restore protocol (see repro.snapshot) -------------------
 
     def __snapshot_events__(self):

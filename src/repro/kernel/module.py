@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
-from repro.kernel.event import Event
 from repro.kernel.object import SimObject
 from repro.kernel.process import MethodProcess, ThreadProcess
 
@@ -53,20 +52,3 @@ class Module(SimObject):
         return self.ctx.register_method(
             fn, pname, sensitive=sensitive, dont_initialize=dont_initialize
         )
-
-    # -- convenience --------------------------------------------------------
-
-    def event(self, name: str) -> Event:
-        """Create an event owned by this module."""
-        return Event(self, f"{self.full_name}.{name}")
-
-    def next_trigger(self, *args) -> None:
-        """From within a method process: override the next activation."""
-        proc = self.ctx.current_process
-        if not isinstance(proc, MethodProcess):
-            from repro.kernel.errors import ProcessError
-
-            raise ProcessError(
-                "next_trigger is only legal inside a method process"
-            )
-        proc.next_trigger(*args)

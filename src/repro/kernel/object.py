@@ -75,12 +75,5 @@ class SimObject:
             yield child
             yield from child.iter_descendants()
 
-    def find_child(self, local_name: str) -> Optional["SimObject"]:
-        """Direct child by local name, or None."""
-        for child in self.children:
-            if child.name == local_name:
-                return child
-        return None
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.full_name!r})"

@@ -1,14 +1,9 @@
-"""Ports and exports: typed connection points on modules.
+"""Ports: connection points on modules.
 
-A :class:`Port` requires an interface from *outside* the module; an
-:class:`Export` provides an interface implemented *inside* the module to
-the outside, exactly like ``sc_port`` / ``sc_export``.
-
-Binding targets:
-
-* a channel object implementing the required interface,
-* another port (hierarchical binding, child port → parent port),
-* an export (which forwards to its channel).
+A :class:`Port` requires an interface from *outside* the module, like
+``sc_port``.  It binds to a channel object implementing the required
+interface, or to another port (hierarchical binding, child port →
+parent port).
 
 Binding chains are resolved at elaboration by
 :meth:`Port.complete_binding`; unbound required ports raise
@@ -22,27 +17,6 @@ from typing import Optional, Type
 
 from repro.kernel.errors import BindingError
 from repro.kernel.object import SimObject
-
-
-class Export(SimObject):
-    """Exposes a channel implemented inside a module to the outside."""
-
-    def __init__(self, name, parent=None, ctx=None, channel=None):
-        super().__init__(name, parent, ctx)
-        self._channel = channel
-
-    def bind(self, channel) -> None:
-        """Attach the exported channel (once)."""
-        if self._channel is not None:
-            raise BindingError(f"export {self.full_name} is already bound")
-        self._channel = channel
-
-    @property
-    def channel(self):
-        """The exported channel; raises if unbound."""
-        if self._channel is None:
-            raise BindingError(f"export {self.full_name} is not bound")
-        return self._channel
 
 
 class Port(SimObject):
@@ -75,7 +49,7 @@ class Port(SimObject):
     # -- binding -------------------------------------------------------------
 
     def bind(self, target) -> "Port":
-        """Bind to a channel, another port, or an export.
+        """Bind to a channel or another port.
 
         Returns ``self`` so bindings chain fluently.
         """
@@ -105,8 +79,6 @@ class Port(SimObject):
                     )
                 seen.add(id(target))
                 target = target._bound_to
-            elif isinstance(target, Export):
-                target = target.channel
             else:
                 break
         if target is None:

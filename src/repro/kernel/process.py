@@ -14,35 +14,27 @@ The kernel supports the two SystemC process flavours:
   yielded value             meaning
   ========================  =============================================
   ``Event``                 wait for that event
-  ``EventOrList``           wait for any of the events
-  ``EventAndList``          wait for all of the events
   ``SimTime``               wait for the given duration
   ``(SimTime, events...)``  wait for events with a timeout
   ``None``                  wait on the static sensitivity list
   ========================  =============================================
 
-  The value sent back into the generator is the :class:`Event` that woke
-  the process, or ``None`` for a timeout or static-sensitivity wake-up.
+  ``wait(*events)`` waits for any of several events.  The value sent
+  back into the generator is the :class:`Event` that woke the process,
+  or ``None`` for a timeout or static-sensitivity wake-up.
 
 * **Method processes** (``SC_METHOD``) are plain callables invoked from
-  start to finish on every trigger of their sensitivity.  They must not
-  block; they may call :meth:`MethodProcess.next_trigger` to override
-  their sensitivity for the next activation only.
+  start to finish on every trigger of their static sensitivity.  They
+  must not block.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional, Tuple
 
 from repro.kernel.errors import ProcessError
-from repro.kernel.event import (
-    ENTRY_KIND,
-    Event,
-    EventAndList,
-    EventOrList,
-    KIND_CANCELLED,
-)
+from repro.kernel.event import ENTRY_KIND, Event, KIND_CANCELLED
 from repro.kernel.simtime import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,7 +50,6 @@ class ProcessState(enum.Enum):
 
 class WaitMode(enum.Enum):
     ANY = "any"        # wake on any listed event (or timeout)
-    ALL = "all"        # wake once all listed events have triggered
     TIMED = "timed"    # pure timeout
     STATIC = "static"  # wake on the static sensitivity list
 
@@ -71,7 +62,6 @@ _RUNNING = ProcessState.RUNNING
 _WAITING = ProcessState.WAITING
 _MODE_STATIC = WaitMode.STATIC
 _MODE_TIMED = WaitMode.TIMED
-_MODE_ALL = WaitMode.ALL
 
 
 class WaitCondition:
@@ -116,29 +106,21 @@ class WaitCondition:
             return cond
         if isinstance(yielded, WaitCondition):
             return yielded
-        if isinstance(yielded, EventOrList):
-            return cls(WaitMode.ANY, yielded.events)
-        if isinstance(yielded, EventAndList):
-            return cls(WaitMode.ALL, yielded.events)
         converter = getattr(yielded, "as_wait_condition", None)
         if converter is not None:
             # Duck-typed hook: annotation objects (e.g. the eSW
             # ``ExecuteFor`` marker) define their plain-kernel meaning.
             return cls.normalize(converter())
         if isinstance(yielded, tuple) and yielded and isinstance(yielded[0], SimTime):
-            events: list = []
-            for item in yielded[1:]:
-                if isinstance(item, Event):
-                    events.append(item)
-                elif isinstance(item, EventOrList):
-                    events.extend(item.events)
-                else:
+            events = yielded[1:]
+            for item in events:
+                if not isinstance(item, Event):
                     raise ProcessError(
                         f"invalid member in timed wait tuple: {item!r}"
                     )
             if not events:
                 return cls(WaitMode.TIMED, timeout=yielded[0])
-            return cls(WaitMode.ANY, tuple(events), timeout=yielded[0])
+            return cls(WaitMode.ANY, events, timeout=yielded[0])
         raise ProcessError(
             f"process yielded an invalid wait condition: {yielded!r}"
         )
@@ -161,15 +143,10 @@ def wait(*args) -> WaitCondition:
         return WaitCondition.normalize(args[0])
     if isinstance(args[0], SimTime):
         return WaitCondition.normalize(tuple(args))
-    events: list = []
     for item in args:
-        if isinstance(item, Event):
-            events.append(item)
-        elif isinstance(item, EventOrList):
-            events.extend(item.events)
-        else:
+        if not isinstance(item, Event):
             raise ProcessError(f"invalid wait argument: {item!r}")
-    return WaitCondition(WaitMode.ANY, tuple(events))
+    return WaitCondition(WaitMode.ANY, args)
 
 
 class Process:
@@ -184,7 +161,6 @@ class Process:
         "_wake_value",
         "_timeout_handle",
         "_waiting_static",
-        "_pending_all",
         "_wait_events",
         "exception",
     )
@@ -202,7 +178,6 @@ class Process:
         self._wake_value: Optional[Event] = None
         self._timeout_handle = None
         self._waiting_static = False
-        self._pending_all: Set[Event] = set()
         self._wait_events: Tuple[Event, ...] = ()
         self.exception: Optional[BaseException] = None
 
@@ -221,8 +196,6 @@ class Process:
             for ev in self._wait_events:
                 ev._remove_dynamic(self)
             self._wait_events = ()
-        if self._pending_all:
-            self._pending_all.clear()
         self._waiting_static = False
         if self._timeout_handle is not None:
             self._timeout_handle[ENTRY_KIND] = KIND_CANCELLED
@@ -241,8 +214,6 @@ class Process:
                 if ev is not wake_value:
                     ev._remove_dynamic(self)
             self._wait_events = ()
-        if self._pending_all:
-            self._pending_all.clear()
         self._waiting_static = False
         handle = self._timeout_handle
         if handle is not None:
@@ -251,14 +222,6 @@ class Process:
         self._wake_value = wake_value
         self.state = _READY
         self.ctx._runnable.append(self)
-
-    def _event_triggered(self, event: Event) -> None:
-        """Called by an event this process dynamically waits on."""
-        if self._pending_all:
-            self._pending_all.discard(event)
-            if self._pending_all:
-                return  # still waiting for the rest of the and-list
-        self._wake(event)
 
     def _timeout_fired(self) -> None:
         self._wake(None)
@@ -290,13 +253,11 @@ class Process:
                 self, ctx._now_fs + cond.timeout._fs
             )
             return
-        # ANY / ALL over events, possibly with a timeout.
+        # any of the events, possibly with a timeout
         events = cond.events
         self._wait_events = events
         for ev in events:
             ev._dynamic_waiters.append(self)
-        if mode is _MODE_ALL:
-            self._pending_all = set(events)
         if cond.timeout is not None:
             self._timeout_handle = ctx._schedule_resume_fs(
                 self, ctx._now_fs + cond.timeout._fs
@@ -374,7 +335,7 @@ class ThreadProcess(Process):
 class MethodProcess(Process):
     """A run-to-completion callback process."""
 
-    __slots__ = ("_fn", "dont_initialize", "_next_trigger_override")
+    __slots__ = ("_fn", "dont_initialize")
 
     kind = "method"
 
@@ -388,22 +349,10 @@ class MethodProcess(Process):
         super().__init__(ctx, name)
         self._fn = fn
         self.dont_initialize = dont_initialize
-        self._next_trigger_override: Optional[WaitCondition] = None
-
-    def next_trigger(self, *args) -> None:
-        """Override the sensitivity for the next activation only.
-
-        With no arguments, restores the static sensitivity.
-        """
-        if not args:
-            self._next_trigger_override = WaitCondition(WaitMode.STATIC)
-        else:
-            self._next_trigger_override = wait(*args)
 
     def _dispatch(self) -> None:
         self.state = _RUNNING
         self._wake_value = None
-        self._next_trigger_override = None
         try:
             result = self._fn()
             if result is not None and hasattr(result, "send"):
@@ -416,8 +365,7 @@ class MethodProcess(Process):
             self._terminate()
             self.ctx._process_failed(self, exc)
             return
-        cond = self._next_trigger_override or _STATIC_WAIT
-        self._apply_wait(cond)
+        self._apply_wait(_STATIC_WAIT)
 
 
 def sensitivity_events(sources: Iterable) -> list:

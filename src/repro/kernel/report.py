@@ -2,17 +2,15 @@
 
 Models and kernel internals report through a :class:`Reporter` rather than
 printing directly.  That keeps simulation output machine-checkable in
-tests (a test can assert that a warning was or was not issued) and lets a
-user silence or escalate message categories, exactly as SystemC's
-``sc_report_handler`` does.
+tests: a test can assert that a warning was or was not issued.
 """
 
 from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, TextIO
+from dataclasses import dataclass
+from typing import List, Optional
 
 
 class Severity(enum.IntEnum):
@@ -43,32 +41,11 @@ class Report:
         )
 
 
-class ReportedError(Exception):
-    """Raised when a report at or above the abort threshold is issued."""
-
-    def __init__(self, report: Report):
-        super().__init__(report.format())
-        self.report = report
-
-
-@dataclass
 class Reporter:
-    """Collects reports, optionally echoing them to a stream.
+    """Collects reports and echoes warnings and errors to ``sys.stderr``."""
 
-    Parameters
-    ----------
-    echo_stream:
-        Stream to echo formatted reports to; ``None`` silences echo.
-        Defaults to ``sys.stderr`` for warnings and above only.
-    abort_severity:
-        Reports at or above this severity raise :class:`ReportedError`.
-    """
-
-    echo_stream: Optional[TextIO] = None
-    echo_threshold: Severity = Severity.WARNING
-    abort_severity: Severity = Severity.FATAL
-    reports: List[Report] = field(default_factory=list)
-    handlers: List[Callable[[Report], None]] = field(default_factory=list)
+    def __init__(self):
+        self.reports: List[Report] = []
 
     def report(
         self,
@@ -81,22 +58,9 @@ class Reporter:
         """Issue a report; returns the stored :class:`Report`."""
         rpt = Report(severity, message_type, message, time_str, object_name)
         self.reports.append(rpt)
-        for handler in self.handlers:
-            handler(rpt)
-        stream = self.echo_stream
-        if stream is None and severity >= self.echo_threshold:
-            stream = sys.stderr
-        if stream is not None and severity >= self.echo_threshold:
-            print(rpt.format(), file=stream)
-        if severity >= self.abort_severity:
-            raise ReportedError(rpt)
+        if severity >= Severity.WARNING:
+            print(rpt.format(), file=sys.stderr)
         return rpt
-
-    # Convenience wrappers -------------------------------------------------
-
-    def info(self, message_type: str, message: str, **kw) -> Report:
-        """Issue an INFO report."""
-        return self.report(Severity.INFO, message_type, message, **kw)
 
     def warning(self, message_type: str, message: str, **kw) -> Report:
         """Issue a WARNING report."""
@@ -105,17 +69,3 @@ class Reporter:
     def error(self, message_type: str, message: str, **kw) -> Report:
         """Issue an ERROR report."""
         return self.report(Severity.ERROR, message_type, message, **kw)
-
-    def fatal(self, message_type: str, message: str, **kw) -> Report:
-        """Issue a FATAL report (raises by default)."""
-        return self.report(Severity.FATAL, message_type, message, **kw)
-
-    # Query helpers --------------------------------------------------------
-
-    def count(self, severity: Severity) -> int:
-        """Number of reports issued at exactly ``severity``."""
-        return sum(1 for r in self.reports if r.severity == severity)
-
-    def messages_of_type(self, message_type: str) -> List[Report]:
-        """All reports with the given message type."""
-        return [r for r in self.reports if r.message_type == message_type]

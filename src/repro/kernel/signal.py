@@ -52,11 +52,6 @@ class Signal(SimObject, Generic[T]):
         """Current value (stable within a delta cycle)."""
         return self._current
 
-    @property
-    def value(self) -> T:
-        """Current value (property form of ``read``)."""
-        return self._current
-
     def write(self, value: T) -> None:
         """Schedule ``value`` to become current in the update phase."""
         if self._check_writer:

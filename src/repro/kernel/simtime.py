@@ -54,7 +54,7 @@ class SimTime:
     """An exact, immutable point in (or duration of) simulated time.
 
     ``SimTime`` supports addition and subtraction with other ``SimTime``
-    values, multiplication by integers, and true/floor division.  All
+    values, multiplication by integers, and floor division.  All
     comparisons are exact.
 
     Instances are ordinarily created through the unit helpers
@@ -165,20 +165,6 @@ class SimTime:
         if isinstance(other, int):
             return SimTime._from_fs(self._fs // other)
         return NotImplemented
-
-    def __mod__(self, other: "SimTime") -> "SimTime":
-        if not isinstance(other, SimTime):
-            return NotImplemented
-        if other._fs == 0:
-            raise ZeroDivisionError("modulo by zero time")
-        return SimTime._from_fs(self._fs % other._fs)
-
-    def __truediv__(self, other: "SimTime") -> float:
-        if not isinstance(other, SimTime):
-            return NotImplemented
-        if other._fs == 0:
-            raise ZeroDivisionError("division by zero time")
-        return self._fs / other._fs
 
     # -- comparison / hashing -------------------------------------------
 

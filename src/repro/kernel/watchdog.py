@@ -3,8 +3,8 @@
 A discrete-event simulation "hangs" in two distinct ways:
 
 * **Global starvation** — nothing is runnable and no notification is
-  pending.  ``run`` returns; :meth:`SimContext.starvation_report`
-  explains which processes are still blocked.
+  pending.  ``run`` returns; :meth:`SimContext.blocked_processes`
+  names the processes still blocked and what each waits on.
 * **Livelocked progress** — simulated time keeps advancing (a clock, a
   poll loop) but the interesting work is stuck: a master waits forever
   on a slave that never responds.  The run only ends at its horizon,

@@ -39,15 +39,6 @@ class AbstractionLevel(enum.IntEnum):
     COMM_ARCHITECTURE = 2
     PIN_ACCURATE = 3
 
-    @property
-    def is_timed(self) -> bool:
-        """True for every level below component-assembly."""
-        return self is not AbstractionLevel.COMPONENT_ASSEMBLY
-
-    def refines_to(self, other: "AbstractionLevel") -> bool:
-        """True if ``other`` is a legal next step in the flow."""
-        return other > self
-
 
 class ProcessingElement(Module):
     """A PE whose external communication goes exclusively through SHIP.

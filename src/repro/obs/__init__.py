@@ -30,7 +30,6 @@ from repro.obs.hooks import ObserverGroup, SimObserver
 from repro.obs.instruments import watch_fifo
 from repro.obs.metrics import (
     Counter,
-    EstimateSummary,
     Gauge,
     HistogramMetric,
     MetricsRegistry,
@@ -41,7 +40,6 @@ from repro.obs.trace_events import TraceEventCollector
 
 __all__ = [
     "Counter",
-    "EstimateSummary",
     "Gauge",
     "HistogramMetric",
     "MetricsRegistry",

@@ -200,49 +200,6 @@ class TimeWeightedGauge:
         return f"TimeWeightedGauge({self.name!r}, {self.value})"
 
 
-class EstimateSummary:
-    """The latest confidence-interval estimate published for a metric.
-
-    The sweep-side statistics layer (:mod:`repro.stats`) publishes a
-    :class:`~repro.stats.MetricEstimate` here after each replicated
-    run, so observability snapshots carry mean-plus-CI figures instead
-    of bare point values.  The instrument stores the estimate's
-    JSON-able dict (duck-typed via ``to_dict()``), keeping ``repro.obs``
-    free of any upward import.
-    """
-
-    __slots__ = ("name", "count", "_estimate")
-
-    kind = "estimate"
-
-    def __init__(self, name: str):
-        self.name = name
-        #: how many estimates were recorded over this instrument's life
-        self.count = 0
-        self._estimate: Optional[dict] = None
-
-    def record(self, estimate) -> None:
-        """Publish ``estimate`` (anything exposing ``to_dict()``)."""
-        self._estimate = estimate.to_dict()
-        self.count += 1
-
-    @property
-    def estimate(self) -> Optional[dict]:
-        """The most recent estimate's dict, or None before any record."""
-        return self._estimate
-
-    def snapshot(self, now_fs: Optional[int] = None) -> dict:
-        """JSON-able state of this instrument."""
-        return {
-            "type": self.kind,
-            "count": self.count,
-            "estimate": self._estimate,
-        }
-
-    def __repr__(self) -> str:
-        return f"EstimateSummary({self.name!r}, n={self.count})"
-
-
 class MetricsRegistry:
     """A flat, get-or-create namespace of named instruments."""
 
@@ -276,10 +233,6 @@ class MetricsRegistry:
     def time_weighted(self, name: str) -> TimeWeightedGauge:
         """Get or create the :class:`TimeWeightedGauge` called ``name``."""
         return self._get_or_create(name, TimeWeightedGauge)
-
-    def estimate(self, name: str) -> EstimateSummary:
-        """Get or create the :class:`EstimateSummary` called ``name``."""
-        return self._get_or_create(name, EstimateSummary)
 
     def get(self, name: str):
         """The instrument called ``name``, or None."""

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.trace_events import TraceEventCollector
@@ -47,23 +46,12 @@ class SpanRecorder:
     A span is ``{"name", "track", "t0", "t1", "args"}`` with ``t0`` /
     ``t1`` in :func:`time.time` seconds — the one clock comparable
     across processes, which is what lets worker-side spans stitch onto
-    the orchestrator's timeline.  ``clock`` is injectable for
-    deterministic tests.
+    the orchestrator's timeline.
     """
 
-    def __init__(self, clock: Callable[[], float] = time.time):
-        self._clock = clock
+    def __init__(self):
         #: recorded spans, in completion order
         self.spans: List[dict] = []
-
-    @contextmanager
-    def span(self, name: str, track: str = "engine", **args):
-        """Context manager recording one span around its body."""
-        t0 = self._clock()
-        try:
-            yield
-        finally:
-            self.add(name, t0, self._clock(), track=track, **args)
 
     def add(self, name: str, t0: float, t1: float,
             track: str = "engine", **args) -> None:
@@ -72,11 +60,6 @@ class SpanRecorder:
             "name": name, "track": track,
             "t0": t0, "t1": t1, "args": args,
         })
-
-    def total(self, name: str) -> float:
-        """Summed duration (seconds) of every span called ``name``."""
-        return sum(s["t1"] - s["t0"] for s in self.spans
-                   if s["name"] == name)
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -104,7 +87,7 @@ class SweepTelemetry:
         self.trace_path = trace_path
         #: orchestrator-side spans (engine run / cache / dispatch /
         #: batch / respawn)
-        self.spans = SpanRecorder(clock)
+        self.spans = SpanRecorder()
         #: worker telemetry blobs, in absorption order
         self.worker_blobs: List[dict] = []
         self._runs = 0

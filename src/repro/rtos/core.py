@@ -15,8 +15,7 @@ which is exactly the granularity at which a real RTOS can preempt
 compute-bound C code (timer/interrupt boundaries).
 
 Priorities: **lower number = higher priority** (VxWorks/embedded Linux
-RT convention).  Equal priorities run FIFO, with optional round-robin
-time slicing.
+RT convention).  Equal priorities run FIFO.
 """
 
 from __future__ import annotations
@@ -73,16 +72,12 @@ class Rtos(Module):
     ----------
     context_switch:
         CPU time charged on every dispatch of a different task.
-    time_slice:
-        Optional round-robin quantum for equal-priority tasks.
     """
 
     def __init__(self, name, parent=None, ctx=None,
-                 context_switch: SimTime = ZERO_TIME,
-                 time_slice: Optional[SimTime] = None):
+                 context_switch: SimTime = ZERO_TIME):
         super().__init__(name, parent, ctx)
         self.context_switch = context_switch
-        self.time_slice = time_slice
         self.tasks: List[Task] = []
         self._ready: List[Task] = []
         self.current: Optional[Task] = None
@@ -200,27 +195,15 @@ class Rtos(Module):
                 task.preemptions += 1
                 yield from self._yield_cpu(task)
                 continue
-            slice_bound = remaining
-            if self.time_slice is not None and self.time_slice < slice_bound:
-                slice_bound = self.time_slice
             start = self.ctx.now
-            woke = yield kwait(slice_bound, task._preempt_event)
+            woke = yield kwait(remaining, task._preempt_event)
             elapsed = self.ctx.now - start
-            if elapsed > remaining:
-                elapsed = remaining
             task.cpu_time += elapsed
             remaining = remaining - elapsed
             if woke is not None:
                 # Preempted by a higher-priority task.
                 task.preemptions += 1
                 yield from self._yield_cpu(task)
-            elif (remaining > ZERO_TIME and self.time_slice is not None
-                  and self._equal_priority_ready(task)):
-                # Round-robin rotation at the slice boundary.
-                yield from self._yield_cpu(task)
-
-    def _equal_priority_ready(self, task: Task) -> bool:
-        return any(t.priority == task.priority for t in self._ready)
 
     def _yield_cpu(self, task: Task) -> Generator:
         """Go back to ready and wait to be dispatched again."""
@@ -245,7 +228,7 @@ class Rtos(Module):
         """Block the current task on any kernel wait condition.
 
         ``condition`` is anything a kernel thread may yield: an event,
-        an event or/and-list, a duration, or a ``wait(...)`` descriptor.
+        a duration, or a ``wait(...)`` descriptor.
         The CPU is released while blocked.  Returns the event that woke
         the task (``None`` for timeouts), like a raw kernel wait.
         """

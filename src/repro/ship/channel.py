@@ -67,10 +67,6 @@ class ShipTiming:
     base_latency: SimTime = ZERO_TIME
     per_byte: SimTime = ZERO_TIME
 
-    def transfer_time(self, nbytes: int) -> SimTime:
-        """Transfer duration for a payload of ``nbytes``."""
-        return SimTime._from_fs(self.transfer_time_fs(nbytes))
-
     def transfer_time_fs(self, nbytes: int) -> int:
         """Transfer duration as integer femtoseconds (hot-path form:
         the untimed common case costs two int reads and no allocation)."""
@@ -320,6 +316,9 @@ class ShipChannel(SimObject):
 
     def _transmit(self, end, obj, kind, txn_id) -> Generator:
         self._note_call(end, kind)
+        # a recorded transfer begins when the call does: its latency
+        # includes the wire time and any wait for queue space
+        sent_at = self.ctx.now
         if self.zero_copy:
             data, payload_obj = None, obj
             nbytes = self._wire_size(obj)
@@ -348,7 +347,7 @@ class ShipChannel(SimObject):
         while len(queue) >= self.capacity:
             yield self._space_events[end]
         queue.append(
-            _Message(kind, data, payload_obj, txn_id, nbytes, self.ctx.now)
+            _Message(kind, data, payload_obj, txn_id, nbytes, sent_at)
         )
         ep.bytes_sent += nbytes
         ep.messages_sent += 1
@@ -436,13 +435,6 @@ class ShipChannel(SimObject):
     def detected_roles(self) -> Dict[ShipEnd, Role]:
         """Role per endpoint from observed calls."""
         return {end: self.detected_role(end) for end in ShipEnd}
-
-    def master_end(self) -> Optional[ShipEnd]:
-        """The endpoint detected as master, if determined."""
-        for end in ShipEnd:
-            if self.detected_role(end) is Role.MASTER:
-                return end
-        return None
 
     def roles_consistent(self) -> bool:
         """True when endpoint roles can coexist."""

@@ -18,9 +18,9 @@ What gets captured
   edge, kind ``"clock"``), never object references;
 * event trigger state — ``trigger_count`` / ``last_trigger_delta`` and
   the exact order of each event's dynamic waiter list;
-* per-process wait records — static / any-of / all-of / timed shape,
-  event names in registration order, remaining all-of subset, and the
-  pending timeout's heap coordinates;
+* per-process wait records — static / any-of / timed shape, event
+  names in registration order, and the pending timeout's heap
+  coordinates;
 * per-object state — whatever each kernel object returns from
   ``__snapshot__()`` (JSON-able), keyed by hierarchical name;
 * extras — caller-supplied non-SimObject state holders (fault plans,
@@ -168,8 +168,8 @@ def _wait_record(
     if proc._waiting_static:
         mode = "static"
         events: List[str] = []
-        pending: List[str] = []
     elif proc._wait_events:
+        mode = "any"
         events = []
         for event in proc._wait_events:
             name = event_names.get(id(event))
@@ -182,22 +182,12 @@ def _wait_record(
                     "boundary)"
                 )
             events.append(name)
-        pending_set = proc._pending_all
-        if pending_set:
-            mode = "all"
-            pending = [n for e, n in zip(proc._wait_events, events)
-                       if e in pending_set]
-        else:
-            mode = "any"
-            pending = []
     elif timeout is not None:
         mode = "timed"
         events = []
-        pending = []
     else:
         raise SnapshotError(f"process {proc.name} is waiting on nothing")
-    return {"mode": mode, "events": events, "pending": pending,
-            "timeout": timeout}
+    return {"mode": mode, "events": events, "timeout": timeout}
 
 
 def capture_state(
@@ -319,8 +309,7 @@ def _fresh_wait_shape(
                 f"re-primed wait references unregistered event {event.name!r}"
             )
         names.append(name)
-    mode = "all" if cond.mode is WaitMode.ALL else "any"
-    return (mode, frozenset(names), cond.timeout is not None)
+    return ("any", frozenset(names), cond.timeout is not None)
 
 
 def _snapshot_wait_shape(wait: Dict[str, Any]) -> Tuple[str, frozenset, bool]:
@@ -466,10 +455,7 @@ def restore_state(
             f"snapshot processes missing from restore target: {sorted(missing)}"
         )
 
-    # Dynamic waiter lists are rebuilt wholesale, in captured order —
-    # this also covers partially satisfied all-of waits, where a process
-    # waits on an event set but is only registered with the untriggered
-    # members.
+    # Dynamic waiter lists are rebuilt wholesale, in captured order.
     for name, record in snapshot["events"].items():
         waiters = record.get("waiters")
         if not waiters:
@@ -527,11 +513,8 @@ def _adopt_wait(
     mode = wait["mode"]
     if mode == "static":
         proc._waiting_static = True
-    elif mode in ("any", "all"):
-        events = tuple(registry[name] for name in wait["events"])
-        proc._wait_events = events
-        if mode == "all":
-            proc._pending_all = {registry[name] for name in wait["pending"]}
+    elif mode == "any":
+        proc._wait_events = tuple(registry[name] for name in wait["events"])
     elif mode != "timed":
         raise SnapshotError(f"unknown wait mode {mode!r}")
 

@@ -23,7 +23,6 @@ RNGs, "common" random numbers silently stop being common.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.stats.estimate import (
     DEFAULT_CONFIDENCE,
@@ -32,7 +31,7 @@ from repro.stats.estimate import (
 )
 from repro.stats.replicate import ReplicatedRunner, ReplicationPolicy
 from repro.stats.seeds import crn_pair_base
-from repro.sweep.engine import OBJECTIVES, SweepEngine
+from repro.sweep.engine import SweepEngine
 from repro.sweep.points import SweepPoint
 
 
@@ -58,38 +57,6 @@ class PairedComparison:
         """True when the difference CI excludes zero."""
         return not self.difference.covers(0.0)
 
-    @property
-    def better(self) -> Optional[str]:
-        """Name of the significantly better config, or None.
-
-        "Better" follows the objective's direction (lower latency
-        wins, higher throughput wins); an interval straddling zero
-        means the comparison is not yet resolved at this confidence.
-        """
-        if not self.significant:
-            return None
-        _, higher_better = OBJECTIVES[self.objective]
-        a_wins = (self.difference.mean > 0.0) == higher_better
-        winner = self.point_a if a_wins else self.point_b
-        return winner.config.name
-
-    def row(self) -> dict:
-        """Deterministic report row (simulation-derived fields only)."""
-        return {
-            "config_a": self.point_a.config.name,
-            "config_b": self.point_b.config.name,
-            "objective": self.objective,
-            "crn": self.crn,
-            "mean_a": self.estimate_a.mean,
-            "mean_b": self.estimate_b.mean,
-            "difference": self.difference.mean,
-            "difference_half_width": self.difference.half_width,
-            "difference_stddev": self.difference.stddev,
-            "replicates": self.difference.n,
-            "significant": self.significant,
-            "better": self.better,
-        }
-
 
 def paired_compare(
     engine: SweepEngine,
@@ -99,7 +66,6 @@ def paired_compare(
     replicates: int = 8,
     confidence: float = DEFAULT_CONFIDENCE,
     crn: bool = True,
-    metrics=None,
 ) -> PairedComparison:
     """Compare two design points replicate-by-replicate.
 
@@ -120,7 +86,6 @@ def paired_compare(
         engine,
         policy=ReplicationPolicy(r_min=replicates, r_max=replicates,
                                  confidence=confidence),
-        metrics=metrics,
     )
     bases = None
     if crn:
@@ -137,9 +102,6 @@ def paired_compare(
         differences, confidence=confidence, method=method,
         diagnostics={"replicates": len(differences)},
     )
-    if metrics is not None:
-        metrics.estimate(f"stats.difference.{objective}").record(
-            difference)
     return PairedComparison(
         point_a=point_a, point_b=point_b, objective=objective,
         estimate_a=outcome_a.estimate, estimate_b=outcome_b.estimate,

@@ -177,31 +177,6 @@ class MetricEstimate:
         """True when the relative half-width is within ``ci_target``."""
         return self.relative_half_width <= ci_target
 
-    def to_dict(self) -> dict:
-        """Canonical JSON-able dict of the estimate."""
-        return {
-            "mean": self.mean,
-            "half_width": self.half_width,
-            "confidence": self.confidence,
-            "n": self.n,
-            "stddev": self.stddev,
-            "method": self.method,
-            "diagnostics": dict(self.diagnostics),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricEstimate":
-        """Rebuild an estimate from :meth:`to_dict` output."""
-        return cls(
-            mean=data["mean"],
-            half_width=data["half_width"],
-            confidence=data["confidence"],
-            n=data["n"],
-            stddev=data["stddev"],
-            method=data["method"],
-            diagnostics=dict(data.get("diagnostics", {})),
-        )
-
     def __repr__(self) -> str:
         return (
             f"MetricEstimate({self.mean:.4g} ± {self.half_width:.4g} "

@@ -189,18 +189,12 @@ class ReplicatedRunner:
     sweep replays them for free).  Replicate points differ from the
     base point only in their derived seed and in ``rng_streams=True``
     (the substream discipline CRN comparisons need).
-
-    Metrics (optional :class:`repro.obs.MetricsRegistry`) appear under
-    ``stats.*``: replicate counts, early-stop outcomes, and the latest
-    pooled estimate per objective.
     """
 
     def __init__(self, engine: SweepEngine,
-                 policy: Optional[ReplicationPolicy] = None,
-                 metrics=None):
+                 policy: Optional[ReplicationPolicy] = None):
         self.engine = engine
         self.policy = policy if policy is not None else ReplicationPolicy()
-        self.metrics = metrics
         #: replicate simulations requested by the most recent :meth:`run`
         self.last_replicates = 0
         #: rounds (engine.run calls) of the most recent :meth:`run`
@@ -297,7 +291,6 @@ class ReplicatedRunner:
                 point=point, key=base_keys[i], objective=objective,
                 outcomes=reps[i], estimate=estimate, met_target=met,
             ))
-        self._publish(results, objective)
         return results
 
     def _pooled(self, outcomes: List[SweepOutcome],
@@ -320,28 +313,6 @@ class ReplicatedRunner:
             diagnostics={"replicates": len(values),
                          "quarantined": quarantined},
         )
-
-    def _publish(self, results: List[ReplicatedOutcome],
-                 objective: str) -> None:
-        """Publish run statistics into the attached metrics registry."""
-        if self.metrics is None:
-            return
-        self.metrics.counter("stats.points_total").inc(len(results))
-        self.metrics.counter("stats.replicates_total").inc(
-            self.last_replicates)
-        self.metrics.counter("stats.points_met_target").inc(
-            sum(1 for r in results if r.met_target))
-        if not self.policy.fixed:
-            self.metrics.counter("stats.points_capped").inc(
-                sum(1 for r in results if not r.met_target))
-        quarantined = sum(r.quarantined for r in results)
-        if quarantined:
-            self.metrics.counter("stats.replicates_quarantined").inc(
-                quarantined)
-        summary = self.metrics.estimate(f"stats.estimate.{objective}")
-        for outcome in results:
-            if outcome.successes:
-                summary.record(outcome.estimate)
 
     def __repr__(self) -> str:
         return (

@@ -182,7 +182,6 @@ class SweepEngine:
 
     def __init__(self, workers=None,
                  store: Optional[SweepStore] = None,
-                 metrics=None,
                  telemetry=None,
                  recovery: Optional[RecoveryPolicy] = None,
                  deadline_s: Optional[float] = None,
@@ -190,7 +189,6 @@ class SweepEngine:
                  warm_start: bool = False):
         self.workers = resolve_workers(workers)
         self.store = store
-        self.metrics = metrics
         #: how this engine survives crashes/hangs/poison points; a
         #: ``deadline_s`` argument overrides the policy's deadline
         #: (convenience for ``--max-point-seconds``)
@@ -363,15 +361,12 @@ class SweepEngine:
             telemetry.cache_resolved(
                 cached=sum(1 for o in outcomes if o is not None),
                 pending=len(pending_keys), t0=cache_t0)
-        pool_was_warm = self._pool is not None and self._pool.started
         result_dicts = self._simulate(payloads, pending_keys, telemetry)
 
-        fresh_quarantined = 0
         for key, result_dict in zip(pending_keys, result_dicts):
             failure = result_dict.get("__sweep_error__")
             if failure is not None:
                 record = quarantine_record(failure)
-                fresh_quarantined += 1
                 if self.store is not None:
                     self.store.put_failure(key, record)
                 for i in pending[key]:
@@ -404,24 +399,6 @@ class SweepEngine:
             for name, count in recovery_summary.items():
                 self.session_recovery[name] = (
                     self.session_recovery.get(name, 0) + count)
-        if self.metrics is not None:
-            self.metrics.counter("sweep.points_total").inc(len(outcomes))
-            self.metrics.counter("sweep.points_cached").inc(
-                self.last_cached)
-            self.metrics.counter("sweep.points_computed").inc(
-                self.last_computed)
-            self.metrics.counter("sweep.batches").inc(self.last_batches)
-            if self.last_batches and pool_was_warm:
-                self.metrics.counter("sweep.pool_reuses").inc()
-            self.metrics.gauge("sweep.workers").set(self.workers)
-            if recovery_summary is not None:
-                respawns = recovery_summary.get("worker_respawns", 0)
-                if respawns:
-                    self.metrics.counter("sweep.recoveries").inc(
-                        respawns)
-            if fresh_quarantined:
-                self.metrics.counter("sweep.quarantined").inc(
-                    fresh_quarantined)
         if telemetry is not None:
             telemetry.end_run()
         return outcomes
@@ -570,8 +547,6 @@ class SweepEngine:
         pool = "cold" if self._pool is None else repr(self._pool)
         return (
             f"SweepEngine(workers={self.workers}, pool={pool}, "
-            f"store={self.store!r}, metrics="
-            f"{'attached' if self.metrics is not None else 'None'}, "
-            f"telemetry="
+            f"store={self.store!r}, telemetry="
             f"{'attached' if self.telemetry is not None else 'None'})"
         )

@@ -30,7 +30,7 @@ from repro.explore.workload import MasterTrafficSpec
 #: whenever a change to the kernel, the CAM models, or the traffic
 #: generator alters simulated results — every previously cached sweep
 #: result is then invalidated at once instead of silently served stale.
-CODE_VERSION = "sweep-1"
+CODE_VERSION = "sweep-2"
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,7 @@ class GridSearch:
         # two packages avoid a module-level import cycle).
         from repro.stats.replicate import ReplicatedRunner, ranked_replicated
 
-        runner = ReplicatedRunner(engine, policy=replication,
-                                  metrics=engine.metrics)
+        runner = ReplicatedRunner(engine, policy=replication)
         return ranked_replicated(
             runner.run(self.points, objective=objective, rerun=rerun),
             objective)

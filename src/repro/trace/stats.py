@@ -72,26 +72,6 @@ class OnlineStats:
             return 0.0
         return self.sample_stddev / math.sqrt(self.count)
 
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Combine two statistics (Chan's parallel algorithm)."""
-        merged = OnlineStats()
-        n = self.count + other.count
-        if n == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged.count = n
-        merged.total = self.total + other.total
-        merged._mean = self._mean + delta * other.count / n
-        merged._m2 = (
-            self._m2 + other._m2
-            + delta * delta * self.count * other.count / n
-        )
-        mins = [m for m in (self.minimum, other.minimum) if m is not None]
-        maxs = [m for m in (self.maximum, other.maximum) if m is not None]
-        merged.minimum = min(mins) if mins else None
-        merged.maximum = max(maxs) if maxs else None
-        return merged
-
     def __snapshot__(self) -> dict:
         return {
             "count": self.count,
@@ -142,11 +122,6 @@ class TimeStats:
     def mean_ns(self) -> float:
         """Mean duration in nanoseconds."""
         return self._stats.mean
-
-    @property
-    def min_ns(self) -> float:
-        """Minimum duration in nanoseconds."""
-        return self._stats.minimum or 0.0
 
     @property
     def max_ns(self) -> float:

@@ -53,15 +53,15 @@ class _TracedVar:
         self.label = label
 
 
-class VcdTracer:
-    """Writes signal changes to a VCD file (or any text stream)."""
+#: Femtoseconds per VCD tick: the header declares ``$timescale 1ps``.
+_FS_PER_TICK = 1000
 
-    def __init__(
-        self,
-        target: Union[str, TextIO],
-        ctx: SimContext,
-        timescale: str = "1ps",
-    ):
+
+class VcdTracer:
+    """Writes signal changes, in picoseconds, to a VCD file (or any
+    text stream)."""
+
+    def __init__(self, target: Union[str, TextIO], ctx: SimContext):
         if isinstance(target, str):
             self._stream: TextIO = open(target, "w", encoding="ascii")
             self._owns_stream = True
@@ -69,21 +69,10 @@ class VcdTracer:
             self._stream = target
             self._owns_stream = False
         self.ctx = ctx
-        self.timescale = timescale
         self._vars: Dict[int, _TracedVar] = {}
         self._header_written = False
         self._closed = False
         self._last_dump_fs: Optional[int] = None
-        self._fs_per_tick = self._parse_timescale(timescale)
-
-    @staticmethod
-    def _parse_timescale(timescale: str) -> int:
-        units = {"fs": 1, "ps": 10**3, "ns": 10**6, "us": 10**9}
-        for unit, scale in units.items():
-            if timescale.endswith(unit):
-                magnitude = int(timescale[: -len(unit)].strip() or "1")
-                return magnitude * scale
-        raise ValueError(f"unsupported VCD timescale {timescale!r}")
 
     # -- registration ----------------------------------------------------------
 
@@ -122,7 +111,7 @@ class VcdTracer:
         out = self._stream
         out.write("$date\n    (repro simulation)\n$end\n")
         out.write("$version\n    repro VcdTracer\n$end\n")
-        out.write(f"$timescale {self.timescale} $end\n")
+        out.write("$timescale 1ps $end\n")
         out.write("$scope module top $end\n")
         for var in self._vars.values():
             vcd_type = "real" if var.kind == "real" else "wire"
@@ -146,7 +135,7 @@ class VcdTracer:
             self._write_header()
         now_fs = self.ctx.now.femtoseconds
         if now_fs != self._last_dump_fs:
-            self._stream.write(f"#{now_fs // self._fs_per_tick}\n")
+            self._stream.write(f"#{now_fs // _FS_PER_TICK}\n")
             self._last_dump_fs = now_fs
         self._dump_value(self._vars[id(signal)], new)
 
@@ -185,7 +174,7 @@ class VcdTracer:
         if self._header_written:
             now_fs = self.ctx.now.femtoseconds
             if self._last_dump_fs is not None and now_fs > self._last_dump_fs:
-                self._stream.write(f"#{now_fs // self._fs_per_tick}\n")
+                self._stream.write(f"#{now_fs // _FS_PER_TICK}\n")
                 self._last_dump_fs = now_fs
         self.flush()
         if self._owns_stream:

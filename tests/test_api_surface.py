@@ -1,12 +1,13 @@
-"""Public API surface: direct checks of small kept entry points, and a
-guard that every name a ``repro.*`` package exports is used by the
-program itself, not only by its tests.
+"""Public API surface: direct checks of small kept entry points, and
+guards that every name a ``repro.*`` package exports, and every public
+function or method it defines, is used by the program itself, not only
+by its tests.
 """
 
+import ast
 import importlib
 import pathlib
 import pkgutil
-import tokenize
 from types import SimpleNamespace
 
 import pytest
@@ -167,23 +168,84 @@ TEST_ONLY_EXPORTS = {
 }
 
 
+#: Public functions and methods only tests call, each kept on purpose.
+TEST_ONLY_FUNCTIONS = {
+    "accessor_for": "tests read one PE's accessor activity through it",
+    "active_context": "the kernel-isolation tests' window (an export too)",
+    "add_elaboration_hook": "kept kernel hook, pinned by TestKernelSurface",
+    "clear_user_registry": "SHIP registry isolation (an export too)",
+    "data_written_event": "tests wait on a FIFO's data through it",
+    "endpoint_owner": "kept SHIP query, pinned by TestShipSurface",
+    "failure_keys": "tests read the sweep store's quarantine records",
+    "has_pending_notification": "tests observe event notification state",
+    "locked": "tests observe the mutex state through it",
+    "negedge": "the clock reference test samples falling edges",
+    "negedge_event": "the clock reference test waits on falling edges",
+    "ready_count": "kept RTOS query, pinned by TestRtosSurface",
+    "response_active": "kept OCP query, pinned by TestOcpSurface",
+    "sec": "kept with fs/ps/ns/us/ms (an export too)",
+    "ship_ports": "kept PE query, pinned by TestShipSurface",
+    "skipped_lines": "tests read the store's torn-line recovery count",
+    "stddev_ns": "kept statistic, pinned by TestStatsAndFlowSurface",
+    "terminated": "tests observe process termination through it",
+    "trigger_count": "tests count event triggers through it",
+    "triggered": "kept event query, pinned by TestKernelSurface",
+    "watch_gauge": "Perfetto gauge counters, for transaction tracing",
+}
+
+
+class _NameUses(ast.NodeVisitor):
+    """Names a module uses: variables, attributes, imported names and
+    the attribute strings of ``getattr``/``hasattr``/``setattr`` (the
+    kernel calls its elaboration hooks that way).  A use inside the
+    ``def`` of the same name does not count."""
+
+    def __init__(self):
+        self.names = set()
+        self._defs = []
+
+    def _use(self, name):
+        if name not in self._defs:
+            self.names.add(name)
+
+    def visit_FunctionDef(self, node):
+        self._defs.append(node.name)
+        self.generic_visit(node)
+        self._defs.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self._use(node.name.rsplit(".", 1)[-1])
+
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr", "setattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)):
+            self._use(node.args[1].value)
+        self.generic_visit(node)
+
+
 def _program_names():
-    """Every name token in src/, examples/, benchmarks/ and perfbench/,
-    except the name a ``def`` or ``class`` line introduces.  Package
-    ``__init__`` files only re-export, so they do not count."""
-    names = set()
+    """Every name used in src/, examples/, benchmarks/ and perfbench/.
+    Package ``__init__`` files only re-export, so they do not count.
+    The scan walks the syntax tree, so names inside f-strings count on
+    every supported Python."""
+    uses = _NameUses()
     for top in ("src", "examples", "benchmarks", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
-            if path.name == "__init__.py":
-                continue
-            previous = None
-            with path.open("rb") as fh:
-                for tok in tokenize.tokenize(fh.readline):
-                    if (tok.type == tokenize.NAME
-                            and previous not in ("def", "class")):
-                        names.add(tok.string)
-                    previous = tok.string
-    return names
+            if path.name != "__init__.py":
+                uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return uses.names
 
 
 def test_every_export_is_used_outside_tests():
@@ -196,3 +258,19 @@ def test_every_export_is_used_outside_tests():
                           if name not in used)
     assert {name.rsplit(".", 1)[1] for name in unused} == TEST_ONLY_EXPORTS, \
         sorted(unused)
+
+
+def test_every_public_function_is_used_outside_tests():
+    """A public ``def`` under src/repro that only tests call is dead
+    code unless TEST_ONLY_FUNCTIONS names it with its reason."""
+    used = _program_names()
+    unused = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                    and node.name not in used):
+                unused.setdefault(node.name, []).append(
+                    f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert set(unused) == set(TEST_ONLY_FUNCTIONS), unused

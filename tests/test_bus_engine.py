@@ -38,7 +38,6 @@ from repro.kernel.object import SimObject
 from repro.kernel.simtime import ZERO_TIME
 from repro.obs.metrics import MetricsRegistry
 from repro.ocp import OcpCmd, OcpRequest, OcpResponse
-from repro.trace.stats import TimeStats
 from repro.trace.transaction import TransactionRecorder
 from tests.test_burst_access import PerBeatMemory
 
@@ -66,17 +65,10 @@ class _SimTimeTransaction:
 
 
 class SimTimeBusStats(BusStats):
-    def record(self, master, latency, nbytes, ok, data_cycles, channel):
-        self.latency_by_master.setdefault(master, TimeStats())._stats.add(
-            latency.to("ns"))
+    def record(self, nbytes, data_cycles):
         self.transactions += 1
         self.bytes += nbytes
-        if not ok:
-            self.error_responses += 1
         self.data_busy_cycles += data_cycles
-        self.channel_busy_cycles[channel] = (
-            self.channel_busy_cycles.get(channel, 0) + data_cycles
-        )
 
 
 def _localized(binding, request):
@@ -118,7 +110,8 @@ class SimTimeEngine:
         return txn
 
     def _align_to_cycle(self):
-        remainder = self.ctx.now % self.clock_period
+        now = self.ctx.now
+        remainder = now - self.clock_period * (now // self.clock_period)
         if remainder == ZERO_TIME:
             return None
         return self.clock_period - remainder
@@ -176,12 +169,8 @@ class SimTimeEngine:
     def _account(self, txn, response, end, data_cycles, channel):
         latency = end - txn.arrival
         self.stats.record(
-            master=txn.master,
-            latency=latency,
             nbytes=txn.request.nbytes,
-            ok=response.ok,
             data_cycles=data_cycles,
-            channel=channel,
         )
         if self._m_grants is not None:
             self._m_transactions.inc()

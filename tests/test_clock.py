@@ -19,7 +19,6 @@ from repro.kernel import (
     SimContext,
     SimTime,
     SimulationError,
-    ZERO_TIME,
     fs,
     ns,
     ps,
@@ -40,23 +39,14 @@ class ProcessClock(Clock):
         """The toggle thread drives every edge, the first one included."""
 
     def _toggle(self):
-        if self.start_time > ZERO_TIME:
-            yield self.start_time
-        # The first edge moves the clock away from its init value.
+        # The first edge rises at time 0.
         high = SimTime(self._high_fs)
         low = SimTime(self._low_fs)
-        if self.posedge_first:
-            while True:
-                self.write(True)
-                yield high
-                self.write(False)
-                yield low
-        else:
-            while True:
-                self.write(False)
-                yield low
-                self.write(True)
-                yield high
+        while True:
+            self.write(True)
+            yield high
+            self.write(False)
+            yield low
 
 
 class TestClockBasics:
@@ -74,7 +64,7 @@ class TestClockBasics:
         assert edges == ["0 s", "10 ns", "20 ns", "30 ns"]
 
     def test_duty_cycle_controls_fall_time(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10), duty_cycle=0.3)
+        clk = Clock("clk", top, period=ns(10))
         falls = []
 
         def neg():
@@ -84,35 +74,10 @@ class TestClockBasics:
 
         ctx.register_thread(neg, "n")
         ctx.run(ns(25))
-        assert falls == ["3 ns", "13 ns", "23 ns"]
-
-    def test_start_time_delays_first_edge(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10), start_time=ns(7))
-        edges = []
-
-        def pos():
-            yield clk.posedge_event
-            edges.append(str(ctx.now))
-
-        ctx.register_thread(pos, "p")
-        ctx.run(ns(30))
-        assert edges == ["7 ns"]
-
-    def test_negedge_first(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10), posedge_first=False)
-        assert clk.read() is True  # init level is high
-        first = []
-
-        def neg():
-            yield clk.negedge_event
-            first.append(str(ctx.now))
-
-        ctx.register_thread(neg, "n")
-        ctx.run(ns(15))
-        assert first == ["0 s"]
+        assert falls == ["5 ns", "15 ns", "25 ns"]
 
     def test_level_readable(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10), duty_cycle=0.5)
+        clk = Clock("clk", top, period=ns(10))
         samples = []
 
         def sampler():
@@ -135,42 +100,37 @@ class TestClockValidation:
         with pytest.raises(SimulationError):
             Clock("clk", top)
 
-    def test_bad_duty_cycle_rejected(self, ctx, top):
-        with pytest.raises(SimulationError):
-            Clock("clk_lo", top, period=ns(10), duty_cycle=0.0)
-        with pytest.raises(SimulationError):
-            Clock("clk_hi", top, period=ns(10), duty_cycle=1.0)
-
-    @pytest.mark.parametrize("duty", [0.3, 0.7])
-    def test_phase_rounding_to_zero_rejected(self, ctx, top, duty):
+    @pytest.mark.parametrize("period_ns", [0.3, 0.7])
+    def test_phase_rounding_to_zero_rejected(self, ctx, top, period_ns):
         """A 0 fs phase would re-arm the edge at its own instant forever
-        (the delta limit never fires: each drain is a new timestep)."""
+        (the delta limit never fires: each drain is a new timestep).
+        The rejected clock leaves nothing behind: a valid clock of
+        ``period_ns`` takes its name and ticks."""
         with pytest.raises(SimulationError) as info:
-            Clock("clk", top, period=fs(1), duty_cycle=duty)
+            Clock("clk", top, period=fs(1))
         message = str(info.value)
         assert "'clk'" in message
         assert "1 fs" in message
-        assert str(duty) in message
-        assert ctx.find_object("top.clk") is None
+        assert "top.clk" not in ctx.objects
+        period = ns(period_ns)
+        clk = Clock("clk", top, period=period)
+        edges = []
+
+        def counter():
+            while True:
+                yield clk.posedge_event
+                edges.append(ctx.now)
+
+        ctx.register_thread(counter, "c")
         ctx.run(ns(1))
         assert ctx.now == ns(1)
+        assert edges == [SimTime(k * period.femtoseconds)
+                         for k in range(ns(1) // period + 1)]
 
     def test_clock_after_elaboration_rejected(self, ctx, top):
         ctx.elaborate()
         with pytest.raises(ElaborationError):
             Clock("late", top, period=ns(10))
-
-
-class TestClockHelpers:
-    def test_cycles_duration(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10))
-        assert clk.cycles(7) == ns(70)
-
-    def test_frequency(self, ctx, top):
-        clk = Clock("clk", top, period=ns(10))
-        assert clk.frequency_hz == pytest.approx(100e6)
-        fast = Clock("fast", top, period=ps(500))
-        assert fast.frequency_hz == pytest.approx(2e9)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +157,8 @@ _steps = st.one_of(
     st.tuples(st.just("write"), st.integers(0, 2)),
 )
 _designs = st.fixed_dictionaries({
-    # period (ns), duty cycle, start time (ns), posedge first
-    "clocks": st.lists(st.tuples(st.integers(2, 12),
-                                 st.sampled_from([0.3, 0.5, 0.7]),
-                                 st.integers(0, 12), st.booleans()),
-                       min_size=1, max_size=2),
+    # clock periods (ns)
+    "clocks": st.lists(st.integers(2, 12), min_size=1, max_size=2),
     # a script of steps, run 1-4 times
     "threads": st.lists(st.tuples(st.lists(_steps, min_size=1, max_size=8),
                                   st.integers(1, 4)), max_size=4),
@@ -218,18 +175,12 @@ _designs = st.fixed_dictionaries({
 
 def until_edge(clk, now_fs, ahead):
     """Time from ``now_fs`` to the ``ahead``-th edge of ``clk`` after it."""
-    start = clk.start_time.femtoseconds
     period = clk.period.femtoseconds
-    high = round(period * clk.duty_cycle)
-    first = high if clk.posedge_first else period - high
+    high = clk._high_fs
     when = now_fs
     for _ in range(ahead):
-        if when < start:
-            when = start
-            continue
-        cycles, offset = divmod(when - start, period)
-        when = start + cycles * period + (first if offset < first
-                                          else period)
+        cycles, offset = divmod(when, period)
+        when = cycles * period + (high if offset < high else period)
     return SimTime(when - now_fs)
 
 
@@ -249,9 +200,8 @@ def simulate_design(clock_cls, design):
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     clocks = [
-        clock_cls(f"clk{i}", top, period=ns(period), duty_cycle=duty,
-                  start_time=ns(start), posedge_first=rising)
-        for i, (period, duty, start, rising) in enumerate(design["clocks"])
+        clock_cls(f"clk{i}", top, period=ns(period))
+        for i, period in enumerate(design["clocks"])
     ]
     sigs = [Signal(f"sig{i}", top, init=0)
             for i in range(max(1, len(design["threads"])))]
@@ -366,14 +316,13 @@ class EdgeLog(Module):
 def _clocked_design():
     ctx = SimContext()
     top = Module("top", ctx=ctx)
-    # edges: fall at 27 ns, then rise at 34 + 10k and fall at 37 + 10k
-    clk = Clock("clk", top, period=ns(10), duty_cycle=0.3,
-                start_time=ns(27), posedge_first=False)
+    # edges: rise at 10k ns, fall at 5 + 10k ns
+    clk = Clock("clk", top, period=ns(10))
     return ctx, EdgeLog("log", top, clk)
 
 
-@pytest.mark.parametrize("at_ns", [35, 40, 44, 20],
-                         ids=["high", "low", "on_edge", "before_start"])
+@pytest.mark.parametrize("at_ns", [32, 37, 35],
+                         ids=["high", "low", "on_edge"])
 def test_clock_snapshot_round_trip(at_ns):
     """Restoring a clocked snapshot and running on equals one
     uninterrupted run: same edges, levels, deltas and last activity."""
@@ -408,7 +357,7 @@ def test_toggle_thread_snapshot_rejected():
             entry[2:] = ["resume", "top.clk._toggle"]
             snapshot["processes"]["top.clk._toggle"] = {
                 "kind": "thread", "state": "waiting", "started": True,
-                "wait": {"mode": "timed", "events": [], "pending": [],
+                "wait": {"mode": "timed", "events": [],
                          "timeout": entry[:2]},
             }
     fresh, _ = _clocked_design()

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.kernel import Module, SimulationError, ns, us
+from repro.kernel import SimulationError, ns, us
 from repro.cam import GenericBus, MemorySlave, PlbBus
+import repro.cpu.core as cpu_core
 from repro.cpu import Op, SimpleCpu, assemble, decode, disassemble, encode
 
 
@@ -78,8 +79,7 @@ class TestAssembler:
         assert "HALT" in listing[1]
 
 
-def build_system(ctx, top, program, data=None, fabric="plb",
-                 icache_lines=32):
+def build_system(ctx, top, program, data=None, fabric="plb"):
     bus = (PlbBus("bus", top) if fabric == "plb"
            else GenericBus("bus", top, clock_period=ns(10)))
     mem = MemorySlave("mem", top, size=1 << 16, read_wait=1,
@@ -88,8 +88,7 @@ def build_system(ctx, top, program, data=None, fabric="plb",
     mem.load_words(0, assemble(program))
     for addr, values in (data or {}).items():
         mem.load_words(addr, values)
-    cpu = SimpleCpu("cpu", top, socket=bus.master_socket("cpu"),
-                    icache_lines=icache_lines)
+    cpu = SimpleCpu("cpu", top, socket=bus.master_socket("cpu"))
     return bus, mem, cpu
 
 
@@ -162,22 +161,13 @@ class TestCpuCore:
 
     def test_icache_reduces_bus_fetches(self, ctx, top):
         data = {0x1000: list(range(8))}
-        bus1, mem1, cached = build_system(ctx, top, SUM_PROGRAM, data,
-                                          icache_lines=64)
+        bus, mem, cpu = build_system(ctx, top, SUM_PROGRAM, data)
         ctx.run(us(10_000))
-        from repro.kernel import SimContext
-
-        ctx2 = SimContext()
-        top2 = Module("top", ctx=ctx2)
-        bus2, mem2, uncached = build_system(ctx2, top2, SUM_PROGRAM,
-                                            data, icache_lines=0)
-        ctx2.run(us(10_000))
-        assert cached.icache_hit_rate > 0.5
-        assert uncached.icache_hit_rate == 0.0
-        # same architectural result either way
-        assert mem1.peek_word(0x2000) == mem2.peek_word(0x2000)
-        # caching makes the run faster in simulated time
-        assert (ctx.last_activity_time < ctx2.last_activity_time)
+        assert cpu.icache_hit_rate > 0.5
+        assert mem.peek_word(0x2000) == sum(range(8))
+        # only the misses reach the bus
+        misses = cpu.fetches - cpu.icache_hits
+        assert bus.stats.transactions == misses + cpu.loads + cpu.stores
 
     def test_bus_fault_recorded(self, ctx, top):
         program = [("LOAD", 0xFFFF0), "HALT"]  # beyond the memory
@@ -187,10 +177,10 @@ class TestCpuCore:
         assert cpu.fault is not None
         assert cpu.halted
 
-    def test_runaway_guard(self, ctx, top):
+    def test_runaway_guard(self, ctx, top, monkeypatch):
         program = ["loop:", ("JMP", "loop")]
         bus, mem, cpu = build_system(ctx, top, program)
-        cpu.max_instructions = 500
+        monkeypatch.setattr(cpu_core, "MAX_INSTRUCTIONS", 500)
         with pytest.raises(SimulationError, match="runaway"):
             ctx.run(us(100_000))
 
@@ -199,7 +189,8 @@ class TestCpuCore:
         seen = []
 
         def watcher():
-            yield from cpu.wait_halted()
+            while not cpu.halted:
+                yield cpu.halted_event
             seen.append(str(ctx.now))
 
         ctx.register_thread(watcher, "w")
@@ -211,23 +202,36 @@ class TestCpuCore:
             SimpleCpu("cpu", top)
 
 
+class Window:
+    """A bus socket seen through an address offset."""
+
+    def __init__(self, socket, offset):
+        self.socket = socket
+        self.offset = offset
+
+    def transport(self, request):
+        return (yield from self.socket.transport(
+            request.rebased(request.addr + self.offset)))
+
+
 class TestCpuOnBus:
     def test_two_cpus_share_a_bus(self, ctx, top):
         bus = GenericBus("bus", top, clock_period=ns(10))
         mem = MemorySlave("mem", top, size=1 << 16, read_wait=0,
                           write_wait=0)
         bus.attach_slave(mem, 0, 1 << 16)
+        # cpu1 sees the bus through a window at 0x800, so both cores
+        # start at their own address 0
         progs = {
             0x0: assemble([("LDI", 11), ("STORE", 0x3000), "HALT"]),
-            0x800: assemble([("LDI", 22), ("STORE", 0x3004), "HALT"],
-                            base=0x800),
+            0x800: assemble([("LDI", 22), ("STORE", 0x3004 - 0x800),
+                             "HALT"]),
         }
         for base, words in progs.items():
             mem.load_words(base, words)
-        cpu0 = SimpleCpu("cpu0", top, socket=bus.master_socket("c0"),
-                         reset_pc=0x0)
-        cpu1 = SimpleCpu("cpu1", top, socket=bus.master_socket("c1"),
-                         reset_pc=0x800)
+        cpu0 = SimpleCpu("cpu0", top, socket=bus.master_socket("c0"))
+        cpu1 = SimpleCpu("cpu1", top,
+                         socket=Window(bus.master_socket("c1"), 0x800))
         ctx.run(us(1000))
         assert cpu0.halted and cpu1.halted
         assert mem.peek_word(0x3000) == 11

@@ -63,12 +63,12 @@ class TestCrossbarConcurrency:
             resp = yield from xbar.master_socket("a").transport(
                 wr(0x100000, 1)
             )
-            out.append(resp.resp)
+            out.append((resp.resp, str(ctx.now)))
 
         ctx.register_thread(body, "t")
         ctx.run()
-        assert out == [OcpResp.ERR]
-        assert xbar.decode_errors == 1
+        # the miss costs one command phase, as on the shared buses
+        assert out == [(OcpResp.ERR, "20 ns")]
 
     def test_overlapping_regions_rejected(self, ctx, top):
         from repro.kernel import ElaborationError
@@ -77,21 +77,6 @@ class TestCrossbarConcurrency:
         xbar.attach_slave(MemorySlave("a", top, size=4096), 0, 4096)
         with pytest.raises(ElaborationError, match="overlap"):
             xbar.attach_slave(MemorySlave("b", top, size=4096), 2048, 4096)
-
-    def test_report_aggregates_paths(self, ctx, top):
-        xbar = self._two_slave_xbar(ctx, top)
-
-        def body():
-            yield from xbar.master_socket("a").transport(wr(0, 4))
-            yield from xbar.master_socket("a").transport(wr(4096, 4))
-
-        ctx.register_thread(body, "t")
-        ctx.run()
-        report = xbar.report()
-        assert report["transactions"] == 2
-        assert report["bytes"] == 32
-        assert report["mean_latency_ns"] > 0
-        assert xbar.transactions == 2
 
     def test_socket_reuse_same_name(self, ctx, top):
         xbar = self._two_slave_xbar(ctx, top)

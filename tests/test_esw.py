@@ -105,8 +105,6 @@ class TestConstraints:
         spec = PartitionSpec(software=[ping], priorities={"ping": 3})
         assert spec.priority_of(ping) == 3
         assert spec.priority_of(pong) == 10
-        assert spec.is_software(ping)
-        assert not spec.is_software(pong)
 
 
 class TestSynthesis:

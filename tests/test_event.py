@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.kernel import Event, Module, ns
-from repro.kernel.event import EventAndList, EventOrList
+from repro.kernel import Event, Module, ns, wait
 
 
 def run_log(ctx, thread_fns, duration=None):
@@ -199,7 +198,7 @@ class TestEventCombinators:
         e1, e2 = Event(ctx, "e1"), Event(ctx, "e2")
 
         def waiter(log):
-            woke = yield EventOrList(e1, e2)
+            woke = yield wait(e1, e2)
             log.append((woke.name, str(ctx.now)))
 
         def notifier(log):
@@ -209,43 +208,10 @@ class TestEventCombinators:
         log = run_log(ctx, [waiter, notifier])
         assert log == [("e2", "7 ns")]
 
-    def test_all_of_waits_for_every_event(self, ctx):
-        e1, e2 = Event(ctx, "e1"), Event(ctx, "e2")
-
-        def waiter(log):
-            yield EventAndList(e1, e2)
-            log.append(str(ctx.now))
-
-        def notifier(log):
-            yield ns(3)
-            e1.notify()
-            yield ns(3)
-            e2.notify()
-
-        log = run_log(ctx, [waiter, notifier])
-        assert log == ["6 ns"]
-
-    def test_or_operator_builds_or_list(self, ctx):
-        e1, e2, e3 = (Event(ctx, n) for n in ("e1", "e2", "e3"))
-        combined = EventOrList(e1, e2) | e3
-        assert len(combined.events) == 3
-
-    def test_and_operator_builds_and_list(self, ctx):
-        e1, e2, e3 = (Event(ctx, n) for n in ("e1", "e2", "e3"))
-        combined = EventAndList(e1, e2) & e3
-        assert len(combined.events) == 3
-
-    def test_empty_combinators_rejected(self):
-        with pytest.raises(ValueError):
-            EventOrList()
-        with pytest.raises(ValueError):
-            EventAndList()
-
-
 class TestOwnership:
     def test_event_from_module_owner(self, ctx):
         top = Module("top", ctx=ctx)
-        ev = top.event("done")
+        ev = Event(top, "top.done")
         assert ev.ctx is ctx
         assert "done" in ev.name
 

@@ -100,6 +100,30 @@ class TestTrafficMaster:
         ctx.run(us(100_000))
         return tm
 
+    def test_stream_wraps_to_region_start(self, ctx, top):
+        """Past the region's end a stream restarts at its base, so every
+        burst stays aligned and inside the region, pass after pass."""
+        from repro.cam import GenericBus, MemorySlave
+
+        spec = MasterTrafficSpec("m", pattern="stream", base=0x1000,
+                                 size=256, burst_length=8,
+                                 transactions=16, gap=ns(10))
+        bus = GenericBus("bus", top, clock_period=ns(10))
+        mem = MemorySlave("mem", top, size=0x2000)
+        bus.attach_slave(mem, 0, 0x2000)
+        seen = []
+
+        class Spy:
+            def transport(self, request):
+                seen.append(request.addr)
+                return (yield from bus.master_socket("m").transport(
+                    request))
+
+        TrafficMaster("tm", top, socket=Spy(), spec=spec)
+        ctx.run(us(100_000))
+        one_pass = [0x1000 + 32 * i for i in range(8)]
+        assert seen == one_pass + one_pass
+
     def test_pingpong_alternates_write_read(self, ctx, top):
         spec = MasterTrafficSpec("m", pattern="pingpong",
                                  transactions=10, gap=ns(10),

@@ -131,8 +131,7 @@ def system(ctx, top):
     mem.load_words(FRAME_BASE, bytes_to_words(request_frame))
     mem.load_words(0x3004, [len(request_frame)])
     mem.load_words(0, firmware(mailbox.layout))
-    cpu = SimpleCpu("cpu", top, socket=plb.master_socket("cpu"),
-                    reset_pc=0)
+    cpu = SimpleCpu("cpu", top, socket=plb.master_socket("cpu"))
     return plb, mem, mailbox, pe, cpu
 
 

@@ -34,18 +34,6 @@ class TestAbstractionLevels:
                 < AbstractionLevel.COMM_ARCHITECTURE
                 < AbstractionLevel.PIN_ACCURATE)
 
-    def test_refines_to(self):
-        assert AbstractionLevel.CCATB.refines_to(
-            AbstractionLevel.PIN_ACCURATE
-        )
-        assert not AbstractionLevel.CCATB.refines_to(
-            AbstractionLevel.COMPONENT_ASSEMBLY
-        )
-
-    def test_is_timed(self):
-        assert not AbstractionLevel.COMPONENT_ASSEMBLY.is_timed
-        assert AbstractionLevel.CCATB.is_timed
-
 
 class TestDesignFlow:
     def test_runs_all_stages_and_checks_equivalence(self):

@@ -14,8 +14,8 @@ from repro.kernel import (
     SimContext,
     SimulationError,
     ns,
+    wait,
 )
-from repro.kernel.event import EventAndList, EventOrList
 from repro.kernel.process import WaitCondition, WaitMode
 from repro.obs import ObserverGroup, SimObserver
 
@@ -73,13 +73,13 @@ def _random_design(ctx, seed):
     """Build a random kernel design; returns its activation log and a
     run horizon.
 
-    Threads run random step programs: timed waits; event, or-list and
-    and-list waits with and without timeout; static waits; immediate,
-    delta and timed notifies (which override and cancel each other on a
-    small event pool); signal writes; and rarely ``stop()``.  Method
-    processes re-arm with random ``next_trigger`` calls until their
-    activation budget is spent.  Every process logs
-    ``(name, now_fs, delta_count)`` on each activation.
+    Threads run random step programs: timed waits; event and any-of
+    waits with and without timeout; static waits; immediate, delta and
+    timed notifies (which override and cancel each other on a small
+    event pool); signal writes; and rarely ``stop()``.  Method processes
+    run a random action on each activation until their budget is spent.
+    Every process logs ``(name, now_fs, delta_count)`` on each
+    activation.
     """
     rng = random.Random(seed)
     log = []
@@ -87,7 +87,6 @@ def _random_design(ctx, seed):
     signals = [Signal(f"sig{i}", ctx=ctx, init=0, check_writer=False)
                for i in range(rng.randint(1, 2))]
     sources = events + signals
-    parked = Event(ctx, "parked")  # never notified
 
     def some_events():
         return rng.sample(events, rng.randint(1, len(events)))
@@ -97,11 +96,10 @@ def _random_design(ctx, seed):
         return rng.choice([
             timeout,
             rng.choice(events),
-            EventOrList(*some_events()),
-            EventAndList(*some_events()),
+            wait(*some_events()),
             (timeout, rng.choice(events)),
-            (timeout, EventOrList(*some_events())),
-            WaitCondition(WaitMode.ALL, tuple(some_events()), timeout),
+            (timeout, *some_events()),
+            WaitCondition(WaitMode.ANY, tuple(some_events()), timeout),
             None,
         ])
 
@@ -116,13 +114,6 @@ def _random_design(ctx, seed):
             ev.notify, ev.notify_delta, ev.cancel,
             lambda: ev.notify_after(delay),
             lambda: sig.write(value),
-        ])
-
-    def random_trigger():
-        return rng.choice([
-            None, (), (ns(rng.randint(1, 20)),), (rng.choice(events),),
-            (ns(rng.randint(1, 20)), rng.choice(events)),
-            tuple(some_events()),
         ])
 
     def thread(name, program):
@@ -142,15 +133,10 @@ def _random_design(ctx, seed):
         def body():
             log.append((name, ctx._now_fs, ctx.delta_count))
             calls.append(None)
-            if len(calls) > len(steps):
-                proc.next_trigger(parked)
-                return
-            action, trigger = steps[len(calls) - 1]
-            action()
-            if trigger is not None:
-                proc.next_trigger(*trigger)
+            if len(calls) <= len(steps):
+                steps[len(calls) - 1]()
 
-        proc = ctx.register_method(
+        ctx.register_method(
             body, name, sensitive=[rng.choice(sources)],
             dont_initialize=rng.random() < 0.3)
 
@@ -162,7 +148,7 @@ def _random_design(ctx, seed):
                             sensitive=[rng.choice(sources)],
                             dont_initialize=rng.random() < 0.2)
     for i in range(rng.randint(0, 3)):
-        method(f"m{i}", [(random_action(), random_trigger())
+        method(f"m{i}", [random_action()
                          for _ in range(rng.randint(1, 10))])
     return log, ns(rng.randint(0, 60))
 

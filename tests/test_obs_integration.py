@@ -10,8 +10,7 @@ class TestShipObservability:
     def test_ship_transfers_publish_metrics_and_spans(self, ctx, top):
         registry = MetricsRegistry()
         recorder = TransactionRecorder(keep_records=False,
-                                       metrics=registry,
-                                       metrics_prefix="ship")
+                                       metrics=registry)
         collector = TraceEventCollector(process_tracks=False)
         collector.attach_recorder(recorder)
         chan = ShipChannel("link", top, recorder=recorder)
@@ -31,8 +30,9 @@ class TestShipObservability:
         ctx.register_thread(receiver, "r")
         ctx.run()
 
-        assert registry.get("ship.transactions").value == 4
-        assert recorder.latency_stats().count == 4
+        assert registry.get("trace.transactions").value == 4
+        assert registry.get("trace.latency_ns").count == 4
+        assert recorder.count == 4
         spans = [e for e in collector.to_dict()["traceEvents"]
                  if e["ph"] == "B"]
         assert len(spans) == 4

@@ -19,7 +19,7 @@ import pytest
 
 from repro.kernel import ns, us
 from repro.explore import DesignSpace, MasterTrafficSpec
-from repro.obs.telemetry import SpanRecorder, SweepTelemetry
+from repro.obs.telemetry import SweepTelemetry
 from repro.sweep import SweepEngine, points_for_space
 
 
@@ -58,35 +58,6 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
-
-
-class TestSpanRecorder:
-    def test_span_context_manager_records_wall_interval(self):
-        clock = FakeClock()
-        spans = SpanRecorder(clock)
-        with spans.span("dispatch", track="engine", batches=3):
-            clock.advance(2.5)
-        assert len(spans) == 1
-        span = spans.spans[0]
-        assert span["name"] == "dispatch"
-        assert span["track"] == "engine"
-        assert span["t1"] - span["t0"] == pytest.approx(2.5)
-        assert span["args"] == {"batches": 3}
-
-    def test_total_sums_same_named_spans(self):
-        spans = SpanRecorder(FakeClock())
-        spans.add("cache", 0.0, 1.0)
-        spans.add("cache", 5.0, 5.5)
-        spans.add("dispatch", 0.0, 10.0)
-        assert spans.total("cache") == pytest.approx(1.5)
-        assert spans.total("missing") == 0.0
-
-    def test_span_recorded_even_when_body_raises(self):
-        spans = SpanRecorder(FakeClock())
-        with pytest.raises(ValueError):
-            with spans.span("boom"):
-                raise ValueError("x")
-        assert len(spans) == 1
 
 
 class TestRunProtocol:

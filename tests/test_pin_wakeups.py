@@ -429,11 +429,11 @@ def test_idle_prototype_wakes_no_pin_machine():
     results = []
 
     def pe():
-        yield clk.cycles(1000)
+        yield clk.period * 1000
         response = yield from master.transport(
             OcpRequest(OcpCmd.RD, 0x40, burst_length=4))
         results.append(response.resp)
-        yield clk.cycles(1000)
+        yield clk.period * 1000
         ctx.stop()
 
     ctx.register_thread(pe, "pe")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import BindingError, Export, Fifo, Module, Port, Signal
+from repro.kernel import BindingError, Fifo, Module, Port, Signal
 
 
 class TestDirectBinding:
@@ -78,33 +78,6 @@ class TestHierarchicalBinding:
         p3.bind(fifo)
         ctx.run()
         assert p1.channel is fifo
-
-
-class TestExports:
-    def test_port_binds_to_export(self, ctx, top):
-        fifo = Fifo("f", top)
-        exp = Export("e", top, channel=fifo)
-        port = Port("p", top)
-        port.bind(exp)
-        ctx.run()
-        assert port.channel is fifo
-
-    def test_export_late_binding(self, ctx, top):
-        exp = Export("e", top)
-        fifo = Fifo("f", top)
-        exp.bind(fifo)
-        assert exp.channel is fifo
-
-    def test_unbound_export_rejected(self, ctx, top):
-        exp = Export("e", top)
-        with pytest.raises(BindingError):
-            exp.channel
-
-    def test_export_double_bind_rejected(self, ctx, top):
-        fifo = Fifo("f", top)
-        exp = Export("e", top, channel=fifo)
-        with pytest.raises(BindingError):
-            exp.bind(fifo)
 
 
 class TestDefaultEvent:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.kernel import (
     Event,
-    Module,
     ProcessError,
     ProcessState,
     Signal,
@@ -169,21 +168,6 @@ class TestMethodProcess:
         ctx.run()
         assert count == [1]
 
-    def test_next_trigger_overrides_once(self, ctx):
-        ev = Event(ctx, "ev")
-        log = []
-        holder = {}
-
-        def body():
-            log.append(str(ctx.now))
-            if len(log) == 1:
-                holder["proc"].next_trigger(ns(7))
-
-        holder["proc"] = ctx.register_method(body, "m", sensitive=[ev])
-        ctx.run()
-        # init run at 0, then next_trigger(7ns) run; then static (never)
-        assert log == ["0 s", "7 ns"]
-
     def test_generator_registered_as_method_rejected(self, ctx):
         def genbody():
             yield ns(1)
@@ -193,41 +177,7 @@ class TestMethodProcess:
             ctx.run()
 
 
-class TestModuleProcesses:
-    def test_next_trigger_outside_method_process_rejected(self, ctx):
-        class M(Module):
-            def __init__(self, name, parent=None, ctx=None):
-                super().__init__(name, parent, ctx)
-                self.add_thread(self.run)
-
-            def run(self):
-                yield ns(1)
-                self.next_trigger(ns(1))
-
-        M("m", ctx=ctx)
-        with pytest.raises(ProcessError):
-            ctx.run()
-
-
 class TestDynamicSpawn:
-    def test_spawn_during_simulation(self, ctx):
-        log = []
-
-        def child():
-            yield ns(1)
-            log.append(("child", str(ctx.now)))
-
-        def parent():
-            yield ns(5)
-            ctx.spawn(child, "child")
-            yield ns(10)
-            log.append(("parent", str(ctx.now)))
-
-        ctx.register_thread(parent, "parent")
-        ctx.run()
-        assert ("child", "6 ns") in log
-        assert ("parent", "15 ns") in log
-
     def test_registration_after_elaboration_rejected(self, ctx):
         ctx.run()  # elaborates empty design
         from repro.kernel import ElaborationError
@@ -310,21 +260,22 @@ class TestRunThatRaises:
         def genbody():
             yield ns(1)
 
+        def driver():
+            sig.write(2)
+            yield ns(1)
+
         proc = ctx.register_method(genbody, "m")
         sig = Signal("s", ctx=ctx, init=0)
+        # queued behind the failing method: the failed run never starts it
+        ctx.register_thread(driver, "driver")
         with pytest.raises(ProcessError):
             ctx.run()
         assert ctx.last_run_outcome == "failed"
         assert ctx.current_process is None
         assert proc.terminated
+        assert sig.read() == 0
         # a testbench write is not charged to the dead process, so a
         # real driver may still take the signal
         sig.write(1)
-
-        def driver():
-            sig.write(2)
-            yield ns(1)
-
-        ctx.spawn(driver, "driver")
         ctx.run()
         assert sig.read() == 2

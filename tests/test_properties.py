@@ -5,7 +5,6 @@ inputs: the CCATB timing formula, CCATB/RTL cycle agreement, mailbox
 chunk reassembly, and SHIP delivery order.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel import Clock, Module, SimContext, ns, us
@@ -260,38 +259,3 @@ def test_rtos_highest_priority_never_waits_for_lower(low_work,
     # low slips by high's execution only if high actually preempted it
     slip = 1 if high_delay < low_work else 0
     assert finish["low"] == us(low_work + slip)
-
-
-# ---------------------------------------------------------------------------
-# Streaming statistics invariants (the evaluation engine builds on these)
-# ---------------------------------------------------------------------------
-
-sample_lists = st.lists(st.floats(-1e5, 1e5), min_size=0, max_size=40)
-
-
-@given(left=sample_lists, mid=sample_lists, right=sample_lists)
-@settings(max_examples=60, deadline=None)
-def test_online_stats_merge_is_associative(left, mid, right):
-    """(a+b)+c and a+(b+c) agree with the one-shot accumulator — the
-    invariant that lets per-worker partial statistics pool in any
-    order without changing the confidence interval built on them."""
-    from repro.trace import OnlineStats
-
-    def fold(values):
-        stats = OnlineStats()
-        for v in values:
-            stats.add(v)
-        return stats
-
-    a, b, c = fold(left), fold(mid), fold(right)
-    oneshot = fold(left + mid + right)
-    for merged in (a.merge(b).merge(c), a.merge(b.merge(c))):
-        assert merged.count == oneshot.count
-        assert merged.total == pytest.approx(oneshot.total,
-                                             rel=1e-9, abs=1e-6)
-        assert merged.mean == pytest.approx(oneshot.mean,
-                                            rel=1e-9, abs=1e-6)
-        assert merged.variance == pytest.approx(oneshot.variance,
-                                                rel=1e-6, abs=1e-4)
-        assert merged.minimum == oneshot.minimum
-        assert merged.maximum == oneshot.maximum

@@ -1,56 +1,24 @@
 """Unit tests for severity reporting."""
 
-import io
-
-import pytest
-
-from repro.kernel import Report, ReportedError, Reporter, Severity
+from repro.kernel import Report, Reporter, Severity
 
 
 class TestReporting:
-    def test_reports_are_collected(self):
-        rep = Reporter(echo_threshold=Severity.FATAL)
-        rep.info("kernel", "hello")
+    def test_reports_are_collected(self, capsys):
+        rep = Reporter()
         rep.warning("bus", "slow")
-        assert rep.count(Severity.INFO) == 1
-        assert rep.count(Severity.WARNING) == 1
-        assert rep.count(Severity.ERROR) == 0
+        rep.error("core", "bad")
+        assert [(r.severity, r.message_type) for r in rep.reports] == [
+            (Severity.WARNING, "bus"), (Severity.ERROR, "core")]
 
-    def test_fatal_raises_reported_error(self):
-        rep = Reporter(echo_threshold=Severity.FATAL)
-        with pytest.raises(ReportedError, match="meltdown"):
-            rep.fatal("core", "meltdown")
-        assert rep.count(Severity.FATAL) == 1
-
-    def test_abort_threshold_configurable(self):
-        rep = Reporter(abort_severity=Severity.ERROR,
-                       echo_threshold=Severity.FATAL)
-        with pytest.raises(ReportedError):
-            rep.error("core", "bad")
-
-    def test_echo_respects_threshold(self):
-        stream = io.StringIO()
-        rep = Reporter(echo_stream=stream, echo_threshold=Severity.WARNING)
-        rep.info("a", "quiet")
+    def test_echo_respects_threshold(self, capsys):
+        rep = Reporter()
+        rep.report(Severity.INFO, "a", "quiet")
         rep.warning("b", "loud")
-        output = stream.getvalue()
+        output = capsys.readouterr().err
         assert "quiet" not in output
         assert "loud" in output
-
-    def test_messages_of_type_filter(self):
-        rep = Reporter(echo_threshold=Severity.FATAL)
-        rep.info("bus", "x")
-        rep.info("kernel", "y")
-        rep.warning("bus", "z")
-        assert len(rep.messages_of_type("bus")) == 2
-
-    def test_custom_handler_invoked(self):
-        seen = []
-        rep = Reporter(echo_threshold=Severity.FATAL)
-        rep.handlers.append(seen.append)
-        rep.info("a", "m")
-        assert len(seen) == 1
-        assert isinstance(seen[0], Report)
+        assert len(rep.reports) == 2
 
     def test_format_includes_context(self):
         report = Report(Severity.WARNING, "bus", "stall", "10 ns", "top.plb")

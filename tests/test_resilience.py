@@ -384,10 +384,7 @@ class TestStarvationDiagnostics:
         ctx.run()
         blocked = ctx.blocked_processes()
         assert [p.name for p, _ in blocked] == ["stuck_proc"]
-        report = ctx.starvation_report()
-        assert "stuck_proc" in report
-        assert "the_event" in report
-        assert "done_proc" not in report
+        assert "the_event" in blocked[0][1]
 
     def test_observer_hook_fires_on_starvation(self, ctx, top):
         obs = HookCounter()

@@ -103,24 +103,6 @@ class TestScheduling:
         ctx.run()
         assert os.context_switches >= 2
 
-    def test_time_slice_round_robin(self, ctx, top):
-        os = Rtos("os3", top, time_slice=us(1))
-        trace = []
-
-        def make(tag):
-            def body():
-                yield from os.execute(us(2))
-                trace.append(tag)
-            return body
-
-        os.create_task(make("a"), "a", priority=5)
-        os.create_task(make("b"), "b", priority=5)
-        ctx.run()
-        # with 1us slices over 2us jobs, both finish by 4us and the
-        # *second* task cannot finish after 4us (no starvation)
-        assert sorted(trace) == ["a", "b"]
-        assert ctx.now == us(4)
-
     def test_block_on_kernel_event(self, ctx, top, os):
         ev = Event(ctx, "irq")
         trace = []

@@ -57,7 +57,7 @@ class TestRunControl:
         ctx.register_thread(body, "t")
         ctx.run(ns(10))
         assert log == []
-        assert ctx.pending_activity
+        assert ctx.last_run_outcome == "limit"
         ctx.run(ns(200))
         assert log == ["late"]
 
@@ -68,13 +68,7 @@ class TestRunControl:
         ctx.register_thread(body, "t")
         end = ctx.run()
         assert end == ns(7)
-        assert not ctx.pending_activity
-
-    def test_time_of_next_activity(self, ctx):
-        ev = Event(ctx, "ev")
-        ev.notify_after(ns(25))
-        ctx.elaborate()
-        assert ctx.time_of_next_activity() == ns(25)
+        assert ctx.last_run_outcome == "starved"
 
 
 class TestDeltaCycles:
@@ -209,8 +203,8 @@ class TestObjectRegistry:
     def test_find_object_by_full_name(self, ctx):
         top = Module("top", ctx=ctx)
         sub = Module("sub", top)
-        assert ctx.find_object("top.sub") is sub
-        assert ctx.find_object("nope") is None
+        assert ctx.objects["top.sub"] is sub
+        assert "nope" not in ctx.objects
 
     def test_hierarchy_iteration(self, ctx):
         top = Module("top", ctx=ctx)
@@ -218,8 +212,7 @@ class TestObjectRegistry:
         b = Module("b", a)
         names = [o.full_name for o in top.iter_descendants()]
         assert names == ["top.a", "top.a.b"]
-        assert top.find_child("a") is a
-        assert top.find_child("zz") is None
+        assert top.children == [a]
 
     def test_invalid_name_rejected(self, ctx):
         from repro.kernel import ElaborationError

@@ -364,3 +364,24 @@ class TestRecording:
         assert rec.count == 1
         assert rec.records[0].kind == "send"
         assert rec.records[0].nbytes == 14
+
+    def test_recorded_latency_includes_transfer_time(self, ctx, top):
+        """A recorded transfer begins when ``send`` is called, so its
+        latency is the wire time, as a bus CAM stamps at submit."""
+        rec = TransactionRecorder()
+        chan = ShipChannel("c", top, recorder=rec,
+                           timing=ShipTiming(base_latency=ns(10)))
+        a, b = two_enders(ctx, top, chan)
+
+        def sender():
+            yield from chan.send(a, ShipInt(1))
+
+        def receiver():
+            yield from chan.recv(b)
+
+        ctx.register_thread(sender, "s")
+        ctx.register_thread(receiver, "r")
+        ctx.run()
+        (record,) = rec.records
+        assert (record.begin, record.end) == (ns(0), ns(10))
+        assert record.latency == ns(10)

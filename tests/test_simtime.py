@@ -62,19 +62,9 @@ class TestArithmetic:
     def test_floordiv_by_int_gives_time(self):
         assert ns(100) // 4 == ns(25)
 
-    def test_mod(self):
-        assert ns(105) % ns(10) == ns(5)
-
-    def test_truediv_ratio(self):
-        assert ns(10) / ns(4) == 2.5
-
     def test_division_by_zero_time(self):
         with pytest.raises(ZeroDivisionError):
             ns(1) // ZERO_TIME
-        with pytest.raises(ZeroDivisionError):
-            ns(1) % ZERO_TIME
-        with pytest.raises(ZeroDivisionError):
-            ns(1) / ZERO_TIME
 
 
 class TestComparison:
@@ -137,6 +127,4 @@ def test_mul_div_roundtrip(a, k):
 def test_divmod_identity(a, b):
     ta, tb = SimTime(a), SimTime(b)
     quotient = ta // tb
-    remainder = ta % tb
-    assert tb * quotient + remainder == ta
-    assert remainder < tb
+    assert tb * quotient <= ta < tb * (quotient + 1)

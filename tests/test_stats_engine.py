@@ -20,7 +20,6 @@ from repro.explore import (
     SUBSTREAMS,
     run_point,
 )
-from repro.obs import EstimateSummary, MetricsRegistry
 from repro.stats import (
     MetricEstimate,
     PairedComparison,
@@ -137,13 +136,6 @@ class TestMetricEstimate:
         assert MetricEstimate(0.0, 1.0).relative_half_width == math.inf
         assert MetricEstimate(0.0, 0.0).relative_half_width == 0.0
 
-    def test_dict_roundtrip(self):
-        est = MetricEstimate(mean=3.5, half_width=0.25, confidence=0.99,
-                             n=7, stddev=0.3, method="batch-means",
-                             diagnostics={"truncated": 4})
-        again = MetricEstimate.from_dict(est.to_dict())
-        assert again == est
-
     def test_single_sample_is_honest(self):
         est = estimate_from_samples([42.0])
         assert est.mean == 42.0
@@ -161,22 +153,6 @@ class TestMetricEstimate:
         est = estimate_from_samples([1.0, 2.0, 3.0, 4.0])
         sem = est.stddev / 2.0
         assert est.half_width == pytest.approx(3.182 * sem, rel=1e-3)
-
-    def test_merged_stats_pool_exactly(self):
-        values = [float(i % 13) for i in range(40)]
-        left, right, full = OnlineStats(), OnlineStats(), OnlineStats()
-        for v in values[:17]:
-            left.add(v)
-        for v in values[17:]:
-            right.add(v)
-        for v in values:
-            full.add(v)
-        merged = estimate_from_stats(left.merge(right))
-        oneshot = estimate_from_stats(full)
-        assert merged.mean == pytest.approx(oneshot.mean)
-        assert merged.half_width == pytest.approx(oneshot.half_width)
-        assert merged.n == oneshot.n
-
 
 class TestCoverage:
     """CI coverage against closed-form streams with known means.
@@ -400,19 +376,6 @@ class TestReplicatedRunner:
         assert not outcome.met_target
         assert outcome.replicates == 3
 
-    def test_metrics_published(self):
-        registry = MetricsRegistry()
-        point = small_point()
-        runner = ReplicatedRunner(SweepEngine(workers=1),
-                                  ReplicationPolicy(r_min=2, r_max=2),
-                                  metrics=registry)
-        runner.run([point])
-        assert registry.counter("stats.points_total").value == 1
-        assert registry.counter("stats.replicates_total").value == 2
-        summary = registry.get("stats.estimate.mean_latency_ns")
-        assert summary.count == 1
-        assert summary.estimate["n"] == 2
-
     def test_validation(self):
         runner = ReplicatedRunner(SweepEngine(workers=1))
         with pytest.raises(ValueError):
@@ -502,10 +465,8 @@ class TestPairedCompare:
             result = paired_compare(engine, a, b, replicates=6)
         # A 20% faster clock is unambiguously lower-latency.
         assert result.significant
-        assert result.better == a.config.name
-        row = result.row()
-        assert row["significant"] and row["better"] == a.config.name
-        assert row["replicates"] == 6
+        assert result.difference.mean < 0.0
+        assert result.difference.n == 6
 
     def test_insignificant_comparison_has_no_winner(self):
         comparison = PairedComparison(
@@ -517,31 +478,8 @@ class TestPairedCompare:
             crn=True,
         )
         assert not comparison.significant
-        assert comparison.better is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             paired_compare(SweepEngine(workers=1), small_point(),
                            small_point(fabric="generic"), replicates=1)
-
-
-class TestEstimateSummary:
-    def test_records_latest_estimate(self):
-        registry = MetricsRegistry()
-        summary = registry.estimate("stats.estimate.latency")
-        assert isinstance(summary, EstimateSummary)
-        assert summary.estimate is None
-        summary.record(MetricEstimate(5.0, 0.5, n=4))
-        summary.record(MetricEstimate(6.0, 0.4, n=8))
-        assert summary.count == 2
-        assert summary.estimate["mean"] == 6.0
-        snap = summary.snapshot()
-        assert snap["type"] == "estimate"
-        assert snap["count"] == 2
-        assert snap["estimate"]["n"] == 8
-
-    def test_kind_conflicts_rejected(self):
-        registry = MetricsRegistry()
-        registry.estimate("x")
-        with pytest.raises(ValueError):
-            registry.counter("x")

@@ -212,30 +212,13 @@ class TestStrategiesShareThePool:
 
 
 class TestPoolMetrics:
-    def test_pool_reuse_and_batch_counters(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        points = small_points()
-        with SweepEngine(workers=2, metrics=registry) as engine:
-            engine.run(points)
-            engine.run(points)
-        snapshot = registry.snapshot()
-        assert snapshot["sweep.pool_reuses"]["value"] == 1
-        assert snapshot["sweep.batches"]["value"] == engine.last_batches * 2
-        assert snapshot["sweep.points_computed"]["value"] == 2 * len(points)
-
     def test_inline_runs_do_not_count_reuses(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
         points = small_points()
-        engine = SweepEngine(workers=1, metrics=registry)
+        engine = SweepEngine(workers=1)
         engine.run(points)
         engine.run(points)
-        snapshot = registry.snapshot()
-        assert "sweep.pool_reuses" not in snapshot or (
-            snapshot["sweep.pool_reuses"]["value"] == 0)
+        assert engine.pool_reuses == 0
+        assert engine.last_batches == 0
 
 
 class TestCliWorkersAuto:

@@ -11,7 +11,7 @@ from repro.trace import TransactionRecorder, VcdTracer
 class TestVcdTracer:
     def _run_traced(self, ctx, top):
         stream = io.StringIO()
-        tracer = VcdTracer(stream, ctx, timescale="1ps")
+        tracer = VcdTracer(stream, ctx)
         sig = Signal("data", top, init=0, check_writer=False)
         flag = Signal("flag", top, init=False, check_writer=False)
         tracer.trace(sig, "data", width=8)
@@ -82,10 +82,6 @@ class TestVcdTracer:
         tracer.trace(sig, "s")
         assert len(tracer._vars) == 1
 
-    def test_bad_timescale_rejected(self, ctx):
-        with pytest.raises(ValueError):
-            VcdTracer(io.StringIO(), ctx, timescale="1 fortnight")
-
 
 class TestTransactionRecorder:
     def test_records_and_latency_stats(self):
@@ -95,19 +91,8 @@ class TestTransactionRecorder:
         rec.record("bus", "write", "dma", "mem", ns(5), ns(25), nbytes=32)
         assert rec.count == 3
         assert rec.total_bytes == 64
-        reads = rec.latency_stats("read")
-        assert reads.count == 2
-        assert reads.mean_ns == pytest.approx(50.0)
-        overall = rec.latency_stats()
-        assert overall.count == 3
-
-    def test_queries(self):
-        rec = TransactionRecorder()
-        rec.record("bus", "read", "cpu", "mem", ns(0), ns(1))
-        rec.record("bus", "write", "cpu", "mem", ns(0), ns(1))
-        rec.record("bus", "read", "dma", "mem", ns(0), ns(1))
-        assert len(rec.by_kind("read")) == 2
-        assert len(rec.by_initiator("dma")) == 1
+        assert [(r.kind, r.latency) for r in rec.records] == [
+            ("read", ns(40)), ("read", ns(60)), ("write", ns(20))]
 
     def test_listener_notified(self):
         rec = TransactionRecorder()
@@ -122,15 +107,6 @@ class TestTransactionRecorder:
         rec.record("c", "read", "a", "b", ns(0), ns(5))
         assert rec.count == 1
         assert rec.records == []
-        assert rec.latency_stats("read").count == 1
-
-    def test_clear(self):
-        rec = TransactionRecorder()
-        rec.record("c", "read", "a", "b", ns(0), ns(5))
-        rec.clear()
-        assert rec.count == 0
-        assert rec.records == []
-        assert rec.latency_stats("read").count == 0
 
     def test_record_attributes_preserved(self):
         rec = TransactionRecorder()
@@ -174,15 +150,6 @@ class TestVcdValueKinds:
 
 
 class TestRecorderStatsWithoutRecords:
-    def test_overall_latency_exact_with_keep_records_false(self):
-        rec = TransactionRecorder(keep_records=False)
-        rec.record("c", "read", "a", "b", ns(0), ns(10))
-        rec.record("c", "write", "a", "b", ns(0), ns(30))
-        overall = rec.latency_stats()
-        assert overall.count == 2
-        assert overall.mean_ns == pytest.approx(20.0)
-        assert rec.records == []
-
     def test_metrics_accumulate_via_registry(self):
         from repro.obs import MetricsRegistry
 
@@ -196,27 +163,13 @@ class TestRecorderStatsWithoutRecords:
         assert hist.count == 2
         assert hist.mean == pytest.approx(15.0)
 
-    def test_metrics_prefix(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        rec = TransactionRecorder(metrics=registry, metrics_prefix="ship")
-        rec.record("c", "send", "a", "b", ns(0), ns(5))
-        assert registry.get("ship.transactions").value == 1
-
-    def test_clear_resets_overall_latency(self):
-        rec = TransactionRecorder(keep_records=False)
-        rec.record("c", "read", "a", "b", ns(0), ns(10))
-        rec.clear()
-        assert rec.latency_stats().count == 0
-
 
 class TestVcdTracerLifecycle:
     def test_context_manager_stamps_final_time(self, ctx, top):
         stream = io.StringIO()
         sig = Signal("s", top, init=0, check_writer=False)
 
-        with VcdTracer(stream, ctx, timescale="1ns") as writer:
+        with VcdTracer(stream, ctx) as writer:
             writer.trace(sig, "s")
 
             def driver():
@@ -225,10 +178,11 @@ class TestVcdTracerLifecycle:
 
             ctx.register_thread(driver, "d")
             ctx.run(ns(50))
-        # the change was dumped at #1; close() stamps the run end (#50)
+        # the change was dumped at #1000 (1 ns); close() stamps the run
+        # end (#50000)
         text = stream.getvalue()
-        assert "#1\n" in text
-        assert text.rstrip().endswith("#50")
+        assert "#1000\n" in text
+        assert text.rstrip().endswith("#50000")
 
     def test_close_idempotent(self, ctx, top):
         stream = io.StringIO()
