@@ -2,10 +2,11 @@
 
 A :class:`LinkFaultInjector` attaches to a
 :class:`~repro.ship.channel.ShipChannel` via its ``fault_injector``
-attribute.  The channel consults :meth:`on_message` once per transmitted
-message (``send``/``request``/``reply`` payloads all pass through the
-same transmit path) — the fault-free channel pays a single attribute
-test.
+attribute.  The channel consults :meth:`on_message` once per ``send``
+and ``request`` message (both pass through the same transmit path); a
+``reply`` is not consulted, and reaches the injector only through
+:meth:`on_reply_dropped` when its requester has given up.  The
+fault-free channel pays a single attribute test.
 
 Fault semantics:
 
@@ -15,9 +16,12 @@ Fault semantics:
   deadline bounds it or a watchdog is armed — which is exactly the
   failure mode the resilience layer exists to surface.
 * **corrupt** — one payload bit is flipped *after* the 6-byte frame
-  header (``tag | length``), so the receiver still decodes a value — the
-  wrong one.  Skipped for zero-copy channels (there are no bytes to
-  flip) and empty payloads.
+  header (``tag | length``), so the frame still parses.  Usually the
+  receiver decodes a value — the wrong one; but a flipped bit can also
+  leave a payload its type cannot decode (a ``ShipString`` that is no
+  longer UTF-8), and the receiver's ``recv`` then raises
+  :class:`~repro.ship.serializable.SerializationError`.  Skipped for
+  zero-copy channels (there are no bytes to flip) and empty payloads.
 * **delay** — adds ``extra_latency`` to the modeled transfer time.
 """
 

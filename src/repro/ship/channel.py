@@ -49,10 +49,9 @@ class ShipEnd(enum.Enum):
     A = "a"
     B = "b"
 
-    @property
-    def other(self) -> "ShipEnd":
-        """The opposite endpoint."""
-        return ShipEnd.B if self is ShipEnd.A else ShipEnd.A
+    # Members are singletons, so identity hashing agrees with equality;
+    # it spares each channel call Enum's Python-level ``__hash__``.
+    __hash__ = object.__hash__
 
 
 @dataclass
@@ -86,15 +85,30 @@ class _Message:
 
 
 class _Endpoint:
-    """Book-keeping for one channel end."""
+    """Everything one channel end owns, reached in one lookup."""
 
-    __slots__ = ("owner_name", "calls_used", "bytes_sent", "messages_sent")
+    __slots__ = ("end", "owner_name", "calls_used", "bytes_sent",
+                 "messages_sent", "queue", "data_event", "space_event",
+                 "unanswered", "peer")
 
-    def __init__(self):
+    def __init__(self, end: ShipEnd, channel: "ShipChannel"):
+        self.end = end
+        #: set when an owner claims the end
         self.owner_name: Optional[str] = None
         self.calls_used: Set[str] = set()
         self.bytes_sent = 0
         self.messages_sent = 0
+        #: messages sent from this end, not yet received by the peer
+        self.queue: deque = deque()
+        prefix, suffix = channel.full_name, end.value
+        #: notified when a message reaches this end
+        self.data_event = Event(channel, f"{prefix}.data_{suffix}")
+        #: notified when a slot frees in this end's queue
+        self.space_event = Event(channel, f"{prefix}.space_{suffix}")
+        #: requests received at this end and not yet replied to (FIFO)
+        self.unanswered: deque = deque()
+        #: the other end's record
+        self.peer: Optional["_Endpoint"] = None
 
 
 class ShipChannel(SimObject):
@@ -132,35 +146,18 @@ class ShipChannel(SimObject):
         self.zero_copy = zero_copy
         self.timing = timing or ShipTiming()
         self.recorder = recorder
-        self._endpoints: Dict[ShipEnd, _Endpoint] = {
-            ShipEnd.A: _Endpoint(),
-            ShipEnd.B: _Endpoint(),
-        }
-        self._claimed: Dict[ShipEnd, object] = {}
-        #: messages in flight from each end toward the other
-        self._queues: Dict[ShipEnd, deque] = {
-            ShipEnd.A: deque(),
-            ShipEnd.B: deque(),
-        }
-        self._data_events = {
-            ShipEnd.A: Event(self, f"{self.full_name}.data_a"),
-            ShipEnd.B: Event(self, f"{self.full_name}.data_b"),
-        }
-        self._space_events = {
-            ShipEnd.A: Event(self, f"{self.full_name}.space_a"),
-            ShipEnd.B: Event(self, f"{self.full_name}.space_b"),
-        }
+        a = _Endpoint(ShipEnd.A, self)
+        b = _Endpoint(ShipEnd.B, self)
+        a.peer, b.peer = b, a
+        #: each end's record; the per-message calls resolve it once
+        self._ends: Dict[ShipEnd, _Endpoint] = {ShipEnd.A: a, ShipEnd.B: b}
         #: txn_id -> [reply payload or None, Event]
         self._pending_replies: Dict[int, list] = {}
-        #: per end: requests received and not yet replied to (FIFO)
-        self._unanswered: Dict[ShipEnd, deque] = {
-            ShipEnd.A: deque(),
-            ShipEnd.B: deque(),
-        }
         self._txn_ids = itertools.count(1)
         #: Optional link fault injector (``repro.faults.LinkFaultInjector``
-        #: duck type): consulted once per transmitted message.  None keeps
-        #: the channel on the fault-free path (a single attribute test).
+        #: duck type): consulted once per ``send`` or ``request`` message,
+        #: and told of each dropped reply.  None keeps the channel on the
+        #: fault-free path (a single attribute test).
         self.fault_injector = None
         #: Replies that arrived after their requester abandoned the
         #: transaction; they are dropped, not delivered.
@@ -170,13 +167,10 @@ class ShipChannel(SimObject):
 
     def claim_end(self, owner) -> ShipEnd:
         """Assign a free endpoint to ``owner`` (a port or module)."""
-        for end in (ShipEnd.A, ShipEnd.B):
-            if end not in self._claimed:
-                self._claimed[end] = owner
-                self._endpoints[end].owner_name = getattr(
-                    owner, "full_name", str(owner)
-                )
-                return end
+        for ep in self._ends.values():
+            if ep.owner_name is None:
+                ep.owner_name = getattr(owner, "full_name", str(owner))
+                return ep.end
         raise SimulationError(
             f"ship channel {self.full_name} already has two endpoints "
             f"(point-to-point only)"
@@ -184,7 +178,7 @@ class ShipChannel(SimObject):
 
     def endpoint_owner(self, end: ShipEnd) -> Optional[str]:
         """Name of the object that claimed this end."""
-        return self._endpoints[end].owner_name
+        return self._ends[end].owner_name
 
     # -- the four SHIP interface method calls -----------------------------------
 
@@ -195,7 +189,7 @@ class ShipChannel(SimObject):
         :func:`~repro.kernel.sync.with_timeout` deadline closes it)
         enqueues nothing and counts no bytes.
         """
-        yield from self._transmit(end, obj, "send", None)
+        return self._transmit(end, obj, "send", None)
 
     def recv(self, end: ShipEnd) -> Generator:
         """Blocking receive; returns the next message from the peer.
@@ -203,22 +197,25 @@ class ShipChannel(SimObject):
         If the message was sent with ``request``, this endpoint owes a
         ``reply`` (FIFO order).
         """
-        self._note_call(end, "recv")
-        source = end.other
-        queue = self._queues[source]
+        ep = self._ends[end]
+        ep.calls_used.add("recv")
+        source = ep.peer
+        queue = source.queue
         while not queue:
-            yield self._data_events[end]
+            yield ep.data_event
         msg = queue.popleft()
-        self._space_events[source].notify()
-        obj = self._materialize(msg)
+        source.space_event.notify()
+        obj = msg.obj
+        if obj is None:
+            obj, _ = decode_message(msg.data)
         if msg.kind == "request":
-            self._unanswered[end].append(msg.txn_id)
+            ep.unanswered.append(msg.txn_id)
         if self.recorder is not None:
             self.recorder.record(
                 channel=self.full_name,
                 kind=msg.kind,
-                initiator=self._endpoints[source].owner_name or source.value,
-                target=self._endpoints[end].owner_name or end.value,
+                initiator=source.owner_name or source.end.value,
+                target=ep.owner_name or end.value,
                 begin=msg.sent_at,
                 end=self.ctx.now,
                 nbytes=msg.nbytes,
@@ -255,77 +252,61 @@ class ShipChannel(SimObject):
         already abandoned the transaction the reply is silently dropped
         and counted in :attr:`replies_dropped`.
         """
-        self._note_call(end, "reply")
-        if not self._unanswered[end]:
+        ep = self._ends[end]
+        ep.calls_used.add("reply")
+        unanswered = ep.unanswered
+        if not unanswered:
             raise SimulationError(
                 f"ship channel {self.full_name}: reply() with no "
                 f"outstanding request at end {end.value}"
             )
-        txn_id = self._unanswered[end].popleft()
-        nbytes = self._wire_size(obj)
+        txn_id = unanswered.popleft()
+        data, nbytes = self._frame(obj)
         delay_fs = self.timing.transfer_time_fs(nbytes)
         if delay_fs:
             try:
                 yield SimTime._from_fs(delay_fs)
             except GeneratorExit:
-                self._unanswered[end].appendleft(txn_id)
+                unanswered.appendleft(txn_id)
                 raise
         slot = self._pending_replies.pop(txn_id, None)
-        self._endpoints[end].bytes_sent += nbytes
-        self._endpoints[end].messages_sent += 1
+        ep.bytes_sent += nbytes
+        ep.messages_sent += 1
         if slot is None:
             self.replies_dropped += 1
             inj = self.fault_injector
             if inj is not None:
                 inj.on_reply_dropped(self, end, txn_id)
             return
-        slot[0] = self._roundtrip(obj)
+        if data is not None:
+            obj, _ = decode_message(data)
+        slot[0] = obj
         slot[1].notify()
 
     # -- internals ---------------------------------------------------------------
 
-    def _note_call(self, end: ShipEnd, call: str) -> None:
-        self._endpoints[end].calls_used.add(call)
+    def _frame(self, obj: ShipSerializable) -> tuple:
+        """``(frame, wire bytes)`` of one transfer of ``obj``.
 
-    def _wire_size(self, obj: ShipSerializable) -> int:
-        """Framed bytes ``obj`` occupies on the wire.
-
-        Zero-copy mode skips building the frame but charges the same
+        Zero-copy mode builds no frame (``None``) but charges the same
         ``tag | length | payload`` size, so the flag moves host time
         only, never simulated time or byte counts.
         """
         if self.zero_copy:
             serialize = getattr(obj, "serialize", None)
             if serialize is None:
-                return 0
-            return FRAME_HEADER_BYTES + len(serialize())
-        return len(encode_message(obj))
-
-    def _roundtrip(self, obj: ShipSerializable):
-        """Serialize/deserialize (or pass through when zero_copy)."""
-        if self.zero_copy:
-            return obj
-        decoded, _ = decode_message(encode_message(obj))
-        return decoded
-
-    def _materialize(self, msg: _Message):
-        if msg.obj is not None:
-            return msg.obj
-        decoded, _ = decode_message(msg.data)
-        return decoded
+                return None, 0
+            return None, FRAME_HEADER_BYTES + len(serialize())
+        data = encode_message(obj)
+        return data, len(data)
 
     def _transmit(self, end, obj, kind, txn_id) -> Generator:
-        self._note_call(end, kind)
+        ep = self._ends[end]
+        ep.calls_used.add(kind)
         # a recorded transfer begins when the call does: its latency
         # includes the wire time and any wait for queue space
         sent_at = self.ctx.now
-        if self.zero_copy:
-            data, payload_obj = None, obj
-            nbytes = self._wire_size(obj)
-        else:
-            data = encode_message(obj)
-            payload_obj = None
-            nbytes = len(data)
+        data, nbytes = self._frame(obj)
         delay_fs = self.timing.transfer_time_fs(nbytes)
         deliver = True
         inj = self.fault_injector
@@ -336,30 +317,26 @@ class ShipChannel(SimObject):
             delay_fs += extra_fs
         if delay_fs:
             yield SimTime._from_fs(delay_fs)
-        ep = self._endpoints[end]
         if not deliver:
             # Lost on the wire: the sender pays the latency and its
             # accounting is updated, but nothing reaches the peer.
             ep.bytes_sent += nbytes
             ep.messages_sent += 1
             return
-        queue = self._queues[end]
+        queue = ep.queue
         while len(queue) >= self.capacity:
-            yield self._space_events[end]
-        queue.append(
-            _Message(kind, data, payload_obj, txn_id, nbytes, sent_at)
-        )
+            yield ep.space_event
+        queue.append(_Message(kind, data, obj if self.zero_copy else None,
+                              txn_id, nbytes, sent_at))
         ep.bytes_sent += nbytes
         ep.messages_sent += 1
-        self._data_events[end.other].notify()
+        ep.peer.data_event.notify()
 
     # -- checkpoint/restore protocol (see repro.snapshot) --------------------
 
     def __snapshot_events__(self):
-        return (
-            self._data_events[ShipEnd.A], self._data_events[ShipEnd.B],
-            self._space_events[ShipEnd.A], self._space_events[ShipEnd.B],
-        )
+        a, b = self._ends[ShipEnd.A], self._ends[ShipEnd.B]
+        return a.data_event, b.data_event, a.space_event, b.space_event
 
     def __snapshot__(self) -> dict:
         from repro.snapshot.state import SnapshotError
@@ -371,9 +348,9 @@ class ShipChannel(SimObject):
                 "— not a checkpointable instant"
             )
         queues = {}
-        for end, queue in self._queues.items():
+        for end, ep in self._ends.items():
             records = []
-            for msg in queue:
+            for msg in ep.queue:
                 if msg.obj is not None:
                     raise SnapshotError(
                         f"ship channel {self.full_name}: zero-copy message "
@@ -395,21 +372,21 @@ class ShipChannel(SimObject):
                     "bytes_sent": ep.bytes_sent,
                     "messages_sent": ep.messages_sent,
                 }
-                for end, ep in self._endpoints.items()
+                for end, ep in self._ends.items()
             },
             "unanswered": {
-                end.value: list(ids) for end, ids in self._unanswered.items()
+                end.value: list(ep.unanswered)
+                for end, ep in self._ends.items()
             },
             "next_txn_id": next(self._txn_ids),
             "replies_dropped": self.replies_dropped,
         }
 
     def __restore__(self, state: dict) -> None:
-        for end in ShipEnd:
-            queue = self._queues[end]
-            queue.clear()
+        for end, ep in self._ends.items():
+            ep.queue.clear()
             for record in state["queues"][end.value]:
-                queue.append(_Message(
+                ep.queue.append(_Message(
                     record["kind"],
                     bytes.fromhex(record["data"]),
                     None,
@@ -417,12 +394,12 @@ class ShipChannel(SimObject):
                     record["nbytes"],
                     SimTime._from_fs(record["sent_at_fs"]),
                 ))
-            ep = self._endpoints[end]
             payload = state["endpoints"][end.value]
             ep.calls_used = set(payload["calls_used"])
             ep.bytes_sent = payload["bytes_sent"]
             ep.messages_sent = payload["messages_sent"]
-            self._unanswered[end] = deque(state["unanswered"][end.value])
+            ep.unanswered.clear()
+            ep.unanswered.extend(state["unanswered"][end.value])
         self._txn_ids = itertools.count(state["next_txn_id"])
         self.replies_dropped = state["replies_dropped"]
 
@@ -430,7 +407,7 @@ class ShipChannel(SimObject):
 
     def detected_role(self, end: ShipEnd) -> Role:
         """Role of one endpoint from its observed interface calls."""
-        return classify(self._endpoints[end].calls_used)
+        return classify(self._ends[end].calls_used)
 
     def detected_roles(self) -> Dict[ShipEnd, Role]:
         """Role per endpoint from observed calls."""
@@ -446,12 +423,12 @@ class ShipChannel(SimObject):
 
     def bytes_sent(self, end: ShipEnd) -> int:
         """Bytes transmitted from this endpoint."""
-        return self._endpoints[end].bytes_sent
+        return self._ends[end].bytes_sent
 
     def messages_sent(self, end: ShipEnd) -> int:
         """Messages transmitted from this endpoint."""
-        return self._endpoints[end].messages_sent
+        return self._ends[end].messages_sent
 
     def pending_requests(self, end: ShipEnd) -> int:
         """Requests received at ``end`` and not yet replied to."""
-        return len(self._unanswered[end])
+        return len(self._ends[end].unanswered)

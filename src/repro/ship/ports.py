@@ -15,15 +15,17 @@ from typing import Generator, Optional
 from repro.kernel.errors import ProcessError
 from repro.kernel.port import Port
 from repro.ship.channel import ShipChannel, ShipEnd
-from repro.ship.roles import Role
+from repro.ship.roles import MASTER_CALLS, SLAVE_CALLS, Role
 from repro.ship.serializable import ShipSerializable
 
 
 class ShipPort(Port):
-    """A port requiring a :class:`ShipChannel`; all four calls allowed."""
+    """A port requiring a :class:`ShipChannel`; all four calls allowed.
 
-    #: interface calls this port type permits (None = all)
-    _allowed_calls: Optional[frozenset] = None
+    The port claims its channel end when its binding completes
+    (elaboration), so each call goes straight to the channel and hands
+    back the channel's generator.
+    """
 
     def __init__(self, name, parent=None, ctx=None, required: bool = True):
         super().__init__(name, parent, ctx, iface_type=ShipChannel,
@@ -40,36 +42,25 @@ class ShipPort(Port):
     def complete_binding(self) -> None:
         super().complete_binding()
         if self.bound and self._end is None:
-            self._end = self.channel.claim_end(self)
-
-    def _check_allowed(self, call: str) -> None:
-        if self._allowed_calls is not None and call not in self._allowed_calls:
-            raise ProcessError(
-                f"{type(self).__name__} {self.full_name} does not permit "
-                f"{call!r} (allowed: {sorted(self._allowed_calls)})"
-            )
+            self._end = self._channel.claim_end(self)
 
     # -- the four SHIP interface method calls ----------------------------------
 
     def send(self, obj: ShipSerializable) -> Generator:
         """Blocking one-way transfer (master call)."""
-        self._check_allowed("send")
-        yield from self.channel.send(self.end, obj)
+        return self._channel.send(self._end, obj)
 
     def recv(self) -> Generator:
         """Blocking receive (slave call); returns the received object."""
-        self._check_allowed("recv")
-        return (yield from self.channel.recv(self.end))
+        return self._channel.recv(self._end)
 
     def request(self, obj: ShipSerializable) -> Generator:
         """Blocking round trip (master call); returns the reply."""
-        self._check_allowed("request")
-        return (yield from self.channel.request(self.end, obj))
+        return self._channel.request(self._end, obj)
 
     def reply(self, obj: ShipSerializable) -> Generator:
         """Answer the oldest outstanding request (slave call)."""
-        self._check_allowed("reply")
-        yield from self.channel.reply(self.end, obj)
+        return self._channel.reply(self._end, obj)
 
     # -- role introspection -------------------------------------------------------
 
@@ -78,14 +69,32 @@ class ShipPort(Port):
         """Role of this port as observed by the channel so far."""
         return self.channel.detected_role(self.end)
 
+    def _refusal(self, call: str, allowed: frozenset) -> ProcessError:
+        return ProcessError(
+            f"{type(self).__name__} {self.full_name} does not permit "
+            f"{call!r} (allowed: {sorted(allowed)})"
+        )
+
 
 class ShipMasterPort(ShipPort):
     """A SHIP port restricted to the master calls ``send``/``request``."""
 
-    _allowed_calls = frozenset({"send", "request"})
+    def recv(self) -> Generator:
+        """Refused: a slave call."""
+        raise self._refusal("recv", MASTER_CALLS)
+
+    def reply(self, obj: ShipSerializable) -> Generator:
+        """Refused: a slave call."""
+        raise self._refusal("reply", MASTER_CALLS)
 
 
 class ShipSlavePort(ShipPort):
     """A SHIP port restricted to the slave calls ``recv``/``reply``."""
 
-    _allowed_calls = frozenset({"recv", "reply"})
+    def send(self, obj: ShipSerializable) -> Generator:
+        """Refused: a master call."""
+        raise self._refusal("send", SLAVE_CALLS)
+
+    def request(self, obj: ShipSerializable) -> Generator:
+        """Refused: a master call."""
+        raise self._refusal("request", SLAVE_CALLS)

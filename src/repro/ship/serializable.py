@@ -22,13 +22,19 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Dict, Tuple, Type
 
 from repro.kernel.errors import KernelError
 
 
 class SerializationError(KernelError):
-    """Raised for malformed byte streams or unregistered types."""
+    """Raised for malformed byte streams or unregistered types.
+
+    The built-in wrappers also raise it for a value their payload format
+    cannot hold (an ``int`` outside int64 or int32, text that is not
+    valid Unicode) and for a payload that does not decode.
+    """
 
 
 class ShipSerializable(ABC):
@@ -100,27 +106,27 @@ def encode_message(obj: ShipSerializable) -> bytes:
             f"{type(obj).__name__}.serialize must return bytes, got "
             f"{type(payload).__name__}"
         )
-    return _FRAME_HEADER.pack(tag, len(payload)) + bytes(payload)
+    # bytes + bytearray is bytes, so the payload is copied only here
+    return _FRAME_HEADER.pack(tag, len(payload)) + payload
 
 
 def decode_message(data: bytes) -> Tuple[ShipSerializable, int]:
     """Decode one framed message; returns ``(object, bytes_consumed)``."""
-    if len(data) < _FRAME_HEADER.size:
+    if len(data) < FRAME_HEADER_BYTES:
         raise SerializationError(
             f"truncated frame header: {len(data)} bytes"
         )
     tag, length = _FRAME_HEADER.unpack_from(data)
-    end = _FRAME_HEADER.size + length
+    end = FRAME_HEADER_BYTES + length
     if len(data) < end:
         raise SerializationError(
             f"truncated payload: expected {length} bytes, have "
-            f"{len(data) - _FRAME_HEADER.size}"
+            f"{len(data) - FRAME_HEADER_BYTES}"
         )
     cls = _REGISTRY.get(tag)
     if cls is None:
         raise SerializationError(f"unknown type tag {tag}")
-    payload = data[_FRAME_HEADER.size:end]
-    return cls.deserialize(payload), end
+    return cls.deserialize(data[FRAME_HEADER_BYTES:end]), end
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +143,12 @@ class ShipInt(ShipSerializable):
         self.value = int(value)
 
     def serialize(self) -> bytes:
-        return self._FORMAT.pack(self.value)
+        try:
+            return self._FORMAT.pack(self.value)
+        except struct.error:
+            raise SerializationError(
+                f"ShipInt value {self.value} is outside the int64 range"
+            ) from None
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ShipInt":
@@ -172,7 +183,14 @@ class ShipFloat(ShipSerializable):
     @classmethod
     def deserialize(cls, data: bytes) -> "ShipFloat":
         """Decode an IEEE-754 double payload."""
-        return cls(cls._FORMAT.unpack(data)[0])
+        try:
+            (value,) = cls._FORMAT.unpack(data)
+        except struct.error:
+            raise SerializationError(
+                f"ShipFloat payload must be {cls._FORMAT.size} bytes, "
+                f"got {len(data)}"
+            ) from None
+        return cls(value)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ShipFloat) and other.value == self.value
@@ -218,12 +236,25 @@ class ShipString(ShipSerializable):
         self.value = str(value)
 
     def serialize(self) -> bytes:
-        return self.value.encode("utf-8")
+        try:
+            return self.value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SerializationError(
+                f"ShipString value is not encodable as UTF-8: {exc.reason} "
+                f"at index {exc.start}"
+            ) from None
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ShipString":
         """Decode a UTF-8 payload."""
-        return cls(data.decode("utf-8"))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializationError(
+                f"ShipString payload is not valid UTF-8: {exc.reason} "
+                f"at byte {exc.start}"
+            ) from None
+        return cls(text)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ShipString) and other.value == self.value
@@ -235,6 +266,12 @@ class ShipString(ShipSerializable):
         return f"ShipString({self.value!r})"
 
 
+@lru_cache(maxsize=256)
+def _int32_array(count: int) -> struct.Struct:
+    """The codec of a ``count``-element ``ShipIntArray`` payload."""
+    return struct.Struct(f">{count}i")
+
+
 class ShipIntArray(ShipSerializable):
     """A homogeneous array of signed 32-bit integers."""
 
@@ -242,7 +279,13 @@ class ShipIntArray(ShipSerializable):
         self.values = [int(v) for v in values]
 
     def serialize(self) -> bytes:
-        return struct.pack(f">{len(self.values)}i", *self.values)
+        values = self.values
+        try:
+            return _int32_array(len(values)).pack(*values)
+        except struct.error:
+            raise SerializationError(
+                "ShipIntArray values must be ints in the int32 range"
+            ) from None
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ShipIntArray":
@@ -251,8 +294,10 @@ class ShipIntArray(ShipSerializable):
             raise SerializationError(
                 f"ShipIntArray payload length {len(data)} not a multiple of 4"
             )
-        count = len(data) // 4
-        return cls(struct.unpack(f">{count}i", data))
+        # struct already produced ints: skip __init__'s per-value int()
+        obj = cls.__new__(cls)
+        obj.values = list(_int32_array(len(data) // 4).unpack(data))
+        return obj
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ShipIntArray) and other.values == self.values

@@ -1,5 +1,8 @@
 """Unit tests for the SHIP serialization interface."""
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +52,30 @@ class TestBuiltinWrappers:
     def test_int_array_alignment_checked(self):
         with pytest.raises(SerializationError):
             ShipIntArray.deserialize(b"\x00\x01\x02")
+
+    def test_float_payload_length_checked(self):
+        frame = struct.pack(">HI", 2, 4) + b"\x00" * 4
+        with pytest.raises(SerializationError, match="ShipFloat.*8 bytes"):
+            decode_message(frame)
+
+    def test_invalid_utf8_payload_rejected(self):
+        frame = bytearray(encode_message(ShipString("abc")))
+        frame[6] ^= 0x80      # bit 7 of the first payload byte
+        with pytest.raises(SerializationError, match="ShipString.*UTF-8"):
+            decode_message(bytes(frame))
+
+    def test_unencodable_string_rejected(self):
+        with pytest.raises(SerializationError, match="ShipString.*UTF-8"):
+            encode_message(ShipString("\ud800"))
+
+    def test_int_outside_int64_rejected(self):
+        with pytest.raises(SerializationError, match="ShipInt.*int64"):
+            encode_message(ShipInt(1 << 63))
+
+    def test_array_value_outside_int32_rejected(self):
+        with pytest.raises(SerializationError,
+                           match="ShipIntArray.*int32"):
+            encode_message(ShipIntArray([1 << 31]))
 
     def test_builtin_tags_are_stable(self):
         assert registered_tag(ShipInt) == 1
@@ -151,3 +178,42 @@ def test_int_array_round_trip_property(values):
 def test_string_round_trip_property(text):
     decoded, _ = decode_message(encode_message(ShipString(text)))
     assert decoded.value == text
+
+
+# The wire format of docs/ship_protocol.md section 2, built here from the
+# document, not from the codec: a ``>HI`` (tag, payload length) header,
+# then the payload in its class's encoding.
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_INT32 = st.integers(-(2**31), 2**31 - 1)
+_builtins = st.one_of(
+    st.tuples(st.just(1), st.one_of(_INT64, st.sampled_from(
+        [-(2**63), 2**63 - 1, 0]))),
+    st.tuples(st.just(2), st.one_of(st.floats(allow_nan=False),
+                                    st.sampled_from([math.inf, -math.inf]))),
+    st.tuples(st.just(3), st.binary(max_size=64)),
+    st.tuples(st.just(4), st.text(max_size=32)),
+    st.tuples(st.just(5), st.one_of(
+        st.lists(_INT32, max_size=40),
+        st.sampled_from([[], [-(2**31)], [2**31 - 1, -(2**31)]]))),
+)
+
+_WIRE = {
+    1: (ShipInt, lambda v: struct.pack(">q", v)),
+    2: (ShipFloat, lambda v: struct.pack(">d", v)),
+    3: (ShipBytes, lambda v: v),
+    4: (ShipString, lambda v: v.encode("utf-8")),
+    5: (ShipIntArray, lambda v: struct.pack(f">{len(v)}i", *v)),
+}
+
+
+@given(_builtins)
+def test_builtin_wire_format_is_the_documented_one(case):
+    tag, value = case
+    cls, payload_of = _WIRE[tag]
+    payload = payload_of(value)
+    frame = struct.pack(">HI", tag, len(payload)) + payload
+    obj = cls(value)
+    assert encode_message(obj) == frame
+    assert decode_message(frame) == (obj, len(frame))
+    # trailing bytes belong to the next frame
+    assert decode_message(frame + b"\x01") == (obj, len(frame))

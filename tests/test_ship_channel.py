@@ -1,10 +1,288 @@
-"""Unit tests for the SHIP channel and its four interface method calls."""
+"""Unit tests for the SHIP channel and its four interface method calls.
+
+``ReferenceShipChannel`` below is the reference for the channel: the
+implementation that kept each end's state in five ``ShipEnd``-keyed
+dicts and encoded every reply twice.  The differential property runs
+random schedules on both and requires the same deliveries, accounting,
+recorder records and checkpoint payload.
+"""
+
+import itertools
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.kernel import Module, SimContext, SimulationError, ns
-from repro.ship import ShipChannel, ShipEnd, ShipInt, ShipString, ShipTiming
+from repro.faults import FaultPlan, FaultRule, LinkFaultInjector
+from repro.kernel import (
+    Event,
+    Module,
+    SimContext,
+    SimObject,
+    SimTime,
+    SimTimeoutError,
+    SimulationError,
+    ns,
+    ps,
+    with_timeout,
+)
+from repro.ship import (
+    ShipChannel,
+    ShipEnd,
+    ShipInt,
+    ShipString,
+    ShipTiming,
+    classify,
+    decode_message,
+    encode_message,
+    roles_consistent,
+)
+from repro.ship.serializable import FRAME_HEADER_BYTES
+from repro.snapshot import SnapshotError
 from repro.trace import TransactionRecorder
+
+_OTHER = {ShipEnd.A: ShipEnd.B, ShipEnd.B: ShipEnd.A}
+
+
+class _ReferenceMessage:
+    __slots__ = ("kind", "data", "obj", "txn_id", "nbytes", "sent_at")
+
+    def __init__(self, kind, data, obj, txn_id, nbytes, sent_at):
+        self.kind = kind
+        self.data = data
+        self.obj = obj
+        self.txn_id = txn_id
+        self.nbytes = nbytes
+        self.sent_at = sent_at
+
+
+class _ReferenceEndpoint:
+    __slots__ = ("owner_name", "calls_used", "bytes_sent", "messages_sent")
+
+    def __init__(self):
+        self.owner_name = None
+        self.calls_used = set()
+        self.bytes_sent = 0
+        self.messages_sent = 0
+
+
+class ReferenceShipChannel(SimObject):
+    """Reference channel: per-end state in ``ShipEnd``-keyed dicts."""
+
+    def __init__(self, name, parent=None, ctx=None, capacity=8,
+                 zero_copy=False, timing=None, recorder=None):
+        super().__init__(name, parent, ctx)
+        self.capacity = capacity
+        self.zero_copy = zero_copy
+        self.timing = timing or ShipTiming()
+        self.recorder = recorder
+        self._endpoints = {ShipEnd.A: _ReferenceEndpoint(),
+                           ShipEnd.B: _ReferenceEndpoint()}
+        self._claimed = {}
+        self._queues = {ShipEnd.A: deque(), ShipEnd.B: deque()}
+        self._data_events = {
+            ShipEnd.A: Event(self, f"{self.full_name}.data_a"),
+            ShipEnd.B: Event(self, f"{self.full_name}.data_b"),
+        }
+        self._space_events = {
+            ShipEnd.A: Event(self, f"{self.full_name}.space_a"),
+            ShipEnd.B: Event(self, f"{self.full_name}.space_b"),
+        }
+        self._pending_replies = {}
+        self._unanswered = {ShipEnd.A: deque(), ShipEnd.B: deque()}
+        self._txn_ids = itertools.count(1)
+        self.fault_injector = None
+        self.replies_dropped = 0
+
+    def claim_end(self, owner):
+        for end in (ShipEnd.A, ShipEnd.B):
+            if end not in self._claimed:
+                self._claimed[end] = owner
+                self._endpoints[end].owner_name = getattr(
+                    owner, "full_name", str(owner))
+                return end
+        raise SimulationError("point-to-point only")
+
+    def send(self, end, obj):
+        yield from self._transmit(end, obj, "send", None)
+
+    def recv(self, end):
+        self._note_call(end, "recv")
+        source = _OTHER[end]
+        queue = self._queues[source]
+        while not queue:
+            yield self._data_events[end]
+        msg = queue.popleft()
+        self._space_events[source].notify()
+        obj = self._materialize(msg)
+        if msg.kind == "request":
+            self._unanswered[end].append(msg.txn_id)
+        if self.recorder is not None:
+            self.recorder.record(
+                channel=self.full_name,
+                kind=msg.kind,
+                initiator=self._endpoints[source].owner_name or source.value,
+                target=self._endpoints[end].owner_name or end.value,
+                begin=msg.sent_at,
+                end=self.ctx.now,
+                nbytes=msg.nbytes,
+            )
+        return obj
+
+    def request(self, end, obj):
+        txn_id = next(self._txn_ids)
+        done = Event(self, f"{self.full_name}.reply_{txn_id}")
+        slot = [None, done]
+        self._pending_replies[txn_id] = slot
+        try:
+            yield from self._transmit(end, obj, "request", txn_id)
+            while txn_id in self._pending_replies:
+                yield done
+        finally:
+            self._pending_replies.pop(txn_id, None)
+        return slot[0]
+
+    def reply(self, end, obj):
+        self._note_call(end, "reply")
+        if not self._unanswered[end]:
+            raise SimulationError(
+                f"ship channel {self.full_name}: reply() with no "
+                f"outstanding request at end {end.value}"
+            )
+        txn_id = self._unanswered[end].popleft()
+        nbytes = self._wire_size(obj)
+        delay_fs = self.timing.transfer_time_fs(nbytes)
+        if delay_fs:
+            try:
+                yield SimTime._from_fs(delay_fs)
+            except GeneratorExit:
+                self._unanswered[end].appendleft(txn_id)
+                raise
+        slot = self._pending_replies.pop(txn_id, None)
+        self._endpoints[end].bytes_sent += nbytes
+        self._endpoints[end].messages_sent += 1
+        if slot is None:
+            self.replies_dropped += 1
+            inj = self.fault_injector
+            if inj is not None:
+                inj.on_reply_dropped(self, end, txn_id)
+            return
+        slot[0] = self._roundtrip(obj)
+        slot[1].notify()
+
+    def _note_call(self, end, call):
+        self._endpoints[end].calls_used.add(call)
+
+    def _wire_size(self, obj):
+        if self.zero_copy:
+            serialize = getattr(obj, "serialize", None)
+            if serialize is None:
+                return 0
+            return FRAME_HEADER_BYTES + len(serialize())
+        return len(encode_message(obj))
+
+    def _roundtrip(self, obj):
+        if self.zero_copy:
+            return obj
+        decoded, _ = decode_message(encode_message(obj))
+        return decoded
+
+    def _materialize(self, msg):
+        if msg.obj is not None:
+            return msg.obj
+        decoded, _ = decode_message(msg.data)
+        return decoded
+
+    def _transmit(self, end, obj, kind, txn_id):
+        self._note_call(end, kind)
+        sent_at = self.ctx.now
+        if self.zero_copy:
+            data, payload_obj = None, obj
+            nbytes = self._wire_size(obj)
+        else:
+            data = encode_message(obj)
+            payload_obj = None
+            nbytes = len(data)
+        delay_fs = self.timing.transfer_time_fs(nbytes)
+        deliver = True
+        inj = self.fault_injector
+        if inj is not None:
+            deliver, data, extra_fs = inj.on_message(
+                self, end, kind, data, nbytes
+            )
+            delay_fs += extra_fs
+        if delay_fs:
+            yield SimTime._from_fs(delay_fs)
+        ep = self._endpoints[end]
+        if not deliver:
+            ep.bytes_sent += nbytes
+            ep.messages_sent += 1
+            return
+        queue = self._queues[end]
+        while len(queue) >= self.capacity:
+            yield self._space_events[end]
+        queue.append(_ReferenceMessage(kind, data, payload_obj, txn_id,
+                                       nbytes, sent_at))
+        ep.bytes_sent += nbytes
+        ep.messages_sent += 1
+        self._data_events[_OTHER[end]].notify()
+
+    def __snapshot__(self):
+        if self._pending_replies:
+            raise SnapshotError(
+                f"ship channel {self.full_name}: "
+                f"{len(self._pending_replies)} request(s) awaiting replies "
+                "— not a checkpointable instant"
+            )
+        queues = {}
+        for end, queue in self._queues.items():
+            records = []
+            for msg in queue:
+                if msg.obj is not None:
+                    raise SnapshotError(
+                        f"ship channel {self.full_name}: zero-copy message "
+                        "in flight cannot be serialized"
+                    )
+                records.append({
+                    "kind": msg.kind,
+                    "data": msg.data.hex(),
+                    "txn_id": msg.txn_id,
+                    "nbytes": msg.nbytes,
+                    "sent_at_fs": msg.sent_at._fs,
+                })
+            queues[end.value] = records
+        return {
+            "queues": queues,
+            "endpoints": {
+                end.value: {
+                    "calls_used": sorted(ep.calls_used),
+                    "bytes_sent": ep.bytes_sent,
+                    "messages_sent": ep.messages_sent,
+                }
+                for end, ep in self._endpoints.items()
+            },
+            "unanswered": {
+                end.value: list(ids) for end, ids in self._unanswered.items()
+            },
+            "next_txn_id": next(self._txn_ids),
+            "replies_dropped": self.replies_dropped,
+        }
+
+    def detected_role(self, end):
+        return classify(self._endpoints[end].calls_used)
+
+    def roles_consistent(self):
+        return roles_consistent(self.detected_role(ShipEnd.A),
+                                self.detected_role(ShipEnd.B))
+
+    def bytes_sent(self, end):
+        return self._endpoints[end].bytes_sent
+
+    def messages_sent(self, end):
+        return self._endpoints[end].messages_sent
+
+    def pending_requests(self, end):
+        return len(self._unanswered[end])
 
 
 def two_enders(ctx, top, chan):
@@ -385,3 +663,281 @@ class TestRecording:
         (record,) = rec.records
         assert (record.begin, record.end) == (ns(0), ns(10))
         assert record.latency == ns(10)
+
+
+class TestCodecPasses:
+    """Each transfer runs the codec once each way, through the names
+    ``repro.ship.channel`` imports (where perfbench's tracer counts)."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        import repro.ship.channel as channel_module
+
+        counts = {"encode": 0, "decode": 0}
+
+        def counting_encode(obj):
+            counts["encode"] += 1
+            return encode_message(obj)
+
+        def counting_decode(data):
+            counts["decode"] += 1
+            return decode_message(data)
+
+        monkeypatch.setattr(channel_module, "encode_message",
+                            counting_encode)
+        monkeypatch.setattr(channel_module, "decode_message",
+                            counting_decode)
+        return counts
+
+    def test_send_recv_encodes_once_and_decodes_once(self, ctx, top,
+                                                     passes):
+        chan = ShipChannel("c", top)
+        a, b = two_enders(ctx, top, chan)
+        got = []
+
+        def sender():
+            yield from chan.send(a, ShipInt(1))
+
+        def receiver():
+            got.append((yield from chan.recv(b)))
+
+        ctx.register_thread(sender, "s")
+        ctx.register_thread(receiver, "r")
+        ctx.run()
+        assert got == [ShipInt(1)]
+        assert passes == {"encode": 1, "decode": 1}
+
+    def test_request_reply_encodes_once_and_decodes_once_per_transfer(
+            self, ctx, top, passes):
+        chan = ShipChannel("c", top)
+        a, b = two_enders(ctx, top, chan)
+        got = []
+        after_request = []
+
+        def client():
+            got.append((yield from chan.request(a, ShipInt(5))))
+
+        def server():
+            req = yield from chan.recv(b)
+            after_request.append(dict(passes))
+            yield from chan.reply(b, ShipInt(req.value * 3))
+
+        ctx.register_thread(client, "c")
+        ctx.register_thread(server, "s")
+        ctx.run()
+        assert got == [ShipInt(15)]
+        assert after_request == [{"encode": 1, "decode": 1}]
+        assert passes == {"encode": 2, "decode": 2}
+        assert chan.bytes_sent(b) == 14
+
+
+class _FlipBit:
+    """Link fault stub: flips one bit of every serialized frame."""
+
+    def __init__(self, index, bit):
+        self.index = index
+        self.bit = bit
+
+    def on_message(self, channel, end, kind, data, nbytes):
+        corrupted = bytearray(data)
+        corrupted[self.index] ^= 1 << self.bit
+        return True, bytes(corrupted), 0
+
+
+def test_corrupted_string_fails_with_the_codec_error(ctx, top):
+    """Bit 7 of the first payload byte turns ``"abc"`` into invalid
+    UTF-8: the receiver raises SerializationError, not a UnicodeError."""
+    from repro.ship import SerializationError
+
+    chan = ShipChannel("c", top)
+    a, b = two_enders(ctx, top, chan)
+    chan.fault_injector = _FlipBit(FRAME_HEADER_BYTES, 7)
+
+    def sender():
+        yield from chan.send(a, ShipString("abc"))
+
+    def receiver():
+        yield from chan.recv(b)
+
+    ctx.register_thread(sender, "s")
+    ctx.register_thread(receiver, "r")
+    with pytest.raises(SerializationError, match="ShipString.*UTF-8"):
+        ctx.run()
+
+
+# ---------------------------------------------------------------------------
+# The channel against its reference
+# ---------------------------------------------------------------------------
+
+
+def test_checkpoint_payload_restores_across_implementations():
+    """Queued frames snapshot to the reference's payload, and a payload
+    written by the reference restores into the channel."""
+    def queued(channel_cls):
+        ctx = SimContext()
+        top = Module("top", ctx=ctx)
+        chan = channel_cls("c", top, capacity=4,
+                           timing=ShipTiming(base_latency=ns(2)))
+        a, b = two_enders(ctx, top, chan)
+
+        def sender(end, values):
+            for value in values:
+                yield from chan.send(end, ShipInt(value))
+
+        ctx.register_thread(lambda: sender(a, (1, 2, 3)), "sa")
+        ctx.register_thread(lambda: sender(b, (7,)), "sb")
+        ctx.run()
+        return chan
+
+    reference = queued(ReferenceShipChannel).__snapshot__()
+    assert queued(ShipChannel).__snapshot__() == reference
+    assert [record["sent_at_fs"] for record in reference["queues"]["a"]] \
+        == [0, ns(2)._fs, ns(4)._fs]
+
+    ctx = SimContext()
+    top = Module("top", ctx=ctx)
+    chan = ShipChannel("c", top, capacity=4)
+    a, b = two_enders(ctx, top, chan)
+    chan.__restore__(reference)
+    got = []
+
+    def receiver(end, count):
+        for _ in range(count):
+            got.append((end.value, (yield from chan.recv(end)).value))
+
+    ctx.register_thread(lambda: receiver(b, 3), "rb")
+    ctx.register_thread(lambda: receiver(a, 1), "ra")
+    ctx.run()
+    assert got == [("b", 1), ("b", 2), ("b", 3), ("a", 7)]
+    assert chan.messages_sent(ShipEnd.A) == 3
+    assert chan.bytes_sent(ShipEnd.B) == 14
+
+
+_client_ops = st.lists(st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 999)),
+    # request deadline in ns; None waits for the reply
+    st.tuples(st.just("request"), st.integers(0, 999),
+              st.sampled_from([None, 1, 4, 12, 40])),
+    st.tuples(st.just("compute"), st.integers(1, 20)),
+), max_size=6)
+
+_schedules = st.fixed_dictionaries({
+    "capacity": st.integers(1, 4),
+    "timed": st.booleans(),
+    "zero_copy": st.booleans(),
+    "faults": st.booleans(),
+    "clients": st.lists(st.tuples(st.sampled_from(list(ShipEnd)),
+                                  _client_ops), min_size=1, max_size=4),
+    # per end, 1-2 servers: (compute delay before a reply, reply
+    # deadline in ns or None); two servers keep two requests owed
+    "servers": st.tuples(*[st.lists(
+        st.tuples(st.integers(0, 15), st.sampled_from([None, 2, 6])),
+        min_size=1, max_size=2)] * 2),
+})
+
+
+def _observe(channel_cls, schedule):
+    """Run one schedule; everything the channel lets a user observe."""
+    ctx = SimContext()
+    top = Module("top", ctx=ctx)
+    recorder = TransactionRecorder()
+    timing = (ShipTiming(base_latency=ns(3), per_byte=ps(100))
+              if schedule["timed"] else None)
+    chan = channel_cls("c", top, capacity=schedule["capacity"],
+                       zero_copy=schedule["zero_copy"], timing=timing,
+                       recorder=recorder)
+    plan = None
+    if schedule["faults"]:
+        plan = FaultPlan(seed=7)
+        chan.fault_injector = LinkFaultInjector(
+            plan, drop=FaultRule(probability=0.1),
+            corrupt=FaultRule(probability=0.2),
+            delay=FaultRule(probability=0.2), extra_latency=ns(5))
+    ends = {ShipEnd.A: chan.claim_end("pe_a"),
+            ShipEnd.B: chan.claim_end("pe_b")}
+    log = []
+    replies_sent = []
+
+    def note(*what):
+        log.append((ctx.now, *what))
+
+    def client(name, end, ops):
+        for op in ops:
+            if op[0] == "send":
+                yield from chan.send(end, ShipInt(op[1]))
+                note(name, "sent", op[1])
+            elif op[0] == "request":
+                call = chan.request(end, ShipInt(op[1]))
+                if op[2] is not None:
+                    call = with_timeout(ctx, call, ns(op[2]))
+                try:
+                    reply = yield from call
+                except SimTimeoutError:
+                    note(name, "gave up", op[1])
+                else:
+                    # serialized replies are copies, zero-copy ones not
+                    note(name, "reply", reply.value,
+                         any(reply is sent for sent in replies_sent))
+            else:
+                yield ns(op[1])
+
+    def server(name, end, delay, deadline):
+        while True:
+            msg = yield from chan.recv(end)
+            note(name, "got", msg.value)
+            if not chan.pending_requests(end):
+                continue
+            if delay:
+                yield ns(delay)
+            # the other server of this end may have answered meanwhile
+            # (a reply answers the oldest request owed at its end)
+            while chan.pending_requests(end):
+                reply = ShipInt(msg.value + 1000)
+                replies_sent.append(reply)
+                call = chan.reply(end, reply)
+                if deadline is not None:
+                    # a cut reply stays owed; the retry waits it out
+                    call, deadline = with_timeout(ctx, call, ns(deadline)), None
+                try:
+                    yield from call
+                except SimTimeoutError:
+                    note(name, "reply cut")
+                else:
+                    note(name, "replied")
+                    break
+
+    for i, (end, ops) in enumerate(schedule["clients"]):
+        ctx.register_thread(lambda e=ends[end], o=ops, n=f"c{i}":
+                            client(n, e, o), f"c{i}")
+    for end, servers in zip(ShipEnd, schedule["servers"]):
+        for j, (delay, deadline) in enumerate(servers):
+            name = f"s{end.value}{j}"
+            ctx.register_thread(
+                lambda n=name, e=ends[end], d=delay, t=deadline:
+                server(n, e, d, t), name)
+    ctx.run()
+    try:
+        snapshot = chan.__snapshot__()
+    except SnapshotError as exc:
+        snapshot = str(exc)
+    return {
+        "log": log,
+        "records": [(r.channel, r.kind, r.initiator, r.target, r.begin,
+                     r.end, r.nbytes) for r in recorder.records],
+        "ends": [(chan.bytes_sent(end), chan.messages_sent(end),
+                  chan.pending_requests(end), chan.detected_role(end))
+                 for end in ShipEnd],
+        "roles_consistent": chan.roles_consistent(),
+        "replies_dropped": chan.replies_dropped,
+        "faults": None if plan is None else [
+            (r.now_fs, r.kind, r.detail) for r in plan.log],
+        "snapshot": snapshot,
+        "end_fs": ctx.now._fs,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedule=_schedules)
+def test_channel_matches_reference_on_random_schedules(schedule):
+    assert _observe(ShipChannel, schedule) \
+        == _observe(ReferenceShipChannel, schedule)
