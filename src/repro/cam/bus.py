@@ -523,7 +523,7 @@ class BusCam(Module):
         return (self._request_event,)
 
     def __snapshot__(self) -> dict:
-        from repro.snapshot.state import SnapshotError
+        from repro.snapshot.state import SnapshotError, peek_counter
 
         if self._pending:
             raise SnapshotError(
@@ -532,7 +532,7 @@ class BusCam(Module):
             )
         state = {
             "stats": self.stats.__snapshot__(),
-            "next_seq": next(self._seq),
+            "next_seq": peek_counter(self, "_seq"),
             "arbiter": self.arbiter.snapshot_state(),
             "channel_free": {
                 channel: when._fs

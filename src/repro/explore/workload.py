@@ -15,7 +15,7 @@ from typing import Generator, Optional
 
 from repro.kernel.errors import SimulationError
 from repro.kernel.module import Module
-from repro.kernel.simtime import SimTime, ZERO_TIME, ns
+from repro.kernel.simtime import SimTime, ns
 from repro.ocp.types import OcpCmd, OcpRequest
 from repro.snapshot.state import rng_state_json, set_rng_state
 from repro.trace.stats import TimeStats
@@ -187,7 +187,7 @@ class TrafficMaster(Module):
         self.bytes_done = 0
         self.completed = 0
         self.errors = 0
-        self.last_done: SimTime = ZERO_TIME
+        self._last_done_fs = 0
         self.start_time = start_time
         self._stream_offset = 0
         self._index = 0
@@ -228,46 +228,51 @@ class TrafficMaster(Module):
             word_bytes=spec.word_bytes,
         )
 
-    def _gap_time(self) -> SimTime:
+    def _gap_fs(self) -> int:
         mean_fs = self.spec.gap.femtoseconds
         if mean_fs == 0:
-            return ZERO_TIME
-        return SimTime(self._rng_gap.randrange(2 * mean_fs + 1))
+            return 0
+        return self._rng_gap.randrange(2 * mean_fs + 1)
 
     # -- the driver process ---------------------------------------------------------
 
     def _drive(self) -> Generator:
         spec = self.spec
+        ctx = self.ctx
         if self.start_time is not None:
             # Absolute anchor: the wait is recomputed from *now*, so a
             # master created at restore time parks at the same absolute
             # instant a cold run's master does.
             start_fs = self.start_time._fs
-            while self.ctx._now_fs < start_fs:
-                yield SimTime(start_fs - self.ctx._now_fs)
+            while ctx._now_fs < start_fs:
+                yield SimTime(start_fs - ctx._now_fs)
+        # Transactions are timed on the integer clock: reading ctx.now
+        # would build a SimTime per instant that nothing else reads.
         while spec.transactions is None or self._index < spec.transactions:
             if self._pending_gap_fs is None:
                 # Persist the drawn gap before yielding: a checkpoint
                 # taken while parked on the gap must not redraw it on
                 # restore (the RNG stream already advanced).
-                self._pending_gap_fs = self._gap_time()._fs
+                self._pending_gap_fs = self._gap_fs()
             if self._pending_gap_fs > 0:
-                yield SimTime(self._pending_gap_fs)
+                yield SimTime._from_fs(self._pending_gap_fs)
             self._pending_gap_fs = None
             index = self._index
             request = self._next_request(index)
-            begin = self.ctx.now
+            begin_fs = ctx._now_fs
             response = yield from self.socket.transport(request)
-            elapsed = self.ctx.now - begin
-            self.latency.add(elapsed)
+            end_fs = ctx._now_fs
+            elapsed_fs = end_fs - begin_fs
+            self.latency.add_fs(elapsed_fs)
             if self.latency_series is not None:
-                self.latency_series.append(elapsed.to("ns"))
+                # ns, as SimTime.to("ns") gives it
+                self.latency_series.append(elapsed_fs / 1_000_000)
             if response.ok:
                 self.bytes_done += request.nbytes
             else:
                 self.errors += 1
             self.completed += 1
-            self.last_done = self.ctx.now
+            self._last_done_fs = end_fs
             self._index = index + 1
 
     # -- checkpoint/restore protocol (see repro.snapshot) --------------------
@@ -283,7 +288,7 @@ class TrafficMaster(Module):
             "bytes_done": self.bytes_done,
             "completed": self.completed,
             "errors": self.errors,
-            "last_done_fs": self.last_done._fs,
+            "last_done_fs": self._last_done_fs,
             "stream_offset": self._stream_offset,
             "index": self._index,
             "pending_gap_fs": self._pending_gap_fs,
@@ -308,10 +313,15 @@ class TrafficMaster(Module):
         self.bytes_done = state["bytes_done"]
         self.completed = state["completed"]
         self.errors = state["errors"]
-        self.last_done = SimTime(state["last_done_fs"])
+        self._last_done_fs = state["last_done_fs"]
         self._stream_offset = state["stream_offset"]
         self._index = state["index"]
         self._pending_gap_fs = state["pending_gap_fs"]
+
+    @property
+    def last_done(self) -> SimTime:
+        """When the latest transaction completed (zero before any)."""
+        return SimTime._from_fs(self._last_done_fs)
 
     @property
     def done(self) -> bool:

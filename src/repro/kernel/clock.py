@@ -67,7 +67,7 @@ class Clock(Signal):
         ctx = self.ctx
         heap = ctx._timed_heap
         level = not self._current
-        ctx._last_activity = ctx._now
+        ctx._last_activity_fs = ctx._now_fs
         if (ctx._runnable or self._update_pending or self._observers
                 or (heap and heap[0][0] == entry[0])):
             self.write(level)

@@ -92,10 +92,11 @@ class SimContext:
         self.max_deltas_per_timestep = max_deltas_per_timestep
 
         #: Canonical current time as integer femtoseconds; ``_now`` is the
-        #: equivalent SimTime, refreshed only when time advances.
+        #: equivalent SimTime, built by the first read of :attr:`now` in
+        #: an instant (None until then).
         self._now_fs: int = 0
-        self._now: SimTime = ZERO_TIME
-        self._last_activity: SimTime = ZERO_TIME
+        self._now: Optional[SimTime] = ZERO_TIME
+        self._last_activity_fs: int = 0
         self._delta_count: int = 0
         self._deltas_this_timestep: int = 0
         self._seq = itertools.count()
@@ -135,7 +136,10 @@ class SimContext:
     @property
     def now(self) -> SimTime:
         """Current simulated time."""
-        return self._now
+        now = self._now
+        if now is None:
+            now = self._now = SimTime._from_fs(self._now_fs)
+        return now
 
     @property
     def delta_count(self) -> int:
@@ -149,7 +153,7 @@ class SimContext:
         Unlike :attr:`now`, this does not advance to a run's horizon on
         starvation — it is the workload's actual completion time.
         """
-        return self._last_activity
+        return SimTime._from_fs(self._last_activity_fs)
 
     # ------------------------------------------------------------------
     # object registry
@@ -419,7 +423,7 @@ class SimContext:
         elif until is not None:
             if until._fs < self._now_fs:
                 raise SimulationError(
-                    f"cannot run until {until}: already at {self._now}"
+                    f"cannot run until {until}: already at {self.now}"
                 )
             limit_fs = until._fs
 
@@ -463,8 +467,8 @@ class SimContext:
             # Starved before the limit: time still advances to the limit so
             # that consecutive run() calls compose predictably.
             self._now_fs = limit_fs
-            self._now = SimTime._from_fs(limit_fs)
-        return self._now
+            self._now = None
+        return self.now
 
     # ------------------------------------------------------------------
     # the scheduler proper
@@ -489,7 +493,7 @@ class SimContext:
             # -- evaluation phase --------------------------------------
             ran_any = bool(runnable)
             if ran_any:
-                self._last_activity = self._now
+                self._last_activity_fs = self._now_fs
                 while runnable:
                     proc = popleft()
                     self.current_process = proc
@@ -534,7 +538,7 @@ class SimContext:
                 if self._deltas_this_timestep > max_deltas:
                     raise SimulationError(
                         f"more than {max_deltas} delta "
-                        f"cycles at time {self._now}; the model is probably "
+                        f"cycles at time {self.now}; the model is probably "
                         f"in a zero-time activity loop"
                     )
                 continue
@@ -554,12 +558,12 @@ class SimContext:
             when_fs = heap[0][0]
             if limit_fs is not None and when_fs > limit_fs:
                 self._now_fs = limit_fs
-                self._now = SimTime._from_fs(limit_fs)
+                self._now = None
                 if obs is not None:
                     obs.on_time_advance(limit_fs)
                 return
             self._now_fs = when_fs
-            self._now = SimTime._from_fs(when_fs)
+            self._now = None
             self._deltas_this_timestep = 0
             if obs is not None:
                 obs.on_time_advance(when_fs)
@@ -574,7 +578,7 @@ class SimContext:
                         obs.on_event_fire(entry[3], "timed", when_fs)
                     entry[3]._fire_scheduled("timed")
                 elif kind == KIND_RESUME:
-                    entry[3]._timeout_fired()
+                    entry[3]._wake(None)
                 elif kind == KIND_CLOCK:
                     entry[3]._edge_due(entry)
             self._delta_count += 1
@@ -618,6 +622,6 @@ class SimContext:
 
     def __repr__(self) -> str:
         return (
-            f"SimContext({self.name!r}, now={self._now}, "
+            f"SimContext({self.name!r}, now={self.now}, "
             f"deltas={self._delta_count}, objects={len(self.objects)})"
         )

@@ -76,7 +76,6 @@ class Event:
         "_pending_handle",
         "_trigger_count",
         "_last_trigger_delta",
-        "_wait_cond",
     )
 
     def __init__(self, owner, name: str = ""):
@@ -93,15 +92,13 @@ class Event:
         self._pending_handle = None
         self._trigger_count = 0
         self._last_trigger_delta = -1
-        #: lazily-built WaitCondition for ``yield event`` (set by
-        #: WaitCondition.normalize, cached here to avoid re-allocation)
-        self._wait_cond = None
 
     # -- notification API ------------------------------------------------
 
     def notify(self) -> None:
         """Immediate notification: trigger in the current evaluation phase."""
-        self.cancel()
+        if self._pending_kind is not None:
+            self.cancel()
         self._trigger()
 
     def notify_delta(self) -> None:

@@ -31,10 +31,11 @@ The kernel supports the two SystemC process flavours:
 from __future__ import annotations
 
 import enum
+from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional, Tuple
 
 from repro.kernel.errors import ProcessError
-from repro.kernel.event import ENTRY_KIND, Event, KIND_CANCELLED
+from repro.kernel.event import ENTRY_KIND, Event, KIND_CANCELLED, KIND_RESUME
 from repro.kernel.simtime import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -83,27 +84,19 @@ class WaitCondition:
     def normalize(cls, yielded) -> "WaitCondition":
         """Turn any legal yield value into a :class:`WaitCondition`.
 
-        The three hottest yields — an :class:`Event`, a :class:`SimTime`
-        and a pre-built :class:`WaitCondition` — resolve to cached,
-        shared instances so steady-state simulation allocates nothing
-        here.  Wait conditions are treated as immutable throughout the
-        kernel, which is what makes the sharing safe.
+        This is the one definition of the yield vocabulary.  It builds a
+        fresh record for every call except the static wait, which is one
+        shared instance; wait conditions are treated as immutable
+        throughout the kernel, which is what makes that sharing safe.
+        A thread's bare :class:`Event` and :class:`SimTime` yields never
+        come here: :meth:`Process._apply_wait` suspends on them directly.
         """
         if yielded is None:
             return _STATIC_WAIT
         if isinstance(yielded, Event):
-            cond = yielded._wait_cond
-            if cond is None:
-                cond = cls(WaitMode.ANY, (yielded,))
-                yielded._wait_cond = cond
-            return cond
+            return cls(WaitMode.ANY, (yielded,))
         if isinstance(yielded, SimTime):
-            cond = _TIMED_WAIT_CACHE.get(yielded)
-            if cond is None:
-                cond = cls(WaitMode.TIMED, timeout=yielded)
-                if len(_TIMED_WAIT_CACHE) < _TIMED_WAIT_CACHE_CAP:
-                    _TIMED_WAIT_CACHE[yielded] = cond
-            return cond
+            return cls(WaitMode.TIMED, timeout=yielded)
         if isinstance(yielded, WaitCondition):
             return yielded
         converter = getattr(yielded, "as_wait_condition", None)
@@ -126,11 +119,8 @@ class WaitCondition:
         )
 
 
-#: Shared instances returned by :meth:`WaitCondition.normalize` for the
-#: hot yields; see its docstring for the immutability contract.
+#: The shared static wait returned by :meth:`WaitCondition.normalize`.
 _STATIC_WAIT = WaitCondition(WaitMode.STATIC)
-_TIMED_WAIT_CACHE: dict = {}
-_TIMED_WAIT_CACHE_CAP = 4096
 
 
 def wait(*args) -> WaitCondition:
@@ -223,18 +213,44 @@ class Process:
         self.state = _READY
         self.ctx._runnable.append(self)
 
-    def _timeout_fired(self) -> None:
-        self._wake(None)
-
     # -- scheduler interface -------------------------------------------------
 
     def _dispatch(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def _apply_wait(self, cond: WaitCondition) -> None:
-        """Suspend this process on ``cond``."""
+    def _apply_wait(self, yielded) -> None:
+        """Suspend this process on ``yielded``, any legal yield value.
+
+        The two hot yields take no wait record: a bare :class:`SimTime`
+        is one resume entry on the timed heap, a bare :class:`Event` one
+        slot in its waiter list.  A :class:`WaitCondition` (elaboration,
+        snapshot restore, ``with_timeout``, method processes) is applied
+        as is; anything else is turned into one by
+        :meth:`WaitCondition.normalize`, except an annotation, whose
+        plain-kernel wait (usually a bare ``SimTime``) comes back here.
+        """
+        kind = type(yielded)
+        if kind is SimTime:
+            self.state = _WAITING
+            ctx = self.ctx
+            entry = [ctx._now_fs + yielded._fs, next(ctx._seq), KIND_RESUME,
+                     self]
+            _heappush(ctx._timed_heap, entry)
+            self._timeout_handle = entry
+            return
+        if kind is Event:
+            self.state = _WAITING
+            yielded._dynamic_waiters.append(self)
+            self._wait_events = (yielded,)
+            return
+        if kind is not WaitCondition:
+            converter = getattr(yielded, "as_wait_condition", None)
+            if converter is not None:
+                self._apply_wait(converter())
+                return
+            yielded = WaitCondition.normalize(yielded)
         self.state = _WAITING
-        mode = cond.mode
+        mode = yielded.mode
         if mode is _MODE_STATIC:
             if not self.static_sensitivity:
                 # A static wait with no sensitivity suspends forever; this
@@ -247,21 +263,18 @@ class Process:
                 )
             self._waiting_static = True
             return
+        if mode is not _MODE_TIMED:
+            # any of the events, possibly with a timeout
+            events = yielded.events
+            self._wait_events = events
+            for ev in events:
+                ev._dynamic_waiters.append(self)
+            if yielded.timeout is None:
+                return
         ctx = self.ctx
-        if mode is _MODE_TIMED:
-            self._timeout_handle = ctx._schedule_resume_fs(
-                self, ctx._now_fs + cond.timeout._fs
-            )
-            return
-        # any of the events, possibly with a timeout
-        events = cond.events
-        self._wait_events = events
-        for ev in events:
-            ev._dynamic_waiters.append(self)
-        if cond.timeout is not None:
-            self._timeout_handle = ctx._schedule_resume_fs(
-                self, ctx._now_fs + cond.timeout._fs
-            )
+        self._timeout_handle = ctx._schedule_resume_fs(
+            self, ctx._now_fs + yielded.timeout._fs
+        )
 
     def _terminate(self) -> None:
         self._clear_dynamic_wait()
@@ -298,7 +311,7 @@ class ThreadProcess(Process):
 
     def _dispatch(self) -> None:
         # The steady-state resume path is fully inlined here: one
-        # generator send, one normalize, one apply_wait.  The first
+        # generator send, one apply_wait.  The first
         # dispatch calls the body inside the same ``try``, so a body
         # that raises before its first yield fails like any other.
         self.state = _RUNNING
@@ -329,7 +342,7 @@ class ThreadProcess(Process):
             self._terminate()
             self.ctx._process_failed(self, exc)
             return
-        self._apply_wait(WaitCondition.normalize(yielded))
+        self._apply_wait(yielded)
 
 
 class MethodProcess(Process):

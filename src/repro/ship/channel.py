@@ -73,15 +73,15 @@ class ShipTiming:
 
 
 class _Message:
-    __slots__ = ("kind", "data", "obj", "txn_id", "nbytes", "sent_at")
+    __slots__ = ("kind", "data", "obj", "txn_id", "nbytes", "sent_at_fs")
 
-    def __init__(self, kind, data, obj, txn_id, nbytes, sent_at):
+    def __init__(self, kind, data, obj, txn_id, nbytes, sent_at_fs):
         self.kind = kind        # "send" or "request"
         self.data = data        # framed bytes (None when zero_copy)
         self.obj = obj          # original object (zero_copy) or None
         self.txn_id = txn_id    # for requests
         self.nbytes = nbytes
-        self.sent_at = sent_at
+        self.sent_at_fs = sent_at_fs  # integer femtoseconds
 
 
 class _Endpoint:
@@ -216,7 +216,7 @@ class ShipChannel(SimObject):
                 kind=msg.kind,
                 initiator=source.owner_name or source.end.value,
                 target=ep.owner_name or end.value,
-                begin=msg.sent_at,
+                begin=SimTime._from_fs(msg.sent_at_fs),
                 end=self.ctx.now,
                 nbytes=msg.nbytes,
             )
@@ -305,7 +305,7 @@ class ShipChannel(SimObject):
         ep.calls_used.add(kind)
         # a recorded transfer begins when the call does: its latency
         # includes the wire time and any wait for queue space
-        sent_at = self.ctx.now
+        sent_at_fs = self.ctx._now_fs
         data, nbytes = self._frame(obj)
         delay_fs = self.timing.transfer_time_fs(nbytes)
         deliver = True
@@ -327,7 +327,7 @@ class ShipChannel(SimObject):
         while len(queue) >= self.capacity:
             yield ep.space_event
         queue.append(_Message(kind, data, obj if self.zero_copy else None,
-                              txn_id, nbytes, sent_at))
+                              txn_id, nbytes, sent_at_fs))
         ep.bytes_sent += nbytes
         ep.messages_sent += 1
         ep.peer.data_event.notify()
@@ -339,7 +339,7 @@ class ShipChannel(SimObject):
         return a.data_event, b.data_event, a.space_event, b.space_event
 
     def __snapshot__(self) -> dict:
-        from repro.snapshot.state import SnapshotError
+        from repro.snapshot.state import SnapshotError, peek_counter
 
         if self._pending_replies:
             raise SnapshotError(
@@ -361,7 +361,7 @@ class ShipChannel(SimObject):
                     "data": msg.data.hex(),
                     "txn_id": msg.txn_id,
                     "nbytes": msg.nbytes,
-                    "sent_at_fs": msg.sent_at._fs,
+                    "sent_at_fs": msg.sent_at_fs,
                 })
             queues[end.value] = records
         return {
@@ -378,7 +378,7 @@ class ShipChannel(SimObject):
                 end.value: list(ep.unanswered)
                 for end, ep in self._ends.items()
             },
-            "next_txn_id": next(self._txn_ids),
+            "next_txn_id": peek_counter(self, "_txn_ids"),
             "replies_dropped": self.replies_dropped,
         }
 
@@ -392,7 +392,7 @@ class ShipChannel(SimObject):
                     None,
                     record["txn_id"],
                     record["nbytes"],
-                    SimTime._from_fs(record["sent_at_fs"]),
+                    record["sent_at_fs"],
                 ))
             payload = state["endpoints"][end.value]
             ep.calls_used = set(payload["calls_used"])

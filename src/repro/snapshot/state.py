@@ -71,7 +71,6 @@ from repro.kernel.process import (
     WaitCondition,
     WaitMode,
 )
-from repro.kernel.simtime import SimTime
 
 SNAPSHOT_SCHEMA = 1
 
@@ -94,6 +93,17 @@ def set_rng_state(rng: random.Random, payload) -> None:
     """Inverse of :func:`rng_state_json`: put ``payload`` back in ``rng``."""
     version, internal, gauss = payload
     rng.setstate((version, tuple(internal), gauss))
+
+
+def peek_counter(owner, attr: str) -> int:
+    """The value the ``itertools.count`` at ``owner.<attr>`` yields next.
+
+    Reading a count consumes the value, so the counter is re-seated at
+    it: a capture leaves the numbering of the run it captures as it was.
+    """
+    value = next(getattr(owner, attr))
+    setattr(owner, attr, itertools.count(value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +279,9 @@ def capture_state(
         "schema": SNAPSHOT_SCHEMA,
         "kernel": {
             "now_fs": ctx._now_fs,
-            "last_activity_fs": ctx._last_activity._fs,
+            "last_activity_fs": ctx._last_activity_fs,
             "delta_count": ctx._delta_count,
-            "next_seq": next(ctx._seq),
+            "next_seq": peek_counter(ctx, "_seq"),
             "last_run_outcome": ctx.last_run_outcome,
         },
         "heap": heap,
@@ -380,8 +390,8 @@ def restore_state(
 
     kernel = snapshot["kernel"]
     ctx._now_fs = kernel["now_fs"]
-    ctx._now = SimTime._from_fs(kernel["now_fs"])
-    ctx._last_activity = SimTime._from_fs(kernel["last_activity_fs"])
+    ctx._now = None
+    ctx._last_activity_fs = kernel["last_activity_fs"]
     ctx._delta_count = kernel["delta_count"]
     ctx._deltas_this_timestep = 0
     ctx._seq = itertools.count(kernel["next_seq"])

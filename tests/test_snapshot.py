@@ -15,6 +15,8 @@ import random
 import pytest
 
 from repro.cam import BusTiming, GenericBus, MemorySlave
+from repro.explore import FABRICS, ArchitectureConfig, standard_workloads
+from repro.explore.runner import _build_point
 from repro.explore.workload import MasterTrafficSpec, TrafficMaster
 from repro.faults import FaultPlan, FaultRule, MemoryFaultInjector
 from repro.kernel import Clock, Module, SimContext, ns, us
@@ -284,6 +286,114 @@ class TestShipRoundTrip:
             assert fp_ship(c2, ch2, p2, q2) == base, f"t={t_ns}ns diverged"
             ok += 1
         assert ok >= 2, f"only {ok} capturable instants"
+
+
+# --- a capture leaves the captured run as it was ------------------------
+
+def build_sweep_point(fabric):
+    """Fresh two-master sweep point (``mixed`` at a quarter of its
+    transactions) on ``fabric``; returns its context."""
+    specs = [spec.scaled(0.25) for spec in standard_workloads()["mixed"][:2]]
+    ctx, _, _, _ = _build_point(ArchitectureConfig(fabric=fabric), specs,
+                                seed=1, memory_read_wait=1,
+                                memory_write_wait=1)
+    return ctx
+
+
+class Requester(Module):
+    """SHIP requester: a gap, then one request, per round."""
+
+    def __init__(self, name, parent, chan, count):
+        super().__init__(name, parent)
+        self.chan = chan
+        self.end = chan.claim_end(self)
+        self.count = count
+        self.done = 0
+        self.total = 0
+        self.add_thread(self._run, "r")
+
+    def __snapshot__(self):
+        """Loop state: rounds done and the replies' sum."""
+        return {"done": self.done, "total": self.total}
+
+    def __restore__(self, state):
+        """Restore the state captured by :meth:`__snapshot__`."""
+        self.done = state["done"]
+        self.total = state["total"]
+
+    def _run(self):
+        while self.done < self.count:
+            yield ns(150)
+            reply = yield from self.chan.request(self.end, ShipInt(self.done))
+            self.total += reply.value
+            self.done += 1
+
+
+class Doubler(Module):
+    """SHIP server: replies to each request with twice its value."""
+
+    def __init__(self, name, parent, chan):
+        super().__init__(name, parent)
+        self.chan = chan
+        self.end = chan.claim_end(self)
+        self.add_thread(self._run, "s")
+
+    def _run(self):
+        while True:
+            msg = yield from self.chan.recv(self.end)
+            yield from self.chan.reply(self.end, ShipInt(2 * msg.value))
+
+
+def build_request_reply():
+    """Fresh SHIP request/reply system; returns its context."""
+    ctx = SimContext()
+    top = Module("top", ctx=ctx)
+    chan = ShipChannel("chan", top, timing=ShipTiming(base_latency=ns(40)))
+    Requester("req", top, chan, count=40)
+    Doubler("srv", top, chan)
+    return ctx
+
+
+def capture_from(ctx, start_ns):
+    """Run ``ctx`` on from ``start_ns`` in 50 ns steps to the first
+    capturable instant; return ``(snapshot, t_ns)``."""
+    for t_ns in range(start_ns, start_ns + 5000, 50):
+        ctx.run(until=ns(t_ns))
+        try:
+            return capture_state(ctx), t_ns
+        except SnapshotError:
+            continue
+    raise AssertionError(f"no capturable instant after {start_ns} ns")
+
+
+def continuing_and_restored(build, first_ns, second_ns):
+    """Checkpoint one run twice and restore a twin from its first
+    checkpoint; return both runs' second checkpoints."""
+    run = build()
+    first, _ = capture_from(run, first_ns)
+    second, t_ns = capture_from(run, second_ns)
+    twin = build()
+    restore_state(twin, json.loads(json.dumps(first)))
+    twin.run(until=ns(t_ns))
+    return second, capture_state(twin)
+
+
+class TestCaptureLeavesRunAsItWas:
+    """A run that is checkpointed and carries on numbers everything
+    after the checkpoint (heap seqs, bus transaction seqs, SHIP request
+    ids) as its restored twin does."""
+
+    @pytest.mark.parametrize("fabric", FABRICS)
+    def test_sweep_point(self, fabric):
+        continuing, restored = continuing_and_restored(
+            lambda: build_sweep_point(fabric), 2000, 5000)
+        assert continuing == restored
+
+    def test_ship_request_reply(self):
+        continuing, restored = continuing_and_restored(
+            build_request_reply, 1000, 3000)
+        assert continuing["objects"]["top.chan"]["next_txn_id"] > 1
+        assert continuing == restored
 
 
 class TestFaultRoundTrip:
