@@ -13,6 +13,7 @@ orientation delivers what it was given, in order, on every fabric.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.pipeline import build_cam
@@ -25,6 +26,7 @@ from repro.models import ProcessingElement
 from repro.rtos import Rtos
 from repro.ship import (
     ShipBytes,
+    ShipInt,
     ShipIntArray,
     ShipMasterPort,
     ShipSlavePort,
@@ -100,9 +102,11 @@ class Issuer(ProcessingElement):
 # ---------------------------------------------------------------------------
 
 
-def sw_master_round_trip(use_irq, poll_interval=ns(200), rounds=6):
-    """E5b's system: mean round trip (ns) of a 16-word request and the
-    driver's PIO counts."""
+def sw_master_round_trip(use_irq, poll_interval=ns(200), rounds=6,
+                         words=16, compute=us(5)):
+    """E5's system: mean round trip (ns) of a ``words``-word request to
+    an accelerator that computes for ``compute``, and the driver's PIO
+    counts."""
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     plb = PlbBus("plb", top)
@@ -112,9 +116,9 @@ def sw_master_round_trip(use_irq, poll_interval=ns(200), rounds=6):
         use_irq=use_irq, poll_interval=poll_interval,
         driver_overhead=ns(100),
     ).connect("acc", master="sw")
-    Echo("hw", top, link.slave_attach, compute=us(5),
+    Echo("hw", top, link.slave_attach, compute=compute,
          answer=lambda msg: msg)
-    payload = ShipIntArray(list(range(16)))
+    payload = ShipIntArray(list(range(words)))
     latencies = []
 
     def main():
@@ -130,6 +134,18 @@ def sw_master_round_trip(use_irq, poll_interval=ns(200), rounds=6):
             link.bus_side.pio_writes)
 
 
+@pytest.mark.parametrize("words,expected", [
+    (4, (500.0, 18, 18)),
+    (16, (780.0, 24, 24)),
+    (64, (2020.0, 54, 60)),
+    (256, (6820.0, 162, 186)),     # four chunks through a 64-word mailbox
+])
+def test_sw_master_round_trip_vs_message_size(words, expected):
+    """E5a's setup: IRQ handshake, an accelerator that answers at once."""
+    assert sw_master_round_trip(use_irq=True, words=words,
+                                compute=ns(0)) == expected
+
+
 def test_sw_master_irq_round_trip():
     assert sw_master_round_trip(use_irq=True) == (5670.0, 24, 24)
 
@@ -142,6 +158,32 @@ def test_sw_master_fast_polling_round_trip():
 def test_sw_master_slow_polling_round_trip():
     assert sw_master_round_trip(
         use_irq=False, poll_interval=us(2)) == (6900.0, 48, 24)
+
+
+def test_sw_master_polled_task_driver_round_trip():
+    """A2's task driver: one request through a 4-word mailbox, polled
+    every 100 ns, with no context-switch or driver cost: the reply, the
+    PLB transactions and when the last of them ended (ns)."""
+    ctx = SimContext()
+    top = Module("top", ctx=ctx)
+    plb = PlbBus("plb", top)
+    os = Rtos("os", top)
+    link = SystemMapper(
+        top, plb, rtos=os, mailbox_base=0x8000, use_irq=False,
+        poll_interval=ns(100), capacity_words=4,
+    ).connect("acc", master="sw")
+    Echo("pe", top, link.slave_attach,
+         answer=lambda msg: ShipInt(msg.value + 1000))
+    out = []
+
+    def main():
+        reply = yield from link.master_attach.request(ShipInt(7))
+        out.append(reply.value)
+
+    os.create_task(main, "main", priority=5)
+    ctx.run(us(100_000))
+    assert (out, plb.stats.transactions,
+            ctx.last_activity_time.to("ns")) == ([1007], 7, 290.0)
 
 
 def sw_master_with_background(use_irq):
