@@ -3,9 +3,10 @@
 The same HW/SW round trip (SHIP request to a hardware PE through the
 mailbox) modeled at the two software fidelities the library offers:
 
-* **task driver** — the SW adapter as an RTOS task using the Python
-  device driver (:mod:`repro.hwsw`), the paper's intended modeling
-  level;
+* **task driver** — a SW PE re-hosted as an RTOS task by eSW
+  generation, its SHIP port bound to the mapped link's SW end, which
+  runs the Python device driver (:mod:`repro.hwsw`) inside the task:
+  the paper's intended modeling level;
 * **firmware driver** — the driver as machine code on the
   :mod:`repro.cpu` instruction-set simulator, every poll and copy a
   real fetch/load/store.
@@ -23,6 +24,7 @@ import time
 from repro.kernel import Module, SimContext, ns, us
 from repro.cam import MemorySlave, PlbBus
 from repro.cpu import SimpleCpu, assemble
+from repro.esw import PartitionSpec, generate_esw
 from repro.flow import SystemMapper
 from repro.models import (
     CTRL_REQUEST,
@@ -37,6 +39,7 @@ from repro.rtos import Rtos
 from repro.ship import (
     ShipChannel,
     ShipInt,
+    ShipMasterPort,
     ShipSlavePort,
     decode_message,
     encode_message,
@@ -63,6 +66,21 @@ class AdderPE(ProcessingElement):
             yield from self.port.reply(ShipInt(req.value + 1000))
 
 
+class ClientPE(ProcessingElement):
+    """SW master: one request of 7, keeping the reply's value."""
+
+    def __init__(self, name, parent, chan):
+        super().__init__(name, parent)
+        self.out = []
+        self.port = self.ship_port("port", ShipMasterPort)
+        self.port.bind(chan)
+        self.add_thread(self.main)
+
+    def main(self):
+        reply = yield from self.port.request(ShipInt(7))
+        self.out.append(reply.value)
+
+
 def run_task_driver():
     """The round trip with the RTOS-task device driver."""
     ctx = SimContext()
@@ -70,19 +88,15 @@ def run_task_driver():
     plb = PlbBus("plb", top)
     os = Rtos("os", top)
     link = SystemMapper(
-        top, plb, rtos=os, mailbox_base=MAILBOX_BASE, use_irq=False,
+        top, plb, mailbox_base=MAILBOX_BASE, use_irq=False,
         poll_interval=ns(100), capacity_words=4,
     ).connect("acc", master="sw")
     AdderPE("pe", top, link.slave_attach)
-    out = []
-
-    def main():
-        reply = yield from link.master_attach.request(ShipInt(7))
-        out.append(reply.value)
-
-    os.create_task(main, "main", priority=5)
+    client = ClientPE("app", top, link.master_attach)
+    generate_esw(PartitionSpec(software=[client], priorities={"app": 5}),
+                 os)
     ctx.run(us(100_000))
-    return out[0], plb.stats.transactions, ctx
+    return client.out[0], plb.stats.transactions, ctx
 
 
 def run_firmware_driver():

@@ -17,10 +17,11 @@ way an interface paper's evaluation table would:
 
 from repro.kernel import Module, SimContext, ns, us
 from repro.cam import PlbBus
+from repro.esw import PartitionSpec, generate_esw
 from repro.flow import SystemMapper
 from repro.models import ProcessingElement
 from repro.rtos import Rtos
-from repro.ship import ShipIntArray, ShipSlavePort
+from repro.ship import ShipIntArray, ShipMasterPort, ShipSlavePort
 
 from _util import print_table
 
@@ -46,6 +47,25 @@ class EchoPE(ProcessingElement):
             yield from self.port.reply(msg)
 
 
+class AppPE(ProcessingElement):
+    """SW master: times `ROUNDS` requests of one payload (ns each)."""
+
+    def __init__(self, name, parent, chan, payload):
+        super().__init__(name, parent)
+        self.payload = payload
+        self.latencies = []
+        self.port = self.ship_port("port", ShipMasterPort)
+        self.port.bind(chan)
+        self.add_thread(self.main)
+
+    def main(self):
+        for _ in range(ROUNDS):
+            start = self.ctx.now
+            reply = yield from self.port.request(self.payload)
+            self.latencies.append((self.ctx.now - start).to("ns"))
+            assert reply.values == self.payload.values
+
+
 def run_latency(words: int, use_irq: bool, poll_interval=ns(200),
                 hw_compute=ns(0)):
     """Mean round-trip latency (ns) for `ROUNDS` requests of `words`."""
@@ -54,25 +74,18 @@ def run_latency(words: int, use_irq: bool, poll_interval=ns(200),
     plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=ns(200))
     link = SystemMapper(
-        top, plb, rtos=os, mailbox_base=0x80000,
+        top, plb, mailbox_base=0x80000,
         capacity_words=64,
         use_irq=use_irq,
         poll_interval=poll_interval,
         driver_overhead=ns(100),
     ).connect("acc", master="sw")
     EchoPE("hw", top, link.slave_attach, compute_time=hw_compute)
-    latencies = []
-
-    def main():
-        payload = ShipIntArray(list(range(words)))
-        for _ in range(ROUNDS):
-            start = ctx.now
-            reply = yield from link.master_attach.request(payload)
-            latencies.append((ctx.now - start).to("ns"))
-            assert reply.values == payload.values
-
-    os.create_task(main, "main", priority=5)
+    app = AppPE("app", top, link.master_attach,
+                ShipIntArray(list(range(words))))
+    generate_esw(PartitionSpec(software=[app], priorities={"app": 5}), os)
     ctx.run(us(1_000_000))
+    latencies = app.latencies
     assert len(latencies) == ROUNDS
     mean = sum(latencies) / len(latencies)
     return mean, link.bus_side.pio_reads, link.bus_side.pio_writes

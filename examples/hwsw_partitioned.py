@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """HW/SW partitioned system over the generic SHIP-based interface.
 
-Software (an application task on the RTOS, using the device driver and
-SHIP communication library) drives a hardware Walsh-Hadamard accelerator
-over CoreConnect PLB — the §4 scenario of the paper.  The script:
+Software drives a hardware Walsh-Hadamard accelerator over CoreConnect
+PLB — the §4 scenario of the paper.  The software is an ordinary SHIP
+PE that eSW generation re-hosts as the RTOS task ``app_main``; its port
+binds the link's SW end, which runs the device driver inside the task.
+The script:
 
 1. runs the system with the interrupt-driven driver and with the polling
    driver, comparing latency and PIO traffic;

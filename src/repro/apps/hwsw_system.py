@@ -3,9 +3,10 @@
 The embedded-system shape the paper's introduction motivates: control
 and I/O in software on an embedded CPU, the compute kernel in user
 hardware, connected over CoreConnect through the generic SHIP-based
-HW/SW interface.  The software side drives the accelerator with the SW
-communication library (device driver + SHIP calls); the hardware side is
-an ordinary SHIP slave PE that never learns its peer lives in software.
+HW/SW interface.  Both sides are ordinary SHIP PEs.  eSW generation
+re-hosts the software one as an RTOS task, whose SHIP port binds the
+link's SW end (device driver + communication library, run inside the
+task); the hardware accelerator never learns its peer lives in software.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from typing import List
 
 from repro.kernel import Module, SimContext, SimTime, ns, us
 from repro.cam import PlbBus
+from repro.esw import ExecuteFor, PartitionSpec, generate_esw
 from repro.flow.mapping import MappedConnection, SystemMapper
 from repro.models import ProcessingElement
 from repro.rtos import Rtos
-from repro.ship import ShipIntArray, ShipSlavePort
+from repro.ship import ShipIntArray, ShipMasterPort, ShipSlavePort
 from repro.apps.pipeline import (
     generate_block,
     quantize,
@@ -28,7 +30,7 @@ from repro.apps.pipeline import (
 
 #: The accelerator's transform time per block.
 HW_COMPUTE = ns(300)
-#: CPU time the SW task spends preparing a block (half that to
+#: CPU time the SW application spends preparing a block (half that to
 #: post-process its reply).
 SW_COMPUTE = us(1)
 #: CPU time the device driver charges on entry to each SHIP call.
@@ -54,6 +56,30 @@ class HwTransformPE(ProcessingElement):
             yield from self.port.reply(
                 ShipIntArray(walsh_hadamard(block.values))
             )
+
+
+class SwAppPE(ProcessingElement):
+    """Source + sink as one software application: prepares each block,
+    has the accelerator transform it and post-processes the reply."""
+
+    def __init__(self, name, parent, chan, blocks, quant_step):
+        super().__init__(name, parent)
+        self.blocks = blocks
+        self.quant_step = quant_step
+        self.results: List[List[int]] = []
+        self.port = self.ship_port("port", ShipMasterPort)
+        self.port.bind(chan)
+        self.add_thread(self.main)
+
+    def main(self):
+        """Drive every block through the accelerator."""
+        for i in range(self.blocks):
+            yield ExecuteFor(SW_COMPUTE)        # prepare the block
+            reply = yield from self.port.request(
+                ShipIntArray(generate_block(i))
+            )
+            yield ExecuteFor(SW_COMPUTE // 2)   # post-process
+            self.results.append(quantize(reply.values, self.quant_step))
 
 
 @dataclass
@@ -84,24 +110,13 @@ def build_hwsw_system(
     top = Module("top", ctx=ctx)
     plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=context_switch)
-    mapper = SystemMapper(top, plb, rtos=os, mailbox_base=0x80000,
+    mapper = SystemMapper(top, plb, mailbox_base=0x80000,
                           capacity_words=capacity_words, use_irq=use_irq,
                           poll_interval=poll_interval,
                           driver_overhead=DRIVER_OVERHEAD)
     link = mapper.connect("acc", master="sw")
     accelerator = HwTransformPE("hw_dct", top, link.slave_attach)
-    results: List[List[int]] = []
-
-    def sw_main():
-        """Source + sink as embedded software (one application task)."""
-        for i in range(blocks):
-            yield from os.execute(SW_COMPUTE)       # prepare the block
-            reply = yield from link.master_attach.request(
-                ShipIntArray(generate_block(i))
-            )
-            yield from os.execute(SW_COMPUTE // 2)  # post-process
-            results.append(quantize(reply.values, quant_step))
-
-    os.create_task(sw_main, "app_main", priority=5)
+    app = SwAppPE("app", top, link.master_attach, blocks, quant_step)
+    generate_esw(PartitionSpec(software=[app], priorities={"app": 5}), os)
     return HwSwSystem(ctx=ctx, os=os, link=link, accelerator=accelerator,
-                      results=results)
+                      results=app.results)

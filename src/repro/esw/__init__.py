@@ -13,17 +13,18 @@ from repro.esw.partition import (
     validate_partition,
 )
 from repro.esw.synthesis import (
+    CpuHeld,
     EswImage,
     EswSynthesisError,
     EswTask,
     ExecuteFor,
     SubstitutionCounts,
-    SwChannelPort,
     generate_esw,
     synthesize_pe,
 )
 
 __all__ = [
+    "CpuHeld",
     "EswConstraintError",
     "EswImage",
     "EswSynthesisError",
@@ -31,7 +32,6 @@ __all__ = [
     "ExecuteFor",
     "PartitionSpec",
     "SubstitutionCounts",
-    "SwChannelPort",
     "generate_esw",
     "pe_violations",
     "synthesize_pe",

@@ -17,11 +17,16 @@ SHIP channel blocking call   same call; its internal waits become
                              RTOS blocking, so channel code *is* the
                              communication library
 ``ExecuteFor(t)`` marker     ``os.execute(t)`` (CPU-time annotation)
+``CpuHeld(w)`` marker        ``wait(w)`` itself: the task keeps the CPU
+                             (programmed I/O); not a substitution
 ==========================  ==========================================
 
 Because SHIP channels suspend only through events and durations, a PE
 that satisfies the §4 constraints needs *no* other mapping — which is
 precisely why the paper restricts SW-bound PEs to SHIP communication.
+The same holds behind a mapped HW/SW link: the SW end of
+:mod:`repro.hwsw` runs the mailbox procedure in the calling task, so its
+polls sleep, its IRQ waits block and its bus accesses hold the CPU.
 
 The synthesizer also counts each substitution it performs; experiment
 E6 reports those counts together with the functional-equivalence check.
@@ -30,13 +35,13 @@ E6 reports those counts together with the functional-equivalence check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from repro.kernel.errors import KernelError
 from repro.kernel.event import Event
 from repro.kernel.module import Module
 from repro.kernel.process import ThreadProcess, WaitCondition, WaitMode
-from repro.kernel.simtime import SimTime, ZERO_TIME
+from repro.kernel.simtime import SimTime
 from repro.rtos.core import Rtos, Task
 from repro.esw.partition import PartitionSpec, validate_partition
 
@@ -60,6 +65,25 @@ class ExecuteFor:
     def as_wait_condition(self) -> SimTime:
         """Plain-kernel meaning: wait for the duration."""
         return self.duration
+
+
+class CpuHeld:
+    """A wait its caller makes without giving up the CPU.
+
+    At the component-assembly level it is the wrapped wait
+    (``condition``: anything a thread may yield).  Under eSW synthesis
+    the task stays dispatched while it waits, as a processor doing
+    programmed I/O stays busy for the length of each bus access.
+    """
+
+    __slots__ = ("condition",)
+
+    def __init__(self, condition):
+        self.condition = condition
+
+    def as_wait_condition(self):
+        """Plain-kernel meaning: the wrapped wait."""
+        return self.condition
 
 
 @dataclass
@@ -105,23 +129,19 @@ class EswImage:
 
 
 def _interpret(os: Rtos, body: Generator,
-               counts: Optional[SubstitutionCounts] = None,
-               compute_cost: Optional[SimTime] = None) -> Generator:
+               counts: SubstitutionCounts) -> Generator:
     """Drive ``body`` as a task, substituting each suspension."""
-    if counts is None:
-        counts = SubstitutionCounts()
     try:
         item = next(body)
     except StopIteration:
         return
     while True:
-        if compute_cost is not None and compute_cost > ZERO_TIME:
-            counts.executes += 1
-            yield from os.execute(compute_cost)
         wake = None
         if isinstance(item, ExecuteFor):
             counts.executes += 1
             yield from os.execute(item.duration)
+        elif isinstance(item, CpuHeld):
+            wake = yield item.condition
         elif isinstance(item, SimTime):
             counts.delays += 1
             yield from os.delay(item)
@@ -154,58 +174,10 @@ def _interpret(os: Rtos, body: Generator,
             return
 
 
-class SwChannelPort:
-    """SHIP calls on a kernel :class:`~repro.ship.channel.ShipChannel`
-    from RTOS task context — the communication library for SW tasks
-    whose channel peer lives in the same simulation.
-
-    Presents the same four blocking calls as a hardware
-    :class:`~repro.ship.ports.ShipPort`, so task code is
-    source-compatible with PE code.
-    """
-
-    def __init__(self, os: Rtos, channel):
-        self.os = os
-        self.channel = channel
-        self.end = channel.claim_end(self)
-
-    def _run(self, body: Generator) -> Generator:
-        result = []
-
-        def capture():
-            value = yield from body
-            result.append(value)
-
-        yield from _interpret(self.os, capture())
-        return result[0] if result else None
-
-    def send(self, obj) -> Generator:
-        """Blocking one-way transfer (master call)."""
-        yield from self._run(self.channel.send(self.end, obj))
-
-    def recv(self) -> Generator:
-        """Blocking receive (slave call); returns the object."""
-        return (yield from self._run(self.channel.recv(self.end)))
-
-    def request(self, obj) -> Generator:
-        """Blocking round trip (master call); returns the reply."""
-        return (yield from self._run(self.channel.request(self.end, obj)))
-
-    def reply(self, obj) -> Generator:
-        """Answer the oldest outstanding request (slave call)."""
-        yield from self._run(self.channel.reply(self.end, obj))
-
-    @property
-    def detected_role(self):
-        """Role of this endpoint as observed by the channel."""
-        return self.channel.detected_role(self.end)
-
-
 def synthesize_pe(
     pe: Module,
     os: Rtos,
     priority: int = 10,
-    compute_cost: Optional[SimTime] = None,
 ) -> List[EswTask]:
     """Turn one PE's kernel processes into RTOS tasks.
 
@@ -231,7 +203,7 @@ def synthesize_pe(
         fn = proc._fn
 
         def task_body(fn=fn, counts=counts) -> Generator:
-            yield from _interpret(os, fn(), counts, compute_cost)
+            yield from _interpret(os, fn(), counts)
 
         short = proc.name.rsplit(".", 1)[-1]
         task = os.create_task(
@@ -248,11 +220,7 @@ def synthesize_pe(
     return entries
 
 
-def generate_esw(
-    spec: PartitionSpec,
-    os: Rtos,
-    compute_cost: Optional[SimTime] = None,
-) -> EswImage:
+def generate_esw(spec: PartitionSpec, os: Rtos) -> EswImage:
     """Validate the partition and synthesize every SW-bound PE.
 
     This is the flow's one-call SW synthesis step: constraint checking
@@ -263,10 +231,6 @@ def generate_esw(
     image = EswImage(os=os)
     for pe in spec.software:
         image.tasks.extend(
-            synthesize_pe(
-                pe, os,
-                priority=spec.priority_of(pe),
-                compute_cost=compute_cost,
-            )
+            synthesize_pe(pe, os, priority=spec.priority_of(pe))
         )
     return image

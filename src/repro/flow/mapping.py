@@ -10,23 +10,26 @@ mapper allocates all communication resources:
 =========  ==========================================================
 target     what a connection becomes
 =========  ==========================================================
-``pv``     one untimed :class:`ShipChannel`
+``pv``     one untimed :class:`ShipChannel`, whichever end is software
 ``ccatb``  one :class:`ShipChannel` with the mapper's timing annotation
-a fabric   one mailbox link, whichever end is software: the mailbox
-           at the next free address, the master's bus side on a new
-           socket (HW: :class:`ShipBusMasterWrapper`; SW: the device
-           driver :class:`MailboxDriver` under :class:`SwShipMaster`),
-           then the slave's owner side (HW:
-           :class:`ShipBusSlaveWrapper`; SW: :class:`LocalMailboxDriver`
-           under :class:`SwShipSlave`).  SW<->SW stays a local channel
-           with the RTOS communication library on both ends
+a fabric   one mailbox link: the mailbox at the next free address,
+           the master's bus side on a new socket, then the slave's
+           owner side.  A HW end gets a kernel-process wrapper on a
+           local :class:`ShipChannel` (:class:`ShipBusMasterWrapper`,
+           :class:`ShipBusSlaveWrapper`); a SW end gets a
+           :class:`SwShipEnd` that runs its side inside the calling
+           task (a :class:`MailboxBusSide` on a :class:`PioSocket`, or
+           a :class:`MailboxOwnerSide` on the mailbox).  SW<->SW stays
+           a local :class:`ShipChannel`
 =========  ==========================================================
 
 The mapper's options (mailbox capacity, IRQ or polling, poll interval,
-driver overhead, bus priority) apply to every orientation alike.  PE
-code binds SHIP ports to the returned attachment exactly as at the
-component-assembly level; SW tasks call the returned port object.  No
-endpoint source changes between targets — the paper's core promise.
+driver overhead, bus priority) apply to every orientation alike.  Every
+PE, HW or SW, binds its SHIP port to the returned attachment exactly as
+at the component-assembly level, and
+:func:`~repro.esw.synthesis.generate_esw` re-hosts the SW PEs on an
+RTOS; the mapper needs no RTOS.  No endpoint source changes between
+targets — the paper's core promise.
 """
 
 from __future__ import annotations
@@ -39,11 +42,8 @@ from repro.kernel.module import Module
 from repro.kernel.simtime import SimTime, ZERO_TIME
 from repro.models.mailbox import MailboxBusSide, MailboxOwnerSide, map_mailbox
 from repro.models.wrappers import ShipBusMasterWrapper, ShipBusSlaveWrapper
-from repro.rtos.core import Rtos
-from repro.ship.channel import ShipChannel, ShipTiming
-from repro.esw.synthesis import SwChannelPort
-from repro.hwsw.commlib import SwShipMaster, SwShipSlave
-from repro.hwsw.driver import LocalMailboxDriver, MailboxDriver
+from repro.ship.channel import ShipChannel, ShipInterface, ShipTiming
+from repro.hwsw.commlib import PioSocket, SwShipEnd
 
 
 def master_socket_name(connection: str) -> str:
@@ -56,21 +56,20 @@ def master_socket_name(connection: str) -> str:
 class MappedConnection:
     """The realized resources for one point-to-point connection.
 
-    ``master_attach`` / ``slave_attach`` are what the two endpoints
-    use: a :class:`ShipChannel` for HW PEs (bind a SHIP port to it) or
-    a SW port object for RTOS tasks (call the four SHIP methods on it).
-    On a fabric, ``bus_side`` runs the master's half of the mailbox
-    procedure (wrapper or device driver) and ``owner_side`` the slave's
-    on the mapped mailbox (``owner_side.mailbox``); both stay None on a
-    channel.
+    ``master_attach`` / ``slave_attach`` are what the two endpoints'
+    SHIP ports bind: a :class:`ShipChannel`, or on a fabric a
+    :class:`SwShipEnd` for a SW end.  On a fabric, ``bus_side`` runs
+    the master's half of the mailbox procedure (wrapper or SW end's
+    driver) and ``owner_side`` the slave's on the mapped mailbox
+    (``owner_side.mailbox``); both stay None on a channel.
     """
 
     name: str
     master_kind: str   # "hw" | "sw"
     slave_kind: str    # "hw" | "sw"
     mapping: str       # human-readable resource description
-    master_attach: object = None
-    slave_attach: object = None
+    master_attach: Optional[ShipInterface] = None
+    slave_attach: Optional[ShipInterface] = None
     bus_side: Optional[MailboxBusSide] = None
     owner_side: Optional[MailboxOwnerSide] = None
 
@@ -89,8 +88,6 @@ class SystemMapper:
     target:
         ``"pv"``, ``"ccatb"``, or a fabric instance (any object with
         ``attach_slave`` and ``master_socket`` — the CAM duck type).
-    rtos:
-        Required when any endpoint is software.
     ship_timing:
         The CCATB annotation (``target="ccatb"``).
     mailbox_base:
@@ -111,7 +108,6 @@ class SystemMapper:
         self,
         parent: Module,
         target: Union[str, object] = "pv",
-        rtos: Optional[Rtos] = None,
         ship_timing: Optional[ShipTiming] = None,
         mailbox_base: int = 0x100000,
         capacity_words: int = 64,
@@ -136,7 +132,6 @@ class SystemMapper:
             target = "cam"
         self.target = target
         self.parent = parent
-        self.rtos = rtos
         self.ship_timing = ship_timing or ShipTiming()
         self.capacity_words = capacity_words
         self.use_irq = use_irq
@@ -166,11 +161,6 @@ class SystemMapper:
                 f"endpoint kinds must be 'hw' or 'sw', got "
                 f"{master!r}/{slave!r}"
             )
-        if self.rtos is None and "sw" in (master, slave):
-            raise ElaborationError(
-                f"connection {name!r} has a software endpoint but the "
-                f"mapper was built without an RTOS"
-            )
         self._names.add(name)
         if self.target == "pv":
             conn = self._map_channel(name, master, slave,
@@ -191,18 +181,9 @@ class SystemMapper:
     def _map_channel(self, name, master, slave, timing,
                      label) -> MappedConnection:
         channel = ShipChannel(f"{name}_ch", self.parent, timing=timing)
-        master_attach: object = channel
-        slave_attach: object = channel
-        if master == "sw":
-            master_attach = SwChannelPort(self.rtos, channel)
-            label += " + SW comm library (master)"
-        if slave == "sw":
-            slave_attach = SwChannelPort(self.rtos, channel)
-            label += " + SW comm library (slave)"
         return MappedConnection(
             name=name, master_kind=master, slave_kind=slave,
-            mapping=label,
-            master_attach=master_attach, slave_attach=slave_attach,
+            mapping=label, master_attach=channel, slave_attach=channel,
         )
 
     def _map_fabric(self, name, master, slave,
@@ -228,14 +209,11 @@ class SystemMapper:
                 irq=mailbox.irq,
             )
         else:
-            bus_side = MailboxDriver(
-                self.rtos, socket, base,
-                layout=mailbox.layout,
-                irq=mailbox.irq,
-                poll_interval=self.poll_interval or ZERO_TIME,
-                access_overhead=self.driver_overhead,
-            )
-            master_attach = SwShipMaster(bus_side)
+            bus_side = MailboxBusSide(PioSocket(socket), base,
+                                      mailbox.layout, mailbox.irq,
+                                      self.poll_interval)
+            bus_side.access_overhead = self.driver_overhead
+            master_attach = SwShipEnd(f"{prefix}_msw", bus_side)
         if slave == "hw":
             slave_attach = ShipChannel(f"{prefix}_sch", parent)
             owner_side = ShipBusSlaveWrapper(
@@ -243,10 +221,9 @@ class SystemMapper:
                 channel=slave_attach, mailbox=mailbox,
             )
         else:
-            owner_side = LocalMailboxDriver(
-                self.rtos, mailbox, access_overhead=self.driver_overhead,
-            )
-            slave_attach = SwShipSlave(owner_side)
+            owner_side = MailboxOwnerSide(mailbox)
+            owner_side.access_overhead = self.driver_overhead
+            slave_attach = SwShipEnd(f"{prefix}_ssw", owner_side)
         fabric_name = getattr(self.fabric, "full_name", "fabric")
         return MappedConnection(
             name=name, master_kind=master, slave_kind=slave,
@@ -256,5 +233,3 @@ class SystemMapper:
             master_attach=master_attach, slave_attach=slave_attach,
             bus_side=bus_side, owner_side=owner_side,
         )
-
-    # -- reporting -------------------------------------------------------------------

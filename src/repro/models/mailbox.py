@@ -28,8 +28,11 @@ per-master.
 
 Each side of that procedure is written once, here: :class:`MailboxBusSide`
 (the requester, over the bus) and :class:`MailboxOwnerSide` (the owner,
-on the registers).  The SHIP wrappers run them as kernel processes, the
-HW/SW driver as RTOS tasks (see :class:`MailboxHost`).
+on the registers).  The SHIP wrappers run them as kernel processes; a
+SW end (:mod:`repro.hwsw`) runs them inside the calling task of a PE
+that eSW generation re-hosted.  The procedure only yields — a duration
+between polls, an event to wait on, ``ExecuteFor`` for CPU time — so
+each host gives those yields its own meaning (see :class:`MailboxHost`).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
+from repro.esw.synthesis import ExecuteFor
 from repro.kernel.errors import SimulationError
 from repro.kernel.event import Event
 from repro.kernel.object import SimObject
@@ -275,10 +279,12 @@ def map_mailbox(name: str, parent, bus, base: int, capacity_words: int,
 
 
 class MailboxHost:
-    """How a process idles and what CPU time it charges in the procedure.
+    """What CPU time one side of the procedure charges.
 
-    The defaults are a kernel thread's, which charges nothing; an RTOS
-    task overrides the three hooks and may set the two costs.
+    A kernel process (a SHIP wrapper) waits out each yield and charges
+    nothing.  A SW end runs inside a re-hosted task, where a sleep or a
+    wait releases the CPU and each charge, an ``ExecuteFor``, burns it;
+    it sets the two costs.
     """
 
     #: time charged on entry to each message-level call
@@ -286,19 +292,10 @@ class MailboxHost:
     #: time charged per word copied between a chunk and the owner
     copy_cost_per_word: SimTime = ZERO_TIME
 
-    def _delay(self, duration: SimTime) -> Generator:
-        yield duration
-
-    def _block_on(self, event: Event) -> Generator:
-        yield event
-
-    def _execute(self, duration: SimTime) -> Generator:
-        yield duration
-
     def _charge(self, cost: SimTime) -> Iterable:
-        # Callers ``yield from`` the result; a zero cost (the kernel
-        # thread's) builds no generator at all.
-        return self._execute(cost) if cost else ()
+        # Callers ``yield from`` the result; a zero cost (the wrappers')
+        # yields nothing.
+        return (ExecuteFor(cost),) if cost else ()
 
 
 class MailboxBusSide(MailboxHost):
@@ -366,7 +363,7 @@ class MailboxBusSide(MailboxHost):
             if bool(ctrl & CTRL_VALID) == valid:
                 return
             if self.poll_interval:  # None or zero: poll back to back
-                yield from self._delay(self.poll_interval)
+                yield self.poll_interval
 
     def push_message(self, payload: bytes, is_request: bool) -> Generator:
         """Write one framed message as doorbell'd chunks."""
@@ -388,7 +385,7 @@ class MailboxBusSide(MailboxHost):
         while True:
             if self.irq is not None:
                 while not self.irq.read():
-                    yield from self._block_on(self.irq.posedge_event)
+                    yield self.irq.posedge_event
             else:
                 yield from self._poll(layout.ctrl_out, valid=True)
             ctrl, nbytes = yield from self.read_words(layout.ctrl_out, 2)
@@ -403,7 +400,8 @@ class MailboxBusSide(MailboxHost):
 class MailboxOwnerSide(MailboxHost):
     """The owner's side, on the registers of ``mailbox``."""
 
-    mailbox: MailboxSlave
+    def __init__(self, mailbox: MailboxSlave):
+        self.mailbox = mailbox
 
     def _charge_copy(self, nbytes: int) -> Iterable:
         return self._charge(self.copy_cost_per_word * word_count(nbytes))
@@ -416,7 +414,7 @@ class MailboxOwnerSide(MailboxHost):
         payload = b""
         while True:
             while not mailbox.in_ctrl & CTRL_VALID:
-                yield from self._block_on(mailbox.doorbell_in)
+                yield mailbox.doorbell_in
             chunk, ctrl = mailbox.take_in_chunk()
             yield from self._charge_copy(len(chunk))
             payload += chunk
@@ -430,6 +428,6 @@ class MailboxOwnerSide(MailboxHost):
         for chunk, ctrl in chunk_message(payload, mailbox.layout,
                                          is_request=False):
             while mailbox.out_ctrl & CTRL_VALID:
-                yield from self._block_on(mailbox.out_consumed)
+                yield mailbox.out_consumed
             yield from self._charge_copy(len(chunk))
             mailbox.put_out_chunk(chunk, ctrl)

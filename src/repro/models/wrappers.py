@@ -16,10 +16,11 @@ SHIP while its channel is transparently carried over a bus CAM:
 Both only frame SHIP objects and talk to their channel; the mailbox
 procedure itself is :class:`~repro.models.mailbox.MailboxBusSide` and
 :class:`~repro.models.mailbox.MailboxOwnerSide`, which the wrappers run
-as kernel processes and the HW/SW driver runs as RTOS tasks.
+as kernel processes.
 :class:`~repro.flow.mapping.SystemMapper` assembles them into a link:
-it maps the mailbox and gives each HW end its wrapper (a SW end gets
-the driver instead).
+it maps the mailbox and gives each HW end its wrapper.  A SW end gets
+no process: its :class:`~repro.hwsw.commlib.SwShipEnd` runs the same
+side inside the calling task.
 
 Pin-level PEs connect with :class:`~repro.ocp.pin.OcpPinSlave` pointed at
 a bus socket (see :func:`connect_pin_master_to_bus`), and TL PEs bind an
@@ -126,9 +127,9 @@ class ShipBusSlaveWrapper(Module, MailboxOwnerSide):
             raise SimulationError(
                 f"wrapper {name!r} needs a SHIP channel and a mailbox"
             )
+        MailboxOwnerSide.__init__(self, mailbox)
         self.channel = channel
         self.end: ShipEnd = channel.claim_end(self)
-        self.mailbox = mailbox
         self.messages_delivered = 0
         self.replies_sent = 0
         self.add_thread(self._deliver, "deliver")

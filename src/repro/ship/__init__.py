@@ -5,7 +5,8 @@ point-to-point communication between processing elements, independent of
 HW/SW partitioning.  The package provides:
 
 * :class:`ShipChannel` with the four blocking interface method calls
-  ``send`` / ``recv`` / ``request`` / ``reply``;
+  ``send`` / ``recv`` / ``request`` / ``reply``, and
+  :class:`ShipInterface`, the base of everything a SHIP port binds;
 * the ``ship_serializable_if`` equivalent (:class:`ShipSerializable`,
   the type registry, and built-in wrappers);
 * SHIP ports for PEs (:class:`ShipPort` and the role-restricted
@@ -16,6 +17,7 @@ HW/SW partitioning.  The package provides:
 from repro.ship.channel import (
     ShipChannel,
     ShipEnd,
+    ShipInterface,
     ShipTiming,
 )
 from repro.ship.ports import ShipMasterPort, ShipPort, ShipSlavePort
@@ -54,6 +56,7 @@ __all__ = [
     "ShipFloat",
     "ShipInt",
     "ShipIntArray",
+    "ShipInterface",
     "ShipMasterPort",
     "ShipPort",
     "ShipSerializable",

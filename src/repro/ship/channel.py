@@ -111,7 +111,20 @@ class _Endpoint:
         self.peer: Optional["_Endpoint"] = None
 
 
-class ShipChannel(SimObject):
+class ShipInterface:
+    """What a :class:`~repro.ship.ports.ShipPort` binds (the
+    ``sc_interface`` idiom).
+
+    An implementation hands each port an end with ``claim_end(owner)``
+    and takes that end first in the four SHIP calls — ``send(end, obj)``,
+    ``recv(end)``, ``request(end, obj)``, ``reply(end, obj)`` — and in
+    ``pending_requests(end)`` and ``detected_role(end)``.  The
+    implementations are :class:`ShipChannel` and the SW end of a mapped
+    HW/SW link (:class:`~repro.hwsw.commlib.SwShipEnd`).
+    """
+
+
+class ShipChannel(SimObject, ShipInterface):
     """A directed point-to-point SHIP message-passing channel.
 
     Parameters

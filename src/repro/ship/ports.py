@@ -1,11 +1,13 @@
 """SHIP ports: how processing elements attach to SHIP channels.
 
 A PE declares :class:`ShipPort` members and calls the four SHIP
-interface methods on them; the port forwards to the channel endpoint it
-claimed at binding.  :class:`ShipMasterPort` and :class:`ShipSlavePort`
-statically restrict the callable subset for designers who want the
-master/slave discipline enforced at model-authoring time rather than
-detected at run time.
+interface methods on them; the port forwards to the endpoint it claimed
+at binding, on a :class:`~repro.ship.channel.ShipChannel` or on the SW
+end of a mapped HW/SW link (either is a
+:class:`~repro.ship.channel.ShipInterface`).  :class:`ShipMasterPort`
+and :class:`ShipSlavePort` statically restrict the callable subset for
+designers who want the master/slave discipline enforced at
+model-authoring time rather than detected at run time.
 """
 
 from __future__ import annotations
@@ -14,21 +16,21 @@ from typing import Generator, Optional
 
 from repro.kernel.errors import ProcessError
 from repro.kernel.port import Port
-from repro.ship.channel import ShipChannel, ShipEnd
+from repro.ship.channel import ShipEnd, ShipInterface
 from repro.ship.roles import MASTER_CALLS, SLAVE_CALLS, Role
 from repro.ship.serializable import ShipSerializable
 
 
 class ShipPort(Port):
-    """A port requiring a :class:`ShipChannel`; all four calls allowed.
+    """A port requiring a :class:`ShipInterface`; all four calls allowed.
 
-    The port claims its channel end when its binding completes
-    (elaboration), so each call goes straight to the channel and hands
-    back the channel's generator.
+    The port claims its end when its binding completes (elaboration),
+    so each call goes straight to the bound channel or SW end and hands
+    back its generator.
     """
 
     def __init__(self, name, parent=None, ctx=None, required: bool = True):
-        super().__init__(name, parent, ctx, iface_type=ShipChannel,
+        super().__init__(name, parent, ctx, iface_type=ShipInterface,
                          required=required)
         self._end: Optional[ShipEnd] = None
 

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.kernel import Module, ns, us
+from repro.kernel import Event, Module, ns, us
 from repro.models import ProcessingElement
 from repro.ocp import OcpMasterPort
 from repro.rtos import Rtos
 from repro.ship import ShipChannel, ShipInt, ShipMasterPort, ShipSlavePort
 from repro.esw import (
+    CpuHeld,
     EswConstraintError,
     EswSynthesisError,
     ExecuteFor,
@@ -199,25 +200,6 @@ class TestSynthesis:
         with pytest.raises(EswSynthesisError, match="thread"):
             synthesize_pe(pe, os)
 
-    def test_compute_cost_charges_per_resume(self, ctx, top):
-        class Chatty(ProcessingElement):
-            def __init__(self, name, parent):
-                super().__init__(name, parent)
-                self.add_thread(self.run)
-
-            def run(self):
-                for _ in range(4):
-                    yield ns(10)
-
-        chatty = Chatty("chatty", top)
-        os = Rtos("os", top)
-        image = generate_esw(
-            PartitionSpec(software=[chatty]), os, compute_cost=us(1)
-        )
-        ctx.run(us(100))
-        task = image.tasks[0].task
-        assert task.cpu_time == us(4)
-
     def test_synthesize_empty_pe_rejected(self, ctx, top):
         class Empty(ProcessingElement):
             pass
@@ -238,3 +220,56 @@ class TestExecuteFor:
         ctx.register_thread(body, "t")
         ctx.run()
         assert log == ["30 ns"]
+
+
+class TestCpuHeld:
+    def test_waits_as_its_condition_at_kernel_level(self, ctx, top):
+        ev = Event(ctx, "ev")
+        log = []
+
+        def body():
+            woke = yield CpuHeld(ns(30))
+            log.append((str(ctx.now), woke))
+            woke = yield CpuHeld(ev)
+            log.append((str(ctx.now), woke is ev))
+
+        def kicker():
+            yield ns(50)
+            ev.notify()
+
+        ctx.register_thread(body, "t")
+        ctx.register_thread(kicker, "k")
+        ctx.run()
+        assert log == [("30 ns", None), ("50 ns", True)]
+
+    @pytest.mark.parametrize("held,bg_done", [(True, "7 us"),
+                                               (False, "2 us")])
+    def test_rehosted_held_wait_keeps_the_cpu(self, ctx, top, held,
+                                              bg_done):
+        """A high-priority PE's CPU-held wait keeps a lower-priority
+        task off the CPU; the same wait yielded bare lets it run."""
+        log = []
+
+        class Waiter(ProcessingElement):
+            def __init__(self, name, parent):
+                super().__init__(name, parent)
+                self.add_thread(self.run)
+
+            def run(self):
+                yield CpuHeld(us(5)) if held else us(5)
+                log.append(("waiter", str(ctx.now)))
+
+        def background():
+            yield from os.execute(us(2))
+            log.append(("bg", str(ctx.now)))
+
+        os = Rtos("os", top)
+        image = generate_esw(
+            PartitionSpec(software=[Waiter("waiter", top)],
+                          priorities={"waiter": 1}), os)
+        os.create_task(background, "bg", priority=20)
+        ctx.run(us(100))
+        assert ("waiter", "5 us") in log
+        assert ("bg", bg_done) in log
+        # the held wait goes to the kernel as is: no substitution
+        assert image.substitutions.delays == (0 if held else 1)

@@ -36,8 +36,11 @@ from repro.faults import (
 )
 from repro.faults import campaign
 from repro.faults.campaign import run_campaign
+from repro.esw import PartitionSpec, generate_esw
 from repro.flow import SystemMapper
-from repro.models import MailboxLayout
+from repro.hwsw import PioSocket, SwShipEnd
+from repro.models import MailboxLayout, ProcessingElement
+from repro.models.mailbox import MailboxBusSide
 from repro.models.wrappers import ShipBusMasterWrapper
 from repro.ocp import OcpCmd, OcpRequest, OcpResp, OcpResponse
 from repro.rtos import Rtos
@@ -148,18 +151,25 @@ class TestWrapperErrorPaths:
 
     def test_hwsw_driver_raises_on_unmapped_mailbox(self, ctx, top):
         plb = PlbBus("plb", top)
-        # map only a memory; the driver's mailbox address is a hole
+        # map only a memory; the SW end's mailbox address is a hole
         mem = MemorySlave("mem", top, size=4096)
         plb.attach_slave(mem, 0, 4096)
         os = Rtos("os", top)
-        from repro.hwsw import MailboxDriver
+        side = MailboxBusSide(PioSocket(plb.master_socket("cpu")), 0x90000,
+                              MailboxLayout(), irq=None, poll_interval=None)
 
-        driver = MailboxDriver(os, plb.master_socket("cpu"), 0x90000)
+        class Sender(ProcessingElement):
+            def __init__(self, name, parent, chan):
+                super().__init__(name, parent)
+                self.port = self.ship_port("port", ShipMasterPort)
+                self.port.bind(chan)
+                self.add_thread(self.run)
 
-        def main():
-            yield from driver.push_message(b"x", is_request=False)
+            def run(self):
+                yield from self.port.send(ShipInt(1))
 
-        os.create_task(main, "main", priority=5)
+        sender = Sender("main", top, SwShipEnd("cpu_end", side))
+        generate_esw(PartitionSpec(software=[sender]), os)
         with pytest.raises(SimulationError, match="read failed"):
             ctx.run(us(1000))
 

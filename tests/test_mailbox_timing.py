@@ -1,14 +1,17 @@
 """Timing of the mailbox protocol on every host that runs it.
 
 The SHIP bus wrappers run the mailbox procedures of
-``docs/ship_protocol.md`` §3 as kernel processes; the HW/SW driver runs
-them as RTOS tasks that charge CPU time.  Every link here is built by
+``docs/ship_protocol.md`` §3 as kernel processes; a SW end runs them
+inside the calling task of a PE that eSW generation re-hosted, charging
+CPU time.  Every link here is built by
 :class:`~repro.flow.mapping.SystemMapper`, the one way a SHIP
-connection goes on a fabric.  The expected values here were captured
-from the implementation the tests were written against, so any change
-to how either host idles, polls, charges CPU time or splits bus bursts
-shows up as a changed number.  The closing property checks that every
-orientation delivers what it was given, in order, on every fabric.
+connection goes on a fabric, and every end is one of the same two PEs,
+``Issuer`` and ``Echo``, whichever side is software.  The expected
+values here were captured from the implementation the tests were
+written against, so any change to how either host idles, polls, charges
+CPU time or splits bus bursts shows up as a changed number.  The
+closing property checks that every orientation delivers what it was
+given, in order, on every fabric.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps.pipeline import build_cam
 from repro.cam import PlbBus
-from repro.esw import SwChannelPort
+from repro.esw import PartitionSpec, generate_esw
 from repro.explore import FABRICS, ArchitectureConfig, build_fabric
 from repro.flow import SystemMapper
 from repro.kernel import Module, SimContext, ns, us
@@ -48,9 +51,17 @@ def reply_for(obj: ShipBytes) -> ShipBytes:
     return ShipBytes(obj.value[::-1] + b"!")
 
 
+def rehost(os, *pes):
+    """Re-host ``pes`` as tasks of ``os``, at priorities 5, 6, ..."""
+    generate_esw(PartitionSpec(
+        software=list(pes),
+        priorities={pe.name: 5 + i for i, pe in enumerate(pes)},
+    ), os)
+
+
 class Echo(ProcessingElement):
-    """HW slave: records what arrives and how many requests it then
-    owed, answers requests after a delay."""
+    """SHIP slave: records what arrives, when (ns) and how many
+    requests it then owed, answers requests after a delay."""
 
     def __init__(self, name, parent, chan, compute=ns(0),
                  answer=reply_for):
@@ -59,6 +70,7 @@ class Echo(ProcessingElement):
         self.compute = compute
         self.answer = answer
         self.received = []
+        self.received_at = []
         self.owed = []
         self.port = self.ship_port("port", ShipSlavePort)
         self.port.bind(chan)
@@ -68,6 +80,7 @@ class Echo(ProcessingElement):
         while True:
             msg = yield from self.port.recv()
             self.received.append(msg)
+            self.received_at.append(self.ctx.now.to("ns"))
             self.owed.append(self.chan.pending_requests(self.port.end))
             if self.owed[-1]:
                 if self.compute > ns(0):
@@ -76,12 +89,14 @@ class Echo(ProcessingElement):
 
 
 class Issuer(ProcessingElement):
-    """HW master: issues ``(is_request, obj)`` operations in order."""
+    """SHIP master: issues ``(is_request, obj)`` operations in order,
+    recording when (ns) each began and ended."""
 
     def __init__(self, name, parent, chan, ops):
         super().__init__(name, parent)
         self.ops = ops
         self.replies = []
+        self.begun_at = []
         self.done_at = []
         self.port = self.ship_port("port", ShipMasterPort)
         self.port.bind(chan)
@@ -89,12 +104,19 @@ class Issuer(ProcessingElement):
 
     def run(self):
         for is_request, obj in self.ops:
+            self.begun_at.append(self.ctx.now.to("ns"))
             if is_request:
                 reply = yield from self.port.request(obj)
                 self.replies.append(reply)
             else:
                 yield from self.port.send(obj)
             self.done_at.append(self.ctx.now.to("ns"))
+
+    @property
+    def latencies(self):
+        """Each operation's duration (ns)."""
+        return [done - begun
+                for begun, done in zip(self.begun_at, self.done_at)]
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +134,17 @@ def sw_master_round_trip(use_irq, poll_interval=ns(200), rounds=6,
     plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=ns(200))
     link = SystemMapper(
-        top, plb, rtos=os, mailbox_base=0x80000, capacity_words=64,
+        top, plb, mailbox_base=0x80000, capacity_words=64,
         use_irq=use_irq, poll_interval=poll_interval,
         driver_overhead=ns(100),
     ).connect("acc", master="sw")
     Echo("hw", top, link.slave_attach, compute=compute,
          answer=lambda msg: msg)
     payload = ShipIntArray(list(range(words)))
-    latencies = []
-
-    def main():
-        for _ in range(rounds):
-            start = ctx.now
-            yield from link.master_attach.request(payload)
-            latencies.append((ctx.now - start).to("ns"))
-
-    os.create_task(main, "main", priority=5)
+    app = Issuer("app", top, link.master_attach, [(True, payload)] * rounds)
+    rehost(os, app)
     ctx.run(us(1_000_000))
+    latencies = app.latencies
     assert len(latencies) == rounds
     return (sum(latencies) / rounds, link.bus_side.pio_reads,
             link.bus_side.pio_writes)
@@ -169,20 +185,15 @@ def test_sw_master_polled_task_driver_round_trip():
     plb = PlbBus("plb", top)
     os = Rtos("os", top)
     link = SystemMapper(
-        top, plb, rtos=os, mailbox_base=0x8000, use_irq=False,
+        top, plb, mailbox_base=0x8000, use_irq=False,
         poll_interval=ns(100), capacity_words=4,
     ).connect("acc", master="sw")
     Echo("pe", top, link.slave_attach,
          answer=lambda msg: ShipInt(msg.value + 1000))
-    out = []
-
-    def main():
-        reply = yield from link.master_attach.request(ShipInt(7))
-        out.append(reply.value)
-
-    os.create_task(main, "main", priority=5)
+    app = Issuer("app", top, link.master_attach, [(True, ShipInt(7))])
+    rehost(os, app)
     ctx.run(us(100_000))
-    assert (out, plb.stats.transactions,
+    assert ([reply.value for reply in app.replies], plb.stats.transactions,
             ctx.last_activity_time.to("ns")) == ([1007], 7, 290.0)
 
 
@@ -195,27 +206,22 @@ def sw_master_with_background(use_irq):
     plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=ns(200))
     link = SystemMapper(
-        top, plb, rtos=os, mailbox_base=0x80000, capacity_words=64,
+        top, plb, mailbox_base=0x80000, capacity_words=64,
         use_irq=use_irq, poll_interval=us(1), driver_overhead=ns(100),
     ).connect("acc", master="sw")
     Echo("hw", top, link.slave_attach, compute=us(5),
          answer=lambda msg: msg)
-    latencies = []
-
-    def main():
-        for _ in range(3):
-            start = ctx.now
-            yield from link.master_attach.request(ShipIntArray([1, 2, 3]))
-            latencies.append((ctx.now - start).to("ns"))
+    app = Issuer("app", top, link.master_attach,
+                 [(True, ShipIntArray([1, 2, 3]))] * 3)
+    rehost(os, app)
 
     def background():
-        while len(latencies) < 3:
+        while len(app.done_at) < 3:
             yield from os.execute(ns(100))
 
-    os.create_task(main, "main", priority=5)
     bg = os.create_task(background, "bg", priority=20)
     ctx.run(us(1_000))
-    return latencies, bg.cpu_time.to("ns")
+    return app.latencies, bg.cpu_time.to("ns")
 
 
 def test_sw_master_polling_sleeps_between_polls():
@@ -242,7 +248,7 @@ HW_MASTER_SIZES = (FRAME_BYTES, CHUNK - 4, CHUNK, CHUNK + 4,
 
 
 def hw_master_run(use_irq):
-    """Per request: when the SW task got it and when the HW saw the
+    """Per request: when the SW slave got it and when the HW saw the
     reply (ns), over a CPU-local mailbox with nonzero driver costs.
     ``use_irq`` is the mapper's: the HW master waits for each reply on
     the mailbox's interrupt or polls for it."""
@@ -251,25 +257,18 @@ def hw_master_run(use_irq):
     plb = PlbBus("plb", top)
     os = Rtos("os", top, context_switch=ns(200))
     link = SystemMapper(
-        top, plb, rtos=os, mailbox_base=0x9000, capacity_words=CAPACITY,
+        top, plb, mailbox_base=0x9000, capacity_words=CAPACITY,
         use_irq=use_irq, poll_interval=ns(100), driver_overhead=ns(50),
     ).connect("sensor", slave="sw")
     link.owner_side.copy_cost_per_word = ns(10)
     ops = [(True, framed(size, fill=i))
            for i, size in enumerate(HW_MASTER_SIZES)]
     hw = Issuer("hw", top, link.master_attach, ops)
-    got_at = []
-
-    def rx():
-        while True:
-            msg = yield from link.slave_attach.recv()
-            got_at.append(ctx.now.to("ns"))
-            yield from link.slave_attach.reply(reply_for(msg))
-
-    os.create_task(rx, "rx", priority=5)
+    sw = Echo("rx", top, link.slave_attach)
+    rehost(os, sw)
     ctx.run(us(1_000))
     assert hw.replies == [reply_for(obj) for _, obj in ops]
-    return list(zip(got_at, hw.done_at))
+    return list(zip(sw.received_at, hw.done_at))
 
 
 def test_hw_master_irq_reply_timing():
@@ -328,59 +327,29 @@ def _ops(stream):
 ORIENTATIONS = (("hw", "hw"), ("sw", "hw"), ("hw", "sw"), ("sw", "sw"))
 
 
-def _owed(port):
-    """How many requests the SW slave ``port`` itself says it owes."""
-    if isinstance(port, SwChannelPort):
-        return port.channel.pending_requests(port.end)
-    return port.pending_requests
-
-
 def _deliver(ops, fabric, orientation, interrupt):
     """Map one connection with ``orientation`` onto ``fabric``, run
     ``ops`` through it and return what the slave received, the requests
     it owed after each receive, and the replies the master got.  The
-    slave answers on its own request count, not on ``ops``."""
+    slave answers on its own request count, not on ``ops``; whichever
+    end is software is the same PE, re-hosted."""
     master, slave = orientation
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     os = Rtos("os", top, context_switch=ns(50))
     link = SystemMapper(
         top, build_fabric(ArchitectureConfig(fabric=fabric), top, ()),
-        rtos=os, capacity_words=PROP_CAPACITY, use_irq=interrupt,
+        capacity_words=PROP_CAPACITY, use_irq=interrupt,
         poll_interval=ns(100), driver_overhead=ns(20),
     ).connect("lnk", master=master, slave=slave)
     if orientation == ("hw", "sw"):
         link.owner_side.copy_cost_per_word = ns(5)
-    replies = []
-    if master == "hw":
-        replies = Issuer("m", top, link.master_attach, ops).replies
-    else:
-        def main():
-            for is_request, obj in ops:
-                if is_request:
-                    replies.append(
-                        (yield from link.master_attach.request(obj)))
-                else:
-                    yield from link.master_attach.send(obj)
-
-        os.create_task(main, "main", priority=5)
-    if slave == "hw":
-        echo = Echo("s", top, link.slave_attach)
-        received, owed = echo.received, echo.owed
-    else:
-        received, owed = [], []
-
-        def rx():
-            for _ in ops:
-                msg = yield from link.slave_attach.recv()
-                received.append(msg)
-                owed.append(_owed(link.slave_attach))
-                if owed[-1]:
-                    yield from link.slave_attach.reply(reply_for(msg))
-
-        os.create_task(rx, "rx", priority=6)
+    issuer = Issuer("m", top, link.master_attach, ops)
+    echo = Echo("s", top, link.slave_attach)
+    rehost(os, *[pe for pe, kind in ((issuer, master), (echo, slave))
+                 if kind == "sw"])
     ctx.run(us(10_000))
-    return received, owed, replies
+    return echo.received, echo.owed, issuer.replies
 
 
 @settings(max_examples=200, deadline=None)

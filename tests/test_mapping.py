@@ -4,14 +4,16 @@ import pytest
 
 from repro.kernel import ElaborationError, Module, SimContext, ns, us
 from repro.cam import CrossbarCam, PlbBus
+from repro.esw import PartitionSpec, generate_esw
 from repro.flow import SystemMapper
 from repro.flow.mapping import master_socket_name
-from repro.hwsw import LocalMailboxDriver, MailboxDriver
+from repro.hwsw import PioSocket, SwShipEnd
 from repro.models import (
     ProcessingElement,
     ShipBusMasterWrapper,
     ShipBusSlaveWrapper,
 )
+from repro.models.mailbox import MailboxBusSide, MailboxOwnerSide
 from repro.rtos import Rtos
 from repro.ship import ShipInt, ShipMasterPort, ShipSlavePort, ShipTiming
 
@@ -109,38 +111,28 @@ class TestHardwareTargets:
 
 
 class TestSoftwareEndpoints:
+    """The same Client and Server on either side; eSW generation
+    re-hosts whichever end is software."""
+
     def _run(self, master, slave, target="fabric"):
         ctx = SimContext()
         top = Module("top", ctx=ctx)
         os = Rtos("os", top)
         if target == "fabric":
             fabric = PlbBus("plb", top)
-            mapper = SystemMapper(top, fabric, rtos=os,
-                                  poll_interval=ns(100))
+            mapper = SystemMapper(top, fabric, poll_interval=ns(100))
         else:
-            mapper = SystemMapper(top, target, rtos=os)
+            mapper = SystemMapper(top, target)
         conn = mapper.connect("c0", master=master, slave=slave)
-        got = []
-        if master == "sw":
-            def sw_client():
-                for i in range(3):
-                    reply = yield from conn.master_attach.request(
-                        ShipInt(i))
-                    got.append(reply.value)
-            os.create_task(sw_client, "client", priority=5)
-        else:
-            client = Client("client", top, conn.master_attach)
-        if slave == "sw":
-            def sw_server():
-                while True:
-                    req = yield from conn.slave_attach.recv()
-                    yield from conn.slave_attach.reply(
-                        ShipInt(req.value + 100))
-            os.create_task(sw_server, "server", priority=6)
-        else:
-            Server("server", top, conn.slave_attach)
+        client = Client("client", top, conn.master_attach)
+        server = Server("server", top, conn.slave_attach)
+        generate_esw(PartitionSpec(
+            software=[pe for pe, kind in ((client, master), (server, slave))
+                      if kind == "sw"],
+            priorities={"client": 5, "server": 6},
+        ), os)
         ctx.run(us(100_000))
-        return (got if master == "sw" else client.got), conn
+        return client.got, conn
 
     def test_sw_master_hw_slave(self):
         got, conn = self._run("sw", "hw")
@@ -170,21 +162,33 @@ class TestFabricComposition:
     @pytest.mark.parametrize("use_irq", [False, True])
     @pytest.mark.parametrize("master,slave,bus_kind,owner_kind", [
         ("hw", "hw", ShipBusMasterWrapper, ShipBusSlaveWrapper),
-        ("sw", "hw", MailboxDriver, ShipBusSlaveWrapper),
-        ("hw", "sw", ShipBusMasterWrapper, LocalMailboxDriver),
+        ("sw", "hw", MailboxBusSide, ShipBusSlaveWrapper),
+        ("hw", "sw", ShipBusMasterWrapper, MailboxOwnerSide),
     ])
     def test_mailbox_and_both_sides(self, ctx, top, master, slave,
                                     bus_kind, owner_kind, use_irq):
         plb = PlbBus("plb", top)
-        mapper = SystemMapper(top, plb, rtos=Rtos("os", top),
-                              mailbox_base=0x40000, use_irq=use_irq)
+        mapper = SystemMapper(top, plb, mailbox_base=0x40000,
+                              use_irq=use_irq)
         conn = mapper.connect("c0", master=master, slave=slave)
-        assert isinstance(conn.bus_side, bus_kind)
-        assert isinstance(conn.owner_side, owner_kind)
+        assert type(conn.bus_side) is bus_kind
+        assert type(conn.owner_side) is owner_kind
+        # a SW end is the attachment and runs its side in the task
+        for kind, attach, side in ((master, conn.master_attach,
+                                    conn.bus_side),
+                                   (slave, conn.slave_attach,
+                                    conn.owner_side)):
+            assert (kind == "sw") == isinstance(attach, SwShipEnd)
+            if kind == "sw":
+                assert attach.side is side
         mailbox = conn.owner_side.mailbox
         assert conn.bus_side.base == 0x40000
-        assert conn.bus_side.socket is plb.master_socket(
-            master_socket_name("c0"))
+        socket = conn.bus_side.socket
+        if master == "sw":
+            # programmed I/O: the same socket, its waits CPU-held
+            assert isinstance(socket, PioSocket)
+            socket = socket.socket
+        assert socket is plb.master_socket(master_socket_name("c0"))
         # the mapper's use_irq decides for every orientation
         assert (mailbox.irq is not None) == use_irq
         assert conn.bus_side.irq is mailbox.irq
@@ -206,15 +210,10 @@ class TestMapperValidation:
             mapper.connect("c0")
 
     def test_bad_endpoint_kind_rejected(self, ctx, top):
-        mapper = SystemMapper(top, "pv")
-        with pytest.raises(ElaborationError, match="hw.*sw|'hw' or 'sw'"):
-            mapper.connect("c0", master="fpga")
-
-    def test_sw_endpoint_without_rtos_rejected(self, ctx, top):
         plb = PlbBus("plb", top)
         mapper = SystemMapper(top, plb)
-        with pytest.raises(ElaborationError, match="RTOS"):
-            mapper.connect("c0", master="sw")
+        with pytest.raises(ElaborationError, match="hw.*sw|'hw' or 'sw'"):
+            mapper.connect("c0", master="fpga")
         # the rejected connection took no name, address or bus resource
         assert plb.slaves == []
         assert "0x100000" in mapper.connect("c0").mapping

@@ -10,13 +10,43 @@ generation of one pipeline across two CPUs.
 
 from repro.kernel import ns, us
 from repro.apps import build_pv, reference_output
-from repro.esw import (
-    PartitionSpec,
-    SwChannelPort,
-    generate_esw,
-)
+from repro.esw import ExecuteFor, PartitionSpec, generate_esw
+from repro.models import ProcessingElement
 from repro.rtos import Rtos
-from repro.ship import ShipChannel, ShipInt
+from repro.ship import ShipChannel, ShipInt, ShipMasterPort, ShipSlavePort
+
+
+class Client(ProcessingElement):
+    """Requests 0, 1, 2 and keeps the replies' values."""
+
+    def __init__(self, name, parent, chan):
+        super().__init__(name, parent)
+        self.got = []
+        self.port = self.ship_port("port", ShipMasterPort)
+        self.port.bind(chan)
+        self.add_thread(self.run)
+
+    def run(self):
+        for i in range(3):
+            reply = yield from self.port.request(ShipInt(i))
+            self.got.append(reply.value)
+
+
+class Tripler(ProcessingElement):
+    """Answers each request with three times its value after 1 us of
+    computing."""
+
+    def __init__(self, name, parent, chan):
+        super().__init__(name, parent)
+        self.port = self.ship_port("port", ShipSlavePort)
+        self.port.bind(chan)
+        self.add_thread(self.run)
+
+    def run(self):
+        while True:
+            req = yield from self.port.recv()
+            yield ExecuteFor(us(1))
+            yield from self.port.reply(ShipInt(req.value * 3))
 
 
 class TestTwoCpus:
@@ -43,25 +73,14 @@ class TestTwoCpus:
         cpu0 = Rtos("cpu0", top)
         cpu1 = Rtos("cpu1", top)
         chan = ShipChannel("chan", top)
-        port0 = SwChannelPort(cpu0, chan)
-        port1 = SwChannelPort(cpu1, chan)
-        got = []
-
-        def client():
-            for i in range(3):
-                reply = yield from port0.request(ShipInt(i))
-                got.append(reply.value)
-
-        def server():
-            while True:
-                req = yield from port1.recv()
-                yield from cpu1.execute(us(1))
-                yield from port1.reply(ShipInt(req.value * 3))
-
-        cpu0.create_task(client, "client", priority=5)
-        cpu1.create_task(server, "server", priority=5)
+        client = Client("client", top, chan)
+        server = Tripler("server", top, chan)
+        generate_esw(PartitionSpec(software=[client]), cpu0)
+        image1 = generate_esw(PartitionSpec(software=[server]), cpu1)
         ctx.run(us(1000))
-        assert got == [0, 3, 6]
+        assert client.got == [0, 3, 6]
+        # the server's compute ran on cpu1
+        assert image1.tasks[0].task.cpu_time == us(3)
 
     def test_pipeline_split_across_two_cpus(self):
         """source+sink on cpu0, transform on cpu1: outputs unchanged,

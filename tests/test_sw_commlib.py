@@ -1,19 +1,23 @@
-"""Unit tests for the RTOS-hosted channel access helper
-(``SwChannelPort``)."""
+"""The SW communication library is the SHIP code itself: a SW PE is an
+ordinary PE, re-hosted as an RTOS task by eSW generation, whose SHIP
+port binds a :class:`~repro.ship.channel.ShipChannel` or a mapped link's
+:class:`~repro.hwsw.commlib.SwShipEnd`."""
 
 import inspect
 
 import pytest
 
-from repro.kernel import ns, us
-from repro.esw import SwChannelPort
-from repro.hwsw import SwShipMaster, SwShipSlave
+from repro.esw import PartitionSpec, generate_esw
+from repro.hwsw import SwShipEnd
+from repro.kernel import BindingError, Fifo, ns, us
+from repro.models import ProcessingElement
 from repro.rtos import Rtos
 from repro.ship import (
     ALL_CALLS,
     Role,
     ShipChannel,
     ShipInt,
+    ShipInterface,
     ShipMasterPort,
     ShipPort,
     ShipSlavePort,
@@ -26,73 +30,90 @@ def os(ctx, top):
     return Rtos("os", top)
 
 
-class TestSwChannelPort:
+class Script(ProcessingElement):
+    """A SHIP PE whose behaviour is ``body(port)``."""
+
+    def __init__(self, name, parent, chan, body):
+        super().__init__(name, parent)
+        self.body = body
+        self.port = self.ship_port("port")
+        self.port.bind(chan)
+        self.add_thread(self.run)
+
+    def run(self):
+        yield from self.body(self.port)
+
+
+def rehost(os, *pes):
+    """Re-host ``pes`` as tasks of ``os``, at priorities 5, 6, ..."""
+    return generate_esw(PartitionSpec(
+        software=list(pes),
+        priorities={pe.name: 5 + i for i, pe in enumerate(pes)},
+    ), os)
+
+
+class TestSwPeOnChannel:
     def test_sw_task_talks_to_hw_pe(self, ctx, top, os):
         chan = ShipChannel("c", top)
-        sw = SwChannelPort(os, chan)
-        hw = ShipPort("hw", top)
-        hw.bind(chan)
         got = []
 
-        def sw_task():
-            reply = yield from sw.request(ShipInt(4))
+        def sw_body(port):
+            reply = yield from port.request(ShipInt(4))
             got.append(reply.value)
-            yield from sw.send(ShipInt(99))
+            yield from port.send(ShipInt(99))
 
-        def hw_pe():
-            req = yield from hw.recv()
+        def hw_body(port):
+            req = yield from port.recv()
             yield ns(50)
-            yield from hw.reply(ShipInt(req.value * 2))
-            tail = yield from hw.recv()
+            yield from port.reply(ShipInt(req.value * 2))
+            tail = yield from port.recv()
             got.append(tail.value)
 
-        os.create_task(sw_task, "t", priority=5)
-        ctx.register_thread(hw_pe, "hw")
+        sw = Script("sw", top, chan, sw_body)
+        Script("hw", top, chan, hw_body)
+        rehost(os, sw)
         ctx.run(us(1000))
         assert got == [8, 99]
 
     def test_two_sw_tasks_share_a_channel(self, ctx, top, os):
         chan = ShipChannel("c", top)
-        port_a = SwChannelPort(os, chan)
-        port_b = SwChannelPort(os, chan)
         got = []
 
-        def client():
-            reply = yield from port_a.request(ShipInt(10))
+        def client(port):
+            reply = yield from port.request(ShipInt(10))
             got.append(reply.value)
 
-        def server():
-            req = yield from port_b.recv()
-            yield from port_b.reply(ShipInt(req.value + 1))
+        def server(port):
+            req = yield from port.recv()
+            yield from port.reply(ShipInt(req.value + 1))
 
-        os.create_task(client, "client", priority=5)
-        os.create_task(server, "server", priority=6)
+        image = rehost(os, Script("client", top, chan, client),
+                       Script("server", top, chan, server))
         ctx.run(us(1000))
         assert got == [11]
+        assert len(image.tasks) == 2
 
     def test_channel_blocking_releases_cpu(self, ctx, top, os):
-        """While a SW task waits on a channel, lower-priority tasks run."""
+        """While a SW PE waits on a channel, lower-priority tasks run."""
         chan = ShipChannel("c", top)
-        sw = SwChannelPort(os, chan)
-        hw = ShipPort("hw", top)
-        hw.bind(chan)
         progress = []
 
-        def waiting_task():
-            msg = yield from sw.recv()
+        def waiting(port):
+            msg = yield from port.recv()
             progress.append(("recv", msg.value, str(ctx.now)))
 
         def background():
             yield from os.execute(us(2))
             progress.append(("bg", str(ctx.now)))
 
-        def hw_pe():
+        def hw_body(port):
             yield us(5)
-            yield from hw.send(ShipInt(1))
+            yield from port.send(ShipInt(1))
 
-        os.create_task(waiting_task, "waiter", priority=1)
+        waiter = Script("waiter", top, chan, waiting)
+        Script("hw", top, chan, hw_body)
+        rehost(os, waiter)
         os.create_task(background, "bg", priority=20)
-        ctx.register_thread(hw_pe, "hw")
         ctx.run(us(1000))
         # low-priority work completed during the high-priority wait
         assert ("bg", "2 us") in progress
@@ -100,21 +121,23 @@ class TestSwChannelPort:
 
     def test_role_detection_through_sw_port(self, ctx, top, os):
         chan = ShipChannel("c", top)
-        sw = SwChannelPort(os, chan)
-        hw = ShipPort("hw", top)
-        hw.bind(chan)
 
-        def sw_task():
-            yield from sw.send(ShipInt(1))
+        def sw_body(port):
+            yield from port.send(ShipInt(1))
 
-        def hw_pe():
-            yield from hw.recv()
+        def hw_body(port):
+            yield from port.recv()
 
-        os.create_task(sw_task, "t", priority=5)
-        ctx.register_thread(hw_pe, "hw")
+        sw = Script("sw", top, chan, sw_body)
+        hw = Script("hw", top, chan, hw_body)
+        rehost(os, sw)
         ctx.run(us(1000))
-        assert sw.detected_role is Role.MASTER
-        assert hw.detected_role is Role.SLAVE
+        assert sw.port.detected_role is Role.MASTER
+        assert hw.port.detected_role is Role.SLAVE
+
+
+#: the end every call of a SHIP interface takes first
+END = inspect.Parameter("end", inspect.Parameter.POSITIONAL_OR_KEYWORD)
 
 
 def _parameters(method):
@@ -123,22 +146,27 @@ def _parameters(method):
 
 
 def test_every_ship_endpoint_offers_the_four_calls_with_one_signature():
-    """eSW generation moves PE code onto a SW communication library
-    unchanged, so every SHIP endpoint takes the same parameters for
-    each of the paper's four calls it offers."""
+    """eSW generation moves PE code onto an RTOS unchanged, so every
+    SHIP port takes the same parameters for each of the paper's four
+    calls, and both things a port binds take them after the end."""
     reference = {call: _parameters(getattr(ShipPort, call))
                  for call in ALL_CALLS}
-    offered = set()
-    for endpoint in (ShipPort, ShipMasterPort, ShipSlavePort,
-                     SwChannelPort, SwShipMaster, SwShipSlave):
-        for call in sorted(ALL_CALLS):
-            method = getattr(endpoint, call, None)
-            if method is None:
-                continue
-            offered.add((endpoint, call))
-            assert _parameters(method) == reference[call], \
-                (endpoint.__name__, call)
-    assert {call for cls, call in offered if cls is SwShipMaster} \
-        == {"send", "request"}
-    assert {call for cls, call in offered if cls is SwShipSlave} \
-        == {"recv", "reply"}
+    for port in (ShipMasterPort, ShipSlavePort):
+        for call in ALL_CALLS:
+            assert _parameters(getattr(port, call)) == reference[call], \
+                (port.__name__, call)
+    for bound in (ShipChannel, SwShipEnd):
+        assert issubclass(bound, ShipInterface)
+        for call in ALL_CALLS:
+            params = _parameters(getattr(bound, call))
+            assert params[1] == ("end", END.kind, END.default), \
+                (bound.__name__, call)
+            assert [params[0]] + params[2:] == reference[call], \
+                (bound.__name__, call)
+
+
+def test_ship_port_binds_only_a_ship_interface(ctx, top):
+    port = ShipPort("p", top)
+    port.bind(Fifo("f", top))
+    with pytest.raises(BindingError, match="ShipInterface"):
+        port.complete_binding()
