@@ -8,8 +8,8 @@ masters to one memory at three levels:
 * **PV** — direct functional transport (component-assembly view of the
   interconnect);
 * **CCATB** — the PLB communication architecture model;
-* **pin-accurate** — pin-level OCP masters through RTL accessors into
-  the cycle-by-cycle fabric.
+* **pin-accurate** — a generated prototype: pin-level OCP masters
+  through RTL accessors into the cycle-by-cycle fabric.
 
 Shape: wall-clock(PV) < wall-clock(CCATB) < wall-clock(pin), with
 CCATB at least ~1.5x faster than pin-accurate (Pasricha reports ~55%
@@ -22,10 +22,9 @@ import os
 import pytest
 
 from repro.kernel import Clock, Module, SimContext, ns, us
-from repro.cam import PLB_TIMING, MemorySlave, PlbBus
-from repro.ocp import OcpCmd, OcpPinBundle, OcpPinMaster, OcpRequest
-from repro.rtl import RtlBusCore
-from repro.accessors import RtlAccessor
+from repro.cam import MemorySlave, PlbBus
+from repro.ocp import OcpCmd, OcpRequest
+from repro.accessors import build_prototype
 
 from _util import print_table
 
@@ -98,13 +97,10 @@ def run_pin():
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     clk = Clock("clk", top, period=ns(10))
-    core = RtlBusCore(
-        "core", top, clock=clk,
-        timing=PLB_TIMING,
-    )
+    proto = build_prototype("proto", top, clk, fabric="plb")
     mem = MemorySlave("mem", top, size=1 << 16, read_wait=1,
                       write_wait=1)
-    core.attach_slave(mem, 0, 1 << 16)
+    proto.attach_slave(mem, 0, 1 << 16)
     finished = []
 
     def make(master, index):
@@ -118,10 +114,7 @@ def run_pin():
         return body
 
     for m in range(2):
-        bundle = OcpPinBundle(f"pins{m}", top, clock=clk)
-        RtlAccessor(f"acc{m}", top, bundle=bundle,
-                    bus_port=core.master_port(f"m{m}", priority=m))
-        master = OcpPinMaster(f"drv{m}", top, bundle=bundle)
+        master = proto.master_socket(f"m{m}", priority=m)
         ctx.register_thread(make(master, m), f"m{m}")
     ctx.run(us(10_000))
     return ctx

@@ -77,7 +77,7 @@ def run_rtl():
     mem = MemorySlave("mem", top, size=1 << 12, read_wait=1,
                       write_wait=1)
     core.attach_slave(mem, 0, 1 << 12)
-    port = core.master_port("m0")
+    port = core.master_socket("m0")
     completions = []
 
     def body():

@@ -6,9 +6,11 @@ refined PEs to pin-level OCP, picks a target communication architecture,
 and accessors connect everything automatically.  This script:
 
 1. builds a two-PE prototype on the cycle-by-cycle PLB-like fabric with
-   `build_prototype` (one accessor per PE, memory map supplied once);
-2. attaches a passive OCP protocol monitor to each PE socket and a VCD
-   tracer to one socket's pins;
+   `build_prototype`, wired like any fabric: `attach_slave` maps the
+   memory, and each `master_socket` is a PE's pin-level OCP master with
+   its own accessor;
+2. attaches a passive OCP protocol monitor to each socket's pins and a
+   VCD tracer to one socket's pins;
 3. runs a DMA-style transfer, checks data integrity, prints the
    monitors' protocol reports, and leaves `prototype_pins.vcd` for
    GTKWave.
@@ -17,15 +19,9 @@ Run:  python examples/prototype_generation.py
 """
 
 from repro.kernel import Clock, Module, SimContext, ns, us
-from repro.accessors import SlaveMapEntry, build_prototype
+from repro.accessors import build_prototype
 from repro.cam import MemorySlave
-from repro.ocp import (
-    OcpCmd,
-    OcpPinBundle,
-    OcpPinMaster,
-    OcpPinMonitor,
-    OcpRequest,
-)
+from repro.ocp import OcpCmd, OcpPinMonitor, OcpRequest
 from repro.trace import VcdTracer
 
 
@@ -34,36 +30,28 @@ def main():
     top = Module("top", ctx=ctx)
     clk = Clock("clk", top, period=ns(10))
 
-    # RTL-refined PEs present pin-level OCP: one writer, one reader.
-    bundles = {
-        "dma": OcpPinBundle("dma_pins", top, clock=clk),
-        "cpu": OcpPinBundle("cpu_pins", top, clock=clk),
-    }
     mem = MemorySlave("ddr", top, size=1 << 16, read_wait=2,
                       write_wait=1)
-    prototype = build_prototype(
-        "proto", top, clk, bundles,
-        [SlaveMapEntry(mem, 0x0, 1 << 16)],
-        fabric="plb",
-        priorities={"dma": 1, "cpu": 0},
-    )
+    prototype = build_prototype("proto", top, clk, fabric="plb")
+    prototype.attach_slave(mem, 0x0, 1 << 16)
+    # RTL-refined PEs present pin-level OCP: one writer, one reader.
+    masters = {
+        "dma": prototype.master_socket("dma", priority=1),
+        "cpu": prototype.master_socket("cpu", priority=0),
+    }
     monitors = {
-        name: OcpPinMonitor(f"{name}_mon", top, bundle=bundle)
-        for name, bundle in bundles.items()
+        name: OcpPinMonitor(f"{name}_mon", top, bundle=master.bundle)
+        for name, master in masters.items()
     }
 
     tracer = VcdTracer("prototype_pins.vcd", ctx)
-    dma_pins = bundles["dma"]
+    dma_pins = masters["dma"].bundle
     tracer.trace(clk, "clk")
     tracer.trace(dma_pins.m_cmd, "dma_MCmd", width=3)
     tracer.trace(dma_pins.m_addr, "dma_MAddr", width=32)
     tracer.trace(dma_pins.s_cmd_accept, "dma_SCmdAccept")
     tracer.trace(dma_pins.s_resp, "dma_SResp", width=2)
 
-    masters = {
-        name: OcpPinMaster(f"{name}_drv", top, bundle=bundle)
-        for name, bundle in bundles.items()
-    }
     payload = [(i * 2654435761) & 0xFFFFFFFF for i in range(64)]
     checked = []
 

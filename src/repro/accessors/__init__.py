@@ -2,14 +2,14 @@
 
 Accessors connect pin-level-OCP PEs to a target communication
 architecture; :func:`build_prototype` performs the paper's automatic
-prototype generation for a whole system.
+prototype generation: a fabric core whose every master socket is a
+pin-level OCP master behind its own accessor.
 """
 
 from repro.accessors.accessor import RtlAccessor
 from repro.accessors.prototype import (
     FABRIC_TIMINGS,
     Prototype,
-    SlaveMapEntry,
     build_prototype,
 )
 
@@ -17,6 +17,5 @@ __all__ = [
     "FABRIC_TIMINGS",
     "Prototype",
     "RtlAccessor",
-    "SlaveMapEntry",
     "build_prototype",
 ]

@@ -42,7 +42,7 @@ class RtlAccessor(Module):
         The PE's pin-level OCP interface (the PE is the OCP master).
     bus_port:
         Master latch on the target fabric, from
-        :meth:`RtlBusCore.master_port`.
+        :meth:`RtlBusCore.master_socket`.
     accept_latency:
         Extra cycles before the first beat of each burst is accepted
         (models the accessor's decode/synchronization stage).

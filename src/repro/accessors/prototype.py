@@ -1,21 +1,21 @@
 """Automatic prototype generation.
 
-Given RTL-refined PEs (each presenting a pin-level OCP interface), a
-target fabric description, and a memory map, :func:`build_prototype`
-instantiates the fabric core, attaches one accessor per PE, and returns
-the wired system — the paper's "automatic generation of a synthesizable
-prototype of the hardware part" as a construction step.
+Given a target fabric description, :func:`build_prototype` instantiates
+the fabric core and returns a :class:`Prototype` that is wired like any
+fabric: slaves go into its address map with ``attach_slave``, and each
+``master_socket`` is a pin-level OCP master connected to the core
+through its own accessor — the paper's "automatic generation of a
+synthesizable prototype of the hardware part" as a construction step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.kernel.clock import Clock
 from repro.kernel.module import Module
-from repro.ocp.pin import OcpPinBundle
-from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
+from repro.ocp.pin import OcpPinBundle, OcpPinMaster
+from repro.cam.arbiters import Arbiter
 from repro.cam.bus import GENERIC_TIMING, BusTiming
 from repro.cam.coreconnect import OPB_TIMING, PLB_TIMING
 from repro.rtl.buscore import RtlBusCore
@@ -29,54 +29,63 @@ FABRIC_TIMINGS: Dict[str, BusTiming] = {
 }
 
 
-@dataclass
-class SlaveMapEntry:
-    """One slave in the prototype's memory map."""
-
-    target: object
-    base: int
-    size: int
-    name: Optional[str] = None
-    read_wait: Optional[int] = None
-    write_wait: Optional[int] = None
-
-
-@dataclass
 class Prototype:
-    """A generated hardware prototype."""
+    """A generated hardware prototype: the RTL bus core with the fabric
+    interface of every CAM.
 
-    core: RtlBusCore
-    accessors: Dict[str, RtlAccessor] = field(default_factory=dict)
+    ``attach_slave`` is the core's.  :meth:`master_socket` returns a
+    pin-level OCP master (an :class:`OcpPinMaster`, so any TL master or
+    SHIP wrapper can drive it) whose pins an :class:`RtlAccessor`
+    connects to the core.
+    """
 
-    def accessor_for(self, pe_name: str) -> RtlAccessor:
-        """The accessor generated for the named PE."""
-        return self.accessors[pe_name]
+    def __init__(self, name: str, parent: Module, core: RtlBusCore,
+                 accept_latency: int):
+        self.name = name
+        self.parent = parent
+        self.core = core
+        self.accept_latency = accept_latency
+        self.attach_slave = core.attach_slave
+        #: socket name -> the accessor generated for it
+        self.accessors: Dict[str, RtlAccessor] = {}
+        self._sockets: Dict[str, OcpPinMaster] = {}
+
+    def master_socket(self, name: str, priority: int = 0) -> OcpPinMaster:
+        """Create (or fetch) master ``name``'s socket: a pin bundle, the
+        accessor that connects it to the core's socket ``name`` at
+        ``priority`` (lower wins), and the pin master that drives it."""
+        if name not in self._sockets:
+            bundle = OcpPinBundle(f"{self.name}_{name}_pins", self.parent,
+                                  clock=self.core.clock)
+            self.accessors[name] = RtlAccessor(
+                f"{self.name}_acc_{name}", self.parent, bundle=bundle,
+                bus_port=self.core.master_socket(name, priority),
+                accept_latency=self.accept_latency,
+            )
+            self._sockets[name] = OcpPinMaster(
+                f"{self.name}_{name}_drv", self.parent, bundle=bundle)
+        return self._sockets[name]
 
 
 def build_prototype(
     name: str,
     parent: Module,
     clock: Clock,
-    pe_bundles: Dict[str, OcpPinBundle],
-    memory_map: Sequence[SlaveMapEntry],
     fabric: str = "plb",
     arbiter: Optional[Arbiter] = None,
-    priorities: Optional[Dict[str, int]] = None,
     accept_latency: int = 0,
 ) -> Prototype:
-    """Wire PEs to a fabric through accessors; returns the prototype.
+    """Generate the fabric core ``<name>_core`` on ``clock``; returns
+    the prototype to attach slaves and masters to.
 
     Parameters
     ----------
-    pe_bundles:
-        Per-PE pin-level OCP bundles (each PE is the OCP master of its
-        bundle).
-    memory_map:
-        Slaves to place on the fabric.
     fabric:
         One of ``"plb"``, ``"opb"``, ``"generic"``.
-    priorities:
-        Optional per-PE bus priorities (lower wins); default 0.
+    arbiter:
+        The core's arbitration policy; static priority by default.
+    accept_latency:
+        Every accessor's extra cycles before it accepts a burst.
     """
     try:
         timing = FABRIC_TIMINGS[fabric]
@@ -85,21 +94,6 @@ def build_prototype(
             f"unknown fabric {fabric!r}; expected one of "
             f"{sorted(FABRIC_TIMINGS)}"
         ) from None
-    core = RtlBusCore(
-        f"{name}_core", parent, clock=clock, timing=timing,
-        arbiter=arbiter or StaticPriorityArbiter(),
-    )
-    for entry in memory_map:
-        core.attach_slave(
-            entry.target, entry.base, entry.size, name=entry.name,
-            read_wait=entry.read_wait, write_wait=entry.write_wait,
-        )
-    priorities = priorities or {}
-    accessors: Dict[str, RtlAccessor] = {}
-    for pe_name, bundle in pe_bundles.items():
-        port = core.master_port(pe_name, priorities.get(pe_name, 0))
-        accessors[pe_name] = RtlAccessor(
-            f"{name}_acc_{pe_name}", parent,
-            bundle=bundle, bus_port=port, accept_latency=accept_latency,
-        )
-    return Prototype(core=core, accessors=accessors)
+    core = RtlBusCore(f"{name}_core", parent, clock=clock, timing=timing,
+                      arbiter=arbiter)
+    return Prototype(name, parent, core, accept_latency)

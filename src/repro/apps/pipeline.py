@@ -34,8 +34,8 @@ from repro.esw import ExecuteFor
 from repro.flow import DesignFlow, SystemMapper
 from repro.models import AbstractionLevel, ProcessingElement
 from repro.cam import MemorySlave, PlbBus
-from repro.ocp import OcpCmd, OcpPinBundle, OcpPinMaster, OcpRequest
-from repro.accessors import SlaveMapEntry, build_prototype
+from repro.ocp import OcpCmd, OcpRequest
+from repro.accessors import build_prototype
 from repro.ship import (
     ShipIntArray,
     ShipMasterPort,
@@ -245,16 +245,11 @@ def build_prototype_level(blocks: int = 16) -> PipelineSystem:
     clk = Clock("clk", top, period=ns(10))
     mem = MemorySlave("mem", top, size=1 << 12, read_wait=1,
                       write_wait=1)
-    bundles = {
-        name: OcpPinBundle(f"{name}_pins", top, clock=clk)
-        for name in ("source", "transform", "sink")
-    }
-    build_prototype("proto", top, clk, bundles,
-                    [SlaveMapEntry(mem, 0, 1 << 12)], fabric="plb",
-                    priorities={"source": 2, "transform": 1, "sink": 0})
+    proto = build_prototype("proto", top, clk, fabric="plb")
+    proto.attach_slave(mem, 0, 1 << 12)
     masters = {
-        name: OcpPinMaster(f"{name}_drv", top, bundle=bundle)
-        for name, bundle in bundles.items()
+        name: proto.master_socket(name, priority)
+        for name, priority in (("source", 2), ("transform", 1), ("sink", 0))
     }
 
     region_a, flag_a = 0x100, 0x0

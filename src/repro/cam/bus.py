@@ -120,6 +120,45 @@ def decode_region(slaves: List[SlaveBinding],
     return None
 
 
+def map_slave(fabric: str, slaves: List[SlaveBinding], target, base: int,
+              size: int, name: Optional[str] = None,
+              read_wait: Optional[int] = None,
+              write_wait: Optional[int] = None,
+              localize: Optional[bool] = None,
+              transported: bool = True) -> SlaveBinding:
+    """Map ``target`` into ``[base, base+size)`` of the address map
+    ``slaves``: every fabric's ``attach_slave``.
+
+    ``fabric`` names the fabric in errors.  ``transported`` says
+    whether the fabric can hold its data path while a transported
+    slave runs; otherwise it drives functional slaves only.
+    ``localize`` defaults to True for functional slaves (memories see
+    region-relative addresses) and False for transported slaves
+    (bridges need the absolute address to re-decode downstream).
+    """
+    name = name or getattr(target, "full_name", repr(target))
+    functional = hasattr(target, "access")
+    if size <= 0:
+        raise ElaborationError(f"{fabric}: slave {name!r} size <= 0")
+    if not (functional or transported and hasattr(target, "transport")):
+        kinds = ("functional (access()) or transported (transport())"
+                 if transported else "functional (access())")
+        raise ElaborationError(f"{fabric}: slave {name!r} must be {kinds}")
+    binding = SlaveBinding(
+        target=target, base=base, size=size, name=name,
+        read_wait=read_wait, write_wait=write_wait,
+        localize=functional if localize is None else localize,
+    )
+    for other in slaves:
+        if binding.base < other.end and other.base < binding.end:
+            raise ElaborationError(
+                f"{fabric}: address ranges of {name!r} and "
+                f"{other.name!r} overlap"
+            )
+    slaves.append(binding)
+    return binding
+
+
 class _BusTransaction:
     """In-flight bookkeeping for one master request."""
 
@@ -311,38 +350,11 @@ class BusCam(Module):
         write_wait: Optional[int] = None,
         localize: Optional[bool] = None,
     ) -> SlaveBinding:
-        """Map ``target`` into ``[base, base+size)`` on this bus.
-
-        ``localize`` defaults to True for functional slaves (memories see
-        region-relative addresses) and False for transported slaves
-        (bridges need the absolute address to re-decode downstream).
-        """
-        if localize is None:
-            localize = hasattr(target, "access")
-        if size <= 0:
-            raise ElaborationError(f"bus {self.full_name}: slave size <= 0")
-        if not (hasattr(target, "access") or hasattr(target, "transport")):
-            raise ElaborationError(
-                f"bus {self.full_name}: slave must implement access() or "
-                f"transport()"
-            )
-        binding = SlaveBinding(
-            target=target,
-            base=base,
-            size=size,
-            name=name or getattr(target, "full_name", repr(target)),
-            read_wait=read_wait,
-            write_wait=write_wait,
-            localize=localize,
-        )
-        for other in self.slaves:
-            if binding.base < other.end and other.base < binding.end:
-                raise ElaborationError(
-                    f"bus {self.full_name}: address ranges of "
-                    f"{binding.name!r} and {other.name!r} overlap"
-                )
-        self.slaves.append(binding)
-        return binding
+        """Map ``target`` into ``[base, base+size)`` on this bus (see
+        :func:`map_slave`)."""
+        return map_slave(f"bus {self.full_name}", self.slaves, target,
+                         base, size, name=name, read_wait=read_wait,
+                         write_wait=write_wait, localize=localize)
 
     def decode(self, request: OcpRequest) -> Optional[SlaveBinding]:
         """Address decode; every beat of the burst must fit one region."""

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generator, List, Optional
 
-from repro.kernel.errors import ElaborationError
 from repro.kernel.module import Module
 from repro.kernel.object import SimObject
 from repro.kernel.simtime import SimTime, ns
 from repro.ocp.tl import OcpTargetIf
 from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, RoundRobinArbiter
-from repro.cam.bus import GENERIC_TIMING, BusCam, SlaveBinding
+from repro.cam.bus import GENERIC_TIMING, BusCam, SlaveBinding, map_slave
 from repro.trace.transaction import TransactionRecorder
 
 
@@ -89,6 +88,8 @@ class CrossbarCam(Module):
         self.timing = GENERIC_TIMING
         self.arbiter_factory = arbiter_factory
         self.recorder = recorder
+        #: the address map: one binding per path, in path order
+        self.slaves: List[SlaveBinding] = []
         self.paths: List[BusCam] = []
         self._sockets: Dict[str, _CrossbarSocket] = {}
         self._fault_injector = None
@@ -125,14 +126,13 @@ class CrossbarCam(Module):
         write_wait: Optional[int] = None,
         localize: Optional[bool] = None,
     ) -> SlaveBinding:
-        """Map a slave onto its own arbitrated path."""
-        for path in self.paths:
-            binding = path.slaves[0]
-            if base < binding.end and binding.base < base + size:
-                raise ElaborationError(
-                    f"crossbar {self.full_name}: address ranges of "
-                    f"{name!r} and {binding.name!r} overlap"
-                )
+        """Map a slave onto its own arbitrated path (see
+        :func:`~repro.cam.bus.map_slave`)."""
+        binding = map_slave(
+            f"crossbar {self.full_name}", self.slaves, target, base, size,
+            name=name, read_wait=read_wait, write_wait=write_wait,
+            localize=localize,
+        )
         path = BusCam(
             f"path{len(self.paths)}",
             self,
@@ -142,10 +142,7 @@ class CrossbarCam(Module):
             recorder=self.recorder,
         )
         path.fault_injector = self._fault_injector
-        binding = path.attach_slave(
-            target, base, size, name=name,
-            read_wait=read_wait, write_wait=write_wait, localize=localize,
-        )
+        path.slaves.append(binding)
         self.paths.append(path)
         return binding
 

@@ -86,8 +86,10 @@ class SystemMapper:
     parent:
         Module under which mapper-created objects live.
     target:
-        ``"pv"``, ``"ccatb"``, or a fabric instance (any object with
-        ``attach_slave`` and ``master_socket`` — the CAM duck type).
+        ``"pv"``, ``"ccatb"``, or a fabric instance: any object with
+        ``attach_slave`` and ``master_socket``, as every CAM, the RTL
+        bus core (:class:`~repro.rtl.RtlBusCore`) and a generated
+        prototype (:func:`~repro.accessors.build_prototype`) offer.
     ship_timing:
         The CCATB annotation (``target="ccatb"``).
     mailbox_base:

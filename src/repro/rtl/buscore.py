@@ -10,8 +10,10 @@ read/write data paths) — it is the reference model experiments E1/E2
 compare the CCATB models against, playing the role the authors' RTL/BCA
 models play in the literature.
 
-Masters attach through :class:`RtlMasterPort`, a request/grant/done
-latch interface an accessor drives pin-accurately.
+It is wired like every CAM: slaves go into its address map with
+``attach_slave``, and ``master_socket`` returns a master's
+:class:`RtlMasterPort`, a request/grant/done latch that an accessor
+drives pin-accurately and a TL master through its ``transport``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.kernel.event import Event
 from repro.kernel.module import Module
 from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
-from repro.cam.bus import BusTiming, SlaveBinding, decode_region
+from repro.cam.bus import BusTiming, SlaveBinding, decode_region, map_slave
 from repro.cam.coreconnect import PLB_TIMING
 
 
@@ -154,8 +156,11 @@ class RtlBusCore(Module):
 
     # -- wiring ------------------------------------------------------------------
 
-    def master_port(self, name: str, priority: int = 0) -> RtlMasterPort:
-        """Create a master latch on this fabric."""
+    def master_socket(self, name: str, priority: int = 0) -> RtlMasterPort:
+        """Create (or fetch) the request latch of master ``name``."""
+        for port in self.ports:
+            if port.name == name:
+                return port
         port = RtlMasterPort(name, self, priority)
         self.ports.append(port)
         return port
@@ -165,27 +170,12 @@ class RtlBusCore(Module):
                      read_wait: Optional[int] = None,
                      write_wait: Optional[int] = None,
                      localize: Optional[bool] = None) -> SlaveBinding:
-        """Map a functional slave into the address map."""
-        if not hasattr(target, "access"):
-            raise ElaborationError(
-                f"rtl bus {self.full_name}: slaves must be functional "
-                f"(access())"
-            )
-        if localize is None:
-            localize = True
-        binding = SlaveBinding(
-            target=target, base=base, size=size,
-            name=name or getattr(target, "full_name", repr(target)),
-            read_wait=read_wait, write_wait=write_wait, localize=localize,
-        )
-        for other in self.slaves:
-            if binding.base < other.end and other.base < binding.end:
-                raise ElaborationError(
-                    f"rtl bus {self.full_name}: address overlap between "
-                    f"{binding.name!r} and {other.name!r}"
-                )
-        self.slaves.append(binding)
-        return binding
+        """Map a functional slave into the address map (see
+        :func:`~repro.cam.bus.map_slave`)."""
+        return map_slave(f"rtl bus {self.full_name}", self.slaves, target,
+                         base, size, name=name, read_wait=read_wait,
+                         write_wait=write_wait, localize=localize,
+                         transported=False)
 
     def decode(self, request: OcpRequest) -> Optional[SlaveBinding]:
         """Address decode; every beat of the burst must fit one region."""

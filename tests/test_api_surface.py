@@ -170,7 +170,6 @@ TEST_ONLY_EXPORTS = {
 
 #: Public functions and methods only tests call, each kept on purpose.
 TEST_ONLY_FUNCTIONS = {
-    "accessor_for": "tests read one PE's accessor activity through it",
     "active_context": "the kernel-isolation tests' window (an export too)",
     "add_elaboration_hook": "kept kernel hook, pinned by TestKernelSurface",
     "clear_user_registry": "SHIP registry isolation (an export too)",

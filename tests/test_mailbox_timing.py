@@ -11,7 +11,8 @@ values here were captured from the implementation the tests were
 written against, so any change to how either host idles, polls, charges
 CPU time or splits bus bursts shows up as a changed number.  The
 closing property checks that every orientation delivers what it was
-given, in order, on every fabric.
+given, in order, on every CAM, on the RTL bus core and on a generated
+prototype.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.accessors import build_prototype
 from repro.apps.pipeline import build_cam
 from repro.cam import PlbBus
 from repro.esw import PartitionSpec, generate_esw
 from repro.explore import FABRICS, ArchitectureConfig, build_fabric
 from repro.flow import SystemMapper
-from repro.kernel import Module, SimContext, ns, us
+from repro.kernel import Clock, Module, SimContext, ns, us
 from repro.models import ProcessingElement
+from repro.rtl import RtlBusCore
 from repro.rtos import Rtos
 from repro.ship import (
     ShipBytes,
@@ -326,19 +329,34 @@ def _ops(stream):
 #: (master, slave) kinds; SW->SW maps to a local channel on any fabric
 ORIENTATIONS = (("hw", "hw"), ("sw", "hw"), ("hw", "sw"), ("sw", "sw"))
 
+#: every CAM, the RTL bus core, and a prototype, whose sockets are pin
+#: masters behind accessors
+TARGETS = FABRICS + ("rtl", "prototype")
+
+
+def _fabric(target, top):
+    if target in FABRICS:
+        return build_fabric(ArchitectureConfig(fabric=target), top, ())
+    clk = Clock("clk", top, period=ns(10))
+    if target == "rtl":
+        return RtlBusCore("core", top, clock=clk)
+    return build_prototype("proto", top, clk)
+
 
 def _deliver(ops, fabric, orientation, interrupt):
     """Map one connection with ``orientation`` onto ``fabric``, run
     ``ops`` through it and return what the slave received, the requests
     it owed after each receive, and the replies the master got.  The
     slave answers on its own request count, not on ``ops``; whichever
-    end is software is the same PE, re-hosted."""
+    end is software is the same PE, re-hosted.  A run on a CAM ends
+    when it starves; a clocked fabric never starves, so its run stops
+    once the slave holds every message and the master every reply."""
     master, slave = orientation
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     os = Rtos("os", top, context_switch=ns(50))
     link = SystemMapper(
-        top, build_fabric(ArchitectureConfig(fabric=fabric), top, ()),
+        top, _fabric(fabric, top),
         capacity_words=PROP_CAPACITY, use_irq=interrupt,
         poll_interval=ns(100), driver_overhead=ns(20),
     ).connect("lnk", master=master, slave=slave)
@@ -348,13 +366,23 @@ def _deliver(ops, fabric, orientation, interrupt):
     echo = Echo("s", top, link.slave_attach)
     rehost(os, *[pe for pe, kind in ((issuer, master), (echo, slave))
                  if kind == "sw"])
+    requests = sum(is_request for is_request, _ in ops)
+
+    def until_delivered():
+        while (len(echo.received) < len(ops)
+               or len(issuer.replies) < requests):
+            yield ns(100)
+        ctx.stop()
+
+    if fabric not in FABRICS:
+        ctx.register_thread(until_delivered, "until_delivered")
     ctx.run(us(10_000))
     return echo.received, echo.owed, issuer.replies
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=280, deadline=None)
 @given(stream=streams, interrupt=st.booleans(),
-       fabric=st.sampled_from(FABRICS),
+       fabric=st.sampled_from(TARGETS),
        orientation=st.sampled_from(ORIENTATIONS))
 def test_every_orientation_delivers_in_order(stream, interrupt, fabric,
                                              orientation):

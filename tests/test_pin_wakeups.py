@@ -150,7 +150,7 @@ class ArrivalOrderCore(RtlBusCore):
         super().__init__(*args, **kwargs)
         self._arrivals = itertools.count()
 
-    def master_port(self, name, priority=0):
+    def master_socket(self, name, priority=0):
         port = _ArrivalOrderPort(name, self, priority)
         self.ports.append(port)
         return port
@@ -307,7 +307,7 @@ def run_system(seed, machines, clock_cls=Clock, pin_slave=False,
         else:
             # priority ties are deliberate: they exercise arrival order
             accessor_cls(f"acc{i}", top, bundle=bundle,
-                         bus_port=core.master_port(
+                         bus_port=core.master_socket(
                              f"pe{i}", priority=rng.choice([0, 0, 1])),
                          accept_latency=latency)
         master = master_cls(f"drv{i}", top, bundle=bundle)
@@ -331,7 +331,7 @@ def run_system(seed, machines, clock_cls=Clock, pin_slave=False,
         ctx.register_thread(pe, f"pe{i}")
     if core is not None and rng.random() < 0.4:
         # a transaction-level master straight on the core
-        port = core.master_port("tl", priority=rng.choice([0, 1]))
+        port = core.master_socket("tl", priority=rng.choice([0, 1]))
         requests = random_requests(rng, rng.randint(2, 6), 0x3000)
         gaps = [rng.choice([1, 7, 20]) for _ in requests]
         running.append("tl")
@@ -416,16 +416,15 @@ def test_idle_prototype_wakes_no_pin_machine():
     """While the PE computes for 1000 cycles, neither its accessor nor
     its pin master wakes; a transaction then costs a handful of
     activations each.  The bus core still counts every edge."""
-    from repro.accessors import SlaveMapEntry, build_prototype
+    from repro.accessors import build_prototype
 
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     clk = Clock("clk", top, period=ns(10))
     mem = MemorySlave("mem", top, size=4096, read_wait=1, write_wait=1)
-    bundle = OcpPinBundle("pe_pins", top, clock=clk)
-    proto = build_prototype("proto", top, clk, {"pe": bundle},
-                            [SlaveMapEntry(mem, 0, 4096)])
-    master = OcpPinMaster("pe_drv", top, bundle=bundle)
+    proto = build_prototype("proto", top, clk)
+    proto.attach_slave(mem, 0, 4096)
+    master = proto.master_socket("pe")
     results = []
 
     def pe():
@@ -445,7 +444,7 @@ def test_idle_prototype_wakes_no_pin_machine():
     assert proto.core.cycles > 2000
     # a polling accessor would wake on all 2000+ edges
     assert counts["pe"] <= 20
-    assert counts[f"{proto.accessor_for('pe').full_name}.machine"] <= 20
+    assert counts[f"{proto.accessors['pe'].full_name}.machine"] <= 20
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +484,8 @@ def _core_run(masters_first, register_order):
                       timing=BusTiming(pipelined=False, split_rw=False))
     mem = MemorySlave("mem", top, size=4096, read_wait=1, write_wait=1)
     core.attach_slave(mem, 0, 4096)
-    ports["a"] = core.master_port("a")
-    ports["b"] = core.master_port("b")
+    ports["a"] = core.master_socket("a")
+    ports["b"] = core.master_socket("b")
     if not masters_first:
         for tag in register_order:
             ctx.register_thread(master(tag), tag)

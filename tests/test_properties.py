@@ -113,7 +113,7 @@ def test_ccatb_and_rtl_agree_cycle_for_cycle(wait, beats, gap_cycles,
         mem = MemorySlave("m", top, size=1 << 12, read_wait=wait,
                           write_wait=wait)
         core.attach_slave(mem, 0, 1 << 12)
-        port = core.master_port("m0")
+        port = core.master_socket("m0")
         out = []
 
         def body():

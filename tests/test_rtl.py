@@ -4,9 +4,9 @@ import pytest
 
 from repro.kernel import Clock, ns, us
 from repro.cam import BusTiming, MemorySlave
-from repro.ocp import OcpCmd, OcpPinBundle, OcpPinMaster, OcpRequest, OcpResp
+from repro.ocp import OcpCmd, OcpRequest, OcpResp
 from repro.rtl import RtlBusCore
-from repro.accessors import SlaveMapEntry, build_prototype
+from repro.accessors import build_prototype
 
 
 def wr(addr, n=1, data=None):
@@ -34,7 +34,7 @@ class TestRtlBusCore:
 
     def test_single_write_functional(self, ctx, top):
         clk, core, mem = self._core(ctx, top)
-        port = core.master_port("m0")
+        port = core.master_socket("m0")
         results = []
 
         def body():
@@ -50,7 +50,7 @@ class TestRtlBusCore:
     def test_cycle_count_matches_ccatb_formula(self, ctx, top):
         """RTL bus transaction duration tracks arb+addr+wait+beats."""
         clk, core, mem = self._core(ctx, top)
-        port = core.master_port("m0")
+        port = core.master_socket("m0")
         timeline = {}
 
         def body():
@@ -68,7 +68,7 @@ class TestRtlBusCore:
 
     def test_decode_error(self, ctx, top):
         clk, core, mem = self._core(ctx, top)
-        port = core.master_port("m0")
+        port = core.master_socket("m0")
         results = []
 
         def body():
@@ -84,15 +84,15 @@ class TestRtlBusCore:
         from repro.kernel import SimulationError
 
         clk, core, mem = self._core(ctx, top)
-        port = core.master_port("m0")
+        port = core.master_socket("m0")
         port.submit(rd(0))
         with pytest.raises(SimulationError, match="already pending"):
             port.submit(rd(4))
 
     def test_priority_arbitration(self, ctx, top):
         clk, core, mem = self._core(ctx, top)
-        hi = core.master_port("hi", priority=0)
-        lo = core.master_port("lo", priority=5)
+        hi = core.master_socket("hi", priority=0)
+        lo = core.master_socket("lo", priority=5)
         order = []
 
         def make(port, tag):
@@ -114,7 +114,7 @@ class TestRtlBusCore:
 
     def test_cycles_counted(self, ctx, top):
         clk, core, mem = self._core(ctx, top)
-        port = core.master_port("m0")
+        port = core.master_socket("m0")
 
         def body():
             yield from port.transport(wr(0, 1))
@@ -140,12 +140,9 @@ class TestPrototype:
         clk = Clock("clk", top, period=ns(10))
         mem = MemorySlave("mem", top, size=4096, read_wait=1,
                           write_wait=1)
-        bundle = OcpPinBundle("pe_pins", top, clock=clk)
-        proto = build_prototype(
-            "proto", top, clk, {"pe": bundle},
-            [SlaveMapEntry(mem, 0, 4096)], fabric="plb",
-        )
-        master = OcpPinMaster("pe_drv", top, bundle=bundle)
+        proto = build_prototype("proto", top, clk, fabric="plb")
+        proto.attach_slave(mem, 0, 4096)
+        master = proto.master_socket("pe")
         results = []
 
         def body():
@@ -157,24 +154,17 @@ class TestPrototype:
         ctx.register_thread(body, "t")
         ctx.run(us(100))
         assert results == [[8, 9]]
-        assert proto.accessor_for("pe").bursts >= 1
+        assert proto.accessors["pe"].bursts >= 1
         assert proto.core.transactions_completed == 2
 
     def test_two_pes_share_fabric(self, ctx, top):
         clk = Clock("clk", top, period=ns(10))
         mem = MemorySlave("mem", top, size=8192, read_wait=0,
                           write_wait=0)
-        bundles = {
-            "pe0": OcpPinBundle("p0", top, clock=clk),
-            "pe1": OcpPinBundle("p1", top, clock=clk),
-        }
-        proto = build_prototype(
-            "proto", top, clk, bundles,
-            [SlaveMapEntry(mem, 0, 8192)], fabric="plb",
-            priorities={"pe0": 0, "pe1": 1},
-        )
-        m0 = OcpPinMaster("d0", top, bundle=bundles["pe0"])
-        m1 = OcpPinMaster("d1", top, bundle=bundles["pe1"])
+        proto = build_prototype("proto", top, clk, fabric="plb")
+        proto.attach_slave(mem, 0, 8192)
+        m0 = proto.master_socket("pe0", priority=0)
+        m1 = proto.master_socket("pe1", priority=1)
         done = []
 
         def make(master, base, tag):
@@ -201,18 +191,15 @@ class TestPrototype:
     def test_unknown_fabric_rejected(self, ctx, top):
         clk = Clock("clk", top, period=ns(10))
         with pytest.raises(ValueError, match="unknown fabric"):
-            build_prototype("p", top, clk, {}, [], fabric="hyperbus")
+            build_prototype("p", top, clk, fabric="hyperbus")
 
     def test_opb_fabric_variant(self, ctx, top):
         clk = Clock("clk", top, period=ns(20))
         mem = MemorySlave("mem", top, size=4096, read_wait=0,
                           write_wait=0)
-        bundle = OcpPinBundle("pins", top, clock=clk)
-        proto = build_prototype(
-            "proto", top, clk, {"pe": bundle},
-            [SlaveMapEntry(mem, 0, 4096)], fabric="opb",
-        )
-        master = OcpPinMaster("drv", top, bundle=bundle)
+        proto = build_prototype("proto", top, clk, fabric="opb")
+        proto.attach_slave(mem, 0, 4096)
+        master = proto.master_socket("pe")
         results = []
 
         def body():

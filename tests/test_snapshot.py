@@ -71,7 +71,7 @@ def build_rtl():
     core.attach_slave(mem, 0x0, 1 << 16)
     spec = MasterTrafficSpec("m", pattern="random", transactions=40,
                              gap=ns(70))
-    tm = TrafficMaster("tm", top, socket=core.master_port(spec.name),
+    tm = TrafficMaster("tm", top, socket=core.master_socket(spec.name),
                        spec=spec, seed=11, rng_streams=True)
     return ctx, tm, mem, core
 
