@@ -43,6 +43,7 @@ class Prototype:
                  accept_latency: int):
         self.name = name
         self.parent = parent
+        self.full_name = f"{parent.full_name}.{name}"
         self.core = core
         self.accept_latency = accept_latency
         self.attach_slave = core.attach_slave

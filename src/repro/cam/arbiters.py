@@ -10,7 +10,12 @@ papers.  All are deterministic, which keeps CCATB runs reproducible.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import List, Sequence
+
+#: sort keys over pending requests: priority level, then arrival order
+_BY_PRIORITY = attrgetter("priority", "seq")
+_BY_ARRIVAL = attrgetter("seq")
 
 
 class Arbiter(ABC):
@@ -42,7 +47,7 @@ class StaticPriorityArbiter(Arbiter):
     name = "static-priority"
 
     def pick(self, pending: Sequence, cycle: int):
-        return min(pending, key=lambda r: (r.priority, r.seq))
+        return min(pending, key=_BY_PRIORITY)
 
 
 class RoundRobinArbiter(Arbiter):
@@ -108,7 +113,7 @@ class TdmaArbiter(Arbiter):
         owner = self.slot_owner(cycle)
         owned = [r for r in pending if r.master == owner]
         if owned:
-            return min(owned, key=lambda r: r.seq)
+            return min(owned, key=_BY_ARRIVAL)
         return self._fallback.pick(pending, cycle)
 
     def snapshot_state(self) -> dict:

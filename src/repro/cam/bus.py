@@ -77,6 +77,8 @@ class SlaveBinding:
     read_wait: Optional[int] = None
     write_wait: Optional[int] = None
     localize: bool = True
+    #: one past the last byte of the mapped region
+    end: int = field(init=False)
     #: True when the slave offers zero-time ``access``
     is_functional: bool = field(init=False)
     _slave_wait_states: Optional[Callable[[OcpRequest], int]] = field(
@@ -84,13 +86,9 @@ class SlaveBinding:
     )
 
     def __post_init__(self):
+        self.end = self.base + self.size
         self.is_functional = hasattr(self.target, "access")
         self._slave_wait_states = getattr(self.target, "wait_states", None)
-
-    @property
-    def end(self) -> int:
-        """One past the last byte of the mapped region."""
-        return self.base + self.size
 
     def wait_states(self, request: OcpRequest) -> int:
         """Wait states to charge (override or slave-advertised)."""
@@ -272,9 +270,9 @@ class BusStats:
 class BusCam(Module):
     """Base communication architecture model (a shared bus).
 
-    Subclasses (PLB, OPB, the generic bus) normally just pass a
-    :class:`BusTiming`; exotic fabrics may override
-    :meth:`data_cycles` for request-dependent timing.
+    Subclasses (PLB, OPB, AHB, the generic bus) pass a
+    :class:`BusTiming`; the bus process derives every transaction's
+    timing from it and the slave's wait states.
     """
 
     def __init__(
@@ -326,8 +324,8 @@ class BusCam(Module):
         self._request_event = Event(self, f"{self.full_name}.request")
         self._seq = itertools.count()
         self._sockets: Dict[str, _MasterSocket] = {}
-        #: per data channel: time the channel becomes free
-        self._channel_free: Dict[str, SimTime] = {}
+        #: per data channel: time (fs) the channel becomes free
+        self._channel_free: Dict[str, int] = {}
         self.add_thread(self._bus_process, "bus_process")
 
     # -- construction-time wiring ---------------------------------------------
@@ -360,27 +358,6 @@ class BusCam(Module):
         """Address decode; every beat of the burst must fit one region."""
         return decode_region(self.slaves, request)
 
-    # -- timing hooks ---------------------------------------------------------------
-
-    def data_cycles(self, request: OcpRequest,
-                    binding: SlaveBinding) -> int:
-        """Data-phase cycle count for one transaction."""
-        return (
-            binding.wait_states(request)
-            + request.burst_length * self.timing.cycles_per_beat
-        )
-
-    def channel_of(self, request: OcpRequest) -> str:
-        """Which data channel carries this request."""
-        if self.timing.split_rw:
-            return "read" if request.cmd.is_read else "write"
-        return "data"
-
-    @property
-    def current_cycle(self) -> int:
-        """Bus cycle number at the current time."""
-        return self.ctx._now_fs // self.clock_period._fs
-
     # -- master-side submission -------------------------------------------------------
 
     def _submit(self, request: OcpRequest, master: str,
@@ -395,107 +372,104 @@ class BusCam(Module):
 
     # -- the bus process ------------------------------------------------------------------
 
-    def _align_to_cycle(self) -> Optional[SimTime]:
-        period_fs = self.clock_period._fs
-        remainder = self.ctx._now_fs % period_fs
-        if remainder == 0:
-            return None
-        return SimTime._from_fs(period_fs - remainder)
-
     def _bus_process(self) -> Generator:
-        period = self.clock_period
+        """Grant, decode, time and complete one transaction per pass.
+
+        A functional slave's transaction completes in this loop, timed
+        on integer femtoseconds: a ``SimTime`` is built only where the
+        process yields one, and the command phase's once per bus.
+        """
+        ctx = self.ctx
+        pending = self._pending
+        slaves = self.slaves
+        period_fs = self.clock_period._fs
         timing = self.timing
+        cmd_phase = self.clock_period * timing.cmd_cycles
+        cmd_fs = cmd_phase._fs
+        cycles_per_beat = timing.cycles_per_beat
+        pipelined = timing.pipelined
+        split_rw = timing.split_rw
         while True:
-            while not self._pending:
+            while not pending:
                 yield self._request_event
-            align = self._align_to_cycle()
-            if align is not None:
-                yield align
-            if not self._pending:
-                continue
-            txn = self.arbiter.pick(self._pending, self.current_cycle)
+            remainder = ctx._now_fs % period_fs
+            if remainder:
+                yield SimTime._from_fs(period_fs - remainder)
+                if not pending:
+                    continue
+            txn = self.arbiter.pick(pending, ctx._now_fs // period_fs)
             if self._m_grants is not None:
                 self._m_grants.inc()
-                if len(self._pending) > 1:
-                    self._m_contended.inc(len(self._pending) - 1)
-            self._pending.remove(txn)
+                if len(pending) > 1:
+                    self._m_contended.inc(len(pending) - 1)
+            pending.remove(txn)
             request = txn.request
             inj = self.fault_injector
             if inj is not None and inj.force_error(self, request):
-                yield period * timing.cmd_cycles
+                yield cmd_phase
                 self._complete(txn, OcpResponse.error(), data_cycles=0,
                                channel="fault-injected")
                 continue
-            binding = self.decode(request)
+            binding = decode_region(slaves, request)
             if (binding is not None and inj is not None
                     and inj.decode_miss(self, request)):
                 binding = None
             if binding is None:
-                yield period * timing.cmd_cycles
+                yield cmd_phase
                 self._complete(txn, OcpResponse.error(), data_cycles=0,
                                channel="decode-error")
                 continue
-            if binding.is_functional:
-                yield from self._run_functional(txn, binding)
+            if split_rw:
+                channel = "read" if request.cmd.is_read else "write"
             else:
-                yield from self._run_transported(txn, binding)
-
-    def _run_functional(self, txn: _BusTransaction,
-                        binding: SlaveBinding) -> Generator:
-        period = self.clock_period
-        timing = self.timing
-        request = txn.request
-        data_cycles = self.data_cycles(request, binding)
-        channel = self.channel_of(request)
-        if timing.pipelined:
-            # Command phase on the shared path; data phase overlaps the
-            # next command phase, serialized per data channel.
-            yield period * timing.cmd_cycles
-            now_fs = self.ctx._now_fs
-            free = self._channel_free.get(channel)
-            start_fs = now_fs if free is None else max(now_fs, free._fs)
-            end_fs = start_fs + period._fs * data_cycles
-            self._channel_free[channel] = SimTime._from_fs(end_fs)
-            response = self._functional_access(binding, request)
+                channel = "data"
+            if not binding.is_functional:
+                yield from self._run_transported(txn, binding, channel)
+                continue
+            data_cycles = (binding.wait_states(request)
+                           + request.burst_length * cycles_per_beat)
+            if pipelined:
+                # Command phase on the shared path; the data phase
+                # overlaps the next command phase, serialized per data
+                # channel, so the loop arbitrates again at once.
+                yield cmd_phase
+                now_fs = ctx._now_fs
+                free_fs = self._channel_free.get(channel, 0)
+                end_fs = ((free_fs if free_fs > now_fs else now_fs)
+                          + period_fs * data_cycles)
+                self._channel_free[channel] = end_fs
+            else:
+                yield SimTime._from_fs(cmd_fs + period_fs * data_cycles)
+                end_fs = ctx._now_fs
+            try:
+                response = binding.target.access(binding.localized(request))
+            except Exception:
+                ctx.reporter.error(
+                    "bus",
+                    f"slave {binding.name!r} raised during access to "
+                    f"{request!r}",
+                    time_str=str(ctx.now),
+                )
+                response = OcpResponse.error()
             txn.response = response
-            if end_fs > now_fs:
+            if not pipelined:
+                txn.done.notify()
+            elif end_fs > now_fs:
                 txn.done._notify_at_fs(end_fs)
             else:
                 txn.done.notify_delta()
             self._account(txn, response, end_fs, data_cycles, channel)
-            # Bus thread returns immediately: ready to arbitrate the next
-            # command phase while this data phase drains.
-        else:
-            yield period * (timing.cmd_cycles + data_cycles)
-            response = self._functional_access(binding, request)
-            self._complete(txn, response, data_cycles, channel)
 
-    def _run_transported(self, txn: _BusTransaction,
-                         binding: SlaveBinding) -> Generator:
+    def _run_transported(self, txn: _BusTransaction, binding: SlaveBinding,
+                         channel: str) -> Generator:
         period = self.clock_period
-        timing = self.timing
-        request = txn.request
-        channel = self.channel_of(request)
-        yield period * timing.cmd_cycles
+        yield period * self.timing.cmd_cycles
         start_fs = self.ctx._now_fs
         response = yield from binding.target.transport(
-            binding.localized(request)
+            binding.localized(txn.request)
         )
         busy = (self.ctx._now_fs - start_fs) // period._fs
         self._complete(txn, response, busy, channel)
-
-    def _functional_access(self, binding: SlaveBinding,
-                           request: OcpRequest) -> OcpResponse:
-        try:
-            return binding.target.access(binding.localized(request))
-        except Exception:
-            self.ctx.reporter.error(
-                "bus",
-                f"slave {binding.name!r} raised during access to "
-                f"{request!r}",
-                time_str=str(self.ctx.now),
-            )
-            return OcpResponse.error()
 
     # -- completion & accounting ----------------------------------------------------------
 
@@ -508,14 +482,13 @@ class BusCam(Module):
     def _account(self, txn: _BusTransaction, response: OcpResponse,
                  end_fs: int, data_cycles: int, channel: str) -> None:
         request = txn.request
-        latency_fs = end_fs - txn.arrival_fs
         self.stats.record(request.nbytes, data_cycles)
         if self._m_grants is not None:
             self._m_transactions.inc()
             self._m_bytes.inc(request.nbytes)
             if not response.ok:
                 self._m_errors.inc()
-            self._m_latency.observe(latency_fs / 1_000_000)
+            self._m_latency.observe((end_fs - txn.arrival_fs) / 1_000_000)
             self._m_utilization.set(self.utilization(), self.ctx._now_fs)
         if self.recorder is not None:
             self.recorder.record(
@@ -546,10 +519,7 @@ class BusCam(Module):
             "stats": self.stats.__snapshot__(),
             "next_seq": peek_counter(self, "_seq"),
             "arbiter": self.arbiter.snapshot_state(),
-            "channel_free": {
-                channel: when._fs
-                for channel, when in self._channel_free.items()
-            },
+            "channel_free": dict(self._channel_free),
             # Socket roster so lazily created attachment points (crossbar
             # per-path sockets) can be re-created before their own
             # records are replayed.
@@ -575,10 +545,7 @@ class BusCam(Module):
         self.stats.__restore__(state["stats"])
         self._seq = itertools.count(state["next_seq"])
         self.arbiter.restore_state(state["arbiter"])
-        self._channel_free = {
-            channel: SimTime._from_fs(when_fs)
-            for channel, when_fs in state["channel_free"].items()
-        }
+        self._channel_free = dict(state["channel_free"])
         for name, priority in state["sockets"]:
             self.master_socket(name, priority)
         payload = state.get("fault_injector")

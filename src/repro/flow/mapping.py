@@ -87,9 +87,10 @@ class SystemMapper:
         Module under which mapper-created objects live.
     target:
         ``"pv"``, ``"ccatb"``, or a fabric instance: any object with
-        ``attach_slave`` and ``master_socket``, as every CAM, the RTL
-        bus core (:class:`~repro.rtl.RtlBusCore`) and a generated
-        prototype (:func:`~repro.accessors.build_prototype`) offer.
+        ``attach_slave``, ``master_socket`` and the ``full_name`` a
+        link's ``mapping`` names, as every CAM, the RTL bus core
+        (:class:`~repro.rtl.RtlBusCore`) and a generated prototype
+        (:func:`~repro.accessors.build_prototype`) offer.
     ship_timing:
         The CCATB annotation (``target="ccatb"``).
     mailbox_base:
@@ -226,12 +227,11 @@ class SystemMapper:
             owner_side = MailboxOwnerSide(mailbox)
             owner_side.access_overhead = self.driver_overhead
             slave_attach = SwShipEnd(f"{prefix}_ssw", owner_side)
-        fabric_name = getattr(self.fabric, "full_name", "fabric")
         return MappedConnection(
             name=name, master_kind=master, slave_kind=slave,
-            mapping=(f"SHIP-over-{fabric_name} link ({master.upper()} "
-                     f"master, {slave.upper()} slave), mailbox @ "
-                     f"{base:#x}"),
+            mapping=(f"SHIP-over-{self.fabric.full_name} link "
+                     f"({master.upper()} master, {slave.upper()} slave), "
+                     f"mailbox @ {base:#x}"),
             master_attach=master_attach, slave_attach=slave_attach,
             bus_side=bus_side, owner_side=owner_side,
         )

@@ -38,6 +38,8 @@ each host gives those yields its own meaning (see :class:`MailboxHost`).
 from __future__ import annotations
 
 import struct
+from functools import lru_cache, partial
+from operator import and_
 from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.esw.synthesis import ExecuteFor
@@ -56,6 +58,11 @@ CTRL_REQUEST = 0x4
 
 WORD_BYTES = 4
 _WORD_MASK = 0xFFFFFFFF
+#: a bus write's word as the register stores it
+_mask_word = partial(and_, _WORD_MASK)
+# bound once: enum member access goes through the metaclass
+_WR = OcpCmd.WR
+_RD = OcpCmd.RD
 
 
 class MailboxLayout:
@@ -80,11 +87,17 @@ class MailboxLayout:
         return self.capacity_words * WORD_BYTES
 
 
+@lru_cache(maxsize=256)
+def _word_array(count: int) -> struct.Struct:
+    """The codec of ``count`` big-endian 32-bit words."""
+    return struct.Struct(f">{count}I")
+
+
 def bytes_to_words(data: bytes) -> List[int]:
     """Pack bytes into big-endian 32-bit words (zero padded)."""
     count = word_count(len(data))
     padded = data.ljust(count * WORD_BYTES, b"\x00")
-    return list(struct.unpack(f">{count}I", padded))
+    return list(_word_array(count).unpack(padded))
 
 
 def word_count(nbytes: int) -> int:
@@ -94,7 +107,7 @@ def word_count(nbytes: int) -> int:
 
 def words_to_bytes(words: List[int], nbytes: int) -> bytes:
     """Inverse of :func:`bytes_to_words`, truncated to ``nbytes``."""
-    return struct.pack(f">{len(words)}I", *words)[:nbytes]
+    return _word_array(len(words)).pack(*words)[:nbytes]
 
 
 def chunk_message(data: bytes, layout: MailboxLayout,
@@ -197,8 +210,7 @@ class MailboxSlave(SimObject):
         regs = self._regs
         if request.cmd.is_write:
             data = request.data
-            regs.update(zip(addresses,
-                            [value & _WORD_MASK for value in data]))
+            regs.update(zip(addresses, map(_mask_word, data)))
             layout = self.layout
             if (low <= layout.ctrl_in <= high
                     or low <= layout.ctrl_out <= high):
@@ -325,7 +337,7 @@ class MailboxBusSide(MailboxHost):
         for index in range(0, len(words), self.max_burst):
             beats = words[index:index + self.max_burst]
             request = OcpRequest(
-                OcpCmd.WR, self.base + offset + index * WORD_BYTES,
+                _WR, self.base + offset + index * WORD_BYTES,
                 data=beats, burst_length=len(beats),
             )
             response = yield from self.socket.transport(request)
@@ -342,7 +354,7 @@ class MailboxBusSide(MailboxHost):
         for index in range(0, count, self.max_burst):
             beats = min(self.max_burst, count - index)
             request = OcpRequest(
-                OcpCmd.RD, self.base + offset + index * WORD_BYTES,
+                _RD, self.base + offset + index * WORD_BYTES,
                 burst_length=beats,
             )
             response = yield from self.socket.transport(request)

@@ -58,6 +58,17 @@ class BurstSeq(enum.Enum):
     WRAP = 2   # wrapping
 
 
+# Hot-path bindings: enum member access goes through the metaclass on
+# every lookup, so the members the per-transaction helpers test are
+# bound to module globals once.
+_IDLE = OcpCmd.IDLE
+_INCR = BurstSeq.INCR
+_STRM = BurstSeq.STRM
+_WRAP = BurstSeq.WRAP
+_DVA = OcpResp.DVA
+_ERR = OcpResp.ERR
+
+
 @dataclass
 class OcpRequest:
     """One OCP transaction request (a full burst).
@@ -78,7 +89,7 @@ class OcpRequest:
     word_bytes: int = 4
 
     def __post_init__(self):
-        if self.cmd is OcpCmd.IDLE:
+        if self.cmd is _IDLE:
             raise ValueError("cannot build an OCP request with MCmd=IDLE")
         if self.burst_length < 1:
             raise ValueError(
@@ -107,9 +118,9 @@ class OcpRequest:
         addr = self.addr
         step = self.word_bytes
         seq = self.burst_seq
-        if seq is BurstSeq.INCR:
+        if seq is _INCR:
             return range(addr, addr + self.burst_length * step, step)
-        if seq is BurstSeq.STRM:
+        if seq is _STRM:
             return (addr,) * self.burst_length
         window = self.burst_length * step
         end = addr - addr % window + window
@@ -134,10 +145,10 @@ class OcpRequest:
         """
         addr = self.addr
         seq = self.burst_seq
-        if seq is BurstSeq.STRM:
+        if seq is _STRM:
             return addr, addr
         last = (self.burst_length - 1) * self.word_bytes
-        if seq is BurstSeq.WRAP:
+        if seq is _WRAP:
             # the window's start plus the offset every beat shares
             addr -= addr % (last + self.word_bytes) - addr % self.word_bytes
         return addr, addr + last
@@ -174,22 +185,22 @@ class OcpResponse:
     @property
     def ok(self) -> bool:
         """True for a DVA response."""
-        return self.resp is OcpResp.DVA
+        return self.resp is _DVA
 
     @classmethod
     def error(cls) -> "OcpResponse":
         """An ERR response."""
-        return cls(OcpResp.ERR)
+        return cls(_ERR)
 
     @classmethod
     def write_ok(cls) -> "OcpResponse":
         """A successful write response."""
-        return cls(OcpResp.DVA)
+        return cls(_DVA)
 
     @classmethod
     def read_ok(cls, data: List[int]) -> "OcpResponse":
         """A successful read response carrying ``data``."""
-        return cls(OcpResp.DVA, list(data))
+        return cls(_DVA, list(data))
 
     def __repr__(self) -> str:
         return f"OcpResponse({self.resp.name}, beats={len(self.data)})"

@@ -1,15 +1,20 @@
 """The CCATB bus engine on integer time matches the SimTime engine.
 
-``BusCam`` computes cycle alignment, the pipelined data phase and
-transaction latency on integer femtoseconds and resolves per-slave facts
-once at ``attach_slave``.  ``SimTimeEngine`` below keeps the engine
-methods as they were written on :class:`SimTime` arithmetic (with
-``dataclasses.replace`` localization and a per-call wait-state lookup),
-the way ``tests/test_clock.py`` keeps ``ProcessClock``.  Random
-multi-master schedules on every fabric and arbiter, with zero-gap
-streams, wait states, decode misses, bursts over ``max_burst`` and a
-localized transported slave, must give identical completion times,
-responses, bus statistics, metrics, recorder records and memory.
+``BusCam``'s bus process is one loop that grants, decodes, times and
+completes a functional transaction on integer femtoseconds, with
+per-slave facts resolved once at ``attach_slave``.  ``SimTimeEngine``
+below keeps the whole engine as it was written on :class:`SimTime`
+arithmetic: its own bus process with a sub-generator per transaction,
+cycle alignment, data-cycle and channel hooks, ``dataclasses.replace``
+localization and a per-call wait-state lookup, the way
+``tests/test_clock.py`` keeps ``ProcessClock``.  Random multi-master
+schedules on every fabric and arbiter, with zero-gap streams, wait
+states, decode misses, bursts over ``max_burst``, a localized
+transported slave and, in part of them, a seeded fault injector, must
+give identical completion times, responses, bus statistics, metrics,
+recorder records, fault logs, memory and end-of-run bus snapshots.
+
+The last test pins the PLB's kernel activations per transaction.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.cam.crossbar as crossbar_module
@@ -33,6 +39,7 @@ from repro.cam import (
     PlbBus,
 )
 from repro.cam.arbiters import make_arbiter
+from repro.faults import BusFaultInjector, FaultPlan, FaultRule
 from repro.kernel import Event, Module, SimContext, ns, ps
 from repro.kernel.object import SimObject
 from repro.kernel.simtime import ZERO_TIME
@@ -40,6 +47,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.ocp import OcpCmd, OcpRequest, OcpResponse
 from repro.trace.transaction import TransactionRecorder
 from tests.test_burst_access import PerBeatMemory
+from tests.test_pin_wakeups import ActivationCounter
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +92,15 @@ class SimTimeEngine:
         super().__init__(*args, **kwargs)
         self.stats = SimTimeBusStats()
 
+    def __snapshot__(self):
+        state = super().__snapshot__()
+        # the checkpoint payload of SimTime channel-free times
+        state["channel_free"] = {
+            channel: when._fs
+            for channel, when in self._channel_free.items()
+        }
+        return state
+
     @property
     def current_cycle(self):
         return self.ctx.now // self.clock_period
@@ -95,6 +112,11 @@ class SimTimeEngine:
             getter = getattr(binding.target, "wait_states", None)
             waits = getter(request) if getter is not None else 0
         return waits + request.burst_length * self.timing.cycles_per_beat
+
+    def channel_of(self, request):
+        if self.timing.split_rw:
+            return "read" if request.cmd.is_read else "write"
+        return "data"
 
     def _submit(self, request, master, priority):
         txn = _SimTimeTransaction(
@@ -115,6 +137,44 @@ class SimTimeEngine:
         if remainder == ZERO_TIME:
             return None
         return self.clock_period - remainder
+
+    def _bus_process(self):
+        period = self.clock_period
+        timing = self.timing
+        while True:
+            while not self._pending:
+                yield self._request_event
+            align = self._align_to_cycle()
+            if align is not None:
+                yield align
+            if not self._pending:
+                continue
+            txn = self.arbiter.pick(self._pending, self.current_cycle)
+            if self._m_grants is not None:
+                self._m_grants.inc()
+                if len(self._pending) > 1:
+                    self._m_contended.inc(len(self._pending) - 1)
+            self._pending.remove(txn)
+            request = txn.request
+            inj = self.fault_injector
+            if inj is not None and inj.force_error(self, request):
+                yield period * timing.cmd_cycles
+                self._complete(txn, OcpResponse.error(), data_cycles=0,
+                               channel="fault-injected")
+                continue
+            binding = self.decode(request)
+            if (binding is not None and inj is not None
+                    and inj.decode_miss(self, request)):
+                binding = None
+            if binding is None:
+                yield period * timing.cmd_cycles
+                self._complete(txn, OcpResponse.error(), data_cycles=0,
+                               channel="decode-error")
+                continue
+            if binding.is_functional:
+                yield from self._run_functional(txn, binding)
+            else:
+                yield from self._run_transported(txn, binding)
 
     def _run_functional(self, txn, binding):
         period = self.clock_period
@@ -250,12 +310,27 @@ def random_schedule(rng, masters):
     return schedule
 
 
+def new_fault_injector(rng):
+    """Half the schedules: a seeded injector forcing errors and decode
+    misses, by probability or on every nth candidate."""
+    if rng.random() < 0.5:
+        return None
+
+    def rule():
+        if rng.random() < 0.3:
+            return FaultRule(every_nth=rng.randint(2, 5))
+        return FaultRule(probability=rng.choice([0.05, 0.2, 0.5]))
+    return BusFaultInjector(FaultPlan(seed=rng.randrange(1 << 30)),
+                            error=rule(), decode=rule())
+
+
 def run_schedule(seed, fabric, arbiter, reference):
     """Run generated system ``seed``; return everything observable."""
     rng = random.Random(seed)
     masters = rng.randint(1, 4)
     schedule = random_schedule(rng, masters)
     period = rng.choice([ns(10), ns(7), ps(3300)])
+    injector = new_fault_injector(rng)
     names = [f"m{i}" for i in range(masters)]
 
     def new_arbiter():
@@ -291,6 +366,7 @@ def run_schedule(seed, fabric, arbiter, reference):
                          read_wait=rng.choice([None, 0, 2]),
                          write_wait=rng.choice([None, 1]))
         bus.attach_slave(far, *REGIONS[2], localize=True)
+    bus.fault_injector = injector
     records = []
     running = list(names)
 
@@ -322,8 +398,9 @@ def run_schedule(seed, fabric, arbiter, reference):
         "end": ctx._now_fs,
         "stats": [b.stats.__snapshot__() for b in buses],
         "utilization": [b.utilization() for b in buses],
-        "channel_free": [{channel: when._fs for channel, when
-                          in b._channel_free.items()} for b in buses],
+        "snapshots": [b.__snapshot__() for b in buses],
+        "faults": (injector.plan.__snapshot__() if injector is not None
+                   else None),
         "metrics": metrics.snapshot() if metrics is not None else None,
         "recorded": recorder.records,
         "memory": [list(memory._words.items()) for memory in memories],
@@ -339,3 +416,45 @@ def test_integer_time_engine_matches_simtime_engine(seed, fabric, arbiter):
     slow = run_schedule(seed, fabric, arbiter, reference=True)
     assert fast["outcome"] == "stopped"
     assert fast == slow
+
+
+# ---------------------------------------------------------------------------
+# Kernel activations per transaction
+# ---------------------------------------------------------------------------
+
+#: (masters, gap in ns before each read) -> (activations of the bus
+#: process, then of each master; end time in ns).  A gap that ends
+#: mid-cycle adds the bus's wake to align on the next edge.
+PLB_ACTIVATIONS = {
+    (1, 0): ((401, 201), 14_000),
+    (1, 25): ((601, 401), 20_000),
+    (2, 0): ((800, 201, 201), 20_020),
+    (2, 25): ((1_199, 401, 401), 20_050),
+}
+
+
+@pytest.mark.parametrize("masters,gap_ns", sorted(PLB_ACTIVATIONS))
+def test_plb_kernel_activations_per_transaction(masters, gap_ns):
+    """200 four-beat reads per master from one memory on the PLB."""
+    ctx = SimContext()
+    top = Module("top", ctx=ctx)
+    plb = PlbBus("plb", top)
+    plb.attach_slave(MemorySlave("mem", top, size=0x1000), 0x0, 0x1000)
+    names = [f"m{i}" for i in range(masters)]
+    for name in names:
+        def master(socket=plb.master_socket(name)):
+            for _ in range(200):
+                if gap_ns:
+                    yield ns(gap_ns)
+                response = yield from socket.transport(
+                    OcpRequest(OcpCmd.RD, 0x40, burst_length=4))
+                assert response.ok
+        ctx.register_thread(master, name)
+    counter = ActivationCounter()
+    ctx.attach_observer(counter)
+    ctx.run()
+    activations = tuple(counter.counts[name]
+                        for name in ["top.plb.bus_process", *names])
+    assert (activations, ctx.now.to("ns")) == PLB_ACTIVATIONS[masters,
+                                                             gap_ns]
+    assert sum(counter.counts.values()) == sum(activations)

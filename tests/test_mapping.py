@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.kernel import ElaborationError, Module, SimContext, ns, us
-from repro.cam import CrossbarCam, PlbBus
+from repro.accessors import build_prototype
+from repro.kernel import Clock, ElaborationError, Module, SimContext, ns, us
+from repro.cam import PLB_TIMING, CrossbarCam, PlbBus
 from repro.esw import PartitionSpec, generate_esw
 from repro.flow import SystemMapper
 from repro.flow.mapping import master_socket_name
@@ -14,6 +15,7 @@ from repro.models import (
     ShipBusSlaveWrapper,
 )
 from repro.models.mailbox import MailboxBusSide, MailboxOwnerSide
+from repro.rtl import RtlBusCore
 from repro.rtos import Rtos
 from repro.ship import ShipInt, ShipMasterPort, ShipSlavePort, ShipTiming
 
@@ -192,6 +194,21 @@ class TestFabricComposition:
         # the mapper's use_irq decides for every orientation
         assert (mailbox.irq is not None) == use_irq
         assert conn.bus_side.irq is mailbox.irq
+
+    def test_link_label_names_its_fabric(self, ctx, top):
+        clk = Clock("clk", top, period=ns(10))
+        fabrics = {
+            "top.plb": PlbBus("plb", top),
+            "top.core": RtlBusCore("core", top, clock=clk,
+                                   timing=PLB_TIMING),
+            "top.proto": build_prototype("proto", top, clk),
+        }
+        for index, (fabric_name, fabric) in enumerate(fabrics.items()):
+            conn = SystemMapper(top, fabric).connect(f"c{index}")
+            assert conn.mapping == (
+                f"SHIP-over-{fabric_name} link (HW master, HW slave), "
+                "mailbox @ 0x100000"
+            )
 
 
 class TestMapperValidation:
