@@ -5,10 +5,9 @@ Builds a small producer/consumer design — two OCP masters bursting
 through a CoreConnect PLB into a wait-stated memory, plus a FIFO-coupled
 pipeline stage — and attaches the full ``repro.obs`` stack:
 
-* a ``MetricsRegistry`` collecting bus / arbiter / FIFO / transaction
-  instruments,
+* a ``MetricsRegistry`` collecting bus / arbiter / FIFO instruments,
 * a ``TraceEventCollector`` writing a Chrome trace-event JSON you can
-  open in ui.perfetto.dev, and
+  open in ui.perfetto.dev (the PLB reports each transaction to it), and
 * a ``SimProfiler`` ranking processes by host dispatch time.
 
 Run:  python examples/observability_demo.py
@@ -27,16 +26,15 @@ from repro.obs import (
     watch_fifo,
 )
 from repro.ocp.types import OcpCmd, OcpRequest
-from repro.trace import TransactionRecorder
 
 BURST = 8
 TRANSACTIONS = 12
 
 
-def build(ctx, registry, recorder):
-    """Two masters on a PLB plus a FIFO pipeline stage."""
+def build(ctx, registry):
+    """Two masters on a PLB plus a FIFO pipeline stage; returns the PLB."""
     top = Module("top", ctx=ctx)
-    plb = PlbBus("plb", top, recorder=recorder, metrics=registry)
+    plb = PlbBus("plb", top, metrics=registry)
     memory = MemorySlave("mem", top, size=1 << 16, read_wait=1,
                          write_wait=1)
     plb.attach_slave(memory, 0, 1 << 16)
@@ -73,26 +71,24 @@ def build(ctx, registry, recorder):
     for index in range(2):
         top.add_thread(master(index), f"gen{index}")
     top.add_thread(consumer, "consumer")
-    return top
+    return plb
 
 
 def main():
     ctx = SimContext()
     registry = MetricsRegistry()
-    recorder = TransactionRecorder(keep_records=False, metrics=registry)
-    build(ctx, registry, recorder)
+    plb = build(ctx, registry)
 
     profiler = SimProfiler()
     collector = TraceEventCollector()
-    collector.attach_recorder(recorder)
     ctx.attach_observer(ObserverGroup(profiler, collector))
 
     profiler.start()
     ctx.run(us(100))
     profiler.stop()
 
-    print(f"simulated {ctx.now}: {recorder.count} bus transactions, "
-          f"{recorder.total_bytes} bytes\n")
+    print(f"simulated {ctx.now}: {plb.stats.transactions} bus transactions, "
+          f"{plb.stats.bytes} bytes\n")
 
     print("process hotspots (host dispatch time)")
     print(profiler.format_table(5))

@@ -16,7 +16,6 @@ from typing import Optional
 from repro.kernel.simtime import SimTime, ns
 from repro.cam.arbiters import Arbiter, RoundRobinArbiter
 from repro.cam.bus import BusCam, BusTiming
-from repro.trace.transaction import TransactionRecorder
 
 #: AHB INCR16 is the longest defined fixed burst.
 AHB_MAX_BURST = 16
@@ -32,7 +31,6 @@ class AhbBus(BusCam):
         ctx=None,
         clock_period: SimTime = None,
         arbiter: Optional[Arbiter] = None,
-        recorder: Optional[TransactionRecorder] = None,
         metrics=None,
     ):
         super().__init__(
@@ -48,7 +46,6 @@ class AhbBus(BusCam):
                 split_rw=False,   # the structural difference vs PLB
             ),
             arbiter=arbiter or RoundRobinArbiter(),
-            recorder=recorder,
             max_burst=AHB_MAX_BURST,
             metrics=metrics,
         )

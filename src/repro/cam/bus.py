@@ -41,7 +41,6 @@ from repro.kernel.simtime import SimTime, ZERO_TIME, ns
 from repro.ocp.tl import OcpTargetIf
 from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
-from repro.trace.transaction import TransactionRecorder
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,6 @@ class BusCam(Module):
         clock_period: SimTime = None,
         timing: Optional[BusTiming] = None,
         arbiter: Optional[Arbiter] = None,
-        recorder: Optional[TransactionRecorder] = None,
         max_burst: Optional[int] = None,
         metrics=None,
     ):
@@ -296,7 +294,6 @@ class BusCam(Module):
         self.max_burst = max_burst
         self.timing = timing or GENERIC_TIMING
         self.arbiter = arbiter or StaticPriorityArbiter()
-        self.recorder = recorder
         self.stats = BusStats()
         #: Optional repro.obs MetricsRegistry; when given, every
         #: completion and arbitration decision also publishes there
@@ -490,17 +487,11 @@ class BusCam(Module):
                 self._m_errors.inc()
             self._m_latency.observe((end_fs - txn.arrival_fs) / 1_000_000)
             self._m_utilization.set(self.utilization(), self.ctx._now_fs)
-        if self.recorder is not None:
-            self.recorder.record(
-                channel=self.full_name,
-                kind=request.cmd.name.lower(),
-                initiator=txn.master,
-                target=channel,
-                begin=SimTime._from_fs(txn.arrival_fs),
-                end=SimTime._from_fs(end_fs),
-                nbytes=request.nbytes,
-                burst=request.burst_length,
-            )
+        obs = self.ctx._obs
+        if obs is not None:
+            obs.on_transaction(self.full_name, request.cmd.name.lower(),
+                               txn.master, channel, txn.arrival_fs, end_fs,
+                               request.nbytes, request.burst_length)
 
     # -- checkpoint/restore protocol (see repro.snapshot) --------------------
 
@@ -587,7 +578,7 @@ class GenericBus(BusCam):
     """A plain non-pipelined shared bus (the 'simple bus' CAM)."""
 
     def __init__(self, name, parent=None, ctx=None, clock_period=None,
-                 arbiter=None, recorder=None, metrics=None):
+                 arbiter=None, metrics=None):
         super().__init__(
             name,
             parent,
@@ -595,6 +586,5 @@ class GenericBus(BusCam):
             clock_period=clock_period,
             timing=GENERIC_TIMING,
             arbiter=arbiter,
-            recorder=recorder,
             metrics=metrics,
         )

@@ -21,7 +21,6 @@ from typing import Optional
 from repro.kernel.simtime import SimTime, ns
 from repro.cam.arbiters import Arbiter, StaticPriorityArbiter
 from repro.cam.bus import BusCam, BusTiming
-from repro.trace.transaction import TransactionRecorder
 
 #: Default PLB clock: 100 MHz, the usual embedded PowerPC 405 setting.
 PLB_DEFAULT_PERIOD = ns(10)
@@ -50,7 +49,6 @@ class PlbBus(BusCam):
         ctx=None,
         clock_period: SimTime = None,
         arbiter: Optional[Arbiter] = None,
-        recorder: Optional[TransactionRecorder] = None,
         metrics=None,
     ):
         super().__init__(
@@ -60,7 +58,6 @@ class PlbBus(BusCam):
             clock_period=clock_period or PLB_DEFAULT_PERIOD,
             timing=PLB_TIMING,
             arbiter=arbiter or StaticPriorityArbiter(),
-            recorder=recorder,
             # sockets transparently split longer transfers into
             # PLB-legal fixed-length bursts
             max_burst=PLB_MAX_BURST,
@@ -78,7 +75,6 @@ class OpbBus(BusCam):
         ctx=None,
         clock_period: SimTime = None,
         arbiter: Optional[Arbiter] = None,
-        recorder: Optional[TransactionRecorder] = None,
         metrics=None,
     ):
         super().__init__(
@@ -88,6 +84,5 @@ class OpbBus(BusCam):
             clock_period=clock_period or OPB_DEFAULT_PERIOD,
             timing=OPB_TIMING,
             arbiter=arbiter or StaticPriorityArbiter(),
-            recorder=recorder,
             metrics=metrics,
         )

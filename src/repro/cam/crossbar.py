@@ -23,7 +23,6 @@ from repro.ocp.tl import OcpTargetIf
 from repro.ocp.types import OcpRequest, OcpResponse
 from repro.cam.arbiters import Arbiter, RoundRobinArbiter
 from repro.cam.bus import GENERIC_TIMING, BusCam, SlaveBinding, map_slave
-from repro.trace.transaction import TransactionRecorder
 
 
 class _CrossbarSocket(SimObject, OcpTargetIf):
@@ -81,13 +80,11 @@ class CrossbarCam(Module):
         ctx=None,
         clock_period: SimTime = None,
         arbiter_factory: Callable[[], Arbiter] = RoundRobinArbiter,
-        recorder: Optional[TransactionRecorder] = None,
     ):
         super().__init__(name, parent, ctx)
         self.clock_period = clock_period if clock_period is not None else ns(10)
         self.timing = GENERIC_TIMING
         self.arbiter_factory = arbiter_factory
-        self.recorder = recorder
         #: the address map: one binding per path, in path order
         self.slaves: List[SlaveBinding] = []
         self.paths: List[BusCam] = []
@@ -139,7 +136,6 @@ class CrossbarCam(Module):
             clock_period=self.clock_period,
             timing=self.timing,
             arbiter=self.arbiter_factory(),
-            recorder=self.recorder,
         )
         path.fault_injector = self._fault_injector
         path.slaves.append(binding)

@@ -69,12 +69,6 @@ def pe_violations(pe: Module) -> List[str]:
             f"{pe.full_name}: non-SHIP ports present: {non_ship} "
             f"(constraint: SW-bound PEs communicate exclusively via SHIP)"
         )
-    checker = getattr(pe, "uses_only_ship", None)
-    if checker is not None and not checker():
-        if not non_ship:
-            violations.append(
-                f"{pe.full_name}: uses_only_ship() reports a violation"
-            )
     if not pe.ctx.processes_of(pe):
         violations.append(
             f"{pe.full_name}: has no behaviour processes to synthesize"

@@ -63,13 +63,3 @@ class ProcessingElement(Module):
     def ship_ports(self) -> List[ShipPort]:
         """The SHIP ports this PE declared."""
         return list(self._ship_ports.values())
-
-    def uses_only_ship(self) -> bool:
-        """Check the eSW-generation constraint: every port on this PE is
-        a SHIP port (the PE has no direct bus or signal connections)."""
-        from repro.kernel.port import Port
-
-        for obj in self.iter_descendants():
-            if isinstance(obj, Port) and not isinstance(obj, ShipPort):
-                return False
-        return True

@@ -5,12 +5,14 @@ CCATB models exist so designers can *read* cycle counts, latencies and
 contention out of a fast simulation, and this package is where those
 readings live.
 
-* :mod:`repro.obs.hooks` — the kernel instrumentation contract
+* :mod:`repro.obs.hooks` — the instrumentation contract
   (:class:`SimObserver`); the scheduler calls an attached observer's
   hooks and, with none attached, calls no hook and reads no clock.
+  Bus CAMs and SHIP channels report each completed transfer to the
+  same observer (``on_transaction``).
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, histograms and time-weighted gauges that the bus CAMs, the
-  OCP monitor, FIFOs and transaction recorders publish into.
+  OCP monitor and FIFOs publish into.
 * :mod:`repro.obs.trace_events` — Chrome trace-event / Perfetto JSON
   export (:class:`TraceEventCollector`); open any run in
   ``ui.perfetto.dev``.

@@ -1,11 +1,14 @@
 """Kernel instrumentation hooks.
 
-:class:`SimObserver` is the contract between the scheduler and the
+:class:`SimObserver` is the contract between the simulation and the
 observability layer: :meth:`~repro.kernel.context.SimContext.attach_observer`
 installs one observer, and the kernel's one event loop invokes its hooks
 at every scheduling boundary.  ``run`` binds the observer once on entry
 and puts each hook behind a test of that binding, so a run with no
-observer attached calls no hook and reads no clock.
+observer attached calls no hook and reads no clock.  Components fire
+one hook themselves: a bus CAM or SHIP channel reads the context's
+observer when a transfer completes and, with none attached, calls
+nothing.
 
 All hook timestamps are integer femtoseconds (the kernel's canonical
 time representation); ``wall_s`` durations are host seconds from
@@ -25,6 +28,8 @@ hook                       fired
 ``on_time_advance``        when simulated time moves forward
 ``on_run_starved``         a ``run`` ended by event starvation (once,
                            from the run epilogue — not the hot loop)
+``on_transaction``         a bus CAM or SHIP channel completed a transfer
+                           (fired by the component, not the scheduler)
 =========================  ==================================================
 """
 
@@ -78,6 +83,20 @@ class SimObserver:
         epilogue, never from the scheduler hot loop.
         """
 
+    def on_transaction(self, track: str, kind: str, initiator: str,
+                       target: str, begin_fs: int, end_fs: int,
+                       nbytes: int, burst) -> None:
+        """Called when a component completes a transfer.
+
+        ``track`` is the reporting bus's or channel's full name;
+        ``kind`` is the OCP command in lower case (``"rd"``, ``"wr"``,
+        ...) or the SHIP call (``"send"``, ``"request"``,
+        ``"reply"``).  The transfer runs from ``begin_fs`` (submission,
+        or the SHIP call) to ``end_fs`` (completion, or delivery) and
+        carries ``nbytes``.  ``burst`` is a bus transfer's burst length,
+        None for SHIP.
+        """
+
 
 class ObserverGroup(SimObserver):
     """Fans every hook out to a tuple of child observers.
@@ -127,3 +146,10 @@ class ObserverGroup(SimObserver):
         for obs in self.observers:
             obs.on_run_starved(context, blocked, now_fs)
 
+    def on_transaction(self, track: str, kind: str, initiator: str,
+                       target: str, begin_fs: int, end_fs: int,
+                       nbytes: int, burst) -> None:
+        """Fan out to every child observer."""
+        for obs in self.observers:
+            obs.on_transaction(track, kind, initiator, target, begin_fs,
+                               end_fs, nbytes, burst)

@@ -1,10 +1,10 @@
 """Built-in instrument wiring for kernel FIFOs.
 
 Connects a FIFO to a :class:`~repro.obs.metrics.MetricsRegistry`
-without the kernel importing the observability layer.  The bus CAMs,
-the OCP pin monitor and transaction recorders take a ``metrics``
-constructor argument directly; a FIFO gets its occupancy instrument
-retrofitted onto the live object.
+without the kernel importing the observability layer.  The bus CAMs
+and the OCP pin monitor take a ``metrics`` constructor argument
+directly; a FIFO gets its occupancy instrument retrofitted onto the
+live object.
 """
 
 from __future__ import annotations

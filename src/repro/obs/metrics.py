@@ -2,9 +2,9 @@
 
 A :class:`MetricsRegistry` is a flat namespace of named instruments that
 models publish into during simulation and tooling snapshots afterwards.
-The bus CAMs, the OCP pin monitor, the transaction recorder and the FIFO
-occupancy instrument all write here, which replaces the ad-hoc per-model
-counter code with one shared publication path.
+The bus CAMs, the OCP pin monitor and the FIFO occupancy instrument
+all write here, which replaces the ad-hoc per-model counter code with
+one shared publication path.
 
 Instruments are cheap, allocation-free on the hot path, and JSON-able
 via :meth:`MetricsRegistry.snapshot`:

@@ -15,7 +15,7 @@ Optionally writes the Chrome trace-event JSON (``--trace``, open in
 for scripting.
 
 This doubles as the CI bench-smoke workload: it exercises kernel hooks,
-the metrics registry, recorder-driven trace spans and the profiler in
+the metrics registry, the bus's transaction spans and the profiler in
 one short run.
 """
 
@@ -35,7 +35,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SimProfiler
 from repro.obs.trace_events import TraceEventCollector
 from repro.ocp.types import OcpCmd, OcpRequest
-from repro.trace.transaction import TransactionRecorder
 
 #: Beats per burst in the demo workload (PLB-legal fixed burst).
 BURST = 8
@@ -70,8 +69,7 @@ def run_demo(transactions: int = 20, trace_path: Optional[str] = None):
     ctx = SimContext()
     top = Module("top", ctx=ctx)
     registry = MetricsRegistry()
-    recorder = TransactionRecorder(keep_records=False, metrics=registry)
-    plb = PlbBus("plb", top, recorder=recorder, metrics=registry)
+    plb = PlbBus("plb", top, metrics=registry)
     memory = MemorySlave("mem", top, size=1 << 16, read_wait=1,
                          write_wait=1)
     plb.attach_slave(memory, 0, 1 << 16)
@@ -81,7 +79,6 @@ def run_demo(transactions: int = 20, trace_path: Optional[str] = None):
 
     profiler = SimProfiler()
     collector = TraceEventCollector()
-    collector.attach_recorder(recorder)
     ctx.attach_observer(ObserverGroup(profiler, collector))
     profiler.start()
     # Generous horizon: the workload finishes long before this.

@@ -4,11 +4,11 @@
 the Chrome trace-event format, directly loadable at ``ui.perfetto.dev``
 or ``chrome://tracing``:
 
-* every **TLM channel** (bus, SHIP, OCP) with a subscribed
-  :class:`~repro.trace.transaction.TransactionRecorder` becomes a track;
-  each completed transaction is a matched ``B``/``E`` duration pair in
-  *simulated* time with initiator/target/size arguments, and
-  transactions that overlap in time go to extra lanes of the track;
+* every **bus CAM and SHIP channel** that reports a completed transfer
+  (the ``on_transaction`` hook) becomes a track; each transfer is a
+  matched ``B``/``E`` duration pair in *simulated* time with
+  initiator/target/size arguments, and transfers that overlap in time
+  go to extra lanes of the track;
 * every **kernel process** becomes a track (via the kernel observer
   hooks); each activation is an ``X`` slice placed at its simulated
   time whose *duration is the host cost of that dispatch* — the slice
@@ -44,12 +44,13 @@ _FS_PER_US = 1_000_000
 
 
 class TraceEventCollector(SimObserver):
-    """Collects trace events from kernel hooks, recorders, and gauges.
+    """Collects trace events from observer hooks and gauges.
 
     Attach to a kernel (directly or inside an
-    :class:`~repro.obs.hooks.ObserverGroup`) for process tracks, call
-    :meth:`attach_recorder` for channel tracks, :meth:`watch_gauge` for
-    counter tracks, then :meth:`write` after the run.
+    :class:`~repro.obs.hooks.ObserverGroup`) for process tracks and the
+    channel tracks of every bus and SHIP channel of the context, call
+    :meth:`watch_gauge` for counter tracks, then :meth:`write` after the
+    run.
     """
 
     def __init__(self, process_tracks: bool = True,
@@ -163,28 +164,16 @@ class TraceEventCollector(SimObserver):
             "ts": now_fs / _FS_PER_US, "dur": wall_s * 1e6,
         })
 
+    def on_transaction(self, track: str, kind: str, initiator: str,
+                       target: str, begin_fs: int, end_fs: int,
+                       nbytes: int, burst) -> None:
+        """Emit a completed transfer as a span on the ``track`` lane(s)."""
+        args = {"initiator": initiator, "target": target, "nbytes": nbytes}
+        if burst is not None:
+            args["burst"] = burst
+        self.add_span(track, kind, begin_fs, end_fs, **args)
+
     # -- source attachment -------------------------------------------------
-
-    def attach_recorder(self, recorder) -> None:
-        """Mirror every new transaction of ``recorder`` as a span.
-
-        Works with any :class:`~repro.trace.transaction.TransactionRecorder`
-        (bus CAMs, SHIP channels, OCP TL channels); records appear on a
-        per-channel track named after ``record.channel``.
-        """
-        recorder.subscribe(self._on_record)
-
-    def _on_record(self, rec) -> None:
-        args = {
-            "initiator": rec.initiator,
-            "target": rec.target,
-            "nbytes": rec.nbytes,
-        }
-        args.update(rec.attributes)
-        self.add_span(
-            rec.channel, rec.kind,
-            rec.begin.femtoseconds, rec.end.femtoseconds, **args,
-        )
 
     def watch_gauge(self, gauge) -> None:
         """Mirror a gauge's updates as a Perfetto counter track.

@@ -40,7 +40,6 @@ from repro.ship.serializable import (
     decode_message,
     encode_message,
 )
-from repro.trace.transaction import TransactionRecorder
 
 
 class ShipEnd(enum.Enum):
@@ -135,9 +134,10 @@ class ShipChannel(SimObject, ShipInterface):
         Pass object references instead of serialized byte streams.
     timing:
         Optional :class:`ShipTiming` annotation (CCATB refinement).
-    recorder:
-        Optional :class:`TransactionRecorder` capturing completed
-        transfers.
+
+    Each delivered message and reply is reported to the context's
+    observer (``on_transaction``): a message when it is received, a
+    reply when it reaches its requester.
     """
 
     def __init__(
@@ -148,7 +148,6 @@ class ShipChannel(SimObject, ShipInterface):
         capacity: int = 8,
         zero_copy: bool = False,
         timing: Optional[ShipTiming] = None,
-        recorder: Optional[TransactionRecorder] = None,
     ):
         super().__init__(name, parent, ctx)
         if capacity < 1:
@@ -158,7 +157,6 @@ class ShipChannel(SimObject, ShipInterface):
         self.capacity = capacity
         self.zero_copy = zero_copy
         self.timing = timing or ShipTiming()
-        self.recorder = recorder
         a = _Endpoint(ShipEnd.A, self)
         b = _Endpoint(ShipEnd.B, self)
         a.peer, b.peer = b, a
@@ -223,16 +221,12 @@ class ShipChannel(SimObject, ShipInterface):
             obj, _ = decode_message(msg.data)
         if msg.kind == "request":
             ep.unanswered.append(msg.txn_id)
-        if self.recorder is not None:
-            self.recorder.record(
-                channel=self.full_name,
-                kind=msg.kind,
-                initiator=source.owner_name or source.end.value,
-                target=ep.owner_name or end.value,
-                begin=SimTime._from_fs(msg.sent_at_fs),
-                end=self.ctx.now,
-                nbytes=msg.nbytes,
-            )
+        obs = self.ctx._obs
+        if obs is not None:
+            obs.on_transaction(self.full_name, msg.kind,
+                               source.owner_name or source.end.value,
+                               ep.owner_name or end.value, msg.sent_at_fs,
+                               self.ctx._now_fs, msg.nbytes, None)
         return obj
 
     def request(self, end: ShipEnd, obj: ShipSerializable) -> Generator:
@@ -295,6 +289,16 @@ class ShipChannel(SimObject, ShipInterface):
             obj, _ = decode_message(data)
         slot[0] = obj
         slot[1].notify()
+        obs = self.ctx._obs
+        if obs is not None:
+            # the reply's one wait is its transfer, so it was called
+            # delay_fs before it is delivered
+            now_fs = self.ctx._now_fs
+            requester = ep.peer
+            obs.on_transaction(self.full_name, "reply",
+                               ep.owner_name or end.value,
+                               requester.owner_name or requester.end.value,
+                               now_fs - delay_fs, now_fs, nbytes, None)
 
     # -- internals ---------------------------------------------------------------
 
@@ -316,7 +320,7 @@ class ShipChannel(SimObject, ShipInterface):
     def _transmit(self, end, obj, kind, txn_id) -> Generator:
         ep = self._ends[end]
         ep.calls_used.add(kind)
-        # a recorded transfer begins when the call does: its latency
+        # a reported transfer begins when the call does: its latency
         # includes the wire time and any wait for queue space
         sent_at_fs = self.ctx._now_fs
         data, nbytes = self._frame(obj)

@@ -12,7 +12,9 @@ schedules on every fabric and arbiter, with zero-gap streams, wait
 states, decode misses, bursts over ``max_burst``, a localized
 transported slave and, in part of them, a seeded fault injector, must
 give identical completion times, responses, bus statistics, metrics,
-recorder records, fault logs, memory and end-of-run bus snapshots.
+fault logs, memory and end-of-run bus snapshots, and the reference's
+own list of completed transfers must equal what the engine reports to
+the context's observer.
 
 The last test pins the PLB's kernel activations per transaction.
 """
@@ -45,8 +47,8 @@ from repro.kernel.object import SimObject
 from repro.kernel.simtime import ZERO_TIME
 from repro.obs.metrics import MetricsRegistry
 from repro.ocp import OcpCmd, OcpRequest, OcpResponse
-from repro.trace.transaction import TransactionRecorder
 from tests.test_burst_access import PerBeatMemory
+from tests.test_obs_hooks import TransferLog
 from tests.test_pin_wakeups import ActivationCounter
 
 
@@ -91,6 +93,8 @@ class SimTimeEngine:
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.stats = SimTimeBusStats()
+        #: completed transfers, in TransferLog's tuple form
+        self.transfers = []
 
     def __snapshot__(self):
         state = super().__snapshot__()
@@ -239,17 +243,16 @@ class SimTimeEngine:
                 self._m_errors.inc()
             self._m_latency.observe(latency.to("ns"))
             self._m_utilization.set(self.utilization(), self.ctx._now_fs)
-        if self.recorder is not None:
-            self.recorder.record(
-                channel=self.full_name,
-                kind=txn.request.cmd.name.lower(),
-                initiator=txn.master,
-                target=channel,
-                begin=txn.arrival,
-                end=end,
-                nbytes=txn.request.nbytes,
-                burst=txn.request.burst_length,
-            )
+        self.transfers.append((
+            self.full_name,
+            txn.request.cmd.name.lower(),
+            txn.master,
+            channel,
+            txn.arrival.femtoseconds,
+            end.femtoseconds,
+            txn.request.nbytes,
+            txn.request.burst_length,
+        ))
 
 
 FABRICS = {
@@ -341,15 +344,14 @@ def run_schedule(seed, fabric, arbiter, reference):
 
     ctx = SimContext()
     top = Module("top", ctx=ctx)
-    recorder = TransactionRecorder()
     metrics = MetricsRegistry() if fabric != "crossbar" else None
     if fabric == "crossbar":
         bus = CrossbarCam("bus", top, clock_period=period,
-                          arbiter_factory=new_arbiter, recorder=recorder)
+                          arbiter_factory=new_arbiter)
     else:
         cls = (SIMTIME_FABRICS if reference else FABRICS)[fabric]
         bus = cls("bus", top, clock_period=period, arbiter=new_arbiter(),
-                  recorder=recorder, metrics=metrics)
+                  metrics=metrics)
     memory_cls = PerBeatMemory if reference else MemorySlave
     memories = [
         memory_cls(f"mem{i}", top, size=0x200,
@@ -367,6 +369,17 @@ def run_schedule(seed, fabric, arbiter, reference):
                          write_wait=rng.choice([None, 1]))
         bus.attach_slave(far, *REGIONS[2], localize=True)
     bus.fault_injector = injector
+    buses = bus.paths if fabric == "crossbar" else [bus]
+    if reference:
+        # the reference's own list; a crossbar's paths share one, in
+        # completion order
+        transfers = []
+        for path in buses:
+            path.transfers = transfers
+    else:
+        reports = TransferLog()
+        ctx.attach_observer(reports)
+        transfers = reports.transfers
     records = []
     running = list(names)
 
@@ -391,7 +404,6 @@ def run_schedule(seed, fabric, arbiter, reference):
 
         ctx.register_thread(master, names[index])
     ctx.run(ns(100_000))
-    buses = bus.paths if fabric == "crossbar" else [bus]
     return {
         "outcome": ctx.last_run_outcome,
         "records": records,
@@ -402,7 +414,7 @@ def run_schedule(seed, fabric, arbiter, reference):
         "faults": (injector.plan.__snapshot__() if injector is not None
                    else None),
         "metrics": metrics.snapshot() if metrics is not None else None,
-        "recorded": recorder.records,
+        "transfers": transfers,
         "memory": [list(memory._words.items()) for memory in memories],
     }
 

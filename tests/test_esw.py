@@ -61,7 +61,6 @@ class TestConstraints:
     def test_ship_only_pe_passes(self, ctx, top):
         ping, pong = build_pair(ctx, top)
         assert pe_violations(ping) == []
-        assert ping.uses_only_ship()
 
     def test_non_ship_port_detected(self, ctx, top):
         chan = ShipChannel("chan", top)
@@ -81,7 +80,6 @@ class TestConstraints:
         violations = pe_violations(bad)
         assert violations
         assert "non-SHIP ports" in violations[0]
-        assert not bad.uses_only_ship()
 
     def test_pe_without_processes_detected(self, ctx, top):
         class Empty(ProcessingElement):

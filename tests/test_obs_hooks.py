@@ -51,6 +51,20 @@ class HookCounter(SimObserver):
         self.last_blocked = tuple(blocked)
 
 
+class TransferLog(SimObserver):
+    """Keeps every completed transfer a component reports, in order, as
+    ``(track, kind, initiator, target, begin_fs, end_fs, nbytes,
+    burst)``."""
+
+    def __init__(self):
+        self.transfers = []
+
+    def on_transaction(self, track, kind, initiator, target, begin_fs,
+                       end_fs, nbytes, burst):
+        self.transfers.append((track, kind, initiator, target, begin_fs,
+                               end_fs, nbytes, burst))
+
+
 def _workload(ctx):
     """A small design exercising every hook kind: timed waits, delta
     notifications, and signal writes (update phases)."""

@@ -114,7 +114,7 @@ class TestReportCli:
     def test_json_report_counts_both_masters(self, capsys):
         assert report_main(["--transactions", "2", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["metrics"]["trace.transactions"]["value"] == 4
+        assert report["metrics"]["bus.top.plb.transactions"]["value"] == 4
 
     def test_text_report_prints_last_activity_time(self, capsys):
         """The demo runs to a generous bound (150 us at 3 transactions);

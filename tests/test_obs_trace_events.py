@@ -6,21 +6,20 @@ import json
 from repro.kernel import Fifo, SimContext, ns
 from repro.obs import MetricsRegistry, TraceEventCollector, watch_fifo
 from repro.obs.report import run_demo
-from repro.trace import TransactionRecorder
 
 
 def _run_workload(collector):
-    """Two threads plus a recorder feeding the collector."""
+    """Two threads, one reporting a transfer to the context's observer
+    after each wait, as a bus does."""
     ctx = SimContext()
-    recorder = TransactionRecorder()
-    collector.attach_recorder(recorder)
 
     def busy():
         for i in range(5):
-            begin = ctx.now
+            begin_fs = ctx.now.femtoseconds
             yield ns(20)
-            recorder.record("bus", "read", "cpu", "mem", begin, ctx.now,
-                            nbytes=4)
+            ctx.observer.on_transaction("bus", "read", "cpu", "mem",
+                                        begin_fs, ctx.now.femtoseconds, 4,
+                                        None)
 
     def idle():
         for _ in range(5):
@@ -250,14 +249,18 @@ class TestOverlappingSpans:
 
     def test_overlapping_transactions_keep_their_initiator(self):
         collector = TraceEventCollector(process_tracks=False)
-        recorder = TransactionRecorder()
-        collector.attach_recorder(recorder)
-        recorder.record("plb", "write", "m0", "mem", ns(210), ns(320), 32)
-        recorder.record("plb", "read", "m1", "mem", ns(300), ns(410), 32)
+        collector.on_transaction("plb", "wr", "m0", "mem",
+                                 ns(210).femtoseconds,
+                                 ns(320).femtoseconds, 32, 8)
+        collector.on_transaction("plb", "rd", "m1", "mem",
+                                 ns(300).femtoseconds,
+                                 ns(410).femtoseconds, 32, 8)
         slices, _ = _slices(collector.to_dict())
         assert sorted((args["initiator"], begin, end)
                       for _, _, begin, end, args in slices) == [
             ("m0", 210.0, 320.0), ("m1", 300.0, 410.0)]
+        # a bus transfer's burst is a span argument
+        assert all(args["burst"] == 8 for *_, args in slices)
 
     def test_instrumented_plb_run_has_one_open_slice_per_thread(self):
         # python -m repro.obs.report's workload: two masters contend

@@ -3,8 +3,11 @@
 ``ReferenceShipChannel`` below is the reference for the channel: the
 implementation that kept each end's state in five ``ShipEnd``-keyed
 dicts and encoded every reply twice.  The differential property runs
-random schedules on both and requires the same deliveries, accounting,
-recorder records and checkpoint payload.
+random schedules on both and requires the same deliveries, accounting
+and checkpoint payload, and the reference's own list of received
+transfers to equal what the channel reports to the context's observer
+(replies, which the reference does not report, are checked on their
+own).
 """
 
 import itertools
@@ -39,7 +42,7 @@ from repro.ship import (
 )
 from repro.ship.serializable import FRAME_HEADER_BYTES
 from repro.snapshot import SnapshotError
-from repro.trace import TransactionRecorder
+from tests.test_obs_hooks import TransferLog
 
 _OTHER = {ShipEnd.A: ShipEnd.B, ShipEnd.B: ShipEnd.A}
 
@@ -70,12 +73,13 @@ class ReferenceShipChannel(SimObject):
     """Reference channel: per-end state in ``ShipEnd``-keyed dicts."""
 
     def __init__(self, name, parent=None, ctx=None, capacity=8,
-                 zero_copy=False, timing=None, recorder=None):
+                 zero_copy=False, timing=None):
         super().__init__(name, parent, ctx)
         self.capacity = capacity
         self.zero_copy = zero_copy
         self.timing = timing or ShipTiming()
-        self.recorder = recorder
+        #: received transfers, in TransferLog's tuple form
+        self.transfers = []
         self._endpoints = {ShipEnd.A: _ReferenceEndpoint(),
                            ShipEnd.B: _ReferenceEndpoint()}
         self._claimed = {}
@@ -117,16 +121,16 @@ class ReferenceShipChannel(SimObject):
         obj = self._materialize(msg)
         if msg.kind == "request":
             self._unanswered[end].append(msg.txn_id)
-        if self.recorder is not None:
-            self.recorder.record(
-                channel=self.full_name,
-                kind=msg.kind,
-                initiator=self._endpoints[source].owner_name or source.value,
-                target=self._endpoints[end].owner_name or end.value,
-                begin=msg.sent_at,
-                end=self.ctx.now,
-                nbytes=msg.nbytes,
-            )
+        self.transfers.append((
+            self.full_name,
+            msg.kind,
+            self._endpoints[source].owner_name or source.value,
+            self._endpoints[end].owner_name or end.value,
+            msg.sent_at.femtoseconds,
+            self.ctx.now.femtoseconds,
+            msg.nbytes,
+            None,
+        ))
         return obj
 
     def request(self, end, obj):
@@ -349,9 +353,10 @@ class TestSendRecv:
     def _three_timed_sends(zero_copy):
         ctx = SimContext()
         top = Module("top", ctx=ctx)
-        recorder = TransactionRecorder()
+        log = TransferLog()
+        ctx.attach_observer(log)
         chan = ShipChannel(
-            "c", top, zero_copy=zero_copy, recorder=recorder,
+            "c", top, zero_copy=zero_copy,
             timing=ShipTiming(base_latency=ns(10), per_byte=ns(1)),
         )
         a, b = two_enders(ctx, top, chan)
@@ -367,7 +372,7 @@ class TestSendRecv:
         ctx.register_thread(sender, "s")
         ctx.register_thread(receiver, "r")
         ctx.run()
-        nbytes = [record.nbytes for record in recorder.records]
+        nbytes = [transfer[6] for transfer in log.transfers]
         return ctx.now, chan.bytes_sent(a), nbytes
 
     def test_zero_copy_moves_no_simulated_value(self):
@@ -622,13 +627,18 @@ class TestEndpointManagement:
 
 
 class TestRecording:
-    def test_recorder_captures_transfers(self, ctx, top):
-        from repro.trace import TransactionRecorder
+    """What a channel reports to the context's observer."""
 
-        rec = TransactionRecorder()
-        chan = ShipChannel("c", top, recorder=rec,
-                           timing=ShipTiming(base_latency=ns(5)))
-        a, b = two_enders(ctx, top, chan)
+    @staticmethod
+    def _logged_channel(ctx, top, **options):
+        log = TransferLog()
+        ctx.attach_observer(log)
+        chan = ShipChannel("c", top, **options)
+        return log, chan, *two_enders(ctx, top, chan)
+
+    def test_recorder_captures_transfers(self, ctx, top):
+        log, chan, a, b = self._logged_channel(
+            ctx, top, timing=ShipTiming(base_latency=ns(5)))
 
         def sender():
             yield from chan.send(a, ShipInt(1))
@@ -639,17 +649,14 @@ class TestRecording:
         ctx.register_thread(sender, "s")
         ctx.register_thread(receiver, "r")
         ctx.run()
-        assert rec.count == 1
-        assert rec.records[0].kind == "send"
-        assert rec.records[0].nbytes == 14
+        assert log.transfers == [("top.c", "send", "tester_a", "tester_b",
+                                  0, ns(5).femtoseconds, 14, None)]
 
     def test_recorded_latency_includes_transfer_time(self, ctx, top):
-        """A recorded transfer begins when ``send`` is called, so its
+        """A reported transfer begins when ``send`` is called, so its
         latency is the wire time, as a bus CAM stamps at submit."""
-        rec = TransactionRecorder()
-        chan = ShipChannel("c", top, recorder=rec,
-                           timing=ShipTiming(base_latency=ns(10)))
-        a, b = two_enders(ctx, top, chan)
+        log, chan, a, b = self._logged_channel(
+            ctx, top, timing=ShipTiming(base_latency=ns(10)))
 
         def sender():
             yield from chan.send(a, ShipInt(1))
@@ -660,9 +667,51 @@ class TestRecording:
         ctx.register_thread(sender, "s")
         ctx.register_thread(receiver, "r")
         ctx.run()
-        (record,) = rec.records
-        assert (record.begin, record.end) == (ns(0), ns(10))
-        assert record.latency == ns(10)
+        ((*_, begin_fs, end_fs, _, _),) = log.transfers
+        assert (begin_fs, end_fs) == (0, ns(10).femtoseconds)
+
+    def test_reply_is_reported_from_call_to_delivery(self, ctx, top):
+        """A round trip reports both legs: the request when it is
+        received, the reply from the replying end to the requester's
+        when it is delivered."""
+        log, chan, a, b = self._logged_channel(
+            ctx, top, timing=ShipTiming(base_latency=ns(10)))
+
+        def client():
+            yield from chan.request(a, ShipInt(1))
+
+        def server():
+            msg = yield from chan.recv(b)
+            yield from chan.reply(b, ShipInt(msg.value + 1))
+
+        ctx.register_thread(client, "client")
+        ctx.register_thread(server, "server")
+        ctx.run()
+        ten, twenty = ns(10).femtoseconds, ns(20).femtoseconds
+        assert log.transfers == [
+            ("top.c", "request", "tester_a", "tester_b", 0, ten, 14, None),
+            ("top.c", "reply", "tester_b", "tester_a", ten, twenty, 14,
+             None),
+        ]
+
+    def test_dropped_reply_is_not_reported(self, ctx, top):
+        log, chan, a, b = self._logged_channel(
+            ctx, top, timing=ShipTiming(base_latency=ns(10)))
+
+        def client():
+            with pytest.raises(SimTimeoutError):
+                yield from with_timeout(ctx, chan.request(a, ShipInt(1)),
+                                        ns(15))
+
+        def server():
+            msg = yield from chan.recv(b)
+            yield from chan.reply(b, ShipInt(msg.value + 1))
+
+        ctx.register_thread(client, "client")
+        ctx.register_thread(server, "server")
+        ctx.run()
+        assert chan.replies_dropped == 1
+        assert [transfer[1] for transfer in log.transfers] == ["request"]
 
 
 class TestCodecPasses:
@@ -840,12 +889,12 @@ def _observe(channel_cls, schedule):
     """Run one schedule; everything the channel lets a user observe."""
     ctx = SimContext()
     top = Module("top", ctx=ctx)
-    recorder = TransactionRecorder()
+    reports = TransferLog()
+    ctx.attach_observer(reports)
     timing = (ShipTiming(base_latency=ns(3), per_byte=ps(100))
               if schedule["timed"] else None)
     chan = channel_cls("c", top, capacity=schedule["capacity"],
-                       zero_copy=schedule["zero_copy"], timing=timing,
-                       recorder=recorder)
+                       zero_copy=schedule["zero_copy"], timing=timing)
     plan = None
     if schedule["faults"]:
         plan = FaultPlan(seed=7)
@@ -922,8 +971,9 @@ def _observe(channel_cls, schedule):
         snapshot = str(exc)
     return {
         "log": log,
-        "records": [(r.channel, r.kind, r.initiator, r.target, r.begin,
-                     r.end, r.nbytes) for r in recorder.records],
+        # the reference keeps its own list; the channel reports
+        "transfers": (chan.transfers if channel_cls is ReferenceShipChannel
+                      else reports.transfers),
         "ends": [(chan.bytes_sent(end), chan.messages_sent(end),
                   chan.pending_requests(end), chan.detected_role(end))
                  for end in ShipEnd],
@@ -939,5 +989,25 @@ def _observe(channel_cls, schedule):
 @settings(max_examples=150, deadline=None)
 @given(schedule=_schedules)
 def test_channel_matches_reference_on_random_schedules(schedule):
-    assert _observe(ShipChannel, schedule) \
-        == _observe(ReferenceShipChannel, schedule)
+    got = _observe(ShipChannel, schedule)
+    replies = [t for t in got["transfers"] if t[1] == "reply"]
+    got["transfers"] = [t for t in got["transfers"] if t[1] != "reply"]
+    assert got == _observe(ReferenceShipChannel, schedule)
+    # Each delivered reply is one report, to the requester's end, ending
+    # when its requester resumes with the reply; it began one wire time
+    # earlier, at the reply call.  A dropped reply reports nothing.
+    owner = {f"c{i}": f"pe_{end.value}"
+             for i, (end, _) in enumerate(schedule["clients"])}
+    delivered = sorted((when.femtoseconds, owner[name])
+                       for when, name, what, *_ in got["log"]
+                       if what == "reply")
+    assert sorted((end_fs, target)
+                  for _, _, _, target, _, end_fs, _, _ in replies) \
+        == delivered
+    wire_fs = ((ns(3) + ps(100) * 14).femtoseconds if schedule["timed"]
+               else 0)
+    for track, _, initiator, target, begin_fs, end_fs, nbytes, burst \
+            in replies:
+        assert (track, nbytes, burst) == ("top.c", 14, None)
+        assert {initiator, target} == {"pe_a", "pe_b"}
+        assert end_fs - begin_fs == wire_fs

@@ -1,11 +1,11 @@
-"""Unit tests for VCD tracing and transaction recording."""
+"""Unit tests for VCD tracing."""
 
 import io
 
 import pytest
 
 from repro.kernel import Clock, Signal, ns
-from repro.trace import TransactionRecorder, VcdTracer
+from repro.trace import VcdTracer
 
 
 class TestVcdTracer:
@@ -83,38 +83,6 @@ class TestVcdTracer:
         assert len(tracer._vars) == 1
 
 
-class TestTransactionRecorder:
-    def test_records_and_latency_stats(self):
-        rec = TransactionRecorder()
-        rec.record("bus", "read", "cpu", "mem", ns(0), ns(40), nbytes=16)
-        rec.record("bus", "read", "cpu", "mem", ns(10), ns(70), nbytes=16)
-        rec.record("bus", "write", "dma", "mem", ns(5), ns(25), nbytes=32)
-        assert rec.count == 3
-        assert rec.total_bytes == 64
-        assert [(r.kind, r.latency) for r in rec.records] == [
-            ("read", ns(40)), ("read", ns(60)), ("write", ns(20))]
-
-    def test_listener_notified(self):
-        rec = TransactionRecorder()
-        seen = []
-        rec.subscribe(seen.append)
-        rec.record("c", "read", "a", "b", ns(0), ns(5))
-        assert len(seen) == 1
-        assert seen[0].latency == ns(5)
-
-    def test_keep_records_false_keeps_stats_only(self):
-        rec = TransactionRecorder(keep_records=False)
-        rec.record("c", "read", "a", "b", ns(0), ns(5))
-        assert rec.count == 1
-        assert rec.records == []
-
-    def test_record_attributes_preserved(self):
-        rec = TransactionRecorder()
-        r = rec.record("c", "read", "a", "b", ns(0), ns(5), burst=8)
-        assert r.attributes == {"burst": 8}
-        assert r.latency == ns(5)
-
-
 class TestVcdValueKinds:
     def test_float_signal_dumped_as_real(self, ctx, top):
         stream = io.StringIO()
@@ -147,21 +115,6 @@ class TestVcdValueKinds:
         ctx.run()
         tracer.flush()
         assert "$var wire 16" in stream.getvalue()
-
-
-class TestRecorderStatsWithoutRecords:
-    def test_metrics_accumulate_via_registry(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        rec = TransactionRecorder(keep_records=False, metrics=registry)
-        rec.record("c", "read", "a", "b", ns(0), ns(10), nbytes=8)
-        rec.record("c", "read", "a", "b", ns(0), ns(20), nbytes=8)
-        assert registry.get("trace.transactions").value == 2
-        assert registry.get("trace.bytes").value == 16
-        hist = registry.get("trace.latency_ns")
-        assert hist.count == 2
-        assert hist.mean == pytest.approx(15.0)
 
 
 class TestVcdTracerLifecycle:
